@@ -1,4 +1,4 @@
-"""Exact Gibbs-measure computation for one quenched disorder realization.
+"""Exact Gibbs-measure computation for quenched disorder realizations.
 
 The environment is lazy and deterministic: omega_{k,x} is a pure function of
 (seed, k, x) through the counter RNG, so layers are regenerated on demand
@@ -6,6 +6,12 @@ instead of being stored.  The forward-backward recursion works on dense
 per-layer boxes [-k, k]^d with per-layer sum normalization; the logs of the
 normalizers accumulate to log Z.  Path weights reach exp(beta*b*n), far past
 float range at experiment scale, so the normalization is not optional.
+
+An instance whose seed is a tuple of R seeds is a batch of R independent
+environments.  Every layer then carries a leading axis of length R, every
+reduction runs over the trailing d site axes only, and entry r is bit for
+bit the solution of the single instance with seed[r].  An int seed is the
+same code with no leading axis.
 
 A brute-force enumerator over all (2d)^n paths provides the independent
 oracle for small instances.
@@ -18,26 +24,43 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import FrozenSet, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .lattice import Site, is_reachable, layer_mask, step_vectors
+from .lattice import Site, is_reachable, layer_mask, step_vectors, step_windows
 from .laws import EnvironmentLaw
-from .rng import counter_uniform, derive_seed
+from .rng import counter_uniform
 
 BRUTE_FORCE_LIMIT = 20_000_000
 _BRUTE_CHUNK = 1 << 15
+
+
+Seed = Union[int, Tuple[int, ...]]
 
 
 class NumericalError(RuntimeError):
     """A layer of the recursion produced non-finite values."""
 
 
+def batch_shape(seed: Seed) -> Tuple[int, ...]:
+    """Leading axes of every layer: (R,) for a tuple of R seeds, () for an int."""
+    return (len(seed),) if isinstance(seed, tuple) else ()
+
+
+def require_single(seed: Seed, what: str) -> None:
+    """Refuse a batched seed where only one environment makes sense."""
+    if isinstance(seed, tuple):
+        raise ValueError(f"{what} takes one environment; got a batch of "
+                         f"{len(seed)} seeds")
+
+
 @dataclass(frozen=True)
 class PolymerInstance:
-    """One quenched realization: dimension, length, temperature, law, seed.
+    """Quenched realizations: dimension, length, temperature, law, seed.
 
+    seed is an int for one environment, or a tuple of R ints for a batch of
+    R environments solved together (a tuple keeps the instance hashable).
     centered: subtract the law's mean from every environment value.  This
     leaves the Gibbs measure unchanged up to a constant shift of log Z.
     """
@@ -46,7 +69,7 @@ class PolymerInstance:
     n: int
     beta: float
     law: EnvironmentLaw
-    seed: int
+    seed: Seed
     centered: bool = False
 
     def __post_init__(self):
@@ -54,6 +77,10 @@ class PolymerInstance:
             raise ValueError("d and n must be >= 1")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
+        if isinstance(self.seed, (list, np.ndarray)):
+            raise TypeError("seed must be an int or a tuple of ints")
+        if isinstance(self.seed, tuple) and not self.seed:
+            raise ValueError("a seed tuple needs at least one seed")
 
 
 @dataclass(frozen=True)
@@ -75,19 +102,23 @@ class EnvOverrides:
 
 def _box_coords(d: int, k: int) -> np.ndarray:
     """Integer coordinates of the box [-k, k]^d, shape box + (d,)."""
-    idx = np.indices((2 * k + 1,) * d)
-    return np.moveaxis(idx, 0, -1).astype(np.int64) - k
+    idx = np.indices((2 * k + 1,) * d, dtype=np.int64)
+    idx -= k
+    return idx.transpose(tuple(range(1, d + 1)) + (0,))
 
 
 def env_layer(instance: PolymerInstance, k: int,
               overrides: Optional[EnvOverrides] = None) -> np.ndarray:
-    """Dense omega values over the box [-k, k]^d for step k.
+    """Dense omega values over the box [-k, k]^d for step k, with the batch
+    axis of a seed tuple in front.
 
     Values at unreachable sites are generated too (they are cheap) but carry
     no weight in the recursion since the forward mass there is zero.
     """
     if not (1 <= k <= instance.n):
         raise ValueError(f"step {k} outside 1..{instance.n}")
+    if overrides is not None:
+        require_single(instance.seed, "EnvOverrides")
     if overrides is not None and k in overrides.zero_layers:
         om = np.zeros((2 * k + 1,) * instance.d)
     else:
@@ -108,6 +139,7 @@ def env_layer(instance: PolymerInstance, k: int,
 def env_value(instance: PolymerInstance, k: int, x: Site,
               overrides: Optional[EnvOverrides] = None) -> float:
     """The omega value at one (step, site) key."""
+    require_single(instance.seed, "env_value")
     if not (1 <= k <= instance.n):
         raise ValueError(f"step {k} outside 1..{instance.n}")
     if not is_reachable(x, k):
@@ -127,28 +159,32 @@ def env_value(instance: PolymerInstance, k: int, x: Site,
     return val
 
 
-def _neighbor_sum_up(prev: np.ndarray, d: int) -> np.ndarray:
-    """Sum of the previous layer over neighbors, box (2k-1)^d -> (2k+1)^d."""
-    m = prev.shape[0]            # 2k-1
-    out = np.zeros((m + 2,) * d)
-    for j in range(d):
-        for off in (0, 2):
-            sl = tuple(slice(off, off + m) if a == j else slice(1, m + 1)
-                       for a in range(d))
-            out[sl] += prev
+def _neighbor_sum(layer: np.ndarray, d: int, up: bool) -> np.ndarray:
+    """Sum over the 2d neighbours of every site, on the trailing d axes.
+
+    up: from the box of step k-1 to the box of step k (side grows by 2);
+    otherwise from the box of step k+1 to the box of step k.
+    """
+    m = layer.shape[-1] if up else layer.shape[-1] - 2
+    out = np.zeros(layer.shape[:-d] + ((m + 2) if up else m,) * d)
+    for _, window in step_windows(d, m):
+        if up:
+            out[window] += layer
+        else:
+            out += layer[window]
     return out
 
 
-def _neighbor_sum_down(nxt: np.ndarray, d: int) -> np.ndarray:
-    """Sum of the next layer over neighbors, box (2k+3)^d -> (2k+1)^d."""
-    m = nxt.shape[0] - 2         # 2k+1
-    out = np.zeros((m,) * d)
-    for j in range(d):
-        for off in (0, 2):
-            sl = tuple(slice(off, off + m) if a == j else slice(1, m + 1)
-                       for a in range(d))
-            out += nxt[sl]
-    return out
+def _site_sums(layer: np.ndarray, d: int) -> np.ndarray:
+    """Sums over the trailing d site axes, kept as size-1 axes."""
+    lead = layer.shape[:-d]
+    return layer.reshape(lead + (-1,)).sum(axis=-1).reshape(lead + (1,) * d)
+
+
+def _log(values: np.ndarray) -> np.ndarray:
+    """Elementwise math.log: np.log may differ from it in the last bit, and
+    log Z must not depend on the batch size."""
+    return np.array([math.log(v) for v in values.flat]).reshape(values.shape)
 
 
 @dataclass
@@ -177,19 +213,21 @@ class LayerField:
 
 @dataclass
 class ThetaSolution:
-    """Full forward-backward result for one instance.
+    """Full forward-backward result for one instance or a batch.
 
     theta_layers[k-1] is the dense occupation-probability box at step k;
     forward_layers holds the normalized forward mass (needed for exact path
-    sampling) and may be None for oracle-produced solutions.
+    sampling) and may be None for oracle-produced solutions.  For a seed
+    tuple every layer has the batch axis in front, and log_partition is an
+    (R,) array.
     """
 
     d: int
     n: int
     beta: float
-    seed: int
+    seed: Seed
     theta_layers: List[np.ndarray]
-    log_partition: float
+    log_partition: Union[float, np.ndarray]
     layer_lognorms: Optional[np.ndarray] = None
     forward_layers: Optional[List[np.ndarray]] = None
     overrides: Optional[EnvOverrides] = None
@@ -200,6 +238,7 @@ class ThetaSolution:
         return self.theta_layers[k - 1]
 
     def theta_field(self, k: int) -> LayerField:
+        require_single(self.seed, "theta_field")
         return LayerField(step=k, data=self.theta_array(k))
 
     def theta_value(self, k: int, site: Site) -> float:
@@ -209,44 +248,52 @@ class ThetaSolution:
 def forward_backward(instance: PolymerInstance,
                      overrides: Optional[EnvOverrides] = None,
                      keep_forward: bool = True) -> ThetaSolution:
-    """Stabilized transfer-matrix recursion producing all theta layers and log Z."""
+    """Stabilized transfer-matrix recursion producing all theta layers and log Z.
+
+    A seed tuple solves its R environments together, layer by layer.  With
+    keep_forward=False theta is written over the forward layers in place.
+    """
     d, n, beta = instance.d, instance.n, instance.beta
+    if overrides is not None:
+        require_single(instance.seed, "EnvOverrides")
+    lead = batch_shape(instance.seed)
 
     forward: List[np.ndarray] = []
-    lognorms = np.empty(n)
-    prev = np.ones((1,) * d)
+    lognorms = np.empty(lead + (n,))
+    prev = np.ones(lead + (1,) * d)
     for k in range(1, n + 1):
-        g = _neighbor_sum_up(prev, d)
+        g = _neighbor_sum(prev, d, up=True)
         if beta != 0.0:
             g *= np.exp(beta * env_layer(instance, k, overrides))
-        s = g.sum()
-        if not np.isfinite(s) or s <= 0.0 or not np.all(np.isfinite(g)):
+        s = _site_sums(g, d)
+        if not (np.isfinite(s).all() and (s > 0.0).all() and np.isfinite(g).all()):
             raise NumericalError(f"non-finite forward layer at k={k}")
         g /= s
-        lognorms[k - 1] = math.log(s)
+        lognorms[..., k - 1] = _log(s.reshape(lead))
         forward.append(g)
         prev = g
 
     theta: List[Optional[np.ndarray]] = [None] * n
-    theta[n - 1] = forward[n - 1].copy()
-    b_next = np.ones_like(forward[n - 1])
+    theta[n - 1] = forward[n - 1].copy() if keep_forward else forward[n - 1]
+    b = np.ones_like(forward[n - 1])
     for k in range(n - 1, 0, -1):
-        t = b_next
         if beta != 0.0:
-            t = t * np.exp(beta * env_layer(instance, k + 1, overrides))
-        b = _neighbor_sum_down(t, d)
-        sb = b.sum()
-        if not np.isfinite(sb) or sb <= 0.0:
+            b *= np.exp(beta * env_layer(instance, k + 1, overrides))
+        b = _neighbor_sum(b, d, up=False)
+        sb = _site_sums(b, d)
+        if not (np.isfinite(sb).all() and (sb > 0.0).all()):
             raise NumericalError(f"non-finite backward layer at k={k}")
         b /= sb
-        th = forward[k - 1] * b
-        th /= th.sum()
+        th = forward[k - 1] * b if keep_forward else \
+            np.multiply(forward[k - 1], b, out=forward[k - 1])
+        th /= _site_sums(th, d)
         theta[k - 1] = th
-        b_next = b
 
+    log_partition = lognorms.sum(axis=-1)
     return ThetaSolution(
         d=d, n=n, beta=beta, seed=instance.seed,
-        theta_layers=theta, log_partition=float(lognorms.sum()),
+        theta_layers=theta,
+        log_partition=log_partition if lead else float(log_partition),
         layer_lognorms=lognorms,
         forward_layers=forward if keep_forward else None,
         overrides=overrides,
@@ -289,6 +336,7 @@ def brute_force(instance: PolymerInstance,
     Returns (ThetaSolution, rho, ell) computed directly from the path
     weights, independent of the forward-backward recursion.
     """
+    require_single(instance.seed, "brute_force")
     d, n, beta = instance.d, instance.n, instance.beta
     total = (2 * d) ** n
     if total > BRUTE_FORCE_LIMIT:
@@ -357,6 +405,7 @@ def sample_paths(solution: ThetaSolution, instance: PolymerInstance,
     Samples the endpoint from the forward mass, then walks backward choosing
     each predecessor proportionally to its forward mass.
     """
+    require_single(solution.seed, "sample_paths")
     if solution.forward_layers is None:
         raise ValueError("solution lacks forward layers; rebuild with keep_forward=True")
     d, n = solution.d, solution.n
@@ -433,6 +482,7 @@ def theta_derivative_check(instance: PolymerInstance, solution: ThetaSolution,
 def dump_solution(solution: ThetaSolution, csv_path: str, json_path: str) -> None:
     """Write nonzero theta entries as CSV rows (k, site, theta) plus a JSON
     sidecar with the run parameters."""
+    require_single(solution.seed, "dump_solution")
     with open(csv_path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["k", "site", "theta"])

@@ -11,19 +11,22 @@ From the occupation probabilities theta we derive:
 
 plus Monte Carlo estimates of the layer-conditional expectations of alpha_k
 and gamma_k obtained by redrawing one disorder layer.
+
+alpha_profile, rho and ell reduce over the trailing d site axes only, so on
+a batched solution (seed tuple) they return one value per environment.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .engine import (EnvOverrides, PolymerInstance, ThetaSolution, env_layer,
-                     env_value, forward_backward)
-from .lattice import layer_mask, neighbors, validate_path
+from .engine import (EnvOverrides, PolymerInstance, ThetaSolution, batch_shape,
+                     env_layer, env_value, forward_backward, require_single)
+from .lattice import layer_mask, step_vectors, step_windows, validate_path
 from .rng import derive_seed
 
 _PRIMED_TAG = 0x41C7
@@ -42,8 +45,10 @@ class LocalizationReport:
 
 
 def alpha_profile(solution: ThetaSolution) -> np.ndarray:
-    """alpha_k = sum_x theta_{k,x}^2 for k = 1..n."""
-    return np.array([(t ** 2).sum() for t in solution.theta_layers])
+    """alpha_k = sum_x theta_{k,x}^2 for k = 1..n; shape batch + (n,)."""
+    lead = batch_shape(solution.seed)
+    return np.stack([(t ** 2).reshape(lead + (-1,)).sum(axis=-1)
+                     for t in solution.theta_layers], axis=-1)
 
 
 def alpha_floor(d: int, n: int) -> np.ndarray:
@@ -52,62 +57,68 @@ def alpha_floor(d: int, n: int) -> np.ndarray:
     return (2.0 * ks + 1.0) ** (-d)
 
 
-def rho(solution: ThetaSolution) -> float:
-    """Expected replica overlap fraction: the mean of the alpha profile."""
-    return float(alpha_profile(solution).mean())
+def rho(solution: ThetaSolution):
+    """Expected replica overlap fraction: the mean of the alpha profile.
+
+    A float, or an (R,) array for a batched solution."""
+    r = alpha_profile(solution).mean(axis=-1)
+    return r if batch_shape(solution.seed) else float(r)
 
 
-def _shift_max(prev: np.ndarray, d: int) -> np.ndarray:
-    """Max of the previous DP layer over neighbors, box (2k-1)^d -> (2k+1)^d."""
-    m = prev.shape[0]
-    out = np.full((m + 2,) * d, -np.inf)
-    for j in range(d):
-        for off in (0, 2):
-            sl = tuple(slice(off, off + m) if a == j else slice(1, m + 1)
-                       for a in range(d))
-            np.maximum(out[sl], prev, out=out[sl])
-    return out
-
-
-def ell(solution: ThetaSolution) -> Tuple[float, np.ndarray]:
+def ell(solution: ThetaSolution):
     """Degree of localization and a path attaining it.
 
     Dynamic program over all nearest-neighbor paths from the origin
     (including sites of zero theta); ties broken by the lexicographically
-    smallest site.  Returns (ell, path of shape (n, d)).
+    smallest endpoint, then at each step back by the lexicographically
+    smallest predecessor.  Returns (ell, path of shape (n, d)), or for a
+    batched solution ((R,) scores, (R, n, d) paths).
+
+    Only the current layer's scores are kept; every cell of every layer
+    keeps, as a uint8, which predecessor gave its score.  Only layer 1 is
+    masked: a site off the step-k cone has every neighbour off the
+    step-(k-1) cone, so its score stays -inf.
     """
     d, n = solution.d, solution.n
+    lead = batch_shape(solution.seed)
+    batch = lead[0] if lead else 1
 
-    layers = []
-    m1 = np.where(layer_mask(d, 1), solution.theta_array(1), -np.inf)
-    layers.append(m1)
+    def layer(k):
+        return solution.theta_array(k).reshape((batch,) + (2 * k + 1,) * d)
+
+    best = np.where(layer_mask(d, 1), layer(1), -np.inf)
+    choices = []
     for k in range(2, n + 1):
-        mk = _shift_max(layers[-1], d) + solution.theta_array(k)
-        mk = np.where(layer_mask(d, k), mk, -np.inf)
-        layers.append(mk)
+        # predecessors y = x + v in lexicographic order of v: a strict ">"
+        # keeps the first, i.e. the smallest, of tied predecessors
+        moves = sorted(step_windows(d, 2 * k - 1))
+        score = np.full((batch,) + (2 * k + 1,) * d, -np.inf)
+        choice = np.zeros(score.shape, dtype=np.uint8)
+        better = np.empty(best.shape, dtype=bool)
+        for c, (_, window) in enumerate(moves):
+            np.greater(best, score[window], out=better)
+            np.copyto(score[window], best, where=better)
+            np.copyto(choice[window], c, where=better)
+        score += layer(k)
+        choices.append(choice)
+        best = score
 
     # argmax in C order == lexicographically smallest coordinate tuple
-    flat = int(np.argmax(layers[n - 1]))
-    site = tuple(int(c) - n for c in np.unravel_index(flat, layers[n - 1].shape))
-    best = float(layers[n - 1][tuple(c + n for c in site)])
+    rows = np.arange(batch)
+    flat = best.reshape(batch, -1).argmax(axis=1)
+    top = best.reshape(batch, -1)[rows, flat]
+    idx = np.stack(np.unravel_index(flat, best.shape[1:]), axis=-1)   # box index
+    steps = step_vectors(d)
+    path = np.empty((batch, n, d), dtype=np.int64)
+    path[:, n - 1] = idx - n
+    for k in range(n, 1, -1):
+        c = choices[k - 2][(rows,) + tuple(idx.T)]
+        idx = idx + steps[c] - 1          # predecessor x + v, in the step k-1 box
+        path[:, k - 2] = idx - (k - 1)
 
-    path = np.empty((n, d), dtype=np.int64)
-    path[n - 1] = site
-    x = site
-    for k in range(n - 1, 0, -1):
-        target = None
-        target_val = -np.inf
-        for y in neighbors(x):
-            if max(abs(c) for c in y) > k:
-                continue
-            v = float(layers[k - 1][tuple(c + k for c in y)])
-            if v > target_val:
-                target_val = v
-                target = y
-        x = target
-        path[k - 1] = x
-
-    return best / n, path
+    scores = (top / n).reshape(lead)
+    path = path.reshape(lead + (n, d))
+    return (scores if lead else float(scores)), path
 
 
 def gamma_tau_profiles(solution: ThetaSolution, instance: PolymerInstance):
@@ -116,6 +127,7 @@ def gamma_tau_profiles(solution: ThetaSolution, instance: PolymerInstance):
     h is defined against the raw (uncentered) density, so for centered
     instances it is evaluated at omega + mean.
     """
+    require_single(solution.seed, "gamma_tau_profiles")
     n, d = solution.n, solution.d
     shift = instance.law.mean if instance.centered else 0.0
     gamma = np.empty(n)
@@ -161,6 +173,7 @@ def primed_estimates(instance: PolymerInstance, k: int, resamples: int,
     given (instance.seed, k, resamples): resample j redraws layer k from the
     derived sub-seed mix(seed, k, j).
     """
+    require_single(instance.seed, "primed_estimates")
     if resamples < 100:
         raise ValueError("need at least 100 resamples")
     base = overrides or EnvOverrides()
@@ -195,6 +208,7 @@ def _gamma_single_layer(solution: ThetaSolution, instance: PolymerInstance, k: i
 def build_report(solution: ThetaSolution, instance: PolymerInstance,
                  with_env_profiles: bool = True) -> LocalizationReport:
     """Assemble the localization report and check its internal identities."""
+    require_single(solution.seed, "build_report")
     alpha = alpha_profile(solution)
     r = float(alpha.mean())
     l, path = ell(solution)

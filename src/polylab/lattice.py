@@ -12,6 +12,7 @@ path validation, and overlap counting.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Tuple
 
@@ -41,6 +42,29 @@ def step_vectors(d: int) -> np.ndarray:
             v[j] = s
             vecs.append(v)
     return np.array(sorted(vecs), dtype=np.int64)
+
+
+@lru_cache(maxsize=4096)
+def step_windows(d: int, m: int):
+    """The 2d unit steps v, each with the window that applies it to boxes.
+
+    window indexes the trailing d axes of a box of side m + 2 (leading axes
+    are kept): it is the sub-box of side m whose site x lines up with site
+    x + v of a box of side m, both boxes centred on the origin.  So
+    ``big[window] += small`` adds small[x + v] into big[x], and
+    ``small += big[window]`` adds big[x - v] into small[x].  Pairs come in
+    axis order, +e_j before -e_j; every neighbour sum adds them in this
+    order, which fixes its floating-point rounding.
+    """
+    out = []
+    for j in range(d):
+        for off in (0, 2):
+            v = [0] * d
+            v[j] = 1 - off
+            window = (Ellipsis,) + tuple(
+                slice(off, off + m) if a == j else slice(1, m + 1) for a in range(d))
+            out.append((tuple(v), window))
+    return tuple(out)
 
 
 def reachable_sites(d: int, k: int) -> Iterator[Site]:
@@ -95,11 +119,6 @@ def overlap(p: np.ndarray, q: np.ndarray) -> int:
     if p.shape != q.shape:
         raise ValueError(f"path shapes differ: {p.shape} vs {q.shape}")
     return int(np.all(p == q, axis=1).sum())
-
-
-def pack_site(x: Site) -> Tuple[int, ...]:
-    """Stable hashable key for a site (two's-complement 64-bit words)."""
-    return tuple(int(np.int64(c)) for c in x)
 
 
 def path_to_csv_row(path: np.ndarray) -> list:

@@ -22,13 +22,13 @@ _SH1 = np.uint64(30)
 _SH2 = np.uint64(27)
 _SH3 = np.uint64(31)
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _U53 = 2.0 ** -53
 _SHIFT11 = np.uint64(11)
 
 
-def splitmix64(z):
-    """SplitMix64 finalizer (xor-shift-multiply), vectorized over uint64."""
-    z = np.asarray(z, dtype=np.uint64).copy()
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer applied in place to a uint64 array."""
     z ^= z >> _SH1
     z *= _MUL1
     z ^= z >> _SH2
@@ -37,23 +37,38 @@ def splitmix64(z):
     return z
 
 
+def splitmix64(z):
+    """SplitMix64 finalizer (xor-shift-multiply), vectorized over uint64."""
+    return _finalize(np.array(z, dtype=np.uint64))
+
+
 def _as_word(w):
     """Encode a Python int or int64 array as a two's-complement uint64."""
     a = np.asarray(w)
     if a.dtype == np.uint64:
         return a
-    return a.astype(np.int64).view(np.uint64)
+    return a.astype(np.int64, copy=False).view(np.uint64)
+
+
+def _seed_words(seed) -> np.ndarray:
+    """A seed, or a sequence or integer array of seeds, as uint64 words."""
+    if isinstance(seed, np.ndarray):
+        return _as_word(seed)
+    if isinstance(seed, (tuple, list)):
+        return np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)
+    return np.asarray(np.uint64(int(seed) & _MASK64))
 
 
 def mix_words(seed, *words):
     """Fold a sequence of 64-bit words into a single mixed uint64 state.
 
-    Broadcasting applies across the words, so passing coordinate arrays
-    yields one state per site.
+    seed may be one seed or a sequence/array of seeds.  Broadcasting applies
+    across the seed and the words, so passing coordinate arrays yields one
+    state per site.
     """
-    state = np.asarray(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    state = _seed_words(seed)
     for w in words:
-        state = splitmix64(state ^ (_as_word(w) * GOLDEN))
+        state = _finalize(np.asarray(state ^ (_as_word(w) * GOLDEN)))
     return state
 
 
@@ -66,17 +81,21 @@ def counter_uniform(seed, k, coords):
     """Uniform [0,1) variates keyed by (seed, step k, site coordinates).
 
     coords: integer array of shape (..., d); one variate per leading entry.
-    Identical keys always give identical output.
+    seed: one seed, or a sequence/array of seeds of shape S, which prepends
+    S to the output shape.  Identical keys always give identical output.
     """
     coords = np.asarray(coords, dtype=np.int64)
-    state = mix_words(seed, k + 1)
-    state = np.broadcast_to(state, coords.shape[:-1]).copy()
+    key = mix_words(seed, k + 1)
+    sites = coords.shape[:-1]
+    state = np.empty(key.shape + sites, dtype=np.uint64)
+    np.copyto(state, key.reshape(key.shape + (1,) * len(sites)))
     for j in range(coords.shape[-1]):
-        state = splitmix64(state ^ (_as_word(coords[..., j]) * GOLDEN))
+        state ^= _as_word(coords[..., j]) * GOLDEN
+        _finalize(state)
     return (state >> _SHIFT11).astype(np.float64) * _U53
 
 
 def replication_seed(base_seed: int, r: int) -> int:
     """Seed for replication r: finalizer of base_seed + r * golden."""
-    base = np.asarray(base_seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    base = np.asarray(base_seed & _MASK64, dtype=np.uint64)
     return int(splitmix64(base + np.asarray(r, dtype=np.uint64) * GOLDEN))

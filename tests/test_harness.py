@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ import pytest
 from polylab.engine import PolymerInstance, forward_backward
 from polylab.functionals import ell as ell_fn
 from polylab.functionals import rho as rho_fn
+from polylab import harness
 from polylab.harness import (ConfigError, ExperimentConfig, ReplicationRecord,
-                             histogram, parse_law_spec, run_replications,
-                             scaling_study, summary_stats, tail_probe,
-                             write_histogram_csv, write_report_csv)
+                             chunk_size, histogram, parse_law_spec,
+                             run_replications, scaling_study, summary_stats,
+                             tail_probe, worker_count, write_histogram_csv,
+                             write_report_csv)
 from polylab.rng import replication_seed
 
 CFG = ExperimentConfig(d=1, n=40, beta=2.0, law_spec="uniform:-1,1",
@@ -106,6 +109,57 @@ class TestRunReplications:
         par = run_replications(CFG, workers=2)
         for a, b in zip(records, par):
             assert (a.rho, a.ell, a.log_partition) == (b.rho, b.ell, b.log_partition)
+
+
+def _data(records):
+    return [(r.index, r.rho, r.ell, r.log_partition) for r in records]
+
+
+CHUNKED = ExperimentConfig(d=2, n=40, beta=2.0, law_spec="uniform:-1,1",
+                           replications=12, base_seed=2718)
+
+
+class TestChunks:
+    def test_chunk_size_from_byte_budget(self):
+        # figure 1: sum_k (2k+1) = 90600 cells of 8 bytes per replication
+        assert chunk_size(1, 300) == harness.CHUNK_BYTES // (8 * 90600) == 5
+        assert chunk_size(3, 200) == 1
+
+    # CFG has 1680 cells per replication: chunks of 1, of 3 (3+3+2), of all 8
+    @pytest.mark.parametrize("budget", [1, 8 * 1680 * 3, 1 << 30])
+    def test_records_do_not_depend_on_chunk_size(self, monkeypatch, budget):
+        ref = _data(run_replications(CFG))
+        monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+        assert _data(run_replications(CFG)) == ref
+
+    def test_parallel_matches_serial_over_several_chunks(self):
+        assert chunk_size(CHUNKED.d, CHUNKED.n) < CHUNKED.replications
+        serial = run_replications(CHUNKED, workers=1)
+        assert _data(run_replications(CHUNKED, workers=2)) == _data(serial)
+        assert [r.index for r in serial] == list(range(12))
+
+
+class TestWorkerCount:
+    def test_default_is_serial(self, monkeypatch):
+        monkeypatch.delenv("POLYLAB_THREADS", raising=False)
+        assert worker_count() == 1
+
+    def test_env_value_used_and_capped(self, monkeypatch):
+        monkeypatch.setenv("POLYLAB_THREADS", "1")
+        assert worker_count() == 1
+        monkeypatch.setenv("POLYLAB_THREADS", str(10 ** 6))
+        assert worker_count() == os.cpu_count()
+        assert worker_count(10 ** 6) == os.cpu_count()
+
+    @pytest.mark.parametrize("env", ["0", "-3", "two", "1.5"])
+    def test_bad_env_value_rejected(self, monkeypatch, env):
+        monkeypatch.setenv("POLYLAB_THREADS", env)
+        with pytest.raises(ConfigError):
+            worker_count()
+
+    def test_bad_requested_count_rejected(self):
+        with pytest.raises(ConfigError):
+            worker_count(0)
 
 
 class TestHistogram:
