@@ -7,6 +7,13 @@ per-layer boxes [-k, k]^d with per-layer sum normalization; the logs of the
 normalizers accumulate to log Z.  Path weights reach exp(beta*b*n), far past
 float range at experiment scale, so the normalization is not optional.
 
+The backward sweep runs first and the forward sweep then yields theta in
+increasing k.  By default every backward layer is kept and theta is written
+over it; forward_backward(keep_theta=False) keeps backward layers only at
+checkpoints ceil(sqrt(n)) layers apart, recomputes each segment between
+them, and reduces every theta layer to alpha and one step of the ell
+program as it appears, so a solve holds O(sqrt(n)) layers instead of n.
+
 An instance whose seed is a tuple of R seeds is a batch of R independent
 environments.  Every layer then carries a leading axis of length R, every
 reduction runs over the trailing d site axes only, and entry r is bit for
@@ -24,11 +31,13 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import FrozenSet, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .lattice import Site, is_reachable, layer_mask, step_vectors, step_windows
+from .lattice import (PathDP, Site, is_reachable, layer_mask, step_vectors,
+                      step_windows)
 from .laws import EnvironmentLaw
 from .rng import counter_uniform
 
@@ -100,11 +109,29 @@ class EnvOverrides:
         return bool(self.site_values) or bool(self.zero_layers) or bool(self.layer_seeds)
 
 
+# Boxes of at most this many sites keep their coordinates between solves, so
+# the cache holds a finite key set (about 2 MiB at most, nearly all d = 1).
+_CACHED_BOX_SITES = 1024
+
+
+@lru_cache(maxsize=None)
 def _box_coords(d: int, k: int) -> np.ndarray:
-    """Integer coordinates of the box [-k, k]^d, shape box + (d,)."""
+    """Integer coordinates of the box [-k, k]^d, shape box + (d,), read-only.
+
+    env_layer draws each box twice per solve and again in the next solve;
+    call it through _coords, which caches small boxes only."""
     idx = np.indices((2 * k + 1,) * d, dtype=np.int64)
     idx -= k
-    return idx.transpose(tuple(range(1, d + 1)) + (0,))
+    out = idx.transpose(tuple(range(1, d + 1)) + (0,))
+    out.flags.writeable = False
+    return out
+
+
+def _coords(d: int, k: int) -> np.ndarray:
+    """_box_coords, from the cache for boxes of at most _CACHED_BOX_SITES."""
+    if (2 * k + 1) ** d <= _CACHED_BOX_SITES:
+        return _box_coords(d, k)
+    return _box_coords.__wrapped__(d, k)
 
 
 def env_layer(instance: PolymerInstance, k: int,
@@ -125,7 +152,7 @@ def env_layer(instance: PolymerInstance, k: int,
         seed = instance.seed
         if overrides is not None and k in overrides.layer_seeds:
             seed = overrides.layer_seeds[k]
-        u = counter_uniform(seed, k, _box_coords(instance.d, k))
+        u = counter_uniform(seed, k, _coords(instance.d, k))
         om = np.asarray(instance.law.quantile(u), dtype=np.float64)
         if instance.centered:
             om = om - instance.law.mean
@@ -181,6 +208,11 @@ def _site_sums(layer: np.ndarray, d: int) -> np.ndarray:
     return layer.reshape(lead + (-1,)).sum(axis=-1).reshape(lead + (1,) * d)
 
 
+def layer_alpha(theta: np.ndarray, d: int) -> np.ndarray:
+    """alpha = sum_x theta_x^2 over the trailing d site axes of one layer."""
+    return _site_sums(theta ** 2, d).reshape(theta.shape[:-d])
+
+
 def _log(values: np.ndarray) -> np.ndarray:
     """Elementwise math.log: np.log may differ from it in the last bit, and
     log Z must not depend on the batch size."""
@@ -219,7 +251,8 @@ class ThetaSolution:
     forward_layers holds the normalized forward mass (needed for exact path
     sampling) and may be None for oracle-produced solutions.  For a seed
     tuple every layer has the batch axis in front, and log_partition is an
-    (R,) array.
+    (R,) array.  A keep_theta=False solve keeps no theta layers; it keeps
+    the alpha sums (batch + (n,)) and the ell program (path_dp) instead.
     """
 
     d: int
@@ -231,10 +264,14 @@ class ThetaSolution:
     layer_lognorms: Optional[np.ndarray] = None
     forward_layers: Optional[List[np.ndarray]] = None
     overrides: Optional[EnvOverrides] = None
+    alpha: Optional[np.ndarray] = None
+    path_dp: Optional[PathDP] = None
 
     def theta_array(self, k: int) -> np.ndarray:
         if not (1 <= k <= self.n):
             raise ValueError(f"step {k} outside 1..{self.n}")
+        if not self.theta_layers:
+            raise ValueError("theta layers were not kept (keep_theta=False)")
         return self.theta_layers[k - 1]
 
     def theta_field(self, k: int) -> LayerField:
@@ -245,49 +282,112 @@ class ThetaSolution:
         return self.theta_field(k).value(site)
 
 
+def checkpoint_stride(n: int) -> int:
+    """Layers per segment of a keep_theta=False solve: ceil(sqrt(n))."""
+    return math.isqrt(n - 1) + 1
+
+
+def streamed_bytes(d: int, n: int) -> int:
+    """Bytes one environment holds in a keep_theta=False solve: 8 per cell
+    of the backward checkpoints and of two segments (their weights and
+    backward layers), 1 per cell for the ell choices."""
+    c = checkpoint_stride(n)
+    cells = [(2 * k + 1) ** d for k in range(1, n + 1)]
+    checkpoints = sum(cells[k - 1] for k in range(c, n, c))
+    segment = max(sum(cells[lo:lo + c]) for lo in range(0, n, c))
+    return 8 * (checkpoints + 2 * segment) + sum(cells)
+
+
 def forward_backward(instance: PolymerInstance,
                      overrides: Optional[EnvOverrides] = None,
-                     keep_forward: bool = True) -> ThetaSolution:
-    """Stabilized transfer-matrix recursion producing all theta layers and log Z.
+                     keep_forward: bool = True,
+                     keep_theta: bool = True) -> ThetaSolution:
+    """Stabilized transfer-matrix recursion producing theta and log Z.
 
-    A seed tuple solves its R environments together, layer by layer.  With
-    keep_forward=False theta is written over the forward layers in place.
+    The backward sweep runs first, B_n = 1 and
+    B_k = normalize(down(B_{k+1} * exp(beta*omega_{k+1}))); then the forward
+    sweep F_k = normalize(up(F_{k-1}) * exp(beta*omega_k)) yields theta in
+    increasing k, theta_k = normalize(F_k * B_k) written over B_k, and
+    theta_n = F_n.  A seed tuple solves its R environments together, layer
+    by layer.  keep_forward keeps every F_k, for exact path sampling.
+
+    keep_theta=False keeps no theta layer: the backward sweep keeps B_k
+    only at the top layer of each segment of checkpoint_stride(n) layers,
+    and the forward sweep draws a segment's weights once, recomputes the
+    segment's B_k from its checkpoint with them, and reduces each theta_k
+    to alpha_k and one step of the ell program before dropping it.  The
+    values are those of the default mode bit for bit, and either mode
+    draws each layer's environment twice (layer 1 once).
     """
     d, n, beta = instance.d, instance.n, instance.beta
     if overrides is not None:
         require_single(instance.seed, "EnvOverrides")
     lead = batch_shape(instance.seed)
+    stride = 1 if keep_theta else checkpoint_stride(n)
 
-    forward: List[np.ndarray] = []
-    lognorms = np.empty(lead + (n,))
-    prev = np.ones(lead + (1,) * d)
-    for k in range(1, n + 1):
-        g = _neighbor_sum(prev, d, up=True)
-        if beta != 0.0:
-            g *= np.exp(beta * env_layer(instance, k, overrides))
-        s = _site_sums(g, d)
-        if not (np.isfinite(s).all() and (s > 0.0).all() and np.isfinite(g).all()):
-            raise NumericalError(f"non-finite forward layer at k={k}")
-        g /= s
-        lognorms[..., k - 1] = _log(s.reshape(lead))
-        forward.append(g)
-        prev = g
+    def weights(k: int) -> Optional[np.ndarray]:
+        """exp(beta*omega_k), or None for the all-ones weights of beta=0."""
+        if beta == 0.0:
+            return None
+        return np.exp(beta * env_layer(instance, k, overrides))
 
-    theta: List[Optional[np.ndarray]] = [None] * n
-    theta[n - 1] = forward[n - 1].copy() if keep_forward else forward[n - 1]
-    b = np.ones_like(forward[n - 1])
-    for k in range(n - 1, 0, -1):
-        if beta != 0.0:
-            b *= np.exp(beta * env_layer(instance, k + 1, overrides))
+    def down(b: Optional[np.ndarray], w: Optional[np.ndarray],
+             k: int) -> np.ndarray:
+        """B_k from B_{k+1} (None for B_n = 1) and the weights w of layer k+1."""
+        if b is None:
+            b = np.ones(lead + (2 * k + 3,) * d) if w is None else w
+        elif w is not None:
+            b = b * w
         b = _neighbor_sum(b, d, up=False)
         sb = _site_sums(b, d)
         if not (np.isfinite(sb).all() and (sb > 0.0).all()):
             raise NumericalError(f"non-finite backward layer at k={k}")
         b /= sb
-        th = forward[k - 1] * b if keep_forward else \
-            np.multiply(forward[k - 1], b, out=forward[k - 1])
-        th /= _site_sums(th, d)
-        theta[k - 1] = th
+        return b
+
+    checkpoints = {}
+    b = None
+    for k in range(n - 1, 0, -1):
+        b = down(b, weights(k + 1), k)
+        if k % stride == 0:
+            checkpoints[k] = b
+
+    theta: List[np.ndarray] = []
+    forward: List[np.ndarray] = []
+    lognorms = np.empty(lead + (n,))
+    alpha = None if keep_theta else np.empty(lead + (n,))
+    path_dp = None if keep_theta else PathDP(d, lead)
+    f = np.ones(lead + (1,) * d)
+    for lo in range(1, n + 1, stride):
+        hi = min(lo + stride - 1, n)
+        ws = [weights(k) for k in range(lo, hi + 1)]
+        bs = [None] * len(ws)
+        bs[-1] = checkpoints.pop(hi, None)
+        for i in range(len(bs) - 2, -1, -1):
+            bs[i] = down(bs[i + 1], ws[i + 1], lo + i)
+        for i, k in enumerate(range(lo, hi + 1)):
+            f = _neighbor_sum(f, d, up=True)
+            if ws[i] is not None:
+                f *= ws[i]
+            ws[i] = None
+            s = _site_sums(f, d)
+            if not (np.isfinite(s).all() and (s > 0.0).all()):
+                raise NumericalError(f"non-finite forward layer at k={k}")
+            f /= s
+            lognorms[..., k - 1] = _log(s.reshape(lead))
+            if keep_forward:
+                forward.append(f)
+            if k == n:
+                th = f.copy() if keep_forward else f
+            else:
+                th = np.multiply(f, bs[i], out=bs[i])
+                bs[i] = None
+                th /= _site_sums(th, d)
+            if keep_theta:
+                theta.append(th)
+            else:
+                alpha[..., k - 1] = layer_alpha(th, d)
+                path_dp.push(th)
 
     log_partition = lognorms.sum(axis=-1)
     return ThetaSolution(
@@ -297,6 +397,8 @@ def forward_backward(instance: PolymerInstance,
         layer_lognorms=lognorms,
         forward_layers=forward if keep_forward else None,
         overrides=overrides,
+        alpha=alpha,
+        path_dp=path_dp,
     )
 
 

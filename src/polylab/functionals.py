@@ -13,7 +13,9 @@ plus Monte Carlo estimates of the layer-conditional expectations of alpha_k
 and gamma_k obtained by redrawing one disorder layer.
 
 alpha_profile, rho and ell reduce over the trailing d site axes only, so on
-a batched solution (seed tuple) they return one value per environment.
+a batched solution (seed tuple) they return one value per environment.  On
+a solution from forward_backward(keep_theta=False), which kept no theta
+layers, they read the alpha sums and the ell program the sweep computed.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .engine import (EnvOverrides, PolymerInstance, ThetaSolution, batch_shape,
-                     env_layer, env_value, forward_backward, require_single)
-from .lattice import layer_mask, step_vectors, step_windows, validate_path
+                     env_layer, env_value, forward_backward, layer_alpha,
+                     require_single)
+from .lattice import PathDP, validate_path
 from .rng import derive_seed
 
 _PRIMED_TAG = 0x41C7
@@ -46,9 +49,10 @@ class LocalizationReport:
 
 def alpha_profile(solution: ThetaSolution) -> np.ndarray:
     """alpha_k = sum_x theta_{k,x}^2 for k = 1..n; shape batch + (n,)."""
-    lead = batch_shape(solution.seed)
-    return np.stack([(t ** 2).reshape(lead + (-1,)).sum(axis=-1)
-                     for t in solution.theta_layers], axis=-1)
+    if solution.alpha is not None:
+        return solution.alpha.copy()
+    return np.stack([layer_alpha(t, solution.d) for t in solution.theta_layers],
+                    axis=-1)
 
 
 def alpha_floor(d: int, n: int) -> np.ndarray:
@@ -68,56 +72,23 @@ def rho(solution: ThetaSolution):
 def ell(solution: ThetaSolution):
     """Degree of localization and a path attaining it.
 
-    Dynamic program over all nearest-neighbor paths from the origin
-    (including sites of zero theta); ties broken by the lexicographically
-    smallest endpoint, then at each step back by the lexicographically
-    smallest predecessor.  Returns (ell, path of shape (n, d)), or for a
-    batched solution ((R,) scores, (R, n, d) paths).
-
-    Only the current layer's scores are kept; every cell of every layer
-    keeps, as a uint8, which predecessor gave its score.  Only layer 1 is
-    masked: a site off the step-k cone has every neighbour off the
-    step-(k-1) cone, so its score stays -inf.
+    Dynamic program (lattice.PathDP) over all nearest-neighbor paths from
+    the origin, including sites of zero theta; ties broken by the
+    lexicographically smallest endpoint, then at each step back by the
+    lexicographically smallest predecessor.  Returns (ell, path of shape
+    (n, d)), or for a batched solution ((R,) scores, (R, n, d) paths).
+    A keep_theta=False solve ran the program during its sweep.
     """
-    d, n = solution.d, solution.n
+    n = solution.n
     lead = batch_shape(solution.seed)
-    batch = lead[0] if lead else 1
-
-    def layer(k):
-        return solution.theta_array(k).reshape((batch,) + (2 * k + 1,) * d)
-
-    best = np.where(layer_mask(d, 1), layer(1), -np.inf)
-    choices = []
-    for k in range(2, n + 1):
-        # predecessors y = x + v in lexicographic order of v: a strict ">"
-        # keeps the first, i.e. the smallest, of tied predecessors
-        moves = sorted(step_windows(d, 2 * k - 1))
-        score = np.full((batch,) + (2 * k + 1,) * d, -np.inf)
-        choice = np.zeros(score.shape, dtype=np.uint8)
-        better = np.empty(best.shape, dtype=bool)
-        for c, (_, window) in enumerate(moves):
-            np.greater(best, score[window], out=better)
-            np.copyto(score[window], best, where=better)
-            np.copyto(choice[window], c, where=better)
-        score += layer(k)
-        choices.append(choice)
-        best = score
-
-    # argmax in C order == lexicographically smallest coordinate tuple
-    rows = np.arange(batch)
-    flat = best.reshape(batch, -1).argmax(axis=1)
-    top = best.reshape(batch, -1)[rows, flat]
-    idx = np.stack(np.unravel_index(flat, best.shape[1:]), axis=-1)   # box index
-    steps = step_vectors(d)
-    path = np.empty((batch, n, d), dtype=np.int64)
-    path[:, n - 1] = idx - n
-    for k in range(n, 1, -1):
-        c = choices[k - 2][(rows,) + tuple(idx.T)]
-        idx = idx + steps[c] - 1          # predecessor x + v, in the step k-1 box
-        path[:, k - 2] = idx - (k - 1)
-
+    dp = solution.path_dp
+    if dp is None:
+        dp = PathDP(solution.d, lead)
+        for t in solution.theta_layers:
+            dp.push(t)
+    top, path = dp.result()
     scores = (top / n).reshape(lead)
-    path = path.reshape(lead + (n, d))
+    path = path.reshape(lead + (n, solution.d))
     return (scores if lead else float(scores)), path
 
 

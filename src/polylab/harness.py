@@ -4,11 +4,12 @@ lower-tail probe.
 
 Replication r runs on its own derived seed, so results are independent of
 execution order.  Replications are solved in chunks, each chunk one batched
-forward_backward over its seeds; serial and parallel runs solve the same
-chunks, and a batched solve equals the per-seed solves bit for bit, so
-records do not depend on the chunk size or the worker count.  All floats
-are emitted with 17 significant digits; reports are byte-identical across
-reruns of the same config.  Wall-clock timings are kept in memory and only
+forward_backward over its seeds that keeps no theta layers but reduces them
+to alpha and the ell program as the sweep produces them; serial and parallel
+runs solve the same chunks, and a batched solve equals the per-seed solves
+bit for bit, so records do not depend on the chunk size or the worker
+count.  All floats are emitted with 17 significant digits; reports are
+byte-identical across reruns of the same config.  Wall-clock timings are kept in memory and only
 written to CSV on request, since they would break byte determinism.
 """
 
@@ -25,17 +26,17 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import functionals
-from .engine import PolymerInstance, forward_backward
+from .engine import PolymerInstance, forward_backward, streamed_bytes
 from .laws import EnvironmentLaw, load_table_law, make_uniform
 from .rng import replication_seed
 
 FIGURE1_CONFIG = dict(d=1, n=300, beta=3.0, law="uniform:-1,1",
                       replications=1000, base_seed=20250823)
 
-# Byte budget for the theta stack of one chunk of replications.  Batching
-# shares the per-layer numpy call overhead across the chunk; the budget keeps
-# a chunk's layers cache-sized and peak memory within a few MiB of a
-# one-replication solve (5 replications per chunk at d=1, n=300).
+# Byte budget for the layers one chunk of replications holds in its streamed
+# solve.  Batching shares the per-layer numpy call overhead across the chunk;
+# the budget keeps a chunk's layers cache-sized and peak memory within a few
+# MiB of a one-replication solve (14 replications per chunk at d=1, n=300).
 CHUNK_BYTES = 4 << 20
 
 
@@ -115,9 +116,9 @@ class ReplicationRecord:
 
 
 def chunk_size(d: int, n: int) -> int:
-    """Replications per chunk: CHUNK_BYTES over the bytes of one theta stack."""
-    cells = sum((2 * k + 1) ** d for k in range(1, n + 1))
-    return max(1, CHUNK_BYTES // (8 * cells))
+    """Replications per chunk: CHUNK_BYTES over what one replication holds
+    in a keep_theta=False solve."""
+    return max(1, CHUNK_BYTES // streamed_bytes(d, n))
 
 
 def _solve_chunk(config: ExperimentConfig, law: EnvironmentLaw,
@@ -130,7 +131,7 @@ def _solve_chunk(config: ExperimentConfig, law: EnvironmentLaw,
     seeds = tuple(replication_seed(config.base_seed, r) for r in range(lo, hi))
     inst = PolymerInstance(d=config.d, n=config.n, beta=config.beta, law=law,
                            seed=seeds, centered=config.centered)
-    sol = forward_backward(inst, keep_forward=False)
+    sol = forward_backward(inst, keep_forward=False, keep_theta=False)
     rhos = functionals.alpha_profile(sol).mean(axis=-1)
     ells, _ = functionals.ell(sol)
     log_z = np.broadcast_to(sol.log_partition, rhos.shape)

@@ -7,14 +7,14 @@ parity cone |x|_1 <= k, |x|_1 = k (mod 2).
 Internally the engine works with dense per-layer boxes [-k, k]^d; sites
 outside the cone simply carry zero mass.  This module provides the
 coordinate-level helpers: neighbor enumeration, cone iteration and masks,
-path validation, and overlap counting.
+path validation, overlap counting, and the max-sum path dynamic program.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -87,6 +87,74 @@ def layer_mask(d: int, k: int) -> np.ndarray:
     axes = np.ogrid[tuple(slice(-k, k + 1) for _ in range(d))]
     l1 = sum(np.abs(a) for a in axes)
     return (l1 <= k) & ((l1 - k) % 2 == 0)
+
+
+class PathDP:
+    """Best nearest-neighbour path from the origin through layer fields fed
+    one step at a time (push the step-k field after the step-(k-1) one).
+
+    The score of a path is the sum of the fields along it; every site of the
+    box competes, including sites of zero field.  Ties go to the
+    lexicographically smallest endpoint, then at each step back to the
+    lexicographically smallest predecessor.  Fields carry the leading axes
+    `lead` (one environment per entry) before their d site axes.
+
+    Only the current layer's scores are kept; every cell of every layer
+    keeps, as a uint8, which predecessor gave its score.  Only layer 1 is
+    masked: a site off the step-k cone has every neighbour off the
+    step-(k-1) cone, so its score stays -inf.
+    """
+
+    def __init__(self, d: int, lead: Tuple[int, ...]):
+        self.d = d
+        self.batch = lead[0] if lead else 1
+        self.n = 0
+        self.best = None
+        self.choices: List[np.ndarray] = []
+
+    def push(self, field: np.ndarray) -> None:
+        d = self.d
+        self.n = k = self.n + 1
+        layer = field.reshape((self.batch,) + (2 * k + 1,) * d)
+        if k == 1:
+            self.best = np.where(layer_mask(d, 1), layer, -np.inf)
+            return
+        # predecessors y = x + v in lexicographic order of v: the choice is
+        # the last move c that is strictly better than moves 0..c-1, i.e.
+        # the smallest of tied predecessors, and that is the largest c * better
+        moves = sorted(step_windows(d, 2 * k - 1))
+        score = np.full(layer.shape, -np.inf)
+        choice = np.zeros(score.shape, dtype=np.uint8)
+        better = np.empty(self.best.shape, dtype=bool)
+        mark = np.empty(self.best.shape, dtype=np.uint8)
+        for c, (_, window) in enumerate(moves):
+            if c == 0:
+                score[window] = self.best
+                continue
+            np.greater(self.best, score[window], out=better)
+            np.maximum(score[window], self.best, out=score[window])
+            np.multiply(better.view(np.uint8), np.uint8(c), out=mark)
+            np.maximum(choice[window], mark, out=choice[window])
+        score += layer
+        self.choices.append(choice)
+        self.best = score
+
+    def result(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(top scores of shape (batch,), best paths of shape (batch, n, d))."""
+        d, n, best = self.d, self.n, self.best
+        # argmax in C order == lexicographically smallest coordinate tuple
+        rows = np.arange(self.batch)
+        flat = best.reshape(self.batch, -1).argmax(axis=1)
+        top = best.reshape(self.batch, -1)[rows, flat]
+        idx = np.stack(np.unravel_index(flat, best.shape[1:]), axis=-1)   # box index
+        steps = step_vectors(d)
+        path = np.empty((self.batch, n, d), dtype=np.int64)
+        path[:, n - 1] = idx - n
+        for k in range(n, 1, -1):
+            c = self.choices[k - 2][(rows,) + tuple(idx.T)]
+            idx = idx + steps[c] - 1          # predecessor x + v, in the step k-1 box
+            path[:, k - 2] = idx - (k - 1)
+        return top, path
 
 
 def validate_path(path: np.ndarray, d: int) -> None:

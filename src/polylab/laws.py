@@ -164,7 +164,7 @@ def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
     """Law from tabulated density samples (strictly increasing x covering (a,b)).
 
     The density is linearly interpolated and renormalized; the quantile is
-    obtained by monotone bisection on the numeric CDF to 1e-12.
+    the exact inverse of the piecewise-linear interpolant of the numeric CDF.
     """
     xs = np.asarray(xs, dtype=np.float64)
     fs = np.asarray(fs, dtype=np.float64)
@@ -180,25 +180,15 @@ def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
         y = np.asarray(y, dtype=np.float64)
         return np.where((y >= lo) & (y <= hi), np.interp(y, xs, fs), 0.0)
 
-    # Dense CDF for the quantile bisection.
+    # Dense CDF; strictly increasing, since fs > 0 inside (a, b).
     grid = np.linspace(lo, hi, 16385)
     pdf = np.interp(grid, xs, fs)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
     cdf /= cdf[-1]
     mean = float(np.trapezoid(grid * pdf, grid) / np.trapezoid(pdf, grid))
 
-    def quantile_scalar(u: float) -> float:
-        a, b = lo, hi
-        while b - a > 1e-12 * (hi - lo):
-            mid = 0.5 * (a + b)
-            if np.interp(mid, grid, cdf) < u:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
     def quantile(u):
-        return np.vectorize(quantile_scalar, otypes=[np.float64])(u)
+        return np.interp(u, cdf, grid)
 
     return EnvironmentLaw(support_lo=lo, support_hi=hi, density=density,
                           mean=mean, quantile=quantile, name="table")

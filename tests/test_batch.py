@@ -1,12 +1,14 @@
 """Batched solves: a seed tuple solves R environments in one recursion, and
-entry r equals the single solve with seed[r] bit for bit."""
+entry r equals the single solve with seed[r] bit for bit.  A streamed solve
+(keep_theta=False) equals the stored-layer solve bit for bit."""
 
 import numpy as np
 import pytest
 
+from polylab import engine
 from polylab.engine import (EnvOverrides, PolymerInstance, brute_force,
-                            dump_solution, env_layer, forward_backward,
-                            sample_paths)
+                            checkpoint_stride, dump_solution, env_layer,
+                            forward_backward, sample_paths)
 from polylab.functionals import alpha_profile, ell, rho
 from polylab.lattice import validate_path
 from polylab.laws import make_uniform
@@ -119,6 +121,58 @@ def test_beta0_tie_break_is_lexicographic(d, n, expected):
     _, paths = ell(forward_backward(batch(d, n, 0.0, seeds(2, 3))))
     for p in paths:
         np.testing.assert_array_equal(p, expected)
+
+
+@pytest.mark.parametrize("d,n,beta,law,centered,seed", [
+    (1, 40, 3.0, LAW, False, seeds(5, 4)),     # segments of 7, the last of 5
+    (1, 49, 2.0, LAW, False, 11),              # 7 full segments, one seed
+    (2, 12, 2.0, LAW, False, seeds(6, 3)),
+    (3, 6, 1.5, make_uniform(0.0, 3.0), True, seeds(7, 2)),
+    (1, 30, 0.0, LAW, False, seeds(8, 3)),
+    (2, 9, 0.0, LAW, False, (9,)),             # R = 1
+    (1, 2, 1.0, LAW, False, seeds(10, 2)),     # n = stride: a single segment
+    (2, 1, 1.0, LAW, False, 12),
+])
+@pytest.mark.parametrize("keep_forward", [False, True])
+def test_streamed_equals_stored_bitwise(d, n, beta, law, centered, seed, keep_forward):
+    inst = batch(d, n, beta, seed, law, centered)
+    stored = forward_backward(inst, keep_forward=keep_forward)
+    streamed = forward_backward(inst, keep_forward=keep_forward, keep_theta=False)
+    assert streamed.theta_layers == [] and stored.alpha is None
+    with pytest.raises(ValueError, match="keep_theta"):
+        streamed.theta_array(n)
+    np.testing.assert_array_equal(alpha_profile(streamed), alpha_profile(stored))
+    np.testing.assert_array_equal(rho(streamed), rho(stored))
+    for got, want in zip(ell(streamed), ell(stored)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(streamed.layer_lognorms, stored.layer_lognorms)
+    np.testing.assert_array_equal(streamed.log_partition, stored.log_partition)
+    if keep_forward:
+        for f_streamed, f_stored in zip(streamed.forward_layers, stored.forward_layers,
+                                        strict=True):
+            np.testing.assert_array_equal(f_streamed, f_stored)
+
+
+@pytest.mark.parametrize("keep_theta", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 10, 16, 30])
+def test_each_layer_is_drawn_twice_except_layer_one(monkeypatch, keep_theta, n):
+    drawn = []
+    draw = engine.env_layer
+
+    def counted(instance, k, overrides=None):
+        drawn.append(k)
+        return draw(instance, k, overrides)
+
+    monkeypatch.setattr(engine, "env_layer", counted)
+    forward_backward(batch(1, n, 1.0, seeds(n, 3)), keep_forward=False,
+                     keep_theta=keep_theta)
+    assert len(drawn) == 2 * n - 1
+    assert sorted(drawn) == sorted([1] + 2 * list(range(2, n + 1)))
+
+
+def test_checkpoint_stride_is_ceil_sqrt():
+    assert [checkpoint_stride(n) for n in (1, 2, 4, 5, 9, 10, 300)] == \
+        [1, 2, 2, 3, 3, 4, 18]
 
 
 class TestSingleEnvironmentOnly:

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from polylab.engine import (EnvOverrides, PolymerInstance, brute_force,
-                            dump_solution, env_layer, env_value,
+from polylab import engine
+from polylab.engine import (EnvOverrides, NumericalError, PolymerInstance,
+                            brute_force, dump_solution, env_layer, env_value,
                             forward_backward, sample_path, sample_paths,
                             theta_derivative_check, zero_layer_solution)
 from polylab.functionals import ell, rho
@@ -136,6 +137,28 @@ class TestForwardBackward:
         inst = PolymerInstance(d=1, n=400, beta=10.0, law=LAW, seed=2)
         sol = forward_backward(inst, keep_forward=False)
         assert np.isfinite(sol.log_partition)
+
+
+    @pytest.mark.parametrize("keep_theta", [True, False])
+    @pytest.mark.parametrize("k,site,value", [
+        (1, (1,), math.inf),         # layer 1 is drawn by the forward sweep only
+        (5, (-3,), math.inf),        # reachable
+        (4, (1,), math.nan),         # unreachable: zero mass times nan
+        (8, (3,), math.nan),
+    ])
+    def test_non_finite_environment_raises(self, keep_theta, k, site, value):
+        inst = PolymerInstance(d=1, n=8, beta=1.0, law=LAW, seed=6)
+        ov = EnvOverrides(site_values={(k, site): value})
+        with pytest.raises(NumericalError):
+            forward_backward(inst, ov, keep_forward=False, keep_theta=keep_theta)
+
+    def test_box_coordinates_cached_read_only(self):
+        small = engine._coords(2, 3)
+        assert small is engine._coords(2, 3) and not small.flags.writeable
+        assert small.shape == (7, 7, 2) and small[0, 6].tolist() == [-3, 3]
+        big = engine._coords(1, engine._CACHED_BOX_SITES)
+        assert big is not engine._coords(1, engine._CACHED_BOX_SITES)
+        np.testing.assert_array_equal(big, engine._coords(1, engine._CACHED_BOX_SITES))
 
 
 class TestBruteForce:

@@ -3,11 +3,12 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from polylab.engine import PolymerInstance, forward_backward
+from polylab.engine import PolymerInstance, forward_backward, streamed_bytes
 from polylab.functionals import ell as ell_fn
 from polylab.functionals import rho as rho_fn
 from polylab import harness
@@ -121,12 +122,28 @@ CHUNKED = ExperimentConfig(d=2, n=40, beta=2.0, law_spec="uniform:-1,1",
 
 class TestChunks:
     def test_chunk_size_from_byte_budget(self):
-        # figure 1: sum_k (2k+1) = 90600 cells of 8 bytes per replication
-        assert chunk_size(1, 300) == harness.CHUNK_BYTES // (8 * 90600) == 5
+        # figure 1 streams in segments of 18 layers: 4912 cells in the
+        # checkpoints k = 18, 36, ..., 288, 10080 in the largest segment
+        # (k = 271..288), 90600 in all layers for the 1-byte ell choices
+        assert streamed_bytes(1, 300) == 8 * (4912 + 2 * 10080) + 90600
+        assert chunk_size(1, 300) == harness.CHUNK_BYTES // 291176 == 14
         assert chunk_size(3, 200) == 1
 
-    # CFG has 1680 cells per replication: chunks of 1, of 3 (3+3+2), of all 8
-    @pytest.mark.parametrize("budget", [1, 8 * 1680 * 3, 1 << 30])
+    def test_figure1_chunk_peak_memory_within_budget(self):
+        cfg = ExperimentConfig(d=1, n=300, beta=3.0, law_spec="uniform:-1,1",
+                               replications=14, base_seed=5)
+        law = cfg.law()
+        harness._solve_chunk(cfg, law, 0, chunk_size(1, 300))  # fills the coordinate cache
+        tracemalloc.start()
+        try:
+            harness._solve_chunk(cfg, law, 0, chunk_size(1, 300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * harness.CHUNK_BYTES
+
+    # a CFG replication holds 10680 bytes: chunks of 1, of 3 (3+3+2), of all 8
+    @pytest.mark.parametrize("budget", [1, 40320, 1 << 30])
     def test_records_do_not_depend_on_chunk_size(self, monkeypatch, budget):
         ref = _data(run_replications(CFG))
         monkeypatch.setattr(harness, "CHUNK_BYTES", budget)

@@ -5,9 +5,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from polylab.lattice import (layer_mask, neighbors, overlap, path_from_csv_row,
-                             path_to_csv_row, reachable_sites, step_vectors,
-                             validate_path)
+from polylab.lattice import (PathDP, is_reachable, layer_mask, neighbors,
+                             overlap, path_from_csv_row, path_to_csv_row,
+                             reachable_sites, step_vectors, validate_path)
 
 
 def walk_support(d, k):
@@ -123,6 +123,43 @@ class TestValidatePath:
         for _ in range(10):
             steps = sv[rng.integers(0, 4, size=30)]
             validate_path(np.cumsum(steps, axis=0), 2)
+
+
+def best_path_reference(fields, d):
+    """Site-by-site max-sum program over the cone with the same tie-break:
+    the lexicographically smallest endpoint, then predecessor."""
+    n = len(fields)
+    score, pred = {}, {}
+    for k in range(1, n + 1):
+        for x in reachable_sites(d, k):
+            value = float(fields[k - 1][tuple(c + k for c in x)])
+            if k == 1:
+                score[k, x] = value
+                continue
+            ys = [y for y in neighbors(x) if is_reachable(y, k - 1)]
+            y = max(ys, key=lambda y: (score[k - 1, y], [-c for c in y]))
+            score[k, x], pred[k, x] = score[k - 1, y] + value, y
+    end = max(reachable_sites(d, n), key=lambda x: (score[n, x], [-c for c in x]))
+    path = [end]
+    for k in range(n, 1, -1):
+        path.append(pred[k, path[-1]])
+    return score[n, end], np.array(path[::-1])
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 9), (2, 6), (3, 4)])
+def test_path_dp_matches_site_by_site_reference(d, n):
+    # few distinct values, so ties are everywhere; sums of them are exact
+    rng = np.random.default_rng(10 * d + n)
+    fields = [rng.integers(0, 3, size=(4,) + (2 * k + 1,) * d) / 4.0
+              for k in range(1, n + 1)]
+    dp = PathDP(d, (4,))
+    for f in fields:
+        dp.push(f)
+    top, paths = dp.result()
+    for r in range(4):
+        score, path = best_path_reference([f[r] for f in fields], d)
+        assert top[r] == score
+        np.testing.assert_array_equal(paths[r], path)
 
 
 def test_csv_roundtrip():

@@ -191,6 +191,30 @@ class TestTableLaw:
         assert law.h_eval(0.0) == pytest.approx(0.5, abs=1e-4)
         assert float(law.quantile(0.5)) == pytest.approx(0.0, abs=1e-9)
 
+    def test_quantile_agrees_with_cdf_bisection(self):
+        xs = np.linspace(-1.0, 1.0, 201)
+        law = make_table_law(xs, np.maximum(0.0, 1.0 - xs * xs))
+        grid = np.linspace(law.support_lo, law.support_hi, 16385)
+        pdf = law.density(grid)
+        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
+        cdf /= cdf[-1]
+        tol = 1e-12 * law.width
+
+        def bisect(u):
+            a, b = law.support_lo, law.support_hi
+            while b - a > tol:
+                mid = 0.5 * (a + b)
+                if np.interp(mid, grid, cdf) < u:
+                    a = mid
+                else:
+                    b = mid
+            return 0.5 * (a + b)
+
+        u = np.random.default_rng(5).random(2000)
+        got = law.quantile(u)
+        assert got.shape == u.shape
+        assert max(abs(g - bisect(v)) for g, v in zip(got, u)) <= tol
+
     def test_rejects_nonmonotone(self):
         with pytest.raises(LawValidationError):
             make_table_law([0.0, 0.5, 0.4, 1.0], [1, 1, 1, 1])
