@@ -1,10 +1,10 @@
 """Exact Gibbs-measure simulation and localization diagnostics for directed
 polymers in bounded i.i.d. random environments."""
 
-from .engine import (EnvOverrides, LayerField, NumericalError, PolymerInstance,
-                     ThetaSolution, brute_force, env_layer, env_value,
-                     forward_backward, sample_path, sample_paths,
-                     theta_derivative_check, zero_layer_solution)
+from .engine import (NumericalError, PolymerInstance, ThetaSolution,
+                     brute_force, env_layer, env_value, forward_backward,
+                     layer_theta, sample_path, sample_paths,
+                     theta_derivative_check)
 from .functionals import (LocalizationReport, alpha_floor, alpha_profile,
                           build_report, ell, gamma_tau_profiles,
                           primed_estimates, psi, rho)
@@ -13,7 +13,7 @@ from .harness import (ExperimentConfig, ReplicationRecord, histogram,
                       summary_stats, tail_probe)
 from .lattice import neighbors, overlap, reachable_sites, validate_path
 from .laws import (EnvironmentLaw, LawValidationError, check_ibp,
-                   check_poincare, check_poincare_tensorized, h_eval, kappa,
+                   check_poincare, check_poincare_tensorized, kappa,
                    make_table_law, make_uniform, phi, poincare_constant)
 from .rng import counter_uniform, derive_seed, replication_seed
 

@@ -14,6 +14,11 @@ checkpoints ceil(sqrt(n)) layers apart, recomputes each segment between
 them, and reduces every theta layer to alpha and one step of the ell
 program as it appears, so a solve holds O(sqrt(n)) layers instead of n.
 
+layer_theta answers one-layer questions (the zero-layer marginal zeta_k, a
+finite difference in omega_k) from one sweep over the other layers, since
+F_{k-1} and B_k do not depend on omega_k.  It and forward_backward take
+every step from _backward_step and _forward_step.
+
 An instance whose seed is a tuple of R seeds is a batch of R independent
 environments.  Every layer then carries a leading axis of length R, every
 reduction runs over the trailing d site axes only, and entry r is bit for
@@ -30,9 +35,9 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import FrozenSet, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -92,23 +97,6 @@ class PolymerInstance:
             raise ValueError("a seed tuple needs at least one seed")
 
 
-@dataclass(frozen=True)
-class EnvOverrides:
-    """Sparse modifications layered over the lazy environment.
-
-    site_values forces the final omega value at single (k, site) keys;
-    zero_layers sets omega identically 0 on whole layers; layer_seeds
-    redraws whole layers from an alternate seed.
-    """
-
-    site_values: Mapping[Tuple[int, Site], float] = field(default_factory=dict)
-    zero_layers: FrozenSet[int] = frozenset()
-    layer_seeds: Mapping[int, int] = field(default_factory=dict)
-
-    def __bool__(self):
-        return bool(self.site_values) or bool(self.zero_layers) or bool(self.layer_seeds)
-
-
 # Boxes of at most this many sites keep their coordinates between solves, so
 # the cache holds a finite key set (about 2 MiB at most, nearly all d = 1).
 _CACHED_BOX_SITES = 1024
@@ -134,8 +122,17 @@ def _coords(d: int, k: int) -> np.ndarray:
     return _box_coords.__wrapped__(d, k)
 
 
-def env_layer(instance: PolymerInstance, k: int,
-              overrides: Optional[EnvOverrides] = None) -> np.ndarray:
+def _draw(instance: PolymerInstance, k: int, coords: np.ndarray) -> np.ndarray:
+    """omega at step k on the given site coordinates (counter RNG, quantile,
+    centering), shared by env_layer and env_value."""
+    u = counter_uniform(instance.seed, k, coords)
+    om = np.asarray(instance.law.quantile(u), dtype=np.float64)
+    if instance.centered:
+        om = om - instance.law.mean
+    return om
+
+
+def env_layer(instance: PolymerInstance, k: int) -> np.ndarray:
     """Dense omega values over the box [-k, k]^d for step k, with the batch
     axis of a seed tuple in front.
 
@@ -144,46 +141,17 @@ def env_layer(instance: PolymerInstance, k: int,
     """
     if not (1 <= k <= instance.n):
         raise ValueError(f"step {k} outside 1..{instance.n}")
-    if overrides is not None:
-        require_single(instance.seed, "EnvOverrides")
-    if overrides is not None and k in overrides.zero_layers:
-        om = np.zeros((2 * k + 1,) * instance.d)
-    else:
-        seed = instance.seed
-        if overrides is not None and k in overrides.layer_seeds:
-            seed = overrides.layer_seeds[k]
-        u = counter_uniform(seed, k, _coords(instance.d, k))
-        om = np.asarray(instance.law.quantile(u), dtype=np.float64)
-        if instance.centered:
-            om = om - instance.law.mean
-    if overrides is not None and overrides.site_values:
-        for (kk, site), val in overrides.site_values.items():
-            if kk == k:
-                om[tuple(c + k for c in site)] = val
-    return om
+    return _draw(instance, k, _coords(instance.d, k))
 
 
-def env_value(instance: PolymerInstance, k: int, x: Site,
-              overrides: Optional[EnvOverrides] = None) -> float:
+def env_value(instance: PolymerInstance, k: int, x: Site) -> float:
     """The omega value at one (step, site) key."""
     require_single(instance.seed, "env_value")
     if not (1 <= k <= instance.n):
         raise ValueError(f"step {k} outside 1..{instance.n}")
     if not is_reachable(x, k):
         raise ValueError(f"site {x} not reachable at step {k}")
-    if overrides is not None:
-        if (k, tuple(x)) in overrides.site_values:
-            return float(overrides.site_values[(k, tuple(x))])
-        if k in overrides.zero_layers:
-            return 0.0
-    seed = instance.seed
-    if overrides is not None and k in overrides.layer_seeds:
-        seed = overrides.layer_seeds[k]
-    u = counter_uniform(seed, k, np.asarray([x], dtype=np.int64))
-    val = float(instance.law.quantile(u)[0])
-    if instance.centered:
-        val -= instance.law.mean
-    return val
+    return float(_draw(instance, k, np.asarray([x], dtype=np.int64))[0])
 
 
 def _neighbor_sum(layer: np.ndarray, d: int, up: bool) -> np.ndarray:
@@ -219,28 +187,41 @@ def _log(values: np.ndarray) -> np.ndarray:
     return np.array([math.log(v) for v in values.flat]).reshape(values.shape)
 
 
-@dataclass
-class LayerField:
-    """Per-step field of real values on the reachability cone.
+def _layer_weights(instance: PolymerInstance, k: int) -> Optional[np.ndarray]:
+    """exp(beta*omega_k), or None for the all-ones weights of beta=0."""
+    if instance.beta == 0.0:
+        return None
+    return np.exp(instance.beta * env_layer(instance, k))
 
-    Backed by a dense box; sites absent from the cone read as 0.
-    """
 
-    step: int
-    data: np.ndarray
+def _backward_step(b: Optional[np.ndarray], w: Optional[np.ndarray], k: int,
+                   d: int, lead: Tuple[int, ...]) -> np.ndarray:
+    """B_k = normalize(down(B_{k+1} * w)) from B_{k+1} (None for B_n = 1)
+    and the weights w of layer k+1 (None at beta=0)."""
+    if b is None:
+        b = np.ones(lead + (2 * k + 3,) * d) if w is None else w
+    elif w is not None:
+        b = b * w
+    b = _neighbor_sum(b, d, up=False)
+    sb = _site_sums(b, d)
+    if not (np.isfinite(sb).all() and (sb > 0.0).all()):
+        raise NumericalError(f"non-finite backward layer at k={k}")
+    b /= sb
+    return b
 
-    def value(self, site: Site) -> float:
-        k = self.step
-        if not is_reachable(site, k):
-            return 0.0
-        return float(self.data[tuple(c + k for c in site)])
 
-    def items(self):
-        k = self.step
-        d = self.data.ndim
-        mask = layer_mask(d, k)
-        for idx in np.argwhere(mask):
-            yield tuple(int(c) - k for c in idx), float(self.data[tuple(idx)])
+def _forward_step(f: np.ndarray, w: Optional[np.ndarray], k: int,
+                  d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """F_k = normalize(up(F_{k-1}) * w) and its normalizer, from F_{k-1}
+    and the weights w of layer k (None at beta=0)."""
+    f = _neighbor_sum(f, d, up=True)
+    if w is not None:
+        f *= w
+    s = _site_sums(f, d)
+    if not (np.isfinite(s).all() and (s > 0.0).all()):
+        raise NumericalError(f"non-finite forward layer at k={k}")
+    f /= s
+    return f, s
 
 
 @dataclass
@@ -263,7 +244,6 @@ class ThetaSolution:
     log_partition: Union[float, np.ndarray]
     layer_lognorms: Optional[np.ndarray] = None
     forward_layers: Optional[List[np.ndarray]] = None
-    overrides: Optional[EnvOverrides] = None
     alpha: Optional[np.ndarray] = None
     path_dp: Optional[PathDP] = None
 
@@ -274,12 +254,13 @@ class ThetaSolution:
             raise ValueError("theta layers were not kept (keep_theta=False)")
         return self.theta_layers[k - 1]
 
-    def theta_field(self, k: int) -> LayerField:
-        require_single(self.seed, "theta_field")
-        return LayerField(step=k, data=self.theta_array(k))
-
     def theta_value(self, k: int, site: Site) -> float:
-        return self.theta_field(k).value(site)
+        """theta at one (step, site) key; 0 off the reachability cone."""
+        require_single(self.seed, "theta_value")
+        theta = self.theta_array(k)
+        if not is_reachable(site, k):
+            return 0.0
+        return float(theta[tuple(c + k for c in site)])
 
 
 def checkpoint_stride(n: int) -> int:
@@ -299,9 +280,9 @@ def streamed_bytes(d: int, n: int) -> int:
 
 
 def forward_backward(instance: PolymerInstance,
-                     overrides: Optional[EnvOverrides] = None,
                      keep_forward: bool = True,
-                     keep_theta: bool = True) -> ThetaSolution:
+                     keep_theta: bool = True,
+                     layer_seeds: Optional[Mapping[int, int]] = None) -> ThetaSolution:
     """Stabilized transfer-matrix recursion producing theta and log Z.
 
     The backward sweep runs first, B_n = 1 and
@@ -318,37 +299,23 @@ def forward_backward(instance: PolymerInstance,
     to alpha_k and one step of the ell program before dropping it.  The
     values are those of the default mode bit for bit, and either mode
     draws each layer's environment twice (layer 1 once).
+
+    layer_seeds {k: seed} draws layer k of one environment from another seed.
     """
     d, n, beta = instance.d, instance.n, instance.beta
-    if overrides is not None:
-        require_single(instance.seed, "EnvOverrides")
+    redrawn = {k: replace(instance, seed=s) for k, s in (layer_seeds or {}).items()}
+    if redrawn:
+        require_single(instance.seed, "layer_seeds")
     lead = batch_shape(instance.seed)
     stride = 1 if keep_theta else checkpoint_stride(n)
 
     def weights(k: int) -> Optional[np.ndarray]:
-        """exp(beta*omega_k), or None for the all-ones weights of beta=0."""
-        if beta == 0.0:
-            return None
-        return np.exp(beta * env_layer(instance, k, overrides))
-
-    def down(b: Optional[np.ndarray], w: Optional[np.ndarray],
-             k: int) -> np.ndarray:
-        """B_k from B_{k+1} (None for B_n = 1) and the weights w of layer k+1."""
-        if b is None:
-            b = np.ones(lead + (2 * k + 3,) * d) if w is None else w
-        elif w is not None:
-            b = b * w
-        b = _neighbor_sum(b, d, up=False)
-        sb = _site_sums(b, d)
-        if not (np.isfinite(sb).all() and (sb > 0.0).all()):
-            raise NumericalError(f"non-finite backward layer at k={k}")
-        b /= sb
-        return b
+        return _layer_weights(redrawn.get(k, instance), k)
 
     checkpoints = {}
     b = None
     for k in range(n - 1, 0, -1):
-        b = down(b, weights(k + 1), k)
+        b = _backward_step(b, weights(k + 1), k, d, lead)
         if k % stride == 0:
             checkpoints[k] = b
 
@@ -364,16 +331,10 @@ def forward_backward(instance: PolymerInstance,
         bs = [None] * len(ws)
         bs[-1] = checkpoints.pop(hi, None)
         for i in range(len(bs) - 2, -1, -1):
-            bs[i] = down(bs[i + 1], ws[i + 1], lo + i)
+            bs[i] = _backward_step(bs[i + 1], ws[i + 1], lo + i, d, lead)
         for i, k in enumerate(range(lo, hi + 1)):
-            f = _neighbor_sum(f, d, up=True)
-            if ws[i] is not None:
-                f *= ws[i]
+            f, s = _forward_step(f, ws[i], k, d)
             ws[i] = None
-            s = _site_sums(f, d)
-            if not (np.isfinite(s).all() and (s > 0.0).all()):
-                raise NumericalError(f"non-finite forward layer at k={k}")
-            f /= s
             lognorms[..., k - 1] = _log(s.reshape(lead))
             if keep_forward:
                 forward.append(f)
@@ -396,29 +357,40 @@ def forward_backward(instance: PolymerInstance,
         log_partition=log_partition if lead else float(log_partition),
         layer_lognorms=lognorms,
         forward_layers=forward if keep_forward else None,
-        overrides=overrides,
         alpha=alpha,
         path_dp=path_dp,
     )
 
 
-def zero_layer_solution(instance: PolymerInstance, k: int,
-                        overrides: Optional[EnvOverrides] = None) -> ThetaSolution:
-    """Recompute the measure with omega on layer k replaced by 0 everywhere.
+def layer_theta(instance: PolymerInstance, k: int, omega_k) -> np.ndarray:
+    """theta_k of one environment with layer k replaced by omega_k, bit for
+    bit the step-k marginal of a full solve with that layer.
 
-    The step-k marginals of the result are the zeta values whose sandwich
-    against theta (within exp(+-beta*(b-a))) underlies the conditional
-    overlap bound.
+    B_k and F_{k-1} do not depend on omega_k: sweep the other layers down to
+    B_k and up to F_{k-1}, take one forward step with exp(beta*omega_k), and
+    return normalize(F_k * B_k), or F_n at k = n.  omega_k broadcasts against
+    the step-k box: a scalar (0.0 gives zeta_k), one box, or M boxes on a
+    leading axis for an (M,) + box result.
     """
-    if not (1 <= k <= instance.n):
-        raise ValueError(f"step {k} outside 1..{instance.n}")
-    base = overrides or EnvOverrides()
-    merged = EnvOverrides(
-        site_values=dict(base.site_values),
-        zero_layers=base.zero_layers | {k},
-        layer_seeds=dict(base.layer_seeds),
-    )
-    return forward_backward(instance, merged, keep_forward=False)
+    require_single(instance.seed, "layer_theta")
+    d, n = instance.d, instance.n
+    if not (1 <= k <= n):
+        raise ValueError(f"step {k} outside 1..{n}")
+    b = None
+    for j in range(n - 1, k - 1, -1):
+        b = _backward_step(b, _layer_weights(instance, j + 1), j, d, ())
+    f = np.ones((1,) * d)
+    for j in range(1, k):
+        f, _ = _forward_step(f, _layer_weights(instance, j), j, d)
+    omega_k = np.asarray(omega_k, dtype=np.float64)
+    lead = np.broadcast_shapes(omega_k.shape, (2 * k + 1,) * d)[:-d]
+    w = None if instance.beta == 0.0 else np.exp(instance.beta * omega_k)
+    f, _ = _forward_step(np.broadcast_to(f, lead + f.shape), w, k, d)
+    if k == n:
+        return f
+    theta = f * b
+    theta /= _site_sums(theta, d)
+    return theta
 
 
 def _digits(idx: np.ndarray, base: int, n: int) -> np.ndarray:
@@ -431,8 +403,22 @@ def _digits(idx: np.ndarray, base: int, n: int) -> np.ndarray:
     return out
 
 
-def brute_force(instance: PolymerInstance,
-                overrides: Optional[EnvOverrides] = None):
+def _path_chunks(d: int, n: int):
+    """All (2d)^n paths in chunks of _BRUTE_CHUNK: yields (slice of path
+    indices, flat) where flat[k-1] holds each path's step-k site as an index
+    into the raveled box [-k, k]^d."""
+    steps = step_vectors(d)
+    total = (2 * d) ** n
+    for lo in range(0, total, _BRUTE_CHUNK):
+        idx = np.arange(lo, min(lo + _BRUTE_CHUNK, total))
+        pos = np.cumsum(steps[_digits(idx, 2 * d, n)], axis=1)      # (m, n, d)
+        flat = [np.ravel_multi_index(tuple(pos[:, k - 1, a] + k for a in range(d)),
+                                     (2 * k + 1,) * d)
+                for k in range(1, n + 1)]
+        yield slice(lo, lo + idx.size), flat
+
+
+def brute_force(instance: PolymerInstance):
     """Exhaustive enumeration of all (2d)^n paths.
 
     Returns (ThetaSolution, rho, ell) computed directly from the path
@@ -444,23 +430,13 @@ def brute_force(instance: PolymerInstance,
     if total > BRUTE_FORCE_LIMIT:
         raise ValueError(f"(2d)^n = {total} exceeds brute-force limit {BRUTE_FORCE_LIMIT}")
 
-    steps = step_vectors(d)
-    omega = [env_layer(instance, k, overrides) for k in range(1, n + 1)]
-
-    def positions_for(idx: np.ndarray) -> np.ndarray:
-        dig = _digits(idx, 2 * d, n)
-        return np.cumsum(steps[dig], axis=1)      # (m, n, d)
-
+    omega = [env_layer(instance, k).ravel() for k in range(1, n + 1)]
     logw = np.empty(total)
-    for lo in range(0, total, _BRUTE_CHUNK):
-        idx = np.arange(lo, min(lo + _BRUTE_CHUNK, total))
-        pos = positions_for(idx)
-        s = np.zeros(idx.size)
-        for k in range(1, n + 1):
-            flat = np.ravel_multi_index(
-                tuple((pos[:, k - 1, a] + k) for a in range(d)), (2 * k + 1,) * d)
-            s += omega[k - 1].ravel()[flat]
-        logw[lo:lo + idx.size] = beta * s
+    for rows, flat in _path_chunks(d, n):
+        s = np.zeros(rows.stop - rows.start)
+        for om, fl in zip(omega, flat):
+            s += om[fl]
+        logw[rows] = beta * s
 
     m = logw.max()
     w = np.exp(logw - m)
@@ -469,33 +445,25 @@ def brute_force(instance: PolymerInstance,
     probs = w / z
 
     theta = [np.zeros((2 * k + 1,) * d) for k in range(1, n + 1)]
-    for lo in range(0, total, _BRUTE_CHUNK):
-        idx = np.arange(lo, min(lo + _BRUTE_CHUNK, total))
-        pos = positions_for(idx)
-        for k in range(1, n + 1):
-            flat = np.ravel_multi_index(
-                tuple((pos[:, k - 1, a] + k) for a in range(d)), (2 * k + 1,) * d)
-            np.add.at(theta[k - 1].ravel(), flat, probs[lo:lo + idx.size])
+    for rows, flat in _path_chunks(d, n):
+        for t, fl in zip(theta, flat):
+            np.add.at(t.ravel(), fl, probs[rows])
 
     rho = float(sum(float((t ** 2).sum()) for t in theta) / n)
 
     # ell: exhaustive max over the same path set of the mean theta along the path.
     best = -np.inf
-    for lo in range(0, total, _BRUTE_CHUNK):
-        idx = np.arange(lo, min(lo + _BRUTE_CHUNK, total))
-        pos = positions_for(idx)
-        score = np.zeros(idx.size)
-        for k in range(1, n + 1):
-            flat = np.ravel_multi_index(
-                tuple((pos[:, k - 1, a] + k) for a in range(d)), (2 * k + 1,) * d)
-            score += theta[k - 1].ravel()[flat]
+    for rows, flat in _path_chunks(d, n):
+        score = np.zeros(rows.stop - rows.start)
+        for t, fl in zip(theta, flat):
+            score += t.ravel()[fl]
         best = max(best, float(score.max()))
     ell = best / n
 
     sol = ThetaSolution(
         d=d, n=n, beta=beta, seed=instance.seed,
         theta_layers=theta, log_partition=log_partition,
-        layer_lognorms=None, forward_layers=None, overrides=overrides,
+        layer_lognorms=None, forward_layers=None,
     )
     return sol, rho, ell
 
@@ -559,7 +527,7 @@ def theta_derivative_check(instance: PolymerInstance, solution: ThetaSolution,
     t = solution.theta_value(k, x)
     analytic = instance.beta * t * (1.0 - t)
 
-    w0 = env_value(instance, k, x, solution.overrides)
+    w0 = env_value(instance, k, x)
     shift = instance.law.mean if instance.centered else 0.0
     lo = instance.law.support_lo - shift + instance.law.guard
     hi = instance.law.support_hi - shift - instance.law.guard
@@ -568,16 +536,12 @@ def theta_derivative_check(instance: PolymerInstance, solution: ThetaSolution,
         warnings.warn("finite-difference step leaves the support; clamping")
         w_plus, w_minus = min(w_plus, hi), max(w_minus, lo)
 
-    base = solution.overrides or EnvOverrides()
-
-    def theta_at(forced: float) -> float:
-        sv = dict(base.site_values)
-        sv[(k, tuple(x))] = forced
-        ov = EnvOverrides(site_values=sv, zero_layers=base.zero_layers,
-                          layer_seeds=dict(base.layer_seeds))
-        return forward_backward(instance, ov, keep_forward=False).theta_value(k, x)
-
-    numeric = (theta_at(w_plus) - theta_at(w_minus)) / (w_plus - w_minus)
+    site = tuple(c + k for c in x)
+    forced = np.stack([env_layer(instance, k)] * 2)
+    forced[(0,) + site] = w_plus
+    forced[(1,) + site] = w_minus
+    t_plus, t_minus = layer_theta(instance, k, forced)[(slice(None),) + site]
+    numeric = float(t_plus - t_minus) / (w_plus - w_minus)
     return analytic, numeric
 
 
@@ -589,9 +553,12 @@ def dump_solution(solution: ThetaSolution, csv_path: str, json_path: str) -> Non
         wr = csv.writer(fh)
         wr.writerow(["k", "site", "theta"])
         for k in range(1, solution.n + 1):
-            for site, val in solution.theta_field(k).items():
+            theta = solution.theta_array(k)
+            for idx in np.argwhere(layer_mask(solution.d, k)):
+                val = float(theta[tuple(idx)])
                 if val != 0.0:
-                    wr.writerow([k, ";".join(str(c) for c in site), f"{val:.17g}"])
+                    site = ";".join(str(int(c) - k) for c in idx)
+                    wr.writerow([k, site, f"{val:.17g}"])
     with open(json_path, "w") as fh:
         json.dump({"log_partition": solution.log_partition,
                    "seed": solution.seed, "d": solution.d,

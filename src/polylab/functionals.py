@@ -21,14 +21,13 @@ layers, they read the alpha sums and the ell program the sweep computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .engine import (EnvOverrides, PolymerInstance, ThetaSolution, batch_shape,
-                     env_layer, env_value, forward_backward, layer_alpha,
-                     require_single)
+from .engine import (PolymerInstance, ThetaSolution, batch_shape, env_layer,
+                     env_value, forward_backward, layer_alpha, require_single)
 from .lattice import PathDP, validate_path
 from .rng import derive_seed
 
@@ -106,7 +105,7 @@ def gamma_tau_profiles(solution: ThetaSolution, instance: PolymerInstance):
     guard = instance.law.guard
     for k in range(1, n + 1):
         th = solution.theta_array(k)
-        om = env_layer(instance, k, solution.overrides)
+        om = env_layer(instance, k)
         support = th > 0
         w = om[support]
         raw = w + shift
@@ -119,8 +118,7 @@ def gamma_tau_profiles(solution: ThetaSolution, instance: PolymerInstance):
     return gamma, tau
 
 
-def psi(instance: PolymerInstance, path: np.ndarray, index_set: Iterable[int],
-        overrides: Optional[EnvOverrides] = None) -> float:
+def psi(instance: PolymerInstance, path: np.ndarray, index_set: Iterable[int]) -> float:
     """sum over k in the index set of h(omega_{k, x_k}) along the path."""
     path = np.asarray(path)
     validate_path(path, instance.d)
@@ -130,50 +128,37 @@ def psi(instance: PolymerInstance, path: np.ndarray, index_set: Iterable[int],
     shift = instance.law.mean if instance.centered else 0.0
     total = 0.0
     for k in ks:
-        w = env_value(instance, k, tuple(path[k - 1]), overrides)
+        w = env_value(instance, k, tuple(path[k - 1]))
         total += float(instance.law.h(w + shift))
     return total
 
 
-def primed_estimates(instance: PolymerInstance, k: int, resamples: int,
-                     overrides: Optional[EnvOverrides] = None):
+def primed_estimates(instance: PolymerInstance, k: int, resamples: int):
     """Monte Carlo estimates of the layer-k conditional expectations of
     alpha_k and gamma_k, obtained by redrawing layer-k disorder.
 
     Returns (alpha_hat, gamma_hat, (alpha_se, gamma_se)).  Deterministic
     given (instance.seed, k, resamples): resample j redraws layer k from the
-    derived sub-seed mix(seed, k, j).
+    derived sub-seed mix(seed, k, j), and re-solves the instance with it.
     """
     require_single(instance.seed, "primed_estimates")
     if resamples < 100:
         raise ValueError("need at least 100 resamples")
-    base = overrides or EnvOverrides()
+    shift = instance.law.mean if instance.centered else 0.0
     alphas = np.empty(resamples)
     gammas = np.empty(resamples)
     for j in range(resamples):
         sub = derive_seed(instance.seed, _PRIMED_TAG, k, j)
-        ls = dict(base.layer_seeds)
-        ls[k] = sub
-        ov = EnvOverrides(site_values=dict(base.site_values),
-                          zero_layers=base.zero_layers, layer_seeds=ls)
-        sol = forward_backward(instance, ov, keep_forward=False)
+        sol = forward_backward(instance, keep_forward=False, layer_seeds={k: sub})
         th = sol.theta_array(k)
         alphas[j] = float((th ** 2).sum())
-        g, _ = _gamma_single_layer(sol, instance, k)
-        gammas[j] = g
+        support = th > 0
+        w = env_layer(replace(instance, seed=sub), k)[support]
+        hv = np.asarray(instance.law.h(w + shift), dtype=np.float64)
+        gammas[j] = float((hv * th[support]).sum())
     se = (float(np.std(alphas, ddof=1)) / math.sqrt(resamples),
           float(np.std(gammas, ddof=1)) / math.sqrt(resamples))
     return float(alphas.mean()), float(gammas.mean()), se
-
-
-def _gamma_single_layer(solution: ThetaSolution, instance: PolymerInstance, k: int):
-    th = solution.theta_array(k)
-    om = env_layer(instance, k, solution.overrides)
-    shift = instance.law.mean if instance.centered else 0.0
-    support = th > 0
-    w = om[support]
-    hv = np.asarray(instance.law.h(w + shift), dtype=np.float64)
-    return float((hv * th[support]).sum()), float((w * th[support]).sum())
 
 
 def build_report(solution: ThetaSolution, instance: PolymerInstance,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -73,6 +74,14 @@ class ExperimentConfig:
     centered: bool = False
 
     def __post_init__(self):
+        for name in ("d", "n", "replications", "base_seed", "histogram_bins"):
+            if type(getattr(self, name)) is not int:      # bool is not an int here
+                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if isinstance(self.beta, bool) or not isinstance(self.beta, (int, float)) \
+                or not math.isfinite(self.beta):
+            raise ConfigError(f"beta must be a finite number, got {self.beta!r}")
+        if type(self.centered) is not bool or not isinstance(self.law_spec, str):
+            raise ConfigError("centered must be true or false and law_spec a string")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.histogram_bins < 10:

@@ -206,11 +206,6 @@ def load_table_law(path: str) -> EnvironmentLaw:
     return make_table_law(xs, fs)
 
 
-def h_eval(law: EnvironmentLaw, x: float) -> float:
-    """h(x) for x strictly inside the support."""
-    return law.h_eval(x)
-
-
 def poincare_constant(law: EnvironmentLaw, grid_points: int = 4096) -> float:
     """K = sup of h over the support.
 

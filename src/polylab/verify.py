@@ -4,7 +4,9 @@ Each check family exercises one testable property of the build against an
 independent oracle or analytic fact: quadrature identities of the law,
 brute-force equivalence of the recursion, the binomial reduction at beta=0,
 layer normalization, the overlap chain ell^2 <= rho <= ell, per-step floor
-bounds, the zero-layer sandwich, and the theta sensitivity identity.
+bounds, the zero-layer sandwich (zeta_k from engine.layer_theta with
+omega_k = 0), and the theta sensitivity identity (a central difference of
+theta_k from one layer_theta call on the two forced layers).
 
 Used by the `polylab verify` subcommand; the acceptance tests run the same
 properties at their full sizes.
@@ -18,8 +20,8 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from . import functionals, laws
-from .engine import (PolymerInstance, brute_force, forward_backward,
-                     theta_derivative_check, zero_layer_solution)
+from .engine import (PolymerInstance, brute_force, forward_backward, layer_theta,
+                     theta_derivative_check)
 from .rng import derive_seed, replication_seed
 
 IBP_BATTERY = [
@@ -152,7 +154,7 @@ def run_checks(perturb_theta: bool = False, fast: bool = True) -> List[Dict]:
     sandwich_ok = True
     worst_slack = 0.0
     for k in (1, 10, 20, 30, 40):
-        z = zero_layer_solution(inst2, k).theta_array(k)
+        z = layer_theta(inst2, k, 0.0)
         t = sol2.theta_array(k)
         lo = math.exp(-inst2.beta * width) * t
         hi = math.exp(inst2.beta * width) * t

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from polylab.engine import (PolymerInstance, brute_force, forward_backward,
-                            sample_paths, theta_derivative_check,
-                            zero_layer_solution)
+                            layer_theta, sample_paths, theta_derivative_check)
 from polylab.functionals import (alpha_floor, alpha_profile, ell,
                                  primed_estimates, rho)
 from polylab.harness import (ExperimentConfig, run_replications, scaling_study,
@@ -155,7 +154,7 @@ def test_criterion_06_zero_layer_sandwich():
         sol = forward_backward(inst, keep_forward=False)
         bound = math.exp(beta * LAW.width)
         for k in (1, 5, 9, 13, 17, 21, 25, 29, 33, 40):
-            zeta = zero_layer_solution(inst, k).theta_array(k)
+            zeta = layer_theta(inst, k, 0.0)
             theta = sol.theta_array(k)
             live = theta > 0
             ratio = zeta[live] / theta[live]

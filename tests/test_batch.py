@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from polylab import engine
-from polylab.engine import (EnvOverrides, PolymerInstance, brute_force,
-                            checkpoint_stride, dump_solution, env_layer,
-                            forward_backward, sample_paths)
+from polylab.engine import (PolymerInstance, brute_force, checkpoint_stride,
+                            dump_solution, forward_backward, layer_theta,
+                            sample_paths)
 from polylab.functionals import alpha_profile, ell, rho
 from polylab.lattice import validate_path
 from polylab.laws import make_uniform
@@ -159,9 +159,9 @@ def test_each_layer_is_drawn_twice_except_layer_one(monkeypatch, keep_theta, n):
     drawn = []
     draw = engine.env_layer
 
-    def counted(instance, k, overrides=None):
+    def counted(instance, k):
         drawn.append(k)
-        return draw(instance, k, overrides)
+        return draw(instance, k)
 
     monkeypatch.setattr(engine, "env_layer", counted)
     forward_backward(batch(1, n, 1.0, seeds(n, 3)), keep_forward=False,
@@ -183,12 +183,12 @@ class TestSingleEnvironmentOnly:
         return inst, forward_backward(inst)
 
     def test_overrides_rejected(self, solved):
+        """A redrawn or replaced layer belongs to one environment."""
         inst, _ = solved
-        ov = EnvOverrides(zero_layers=frozenset({2}))
         with pytest.raises(ValueError):
-            forward_backward(inst, ov)
+            forward_backward(inst, layer_seeds={2: 5})
         with pytest.raises(ValueError):
-            env_layer(inst, 2, ov)
+            layer_theta(inst, 2, 0.0)
 
     def test_sample_paths_rejected(self, solved):
         inst, sol = solved

@@ -50,6 +50,21 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert len(out.read_text().strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("key,value", [
+        ("n", 20.0), ("replications", 2.0), ("base_seed", 5.0), ("d", True),
+        ("histogram_bins", 40.0), ("beta", float("nan")), ("beta", float("inf")),
+        ("beta", "1"), ("centered", 1), ("law_spec", 5),
+    ])
+    def test_ill_typed_config_is_config_error(self, tmp_path, key, value):
+        doc = {"d": 1, "n": 20, "beta": 1.0, "law_spec": "uniform:-1,1",
+               "replications": 2, "base_seed": 5}
+        doc[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))      # nan and inf as NaN and Infinity
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "r.csv").exists()
+
     def test_config_and_inline_exclusive(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{}")

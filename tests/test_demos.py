@@ -1,0 +1,26 @@
+"""Smoke tests of the demo scripts: each runs as its own process, exits 0 and
+prints something, so a renamed or removed export cannot break a demo
+silently.  demos/04_law_diagnostics.py is left out: its quadrature battery
+takes about 20 s."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ["01_single_instance.py", "02_histogram_experiment.py",
+         "03_scaling_and_contrast.py"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

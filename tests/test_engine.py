@@ -1,22 +1,34 @@
 """Engine: lazy environment, forward-backward vs brute force, sampling,
-zero-layer measures, and the theta sensitivity identity."""
+single-layer marginals (layer_theta, the zero-layer measures), and the theta
+sensitivity identity."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from polylab import engine
-from polylab.engine import (EnvOverrides, NumericalError, PolymerInstance,
-                            brute_force, dump_solution, env_layer, env_value,
-                            forward_backward, sample_path, sample_paths,
-                            theta_derivative_check, zero_layer_solution)
+from polylab.engine import (NumericalError, PolymerInstance, brute_force,
+                            dump_solution, env_layer, env_value,
+                            forward_backward, layer_theta, sample_path,
+                            sample_paths, theta_derivative_check)
 from polylab.functionals import ell, rho
 from polylab.lattice import validate_path
 from polylab.laws import make_uniform
 from polylab.rng import derive_seed, replication_seed
 
 LAW = make_uniform(-1.0, 1.0)
+
+
+def replace_layer(monkeypatch, k, omega):
+    """Make the engine draw omega as layer k of every environment."""
+    draw = engine.env_layer
+
+    def env_layer(instance, j):
+        return np.array(omega, dtype=np.float64) if j == k else draw(instance, j)
+
+    monkeypatch.setattr(engine, "env_layer", env_layer)
 
 
 def srw_marginal(k):
@@ -73,13 +85,6 @@ class TestEnvValue:
         cen = PolymerInstance(d=1, n=4, beta=1.0, law=law, seed=9, centered=True)
         assert env_value(cen, 2, (0,)) == pytest.approx(
             env_value(raw, 2, (0,)) - 1.0, abs=1e-15)
-
-    def test_overrides(self):
-        inst = PolymerInstance(d=1, n=5, beta=1.0, law=LAW, seed=9)
-        ov = EnvOverrides(site_values={(3, (1,)): 0.25}, zero_layers=frozenset({2}))
-        assert env_value(inst, 3, (1,), ov) == 0.25
-        assert env_value(inst, 2, (0,), ov) == 0.0
-        assert env_value(inst, 4, (0,), ov) == env_value(inst, 4, (0,))
 
 
 class TestForwardBackward:
@@ -146,11 +151,14 @@ class TestForwardBackward:
         (4, (1,), math.nan),         # unreachable: zero mass times nan
         (8, (3,), math.nan),
     ])
-    def test_non_finite_environment_raises(self, keep_theta, k, site, value):
+    def test_non_finite_environment_raises(self, monkeypatch, keep_theta, k, site,
+                                           value):
         inst = PolymerInstance(d=1, n=8, beta=1.0, law=LAW, seed=6)
-        ov = EnvOverrides(site_values={(k, site): value})
+        omega = env_layer(inst, k)
+        omega[tuple(c + k for c in site)] = value
+        replace_layer(monkeypatch, k, omega)
         with pytest.raises(NumericalError):
-            forward_backward(inst, ov, keep_forward=False, keep_theta=keep_theta)
+            forward_backward(inst, keep_forward=False, keep_theta=keep_theta)
 
     def test_box_coordinates_cached_read_only(self):
         small = engine._coords(2, 3)
@@ -240,7 +248,7 @@ class TestZeroLayer:
         sol = forward_backward(inst, keep_forward=False)
         bound = math.exp(inst.beta * LAW.width)
         for k in (1, 7, 20, 33, 40):
-            zeta = zero_layer_solution(inst, k).theta_array(k)
+            zeta = layer_theta(inst, k, 0.0)
             theta = sol.theta_array(k)
             live = theta > 0
             ratio = zeta[live] / theta[live]
@@ -250,18 +258,82 @@ class TestZeroLayer:
     def test_beta0_identity(self):
         inst = PolymerInstance(d=1, n=20, beta=0.0, law=LAW, seed=5)
         sol = forward_backward(inst, keep_forward=False)
-        zsol = zero_layer_solution(inst, 10)
-        np.testing.assert_array_equal(sol.theta_array(10), zsol.theta_array(10))
+        np.testing.assert_array_equal(sol.theta_array(10), layer_theta(inst, 10, 0.0))
 
     def test_zeta_sums_to_one(self):
         inst = PolymerInstance(d=2, n=12, beta=3.0, law=LAW, seed=5)
-        z = zero_layer_solution(inst, 6).theta_array(6)
+        z = layer_theta(inst, 6, 0.0)
         assert abs(float(z.sum()) - 1.0) <= 1e-10
 
     def test_k_out_of_range(self):
         inst = PolymerInstance(d=1, n=5, beta=1.0, law=LAW, seed=5)
         with pytest.raises(ValueError):
-            zero_layer_solution(inst, 6)
+            layer_theta(inst, 6, 0.0)
+        with pytest.raises(ValueError):
+            layer_theta(inst, 0, 0.0)
+
+
+# (d, n, beta, k, law, centered): d = 1, 2, 3, beta = 0, k = 1 and k = n, n = 1
+LAYER_CASES = [
+    (1, 12, 2.0, 1, LAW, False),
+    (1, 12, 2.0, 7, LAW, False),
+    (1, 12, 2.0, 12, LAW, False),
+    (1, 1, 2.0, 1, LAW, False),
+    (1, 9, 0.0, 4, LAW, False),
+    (2, 6, 1.5, 3, LAW, False),
+    (2, 5, 0.0, 5, LAW, False),
+    (3, 4, 1.0, 2, make_uniform(0.0, 3.0), True),
+    (3, 3, 2.0, 3, LAW, False),
+]
+
+
+def replacement_layers(inst, k, m):
+    """m step-k boxes drawn from the law under other seeds."""
+    return np.stack([env_layer(dataclasses.replace(inst, seed=derive_seed(inst.seed, j)),
+                               k) for j in range(m)])
+
+
+class TestLayerTheta:
+    @pytest.mark.parametrize("d,n,beta,k,law,centered", LAYER_CASES)
+    def test_equals_full_resolve_bitwise(self, monkeypatch, d, n, beta, k, law,
+                                         centered):
+        inst = PolymerInstance(d=d, n=n, beta=beta, law=law,
+                               seed=replication_seed(44, n), centered=centered)
+        box = (2 * k + 1,) * d
+        boxes = replacement_layers(inst, k, 3)
+        zeta = layer_theta(inst, k, 0.0)
+        single = [layer_theta(inst, k, om) for om in boxes]
+        stacked = layer_theta(inst, k, boxes)
+        assert zeta.shape == box and stacked.shape == (3,) + box
+        for om, theta in [(np.zeros(box), zeta)] + list(zip(boxes, single)):
+            with monkeypatch.context() as mp:
+                replace_layer(mp, k, om)
+                expected = forward_backward(inst, keep_forward=False).theta_array(k)
+            np.testing.assert_array_equal(theta, expected, strict=True)
+        for row, theta in zip(stacked, single):
+            np.testing.assert_array_equal(row, theta, strict=True)
+
+    @pytest.mark.parametrize("n,beta,k", [(1, 1.0, 1), (5, 3.0, 1), (6, 2.0, 4),
+                                          (8, 1.0, 8), (8, 0.0, 3)])
+    def test_matches_brute_force(self, monkeypatch, n, beta, k):
+        inst = PolymerInstance(d=1, n=n, beta=beta, law=LAW,
+                               seed=replication_seed(45, n))
+        boxes = replacement_layers(inst, k, 2)
+        thetas = layer_theta(inst, k, boxes)
+        for om, theta in zip(boxes, thetas):
+            with monkeypatch.context() as mp:
+                replace_layer(mp, k, om)
+                bf_sol, _, _ = brute_force(inst)
+            np.testing.assert_allclose(theta, bf_sol.theta_array(k), rtol=0, atol=1e-10)
+
+    def test_does_not_draw_layer_k(self, monkeypatch):
+        inst = PolymerInstance(d=1, n=10, beta=1.0, law=LAW, seed=3)
+        drawn = []
+        draw = engine.env_layer
+        monkeypatch.setattr(engine, "env_layer",
+                            lambda instance, j: drawn.append(j) or draw(instance, j))
+        layer_theta(inst, 4, 0.0)
+        assert sorted(drawn) == [j for j in range(1, 11) if j != 4]
 
 
 class TestDerivativeIdentity:
