@@ -86,7 +86,11 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    n_grid = [int(v) for v in args.n_grid.split(",")]
+    try:
+        n_grid = [int(v) for v in args.n_grid.split(",")]
+    except ValueError:
+        raise ConfigError(f"--n-grid wants comma-separated integers, "
+                          f"got {args.n_grid!r}") from None
     rows, slope = scaling_study(args.d, n_grid, base_seed=args.seed)
     print("n,ell,rho")
     for n, l, r in rows:
@@ -101,6 +105,8 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_env_check(args) -> int:
+    if args.grid_points < 1:
+        raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
     law = parse_law_spec(args.law)
     law.validate()
     grid = law.interior_grid(args.grid_points)
@@ -196,7 +202,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ConfigError, laws.LawValidationError, FileNotFoundError) as exc:
+    except (ConfigError, laws.LawValidationError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, RuntimeError) as exc:

@@ -10,9 +10,10 @@ float range at experiment scale, so the normalization is not optional.
 The backward sweep runs first and the forward sweep then yields theta in
 increasing k.  By default every backward layer is kept and theta is written
 over it; forward_backward(keep_theta=False) keeps backward layers only at
-checkpoints ceil(sqrt(n)) layers apart, recomputes each segment between
-them, and reduces every theta layer to alpha and one step of the ell
-program as it appears, so a solve holds O(sqrt(n)) layers instead of n.
+the tops of segments that hold about equal numbers of cells
+(segment_tops), recomputes each segment from its checkpoint, and reduces
+every theta layer to alpha and one step of the ell program as it appears,
+so a solve holds about sqrt(n) layers' worth of cells instead of n layers.
 
 layer_theta answers one-layer questions (the zero-layer marginal zeta_k, a
 finite difference in omega_k) from one sweep over the other layers, since
@@ -35,8 +36,10 @@ import csv
 import json
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -263,20 +266,69 @@ class ThetaSolution:
         return float(theta[tuple(c + k for c in site)])
 
 
-def checkpoint_stride(n: int) -> int:
-    """Layers per segment of a keep_theta=False solve: ceil(sqrt(n))."""
-    return math.isqrt(n - 1) + 1
+def _cumulative_cells(d: int, n: int) -> List[int]:
+    """cum[k] = cells of the boxes of layers 1..k, for k = 0..n."""
+    return list(accumulate(((2 * k + 1) ** d for k in range(1, n + 1)), initial=0))
 
 
-def streamed_bytes(d: int, n: int) -> int:
-    """Bytes one environment holds in a keep_theta=False solve: 8 per cell
-    of the backward checkpoints and of two segments (their weights and
-    backward layers), 1 per cell for the ell choices."""
-    c = checkpoint_stride(n)
-    cells = [(2 * k + 1) ** d for k in range(1, n + 1)]
-    checkpoints = sum(cells[k - 1] for k in range(c, n, c))
-    segment = max(sum(cells[lo:lo + c]) for lo in range(0, n, c))
-    return 8 * (checkpoints + 2 * segment) + sum(cells)
+def _plan_cells(cum: List[int], tops: Tuple[int, ...]) -> Tuple[int, int]:
+    """Cells of a segment plan's checkpoint layers (every top below n) and
+    of its largest segment, from the cumulative cells cum."""
+    largest = max(cum[t] - cum[lo] for lo, t in zip((0,) + tops[:-1], tops))
+    return sum(cum[t] - cum[t - 1] for t in tops[:-1]), largest
+
+
+@lru_cache(maxsize=None)
+def segment_tops(d: int, n: int) -> Tuple[int, ...]:
+    """Top layers of the segments of a keep_theta=False solve, increasing
+    and ending at n; segment j is the layers after top j-1 up to top j.
+
+    Layers grow as (2k+1)^d, so segments are balanced by cells, not by
+    layers.  For a cap on a segment's cells, cutting greedily from the top
+    (each segment as long as the cap allows) puts every checkpoint as low
+    as any plan under that cap can.  Caps of about 1/m of all cells, for
+    m = 1, 2, ..., give plans of about m segments; the plan with the fewest
+    words, checkpoints plus twice the largest segment (its weights and
+    backward layers), is kept, and the search stops once smaller caps
+    cannot give fewer words.
+    """
+    cum = _cumulative_cells(d, n)
+    top_layer = cum[n] - cum[n - 1]
+    best = plan = None
+    for m in range(1, n + 1):
+        cap = max(top_layer, -(-cum[n] // m))
+        tops = [n]
+        while tops[-1] > 0:
+            tops.append(bisect_left(cum, cum[tops[-1]] - cap))
+        tops = tuple(tops[-2::-1])
+        checkpoints, largest = _plan_cells(cum, tops)
+        if best is None or checkpoints + 2 * largest < best:
+            best, plan = checkpoints + 2 * largest, tops
+        # smaller caps cut at least as many segments, so they hold at least
+        # the len(tops) - 1 smallest layers as checkpoints
+        if cap == top_layer or cum[len(tops) - 1] >= best:
+            break
+    return plan
+
+
+def streamed_bytes(d: int, n: int, beta: float) -> int:
+    """Bytes one environment holds in a keep_theta=False solve, an upper
+    bound for its share of the solve's peak.
+
+    8 per cell of the segment_tops checkpoints, of the largest segment's
+    backward layers and, unless beta=0, of its weights exp(beta*omega); of
+    the three float layers a step holds besides them (the forward layer,
+    the ell program's scores, and the previous forward layer, theta**2 or
+    the new scores), counted at layer n; and of alpha and the log
+    normalizers (2 per layer).  Plus the ell program's packed choices of
+    every layer."""
+    cum = _cumulative_cells(d, n)
+    checkpoints, largest = _plan_cells(cum, segment_tops(d, n))
+    segment = (2 if beta > 0 else 1) * largest
+    words = checkpoints + segment + 3 * (cum[n] - cum[n - 1]) + 2 * n
+    planes = (2 * d - 1).bit_length()
+    choices = sum(planes * -(-(cum[k] - cum[k - 1]) // 8) for k in range(2, n + 1))
+    return 8 * words + choices
 
 
 def forward_backward(instance: PolymerInstance,
@@ -293,12 +345,14 @@ def forward_backward(instance: PolymerInstance,
     by layer.  keep_forward keeps every F_k, for exact path sampling.
 
     keep_theta=False keeps no theta layer: the backward sweep keeps B_k
-    only at the top layer of each segment of checkpoint_stride(n) layers,
-    and the forward sweep draws a segment's weights once, recomputes the
-    segment's B_k from its checkpoint with them, and reduces each theta_k
-    to alpha_k and one step of the ell program before dropping it.  The
-    values are those of the default mode bit for bit, and either mode
-    draws each layer's environment twice (layer 1 once).
+    only at the top layer of each segment of segment_tops(d, n), whose
+    segments are balanced by cells, not layers; the forward sweep draws a
+    segment's weights once, recomputes the segment's B_k from its
+    checkpoint with them, and reduces each theta_k to alpha_k and one step
+    of the ell program before dropping it.  The default mode is the plan
+    in which every layer is a segment.  The values are those of the default
+    mode bit for bit, and either mode draws each layer's environment twice
+    (layer 1 once).
 
     layer_seeds {k: seed} draws layer k of one environment from another seed.
     """
@@ -307,16 +361,16 @@ def forward_backward(instance: PolymerInstance,
     if redrawn:
         require_single(instance.seed, "layer_seeds")
     lead = batch_shape(instance.seed)
-    stride = 1 if keep_theta else checkpoint_stride(n)
+    tops = tuple(range(1, n + 1)) if keep_theta else segment_tops(d, n)
 
     def weights(k: int) -> Optional[np.ndarray]:
         return _layer_weights(redrawn.get(k, instance), k)
 
-    checkpoints = {}
+    checkpoints = dict.fromkeys(tops[:-1])
     b = None
     for k in range(n - 1, 0, -1):
         b = _backward_step(b, weights(k + 1), k, d, lead)
-        if k % stride == 0:
+        if k in checkpoints:
             checkpoints[k] = b
 
     theta: List[np.ndarray] = []
@@ -325,8 +379,7 @@ def forward_backward(instance: PolymerInstance,
     alpha = None if keep_theta else np.empty(lead + (n,))
     path_dp = None if keep_theta else PathDP(d, lead)
     f = np.ones(lead + (1,) * d)
-    for lo in range(1, n + 1, stride):
-        hi = min(lo + stride - 1, n)
+    for lo, hi in zip((1,) + tuple(t + 1 for t in tops[:-1]), tops):
         ws = [weights(k) for k in range(lo, hi + 1)]
         bs = [None] * len(ws)
         bs[-1] = checkpoints.pop(hi, None)

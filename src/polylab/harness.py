@@ -34,10 +34,11 @@ from .rng import replication_seed
 FIGURE1_CONFIG = dict(d=1, n=300, beta=3.0, law="uniform:-1,1",
                       replications=1000, base_seed=20250823)
 
-# Byte budget for the layers one chunk of replications holds in its streamed
-# solve.  Batching shares the per-layer numpy call overhead across the chunk;
-# the budget keeps a chunk's layers cache-sized and peak memory within a few
-# MiB of a one-replication solve (14 replications per chunk at d=1, n=300).
+# Byte budget for what one chunk of replications holds in its streamed solve
+# (engine.streamed_bytes, an upper bound).  Batching shares the per-layer
+# numpy call overhead across the chunk; the budget keeps a chunk's layers
+# cache-sized and its peak memory within it (25 replications per chunk at
+# d=1, n=300, beta=3).
 CHUNK_BYTES = 4 << 20
 
 
@@ -97,7 +98,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
         try:
             return cls(**data)
         except TypeError as exc:
@@ -124,10 +128,10 @@ class ReplicationRecord:
                                f"(ell={self.ell}, rho={self.rho})")
 
 
-def chunk_size(d: int, n: int) -> int:
+def chunk_size(d: int, n: int, beta: float) -> int:
     """Replications per chunk: CHUNK_BYTES over what one replication holds
     in a keep_theta=False solve."""
-    return max(1, CHUNK_BYTES // streamed_bytes(d, n))
+    return max(1, CHUNK_BYTES // streamed_bytes(d, n, beta))
 
 
 def _solve_chunk(config: ExperimentConfig, law: EnvironmentLaw,
@@ -183,7 +187,7 @@ def run_replications(config: ExperimentConfig,
     identical whether executed serially or in parallel."""
     law = config.law()
     law.validate()
-    size = chunk_size(config.d, config.n)
+    size = chunk_size(config.d, config.n, config.beta)
     los = range(0, config.replications, size)
     his = [min(lo + size, config.replications) for lo in los]
     w = worker_count(workers)
@@ -248,8 +252,12 @@ def scaling_study(d: int, n_grid: Sequence[int], base_seed: int = 0,
 
     The beta=0 measure is deterministic, so a single run per n suffices.
     Returns (rows, slope) where rows are (n, ell, rho) and slope is the
-    fitted log-log slope of ell against n.
+    fitted log-log slope of ell against n, which needs two distinct n.
     """
+    if d < 1 or any(n < 1 for n in n_grid):
+        raise ConfigError(f"need d >= 1 and every n >= 1, got d={d}, n={list(n_grid)}")
+    if len(set(n_grid)) < 2:
+        raise ConfigError(f"a slope needs at least two distinct n, got {list(n_grid)}")
     law = parse_law_spec(law_spec)
     rows = []
     for n in n_grid:

@@ -99,10 +99,13 @@ class PathDP:
     lexicographically smallest predecessor.  Fields carry the leading axes
     `lead` (one environment per entry) before their d site axes.
 
-    Only the current layer's scores are kept; every cell of every layer
-    keeps, as a uint8, which predecessor gave its score.  Only layer 1 is
-    masked: a site off the step-k cone has every neighbour off the
-    step-(k-1) cone, so its score stays -inf.
+    Only the current layer's scores are kept.  Every cell of every layer
+    keeps which of the 2d predecessors gave its score, a choice c < 2d.
+    A layer stores its choices as (2d-1).bit_length() bit planes (bit j of
+    every c), each packed with np.packbits over the flattened sites: shape
+    (batch, planes, ceil(sites / 8)), so 1 bit per cell in d=1, 2 in d=2
+    and 3 in d=3.  Only layer 1 is masked: a site off the step-k cone has
+    every neighbour off the step-(k-1) cone, so its score stays -inf.
     """
 
     def __init__(self, d: int, lead: Tuple[int, ...]):
@@ -110,6 +113,8 @@ class PathDP:
         self.batch = lead[0] if lead else 1
         self.n = 0
         self.best = None
+        # the value of bit plane j in a choice: 1, 2, 4
+        self.plane_bits = 1 << np.arange((2 * d - 1).bit_length(), dtype=np.uint8)
         self.choices: List[np.ndarray] = []
 
     def push(self, field: np.ndarray) -> None:
@@ -136,7 +141,9 @@ class PathDP:
             np.multiply(better.view(np.uint8), np.uint8(c), out=mark)
             np.maximum(choice[window], mark, out=choice[window])
         score += layer
-        self.choices.append(choice)
+        # packbits packs every non-zero byte as a 1 bit
+        bits = choice.reshape(self.batch, 1, -1) & self.plane_bits[:, None]
+        self.choices.append(np.packbits(bits, axis=-1))
         self.best = score
 
     def result(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -151,7 +158,10 @@ class PathDP:
         path = np.empty((self.batch, n, d), dtype=np.int64)
         path[:, n - 1] = idx - n
         for k in range(n, 1, -1):
-            c = self.choices[k - 2][(rows,) + tuple(idx.T)]
+            # the R packed bits of each plane at the path's step-k site
+            site = np.ravel_multi_index(tuple(idx.T), (2 * k + 1,) * d)
+            packed = self.choices[k - 2][rows, :, site >> 3]          # (batch, planes)
+            c = ((packed >> (7 - (site & 7))[:, None]) & 1) @ self.plane_bits
             idx = idx + steps[c] - 1          # predecessor x + v, in the step k-1 box
             path[:, k - 2] = idx - (k - 1)
         return top, path

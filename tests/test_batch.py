@@ -2,13 +2,15 @@
 entry r equals the single solve with seed[r] bit for bit.  A streamed solve
 (keep_theta=False) equals the stored-layer solve bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
 
 from polylab import engine
-from polylab.engine import (PolymerInstance, brute_force, checkpoint_stride,
-                            dump_solution, forward_backward, layer_theta,
-                            sample_paths)
+from polylab.engine import (PolymerInstance, brute_force, dump_solution,
+                            forward_backward, layer_theta, sample_paths,
+                            segment_tops, streamed_bytes)
 from polylab.functionals import alpha_profile, ell, rho
 from polylab.lattice import validate_path
 from polylab.laws import make_uniform
@@ -124,14 +126,16 @@ def test_beta0_tie_break_is_lexicographic(d, n, expected):
 
 
 @pytest.mark.parametrize("d,n,beta,law,centered,seed", [
-    (1, 40, 3.0, LAW, False, seeds(5, 4)),     # segments of 7, the last of 5
-    (1, 49, 2.0, LAW, False, 11),              # 7 full segments, one seed
-    (2, 12, 2.0, LAW, False, seeds(6, 3)),
-    (3, 6, 1.5, make_uniform(0.0, 3.0), True, seeds(7, 2)),
+    (1, 40, 3.0, LAW, False, seeds(5, 4)),     # segments of 10, 8, 5, ..., 3 layers
+    (1, 49, 2.0, LAW, False, 11),              # one seed, segments of 16 to 3 layers
+    (2, 12, 2.0, LAW, False, seeds(6, 3)),     # 7 layers, then four of one
+    (3, 6, 1.5, make_uniform(0.0, 3.0), True, seeds(7, 2)),   # 3, 2, 1 layers
     (1, 30, 0.0, LAW, False, seeds(8, 3)),
     (2, 9, 0.0, LAW, False, (9,)),             # R = 1
-    (1, 2, 1.0, LAW, False, seeds(10, 2)),     # n = stride: a single segment
-    (2, 1, 1.0, LAW, False, 12),
+    (1, 2, 1.0, LAW, False, seeds(10, 2)),     # two one-layer segments
+    (2, 1, 1.0, LAW, False, 12),               # a single segment
+    (1, 37, 1.0, LAW, True, seeds(13, 3)),     # segments of 10 to 2 layers
+    (2, 17, 1.0, LAW, True, seeds(14, 2)),     # segments of 6, 6, 3, 2 layers
 ])
 @pytest.mark.parametrize("keep_forward", [False, True])
 def test_streamed_equals_stored_bitwise(d, n, beta, law, centered, seed, keep_forward):
@@ -170,9 +174,39 @@ def test_each_layer_is_drawn_twice_except_layer_one(monkeypatch, keep_theta, n):
     assert sorted(drawn) == sorted([1] + 2 * list(range(2, n + 1)))
 
 
-def test_checkpoint_stride_is_ceil_sqrt():
-    assert [checkpoint_stride(n) for n in (1, 2, 4, 5, 9, 10, 300)] == \
-        [1, 2, 2, 3, 3, 4, 18]
+def plan_words(d, n, tops):
+    """Checkpoint cells (every top below n) plus twice the largest segment."""
+    cells = [(2 * k + 1) ** d for k in range(1, n + 1)]
+    lows = (0,) + tuple(tops[:-1])
+    largest = max(sum(cells[lo:top]) for lo, top in zip(lows, tops))
+    return sum(cells[t - 1] for t in tops[:-1]) + 2 * largest
+
+
+def sqrt_plan(n):
+    """The plan the segments replaced: ceil(sqrt(n)) layers per segment."""
+    stride = math.isqrt(n - 1) + 1
+    return tuple(range(stride, n, stride)) + (n,)
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 320), (2, 70), (3, 24)])
+def test_segment_plan_covers_every_layer_and_beats_sqrt_plan(d, n_max):
+    for n in range(1, n_max + 1):
+        tops = segment_tops(d, n)
+        assert tops[-1] == n and tops[0] >= 1
+        assert all(a < b for a, b in zip(tops, tops[1:]))
+        layers = [k for lo, top in zip((0,) + tops[:-1], tops)
+                  for k in range(lo + 1, top + 1)]
+        assert layers == list(range(1, n + 1))
+        assert plan_words(d, n, tops) <= plan_words(d, n, sqrt_plan(n))
+
+
+def test_figure1_plan_and_byte_model():
+    # 17077 words where ceil(sqrt(n))-layer segments hold 25072
+    assert plan_words(1, 300, sqrt_plan(300)) == 25072
+    assert plan_words(1, 300, segment_tops(1, 300)) == 17077
+    # the weights of the largest segment (k = 211..221) count only when beta > 0
+    largest = sum(2 * k + 1 for k in range(211, 222))
+    assert streamed_bytes(1, 300, 3.0) - streamed_bytes(1, 300, 0.0) == 8 * largest
 
 
 class TestSingleEnvironmentOnly:

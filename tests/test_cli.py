@@ -7,6 +7,13 @@ import pytest
 from polylab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED, main)
 
 
+def assert_config_error(code, capsys):
+    """Exit 2 with one `config error:` line on stderr and no traceback."""
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 class TestSimulate:
     def test_basic_run(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -72,6 +79,24 @@ class TestSimulate:
                      "--out", str(tmp_path / "r.csv")])
         assert code == EXIT_CONFIG
 
+    def test_malformed_json_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"d": 1, "n": 20,')
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        assert_config_error(code, capsys)
+
+    def test_out_directory_is_config_error(self, tmp_path, capsys):
+        code = main(["simulate", "--d", "1", "--n", "10", "--beta", "1",
+                     "--reps", "1", "--out", str(tmp_path)])
+        assert_config_error(code, capsys)
+
+    def test_table_law_directory_is_config_error(self, tmp_path, capsys):
+        code = main(["simulate", "--d", "1", "--n", "10", "--beta", "1",
+                     "--law", f"table:{tmp_path}", "--reps", "1",
+                     "--out", str(tmp_path / "r.csv")])
+        assert_config_error(code, capsys)
+        assert not (tmp_path / "r.csv").exists()
+
     def test_bad_law_spec(self, tmp_path):
         code = main(["simulate", "--d", "1", "--n", "10", "--beta", "1",
                      "--law", "cauchy:0,1", "--reps", "1", "--seed", "1",
@@ -103,6 +128,10 @@ class TestScaling:
         assert lines[0] == "n,ell,rho"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("grid", ["8,x", "0,8", "16", "16,16"])
+    def test_bad_n_grid_is_config_error(self, grid, capsys):
+        assert_config_error(main(["scaling", "--n-grid", grid]), capsys)
+
 
 class TestEnvCheck:
     def test_uniform(self, capsys):
@@ -111,6 +140,9 @@ class TestEnvCheck:
         out = capsys.readouterr().out
         assert "K = sup h = 0.5" in out
         assert "kappa(d=1)" in out
+
+    def test_zero_grid_points_is_config_error(self, capsys):
+        assert_config_error(main(["env-check", "--grid-points", "0"]), capsys)
 
 
 class TestVerify:

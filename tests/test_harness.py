@@ -122,35 +122,41 @@ CHUNKED = ExperimentConfig(d=2, n=40, beta=2.0, law_spec="uniform:-1,1",
 
 class TestChunks:
     def test_chunk_size_from_byte_budget(self):
-        # figure 1 streams in segments of 18 layers: 4912 cells in the
-        # checkpoints k = 18, 36, ..., 288, 10080 in the largest segment
-        # (k = 271..288), 90600 in all layers for the 1-byte ell choices
-        assert streamed_bytes(1, 300) == 8 * (4912 + 2 * 10080) + 90600
-        assert chunk_size(1, 300) == harness.CHUNK_BYTES // 291176 == 14
-        assert chunk_size(3, 200) == 1
+        # figure 1 streams in 20 segments balanced by cells: 7551 cells in
+        # the checkpoints k = 49, 84, ..., 292, 4763 in the largest segment
+        # (k = 211..221), 3 working layers of 601 cells at k = 300, alpha and
+        # the log normalizers (2 x 300), and 11474 bytes of 1-bit choices
+        assert streamed_bytes(1, 300, 3.0) == \
+            8 * (7551 + 2 * 4763 + 3 * 601 + 2 * 300) + 11474 == 167314
+        assert chunk_size(1, 300, 3.0) == harness.CHUNK_BYTES // 167314 == 25
+        # beta=0 draws no weights: one segment's worth less
+        assert streamed_bytes(1, 300, 0.0) == 167314 - 8 * 4763
+        assert chunk_size(1, 300, 0.0) == 32
+        assert chunk_size(3, 200, 1.0) == 1
 
     def test_figure1_chunk_peak_memory_within_budget(self):
         cfg = ExperimentConfig(d=1, n=300, beta=3.0, law_spec="uniform:-1,1",
-                               replications=14, base_seed=5)
+                               replications=25, base_seed=5)
         law = cfg.law()
-        harness._solve_chunk(cfg, law, 0, chunk_size(1, 300))  # fills the coordinate cache
+        size = chunk_size(1, 300, 3.0)
+        harness._solve_chunk(cfg, law, 0, size)  # fills the coordinate cache
         tracemalloc.start()
         try:
-            harness._solve_chunk(cfg, law, 0, chunk_size(1, 300))
+            harness._solve_chunk(cfg, law, 0, size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * harness.CHUNK_BYTES
+        assert peak <= harness.CHUNK_BYTES
 
-    # a CFG replication holds 10680 bytes: chunks of 1, of 3 (3+3+2), of all 8
-    @pytest.mark.parametrize("budget", [1, 40320, 1 << 30])
+    # a CFG replication holds 9589 bytes: chunks of 1, of 3 (3+3+2), of all 8
+    @pytest.mark.parametrize("budget", [1, 28767, 1 << 30])
     def test_records_do_not_depend_on_chunk_size(self, monkeypatch, budget):
         ref = _data(run_replications(CFG))
         monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
         assert _data(run_replications(CFG)) == ref
 
     def test_parallel_matches_serial_over_several_chunks(self):
-        assert chunk_size(CHUNKED.d, CHUNKED.n) < CHUNKED.replications
+        assert chunk_size(CHUNKED.d, CHUNKED.n, CHUNKED.beta) < CHUNKED.replications
         serial = run_replications(CHUNKED, workers=1)
         assert _data(run_replications(CHUNKED, workers=2)) == _data(serial)
         assert [r.index for r in serial] == list(range(12))
@@ -219,6 +225,12 @@ class TestScaling:
     def test_d3_slope_band(self):
         _, slope = scaling_study(3, [8, 16, 32])
         assert -1.3 <= slope <= -0.7
+
+    @pytest.mark.parametrize("d,n_grid", [(1, [16]), (1, [16, 16]), (1, []),
+                                          (1, [0, 8]), (0, [8, 16])])
+    def test_needs_two_distinct_valid_sizes(self, d, n_grid):
+        with pytest.raises(ConfigError):
+            scaling_study(d, n_grid)
 
 
 class TestTailProbe:

@@ -146,20 +146,39 @@ def best_path_reference(fields, d):
     return score[n, end], np.array(path[::-1])
 
 
-@pytest.mark.parametrize("d,n", [(1, 1), (1, 9), (2, 6), (3, 4)])
-def test_path_dp_matches_site_by_site_reference(d, n):
+def check_path_dp(d, n, lead):
+    """PathDP against best_path_reference on fields with ties everywhere."""
     # few distinct values, so ties are everywhere; sums of them are exact
     rng = np.random.default_rng(10 * d + n)
-    fields = [rng.integers(0, 3, size=(4,) + (2 * k + 1,) * d) / 4.0
+    fields = [rng.integers(0, 3, size=lead + (2 * k + 1,) * d) / 4.0
               for k in range(1, n + 1)]
-    dp = PathDP(d, (4,))
+    dp = PathDP(d, lead)
     for f in fields:
         dp.push(f)
     top, paths = dp.result()
-    for r in range(4):
-        score, path = best_path_reference([f[r] for f in fields], d)
+    batch = lead[0] if lead else 1
+    assert top.shape == (batch,) and paths.shape == (batch, n, d)
+    for r in range(batch):
+        score, path = best_path_reference([f[r] if lead else f for f in fields], d)
         assert top[r] == score
         np.testing.assert_array_equal(paths[r], path)
+    # choices c < 2d stored as packed bit planes: 1, 2 and 3 bits per cell
+    planes = (2 * d - 1).bit_length()
+    for k, packed in enumerate(dp.choices, start=2):
+        assert packed.dtype == np.uint8
+        assert packed.shape == (batch, planes, -(-(2 * k + 1) ** d // 8))
+    if n > 1:       # the top plane is in use: some choice is >= 2^(planes-1)
+        assert any(packed[:, -1].any() for packed in dp.choices)
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 9), (2, 6), (3, 4), (2, 1), (3, 1), (3, 5)])
+def test_path_dp_matches_site_by_site_reference(d, n):
+    check_path_dp(d, n, (4,))
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 9), (2, 6), (3, 4)])
+def test_path_dp_without_batch_axis_matches_reference(d, n):
+    check_path_dp(d, n, ())
 
 
 def test_csv_roundtrip():
