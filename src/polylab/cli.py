@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -51,10 +52,23 @@ def _config_from_args(args) -> ExperimentConfig:
         base_seed=args.seed if args.seed is not None else 0)
 
 
+def _check_writable(flag: str, path: str) -> None:
+    """Refuse an output path that cannot take a file, before any solve: a
+    directory, or a path whose directory does not exist.  Creates nothing."""
+    if os.path.isdir(path):
+        raise ConfigError(f"{flag} {path!r} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{flag} {path!r}: no directory {parent!r}")
+
+
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
+    _check_writable("--out", args.out)
+    if args.profiles:
+        _check_writable("--profiles", args.profiles)
     records = run_replications(config, workers=args.workers)
-    write_report_csv(records, args.out, include_runtime=args.timings)
+    report = None
     if args.profiles:
         inst = PolymerInstance(d=config.d, n=config.n, beta=config.beta,
                                law=config.law(),
@@ -62,6 +76,9 @@ def cmd_simulate(args) -> int:
                                centered=config.centered)
         sol = forward_backward(inst, keep_forward=False)
         report = functionals.build_report(sol, inst)
+    # every solve is done before the first file is opened
+    write_report_csv(records, args.out, include_runtime=args.timings)
+    if report is not None:
         write_profile_csv(report.alpha_profile, report.gamma_profile,
                           report.tau_profile, args.profiles)
     print(f"wrote {len(records)} replications to {args.out}")
@@ -73,6 +90,8 @@ def cmd_figure1(args) -> int:
         d=FIGURE1_CONFIG["d"], n=FIGURE1_CONFIG["n"], beta=FIGURE1_CONFIG["beta"],
         law_spec=FIGURE1_CONFIG["law"],
         replications=args.reps, base_seed=args.seed, histogram_bins=args.bins)
+    for suffix in ("_report.csv", "_histogram.csv", "_summary.json"):
+        _check_writable("--out-prefix", args.out_prefix + suffix)
     records = run_replications(config, workers=args.workers)
     edges, counts = histogram(records, config.histogram_bins)
     write_report_csv(records, args.out_prefix + "_report.csv")

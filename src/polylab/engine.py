@@ -2,10 +2,16 @@
 
 The environment is lazy and deterministic: omega_{k,x} is a pure function of
 (seed, k, x) through the counter RNG, so layers are regenerated on demand
-instead of being stored.  The forward-backward recursion works on dense
-per-layer boxes [-k, k]^d with per-layer sum normalization; the logs of the
-normalizers accumulate to log Z.  Path weights reach exp(beta*b*n), far past
-float range at experiment scale, so the normalization is not optional.
+instead of being stored.  Every layer is stored in the layout of
+lattice.layer_shape: the k+1 cone sites in d = 1, the box [-k, k]^d in
+d >= 2.  The forward-backward recursion normalizes every layer by its sum,
+and the logs of the normalizers accumulate to log Z.  Path weights reach
+exp(beta*b*n), far past float range at experiment scale, so the
+normalization is not optional; each layer's weights exp(beta*omega) are
+also taken relative to their largest value, so that they never overflow.
+When one layer's weights span more than exp(LOG_SPACE_RANGE), products of
+normalized layers could underflow, and the same sweeps run in log space:
+layers hold log-masses and neighbour sums are log-sum-exps.
 
 The backward sweep runs first and the forward sweep then yields theta in
 increasing k.  By default every backward layer is kept and theta is written
@@ -44,7 +50,8 @@ from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .lattice import (PathDP, Site, is_reachable, layer_mask, step_vectors,
+from .lattice import (PathDP, Site, cell_sites, is_reachable, layer_cells,
+                      layer_shape, layer_sites, site_cells, step_vectors,
                       step_windows)
 from .laws import EnvironmentLaw
 from .rng import counter_uniform
@@ -100,51 +107,26 @@ class PolymerInstance:
             raise ValueError("a seed tuple needs at least one seed")
 
 
-# Boxes of at most this many sites keep their coordinates between solves, so
-# the cache holds a finite key set (about 2 MiB at most, nearly all d = 1).
-_CACHED_BOX_SITES = 1024
-
-
-@lru_cache(maxsize=None)
-def _box_coords(d: int, k: int) -> np.ndarray:
-    """Integer coordinates of the box [-k, k]^d, shape box + (d,), read-only.
-
-    env_layer draws each box twice per solve and again in the next solve;
-    call it through _coords, which caches small boxes only."""
-    idx = np.indices((2 * k + 1,) * d, dtype=np.int64)
-    idx -= k
-    out = idx.transpose(tuple(range(1, d + 1)) + (0,))
-    out.flags.writeable = False
-    return out
-
-
-def _coords(d: int, k: int) -> np.ndarray:
-    """_box_coords, from the cache for boxes of at most _CACHED_BOX_SITES."""
-    if (2 * k + 1) ** d <= _CACHED_BOX_SITES:
-        return _box_coords(d, k)
-    return _box_coords.__wrapped__(d, k)
-
-
 def _draw(instance: PolymerInstance, k: int, coords: np.ndarray) -> np.ndarray:
     """omega at step k on the given site coordinates (counter RNG, quantile,
     centering), shared by env_layer and env_value."""
     u = counter_uniform(instance.seed, k, coords)
     om = np.asarray(instance.law.quantile(u), dtype=np.float64)
     if instance.centered:
-        om = om - instance.law.mean
+        om -= instance.law.mean
     return om
 
 
 def env_layer(instance: PolymerInstance, k: int) -> np.ndarray:
-    """Dense omega values over the box [-k, k]^d for step k, with the batch
-    axis of a seed tuple in front.
+    """omega at every cell of the step-k layer (lattice.layer_sites), with
+    the batch axis of a seed tuple in front.
 
-    Values at unreachable sites are generated too (they are cheap) but carry
-    no weight in the recursion since the forward mass there is zero.
+    In d >= 2 the box's sites off the cone are drawn too, but carry no
+    weight in the recursion since the forward mass there is zero.
     """
     if not (1 <= k <= instance.n):
         raise ValueError(f"step {k} outside 1..{instance.n}")
-    return _draw(instance, k, _coords(instance.d, k))
+    return _draw(instance, k, layer_sites(instance.d, k))
 
 
 def env_value(instance: PolymerInstance, k: int, x: Site) -> float:
@@ -157,19 +139,21 @@ def env_value(instance: PolymerInstance, k: int, x: Site) -> float:
     return float(_draw(instance, k, np.asarray([x], dtype=np.int64))[0])
 
 
-def _neighbor_sum(layer: np.ndarray, d: int, up: bool) -> np.ndarray:
-    """Sum over the 2d neighbours of every site, on the trailing d axes.
-
-    up: from the box of step k-1 to the box of step k (side grows by 2);
-    otherwise from the box of step k+1 to the box of step k.
-    """
-    m = layer.shape[-1] if up else layer.shape[-1] - 2
-    out = np.zeros(layer.shape[:-d] + ((m + 2) if up else m,) * d)
-    for _, window in step_windows(d, m):
-        if up:
+def _neighbor_sum(layer: np.ndarray, d: int, k: int, up: bool) -> np.ndarray:
+    """Sum over the 2d neighbours of every site of the step-k layer, on the
+    trailing d axes: up from the step-(k-1) layer, otherwise down from the
+    step-(k+1) layer."""
+    if up:
+        (_, first), *rest = step_windows(d, k)
+        out = np.zeros(layer.shape[:-d] + layer_shape(d, k))
+        out[first] = layer                  # 0 + x == x: a copy, not an add
+        for _, window in rest:
             out[window] += layer
-        else:
-            out += layer[window]
+        return out
+    (_, first), *rest = step_windows(d, k + 1)
+    out = layer[first].copy()               # contiguous, for faster adds
+    for _, window in rest:
+        out += layer[window]
     return out
 
 
@@ -179,9 +163,57 @@ def _site_sums(layer: np.ndarray, d: int) -> np.ndarray:
     return layer.reshape(lead + (-1,)).sum(axis=-1).reshape(lead + (1,) * d)
 
 
+def _site_max(layer: np.ndarray, d: int) -> np.ndarray:
+    """Maxima over the trailing d site axes, kept as size-1 axes."""
+    lead = layer.shape[:-d]
+    return layer.reshape(lead + (-1,)).max(axis=-1).reshape(lead + (1,) * d)
+
+
 def layer_alpha(theta: np.ndarray, d: int) -> np.ndarray:
     """alpha = sum_x theta_x^2 over the trailing d site axes of one layer."""
     return _site_sums(theta ** 2, d).reshape(theta.shape[:-d])
+
+
+# A layer's weights span exp(beta * width) for a law of support width
+# `width`.  Past this many nats the product of two normalized layers (F_k
+# and B_k, or a layer and its weights) can underflow to zero everywhere, so
+# sweeps run in log space: layers hold log-masses and neighbour sums are
+# log-sum-exps.  Below it a weight is at least exp(-64), so no normalizer
+# can underflow.
+LOG_SPACE_RANGE = 64.0
+
+
+def log_space(beta: float, law: EnvironmentLaw) -> bool:
+    """Whether sweeps at this temperature and law run in log space."""
+    return beta * law.width > LOG_SPACE_RANGE
+
+
+Weights = Optional[Tuple[np.ndarray, np.ndarray]]
+
+
+def _weights(beta: float, omega: np.ndarray, d: int, log: bool) -> Weights:
+    """(exp(beta*omega - m), m) with m the max of beta*omega over each
+    environment's sites, or None for the all-ones weights of beta=0; in log
+    space (beta*omega - m, m).
+
+    The shifted weights lie in (0, 1], so they never overflow, and the
+    shift is taken per environment, so it does not depend on the batch."""
+    if beta == 0.0:
+        return None
+    scaled = beta * omega
+    m = _site_max(scaled, d)
+    if not np.isfinite(m).all():
+        raise NumericalError("non-finite environment layer")
+    scaled -= m
+    return (scaled if log else np.exp(scaled, out=scaled)), m
+
+
+def _layer_weights(instance: PolymerInstance, k: int) -> Weights:
+    """The shifted weights of layer k (see _weights)."""
+    if instance.beta == 0.0:
+        return None
+    return _weights(instance.beta, env_layer(instance, k), instance.d,
+                    log_space(instance.beta, instance.law))
 
 
 def _log(values: np.ndarray) -> np.ndarray:
@@ -190,22 +222,55 @@ def _log(values: np.ndarray) -> np.ndarray:
     return np.array([math.log(v) for v in values.flat]).reshape(values.shape)
 
 
-def _layer_weights(instance: PolymerInstance, k: int) -> Optional[np.ndarray]:
-    """exp(beta*omega_k), or None for the all-ones weights of beta=0."""
-    if instance.beta == 0.0:
-        return None
-    return np.exp(instance.beta * env_layer(instance, k))
+def _log_neighbor_sum(layer: np.ndarray, d: int, k: int, up: bool) -> np.ndarray:
+    """_neighbor_sum of log-masses: the log of the sum of exp(layer) over
+    the 2d neighbours, -inf where every neighbour is -inf."""
+    shape = layer.shape[:-d] + layer_shape(d, k)
+    if up:
+        terms = [(window, layer) for _, window in step_windows(d, k)]
+    else:
+        terms = [(..., layer[window]) for _, window in step_windows(d, k + 1)]
+    top = np.full(shape, -np.inf)
+    for window, term in terms:
+        np.maximum(top[window], term, out=top[window])
+    np.copyto(top, 0.0, where=top == -np.inf)     # no finite neighbour
+    total = np.zeros(shape)
+    scaled = np.empty(terms[0][1].shape)
+    for window, term in terms:
+        np.subtract(term, top[window], out=scaled)
+        total[window] += np.exp(scaled, out=scaled)
+    with np.errstate(divide="ignore"):
+        np.log(total, out=total)
+    total += top
+    return total
 
 
-def _backward_step(b: Optional[np.ndarray], w: Optional[np.ndarray], k: int,
-                   d: int, lead: Tuple[int, ...]) -> np.ndarray:
+def _log_normalize(g: np.ndarray, d: int, what: str, k: int) -> np.ndarray:
+    """Subtract from log-masses g, in place, the log of each environment's
+    total mass; returns that log (shape: the leading axes)."""
+    top = _site_max(g, d)
+    if not np.isfinite(top).all():
+        raise NumericalError(f"non-finite {what} layer at k={k}")
+    scaled = g - top
+    log_s = top + _log(_site_sums(np.exp(scaled, out=scaled), d))
+    g -= log_s
+    return log_s.reshape(g.shape[:-d])
+
+
+def _backward_step(b: Optional[np.ndarray], w: Weights, k: int, d: int,
+                   lead: Tuple[int, ...], log: bool) -> np.ndarray:
     """B_k = normalize(down(B_{k+1} * w)) from B_{k+1} (None for B_n = 1)
-    and the weights w of layer k+1 (None at beta=0)."""
+    and the weights w of layer k+1 (None at beta=0); in log space, the log
+    of it from log B_{k+1}."""
+    if log:
+        b = _log_neighbor_sum(w[0] if b is None else b + w[0], d, k, up=False)
+        _log_normalize(b, d, "backward", k)
+        return b
     if b is None:
-        b = np.ones(lead + (2 * k + 3,) * d) if w is None else w
+        b = np.ones(lead + layer_shape(d, k + 1)) if w is None else w[0]
     elif w is not None:
-        b = b * w
-    b = _neighbor_sum(b, d, up=False)
+        b = b * w[0]
+    b = _neighbor_sum(b, d, k, up=False)
     sb = _site_sums(b, d)
     if not (np.isfinite(sb).all() and (sb > 0.0).all()):
         raise NumericalError(f"non-finite backward layer at k={k}")
@@ -213,25 +278,54 @@ def _backward_step(b: Optional[np.ndarray], w: Optional[np.ndarray], k: int,
     return b
 
 
-def _forward_step(f: np.ndarray, w: Optional[np.ndarray], k: int,
-                  d: int) -> Tuple[np.ndarray, np.ndarray]:
-    """F_k = normalize(up(F_{k-1}) * w) and its normalizer, from F_{k-1}
-    and the weights w of layer k (None at beta=0)."""
-    f = _neighbor_sum(f, d, up=True)
+def _forward_step(f: np.ndarray, w: Weights, k: int, d: int,
+                  log: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """F_k = normalize(up(F_{k-1}) * w) and the log of its normalizer with
+    the weights' shift added back, from F_{k-1} and the weights w of layer
+    k (None at beta=0); in log space, log F_k from log F_{k-1}."""
+    if log:
+        f = _log_neighbor_sum(f, d, k, up=True)
+        f += w[0]
+        log_s = _log_normalize(f, d, "forward", k)
+    else:
+        f = _neighbor_sum(f, d, k, up=True)
+        if w is not None:
+            f *= w[0]
+        s = _site_sums(f, d)
+        if not (np.isfinite(s).all() and (s > 0.0).all()):
+            raise NumericalError(f"non-finite forward layer at k={k}")
+        f /= s
+        log_s = _log(s.reshape(s.shape[:-d]))
     if w is not None:
-        f *= w
-    s = _site_sums(f, d)
+        log_s += w[1].reshape(log_s.shape)
+    return f, log_s
+
+
+def _theta(f: np.ndarray, b: np.ndarray, k: int, d: int, log: bool) -> np.ndarray:
+    """theta_k = normalize(F_k * B_k), written over b (over b's logs in log
+    space)."""
+    if log:
+        b += f
+        top = _site_max(b, d)
+        if not np.isfinite(top).all():
+            raise NumericalError(f"non-finite theta layer at k={k}")
+        b -= top
+        th = np.exp(b, out=b)
+    else:
+        th = np.multiply(f, b, out=b)
+    s = _site_sums(th, d)
     if not (np.isfinite(s).all() and (s > 0.0).all()):
-        raise NumericalError(f"non-finite forward layer at k={k}")
-    f /= s
-    return f, s
+        raise NumericalError(f"non-finite theta layer at k={k}")
+    th /= s
+    return th
 
 
 @dataclass
 class ThetaSolution:
     """Full forward-backward result for one instance or a batch.
 
-    theta_layers[k-1] is the dense occupation-probability box at step k;
+    theta_layers[k-1] holds the occupation probabilities at step k in the
+    layout of lattice.layer_shape;
     forward_layers holds the normalized forward mass (needed for exact path
     sampling) and may be None for oracle-produced solutions.  For a seed
     tuple every layer has the batch axis in front, and log_partition is an
@@ -263,12 +357,12 @@ class ThetaSolution:
         theta = self.theta_array(k)
         if not is_reachable(site, k):
             return 0.0
-        return float(theta[tuple(c + k for c in site)])
+        return float(theta.reshape(-1)[site_cells(self.d, k, site)])
 
 
 def _cumulative_cells(d: int, n: int) -> List[int]:
-    """cum[k] = cells of the boxes of layers 1..k, for k = 0..n."""
-    return list(accumulate(((2 * k + 1) ** d for k in range(1, n + 1)), initial=0))
+    """cum[k] = cells of layers 1..k, for k = 0..n."""
+    return list(accumulate((layer_cells(d, k) for k in range(1, n + 1)), initial=0))
 
 
 def _plan_cells(cum: List[int], tops: Tuple[int, ...]) -> Tuple[int, int]:
@@ -283,14 +377,17 @@ def segment_tops(d: int, n: int) -> Tuple[int, ...]:
     """Top layers of the segments of a keep_theta=False solve, increasing
     and ending at n; segment j is the layers after top j-1 up to top j.
 
-    Layers grow as (2k+1)^d, so segments are balanced by cells, not by
-    layers.  For a cap on a segment's cells, cutting greedily from the top
-    (each segment as long as the cap allows) puts every checkpoint as low
-    as any plan under that cap can.  Caps of about 1/m of all cells, for
+    Layers grow with k, so segments are balanced by cells, not by layers.
+    For a cap on a segment's cells, cutting greedily from the top (each
+    segment as long as the cap allows) puts every checkpoint as low as any
+    plan under that cap can.  Caps of about 1/m of all cells, for
     m = 1, 2, ..., give plans of about m segments; the plan with the fewest
     words, checkpoints plus twice the largest segment (its weights and
-    backward layers), is kept, and the search stops once smaller caps
-    cannot give fewer words.
+    backward layers), is kept.  A smaller cap puts each of its checkpoints
+    at least as high as the current plan's, so once the current plan's
+    checkpoints plus twice the top layer reach the best words, no smaller
+    cap can do better and the search stops: after about twice the best m,
+    O(sqrt(n)) bisections each in d = 1.
     """
     cum = _cumulative_cells(d, n)
     top_layer = cum[n] - cum[n - 1]
@@ -304,31 +401,63 @@ def segment_tops(d: int, n: int) -> Tuple[int, ...]:
         checkpoints, largest = _plan_cells(cum, tops)
         if best is None or checkpoints + 2 * largest < best:
             best, plan = checkpoints + 2 * largest, tops
-        # smaller caps cut at least as many segments, so they hold at least
-        # the len(tops) - 1 smallest layers as checkpoints
-        if cap == top_layer or cum[len(tops) - 1] >= best:
+        if cap == top_layer or checkpoints + 2 * top_layer >= best:
             break
     return plan
 
 
-def streamed_bytes(d: int, n: int, beta: float) -> int:
+# numpy runs a ufunc over non-contiguous views (the stencil windows) through
+# buffers of up to np.getbufsize() elements per operand, whatever the
+# layer's size: a solve's peak holds at most three of them on top of the
+# environments' share (streamed_bytes).
+UFUNC_BUFFER_BYTES = 3 * 8 * np.getbufsize()
+
+
+def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
     """Bytes one environment holds in a keep_theta=False solve, an upper
     bound for its share of the solve's peak.
 
-    8 per cell of the segment_tops checkpoints, of the largest segment's
-    backward layers and, unless beta=0, of its weights exp(beta*omega); of
-    the three float layers a step holds besides them (the forward layer,
-    the ell program's scores, and the previous forward layer, theta**2 or
-    the new scores), counted at layer n; and of alpha and the log
-    normalizers (2 per layer).  Plus the ell program's packed choices of
-    every layer."""
+    Step k of the forward sweep, in a segment (lo, hi] of segment_tops,
+    always holds the checkpoints of the segments above, the backward
+    layers k..hi (B_n = 1 is not stored), alpha and the log normalizers (2
+    words per layer), 8 scalar words (normalizers, weight shifts, their
+    logs) and the packed ell choices up to layer k.  On top of that it
+    holds the largest of three moments, with c_j the cells of layer j:
+    the forward step (the weights of layers k..hi, F_{k-1} and the ell
+    scores of layer k-1, and F_k), the ell step (the weights of layers
+    k+1..hi, F_k, both score layers, and the choice bytes: 1 + planes per
+    cell of layer k and 2 per cell of layer k-1), and the recompute of B_k
+    (every weight of the segment, B_{k+1} * w_{k+1}, and F_lo and the scores
+    of layer lo).  In log space (log_space) the forward step and the
+    recompute hold two more layers of c_k, the running maxima and terms of
+    their log-sum-exps.  The bound is the largest total over the steps, 8
+    bytes per float cell.  beta=0 draws no weights."""
     cum = _cumulative_cells(d, n)
-    checkpoints, largest = _plan_cells(cum, segment_tops(d, n))
-    segment = (2 if beta > 0 else 1) * largest
-    words = checkpoints + segment + 3 * (cum[n] - cum[n - 1]) + 2 * n
+    c = [1] + [cum[k] - cum[k - 1] for k in range(1, n + 1)]     # c[0]: the origin
     planes = (2 * d - 1).bit_length()
-    choices = sum(planes * -(-(cum[k] - cum[k - 1]) // 8) for k in range(2, n + 1))
-    return 8 * words + choices
+    choices = list(accumulate((planes * -(-c[k] // 8) if k > 1 else 0
+                               for k in range(1, n + 1)), initial=0))
+    extra = 2 if log else 0
+    tops = segment_tops(d, n)
+    above = sum(c[t] for t in tops[:-1])
+    worst = 0
+    for lo, hi in zip((0,) + tops[:-1], tops):
+        if hi < n:
+            above -= c[hi]                  # this checkpoint is the segment's B_hi
+        for k in range(lo + 1, hi + 1):
+            rest = cum[hi] - cum[k - 1]     # cells of layers k..hi
+            weights = rest if beta > 0 else 0
+            forward = 8 * (weights + 2 * c[k - 1] + (1 + extra) * c[k])
+            ell = (8 * (weights - (c[k] if beta > 0 else 0) + 2 * c[k] + c[k - 1])
+                   + (1 + planes) * c[k] + 2 * c[k - 1])
+            recompute = 0
+            if k < hi:
+                segment = cum[hi] - cum[lo] if beta > 0 else 0
+                recompute = 8 * (segment + c[k + 1] + extra * c[k] + 2 * c[lo])
+            backward = rest - (c[n] if hi == n else 0)
+            held = 8 * (above + backward + 2 * n + 8) + choices[k]
+            worst = max(worst, held + max(forward, ell, recompute))
+    return worst
 
 
 def forward_backward(instance: PolymerInstance,
@@ -341,8 +470,11 @@ def forward_backward(instance: PolymerInstance,
     B_k = normalize(down(B_{k+1} * exp(beta*omega_{k+1}))); then the forward
     sweep F_k = normalize(up(F_{k-1}) * exp(beta*omega_k)) yields theta in
     increasing k, theta_k = normalize(F_k * B_k) written over B_k, and
-    theta_n = F_n.  A seed tuple solves its R environments together, layer
-    by layer.  keep_forward keeps every F_k, for exact path sampling.
+    theta_n = F_n.  The weights are taken relative to each environment's
+    largest in the layer, and past LOG_SPACE_RANGE the layers hold
+    log-masses (log_space).  A seed tuple solves its R environments
+    together, layer by layer.  keep_forward keeps every F_k, for exact path
+    sampling.
 
     keep_theta=False keeps no theta layer: the backward sweep keeps B_k
     only at the top layer of each segment of segment_tops(d, n), whose
@@ -361,15 +493,16 @@ def forward_backward(instance: PolymerInstance,
     if redrawn:
         require_single(instance.seed, "layer_seeds")
     lead = batch_shape(instance.seed)
+    log = log_space(instance.beta, instance.law)
     tops = tuple(range(1, n + 1)) if keep_theta else segment_tops(d, n)
 
-    def weights(k: int) -> Optional[np.ndarray]:
+    def weights(k: int) -> Weights:
         return _layer_weights(redrawn.get(k, instance), k)
 
     checkpoints = dict.fromkeys(tops[:-1])
     b = None
     for k in range(n - 1, 0, -1):
-        b = _backward_step(b, weights(k + 1), k, d, lead)
+        b = _backward_step(b, weights(k + 1), k, d, lead, log)
         if k in checkpoints:
             checkpoints[k] = b
 
@@ -378,30 +511,29 @@ def forward_backward(instance: PolymerInstance,
     lognorms = np.empty(lead + (n,))
     alpha = None if keep_theta else np.empty(lead + (n,))
     path_dp = None if keep_theta else PathDP(d, lead)
-    f = np.ones(lead + (1,) * d)
+    f = np.full(lead + (1,) * d, 0.0 if log else 1.0)
     for lo, hi in zip((1,) + tuple(t + 1 for t in tops[:-1]), tops):
         ws = [weights(k) for k in range(lo, hi + 1)]
         bs = [None] * len(ws)
         bs[-1] = checkpoints.pop(hi, None)
         for i in range(len(bs) - 2, -1, -1):
-            bs[i] = _backward_step(bs[i + 1], ws[i + 1], lo + i, d, lead)
+            bs[i] = _backward_step(bs[i + 1], ws[i + 1], lo + i, d, lead, log)
         for i, k in enumerate(range(lo, hi + 1)):
-            f, s = _forward_step(f, ws[i], k, d)
+            f, lognorms[..., k - 1] = _forward_step(f, ws[i], k, d, log)
             ws[i] = None
-            lognorms[..., k - 1] = _log(s.reshape(lead))
             if keep_forward:
-                forward.append(f)
+                forward.append(np.exp(f) if log else f)
             if k == n:
-                th = f.copy() if keep_forward else f
+                th = forward[-1].copy() if keep_forward else (np.exp(f) if log else f)
             else:
-                th = np.multiply(f, bs[i], out=bs[i])
+                th = _theta(f, bs[i], k, d, log)
                 bs[i] = None
-                th /= _site_sums(th, d)
             if keep_theta:
                 theta.append(th)
             else:
                 alpha[..., k - 1] = layer_alpha(th, d)
                 path_dp.push(th)
+            th = None       # the next step's layers can take its place
 
     log_partition = lognorms.sum(axis=-1)
     return ThetaSolution(
@@ -422,28 +554,27 @@ def layer_theta(instance: PolymerInstance, k: int, omega_k) -> np.ndarray:
     B_k and F_{k-1} do not depend on omega_k: sweep the other layers down to
     B_k and up to F_{k-1}, take one forward step with exp(beta*omega_k), and
     return normalize(F_k * B_k), or F_n at k = n.  omega_k broadcasts against
-    the step-k box: a scalar (0.0 gives zeta_k), one box, or M boxes on a
-    leading axis for an (M,) + box result.
+    the step-k layer: a scalar (0.0 gives zeta_k), one layer, or M layers on
+    a leading axis for an (M,) + layer result.
     """
     require_single(instance.seed, "layer_theta")
     d, n = instance.d, instance.n
     if not (1 <= k <= n):
         raise ValueError(f"step {k} outside 1..{n}")
+    log = log_space(instance.beta, instance.law)
     b = None
     for j in range(n - 1, k - 1, -1):
-        b = _backward_step(b, _layer_weights(instance, j + 1), j, d, ())
-    f = np.ones((1,) * d)
+        b = _backward_step(b, _layer_weights(instance, j + 1), j, d, (), log)
+    f = np.full((1,) * d, 0.0 if log else 1.0)
     for j in range(1, k):
-        f, _ = _forward_step(f, _layer_weights(instance, j), j, d)
+        f, _ = _forward_step(f, _layer_weights(instance, j), j, d, log)
     omega_k = np.asarray(omega_k, dtype=np.float64)
-    lead = np.broadcast_shapes(omega_k.shape, (2 * k + 1,) * d)[:-d]
-    w = None if instance.beta == 0.0 else np.exp(instance.beta * omega_k)
-    f, _ = _forward_step(np.broadcast_to(f, lead + f.shape), w, k, d)
+    shape = np.broadcast_shapes(omega_k.shape, layer_shape(d, k))
+    w = _weights(instance.beta, np.broadcast_to(omega_k, shape), d, log)
+    f, _ = _forward_step(np.broadcast_to(f, shape[:-d] + f.shape), w, k, d, log)
     if k == n:
-        return f
-    theta = f * b
-    theta /= _site_sums(theta, d)
-    return theta
+        return np.exp(f) if log else f
+    return _theta(f, np.broadcast_to(b, shape).copy(), k, d, log)
 
 
 def _digits(idx: np.ndarray, base: int, n: int) -> np.ndarray:
@@ -458,16 +589,14 @@ def _digits(idx: np.ndarray, base: int, n: int) -> np.ndarray:
 
 def _path_chunks(d: int, n: int):
     """All (2d)^n paths in chunks of _BRUTE_CHUNK: yields (slice of path
-    indices, flat) where flat[k-1] holds each path's step-k site as an index
-    into the raveled box [-k, k]^d."""
+    indices, flat) where flat[k-1] holds each path's step-k site as a flat
+    cell of the step-k layer."""
     steps = step_vectors(d)
     total = (2 * d) ** n
     for lo in range(0, total, _BRUTE_CHUNK):
         idx = np.arange(lo, min(lo + _BRUTE_CHUNK, total))
         pos = np.cumsum(steps[_digits(idx, 2 * d, n)], axis=1)      # (m, n, d)
-        flat = [np.ravel_multi_index(tuple(pos[:, k - 1, a] + k for a in range(d)),
-                                     (2 * k + 1,) * d)
-                for k in range(1, n + 1)]
+        flat = [site_cells(d, k, pos[:, k - 1]) for k in range(1, n + 1)]
         yield slice(lo, lo + idx.size), flat
 
 
@@ -497,7 +626,7 @@ def brute_force(instance: PolymerInstance):
     log_partition = float(m + math.log(z))
     probs = w / z
 
-    theta = [np.zeros((2 * k + 1,) * d) for k in range(1, n + 1)]
+    theta = [np.zeros(layer_shape(d, k)) for k in range(1, n + 1)]
     for rows, flat in _path_chunks(d, n):
         for t, fl in zip(theta, flat):
             np.add.at(t.ravel(), fl, probs[rows])
@@ -540,15 +669,14 @@ def sample_paths(solution: ThetaSolution, instance: PolymerInstance,
     cum /= cum[-1]
     idx = np.searchsorted(cum, rng.random(count), side="right")
     idx = np.minimum(idx, fl.size - 1)
-    pos = np.stack(np.unravel_index(idx, (2 * n + 1,) * d), axis=-1).astype(np.int64) - n
+    pos = cell_sites(d, n, idx)
     out[:, n - 1] = pos
 
     for k in range(n - 1, 0, -1):
         cand = pos[:, None, :] + steps[None, :, :]          # (count, 2d, d)
-        inside = np.all(np.abs(cand) <= k, axis=2)
-        clipped = np.clip(cand + k, 0, 2 * k)
-        flat = np.ravel_multi_index(
-            tuple(clipped[:, :, a] for a in range(d)), (2 * k + 1,) * d)
+        # a neighbour of a step-(k+1) site with |y|_1 <= k is on the step-k cone
+        inside = np.abs(cand).sum(axis=2) <= k
+        flat = site_cells(d, k, np.clip(cand, -k, k))
         w = solution.forward_layers[k - 1].ravel()[flat] * inside
         cw = np.cumsum(w, axis=1)
         tot = cw[:, -1]
@@ -589,29 +717,29 @@ def theta_derivative_check(instance: PolymerInstance, solution: ThetaSolution,
         warnings.warn("finite-difference step leaves the support; clamping")
         w_plus, w_minus = min(w_plus, hi), max(w_minus, lo)
 
-    site = tuple(c + k for c in x)
-    forced = np.stack([env_layer(instance, k)] * 2)
-    forced[(0,) + site] = w_plus
-    forced[(1,) + site] = w_minus
-    t_plus, t_minus = layer_theta(instance, k, forced)[(slice(None),) + site]
+    cell = site_cells(instance.d, k, x)
+    forced = np.stack([env_layer(instance, k).reshape(-1)] * 2)
+    forced[:, cell] = w_plus, w_minus
+    forced = forced.reshape((2,) + layer_shape(instance.d, k))
+    t_plus, t_minus = layer_theta(instance, k, forced).reshape(2, -1)[:, cell]
     numeric = float(t_plus - t_minus) / (w_plus - w_minus)
     return analytic, numeric
 
 
 def dump_solution(solution: ThetaSolution, csv_path: str, json_path: str) -> None:
-    """Write nonzero theta entries as CSV rows (k, site, theta) plus a JSON
-    sidecar with the run parameters."""
+    """Write the nonzero theta entries of reachable sites as CSV rows
+    (k, site, theta), sites in lexicographic order, plus a JSON sidecar with
+    the run parameters."""
     require_single(solution.seed, "dump_solution")
     with open(csv_path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["k", "site", "theta"])
         for k in range(1, solution.n + 1):
-            theta = solution.theta_array(k)
-            for idx in np.argwhere(layer_mask(solution.d, k)):
-                val = float(theta[tuple(idx)])
-                if val != 0.0:
-                    site = ";".join(str(int(c) - k) for c in idx)
-                    wr.writerow([k, site, f"{val:.17g}"])
+            theta = solution.theta_array(k).reshape(-1)
+            sites = layer_sites(solution.d, k).reshape(-1, solution.d)
+            for x, val in zip(sites.tolist(), theta.tolist()):
+                if val != 0.0 and is_reachable(x, k):
+                    wr.writerow([k, ";".join(map(str, x)), f"{val:.17g}"])
     with open(json_path, "w") as fh:
         json.dump({"log_partition": solution.log_partition,
                    "seed": solution.seed, "d": solution.d,

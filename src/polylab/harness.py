@@ -27,7 +27,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import functionals
-from .engine import PolymerInstance, forward_backward, streamed_bytes
+from .engine import (UFUNC_BUFFER_BYTES, PolymerInstance, forward_backward,
+                     log_space, streamed_bytes)
 from .laws import EnvironmentLaw, load_table_law, make_uniform
 from .rng import replication_seed
 
@@ -37,7 +38,7 @@ FIGURE1_CONFIG = dict(d=1, n=300, beta=3.0, law="uniform:-1,1",
 # Byte budget for what one chunk of replications holds in its streamed solve
 # (engine.streamed_bytes, an upper bound).  Batching shares the per-layer
 # numpy call overhead across the chunk; the budget keeps a chunk's layers
-# cache-sized and its peak memory within it (25 replications per chunk at
+# cache-sized and its peak memory within it (54 replications per chunk at
 # d=1, n=300, beta=3).
 CHUNK_BYTES = 4 << 20
 
@@ -128,10 +129,12 @@ class ReplicationRecord:
                                f"(ell={self.ell}, rho={self.rho})")
 
 
-def chunk_size(d: int, n: int, beta: float) -> int:
-    """Replications per chunk: CHUNK_BYTES over what one replication holds
-    in a keep_theta=False solve."""
-    return max(1, CHUNK_BYTES // streamed_bytes(d, n, beta))
+def chunk_size(d: int, n: int, beta: float, log: bool = False) -> int:
+    """Replications per chunk: what CHUNK_BYTES leaves beside numpy's ufunc
+    buffers, over what one replication holds in a keep_theta=False solve
+    (in log space if log)."""
+    return max(1, (CHUNK_BYTES - UFUNC_BUFFER_BYTES)
+               // streamed_bytes(d, n, beta, log))
 
 
 def _solve_chunk(config: ExperimentConfig, law: EnvironmentLaw,
@@ -187,7 +190,8 @@ def run_replications(config: ExperimentConfig,
     identical whether executed serially or in parallel."""
     law = config.law()
     law.validate()
-    size = chunk_size(config.d, config.n, config.beta)
+    size = chunk_size(config.d, config.n, config.beta,
+                      log_space(config.beta, law))
     los = range(0, config.replications, size)
     his = [min(lo + size, config.replications) for lo in los]
     w = worker_count(workers)

@@ -4,14 +4,19 @@ Paths of length n start at the origin, which is omitted: a path is the
 sequence of its n visited sites.  The site visited at step k lies in the
 parity cone |x|_1 <= k, |x|_1 = k (mod 2).
 
-Internally the engine works with dense per-layer boxes [-k, k]^d; sites
-outside the cone simply carry zero mass.  This module provides the
-coordinate-level helpers: neighbor enumeration, cone iteration and masks,
-path validation, overlap counting, and the max-sum path dynamic program.
+The engine stores every layer in the layout this module defines per d.  In
+d = 1 a step-k layer is the cone itself: the k+1 sites x = -k + 2j, j = 0..k,
+and a neighbour sum is two shifted slices.  In d >= 2 it is the dense box
+[-k, k]^d, whose sites off the cone carry zero mass.  layer_shape,
+step_windows, layer_sites, site_cells and cell_sites are the layout; the
+rest of the module is coordinate-level: neighbor enumeration, cone
+iteration and masks, path validation, overlap counting, and the max-sum
+path dynamic program.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, List, Tuple
@@ -44,27 +49,86 @@ def step_vectors(d: int) -> np.ndarray:
     return np.array(sorted(vecs), dtype=np.int64)
 
 
-@lru_cache(maxsize=4096)
-def step_windows(d: int, m: int):
-    """The 2d unit steps v, each with the window that applies it to boxes.
+def layer_shape(d: int, k: int) -> Tuple[int, ...]:
+    """Shape of the trailing site axes of the step-k layer: (k+1,) for the
+    d = 1 cone, the box (2k+1,)*d otherwise.  Step 0 is the origin alone."""
+    return (k + 1,) if d == 1 else (2 * k + 1,) * d
 
-    window indexes the trailing d axes of a box of side m + 2 (leading axes
-    are kept): it is the sub-box of side m whose site x lines up with site
-    x + v of a box of side m, both boxes centred on the origin.  So
-    ``big[window] += small`` adds small[x + v] into big[x], and
-    ``small += big[window]`` adds big[x - v] into small[x].  Pairs come in
-    axis order, +e_j before -e_j; every neighbour sum adds them in this
-    order, which fixes its floating-point rounding.
+
+def layer_cells(d: int, k: int) -> int:
+    """Number of cells of the step-k layer."""
+    return math.prod(layer_shape(d, k))
+
+
+@lru_cache(maxsize=4096)
+def step_windows(d: int, k: int):
+    """The 2d unit steps v, each with the window that applies it between the
+    step-(k-1) and the step-k layer.
+
+    window indexes the trailing d axes of a step-k layer (leading axes are
+    kept) and has the step-(k-1) layer's shape: its cell at site x lines up
+    with the step-(k-1) cell at site x + v.  So ``big[window] += small``
+    adds small[x + v] into big[x], and ``small += big[window]`` adds
+    big[x - v] into small[x].  Pairs come in axis order, +e_j before -e_j;
+    every neighbour sum adds them in this order, which fixes its
+    floating-point rounding.  In the d = 1 cone, site x + 1 of step k-1 has
+    the index of site x of step k, so the windows are [0, k) and [1, k+1).
     """
+    m = 2 * k - 1
     out = []
     for j in range(d):
-        for off in (0, 2):
+        for off in (0, 1):
             v = [0] * d
-            v[j] = 1 - off
-            window = (Ellipsis,) + tuple(
-                slice(off, off + m) if a == j else slice(1, m + 1) for a in range(d))
+            v[j] = 1 - 2 * off
+            if d == 1:
+                window = (Ellipsis, slice(off, off + k))
+            else:
+                window = (Ellipsis,) + tuple(
+                    slice(2 * off, 2 * off + m) if a == j else slice(1, m + 1)
+                    for a in range(d))
             out.append((tuple(v), window))
     return tuple(out)
+
+
+# Layers of at most this many cells keep their site coordinates between
+# calls, so the cache holds a finite key set (about 4 MiB at most, nearly
+# all d = 1).
+_CACHED_SITES = 1024
+
+
+@lru_cache(maxsize=None)
+def _layer_sites(d: int, k: int) -> np.ndarray:
+    out = cell_sites(d, k, np.arange(layer_cells(d, k))).reshape(layer_shape(d, k) + (d,))
+    out.flags.writeable = False
+    return out
+
+
+def layer_sites(d: int, k: int) -> np.ndarray:
+    """Integer coordinates of every cell of the step-k layer, shape
+    layer_shape(d, k) + (d,), read-only.  The environment is drawn at these
+    sites twice per solve and again in the next solve, so layers of at most
+    _CACHED_SITES cells come from a cache."""
+    if layer_cells(d, k) <= _CACHED_SITES:
+        return _layer_sites(d, k)
+    return _layer_sites.__wrapped__(d, k)
+
+
+def site_cells(d: int, k: int, x: np.ndarray) -> np.ndarray:
+    """Flat cell index in the step-k layer of each site x (shape (..., d));
+    every site must lie in the layer (the cone, or the box in d >= 2)."""
+    x = np.asarray(x, dtype=np.int64)
+    if d == 1:
+        return (x[..., 0] + k) >> 1
+    return np.ravel_multi_index(tuple(x[..., a] + k for a in range(d)),
+                                layer_shape(d, k))
+
+
+def cell_sites(d: int, k: int, cells: np.ndarray) -> np.ndarray:
+    """Site coordinates (shape cells.shape + (d,)) of flat step-k cells."""
+    cells = np.asarray(cells, dtype=np.int64)
+    if d == 1:
+        return (2 * cells - k)[..., None]
+    return np.stack(np.unravel_index(cells, layer_shape(d, k)), axis=-1) - k
 
 
 def reachable_sites(d: int, k: int) -> Iterator[Site]:
@@ -93,26 +157,27 @@ class PathDP:
     """Best nearest-neighbour path from the origin through layer fields fed
     one step at a time (push the step-k field after the step-(k-1) one).
 
-    The score of a path is the sum of the fields along it; every site of the
-    box competes, including sites of zero field.  Ties go to the
+    The score of a path is the sum of the fields along it; every cell of the
+    layout competes, including cells of zero field.  Ties go to the
     lexicographically smallest endpoint, then at each step back to the
     lexicographically smallest predecessor.  Fields carry the leading axes
     `lead` (one environment per entry) before their d site axes.
 
-    Only the current layer's scores are kept.  Every cell of every layer
-    keeps which of the 2d predecessors gave its score, a choice c < 2d.
-    A layer stores its choices as (2d-1).bit_length() bit planes (bit j of
-    every c), each packed with np.packbits over the flattened sites: shape
-    (batch, planes, ceil(sites / 8)), so 1 bit per cell in d=1, 2 in d=2
-    and 3 in d=3.  Only layer 1 is masked: a site off the step-k cone has
-    every neighbour off the step-(k-1) cone, so its score stays -inf.
+    Only the current layer's scores are kept, starting from score 0 at the
+    origin.  A cell no path reaches (a box cell off the cone) has no scored
+    predecessor, so its score stays -inf.  Every cell of every layer from
+    step 2 keeps which of the 2d predecessors gave its score, a choice
+    c < 2d.  A layer stores its choices as (2d-1).bit_length() bit planes
+    (bit j of every c), each packed with np.packbits over the flattened
+    cells: shape (batch, planes, ceil(cells / 8)), so 1 bit per cell in d=1,
+    2 in d=2 and 3 in d=3.
     """
 
     def __init__(self, d: int, lead: Tuple[int, ...]):
         self.d = d
         self.batch = lead[0] if lead else 1
         self.n = 0
-        self.best = None
+        self.best = np.zeros((self.batch,) + layer_shape(d, 0))
         # the value of bit plane j in a choice: 1, 2, 4
         self.plane_bits = 1 << np.arange((2 * d - 1).bit_length(), dtype=np.uint8)
         self.choices: List[np.ndarray] = []
@@ -120,14 +185,11 @@ class PathDP:
     def push(self, field: np.ndarray) -> None:
         d = self.d
         self.n = k = self.n + 1
-        layer = field.reshape((self.batch,) + (2 * k + 1,) * d)
-        if k == 1:
-            self.best = np.where(layer_mask(d, 1), layer, -np.inf)
-            return
+        layer = field.reshape((self.batch,) + layer_shape(d, k))
         # predecessors y = x + v in lexicographic order of v: the choice is
         # the last move c that is strictly better than moves 0..c-1, i.e.
         # the smallest of tied predecessors, and that is the largest c * better
-        moves = sorted(step_windows(d, 2 * k - 1))
+        moves = sorted(step_windows(d, k))
         score = np.full(layer.shape, -np.inf)
         choice = np.zeros(score.shape, dtype=np.uint8)
         better = np.empty(self.best.shape, dtype=bool)
@@ -141,9 +203,10 @@ class PathDP:
             np.multiply(better.view(np.uint8), np.uint8(c), out=mark)
             np.maximum(choice[window], mark, out=choice[window])
         score += layer
-        # packbits packs every non-zero byte as a 1 bit
-        bits = choice.reshape(self.batch, 1, -1) & self.plane_bits[:, None]
-        self.choices.append(np.packbits(bits, axis=-1))
+        if k > 1:       # every step-1 cell comes from the origin
+            # packbits packs every non-zero byte as a 1 bit
+            bits = choice.reshape(self.batch, 1, -1) & self.plane_bits[:, None]
+            self.choices.append(np.packbits(bits, axis=-1))
         self.best = score
 
     def result(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -151,19 +214,19 @@ class PathDP:
         d, n, best = self.d, self.n, self.best
         # argmax in C order == lexicographically smallest coordinate tuple
         rows = np.arange(self.batch)
-        flat = best.reshape(self.batch, -1).argmax(axis=1)
-        top = best.reshape(self.batch, -1)[rows, flat]
-        idx = np.stack(np.unravel_index(flat, best.shape[1:]), axis=-1)   # box index
+        cell = best.reshape(self.batch, -1).argmax(axis=1)
+        top = best.reshape(self.batch, -1)[rows, cell]
+        x = cell_sites(d, n, cell)
         steps = step_vectors(d)
         path = np.empty((self.batch, n, d), dtype=np.int64)
-        path[:, n - 1] = idx - n
+        path[:, n - 1] = x
         for k in range(n, 1, -1):
-            # the R packed bits of each plane at the path's step-k site
-            site = np.ravel_multi_index(tuple(idx.T), (2 * k + 1,) * d)
-            packed = self.choices[k - 2][rows, :, site >> 3]          # (batch, planes)
-            c = ((packed >> (7 - (site & 7))[:, None]) & 1) @ self.plane_bits
-            idx = idx + steps[c] - 1          # predecessor x + v, in the step k-1 box
-            path[:, k - 2] = idx - (k - 1)
+            # the R packed bits of each plane at the path's step-k cell
+            packed = self.choices[k - 2][rows, :, cell >> 3]          # (batch, planes)
+            c = ((packed >> (7 - (cell & 7))[:, None]) & 1) @ self.plane_bits
+            x = x + steps[c]                  # the predecessor x + v
+            cell = site_cells(d, k - 1, x)
+            path[:, k - 2] = x
         return top, path
 
 

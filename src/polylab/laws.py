@@ -153,7 +153,9 @@ def make_uniform(lo: float, hi: float) -> EnvironmentLaw:
         return 0.5 * ((hi - m) ** 2 - (np.asarray(x, dtype=np.float64) - m) ** 2)
 
     def quantile(u):
-        return lo + (hi - lo) * np.asarray(u, dtype=np.float64)
+        x = (hi - lo) * np.asarray(u, dtype=np.float64)
+        x += lo
+        return x
 
     return EnvironmentLaw(support_lo=lo, support_hi=hi, density=density,
                           mean=m, quantile=quantile, h_closed_form=h_closed,

@@ -92,7 +92,10 @@ def counter_uniform(seed, k, coords):
     for j in range(coords.shape[-1]):
         state ^= _as_word(coords[..., j]) * GOLDEN
         _finalize(state)
-    return (state >> _SHIFT11).astype(np.float64) * _U53
+    state >>= _SHIFT11                  # in place: a layer's draw holds 2 arrays
+    out = state.astype(np.float64)
+    out *= _U53
+    return out
 
 
 def replication_seed(base_seed: int, r: int) -> int:

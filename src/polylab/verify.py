@@ -22,6 +22,7 @@ import numpy as np
 from . import functionals, laws
 from .engine import (PolymerInstance, brute_force, forward_backward, layer_theta,
                      theta_derivative_check)
+from .lattice import layer_sites
 from .rng import derive_seed, replication_seed
 
 IBP_BATTERY = [
@@ -33,16 +34,14 @@ IBP_BATTERY = [
 
 
 def binomial_marginal(k: int) -> np.ndarray:
-    """Simple-random-walk occupation probabilities at step k over x=-k..k.
+    """Simple-random-walk occupation probabilities at step k in the d = 1
+    layout: entry j is site x = -k + 2j.
 
     Exact: integer binomial coefficients divided by 2^k, so each entry is
     the correctly rounded double of the true rational value.
     """
-    out = np.zeros(2 * k + 1)
-    denom = 2 ** k
-    for j in range(k + 1):
-        out[2 * j] = math.comb(k, j) / denom
-    return out
+    x = layer_sites(1, k)[:, 0]
+    return np.array([math.comb(k, (k + int(v)) // 2) / 2 ** k for v in x])
 
 
 def _check(name: str, passed: bool, detail: str) -> Dict:

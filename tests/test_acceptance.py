@@ -16,7 +16,7 @@ from polylab.functionals import (alpha_floor, alpha_profile, ell,
                                  primed_estimates, rho)
 from polylab.harness import (ExperimentConfig, run_replications, scaling_study,
                              write_report_csv)
-from polylab.lattice import overlap
+from polylab.lattice import layer_sites, overlap, site_cells
 from polylab.laws import (check_ibp, check_poincare, check_poincare_tensorized,
                           gauss_legendre, kappa, make_uniform, phi,
                           poincare_constant)
@@ -37,10 +37,9 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def srw_marginal(k):
-    out = np.zeros(2 * k + 1)
-    for j in range(k + 1):
-        out[2 * j] = math.comb(k, j) / 2 ** k
-    return out
+    """The binomial marginal at step k on the d=1 layout (sites -k, -k+2, ..., k)."""
+    return np.array([math.comb(k, (k + int(x)) // 2) / 2 ** k
+                     for x in layer_sites(1, k)[:, 0]])
 
 
 def srw_rho_exact(n):
@@ -204,7 +203,7 @@ def test_criterion_09_sampler():
     exceed = total = 0
     for k in range(1, 31):
         t = sol.theta_array(k)
-        freq = np.bincount(paths[:, k - 1, 0] + k, minlength=2 * k + 1) / m
+        freq = np.bincount(site_cells(1, k, paths[:, k - 1]), minlength=t.size) / m
         live = t > 0
         se = np.sqrt(np.maximum(t[live] * (1 - t[live]), 1e-300) / m)
         exceed += int(np.sum(np.abs(freq[live] - t[live]) > 4 * se))

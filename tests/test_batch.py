@@ -3,6 +3,9 @@ entry r equals the single solve with seed[r] bit for bit.  A streamed solve
 (keep_theta=False) equals the stored-layer solve bit for bit."""
 
 import math
+import time
+from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from polylab.engine import (PolymerInstance, brute_force, dump_solution,
                             forward_backward, layer_theta, sample_paths,
                             segment_tops, streamed_bytes)
 from polylab.functionals import alpha_profile, ell, rho
-from polylab.lattice import validate_path
+from polylab.lattice import layer_cells, site_cells, validate_path
 from polylab.laws import make_uniform
 from polylab.rng import counter_uniform, mix_words, replication_seed
 
@@ -46,6 +49,8 @@ def test_rng_batches_over_seeds():
     (3, 6, 1.5, make_uniform(0.0, 3.0), True),
     (1, 30, 0.0, LAW, False),
     (2, 8, 0.0, LAW, False),
+    (1, 40, 100.0, LAW, False),          # log space
+    (2, 6, 100.0, LAW, True),
 ])
 @pytest.mark.parametrize("keep_forward", [False, True])
 def test_batch_equals_single_solves_bitwise(d, n, beta, law, centered, keep_forward):
@@ -76,7 +81,7 @@ def test_batch_equals_single_solves_bitwise(d, n, beta, law, centered, keep_forw
 
 def test_single_seed_tuple_keeps_batch_axis():
     sol = forward_backward(batch(1, 10, 2.0, (5,)))
-    assert sol.theta_array(3).shape == (1, 7)
+    assert sol.theta_array(3).shape == (1, 4)        # the 4 cone sites of step 3
     assert rho(sol).shape == (1,) and ell(sol)[1].shape == (1, 10, 1)
 
 
@@ -104,7 +109,7 @@ def test_batched_paths_are_valid_and_attain_their_scores(d, n, beta):
     scores, paths = ell(sol)
     for r in range(len(ss)):
         validate_path(paths[r], d)
-        total = sum(sol.theta_array(k)[(r,) + tuple(paths[r, k - 1] + k)]
+        total = sum(sol.theta_array(k).reshape(len(ss), -1)[r, site_cells(d, k, paths[r, k - 1])]
                     for k in range(1, n + 1))
         assert total == pytest.approx(n * scores[r], abs=1e-12)
 
@@ -126,8 +131,8 @@ def test_beta0_tie_break_is_lexicographic(d, n, expected):
 
 
 @pytest.mark.parametrize("d,n,beta,law,centered,seed", [
-    (1, 40, 3.0, LAW, False, seeds(5, 4)),     # segments of 10, 8, 5, ..., 3 layers
-    (1, 49, 2.0, LAW, False, 11),              # one seed, segments of 16 to 3 layers
+    (1, 40, 3.0, LAW, False, seeds(5, 4)),     # segments of 11, 7, 5, ..., 3 layers
+    (1, 49, 2.0, LAW, False, 11),              # one seed, segments of 13 to 3 layers
     (2, 12, 2.0, LAW, False, seeds(6, 3)),     # 7 layers, then four of one
     (3, 6, 1.5, make_uniform(0.0, 3.0), True, seeds(7, 2)),   # 3, 2, 1 layers
     (1, 30, 0.0, LAW, False, seeds(8, 3)),
@@ -136,6 +141,8 @@ def test_beta0_tie_break_is_lexicographic(d, n, expected):
     (2, 1, 1.0, LAW, False, 12),               # a single segment
     (1, 37, 1.0, LAW, True, seeds(13, 3)),     # segments of 10 to 2 layers
     (2, 17, 1.0, LAW, True, seeds(14, 2)),     # segments of 6, 6, 3, 2 layers
+    (1, 40, 100.0, LAW, False, seeds(15, 3)),  # log space
+    (2, 9, 100.0, LAW, False, seeds(16, 2)),
 ])
 @pytest.mark.parametrize("keep_forward", [False, True])
 def test_streamed_equals_stored_bitwise(d, n, beta, law, centered, seed, keep_forward):
@@ -176,7 +183,7 @@ def test_each_layer_is_drawn_twice_except_layer_one(monkeypatch, keep_theta, n):
 
 def plan_words(d, n, tops):
     """Checkpoint cells (every top below n) plus twice the largest segment."""
-    cells = [(2 * k + 1) ** d for k in range(1, n + 1)]
+    cells = [layer_cells(d, k) for k in range(1, n + 1)]
     lows = (0,) + tuple(tops[:-1])
     largest = max(sum(cells[lo:top]) for lo, top in zip(lows, tops))
     return sum(cells[t - 1] for t in tops[:-1]) + 2 * largest
@@ -200,13 +207,53 @@ def test_segment_plan_covers_every_layer_and_beats_sqrt_plan(d, n_max):
         assert plan_words(d, n, tops) <= plan_words(d, n, sqrt_plan(n))
 
 
+def exhaustive_tops(d, n):
+    """The plan search segment_tops replaced: greedy plans for the caps
+    total/m, m = 1, 2, ..., stopping only once the smallest layers alone
+    outweigh the best plan."""
+    cum = list(accumulate((layer_cells(d, k) for k in range(1, n + 1)), initial=0))
+    top_layer = cum[n] - cum[n - 1]
+    best = plan = None
+    for m in range(1, n + 1):
+        cap = max(top_layer, -(-cum[n] // m))
+        tops = [n]
+        while tops[-1] > 0:
+            tops.append(bisect_left(cum, cum[tops[-1]] - cap))
+        tops = tuple(tops[-2::-1])
+        words = plan_words(d, n, tops)
+        if best is None or words < best:
+            best, plan = words, tops
+        if cap == top_layer or cum[len(tops) - 1] >= best:
+            break
+    return plan
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 320), (2, 70), (3, 24)])
+def test_segment_plan_no_worse_than_exhaustive_search(d, n_max):
+    for n in range(1, n_max + 1):
+        assert plan_words(d, n, segment_tops(d, n)) <= \
+            plan_words(d, n, exhaustive_tops(d, n))
+
+
+def test_segment_plan_for_long_walks_is_quick():
+    t0 = time.perf_counter()
+    tops = segment_tops.__wrapped__(1, 20_000)
+    elapsed = time.perf_counter() - t0
+    assert tops[-1] == 20_000 and len(tops) == 173
+    assert elapsed < 0.5          # the exhaustive search took ~2.3 s here
+
+
 def test_figure1_plan_and_byte_model():
-    # 17077 words where ceil(sqrt(n))-layer segments hold 25072
-    assert plan_words(1, 300, sqrt_plan(300)) == 25072
-    assert plan_words(1, 300, segment_tops(1, 300)) == 17077
-    # the weights of the largest segment (k = 211..221) count only when beta > 0
-    largest = sum(2 * k + 1 for k in range(211, 222))
-    assert streamed_bytes(1, 300, 3.0) - streamed_bytes(1, 300, 0.0) == 8 * largest
+    # 8565 words where ceil(sqrt(n))-layer segments hold 12562
+    assert plan_words(1, 300, sqrt_plan(300)) == 12562
+    assert plan_words(1, 300, segment_tops(1, 300)) == 8565
+    # the recompute of B_109 bounds the peak: it holds the weights of the
+    # segment k = 109..128, B_110 * w_110 and F_108 with its ell scores.  At
+    # beta=0 there are no weights, and the ell step of k = 109 (F_109, two
+    # score layers and 438 choice bytes) outweighs the recompute there
+    segment = sum(k + 1 for k in range(109, 129))
+    assert streamed_bytes(1, 300, 3.0) - streamed_bytes(1, 300, 0.0) == \
+        8 * (segment + 111 + 2 * 109) - (8 * (2 * 110 + 109) + 438)
 
 
 class TestSingleEnvironmentOnly:

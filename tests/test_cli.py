@@ -4,7 +4,12 @@ import json
 
 import pytest
 
+from polylab import cli
 from polylab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED, main)
+
+
+def not_called(*args, **kwargs):
+    raise AssertionError("run_replications was called")
 
 
 def assert_config_error(code, capsys):
@@ -88,6 +93,29 @@ class TestSimulate:
     def test_out_directory_is_config_error(self, tmp_path, capsys):
         code = main(["simulate", "--d", "1", "--n", "10", "--beta", "1",
                      "--reps", "1", "--out", str(tmp_path)])
+        assert_config_error(code, capsys)
+
+    @pytest.mark.parametrize("flag,target", [
+        ("--out", "."), ("--out", "missing/r.csv"),
+        ("--profiles", "."), ("--profiles", "missing/p.csv"),
+    ])
+    def test_unwritable_output_fails_before_solving(self, monkeypatch, tmp_path,
+                                                     capsys, flag, target):
+        """A directory, or a path in a missing directory, exits 2 before any
+        replication is solved, and leaves no file behind."""
+        monkeypatch.setattr(cli, "run_replications", not_called)
+        paths = {"--out": str(tmp_path / "r.csv"), "--profiles": str(tmp_path / "p.csv")}
+        paths[flag] = str(tmp_path / target)
+        code = main(["simulate", "--d", "1", "--n", "10", "--beta", "1", "--reps", "1",
+                     "--out", paths["--out"], "--profiles", paths["--profiles"]])
+        assert_config_error(code, capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_figure1_unwritable_prefix_fails_before_solving(self, monkeypatch,
+                                                            tmp_path, capsys):
+        monkeypatch.setattr(cli, "run_replications", not_called)
+        code = main(["figure1", "--reps", "2", "--out-prefix",
+                     str(tmp_path / "missing" / "fig")])
         assert_config_error(code, capsys)
 
     def test_table_law_directory_is_config_error(self, tmp_path, capsys):

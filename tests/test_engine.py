@@ -14,9 +14,11 @@ from polylab.engine import (NumericalError, PolymerInstance, brute_force,
                             forward_backward, layer_theta, sample_path,
                             sample_paths, theta_derivative_check)
 from polylab.functionals import ell, rho
-from polylab.lattice import validate_path
+from polylab import lattice
+from polylab.lattice import (PathDP, layer_shape, layer_sites, reachable_sites,
+                             site_cells, validate_path)
 from polylab.laws import make_uniform
-from polylab.rng import derive_seed, replication_seed
+from polylab.rng import counter_uniform, derive_seed, replication_seed
 
 LAW = make_uniform(-1.0, 1.0)
 
@@ -32,14 +34,13 @@ def replace_layer(monkeypatch, k, omega):
 
 
 def srw_marginal(k):
-    """Exact simple-random-walk marginal at step k over x = -k..k (d=1).
+    """Exact simple-random-walk marginal at step k on the d=1 layout, the
+    sites x = -k, -k+2, ..., k.
 
     Integer binomials divided by 2^k: correctly rounded doubles.
     """
-    out = np.zeros(2 * k + 1)
-    for j in range(k + 1):
-        out[2 * j] = math.comb(k, j) / 2 ** k
-    return out
+    return np.array([math.comb(k, (k + int(x)) // 2) / 2 ** k
+                     for x in layer_sites(1, k)[:, 0]])
 
 
 class TestEnvValue:
@@ -148,25 +149,28 @@ class TestForwardBackward:
     @pytest.mark.parametrize("k,site,value", [
         (1, (1,), math.inf),         # layer 1 is drawn by the forward sweep only
         (5, (-3,), math.inf),        # reachable
-        (4, (1,), math.nan),         # unreachable: zero mass times nan
-        (8, (3,), math.nan),
+        (4, (1, 0), math.nan),       # off the cone, in the d=2 box: zero mass times nan
+        (8, (3, 0), math.nan),
     ])
     def test_non_finite_environment_raises(self, monkeypatch, keep_theta, k, site,
                                            value):
-        inst = PolymerInstance(d=1, n=8, beta=1.0, law=LAW, seed=6)
+        d = len(site)
+        inst = PolymerInstance(d=d, n=8, beta=1.0, law=LAW, seed=6)
         omega = env_layer(inst, k)
-        omega[tuple(c + k for c in site)] = value
+        omega.reshape(-1)[site_cells(d, k, site)] = value
         replace_layer(monkeypatch, k, omega)
         with pytest.raises(NumericalError):
             forward_backward(inst, keep_forward=False, keep_theta=keep_theta)
 
     def test_box_coordinates_cached_read_only(self):
-        small = engine._coords(2, 3)
-        assert small is engine._coords(2, 3) and not small.flags.writeable
+        small = layer_sites(2, 3)
+        assert small is layer_sites(2, 3) and not small.flags.writeable
         assert small.shape == (7, 7, 2) and small[0, 6].tolist() == [-3, 3]
-        big = engine._coords(1, engine._CACHED_BOX_SITES)
-        assert big is not engine._coords(1, engine._CACHED_BOX_SITES)
-        np.testing.assert_array_equal(big, engine._coords(1, engine._CACHED_BOX_SITES))
+        assert layer_sites(1, 3).tolist() == [[-3], [-1], [1], [3]]      # the cone
+        big = layer_sites(1, lattice._CACHED_SITES)
+        assert big.shape == (lattice._CACHED_SITES + 1, 1)
+        assert big is not layer_sites(1, lattice._CACHED_SITES)
+        np.testing.assert_array_equal(big, layer_sites(1, lattice._CACHED_SITES))
 
 
 class TestBruteForce:
@@ -189,9 +193,8 @@ class TestBruteForce:
         sol, r, l = brute_force(inst)
         assert r == pytest.approx(7.0 / 16.0, abs=1e-15)
         assert l == pytest.approx(0.5, abs=1e-15)
-        np.testing.assert_allclose(sol.theta_array(1), [0.5, 0.0, 0.5], atol=1e-15)
-        np.testing.assert_allclose(sol.theta_array(2), [0.25, 0, 0.5, 0, 0.25],
-                                   atol=1e-15)
+        np.testing.assert_allclose(sol.theta_array(1), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(sol.theta_array(2), [0.25, 0.5, 0.25], atol=1e-15)
 
 
 class TestSampler:
@@ -220,7 +223,7 @@ class TestSampler:
         paths = sample_paths(sol, inst, m, rng)
         k = 15
         t = sol.theta_array(k)
-        freq = np.bincount(paths[:, k - 1, 0] + k, minlength=2 * k + 1) / m
+        freq = np.bincount(site_cells(1, k, paths[:, k - 1]), minlength=t.size) / m
         live = t > 1e-4
         se = np.sqrt(t[live] * (1 - t[live]) / m)
         z = np.abs(freq[live] - t[live]) / se
@@ -284,11 +287,13 @@ LAYER_CASES = [
     (2, 5, 0.0, 5, LAW, False),
     (3, 4, 1.0, 2, make_uniform(0.0, 3.0), True),
     (3, 3, 2.0, 3, LAW, False),
+    (1, 10, 100.0, 4, LAW, False),       # log space
+    (2, 4, 100.0, 4, LAW, False),
 ]
 
 
 def replacement_layers(inst, k, m):
-    """m step-k boxes drawn from the law under other seeds."""
+    """m step-k layers drawn from the law under other seeds."""
     return np.stack([env_layer(dataclasses.replace(inst, seed=derive_seed(inst.seed, j)),
                                k) for j in range(m)])
 
@@ -299,7 +304,7 @@ class TestLayerTheta:
                                          centered):
         inst = PolymerInstance(d=d, n=n, beta=beta, law=law,
                                seed=replication_seed(44, n), centered=centered)
-        box = (2 * k + 1,) * d
+        box = layer_shape(d, k)
         boxes = replacement_layers(inst, k, 3)
         zeta = layer_theta(inst, k, 0.0)
         single = [layer_theta(inst, k, om) for om in boxes]
@@ -384,3 +389,116 @@ def test_dump_solution(tmp_path):
     meta = _json.loads(json_path.read_text())
     assert meta["n"] == 4 and meta["seed"] == 99
     assert meta["log_partition"] == pytest.approx(sol.log_partition)
+
+
+class TestLayout:
+    """In d=1 every layer is the cone x = -k, -k+2, ..., k; in d >= 2 the
+    box [-k, k]^d."""
+
+    @pytest.mark.parametrize("seed", [13, (13, 2 ** 64 - 5, -1)])
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_d1_layer_is_the_box_draw_at_cone_sites(self, seed, centered):
+        law = make_uniform(0.0, 3.0)
+        inst = PolymerInstance(d=1, n=9, beta=1.0, law=law, seed=seed,
+                               centered=centered)
+        for k in range(1, 10):
+            box_sites = np.arange(-k, k + 1).reshape(-1, 1)
+            box = np.asarray(law.quantile(counter_uniform(seed, k, box_sites)))
+            if centered:
+                box = box - law.mean
+            np.testing.assert_array_equal(env_layer(inst, k), box[..., ::2], strict=True)
+
+    @pytest.mark.parametrize("keep_theta", [True, False])
+    def test_d1_solve_draws_only_the_cone(self, monkeypatch, keep_theta):
+        n, seeds = 30, (4, 5, 6)
+        drawn = []
+
+        def counted(seed, k, coords):
+            u = counter_uniform(seed, k, coords)
+            drawn.append(u.size)
+            return u
+
+        monkeypatch.setattr(engine, "counter_uniform", counted)
+        forward_backward(PolymerInstance(d=1, n=n, beta=1.0, law=LAW, seed=seeds),
+                         keep_forward=False, keep_theta=keep_theta)
+        # each layer twice, layer 1 (2 sites) once
+        per_seed = 2 * sum(k + 1 for k in range(1, n + 1)) - 2
+        assert sum(drawn) == len(seeds) * per_seed == 3 * 988
+
+    @pytest.mark.parametrize("d,n", [(1, 6), (2, 3)])
+    def test_dump_rows_are_the_reachable_sites_in_order(self, tmp_path, d, n):
+        inst = PolymerInstance(d=d, n=n, beta=1.0, law=LAW, seed=99)
+        sol = forward_backward(inst, keep_forward=False)
+        dump_solution(sol, str(tmp_path / "t.csv"), str(tmp_path / "t.json"))
+        rows = [line.split(",") for line in
+                (tmp_path / "t.csv").read_text().strip().splitlines()[1:]]
+        expected = [(str(k), ";".join(map(str, x)))
+                    for k in range(1, n + 1) for x in sorted(reachable_sites(d, k))]
+        assert [(k, site) for k, site, _ in rows] == expected
+        for k, site, value in rows:
+            x = tuple(int(c) for c in site.split(";"))
+            assert float(value) == sol.theta_value(int(k), x)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def geodesic(instance):
+    """Max-weight path of the raw environment (directed last-passage
+    percolation) and its weight M, from PathDP fed the omega layers."""
+    dp = PathDP(instance.d, ())
+    for k in range(1, instance.n + 1):
+        dp.push(env_layer(instance, k))
+    top, paths = dp.result()
+    return float(top[0]), paths[0]
+
+
+class TestLowTemperature:
+    """Weights exp(beta*omega) are taken relative to each layer's max, and
+    past engine.LOG_SPACE_RANGE the sweeps run in log space, so no beta or
+    shift of the law overflows."""
+
+    @pytest.mark.parametrize("beta", [1.0, 10.0, 100.0, 1e3])
+    @pytest.mark.parametrize("law", [LAW, make_uniform(100.0, 101.0)],
+                             ids=["centred", "shifted"])
+    @pytest.mark.parametrize("d,n", [(1, 50), (2, 12), (3, 6)])
+    def test_log_partition_within_zero_temperature_bounds(self, d, n, law, beta):
+        """M <= log Z / beta <= M + n log(2d) / beta: the max path alone, and
+        (2d)^n paths of weight at most exp(beta M)."""
+        inst = PolymerInstance(d=d, n=n, beta=beta, law=law, seed=replication_seed(8, d))
+        top, path = geodesic(inst)
+        slack = 8 * n * EPS * (abs(top) + 1.0)
+        sol = forward_backward(inst, keep_forward=False, keep_theta=False)
+        assert top - slack <= sol.log_partition / beta \
+            <= top + n * math.log(2 * d) / beta + slack
+        if beta == 1e3:          # the measure sits on the geodesic
+            np.testing.assert_array_equal(ell(sol)[1], path)
+
+    @pytest.mark.parametrize("law,beta", [(make_uniform(100.0, 101.0), 8.0),
+                                          (LAW, 800.0)])
+    def test_large_weights_solve_without_warnings(self, law, beta):
+        inst = PolymerInstance(d=1, n=50, beta=beta, law=law, seed=3)
+        for keep_theta in (True, False):
+            sol = forward_backward(inst, keep_forward=False, keep_theta=keep_theta)
+            assert math.isfinite(sol.log_partition) and 0 < rho(sol) <= 1
+
+    @pytest.mark.parametrize("d,n,beta", [(1, 30, 3.0), (2, 8, 2.0), (1, 30, 100.0)])
+    def test_shifting_the_law_moves_only_log_z(self, d, n, beta):
+        """omega + c leaves the measure unchanged and adds beta*c*n to log Z,
+        up to the rounding delta of the shifted draws: delta moves log Z by
+        at most beta*n*delta and theta by a factor within exp(2*beta*n*delta).
+        Beyond that, float64 rounding of n steps over log-masses of up to
+        beta*(c + width)*n (log Z) or beta*width*n (theta, log space)."""
+        c = 100.0
+        base = PolymerInstance(d=d, n=n, beta=beta, law=LAW, seed=77)
+        shifted = dataclasses.replace(base, law=make_uniform(-1.0 + c, 1.0 + c))
+        delta = max(float(np.max(np.abs(env_layer(shifted, k) - env_layer(base, k) - c)))
+                    for k in range(1, n + 1))
+        a, b = forward_backward(base), forward_backward(shifted)
+        drift = beta * n * delta
+        rounding = 8 * n * n * EPS * beta
+        assert abs(b.log_partition - a.log_partition - beta * c * n) \
+            <= drift + rounding * (c + LAW.width)
+        for k in range(1, n + 1):
+            np.testing.assert_allclose(b.theta_array(k), a.theta_array(k), atol=0,
+                                       rtol=math.expm1(2 * drift) + rounding * LAW.width)

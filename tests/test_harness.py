@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polylab.engine import PolymerInstance, forward_backward, streamed_bytes
+from polylab.engine import (UFUNC_BUFFER_BYTES, PolymerInstance, forward_backward,
+                            log_space, streamed_bytes)
 from polylab.functionals import ell as ell_fn
 from polylab.functionals import rho as rho_fn
 from polylab import harness
@@ -122,17 +123,25 @@ CHUNKED = ExperimentConfig(d=2, n=40, beta=2.0, law_spec="uniform:-1,1",
 
 class TestChunks:
     def test_chunk_size_from_byte_budget(self):
-        # figure 1 streams in 20 segments balanced by cells: 7551 cells in
-        # the checkpoints k = 49, 84, ..., 292, 4763 in the largest segment
-        # (k = 211..221), 3 working layers of 601 cells at k = 300, alpha and
-        # the log normalizers (2 x 300), and 11474 bytes of 1-bit choices
-        assert streamed_bytes(1, 300, 3.0) == \
-            8 * (7551 + 2 * 4763 + 3 * 601 + 2 * 300) + 11474 == 167314
-        assert chunk_size(1, 300, 3.0) == harness.CHUNK_BYTES // 167314 == 25
-        # beta=0 draws no weights: one segment's worth less
-        assert streamed_bytes(1, 300, 0.0) == 167314 - 8 * 4763
-        assert chunk_size(1, 300, 0.0) == 32
+        # figure 1 streams in 20 segments balanced by cells.  Its bound falls
+        # at the recompute of B_109, in the segment k = 109..128: that
+        # segment's backward layers (2390 cells), the checkpoints k = 145,
+        # ..., 292 above it (3412), alpha and the log normalizers (2 x 300),
+        # 8 scalars and 810 bytes of 1-bit choices up to k = 109, plus the
+        # moment's own layers: the segment's weights (2390), B_110 * w_110
+        # (111) and F_108 with its ell scores (2 x 109)
+        held = 8 * (2390 + 3412 + 2 * 300 + 8) + 810
+        assert streamed_bytes(1, 300, 3.0) == held + 8 * (2390 + 111 + 2 * 109) == 73842
+        assert chunk_size(1, 300, 3.0) == \
+            (harness.CHUNK_BYTES - UFUNC_BUFFER_BYTES) // 73842 == 54
+        # beta=0 draws no weights, and the ell step of k = 109 bounds it: F_109
+        # and the scores of layers 108 and 109, and their choice bytes
+        assert streamed_bytes(1, 300, 0.0) == \
+            held + 8 * (2 * 110 + 109) + 2 * 110 + 2 * 109 == 55160
+        assert chunk_size(1, 300, 0.0) == 72
         assert chunk_size(3, 200, 1.0) == 1
+        # in log space the recompute holds two more layers of 110 cells
+        assert streamed_bytes(1, 300, 3.0, log=True) == 73842 + 8 * 2 * 110
 
     def test_figure1_chunk_peak_memory_within_budget(self):
         cfg = ExperimentConfig(d=1, n=300, beta=3.0, law_spec="uniform:-1,1",
@@ -148,8 +157,29 @@ class TestChunks:
             tracemalloc.stop()
         assert peak <= harness.CHUNK_BYTES
 
-    # a CFG replication holds 9589 bytes: chunks of 1, of 3 (3+3+2), of all 8
-    @pytest.mark.parametrize("budget", [1, 28767, 1 << 30])
+    @pytest.mark.parametrize("d,n,beta", [(1, 300, 3.0), (2, 40, 2.0), (3, 12, 1.0),
+                                          (1, 300, 100.0), (2, 20, 100.0)])
+    def test_streamed_bytes_bounds_the_peak_tightly(self, d, n, beta):
+        """A chunk's tracemalloc peak is at most its modelled bytes, the
+        environments' share plus numpy's ufunc buffers, and at least 85% of
+        them; beta=100 sweeps in log space."""
+        law = parse_law_spec("uniform:-1,1")
+        log = log_space(beta, law)
+        size = chunk_size(d, n, beta, log)
+        inst = PolymerInstance(d=d, n=n, beta=beta, law=law,
+                               seed=tuple(replication_seed(3, r) for r in range(size)))
+        forward_backward(inst, keep_forward=False, keep_theta=False)  # fills caches
+        tracemalloc.start()
+        try:
+            forward_backward(inst, keep_forward=False, keep_theta=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model = size * streamed_bytes(d, n, beta, log) + UFUNC_BUFFER_BYTES
+        assert 0.85 * model <= peak <= model
+
+    # a CFG replication holds 4072 bytes: chunks of 1, of 3 (3+3+2), of all 8
+    @pytest.mark.parametrize("budget", [1, UFUNC_BUFFER_BYTES + 3 * 4072, 1 << 30])
     def test_records_do_not_depend_on_chunk_size(self, monkeypatch, budget):
         ref = _data(run_replications(CFG))
         monkeypatch.setattr(harness, "CHUNK_BYTES", budget)

@@ -5,9 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from polylab.lattice import (PathDP, is_reachable, layer_mask, neighbors,
-                             overlap, path_from_csv_row, path_to_csv_row,
-                             reachable_sites, step_vectors, validate_path)
+from polylab.lattice import (PathDP, is_reachable, layer_cells, layer_mask,
+                             layer_shape, neighbors, overlap, path_from_csv_row,
+                             path_to_csv_row, reachable_sites, site_cells,
+                             step_vectors, validate_path)
 
 
 def walk_support(d, k):
@@ -132,7 +133,7 @@ def best_path_reference(fields, d):
     score, pred = {}, {}
     for k in range(1, n + 1):
         for x in reachable_sites(d, k):
-            value = float(fields[k - 1][tuple(c + k for c in x)])
+            value = float(fields[k - 1].reshape(-1)[site_cells(d, k, x)])
             if k == 1:
                 score[k, x] = value
                 continue
@@ -150,7 +151,7 @@ def check_path_dp(d, n, lead):
     """PathDP against best_path_reference on fields with ties everywhere."""
     # few distinct values, so ties are everywhere; sums of them are exact
     rng = np.random.default_rng(10 * d + n)
-    fields = [rng.integers(0, 3, size=lead + (2 * k + 1,) * d) / 4.0
+    fields = [rng.integers(0, 3, size=lead + layer_shape(d, k)) / 4.0
               for k in range(1, n + 1)]
     dp = PathDP(d, lead)
     for f in fields:
@@ -166,7 +167,7 @@ def check_path_dp(d, n, lead):
     planes = (2 * d - 1).bit_length()
     for k, packed in enumerate(dp.choices, start=2):
         assert packed.dtype == np.uint8
-        assert packed.shape == (batch, planes, -(-(2 * k + 1) ** d // 8))
+        assert packed.shape == (batch, planes, -(-layer_cells(d, k) // 8))
     if n > 1:       # the top plane is in use: some choice is >= 2^(planes-1)
         assert any(packed[:, -1].any() for packed in dp.choices)
 
