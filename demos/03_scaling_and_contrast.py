@@ -32,7 +32,7 @@ print("   n      ell        rho")
 for i, n in enumerate([50, 100, 200, 400]):
     inst = PolymerInstance(d=1, n=n, beta=3.0, law=law,
                            seed=replication_seed(777, i))
-    sol = forward_backward(inst, keep_forward=False)
+    sol = forward_backward(inst, keep_forward=False, keep_theta=False)
     print(f"  {n:4d}  {ell(sol)[0]:.6f}  {rho(sol):.6f}")
 
 print("\nthe disordered rho values hover around a constant while the free")

@@ -91,6 +91,11 @@ def ell(solution: ThetaSolution):
     return (scores if lead else float(scores)), path
 
 
+def overlap_chain_holds(r: float, l: float) -> bool:
+    """ell^2 <= rho <= ell (Proposition 1), with 1e-12 slack for rounding."""
+    return l * l <= r + 1e-12 and r <= l + 1e-12
+
+
 def gamma_tau_profiles(solution: ThetaSolution, instance: PolymerInstance):
     """(gamma_k, tau_k) arrays.
 
@@ -168,7 +173,7 @@ def build_report(solution: ThetaSolution, instance: PolymerInstance,
     alpha = alpha_profile(solution)
     r = float(alpha.mean())
     l, path = ell(solution)
-    if not (l * l <= r + 1e-12 and r <= l + 1e-12):
+    if not overlap_chain_holds(r, l):
         raise NumericalErrorReport(r, l)
     gamma = tau = None
     if with_env_profiles:

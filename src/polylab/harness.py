@@ -124,7 +124,7 @@ class ReplicationRecord:
                                f"outside [{floor}, 1]")
         if not (0.0 < self.ell <= 1.0):
             raise RuntimeError(f"replication {self.index}: ell={self.ell} outside (0, 1]")
-        if not (self.ell ** 2 <= self.rho + 1e-12 and self.rho <= self.ell + 1e-12):
+        if not functionals.overlap_chain_holds(self.rho, self.ell):
             raise RuntimeError(f"replication {self.index}: overlap chain violated "
                                f"(ell={self.ell}, rho={self.rho})")
 
@@ -267,7 +267,7 @@ def scaling_study(d: int, n_grid: Sequence[int], base_seed: int = 0,
     for n in n_grid:
         inst = PolymerInstance(d=d, n=int(n), beta=0.0, law=law,
                                seed=replication_seed(base_seed, n))
-        sol = forward_backward(inst, keep_forward=False)
+        sol = forward_backward(inst, keep_forward=False, keep_theta=False)
         l_val, _ = functionals.ell(sol)
         rows.append((int(n), l_val, functionals.rho(sol)))
     ls = np.log([r[1] for r in rows])

@@ -170,6 +170,8 @@ def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
     """
     xs = np.asarray(xs, dtype=np.float64)
     fs = np.asarray(fs, dtype=np.float64)
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(fs))):
+        raise LawValidationError("table law samples must be finite numbers")
     if xs.ndim != 1 or xs.size < 4 or np.any(np.diff(xs) <= 0):
         raise LawValidationError("table law needs >= 4 strictly increasing x samples")
     if np.any(fs < 0) or np.any(fs[1:-1] <= 0):
@@ -200,11 +202,16 @@ def load_table_law(path: str) -> EnvironmentLaw:
     """Read a CSV with x,f columns into a table law."""
     xs, fs = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().lower() == "x":
                 continue
-            xs.append(float(row[0]))
-            fs.append(float(row[1]))
+            try:
+                xs.append(float(row[0]))
+                fs.append(float(row[1]))
+            except (IndexError, ValueError):
+                raise LawValidationError(f"{path} line {reader.line_num}: want two "
+                                         f"numbers x,f, got {row!r}") from None
     return make_table_law(xs, fs)
 
 

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from polylab import cli
+from polylab import cli, verify
 from polylab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED, main)
 
 
 def not_called(*args, **kwargs):
-    raise AssertionError("run_replications was called")
+    raise AssertionError("the computation was called")
 
 
 def assert_config_error(code, capsys):
@@ -17,6 +17,7 @@ def assert_config_error(code, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("config error: ") and err.count("\n") == 1
+    return err
 
 
 class TestSimulate:
@@ -118,6 +119,15 @@ class TestSimulate:
                      str(tmp_path / "missing" / "fig")])
         assert_config_error(code, capsys)
 
+    @pytest.mark.parametrize("text", ["x,f\n-1,0\n0,one\n1,0\n", "x,f\n-1,0\n0\n1,0\n"])
+    def test_malformed_table_law_is_config_error(self, tmp_path, capsys, text):
+        """A non-numeric cell or a one-column row exits 2, naming its line."""
+        table = tmp_path / "f.csv"
+        table.write_text(text)
+        code = main(["simulate", "--d", "1", "--n", "10", "--beta", "1",
+                     "--law", f"table:{table}", "--out", str(tmp_path / "r.csv")])
+        assert "line 3" in assert_config_error(code, capsys)
+
     def test_table_law_directory_is_config_error(self, tmp_path, capsys):
         code = main(["simulate", "--d", "1", "--n", "10", "--beta", "1",
                      "--law", f"table:{tmp_path}", "--reps", "1",
@@ -183,9 +193,20 @@ class TestVerify:
         names = {c["name"] for c in doc["checks"]}
         assert len(names) == len(doc["checks"])
 
-    def test_injected_perturbation_fails_normalization(self, tmp_path, capsys):
+    def test_injected_perturbation_fails_normalization(self, monkeypatch, tmp_path,
+                                                       capsys):
+        """Perturb one theta entry of the solve the normalization check reads."""
+        solve = verify.forward_backward
+
+        def perturbed(inst, **kwargs):
+            sol = solve(inst, **kwargs)
+            if inst.seed == verify.FAST["layer_normalization"]["seed"]:
+                sol.theta_layers[len(sol.theta_layers) // 2][0] += 1e-3
+            return sol
+
+        monkeypatch.setattr(verify, "forward_backward", perturbed)
         report = tmp_path / "verify.json"
-        code = main(["verify", "--report", str(report), "--perturb-theta"])
+        code = main(["verify", "--report", str(report)])
         assert code == EXIT_VERIFY_FAILED
         doc = json.loads(report.read_text())
         failing = [c["name"] for c in doc["checks"] if not c["passed"]]
@@ -195,3 +216,13 @@ class TestVerify:
 
 def test_unknown_subcommand_is_config_error():
     assert main(["frobnicate"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv,owner,name", [
+    (["scaling", "--out"], cli, "scaling_study"),
+    (["verify", "--report"], verify, "run_checks"),
+])
+def test_unwritable_output_fails_before_computing(monkeypatch, tmp_path, capsys,
+                                                  argv, owner, name):
+    monkeypatch.setattr(owner, name, not_called)
+    assert_config_error(main(argv + [str(tmp_path / "missing" / "f")]), capsys)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from polylab import engine
+from polylab import engine, verify
 from polylab.engine import (NumericalError, PolymerInstance, brute_force,
                             dump_solution, env_layer, env_value,
                             forward_backward, layer_theta, sample_path,
@@ -31,16 +31,6 @@ def replace_layer(monkeypatch, k, omega):
         return np.array(omega, dtype=np.float64) if j == k else draw(instance, j)
 
     monkeypatch.setattr(engine, "env_layer", env_layer)
-
-
-def srw_marginal(k):
-    """Exact simple-random-walk marginal at step k on the d=1 layout, the
-    sites x = -k, -k+2, ..., k.
-
-    Integer binomials divided by 2^k: correctly rounded doubles.
-    """
-    return np.array([math.comb(k, (k + int(x)) // 2) / 2 ** k
-                     for x in layer_sites(1, k)[:, 0]])
 
 
 class TestEnvValue:
@@ -99,16 +89,10 @@ class TestForwardBackward:
         assert sol.log_partition == pytest.approx(math.log(z), rel=1e-14)
 
     def test_beta0_is_simple_random_walk(self):
-        inst = PolymerInstance(d=1, n=40, beta=0.0, law=LAW, seed=1)
-        sol = forward_backward(inst, keep_forward=False)
-        for k in range(1, 41):
-            np.testing.assert_allclose(sol.theta_array(k), srw_marginal(k), atol=1e-12)
+        assert verify.beta0_reduction(n=40, seed=1)[0]["passed"]
 
     def test_layer_sums_to_one(self):
-        inst = PolymerInstance(d=1, n=200, beta=5.0, law=LAW, seed=8)
-        sol = forward_backward(inst, keep_forward=False)
-        for t in sol.theta_layers:
-            assert abs(float(t.sum()) - 1.0) <= 1e-10
+        assert verify.layer_normalization(n=200, beta=5.0, seed=8)[0]["passed"]
 
     def test_theta_in_unit_interval(self):
         inst = PolymerInstance(d=2, n=20, beta=3.0, law=LAW, seed=8)
@@ -358,15 +342,7 @@ class TestDerivativeIdentity:
         assert abs(analytic - numeric) <= 1e-5 * max(1.0, analytic)
 
     def test_random_sites(self):
-        inst = PolymerInstance(d=1, n=40, beta=3.0, law=LAW, seed=606)
-        sol = forward_backward(inst)
-        rng = np.random.default_rng(derive_seed(606, 1))
-        for _ in range(20):
-            k = int(rng.integers(1, 41))
-            xs = [x for x in range(-k, k + 1) if (x - k) % 2 == 0]
-            x = (int(xs[rng.integers(len(xs))]),)
-            analytic, numeric = theta_derivative_check(inst, sol, k, x)
-            assert abs(analytic - numeric) <= 1e-5 * max(1.0, analytic)
+        assert verify.derivative_identity(n=40, beta=3.0, trials=20, seed=606)[0]["passed"]
 
     def test_fd_step_bounds(self):
         inst = PolymerInstance(d=1, n=4, beta=1.0, law=LAW, seed=2)

@@ -1,7 +1,6 @@
 """Harness: replication batches, CSV determinism, histogram, scaling, tail probe."""
 
 import json
-import math
 import os
 import tracemalloc
 
@@ -19,19 +18,10 @@ from polylab.harness import (ConfigError, ExperimentConfig, ReplicationRecord,
                              tail_probe, worker_count, write_histogram_csv,
                              write_report_csv)
 from polylab.rng import replication_seed
+from polylab.verify import binomial_rho
 
 CFG = ExperimentConfig(d=1, n=40, beta=2.0, law_spec="uniform:-1,1",
                        replications=8, base_seed=31415)
-
-
-def srw_rho_exact(n):
-    """Analytic beta=0 overlap for d=1: mean over k of sum_x p_{k,x}^2 with
-    binomial marginals (exact integer arithmetic, rounded once)."""
-    total = 0.0
-    for k in range(1, n + 1):
-        s = sum(math.comb(k, j) ** 2 for j in range(k + 1))
-        total += s / 4 ** k
-    return total / n
 
 
 class TestLawSpec:
@@ -246,7 +236,7 @@ class TestScaling:
     def test_beta0_rho_matches_analytic(self):
         rows, _ = scaling_study(1, [16, 32, 64])
         for n, _, r in rows:
-            assert r == pytest.approx(srw_rho_exact(n), abs=1e-12)
+            assert r == pytest.approx(binomial_rho(n), abs=1e-12)
 
     def test_d1_slope_band(self):
         _, slope = scaling_study(1, [64, 128, 256, 512])

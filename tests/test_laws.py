@@ -222,3 +222,13 @@ class TestTableLaw:
     def test_rejects_interior_zero_density(self):
         with pytest.raises(LawValidationError):
             make_table_law([0.0, 0.3, 0.6, 1.0], [1.0, 0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("xs,fs", [
+        ([-1, -.5, 0, .5, 1], [0, 1, float("nan"), 1, 0]),
+        ([-1, -.5, 0, .5, float("inf")], [0, 1, 1, 1, 0]),
+    ])
+    def test_rejects_nonfinite_samples(self, xs, fs):
+        """A nan density sample once gave a law with mean nan, on which
+        quadrature never converged."""
+        with pytest.raises(LawValidationError, match="finite"):
+            make_table_law(xs, fs)
