@@ -51,12 +51,12 @@ FAST = {
     "law_battery": dict(mc_samples=10_000, seed=0),
     "oracle_equivalence": dict(cases=[(6, 0.0), (8, 1.0), (10, 3.0)], base_seed=1234),
     "beta0_reduction": dict(n=60, seed=7),
-    "layer_normalization": dict(n=100, beta=3.0, seed=99),
+    "layer_normalization": dict(n=100, seed=99),
     "chain_and_floors": dict(cases=[(1, 10, 0.0), (1, 50, 1.0), (2, 10, 3.0), (1, 30, 6.0)],
                              base_seed=777),
     "zero_layer_bounds": dict(betas=(1.0,), n=20, ks=(1, 5, 10, 15, 20),
                               resamples=100, base_seed=2024),
-    "derivative_identity": dict(n=20, beta=3.0, trials=10, seed=31337),
+    "derivative_identity": dict(n=20, trials=10, seed=31337),
 }
 
 
@@ -75,8 +75,8 @@ def binomial_rho(n: int) -> float:
                for k in range(1, n + 1)) / n
 
 
-def _check(name: str, passed: bool, detail: str, **values) -> Dict:
-    return {"name": name, "passed": bool(passed), "detail": detail, **values}
+def _check(name: str, passed: bool, detail: str) -> Dict:
+    return {"name": name, "passed": bool(passed), "detail": detail}
 
 
 def _instance(d: int, n: int, beta: float, seed: int) -> PolymerInstance:
@@ -102,12 +102,12 @@ def law_battery(mc_samples: int = 100_000, seed: int = 11) -> List[Dict]:
                f"min h on grid = {float(np.min(hv)):.3e}, h(0) = {h0:.12f}, "
                f"quadrature h(0) = {h0_quad:.12f}"),
         _check("law_poincare_constant", abs(K - LAW_K) <= LAW_TOL,
-               f"K = {K:.12f}", K=K),
+               f"K = {K:.9f}"),
         _check("law_ibp_battery", worst <= IBP_TOL, f"worst residual = {worst:.3e}"),
         _check("law_poincare_battery", worst_m >= -POINCARE_TOL,
                f"worst margin = {worst_m:.3e}"),
         _check("law_tensorized_poincare", abs(margin - 0.5) <= SE_BAND * se,
-               f"margin = {margin:.4f} (expect 0.5), se = {se:.4f}", margin=margin),
+               f"margin = {margin:.4f} (expect 0.5), se = {se:.4f}"),
         _check("law_kappa_threshold", lp <= thr + KAPPA_TOL,
                f"log phi(1/kappa) = {lp:.6f} vs threshold {thr:.6f}"),
     ]
@@ -144,11 +144,11 @@ def beta0_reduction(n: int = 300, seed: int = 7007) -> List[Dict]:
                    f"theta sup-norm {theta_err:.2e}, rho err {rho_err:.2e}")]
 
 
-def layer_normalization(n: int = FIGURE1_CONFIG["n"], beta: float = FIGURE1_CONFIG["beta"],
+def layer_normalization(n: int = FIGURE1_CONFIG["n"],
                         seed: int = replication_seed(FIGURE1_CONFIG["base_seed"], 0)
                         ) -> List[Dict]:
-    """Every theta layer of one d = 1 instance sums to 1."""
-    sol = forward_backward(_instance(1, n, beta, seed), keep_forward=False)
+    """Every theta layer of one d = 1 instance at figure 1's beta sums to 1."""
+    sol = forward_backward(_instance(1, n, FIGURE1_CONFIG["beta"], seed), keep_forward=False)
     worst = max(abs(float(t.sum()) - 1.0) for t in sol.theta_layers)
     return [_check("layer_normalization", worst <= NORM_TOL,
                    f"worst |sum-1| = {worst:.2e}")]
@@ -206,11 +206,10 @@ def zero_layer_bounds(betas: Sequence[float] = (1.0, 3.0), n: int = 40,
             _check("conditional_overlap_bound", bound_ok, "; ".join(primed))]
 
 
-def derivative_identity(n: int = 40, beta: float = 3.0, trials: int = 100,
-                        seed: int = 5005) -> List[Dict]:
+def derivative_identity(n: int = 40, trials: int = 100, seed: int = 5005) -> List[Dict]:
     """d theta_{k,x} / d omega_{k,x} = beta theta (1 - theta) at trials
-    random (k, x) of one d = 1 instance, against a central difference."""
-    inst = _instance(1, n, beta, seed)
+    random (k, x) of one d = 1, beta = 3 instance, against a central difference."""
+    inst = _instance(1, n, 3.0, seed)
     sol = forward_backward(inst, keep_forward=False)
     rng = np.random.default_rng(derive_seed(seed, 1))
     worst = 0.0

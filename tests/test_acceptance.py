@@ -133,8 +133,8 @@ def test_criterion_10_figure1(figure1_records):
 def test_criterion_11_environment_battery():
     records = {rec["name"]: rec for rec in verify.law_battery()}
     _report(11, "environment law battery", all(r["passed"] for r in records.values()),
-            f"K = {records['law_poincare_constant']['K']:.9f}, "
-            f"tensorized margin {records['law_tensorized_poincare']['margin']:.4f}")
+            f"{records['law_poincare_constant']['detail']}, "
+            f"tensorized {records['law_tensorized_poincare']['detail']}")
 
 
 def test_criterion_12_determinism(figure1_records, tmp_path):

@@ -92,7 +92,9 @@ class TestForwardBackward:
         assert verify.beta0_reduction(n=40, seed=1)[0]["passed"]
 
     def test_layer_sums_to_one(self):
-        assert verify.layer_normalization(n=200, beta=5.0, seed=8)[0]["passed"]
+        inst = PolymerInstance(d=1, n=200, beta=5.0, law=LAW, seed=8)
+        sol = forward_backward(inst, keep_forward=False)
+        assert max(abs(float(t.sum()) - 1.0) for t in sol.theta_layers) <= verify.NORM_TOL
 
     def test_theta_in_unit_interval(self):
         inst = PolymerInstance(d=2, n=20, beta=3.0, law=LAW, seed=8)
@@ -342,7 +344,7 @@ class TestDerivativeIdentity:
         assert abs(analytic - numeric) <= 1e-5 * max(1.0, analytic)
 
     def test_random_sites(self):
-        assert verify.derivative_identity(n=40, beta=3.0, trials=20, seed=606)[0]["passed"]
+        assert verify.derivative_identity(n=40, trials=20, seed=606)[0]["passed"]
 
     def test_fd_step_bounds(self):
         inst = PolymerInstance(d=1, n=4, beta=1.0, law=LAW, seed=2)
