@@ -3,12 +3,14 @@
 The environment is lazy and deterministic: omega_{k,x} is a pure function of
 (seed, k, x) through the counter RNG, so layers are regenerated on demand
 instead of being stored.  Every layer is stored in the layout of
-lattice.layer_shape: the k+1 cone sites in d = 1, the box [-k, k]^d in
-d >= 2.  The forward-backward recursion normalizes every layer by its sum,
-and the logs of the normalizers accumulate to log Z.  Path weights reach
-exp(beta*b*n), far past float range at experiment scale, so the
-normalization is not optional; each layer's weights exp(beta*omega) are
-also taken relative to their largest value, so that they never overflow.
+lattice.layer_shape, the cube {0..k}^d of the rotated coordinates
+(k + s(x)) / 2: the k+1 cone sites in d = 1, exactly the cone in d = 2, and
+the cone plus cells of zero mass in d >= 3.  The forward-backward recursion
+normalizes every layer by its sum, and the logs of the normalizers
+accumulate to log Z.  Path weights reach exp(beta*b*n), far past float
+range at experiment scale, so the normalization is not optional; each
+layer's weights exp(beta*omega) are also taken relative to their largest
+value, so that they never overflow.
 When one layer's weights span more than exp(LOG_SPACE_RANGE), products of
 normalized layers could underflow, and the same sweeps run in log space:
 layers hold log-masses and neighbour sums are log-sum-exps.
@@ -121,7 +123,7 @@ def env_layer(instance: PolymerInstance, k: int) -> np.ndarray:
     """omega at every cell of the step-k layer (lattice.layer_sites), with
     the batch axis of a seed tuple in front.
 
-    In d >= 2 the box's sites off the cone are drawn too, but carry no
+    In d >= 3 the cube's sites off the cone are drawn too, but carry no
     weight in the recursion since the forward mass there is zero.
     """
     if not (1 <= k <= instance.n):
@@ -674,9 +676,11 @@ def sample_paths(solution: ThetaSolution, instance: PolymerInstance,
 
     for k in range(n - 1, 0, -1):
         cand = pos[:, None, :] + steps[None, :, :]          # (count, 2d, d)
-        # a neighbour of a step-(k+1) site with |y|_1 <= k is on the step-k cone
+        # a neighbour of a step-(k+1) site with |y|_1 <= k is on the step-k
+        # cone; the others may lie outside the layer, so they read cell 0,
+        # which `inside` weighs by zero
         inside = np.abs(cand).sum(axis=2) <= k
-        flat = site_cells(d, k, np.clip(cand, -k, k))
+        flat = np.where(inside, site_cells(d, k, cand), 0)
         w = solution.forward_layers[k - 1].ravel()[flat] * inside
         cw = np.cumsum(w, axis=1)
         tot = cw[:, -1]
@@ -737,7 +741,8 @@ def dump_solution(solution: ThetaSolution, csv_path: str, json_path: str) -> Non
         for k in range(1, solution.n + 1):
             theta = solution.theta_array(k).reshape(-1)
             sites = layer_sites(solution.d, k).reshape(-1, solution.d)
-            for x, val in zip(sites.tolist(), theta.tolist()):
+            order = np.lexsort(sites.T[::-1])       # cube C order is not lexicographic
+            for x, val in zip(sites[order].tolist(), theta[order].tolist()):
                 if val != 0.0 and is_reachable(x, k):
                     wr.writerow([k, ";".join(map(str, x)), f"{val:.17g}"])
     with open(json_path, "w") as fh:

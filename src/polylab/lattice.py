@@ -4,14 +4,18 @@ Paths of length n start at the origin, which is omitted: a path is the
 sequence of its n visited sites.  The site visited at step k lies in the
 parity cone |x|_1 <= k, |x|_1 = k (mod 2).
 
-The engine stores every layer in the layout this module defines per d.  In
-d = 1 a step-k layer is the cone itself: the k+1 sites x = -k + 2j, j = 0..k,
-and a neighbour sum is two shifted slices.  In d >= 2 it is the dense box
-[-k, k]^d, whose sites off the cone carry zero mass.  layer_shape,
-step_windows, layer_sites, site_cells and cell_sites are the layout; the
-rest of the module is coordinate-level: neighbor enumeration, cone
-iteration and masks, path validation, overlap counting, and the max-sum
-path dynamic program.
+The engine stores every layer in the layout this module defines, one
+formula for every d.  Site x at step k sits at cell u = (k + s(x)) / 2 of
+the cube {0..k}^d, with s(x) = (sum x, sum x - 2 x_2, ..., sum x - 2 x_d).
+s is a bijection from Z^d onto the vectors whose entries share one parity,
+and a unit step moves every entry of s by +-1, so each of the 2d steps is a
+{0,1}^d shift between consecutive cubes.  In d = 1 the cube is the cone
+itself, the k+1 sites x = -k + 2j; in d = 2 every cell is on the cone; in
+d = 3 about 2/3 of the (k+1)^3 cells are, and the rest carry zero mass.
+layer_shape, step_windows, layer_sites, site_cells and cell_sites are the
+layout; the rest of the module is coordinate-level: neighbor enumeration,
+cone iteration and masks, path validation, overlap counting, and the
+max-sum path dynamic program.
 """
 
 from __future__ import annotations
@@ -50,9 +54,19 @@ def step_vectors(d: int) -> np.ndarray:
 
 
 def layer_shape(d: int, k: int) -> Tuple[int, ...]:
-    """Shape of the trailing site axes of the step-k layer: (k+1,) for the
-    d = 1 cone, the box (2k+1,)*d otherwise.  Step 0 is the origin alone."""
-    return (k + 1,) if d == 1 else (2 * k + 1,) * d
+    """Shape of the trailing site axes of the step-k layer: the cube
+    (k+1,)*d.  Step 0 is the origin alone."""
+    return (k + 1,) * d
+
+
+@lru_cache(maxsize=None)
+def _signature(d: int) -> np.ndarray:
+    """The matrix S with s(x) = S x, read-only: row 0 all ones, row i >= 1
+    all ones but -1 in column i."""
+    s = np.ones((d, d), dtype=np.int64)
+    s[np.arange(1, d), np.arange(1, d)] = -1
+    s.flags.writeable = False
+    return s
 
 
 def layer_cells(d: int, k: int) -> int:
@@ -71,22 +85,18 @@ def step_windows(d: int, k: int):
     adds small[x + v] into big[x], and ``small += big[window]`` adds
     big[x - v] into small[x].  Pairs come in axis order, +e_j before -e_j;
     every neighbour sum adds them in this order, which fixes its
-    floating-point rounding.  In the d = 1 cone, site x + 1 of step k-1 has
-    the index of site x of step k, so the windows are [0, k) and [1, k+1).
+    floating-point rounding.  Site x + v of step k-1 sits at cell
+    u(x) - (1 - s(v)) / 2, so the window is [o, o + k) on an axis where the
+    offset (1 - s(v)) / 2 is o.
     """
-    m = 2 * k - 1
     out = []
     for j in range(d):
-        for off in (0, 1):
-            v = [0] * d
-            v[j] = 1 - 2 * off
-            if d == 1:
-                window = (Ellipsis, slice(off, off + k))
-            else:
-                window = (Ellipsis,) + tuple(
-                    slice(2 * off, 2 * off + m) if a == j else slice(1, m + 1)
-                    for a in range(d))
-            out.append((tuple(v), window))
+        for sign in (1, -1):
+            v = np.zeros(d, dtype=np.int64)
+            v[j] = sign
+            offsets = (1 - _signature(d) @ v) // 2
+            window = (Ellipsis,) + tuple(slice(o, o + k) for o in offsets.tolist())
+            out.append((tuple(v.tolist()), window))
     return tuple(out)
 
 
@@ -115,20 +125,19 @@ def layer_sites(d: int, k: int) -> np.ndarray:
 
 def site_cells(d: int, k: int, x: np.ndarray) -> np.ndarray:
     """Flat cell index in the step-k layer of each site x (shape (..., d));
-    every site must lie in the layer (the cone, or the box in d >= 2)."""
-    x = np.asarray(x, dtype=np.int64)
-    if d == 1:
-        return (x[..., 0] + k) >> 1
-    return np.ravel_multi_index(tuple(x[..., a] + k for a in range(d)),
-                                layer_shape(d, k))
+    every site must lie in the layer (every reachable site does)."""
+    u = (np.asarray(x, dtype=np.int64) @ _signature(d).T + k) >> 1
+    return u @ (k + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
 def cell_sites(d: int, k: int, cells: np.ndarray) -> np.ndarray:
     """Site coordinates (shape cells.shape + (d,)) of flat step-k cells."""
-    cells = np.asarray(cells, dtype=np.int64)
-    if d == 1:
-        return (2 * cells - k)[..., None]
-    return np.stack(np.unravel_index(cells, layer_shape(d, k)), axis=-1) - k
+    u = np.stack(np.unravel_index(np.asarray(cells, dtype=np.int64),
+                                  layer_shape(d, k)), axis=-1)
+    s = 2 * u - k
+    x = (s[..., :1] - s) >> 1           # x_i = (s_1 - s_i) / 2 for i >= 2
+    x[..., 0] = s[..., 0] - x[..., 1:].sum(axis=-1)
+    return x
 
 
 def reachable_sites(d: int, k: int) -> Iterator[Site]:
@@ -164,13 +173,13 @@ class PathDP:
     `lead` (one environment per entry) before their d site axes.
 
     Only the current layer's scores are kept, starting from score 0 at the
-    origin.  A cell no path reaches (a box cell off the cone) has no scored
-    predecessor, so its score stays -inf.  Every cell of every layer from
-    step 2 keeps which of the 2d predecessors gave its score, a choice
-    c < 2d.  A layer stores its choices as (2d-1).bit_length() bit planes
-    (bit j of every c), each packed with np.packbits over the flattened
-    cells: shape (batch, planes, ceil(cells / 8)), so 1 bit per cell in d=1,
-    2 in d=2 and 3 in d=3.
+    origin.  A cell no path reaches (a cube cell off the cone, in d >= 3)
+    has no scored predecessor, so its score stays -inf.  Every cell of every
+    layer from step 2 keeps which of the 2d predecessors gave its score, a
+    choice c < 2d.  A layer stores its choices as (2d-1).bit_length() bit
+    planes (bit j of every c), each packed with np.packbits over the
+    flattened cells: shape (batch, planes, ceil(cells / 8)), so 1 bit per
+    cell in d=1, 2 in d=2 and 3 in d=3.
     """
 
     def __init__(self, d: int, lead: Tuple[int, ...]):
@@ -212,11 +221,15 @@ class PathDP:
     def result(self) -> Tuple[np.ndarray, np.ndarray]:
         """(top scores of shape (batch,), best paths of shape (batch, n, d))."""
         d, n, best = self.d, self.n, self.best
-        # argmax in C order == lexicographically smallest coordinate tuple
         rows = np.arange(self.batch)
-        cell = best.reshape(self.batch, -1).argmax(axis=1)
-        top = best.reshape(self.batch, -1)[rows, cell]
-        x = cell_sites(d, n, cell)
+        top = best.reshape(self.batch, -1).max(axis=1)
+        # cube C order is not lexicographic in d >= 2: sort the tied cells
+        # by (row, site) and keep each row's first
+        tied_rows, tied = np.nonzero(best.reshape(self.batch, -1) == top[:, None])
+        x = cell_sites(d, n, tied)
+        order = np.lexsort(tuple(x.T[::-1]) + (tied_rows,))
+        first = order[np.unique(tied_rows[order], return_index=True)[1]]
+        cell, x = tied[first], x[first]
         steps = step_vectors(d)
         path = np.empty((self.batch, n, d), dtype=np.int64)
         path[:, n - 1] = x

@@ -52,7 +52,8 @@ FAST = {
     "oracle_equivalence": dict(cases=[(6, 0.0), (8, 1.0), (10, 3.0)], base_seed=1234),
     "beta0_reduction": dict(n=60, seed=7),
     "layer_normalization": dict(n=100, seed=99),
-    "chain_and_floors": dict(cases=[(1, 10, 0.0), (1, 50, 1.0), (2, 10, 3.0), (1, 30, 6.0)],
+    "chain_and_floors": dict(cases=[(1, 10, 0.0), (1, 50, 1.0), (2, 10, 3.0), (1, 30, 6.0),
+                                    (3, 8, 3.0)],     # d=3: cube cells off the cone
                              base_seed=777),
     "zero_layer_bounds": dict(betas=(1.0,), n=20, ks=(1, 5, 10, 15, 20),
                               resamples=100, base_seed=2024),

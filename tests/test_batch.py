@@ -86,7 +86,8 @@ def test_single_seed_tuple_keeps_batch_axis():
 
 
 @pytest.mark.parametrize("d,n,beta", [(1, 6, 0.0), (1, 10, 1.0), (1, 10, 3.0),
-                                      (2, 5, 2.0), (2, 6, 1.0)])
+                                      (2, 5, 2.0), (2, 6, 1.0),
+                                      (3, 5, 0.0), (3, 4, 1.0), (3, 4, 3.0)])
 def test_batch_matches_brute_force(d, n, beta):
     ss = seeds(900 + n, 3)
     sol = forward_backward(batch(d, n, beta, ss))
@@ -133,7 +134,7 @@ def test_beta0_tie_break_is_lexicographic(d, n, expected):
 @pytest.mark.parametrize("d,n,beta,law,centered,seed", [
     (1, 40, 3.0, LAW, False, seeds(5, 4)),     # segments of 11, 7, 5, ..., 3 layers
     (1, 49, 2.0, LAW, False, 11),              # one seed, segments of 13 to 3 layers
-    (2, 12, 2.0, LAW, False, seeds(6, 3)),     # 7 layers, then four of one
+    (2, 12, 2.0, LAW, False, seeds(6, 3)),     # segments of 6, 3, 2, 1 layers
     (3, 6, 1.5, make_uniform(0.0, 3.0), True, seeds(7, 2)),   # 3, 2, 1 layers
     (1, 30, 0.0, LAW, False, seeds(8, 3)),
     (2, 9, 0.0, LAW, False, (9,)),             # R = 1

@@ -57,8 +57,7 @@ class TestEnvValue:
         inst = PolymerInstance(d=2, n=6, beta=1.0, law=LAW, seed=5)
         om = env_layer(inst, 3)
         for site in [(1, 0), (-1, 2), (3, 0), (1, -2)]:
-            idx = tuple(c + 3 for c in site)
-            assert om[idx] == env_value(inst, 3, site)
+            assert om.reshape(-1)[site_cells(2, 3, site)] == env_value(inst, 3, site)
 
     def test_empirical_mean_clt_band(self):
         """10^6 distinct keys of Uniform[-1,1]: mean within the 4-sigma band."""
@@ -103,7 +102,8 @@ class TestForwardBackward:
             assert np.all(t >= 0) and np.all(t <= 1)
 
     @pytest.mark.parametrize("d,n,beta", [(1, 6, 0.0), (1, 10, 1.0), (1, 12, 3.0),
-                                          (2, 6, 1.0), (2, 7, 3.0)])
+                                          (2, 6, 1.0), (2, 7, 3.0),
+                                          (3, 4, 0.0), (3, 5, 1.0), (3, 5, 3.0)])
     def test_matches_brute_force(self, d, n, beta):
         inst = PolymerInstance(d=d, n=n, beta=beta, law=LAW,
                                seed=replication_seed(55, n))
@@ -135,8 +135,8 @@ class TestForwardBackward:
     @pytest.mark.parametrize("k,site,value", [
         (1, (1,), math.inf),         # layer 1 is drawn by the forward sweep only
         (5, (-3,), math.inf),        # reachable
-        (4, (1, 0), math.nan),       # off the cone, in the d=2 box: zero mass times nan
-        (8, (3, 0), math.nan),
+        (4, (-2, 2, 2), math.nan),   # off the cone, in the d=3 cube: zero mass times nan
+        (8, (-4, 4, 4), math.nan),
     ])
     def test_non_finite_environment_raises(self, monkeypatch, keep_theta, k, site,
                                            value):
@@ -148,10 +148,10 @@ class TestForwardBackward:
         with pytest.raises(NumericalError):
             forward_backward(inst, keep_forward=False, keep_theta=keep_theta)
 
-    def test_box_coordinates_cached_read_only(self):
+    def test_cube_coordinates_cached_read_only(self):
         small = layer_sites(2, 3)
         assert small is layer_sites(2, 3) and not small.flags.writeable
-        assert small.shape == (7, 7, 2) and small[0, 6].tolist() == [-3, 3]
+        assert small.shape == (4, 4, 2) and small[0, 3].tolist() == [0, -3]
         assert layer_sites(1, 3).tolist() == [[-3], [-1], [1], [3]]      # the cone
         big = layer_sites(1, lattice._CACHED_SITES)
         assert big.shape == (lattice._CACHED_SITES + 1, 1)
@@ -215,6 +215,25 @@ class TestSampler:
         z = np.abs(freq[live] - t[live]) / se
         # allow a single 4-sigma excursion across the tested sites
         assert np.sum(z > 4.0) <= 1
+
+    @pytest.mark.parametrize("d,n,seed", [(2, 10, 21), (3, 6, 23)])
+    def test_visit_frequencies_match_theta_in_the_cube(self, d, n, seed):
+        """As in d=1, at a middle step and at the endpoint.  In d=3 the cube
+        has cells off the cone; theta is 0 there and no path visits them."""
+        inst = PolymerInstance(d=d, n=n, beta=2.0, law=LAW, seed=seed)
+        sol = forward_backward(inst)
+        m = 20_000
+        paths = sample_paths(sol, inst, m, np.random.default_rng(derive_seed(seed, 1)))
+        for p in paths[:200]:
+            validate_path(p, d)
+        for k in (n // 2, n):
+            t = sol.theta_array(k).reshape(-1)
+            freq = np.bincount(site_cells(d, k, paths[:, k - 1]), minlength=t.size) / m
+            assert freq.size == t.size and np.all(freq[t == 0.0] == 0.0)
+            live = t > 1e-4
+            se = np.sqrt(t[live] * (1 - t[live]) / m)
+            z = np.abs(freq[live] - t[live]) / se
+            assert np.sum(z > 4.0) <= 1
 
     def test_d2_sampler(self):
         inst = PolymerInstance(d=2, n=10, beta=2.0, law=LAW, seed=21)
@@ -290,13 +309,13 @@ class TestLayerTheta:
                                          centered):
         inst = PolymerInstance(d=d, n=n, beta=beta, law=law,
                                seed=replication_seed(44, n), centered=centered)
-        box = layer_shape(d, k)
-        boxes = replacement_layers(inst, k, 3)
+        shape = layer_shape(d, k)
+        layers = replacement_layers(inst, k, 3)
         zeta = layer_theta(inst, k, 0.0)
-        single = [layer_theta(inst, k, om) for om in boxes]
-        stacked = layer_theta(inst, k, boxes)
-        assert zeta.shape == box and stacked.shape == (3,) + box
-        for om, theta in [(np.zeros(box), zeta)] + list(zip(boxes, single)):
+        single = [layer_theta(inst, k, om) for om in layers]
+        stacked = layer_theta(inst, k, layers)
+        assert zeta.shape == shape and stacked.shape == (3,) + shape
+        for om, theta in [(np.zeros(shape), zeta)] + list(zip(layers, single)):
             with monkeypatch.context() as mp:
                 replace_layer(mp, k, om)
                 expected = forward_backward(inst, keep_forward=False).theta_array(k)
@@ -309,9 +328,9 @@ class TestLayerTheta:
     def test_matches_brute_force(self, monkeypatch, n, beta, k):
         inst = PolymerInstance(d=1, n=n, beta=beta, law=LAW,
                                seed=replication_seed(45, n))
-        boxes = replacement_layers(inst, k, 2)
-        thetas = layer_theta(inst, k, boxes)
-        for om, theta in zip(boxes, thetas):
+        layers = replacement_layers(inst, k, 2)
+        thetas = layer_theta(inst, k, layers)
+        for om, theta in zip(layers, thetas):
             with monkeypatch.context() as mp:
                 replace_layer(mp, k, om)
                 bf_sol, _, _ = brute_force(inst)
@@ -371,7 +390,7 @@ def test_dump_solution(tmp_path):
 
 class TestLayout:
     """In d=1 every layer is the cone x = -k, -k+2, ..., k; in d >= 2 the
-    box [-k, k]^d."""
+    cube {0..k}^d of the rotated coordinates (k + s(x)) / 2."""
 
     @pytest.mark.parametrize("seed", [13, (13, 2 ** 64 - 5, -1)])
     @pytest.mark.parametrize("centered", [False, True])

@@ -107,7 +107,7 @@ def _data(records):
     return [(r.index, r.rho, r.ell, r.log_partition) for r in records]
 
 
-CHUNKED = ExperimentConfig(d=2, n=40, beta=2.0, law_spec="uniform:-1,1",
+CHUNKED = ExperimentConfig(d=2, n=80, beta=2.0, law_spec="uniform:-1,1",
                            replications=12, base_seed=2718)
 
 

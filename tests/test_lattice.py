@@ -5,10 +5,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from polylab.lattice import (PathDP, is_reachable, layer_cells, layer_mask,
-                             layer_shape, neighbors, overlap, path_from_csv_row,
-                             path_to_csv_row, reachable_sites, site_cells,
-                             step_vectors, validate_path)
+from polylab.lattice import (PathDP, cell_sites, is_reachable, layer_cells,
+                             layer_mask, layer_shape, layer_sites, neighbors,
+                             overlap, path_from_csv_row, path_to_csv_row,
+                             reachable_sites, site_cells, step_vectors,
+                             step_windows, validate_path)
 
 
 def walk_support(d, k):
@@ -70,6 +71,50 @@ class TestLayerMask:
         for idx in product(range(2 * k + 1), repeat=d):
             site = tuple(i - k for i in idx)
             assert mask[idx] == (site in from_iter)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+class TestCubeLayout:
+    """Site x at step k sits at cell (k + s(x)) / 2 of the cube {0..k}^d."""
+
+    def test_cells_and_sites_round_trip(self, d):
+        for k in range(7):
+            assert layer_cells(d, k) == (k + 1) ** d
+            cells = np.arange(layer_cells(d, k))
+            sites = cell_sites(d, k, cells)
+            np.testing.assert_array_equal(site_cells(d, k, sites), cells)
+            np.testing.assert_array_equal(layer_sites(d, k).reshape(-1, d), sites)
+
+    def test_every_reachable_site_is_a_cell(self, d):
+        for k in range(1, 7):
+            sites = np.array(sorted(reachable_sites(d, k)))
+            cells = site_cells(d, k, sites)
+            assert np.all((cells >= 0) & (cells < layer_cells(d, k)))
+            np.testing.assert_array_equal(cell_sites(d, k, cells), sites)
+            # the cube is the cone exactly in d <= 2
+            assert (len(sites) == layer_cells(d, k)) == (d <= 2)
+
+    def test_windows_line_up_neighbours(self, d):
+        axis_order = [tuple(s * (a == j) for a in range(d))
+                      for j in range(d) for s in (1, -1)]
+        for k in range(1, 7):
+            big, small = layer_sites(d, k), layer_sites(d, k - 1)
+            windows = step_windows(d, k)
+            assert [v for v, _ in windows] == axis_order
+            for v, window in windows:
+                np.testing.assert_array_equal(big[window + (slice(None),)] + v, small)
+
+
+def test_d1_layout_is_the_cone():
+    """The d=1 layer is the cone x = -k + 2j with the windows [0, k) and
+    [1, k+1): the layout, and so every d=1 record, is that of the cone
+    sweep bit for bit."""
+    for k in range(1, 40):
+        cone = np.arange(-k, k + 1, 2)
+        np.testing.assert_array_equal(layer_sites(1, k)[:, 0], cone)
+        np.testing.assert_array_equal(site_cells(1, k, cone[:, None]), np.arange(k + 1))
+        assert step_windows(1, k) == (((1,), (Ellipsis, slice(0, k))),
+                                      ((-1,), (Ellipsis, slice(1, k + 1))))
 
 
 class TestOverlap:
