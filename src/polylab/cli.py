@@ -112,7 +112,7 @@ def cmd_scaling(args) -> int:
                           f"got {args.n_grid!r}") from None
     if args.out:
         _check_writable("--out", args.out)
-    rows, slope = scaling_study(args.d, n_grid, base_seed=args.seed)
+    rows, slope = scaling_study(args.d, n_grid)
     print("n,ell,rho")
     for n, l, r in rows:
         print(f"{n},{l:.17g},{r:.17g}")
@@ -196,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scaling", help="beta=0 scaling of the localization degree")
     sc.add_argument("--d", type=int, default=1)
     sc.add_argument("--n-grid", default="64,128,256,512,1024")
-    sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--out")
     sc.set_defaults(fn=cmd_scaling)
 

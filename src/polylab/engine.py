@@ -45,7 +45,7 @@ import json
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import List, Mapping, Optional, Tuple, Union
@@ -136,6 +136,8 @@ def env_value(instance: PolymerInstance, k: int, x: Site) -> float:
     require_single(instance.seed, "env_value")
     if not (1 <= k <= instance.n):
         raise ValueError(f"step {k} outside 1..{instance.n}")
+    if len(x) != instance.d:
+        raise ValueError(f"site {x} has {len(x)} coordinates, not d={instance.d}")
     if not is_reachable(x, k):
         raise ValueError(f"site {x} not reachable at step {k}")
     return float(_draw(instance, k, np.asarray([x], dtype=np.int64))[0])
@@ -357,6 +359,8 @@ class ThetaSolution:
         """theta at one (step, site) key; 0 off the reachability cone."""
         require_single(self.seed, "theta_value")
         theta = self.theta_array(k)
+        if len(site) != self.d:
+            raise ValueError(f"site {site} has {len(site)} coordinates, not d={self.d}")
         if not is_reachable(site, k):
             return 0.0
         return float(theta.reshape(-1)[site_cells(self.d, k, site)])
@@ -465,7 +469,8 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
 def forward_backward(instance: PolymerInstance,
                      keep_forward: bool = True,
                      keep_theta: bool = True,
-                     layer_seeds: Optional[Mapping[int, int]] = None) -> ThetaSolution:
+                     layer_omega: Optional[Mapping[int, np.ndarray]] = None
+                     ) -> ThetaSolution:
     """Stabilized transfer-matrix recursion producing theta and log Z.
 
     The backward sweep runs first, B_n = 1 and
@@ -488,18 +493,24 @@ def forward_backward(instance: PolymerInstance,
     mode bit for bit, and either mode draws each layer's environment twice
     (layer 1 once).
 
-    layer_seeds {k: seed} draws layer k of one environment from another seed.
+    layer_omega {k: omega} replaces layer k of one environment by omega,
+    which broadcasts to the step-k layer shape, as in layer_theta.
     """
     d, n, beta = instance.d, instance.n, instance.beta
-    redrawn = {k: replace(instance, seed=s) for k, s in (layer_seeds or {}).items()}
-    if redrawn:
-        require_single(instance.seed, "layer_seeds")
+    omegas = {}
+    for k, om in (layer_omega or {}).items():
+        require_single(instance.seed, "layer_omega")
+        if not (1 <= k <= n):
+            raise ValueError(f"step {k} outside 1..{n}")
+        omegas[k] = np.broadcast_to(np.asarray(om, dtype=np.float64), layer_shape(d, k))
     lead = batch_shape(instance.seed)
     log = log_space(instance.beta, instance.law)
     tops = tuple(range(1, n + 1)) if keep_theta else segment_tops(d, n)
 
     def weights(k: int) -> Weights:
-        return _layer_weights(redrawn.get(k, instance), k)
+        if k in omegas:
+            return _weights(beta, omegas[k], d, log)
+        return _layer_weights(instance, k)
 
     checkpoints = dict.fromkeys(tops[:-1])
     b = None

@@ -96,30 +96,31 @@ def overlap_chain_holds(r: float, l: float) -> bool:
     return l * l <= r + 1e-12 and r <= l + 1e-12
 
 
-def gamma_tau_profiles(solution: ThetaSolution, instance: PolymerInstance):
-    """(gamma_k, tau_k) arrays.
+def _gamma(instance: PolymerInstance, k: int, omega: np.ndarray,
+           theta: np.ndarray) -> float:
+    """gamma_k = sum_x h(omega_x + shift) theta_x over the sites where theta
+    is positive; shift is the law's mean for a centered instance, since h
+    is defined against the raw (uncentered) density."""
+    law = instance.law
+    support = theta > 0
+    raw = omega[support] + (law.mean if instance.centered else 0.0)
+    if np.any(raw <= law.support_lo + law.guard) or \
+       np.any(raw >= law.support_hi - law.guard):
+        raise ValueError(f"omega at step {k} sits on the support edge; h undefined")
+    return float((np.asarray(law.h(raw), dtype=np.float64) * theta[support]).sum())
 
-    h is defined against the raw (uncentered) density, so for centered
-    instances it is evaluated at omega + mean.
-    """
+
+def gamma_tau_profiles(solution: ThetaSolution, instance: PolymerInstance):
+    """(gamma_k, tau_k) arrays, with tau_k = sum_x omega_{k,x} theta_{k,x}."""
     require_single(solution.seed, "gamma_tau_profiles")
-    n, d = solution.n, solution.d
-    shift = instance.law.mean if instance.centered else 0.0
-    gamma = np.empty(n)
-    tau = np.empty(n)
-    guard = instance.law.guard
-    for k in range(1, n + 1):
+    gamma = np.empty(solution.n)
+    tau = np.empty(solution.n)
+    for k in range(1, solution.n + 1):
         th = solution.theta_array(k)
         om = env_layer(instance, k)
+        gamma[k - 1] = _gamma(instance, k, om, th)
         support = th > 0
-        w = om[support]
-        raw = w + shift
-        if np.any(raw <= instance.law.support_lo + guard) or \
-           np.any(raw >= instance.law.support_hi - guard):
-            raise ValueError(f"omega at step {k} sits on the support edge; h undefined")
-        hv = np.asarray(instance.law.h(raw), dtype=np.float64)
-        gamma[k - 1] = float((hv * th[support]).sum())
-        tau[k - 1] = float((w * th[support]).sum())
+        tau[k - 1] = float((om[support] * th[support]).sum())
     return gamma, tau
 
 
@@ -144,23 +145,22 @@ def primed_estimates(instance: PolymerInstance, k: int, resamples: int):
 
     Returns (alpha_hat, gamma_hat, (alpha_se, gamma_se)).  Deterministic
     given (instance.seed, k, resamples): resample j redraws layer k from the
-    derived sub-seed mix(seed, k, j), and re-solves the instance with it.
+    derived sub-seed mix(seed, k, j).  One seed-tuple env_layer call draws
+    all M = resamples layers, which take M * layer_cells(d, k) * 8 bytes;
+    resample j re-solves the instance with row j as layer k and takes its
+    gamma from the same row.
     """
     require_single(instance.seed, "primed_estimates")
     if resamples < 100:
         raise ValueError("need at least 100 resamples")
-    shift = instance.law.mean if instance.centered else 0.0
+    subs = tuple(derive_seed(instance.seed, _PRIMED_TAG, k, j) for j in range(resamples))
     alphas = np.empty(resamples)
     gammas = np.empty(resamples)
-    for j in range(resamples):
-        sub = derive_seed(instance.seed, _PRIMED_TAG, k, j)
-        sol = forward_backward(instance, keep_forward=False, layer_seeds={k: sub})
+    for j, omega in enumerate(env_layer(replace(instance, seed=subs), k)):
+        sol = forward_backward(instance, keep_forward=False, layer_omega={k: omega})
         th = sol.theta_array(k)
         alphas[j] = float((th ** 2).sum())
-        support = th > 0
-        w = env_layer(replace(instance, seed=sub), k)[support]
-        hv = np.asarray(instance.law.h(w + shift), dtype=np.float64)
-        gammas[j] = float((hv * th[support]).sum())
+        gammas[j] = _gamma(instance, k, omega, th)
     se = (float(np.std(alphas, ddof=1)) / math.sqrt(resamples),
           float(np.std(gammas, ddof=1)) / math.sqrt(resamples))
     return float(alphas.mean()), float(gammas.mean()), se

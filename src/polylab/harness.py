@@ -5,12 +5,13 @@ lower-tail probe.
 Replication r runs on its own derived seed, so results are independent of
 execution order.  Replications are solved in chunks, each chunk one batched
 forward_backward over its seeds that keeps no theta layers but reduces them
-to alpha and the ell program as the sweep produces them; serial and parallel
-runs solve the same chunks, and a batched solve equals the per-seed solves
-bit for bit, so records do not depend on the chunk size or the worker
-count.  All floats are emitted with 17 significant digits; reports are
-byte-identical across reruns of the same config.  Wall-clock timings are kept in memory and only
-written to CSV on request, since they would break byte determinism.
+to alpha and the ell program as the sweep produces them.  Serial and
+parallel runs solve the same chunks with the law the parent parsed, and a
+batched solve equals the per-seed solves bit for bit, so records do not
+depend on the chunk size or the worker count.  All floats are emitted with
+17 significant digits; reports are byte-identical across reruns of the same
+config.  Wall-clock timings are kept in memory and only written to CSV on
+request, since they would break byte determinism.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -160,12 +162,6 @@ def _solve_chunk(config: ExperimentConfig, law: EnvironmentLaw,
     return records
 
 
-def _solve_chunk_in_worker(config: ExperimentConfig, lo: int,
-                           hi: int) -> List[ReplicationRecord]:
-    # Laws hold closures, which do not pickle: each task parses its own.
-    return _solve_chunk(config, config.law(), lo, hi)
-
-
 def worker_count(requested: Optional[int] = None) -> int:
     """Worker processes: `requested`, else POLYLAB_THREADS, else 1; at most
     os.cpu_count().  A count below 1 or a non-integer is a ConfigError."""
@@ -187,7 +183,8 @@ def worker_count(requested: Optional[int] = None) -> int:
 def run_replications(config: ExperimentConfig,
                      workers: Optional[int] = None) -> List[ReplicationRecord]:
     """Run all replications; records are returned in index order and are
-    identical whether executed serially or in parallel."""
+    identical whether executed serially or in parallel.  The law is parsed
+    and validated once, here; workers receive it pickled."""
     law = config.law()
     law.validate()
     size = chunk_size(config.d, config.n, config.beta,
@@ -199,8 +196,7 @@ def run_replications(config: ExperimentConfig,
         parts = [_solve_chunk(config, law, lo, hi) for lo, hi in zip(los, his)]
     else:
         with ProcessPoolExecutor(max_workers=min(w, len(los))) as pool:
-            parts = list(pool.map(_solve_chunk_in_worker,
-                                  [config] * len(los), los, his))
+            parts = list(pool.map(partial(_solve_chunk, config, law), los, his))
     return [rec for part in parts for rec in part]
 
 

@@ -274,14 +274,3 @@ def overlap(p: np.ndarray, q: np.ndarray) -> int:
         raise ValueError(f"path shapes differ: {p.shape} vs {q.shape}")
     return int(np.all(p == q, axis=1).sum())
 
-
-def path_to_csv_row(path: np.ndarray) -> list:
-    """Flatten an (n, d) path into the d*n integer CSV cell list."""
-    return [int(v) for v in np.asarray(path).reshape(-1)]
-
-
-def path_from_csv_row(row, d: int) -> np.ndarray:
-    vals = np.array([int(v) for v in row], dtype=np.int64)
-    if vals.size % d != 0:
-        raise ValueError("row length is not a multiple of d")
-    return vals.reshape(-1, d)

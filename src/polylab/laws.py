@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,7 +62,9 @@ class EnvironmentLaw:
 
     density must accept numpy arrays.  h_closed_form, when present, is used
     instead of quadrature and must match the quadrature value (checked in
-    validate()).  quantile maps [0, 1) into the open support.
+    validate()).  quantile maps [0, 1) into the open support.  The laws
+    built here bind module-level functions with functools.partial, so they
+    pickle: a parallel run ships the law its parent parsed and validated.
     """
 
     support_lo: float
@@ -134,6 +137,22 @@ class EnvironmentLaw:
                 raise LawValidationError("closed-form h disagrees with quadrature")
 
 
+def _uniform_density(lo, hi, y):
+    y = np.asarray(y, dtype=np.float64)
+    return np.where((y > lo) & (y < hi), 1.0 / (hi - lo), 0.0)
+
+
+def _uniform_h(lo, hi, x):
+    m = 0.5 * (lo + hi)
+    return 0.5 * ((hi - m) ** 2 - (np.asarray(x, dtype=np.float64) - m) ** 2)
+
+
+def _uniform_quantile(lo, hi, u):
+    x = (hi - lo) * np.asarray(u, dtype=np.float64)
+    x += lo
+    return x
+
+
 def make_uniform(lo: float, hi: float) -> EnvironmentLaw:
     """Uniform law on (lo, hi).
 
@@ -142,24 +161,17 @@ def make_uniform(lo: float, hi: float) -> EnvironmentLaw:
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise LawValidationError(f"invalid interval ({lo}, {hi})")
-    m = 0.5 * (lo + hi)
-    inv_w = 1.0 / (hi - lo)
-
-    def density(y):
-        y = np.asarray(y, dtype=np.float64)
-        return np.where((y > lo) & (y < hi), inv_w, 0.0)
-
-    def h_closed(x):
-        return 0.5 * ((hi - m) ** 2 - (np.asarray(x, dtype=np.float64) - m) ** 2)
-
-    def quantile(u):
-        x = (hi - lo) * np.asarray(u, dtype=np.float64)
-        x += lo
-        return x
-
-    return EnvironmentLaw(support_lo=lo, support_hi=hi, density=density,
-                          mean=m, quantile=quantile, h_closed_form=h_closed,
+    return EnvironmentLaw(support_lo=lo, support_hi=hi,
+                          density=partial(_uniform_density, lo, hi),
+                          mean=0.5 * (lo + hi),
+                          quantile=partial(_uniform_quantile, lo, hi),
+                          h_closed_form=partial(_uniform_h, lo, hi),
                           name=f"uniform({lo},{hi})")
+
+
+def _table_density(xs, fs, y):
+    y = np.asarray(y, dtype=np.float64)
+    return np.where((y >= xs[0]) & (y <= xs[-1]), np.interp(y, xs, fs), 0.0)
 
 
 def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
@@ -179,23 +191,15 @@ def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
     total = np.trapezoid(fs, xs)
     fs = fs / total
     lo, hi = float(xs[0]), float(xs[-1])
-
-    def density(y):
-        y = np.asarray(y, dtype=np.float64)
-        return np.where((y >= lo) & (y <= hi), np.interp(y, xs, fs), 0.0)
-
     # Dense CDF; strictly increasing, since fs > 0 inside (a, b).
     grid = np.linspace(lo, hi, 16385)
     pdf = np.interp(grid, xs, fs)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
     cdf /= cdf[-1]
     mean = float(np.trapezoid(grid * pdf, grid) / np.trapezoid(pdf, grid))
-
-    def quantile(u):
-        return np.interp(u, cdf, grid)
-
-    return EnvironmentLaw(support_lo=lo, support_hi=hi, density=density,
-                          mean=mean, quantile=quantile, name="table")
+    return EnvironmentLaw(support_lo=lo, support_hi=hi,
+                          density=partial(_table_density, xs, fs), mean=mean,
+                          quantile=partial(np.interp, xp=cdf, fp=grid), name="table")
 
 
 def load_table_law(path: str) -> EnvironmentLaw:

@@ -49,6 +49,7 @@ def test_rng_batches_over_seeds():
     (3, 6, 1.5, make_uniform(0.0, 3.0), True),
     (1, 30, 0.0, LAW, False),
     (2, 8, 0.0, LAW, False),
+    (3, 8, 0.0, LAW, False),             # scaling_d3's measure
     (1, 40, 100.0, LAW, False),          # log space
     (2, 6, 100.0, LAW, True),
 ])
@@ -138,6 +139,8 @@ def test_beta0_tie_break_is_lexicographic(d, n, expected):
     (3, 6, 1.5, make_uniform(0.0, 3.0), True, seeds(7, 2)),   # 3, 2, 1 layers
     (1, 30, 0.0, LAW, False, seeds(8, 3)),
     (2, 9, 0.0, LAW, False, (9,)),             # R = 1
+    (3, 12, 0.0, LAW, False, seeds(17, 2)),    # scaling_d3's measure, rounding-decided ties
+    (3, 16, 0.0, LAW, False, 18),
     (1, 2, 1.0, LAW, False, seeds(10, 2)),     # two one-layer segments
     (2, 1, 1.0, LAW, False, 12),               # a single segment
     (1, 37, 1.0, LAW, True, seeds(13, 3)),     # segments of 10 to 2 layers
@@ -265,10 +268,10 @@ class TestSingleEnvironmentOnly:
         return inst, forward_backward(inst)
 
     def test_overrides_rejected(self, solved):
-        """A redrawn or replaced layer belongs to one environment."""
+        """A replaced layer belongs to one environment."""
         inst, _ = solved
         with pytest.raises(ValueError):
-            forward_backward(inst, layer_seeds={2: 5})
+            forward_backward(inst, layer_omega={2: 0.0})
         with pytest.raises(ValueError):
             layer_theta(inst, 2, 0.0)
 

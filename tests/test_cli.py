@@ -170,6 +170,11 @@ class TestScaling:
     def test_bad_n_grid_is_config_error(self, grid, capsys):
         assert_config_error(main(["scaling", "--n-grid", grid]), capsys)
 
+    def test_has_no_seed_flag(self, capsys):
+        """The beta=0 measure draws no environment, so a seed would change nothing."""
+        assert main(["scaling", "--n-grid", "8,16", "--seed", "3"]) == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestEnvCheck:
     def test_uniform(self, capsys):

@@ -53,6 +53,14 @@ class TestEnvValue:
         with pytest.raises(ValueError):
             env_value(inst, 2, (4,))      # outside cone
 
+    @pytest.mark.parametrize("d,site", [(1, (1, 0)), (1, ()), (2, (1,)), (2, (1, 0, 0))])
+    def test_site_of_wrong_length_rejected(self, d, site):
+        inst = PolymerInstance(d=d, n=5, beta=1.0, law=LAW, seed=3)
+        with pytest.raises(ValueError, match="coordinates"):
+            env_value(inst, 3, site)
+        with pytest.raises(ValueError, match="coordinates"):
+            forward_backward(inst).theta_value(3, site)
+
     def test_layer_matches_pointwise(self):
         inst = PolymerInstance(d=2, n=6, beta=1.0, law=LAW, seed=5)
         om = env_layer(inst, 3)
@@ -344,6 +352,61 @@ class TestLayerTheta:
                             lambda instance, j: drawn.append(j) or draw(instance, j))
         layer_theta(inst, 4, 0.0)
         assert sorted(drawn) == [j for j in range(1, 11) if j != 4]
+
+
+class TestLayerOmega:
+    @pytest.mark.parametrize("d,n,beta,k,law,centered", LAYER_CASES)
+    @pytest.mark.parametrize("keep_theta", [True, False])
+    def test_equals_redrawn_layer_bitwise(self, monkeypatch, d, n, beta, k, law,
+                                          centered, keep_theta):
+        """forward_backward(layer_omega={k: om}) is the solve whose layer k
+        is om, and its theta_k is layer_theta's; a scalar broadcasts."""
+        inst = PolymerInstance(d=d, n=n, beta=beta, law=law,
+                               seed=replication_seed(46, n), centered=centered)
+        for om in [0.0, *replacement_layers(inst, k, 2)]:
+            got = forward_backward(inst, keep_forward=False, keep_theta=keep_theta,
+                                   layer_omega={k: om})
+            with monkeypatch.context() as mp:
+                replace_layer(mp, k, np.broadcast_to(om, layer_shape(d, k)))
+                want = forward_backward(inst, keep_forward=False,
+                                        keep_theta=keep_theta)
+            assert got.log_partition == want.log_partition
+            np.testing.assert_array_equal(got.layer_lognorms, want.layer_lognorms)
+            np.testing.assert_array_equal(ell(got)[1], ell(want)[1])
+            if keep_theta:
+                for a, b in zip(got.theta_layers, want.theta_layers, strict=True):
+                    np.testing.assert_array_equal(a, b, strict=True)
+                np.testing.assert_array_equal(got.theta_array(k),
+                                              layer_theta(inst, k, om), strict=True)
+            else:
+                np.testing.assert_array_equal(got.alpha, want.alpha)
+
+    def test_does_not_draw_layer_k(self, monkeypatch):
+        inst = PolymerInstance(d=1, n=10, beta=1.0, law=LAW, seed=3)
+        drawn = []
+        draw = engine.env_layer
+        monkeypatch.setattr(engine, "env_layer",
+                            lambda instance, j: drawn.append(j) or draw(instance, j))
+        forward_backward(inst, layer_omega={4: np.zeros(5)})
+        assert sorted(drawn) == sorted([1] + [j for j in range(2, 11) if j != 4] * 2)
+
+    @pytest.mark.parametrize("omega", [np.zeros(6), np.zeros(4), np.zeros((2, 5)),
+                                       np.zeros((5, 1))])
+    def test_wrong_shape_rejected(self, omega):
+        inst = PolymerInstance(d=1, n=10, beta=1.0, law=LAW, seed=3)
+        with pytest.raises(ValueError):
+            forward_backward(inst, layer_omega={4: omega})
+
+    @pytest.mark.parametrize("k", [0, 11])
+    def test_step_out_of_range_rejected(self, k):
+        inst = PolymerInstance(d=1, n=10, beta=1.0, law=LAW, seed=3)
+        with pytest.raises(ValueError, match="outside"):
+            forward_backward(inst, layer_omega={k: 0.0})
+
+    def test_seed_tuple_rejected(self):
+        inst = PolymerInstance(d=1, n=10, beta=1.0, law=LAW, seed=(3, 4))
+        with pytest.raises(ValueError, match="one environment"):
+            forward_backward(inst, layer_omega={4: np.zeros(5)})
 
 
 class TestDerivativeIdentity:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from polylab import engine, functionals
 from polylab.engine import (PolymerInstance, brute_force, forward_backward,
                             sample_paths)
 from polylab.functionals import (alpha_floor, alpha_profile, build_report,
@@ -200,6 +201,62 @@ class TestPrimedEstimates:
         inst, _ = solved(1, 5, 1.0, 83)
         with pytest.raises(ValueError):
             primed_estimates(inst, 2, 50)
+
+    # (d, n, beta, law, centered, seed, k) and (alpha_hat, gamma_hat,
+    # alpha_se, gamma_se) as computed when each resample re-solved with a
+    # seed-keyed layer override and drew its layer once more for gamma
+    RECORDED = [
+        ((1, 12, 1.0, LAW, False, 31, 5),
+         (0.33472409274228654, 0.3358711587373319,
+          0.007138717346060063, 0.009249153445492316)),
+        ((1, 12, 3.0, LAW, False, 32, 7),
+         (0.6413012838285261, 0.3345791424969596,
+          0.019785587803038178, 0.01351992568940151)),
+        ((1, 12, 100.0, LAW, False, 33, 4),          # log space
+         (0.9812679444117457, 0.297715532477472,
+          0.008807604620784944, 0.015119475733244164)),
+        ((2, 5, 1.0, make_uniform(0.0, 3.0), True, 34, 3),
+         (0.2330898592878311, 0.6737544332319391,
+          0.007367631491089944, 0.018010088707672407)),
+    ]
+
+    @pytest.mark.parametrize("case,expected", RECORDED)
+    def test_matches_recorded_values_bitwise(self, case, expected):
+        d, n, beta, law, centered, seed, k = case
+        inst = PolymerInstance(d=d, n=n, beta=beta, law=law, seed=seed,
+                               centered=centered)
+        a, g, (sa, sg) = primed_estimates(inst, k, 100)
+        assert (a, g, sa, sg) == expected
+
+    def test_resampled_layer_drawn_by_one_call(self, monkeypatch):
+        inst, _ = solved(1, 12, 1.0, 84)
+        k = 6
+        draws = []
+        for module in (engine, functionals):
+            draw = module.env_layer
+
+            def counted(instance, j, draw=draw):
+                if j == k:
+                    draws.append(instance.seed)
+                return draw(instance, j)
+
+            monkeypatch.setattr(module, "env_layer", counted)
+        primed_estimates(inst, k, 100)
+        assert len(draws) == 1
+        assert draws[0] == tuple(derive_seed(84, functionals._PRIMED_TAG, k, j)
+                                 for j in range(100))
+
+    def test_support_edge_raises(self, monkeypatch):
+        """h is undefined on the support edge, for the profiles and for the
+        resampled layers alike."""
+        inst, sol = solved(1, 6, 1.0, 85)
+        draw = functionals.env_layer
+        monkeypatch.setattr(functionals, "env_layer",
+                            lambda instance, j: np.full_like(draw(instance, j), -1.0))
+        with pytest.raises(ValueError, match="support edge"):
+            gamma_tau_profiles(sol, inst)
+        with pytest.raises(ValueError, match="support edge"):
+            primed_estimates(inst, 3, 100)
 
 
 class TestReport:

@@ -1,7 +1,9 @@
 """Harness: replication batches, CSV determinism, histogram, scaling, tail probe."""
 
+import dataclasses
 import json
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from polylab.engine import (UFUNC_BUFFER_BYTES, PolymerInstance, forward_backward,
                             log_space, streamed_bytes)
+from polylab.laws import make_table_law, make_uniform
 from polylab.functionals import ell as ell_fn
 from polylab.functionals import rho as rho_fn
 from polylab import harness
@@ -180,6 +183,47 @@ class TestChunks:
         serial = run_replications(CHUNKED, workers=1)
         assert _data(run_replications(CHUNKED, workers=2)) == _data(serial)
         assert [r.index for r in serial] == list(range(12))
+
+
+class TestLawParsedOnce:
+    """A run parses and validates its law once; workers receive it pickled."""
+
+    @pytest.fixture
+    @staticmethod
+    def table(tmp_path):
+        path = tmp_path / "law.csv"
+        xs = np.linspace(-1.0, 1.0, 5)
+        path.write_text("x,f\n" + "".join(f"{x:.17g},{1.0 - 0.5 * x * x:.17g}\n" for x in xs))
+        return path
+
+    def test_parallel_run_survives_table_removed_after_parse(self, monkeypatch, table):
+        cfg = dataclasses.replace(CHUNKED, law_spec=f"table:{table}")
+        assert chunk_size(cfg.d, cfg.n, cfg.beta) < cfg.replications
+        serial = run_replications(cfg, workers=1)
+        parse = harness.parse_law_spec
+
+        def parse_then_remove(spec):
+            law = parse(spec)
+            table.unlink()
+            return law
+
+        monkeypatch.setattr(harness, "parse_law_spec", parse_then_remove)
+        assert _data(run_replications(cfg, workers=2)) == _data(serial)
+        assert not table.exists()
+
+    @pytest.mark.parametrize("make", ["uniform", "table", "spec"])
+    def test_law_pickles_to_identical_records(self, table, make):
+        xs = np.linspace(-1.0, 1.0, 7)
+        law = {"uniform": lambda: make_uniform(-1.0, 1.0),
+               "table": lambda: make_table_law(xs, 1.0 - xs ** 4),
+               "spec": lambda: parse_law_spec(f"table:{table}")}[make]()
+        copy = pickle.loads(pickle.dumps(law))
+        grid, u = law.interior_grid(33), np.linspace(0.0, 1.0, 33, endpoint=False)
+        for fn, x in (("density", grid), ("h", grid), ("quantile", u)):
+            np.testing.assert_array_equal(getattr(copy, fn)(x), getattr(law, fn)(x))
+        assert copy.mean == law.mean and copy.name == law.name
+        assert _data(harness._solve_chunk(CFG, copy, 0, 8)) == \
+            _data(harness._solve_chunk(CFG, law, 0, 8))
 
 
 class TestWorkerCount:

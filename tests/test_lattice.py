@@ -7,8 +7,7 @@ import pytest
 
 from polylab.lattice import (PathDP, cell_sites, is_reachable, layer_cells,
                              layer_mask, layer_shape, layer_sites, neighbors,
-                             overlap, path_from_csv_row, path_to_csv_row,
-                             reachable_sites, site_cells, step_vectors,
+                             overlap, reachable_sites, site_cells, step_vectors,
                              step_windows, validate_path)
 
 
@@ -226,9 +225,3 @@ def test_path_dp_matches_site_by_site_reference(d, n):
 def test_path_dp_without_batch_axis_matches_reference(d, n):
     check_path_dp(d, n, ())
 
-
-def test_csv_roundtrip():
-    path = np.array([[1, 0], [1, 1], [0, 1]])
-    row = path_to_csv_row(path)
-    assert row == [1, 0, 1, 1, 0, 1]
-    np.testing.assert_array_equal(path_from_csv_row(row, 2), path)
