@@ -13,7 +13,10 @@ layer's weights exp(beta*omega) are also taken relative to their largest
 value, so that they never overflow.
 When one layer's weights span more than exp(LOG_SPACE_RANGE), products of
 normalized layers could underflow, and the same sweeps run in log space:
-layers hold log-masses and neighbour sums are log-sum-exps.
+layers hold log-masses and neighbour sums are log-sum-exps.  Every
+neighbour sum takes its 2d steps as adds of contiguous flat slices of
+lattice frames (lattice.step_slices), with the results of the windowed
+sums bit for bit.
 
 The backward sweep runs first and the forward sweep then yields theta in
 increasing k.  By default every backward layer is kept and theta is written
@@ -52,9 +55,9 @@ from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .lattice import (PathDP, Site, cell_sites, is_reachable, layer_cells,
-                      layer_shape, layer_sites, site_cells, step_vectors,
-                      step_windows)
+from .lattice import (PathDP, Site, cell_sites, frame, frame_cells,
+                      is_reachable, layer_cells, layer_shape, layer_sites,
+                      site_cells, step_slices, step_vectors)
 from .laws import EnvironmentLaw
 from .rng import counter_uniform
 
@@ -146,19 +149,43 @@ def env_value(instance: PolymerInstance, k: int, x: Site) -> float:
 def _neighbor_sum(layer: np.ndarray, d: int, k: int, up: bool) -> np.ndarray:
     """Sum over the 2d neighbours of every site of the step-k layer, on the
     trailing d axes: up from the step-(k-1) layer, otherwise down from the
-    step-(k+1) layer."""
+    step-(k+1) layer.
+
+    Each step is one add of contiguous flat slices (lattice.step_slices)
+    on frames of the larger layer (_stencil).  Padding adds +0.0, so every
+    cell gets the same terms in the same order as from windows."""
+    result, source, out, j = _stencil(layer, d, k, up, 0.0)
+    (_, _, first), *rest = step_slices(d, j, up)
+    np.copyto(out, source[first])       # offset 0: a copy, not 0 + x
+    for _, into, take in rest:
+        out[into] += source[take]
+    return _unframe(out, result, d, j, up)
+
+
+def _stencil(layer: np.ndarray, d: int, k: int, up: bool, fill: float):
+    """The arrays of a neighbour sum into the step-k layer, which runs on
+    flat step-j frames: (result, source, out, j).  Up (j = k), source is
+    the step-(k-1) layer padded with fill and out is the result itself.
+    Down (j = k+1), source is the step-(k+1) layer and out a new frame whose
+    cells [0, k+1)^d are the result (_unframe).  The result outlives the
+    frames and is allocated before them, so freed frames leave no holes
+    between longer-lived layers: the other way round, figure1's peak RSS
+    was about 1 MiB higher."""
+    result = np.empty(layer.shape[:-d] + layer_shape(d, k))
     if up:
-        (_, first), *rest = step_windows(d, k)
-        out = np.zeros(layer.shape[:-d] + layer_shape(d, k))
-        out[first] = layer                  # 0 + x == x: a copy, not an add
-        for _, window in rest:
-            out[window] += layer
-        return out
-    (_, first), *rest = step_windows(d, k + 1)
-    out = layer[first].copy()               # contiguous, for faster adds
-    for _, window in rest:
-        out += layer[window]
-    return out
+        return result, frame(layer, d, k, fill).reshape(-1), result.reshape(-1), k
+    source = layer.reshape(-1)
+    return result, source, np.empty(source.shape), k + 1
+
+
+def _unframe(out: np.ndarray, result: np.ndarray, d: int, j: int,
+             up: bool) -> np.ndarray:
+    """The result of a neighbour sum that accumulated in out: up, out is the
+    result already; down, the cells [0, j)^d of the flat step-j frame out
+    are copied into it."""
+    if not up:
+        np.copyto(result, out.reshape(result.shape[:-d] + layer_shape(d, j))[frame_cells(d, j)])
+    return result
 
 
 def _site_sums(layer: np.ndarray, d: int) -> np.ndarray:
@@ -223,30 +250,30 @@ def _layer_weights(instance: PolymerInstance, k: int) -> Weights:
 def _log(values: np.ndarray) -> np.ndarray:
     """Elementwise math.log: np.log may differ from it in the last bit, and
     log Z must not depend on the batch size."""
-    return np.array([math.log(v) for v in values.flat]).reshape(values.shape)
+    return np.fromiter(map(math.log, values.ravel().tolist()), dtype=np.float64,
+                       count=values.size).reshape(values.shape)
 
 
 def _log_neighbor_sum(layer: np.ndarray, d: int, k: int, up: bool) -> np.ndarray:
     """_neighbor_sum of log-masses: the log of the sum of exp(layer) over
-    the 2d neighbours, -inf where every neighbour is -inf."""
-    shape = layer.shape[:-d] + layer_shape(d, k)
-    if up:
-        terms = [(window, layer) for _, window in step_windows(d, k)]
-    else:
-        terms = [(..., layer[window]) for _, window in step_windows(d, k + 1)]
-    top = np.full(shape, -np.inf)
-    for window, term in terms:
-        np.maximum(top[window], term, out=top[window])
+    the 2d neighbours, -inf where every neighbour is -inf.  Padding is
+    -inf, which changes no maximum and adds exp(-inf) = +0.0."""
+    result, source, total, j = _stencil(layer, d, k, up, -np.inf)
+    steps = step_slices(d, j, up)
+    top = np.full(source.shape, -np.inf)
+    for _, into, take in steps:
+        np.maximum(top[into], source[take], out=top[into])
     np.copyto(top, 0.0, where=top == -np.inf)     # no finite neighbour
-    total = np.zeros(shape)
-    scaled = np.empty(terms[0][1].shape)
-    for window, term in terms:
-        np.subtract(term, top[window], out=scaled)
-        total[window] += np.exp(scaled, out=scaled)
+    total.fill(0.0)
+    scaled = np.empty(source.shape)
+    for _, into, take in steps:
+        term = np.subtract(source[take], top[into], out=scaled[into])
+        total[into] += np.exp(term, out=term)
+    del scaled                          # not held through the log and the copy
     with np.errstate(divide="ignore"):
         np.log(total, out=total)
     total += top
-    return total
+    return _unframe(total, result, d, j, up)
 
 
 def _log_normalize(g: np.ndarray, d: int, what: str, k: int) -> np.ndarray:
@@ -412,11 +439,12 @@ def segment_tops(d: int, n: int) -> Tuple[int, ...]:
     return plan
 
 
-# numpy runs a ufunc over non-contiguous views (the stencil windows) through
-# buffers of up to np.getbufsize() elements per operand, whatever the
-# layer's size: a solve's peak holds at most three of them on top of the
-# environments' share (streamed_bytes).
-UFUNC_BUFFER_BYTES = 3 * 8 * np.getbufsize()
+# Bytes a solve holds beside its environments' shares (streamed_bytes),
+# whatever its batch size: array headers and small objects, chiefly one
+# packed choice array and one weight shift per layer.  Every stencil op runs
+# on contiguous slices, so numpy holds no ufunc buffer at a sweep's peak.
+# The chunks of tests/test_harness.py exceed their shares by at most 40 KB.
+SOLVE_FIXED_BYTES = 192 << 10
 
 
 def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
@@ -430,20 +458,22 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
     logs) and the packed ell choices up to layer k.  On top of that it
     holds the largest of three moments, with c_j the cells of layer j:
     the forward step (the weights of layers k..hi, F_{k-1} and the ell
-    scores of layer k-1, and F_k), the ell step (the weights of layers
-    k+1..hi, F_k, both score layers, and the choice bytes: 1 + planes per
-    cell of layer k and 2 per cell of layer k-1), and the recompute of B_k
-    (every weight of the segment, B_{k+1} * w_{k+1}, and F_lo and the scores
-    of layer lo).  In log space (log_space) the forward step and the
-    recompute hold two more layers of c_k, the running maxima and terms of
-    their log-sum-exps.  The bound is the largest total over the steps, 8
-    bytes per float cell.  beta=0 draws no weights."""
+    scores of layer k-1, and F_k with the step-k frame its neighbour sum
+    reads), the ell step (the weights of layers k+1..hi, F_k, the scores of
+    layer k-1, the step-k scores and the frame of the layer-(k-1) scores,
+    and 2 + planes choice bytes per cell of layer k), and the recompute of
+    B_k (every weight of the segment, B_{k+1} * w_{k+1} and the step-(k+1)
+    frame the neighbour sum adds into, and F_lo and the scores of layer
+    lo).  In log space (log_space) the neighbour sums of the forward step
+    and the recompute hold two more frames, the running maxima and terms
+    of their log-sum-exps.  The bound is the largest total over the steps,
+    8 bytes per float cell.  beta=0 draws no weights."""
     cum = _cumulative_cells(d, n)
     c = [1] + [cum[k] - cum[k - 1] for k in range(1, n + 1)]     # c[0]: the origin
     planes = (2 * d - 1).bit_length()
     choices = list(accumulate((planes * -(-c[k] // 8) if k > 1 else 0
                                for k in range(1, n + 1)), initial=0))
-    extra = 2 if log else 0
+    stencil = 4 if log else 2
     tops = segment_tops(d, n)
     above = sum(c[t] for t in tops[:-1])
     worst = 0
@@ -453,13 +483,13 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
         for k in range(lo + 1, hi + 1):
             rest = cum[hi] - cum[k - 1]     # cells of layers k..hi
             weights = rest if beta > 0 else 0
-            forward = 8 * (weights + 2 * c[k - 1] + (1 + extra) * c[k])
-            ell = (8 * (weights - (c[k] if beta > 0 else 0) + 2 * c[k] + c[k - 1])
-                   + (1 + planes) * c[k] + 2 * c[k - 1])
+            forward = 8 * (weights + 2 * c[k - 1] + stencil * c[k])
+            ell = (8 * (weights - (c[k] if beta > 0 else 0) + 3 * c[k] + c[k - 1])
+                   + (2 + planes) * c[k])
             recompute = 0
             if k < hi:
                 segment = cum[hi] - cum[lo] if beta > 0 else 0
-                recompute = 8 * (segment + c[k + 1] + extra * c[k] + 2 * c[lo])
+                recompute = 8 * (segment + stencil * c[k + 1] + 2 * c[lo])
             backward = rest - (c[n] if hi == n else 0)
             held = 8 * (above + backward + 2 * n + 8) + choices[k]
             worst = max(worst, held + max(forward, ell, recompute))
@@ -537,7 +567,8 @@ def forward_backward(instance: PolymerInstance,
             if keep_forward:
                 forward.append(np.exp(f) if log else f)
             if k == n:
-                th = forward[-1].copy() if keep_forward else (np.exp(f) if log else f)
+                # f is not read after step n, so its logs can become theta_n
+                th = forward[-1].copy() if keep_forward else (np.exp(f, out=f) if log else f)
             else:
                 th = _theta(f, bs[i], k, d, log)
                 bs[i] = None

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import functionals
-from .engine import (UFUNC_BUFFER_BYTES, PolymerInstance, forward_backward,
+from .engine import (SOLVE_FIXED_BYTES, PolymerInstance, forward_backward,
                      log_space, streamed_bytes)
 from .laws import EnvironmentLaw, load_table_law, make_uniform
 from .rng import replication_seed
@@ -40,7 +40,7 @@ FIGURE1_CONFIG = dict(d=1, n=300, beta=3.0, law="uniform:-1,1",
 # Byte budget for what one chunk of replications holds in its streamed solve
 # (engine.streamed_bytes, an upper bound).  Batching shares the per-layer
 # numpy call overhead across the chunk; the budget keeps a chunk's layers
-# cache-sized and its peak memory within it (54 replications per chunk at
+# cache-sized and its peak memory within it (53 replications per chunk at
 # d=1, n=300, beta=3).
 CHUNK_BYTES = 4 << 20
 
@@ -132,10 +132,10 @@ class ReplicationRecord:
 
 
 def chunk_size(d: int, n: int, beta: float, log: bool = False) -> int:
-    """Replications per chunk: what CHUNK_BYTES leaves beside numpy's ufunc
-    buffers, over what one replication holds in a keep_theta=False solve
-    (in log space if log)."""
-    return max(1, (CHUNK_BYTES - UFUNC_BUFFER_BYTES)
+    """Replications per chunk: what CHUNK_BYTES leaves beside a solve's
+    fixed bytes (engine.SOLVE_FIXED_BYTES), over what one replication holds
+    in a keep_theta=False solve (in log space if log)."""
+    return max(1, (CHUNK_BYTES - SOLVE_FIXED_BYTES)
                // streamed_bytes(d, n, beta, log))
 
 

@@ -13,9 +13,19 @@ and a unit step moves every entry of s by +-1, so each of the 2d steps is a
 itself, the k+1 sites x = -k + 2j; in d = 2 every cell is on the cone; in
 d = 3 about 2/3 of the (k+1)^3 cells are, and the rest carry zero mass.
 layer_shape, step_windows, layer_sites, site_cells and cell_sites are the
-layout; the rest of the module is coordinate-level: neighbor enumeration,
-cone iteration and masks, path validation, overlap counting, and the
-max-sum path dynamic program.
+layout.
+
+A window is a d-dimensional view whose rows are k cells long, so numpy
+would walk k^(d-1) short rows per op.  The stencil instead works on
+frames: C-contiguous arrays of the step-k shape, leading axes included,
+whose cells [0, k)^d (frame_cells) can hold a step-(k-1) layer (frame).  On
+flattened frames each step is the constant offset of step_offsets, and
+step_slices turns it into one pair of contiguous slices; the engine's
+neighbour sums and PathDP take every step from it.
+
+The rest of the module is coordinate-level: neighbor enumeration, cone
+iteration and masks, path validation, overlap counting, and the max-sum
+path dynamic program.
 """
 
 from __future__ import annotations
@@ -100,6 +110,61 @@ def step_windows(d: int, k: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
+def step_offsets(d: int, k: int):
+    """The 2d unit steps v of step_windows(d, k), in its order, each with
+    the flat offset o that applies it on step-k frames.
+
+    A step-k frame has the step-k layer's shape (leading axes included) and
+    is C-contiguous; its cells [0, k)^d (frame_cells) can hold a step-(k-1)
+    layer.  A step's window [o_1, o_1 + k) x ... moves cell u of [0, k)^d to
+    cell u + (o_1, ..., o_d) of the step-k layer, and with every o_j in
+    {0, 1} no coordinate leaves [0, k]: on the flattened arrays the move is
+    the constant offset o = sum_j o_j (k+1)^(d-j), within the cell's own
+    row of the leading axes.  The first step, +e_1, has offset 0.
+    """
+    strides = [(k + 1) ** (d - 1 - j) for j in range(d)]
+    return tuple((v, sum(w.start * s for w, s in zip(window[1:], strides)))
+                 for v, window in step_windows(d, k))
+
+
+@lru_cache(maxsize=8192)
+def step_slices(d: int, k: int, up: bool):
+    """step_offsets(d, k) as (v, into, take) slices of flattened step-k
+    frames, in the same order; with N the flat size, into and take are
+    [o, N) and [0, N - o) up, and the reverse down.
+
+    Up, ``out[into] += frame[take]`` with frame a step-(k-1) layer in a
+    step-k frame is ``big[window] += small`` on every cell of the window.
+    Down, ``out[into] += big[take]`` with big a step-k layer adds
+    big[window] into cells [0, k)^d of the frame out, the step-(k-1) layer.
+    The other cells meet only the frame's padding (up) or are not part of
+    the result (down), so each step is one op on contiguous slices, however
+    short the rows of the window are.
+    """
+    out = []
+    for v, o in step_offsets(d, k):
+        head, tail = slice(o, None), slice(None, -o or None)
+        out.append((v, head, tail) if up else (v, tail, head))
+    return tuple(out)
+
+
+def frame_cells(d: int, k: int):
+    """The cells [0, k)^d of a step-k frame that hold a step-(k-1) layer,
+    as an index on the trailing d axes."""
+    return (Ellipsis,) + (slice(0, k),) * d
+
+
+def frame(layer: np.ndarray, d: int, k: int, fill: float) -> np.ndarray:
+    """The step-(k-1) layer (leading axes kept) in a new step-k frame whose
+    other cells hold fill."""
+    out = np.empty(layer.shape[:-d] + layer_shape(d, k))
+    out[frame_cells(d, k)] = layer
+    for j in range(d):                  # the other cells: coordinate j is k
+        out[(Ellipsis, k) + (slice(None),) * (d - 1 - j)] = fill
+    return out
+
+
 # Layers of at most this many cells keep their site coordinates between
 # calls, so the cache holds a finite key set (about 4 MiB at most, nearly
 # all d = 1).
@@ -172,6 +237,9 @@ class PathDP:
     lexicographically smallest predecessor.  Fields carry the leading axes
     `lead` (one environment per entry) before their d site axes.
 
+    Each push frames the previous scores with -inf (lattice.frame) and takes
+    every move as a pair of contiguous slices (step_slices); -inf padding
+    never wins a move, so the scores and choices are those of the windows.
     Only the current layer's scores are kept, starting from score 0 at the
     origin.  A cell no path reaches (a cube cell off the cone, in d >= 3)
     has no scored predecessor, so its score stays -inf.  Every cell of every
@@ -198,19 +266,23 @@ class PathDP:
         # predecessors y = x + v in lexicographic order of v: the choice is
         # the last move c that is strictly better than moves 0..c-1, i.e.
         # the smallest of tied predecessors, and that is the largest c * better
-        moves = sorted(step_windows(d, k))
-        score = np.full(layer.shape, -np.inf)
-        choice = np.zeros(score.shape, dtype=np.uint8)
-        better = np.empty(self.best.shape, dtype=bool)
-        mark = np.empty(self.best.shape, dtype=np.uint8)
-        for c, (_, window) in enumerate(moves):
+        moves = sorted(step_slices(d, k, up=True))
+        # the scores outlive the frame: allocated first, as in the engine's
+        # neighbour sums
+        score = np.full(layer.size, -np.inf)
+        best = frame(self.best, d, k, -np.inf).reshape(-1)
+        choice = np.zeros(best.shape, dtype=np.uint8)
+        better = np.empty(best.shape, dtype=bool)
+        for c, (_, into, take) in enumerate(moves):
             if c == 0:
-                score[window] = self.best
+                score[into] = best[take]
                 continue
-            np.greater(self.best, score[window], out=better)
-            np.maximum(score[window], self.best, out=score[window])
-            np.multiply(better.view(np.uint8), np.uint8(c), out=mark)
-            np.maximum(choice[window], mark, out=choice[window])
+            np.greater(best[take], score[into], out=better[into])
+            np.maximum(score[into], best[take], out=score[into])
+            mark = better[into].view(np.uint8)      # c where better, else 0
+            np.multiply(mark, np.uint8(c), out=mark)
+            np.maximum(choice[into], mark, out=choice[into])
+        score = score.reshape(layer.shape)
         score += layer
         if k > 1:       # every step-1 cell comes from the origin
             # packbits packs every non-zero byte as a 1 bit

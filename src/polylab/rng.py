@@ -12,6 +12,8 @@ ratio constant before being folded in.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -55,8 +57,18 @@ def _seed_words(seed) -> np.ndarray:
     if isinstance(seed, np.ndarray):
         return _as_word(seed)
     if isinstance(seed, (tuple, list)):
-        return np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)
+        return _tuple_words(tuple(seed))
     return np.asarray(np.uint64(int(seed) & _MASK64))
+
+
+@lru_cache(maxsize=16)
+def _tuple_words(seed: tuple) -> np.ndarray:
+    """A tuple of seeds as read-only uint64 words.  A batched solve draws
+    every layer of its R environments with one seed tuple, so the tuple is
+    converted once, not once per layer."""
+    words = np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)
+    words.flags.writeable = False
+    return words
 
 
 def mix_words(seed, *words):

@@ -252,12 +252,14 @@ def test_figure1_plan_and_byte_model():
     assert plan_words(1, 300, sqrt_plan(300)) == 12562
     assert plan_words(1, 300, segment_tops(1, 300)) == 8565
     # the recompute of B_109 bounds the peak: it holds the weights of the
-    # segment k = 109..128, B_110 * w_110 and F_108 with its ell scores.  At
-    # beta=0 there are no weights, and the ell step of k = 109 (F_109, two
-    # score layers and 438 choice bytes) outweighs the recompute there
+    # segment k = 109..128, B_110 * w_110 and the frame the neighbour sum adds
+    # into, and F_108 with its ell scores.  At beta=0 there are no weights,
+    # and the ell step of k = 109 (F_109, the scores of layers 108 and 109,
+    # the framed layer-108 scores and 330 choice bytes) outweighs the
+    # recompute there
     segment = sum(k + 1 for k in range(109, 129))
     assert streamed_bytes(1, 300, 3.0) - streamed_bytes(1, 300, 0.0) == \
-        8 * (segment + 111 + 2 * 109) - (8 * (2 * 110 + 109) + 438)
+        8 * (segment + 2 * 111 + 2 * 109) - (8 * (3 * 110 + 109) + 330)
 
 
 class TestSingleEnvironmentOnly:

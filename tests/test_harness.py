@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polylab.engine import (UFUNC_BUFFER_BYTES, PolymerInstance, forward_backward,
+from polylab.engine import (SOLVE_FIXED_BYTES, PolymerInstance, forward_backward,
                             log_space, streamed_bytes)
 from polylab.laws import make_table_law, make_uniform
 from polylab.functionals import ell as ell_fn
@@ -122,19 +122,21 @@ class TestChunks:
         # ..., 292 above it (3412), alpha and the log normalizers (2 x 300),
         # 8 scalars and 810 bytes of 1-bit choices up to k = 109, plus the
         # moment's own layers: the segment's weights (2390), B_110 * w_110
-        # (111) and F_108 with its ell scores (2 x 109)
+        # and the step-110 frame the neighbour sum adds into (2 x 111), and
+        # F_108 with its ell scores (2 x 109)
         held = 8 * (2390 + 3412 + 2 * 300 + 8) + 810
-        assert streamed_bytes(1, 300, 3.0) == held + 8 * (2390 + 111 + 2 * 109) == 73842
+        assert streamed_bytes(1, 300, 3.0) == held + 8 * (2390 + 2 * 111 + 2 * 109) == 74730
         assert chunk_size(1, 300, 3.0) == \
-            (harness.CHUNK_BYTES - UFUNC_BUFFER_BYTES) // 73842 == 54
-        # beta=0 draws no weights, and the ell step of k = 109 bounds it: F_109
-        # and the scores of layers 108 and 109, and their choice bytes
+            (harness.CHUNK_BYTES - SOLVE_FIXED_BYTES) // 74730 == 53
+        # beta=0 draws no weights, and the ell step of k = 109 bounds it: F_109,
+        # the step-109 scores, the layer-108 scores and their step-109 frame,
+        # and the choice, better and bit-plane bytes of layer 109
         assert streamed_bytes(1, 300, 0.0) == \
-            held + 8 * (2 * 110 + 109) + 2 * 110 + 2 * 109 == 55160
-        assert chunk_size(1, 300, 0.0) == 72
+            held + 8 * (3 * 110 + 109) + 3 * 110 == 55932
+        assert chunk_size(1, 300, 0.0) == 71
         assert chunk_size(3, 200, 1.0) == 1
-        # in log space the recompute holds two more layers of 110 cells
-        assert streamed_bytes(1, 300, 3.0, log=True) == 73842 + 8 * 2 * 110
+        # in log space the recompute holds two more frames of 111 cells
+        assert streamed_bytes(1, 300, 3.0, log=True) == 74730 + 8 * 2 * 111
 
     def test_figure1_chunk_peak_memory_within_budget(self):
         cfg = ExperimentConfig(d=1, n=300, beta=3.0, law_spec="uniform:-1,1",
@@ -151,11 +153,12 @@ class TestChunks:
         assert peak <= harness.CHUNK_BYTES
 
     @pytest.mark.parametrize("d,n,beta", [(1, 300, 3.0), (2, 40, 2.0), (3, 12, 1.0),
-                                          (1, 300, 100.0), (2, 20, 100.0)])
+                                          (1, 300, 100.0), (2, 20, 100.0),
+                                          (3, 16, 0.0), (3, 8, 100.0)])
     def test_streamed_bytes_bounds_the_peak_tightly(self, d, n, beta):
         """A chunk's tracemalloc peak is at most its modelled bytes, the
-        environments' share plus numpy's ufunc buffers, and at least 85% of
-        them; beta=100 sweeps in log space."""
+        environments' share plus the solve's fixed bytes, and at least 85%
+        of them; beta=100 sweeps in log space."""
         law = parse_law_spec("uniform:-1,1")
         log = log_space(beta, law)
         size = chunk_size(d, n, beta, log)
@@ -168,11 +171,11 @@ class TestChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        model = size * streamed_bytes(d, n, beta, log) + UFUNC_BUFFER_BYTES
+        model = size * streamed_bytes(d, n, beta, log) + SOLVE_FIXED_BYTES
         assert 0.85 * model <= peak <= model
 
-    # a CFG replication holds 4072 bytes: chunks of 1, of 3 (3+3+2), of all 8
-    @pytest.mark.parametrize("budget", [1, UFUNC_BUFFER_BYTES + 3 * 4072, 1 << 30])
+    # a CFG replication holds 4234 bytes: chunks of 1, of 2 (2+2+2+2), of all 8
+    @pytest.mark.parametrize("budget", [1, SOLVE_FIXED_BYTES + 3 * 4072, 1 << 30])
     def test_records_do_not_depend_on_chunk_size(self, monkeypatch, budget):
         ref = _data(run_replications(CFG))
         monkeypatch.setattr(harness, "CHUNK_BYTES", budget)

@@ -5,9 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from polylab.lattice import (PathDP, cell_sites, is_reachable, layer_cells,
-                             layer_mask, layer_shape, layer_sites, neighbors,
-                             overlap, reachable_sites, site_cells, step_vectors,
+from polylab.lattice import (PathDP, cell_sites, frame, frame_cells,
+                             is_reachable, layer_cells, layer_mask, layer_shape,
+                             layer_sites, neighbors, overlap, reachable_sites,
+                             site_cells, step_offsets, step_slices, step_vectors,
                              step_windows, validate_path)
 
 
@@ -102,6 +103,37 @@ class TestCubeLayout:
             assert [v for v, _ in windows] == axis_order
             for v, window in windows:
                 np.testing.assert_array_equal(big[window + (slice(None),)] + v, small)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_step_offsets_apply_the_windows(d):
+    """A step-(k-1) layer framed and shifted by a step's flat offset adds
+    into the step-k layer exactly as its window does, step by step in
+    step_windows order; step_slices applies the same steps both ways."""
+    rng = np.random.default_rng(d)
+    for k in (1, 2, 3, 6):
+        offsets, windows = step_offsets(d, k), step_windows(d, k)
+        assert [v for v, _ in offsets] == [v for v, _ in windows]
+        assert offsets[0][1] == 0
+        small = rng.random((2,) + layer_shape(d, k - 1))
+        padded = frame(small, d, k, np.nan)
+        np.testing.assert_array_equal(padded[frame_cells(d, k)], small)
+        assert np.isnan(padded).sum() == padded.size - small.size
+        padded = frame(small, d, k, 0.0).reshape(-1)
+        size = padded.size
+        big = rng.random((2,) + layer_shape(d, k))
+        for (_, o), (_, window), (_, into, take) in zip(
+                offsets, windows, step_slices(d, k, up=False)):
+            want = big.copy()
+            want[window] += small
+            got = big.copy().reshape(-1)
+            got[o:] += padded[:size - o]
+            np.testing.assert_array_equal(got.reshape(big.shape), want)
+            # down: the step-k layer's window lands on the frame cells
+            out = np.zeros(size)
+            out[into] += big.reshape(-1)[take]
+            np.testing.assert_array_equal(
+                out.reshape(big.shape)[frame_cells(d, k)], big[window])
 
 
 def test_d1_layout_is_the_cone():
