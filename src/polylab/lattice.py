@@ -110,10 +110,10 @@ def step_windows(d: int, k: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
 def step_offsets(d: int, k: int):
     """The 2d unit steps v of step_windows(d, k), in its order, each with
-    the flat offset o that applies it on step-k frames.
+    the flat offset o that applies it on step-k frames (not cached: the
+    stencil reads it through step_slices).
 
     A step-k frame has the step-k layer's shape (leading axes included) and
     is C-contiguous; its cells [0, k)^d (frame_cells) can hold a step-(k-1)

@@ -114,6 +114,20 @@ CHUNKED = ExperimentConfig(d=2, n=80, beta=2.0, law_spec="uniform:-1,1",
                            replications=12, base_seed=2718)
 
 
+def _streamed_peak(d, n, beta, law, size):
+    """The tracemalloc peak of a keep_theta=False solve of size
+    environments, after one solve that fills the caches."""
+    inst = PolymerInstance(d=d, n=n, beta=beta, law=law,
+                           seed=tuple(replication_seed(3, r) for r in range(size)))
+    forward_backward(inst, keep_forward=False, keep_theta=False)
+    tracemalloc.start()
+    try:
+        forward_backward(inst, keep_forward=False, keep_theta=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestChunks:
     def test_chunk_size_from_byte_budget(self):
         # figure 1 streams in 20 segments balanced by cells.  Its bound falls
@@ -162,23 +176,24 @@ class TestChunks:
         law = parse_law_spec("uniform:-1,1")
         log = log_space(beta, law)
         size = chunk_size(d, n, beta, log)
-        inst = PolymerInstance(d=d, n=n, beta=beta, law=law,
-                               seed=tuple(replication_seed(3, r) for r in range(size)))
-        forward_backward(inst, keep_forward=False, keep_theta=False)  # fills caches
-        tracemalloc.start()
-        try:
-            forward_backward(inst, keep_forward=False, keep_theta=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         model = size * streamed_bytes(d, n, beta, log) + SOLVE_FIXED_BYTES
-        assert 0.85 * model <= peak <= model
+        assert 0.85 * model <= _streamed_peak(d, n, beta, law, size) <= model
 
-    # a CFG replication holds 4234 bytes: chunks of 1, of 2 (2+2+2+2), of all 8
-    @pytest.mark.parametrize("budget", [1, SOLVE_FIXED_BYTES + 3 * 4072, 1 << 30])
-    def test_records_do_not_depend_on_chunk_size(self, monkeypatch, budget):
+    def test_solve_fixed_bytes_cover_one_replication(self):
+        """A one-replication solve holds more beside its share than a chunk
+        does, chiefly the temporaries of drawing its top layer; the fixed
+        bytes cover them at d=3, n=12 (2197 sites, about 175 KiB)."""
+        peak = _streamed_peak(3, 12, 1.0, parse_law_spec("uniform:-1,1"), 1)
+        assert peak <= streamed_bytes(3, 12, 1.0) + SOLVE_FIXED_BYTES
+
+    # chunks of 1, of 3 (3+3+2, so the last chunk is shorter), of all 8
+    @pytest.mark.parametrize("budget,size", [
+        (1, 1), (SOLVE_FIXED_BYTES + 3 * streamed_bytes(CFG.d, CFG.n, CFG.beta), 3),
+        (1 << 30, 8)])
+    def test_records_do_not_depend_on_chunk_size(self, monkeypatch, budget, size):
         ref = _data(run_replications(CFG))
         monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+        assert min(chunk_size(CFG.d, CFG.n, CFG.beta), CFG.replications) == size
         assert _data(run_replications(CFG)) == ref
 
     def test_parallel_matches_serial_over_several_chunks(self):

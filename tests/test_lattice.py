@@ -122,13 +122,17 @@ def test_step_offsets_apply_the_windows(d):
         padded = frame(small, d, k, 0.0).reshape(-1)
         size = padded.size
         big = rng.random((2,) + layer_shape(d, k))
-        for (_, o), (_, window), (_, into, take) in zip(
-                offsets, windows, step_slices(d, k, up=False)):
+        for (_, o), (_, window), (_, up_into, up_take), (_, into, take) in zip(
+                offsets, windows, step_slices(d, k, up=True), step_slices(d, k, up=False)):
             want = big.copy()
             want[window] += small
             got = big.copy().reshape(-1)
             got[o:] += padded[:size - o]
             np.testing.assert_array_equal(got.reshape(big.shape), want)
+            # the slices are the offset's: [o, N) and [0, N - o) up, reversed down
+            assert range(size)[up_into] == range(o, size)
+            assert range(size)[up_take] == range(size - o)
+            assert (into, take) == (up_take, up_into)
             # down: the step-k layer's window lands on the frame cells
             out = np.zeros(size)
             out[into] += big.reshape(-1)[take]
