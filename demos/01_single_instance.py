@@ -41,7 +41,7 @@ print("\nargmax path x_k (first 20 layers):", path[:20, 0].tolist())
 
 # endpoint check: 20k exact Gibbs samples vs the computed marginal
 rng = np.random.default_rng(derive_seed(SEED, 7))
-paths = sample_paths(sol, inst, 20_000, rng)
+paths = sample_paths(sol, 20_000, rng)
 exact = sol.theta_array(N)
 freq = np.bincount(site_cells(D, N, paths[:, -1]), minlength=exact.size) / 20_000
 print(f"\nendpoint marginal: max |empirical - exact| = "

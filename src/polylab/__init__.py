@@ -3,14 +3,13 @@ polymers in bounded i.i.d. random environments."""
 
 from .engine import (NumericalError, PolymerInstance, ThetaSolution,
                      brute_force, env_layer, env_value, forward_backward,
-                     layer_theta, sample_path, sample_paths,
-                     theta_derivative_check)
+                     layer_theta, sample_paths, theta_derivative_check)
 from .functionals import (LocalizationReport, alpha_floor, alpha_profile,
                           build_report, ell, gamma_tau_profiles,
                           primed_estimates, psi, rho)
 from .harness import (ExperimentConfig, ReplicationRecord, histogram,
                       parse_law_spec, run_replications, scaling_study,
-                      summary_stats, tail_probe)
+                      summary_stats)
 from .lattice import neighbors, overlap, reachable_sites, validate_path
 from .laws import (EnvironmentLaw, LawValidationError, check_ibp,
                    check_poincare, check_poincare_tensorized, kappa,

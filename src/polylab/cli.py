@@ -113,15 +113,12 @@ def cmd_scaling(args) -> int:
     if args.out:
         _check_writable("--out", args.out)
     rows, slope = scaling_study(args.d, n_grid)
-    print("n,ell,rho")
-    for n, l, r in rows:
-        print(f"{n},{l:.17g},{r:.17g}")
+    table = "n,ell,rho\n" + "".join(f"{n},{l:.17g},{r:.17g}\n" for n, l, r in rows)
+    print(table, end="")
     print(f"log-log slope of ell vs n: {slope:.4f}")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write("n,ell,rho\n")
-            for n, l, r in rows:
-                fh.write(f"{n},{l:.17g},{r:.17g}\n")
+            fh.write(table)
     return EXIT_OK
 
 

@@ -29,7 +29,9 @@ so a solve holds about sqrt(n) layers' worth of cells instead of n layers.
 layer_theta answers one-layer questions (the zero-layer marginal zeta_k, a
 finite difference in omega_k) from one sweep over the other layers, since
 F_{k-1} and B_k do not depend on omega_k.  It and forward_backward take
-every step from _backward_step and _forward_step.
+every step from _backward_step and _forward_step, and every layer, in
+either domain, is normalized by _normalize, which raises NumericalError on
+a layer that is not finite.
 
 An instance whose seed is a tuple of R seeds is a batch of R independent
 environments.  Every layer then carries a leading axis of length R, every
@@ -102,10 +104,15 @@ class PolymerInstance:
     centered: bool = False
 
     def __post_init__(self):
+        for name in ("d", "n"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise TypeError(f"{name} must be an int, got {v!r}")
+            object.__setattr__(self, name, int(v))     # PathDP calls int.bit_length on d
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be >= 1")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
         if isinstance(self.seed, (list, np.ndarray)):
             raise TypeError("seed must be an int or a tuple of ints")
         if isinstance(self.seed, tuple) and not self.seed:
@@ -186,21 +193,16 @@ def _stencil(layer: np.ndarray, d: int, k: int, up: bool, fill: float):
     return source, out, step_slices(d, k + 1, False), finish
 
 
-def _site_sums(layer: np.ndarray, d: int) -> np.ndarray:
-    """Sums over the trailing d site axes, kept as size-1 axes."""
+def _site_reduce(op: np.ufunc, layer: np.ndarray, d: int) -> np.ndarray:
+    """op.reduce (np.add: sums, np.maximum: maxima) over the trailing d site
+    axes, kept as size-1 axes."""
     lead = layer.shape[:-d]
-    return layer.reshape(lead + (-1,)).sum(axis=-1).reshape(lead + (1,) * d)
-
-
-def _site_max(layer: np.ndarray, d: int) -> np.ndarray:
-    """Maxima over the trailing d site axes, kept as size-1 axes."""
-    lead = layer.shape[:-d]
-    return layer.reshape(lead + (-1,)).max(axis=-1).reshape(lead + (1,) * d)
+    return op.reduce(layer.reshape(lead + (-1,)), axis=-1).reshape(lead + (1,) * d)
 
 
 def layer_alpha(theta: np.ndarray, d: int) -> np.ndarray:
     """alpha = sum_x theta_x^2 over the trailing d site axes of one layer."""
-    return _site_sums(theta ** 2, d).reshape(theta.shape[:-d])
+    return _site_reduce(np.add, theta ** 2, d).reshape(theta.shape[:-d])
 
 
 # A layer's weights span exp(beta * width) for a law of support width
@@ -230,7 +232,7 @@ def _weights(beta: float, omega: np.ndarray, d: int, log: bool) -> Weights:
     if beta == 0.0:
         return None
     scaled = beta * omega
-    m = _site_max(scaled, d)
+    m = _site_reduce(np.maximum, scaled, d)
     if not np.isfinite(m).all():
         raise NumericalError("non-finite environment layer")
     scaled -= m
@@ -273,36 +275,45 @@ def _log_neighbor_sum(layer: np.ndarray, d: int, k: int, up: bool) -> np.ndarray
     return finish()
 
 
-def _log_normalize(g: np.ndarray, d: int, what: str, k: int) -> np.ndarray:
-    """Subtract from log-masses g, in place, the log of each environment's
-    total mass; returns that log (shape: the leading axes)."""
-    top = _site_max(g, d)
-    if not np.isfinite(top).all():
+# The sweeps' (combine, neighbour sum): masses multiply by their weights and
+# add over neighbours; log-masses add their log-weights and log-sum-exp.
+_SWEEP_OPS = {False: (np.multiply, _neighbor_sum), True: (np.add, _log_neighbor_sum)}
+
+
+def _normalize(x: np.ndarray, d: int, what: str, k: int, log: bool) -> np.ndarray:
+    """Normalize the step-k layer x in place to total mass 1 per environment
+    and return the normalizers, with size-1 site axes.  Masses are divided
+    by their sum s, and s is returned.  In log space log s is subtracted and
+    returned, summed as exp(x - max) with the max added back.  A layer
+    whose s is not finite and positive (in log space: whose largest
+    log-mass is not finite) raises NumericalError naming `what` and k."""
+    if log:
+        top = _site_reduce(np.maximum, x, d)
+        if not np.isfinite(top).all():
+            raise NumericalError(f"non-finite {what} layer at k={k}")
+        scaled = x - top
+        s = top + _log(_site_reduce(np.add, np.exp(scaled, out=scaled), d))
+        x -= s
+        return s
+    s = _site_reduce(np.add, x, d)
+    if not (np.isfinite(s).all() and (s > 0.0).all()):
         raise NumericalError(f"non-finite {what} layer at k={k}")
-    scaled = g - top
-    log_s = top + _log(_site_sums(np.exp(scaled, out=scaled), d))
-    g -= log_s
-    return log_s.reshape(g.shape[:-d])
+    x /= s
+    return s
 
 
 def _backward_step(b: Optional[np.ndarray], w: Weights, k: int, d: int,
                    lead: Tuple[int, ...], log: bool) -> np.ndarray:
     """B_k = normalize(down(B_{k+1} * w)) from B_{k+1} (None for B_n = 1)
-    and the weights w of layer k+1 (None at beta=0); in log space, the log
-    of it from log B_{k+1}."""
-    if log:
-        b = _log_neighbor_sum(w[0] if b is None else b + w[0], d, k, up=False)
-        _log_normalize(b, d, "backward", k)
-        return b
+    and the weights w of layer k+1 (None at beta=0, which never runs in log
+    space); in log space, the log of it from log B_{k+1}."""
+    combine, neighbor_sum = _SWEEP_OPS[log]
     if b is None:
         b = np.ones(lead + layer_shape(d, k + 1)) if w is None else w[0]
     elif w is not None:
-        b = b * w[0]
-    b = _neighbor_sum(b, d, k, up=False)
-    sb = _site_sums(b, d)
-    if not (np.isfinite(sb).all() and (sb > 0.0).all()):
-        raise NumericalError(f"non-finite backward layer at k={k}")
-    b /= sb
+        b = combine(b, w[0])
+    b = neighbor_sum(b, d, k, up=False)
+    _normalize(b, d, "backward", k, log)
     return b
 
 
@@ -311,40 +322,30 @@ def _forward_step(f: np.ndarray, w: Weights, k: int, d: int,
     """F_k = normalize(up(F_{k-1}) * w) and the log of its normalizer with
     the weights' shift added back, from F_{k-1} and the weights w of layer
     k (None at beta=0); in log space, log F_k from log F_{k-1}."""
-    if log:
-        f = _log_neighbor_sum(f, d, k, up=True)
-        f += w[0]
-        log_s = _log_normalize(f, d, "forward", k)
-    else:
-        f = _neighbor_sum(f, d, k, up=True)
-        if w is not None:
-            f *= w[0]
-        s = _site_sums(f, d)
-        if not (np.isfinite(s).all() and (s > 0.0).all()):
-            raise NumericalError(f"non-finite forward layer at k={k}")
-        f /= s
-        log_s = _log(s.reshape(s.shape[:-d]))
+    combine, neighbor_sum = _SWEEP_OPS[log]
+    f = neighbor_sum(f, d, k, up=True)
+    if w is not None:
+        combine(f, w[0], out=f)
+    s = _normalize(f, d, "forward", k, log)
+    log_s = (s if log else _log(s)).reshape(s.shape[:-d])
     if w is not None:
         log_s += w[1].reshape(log_s.shape)
     return f, log_s
 
 
 def _theta(f: np.ndarray, b: np.ndarray, k: int, d: int, log: bool) -> np.ndarray:
-    """theta_k = normalize(F_k * B_k), written over b (over b's logs in log
-    space)."""
+    """theta_k = normalize(F_k * B_k), written over b; in log space b holds
+    log B_k, and the log-masses are shifted by their largest and
+    exponentiated before the (linear) normalization."""
+    combine, _ = _SWEEP_OPS[log]
+    th = combine(b, f, out=b)
     if log:
-        b += f
-        top = _site_max(b, d)
+        top = _site_reduce(np.maximum, th, d)
         if not np.isfinite(top).all():
             raise NumericalError(f"non-finite theta layer at k={k}")
-        b -= top
-        th = np.exp(b, out=b)
-    else:
-        th = np.multiply(f, b, out=b)
-    s = _site_sums(th, d)
-    if not (np.isfinite(s).all() and (s > 0.0).all()):
-        raise NumericalError(f"non-finite theta layer at k={k}")
-    th /= s
+        th -= top
+        np.exp(th, out=th)
+    _normalize(th, d, "theta", k, False)
     return th
 
 
@@ -696,8 +697,8 @@ def brute_force(instance: PolymerInstance):
     return sol, rho, ell
 
 
-def sample_paths(solution: ThetaSolution, instance: PolymerInstance,
-                 count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_paths(solution: ThetaSolution, count: int,
+                 rng: np.random.Generator) -> np.ndarray:
     """Draw `count` exact samples from the Gibbs measure, shape (count, n, d).
 
     Samples the endpoint from the forward mass, then walks backward choosing
@@ -738,21 +739,18 @@ def sample_paths(solution: ThetaSolution, instance: PolymerInstance,
     return out
 
 
-def sample_path(solution: ThetaSolution, instance: PolymerInstance,
-                rng: np.random.Generator) -> np.ndarray:
-    """One exact sample from the Gibbs measure, shape (n, d)."""
-    return sample_paths(solution, instance, 1, rng)[0]
+# Half-width of theta_derivative_check's central difference in omega.
+_FD_STEP = 1e-6
 
 
 def theta_derivative_check(instance: PolymerInstance, solution: ThetaSolution,
-                           k: int, x: Site, fd_step: float = 1e-6):
+                           k: int, x: Site):
     """Compare the analytic sensitivity beta*theta*(1-theta) of theta_{k,x}
-    to its own omega against a central finite difference.
+    to its own omega against a central finite difference of half-width
+    _FD_STEP.
 
     Returns (analytic, numeric).
     """
-    if not (1e-8 <= fd_step <= 1e-4):
-        raise ValueError("fd_step must lie in [1e-8, 1e-4]")
     t = solution.theta_value(k, x)
     analytic = instance.beta * t * (1.0 - t)
 
@@ -760,7 +758,7 @@ def theta_derivative_check(instance: PolymerInstance, solution: ThetaSolution,
     shift = instance.law.mean if instance.centered else 0.0
     lo = instance.law.support_lo - shift + instance.law.guard
     hi = instance.law.support_hi - shift - instance.law.guard
-    w_plus, w_minus = w0 + fd_step, w0 - fd_step
+    w_plus, w_minus = w0 + _FD_STEP, w0 - _FD_STEP
     if w_plus > hi or w_minus < lo:
         warnings.warn("finite-difference step leaves the support; clamping")
         w_plus, w_minus = min(w_plus, hi), max(w_minus, lo)

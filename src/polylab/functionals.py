@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -42,8 +42,8 @@ class LocalizationReport:
     ell: float
     argmax_path: np.ndarray
     alpha_profile: np.ndarray
-    gamma_profile: Optional[np.ndarray] = None
-    tau_profile: Optional[np.ndarray] = None
+    gamma_profile: np.ndarray
+    tau_profile: np.ndarray
 
 
 def alpha_profile(solution: ThetaSolution) -> np.ndarray:
@@ -74,8 +74,11 @@ def ell(solution: ThetaSolution):
     Dynamic program (lattice.PathDP) over all nearest-neighbor paths from
     the origin, including sites of zero theta; ties broken by the
     lexicographically smallest endpoint, then at each step back by the
-    lexicographically smallest predecessor.  Returns (ell, path of shape
-    (n, d)), or for a batched solution ((R,) scores, (R, n, d) paths).
+    lexicographically smallest predecessor.  At beta=0 in d >= 3 many
+    paths tie exactly, and which of them wins depends on the rounding of
+    their summed scores, so there the tie-break holds only up to rounding.
+    Returns (ell, path of shape (n, d)), or for a batched solution ((R,)
+    scores, (R, n, d) paths).
     A keep_theta=False solve ran the program during its sweep.
     """
     n = solution.n
@@ -166,23 +169,16 @@ def primed_estimates(instance: PolymerInstance, k: int, resamples: int):
     return float(alphas.mean()), float(gammas.mean()), se
 
 
-def build_report(solution: ThetaSolution, instance: PolymerInstance,
-                 with_env_profiles: bool = True) -> LocalizationReport:
+def build_report(solution: ThetaSolution,
+                 instance: PolymerInstance) -> LocalizationReport:
     """Assemble the localization report and check its internal identities."""
     require_single(solution.seed, "build_report")
     alpha = alpha_profile(solution)
     r = float(alpha.mean())
     l, path = ell(solution)
     if not overlap_chain_holds(r, l):
-        raise NumericalErrorReport(r, l)
-    gamma = tau = None
-    if with_env_profiles:
-        gamma, tau = gamma_tau_profiles(solution, instance)
+        raise RuntimeError(f"overlap chain violated: ell^2={l*l} rho={r} ell={l}")
+    gamma, tau = gamma_tau_profiles(solution, instance)
     return LocalizationReport(rho=r, ell=l, argmax_path=path,
                               alpha_profile=alpha, gamma_profile=gamma,
                               tau_profile=tau)
-
-
-class NumericalErrorReport(RuntimeError):
-    def __init__(self, r, l):
-        super().__init__(f"overlap chain violated: ell^2={l*l} rho={r} ell={l}")

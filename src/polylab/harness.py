@@ -1,6 +1,5 @@
 """Batch experiment driver: replicated simulations over independent
-environments, histogram/CSV emission, the beta=0 scaling study, and the
-lower-tail probe.
+environments, histogram/CSV emission and the beta=0 scaling study.
 
 Replication r runs on its own derived seed, so results are independent of
 execution order.  Replications are solved in chunks, each chunk one batched
@@ -24,7 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -210,6 +209,13 @@ def histogram(records: Sequence[ReplicationRecord],
     return edges, counts
 
 
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[list]) -> None:
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+
+
 def write_report_csv(records: Sequence[ReplicationRecord], path: str,
                      include_runtime: bool = False) -> None:
     """Report CSV: replication,rho,ell,log_partition,runtime_ms.
@@ -217,33 +223,24 @@ def write_report_csv(records: Sequence[ReplicationRecord], path: str,
     runtime_ms is written as 0 unless include_runtime is set, keeping the
     default output byte-deterministic across reruns.
     """
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["replication", "rho", "ell", "log_partition", "runtime_ms"])
-        for rec in records:
-            rt = f"{rec.runtime_ms:.17g}" if include_runtime else "0"
-            wr.writerow([rec.index, f"{rec.rho:.17g}", f"{rec.ell:.17g}",
-                         f"{rec.log_partition:.17g}", rt])
+    _write_csv(path, ["replication", "rho", "ell", "log_partition", "runtime_ms"],
+               ([rec.index, f"{rec.rho:.17g}", f"{rec.ell:.17g}",
+                 f"{rec.log_partition:.17g}",
+                 f"{rec.runtime_ms:.17g}" if include_runtime else "0"]
+                for rec in records))
 
 
 def write_histogram_csv(edges: np.ndarray, counts: np.ndarray, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["bin_lo", "bin_hi", "count"])
-        for i in range(counts.size):
-            wr.writerow([f"{edges[i]:.17g}", f"{edges[i + 1]:.17g}", int(counts[i])])
+    _write_csv(path, ["bin_lo", "bin_hi", "count"],
+               ([f"{lo:.17g}", f"{hi:.17g}", int(c)]
+                for lo, hi, c in zip(edges[:-1], edges[1:], counts)))
 
 
-def write_profile_csv(alpha: np.ndarray, gamma: Optional[np.ndarray],
-                      tau: Optional[np.ndarray], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["k", "alpha", "gamma", "tau"])
-        for i in range(alpha.size):
-            row = [i + 1, f"{alpha[i]:.17g}"]
-            row.append(f"{gamma[i]:.17g}" if gamma is not None else "")
-            row.append(f"{tau[i]:.17g}" if tau is not None else "")
-            wr.writerow(row)
+def write_profile_csv(alpha: np.ndarray, gamma: np.ndarray, tau: np.ndarray,
+                      path: str) -> None:
+    _write_csv(path, ["k", "alpha", "gamma", "tau"],
+               ([k, f"{a:.17g}", f"{g:.17g}", f"{t:.17g}"]
+                for k, (a, g, t) in enumerate(zip(alpha, gamma, tau), 1)))
 
 
 def scaling_study(d: int, n_grid: Sequence[int], base_seed: int = 0,
@@ -254,8 +251,10 @@ def scaling_study(d: int, n_grid: Sequence[int], base_seed: int = 0,
     Returns (rows, slope) where rows are (n, ell, rho) and slope is the
     fitted log-log slope of ell against n, which needs two distinct n.
     """
-    if d < 1 or any(n < 1 for n in n_grid):
-        raise ConfigError(f"need d >= 1 and every n >= 1, got d={d}, n={list(n_grid)}")
+    if d < 1 or any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                    or n < 1 for n in n_grid):
+        raise ConfigError(f"need d >= 1 and every n an integer >= 1, got d={d}, "
+                          f"n={list(n_grid)}")
     if len(set(n_grid)) < 2:
         raise ConfigError(f"a slope needs at least two distinct n, got {list(n_grid)}")
     law = parse_law_spec(law_spec)
@@ -270,19 +269,6 @@ def scaling_study(d: int, n_grid: Sequence[int], base_seed: int = 0,
     ns = np.log([r[0] for r in rows])
     slope = float(np.polyfit(ns, ls, 1)[0])
     return rows, slope
-
-
-def tail_probe(records: Sequence[ReplicationRecord], delta_grid: Sequence[float],
-               d: int, n: int):
-    """Empirical P(rho <= delta) over the replications, plus the smallest
-    observed rho and the deterministic floor 1/(3^d n)."""
-    rhos = np.array([rec.rho for rec in records])
-    rows = []
-    for delta in delta_grid:
-        if not (0.0 < delta < 1.0):
-            raise ConfigError(f"delta={delta} outside (0, 1)")
-        rows.append((float(delta), float(np.mean(rhos <= delta))))
-    return rows, float(rhos.min()), 1.0 / (3 ** d * n)
 
 
 def summary_stats(records: Sequence[ReplicationRecord]) -> dict:

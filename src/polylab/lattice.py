@@ -19,9 +19,9 @@ A window is a d-dimensional view whose rows are k cells long, so numpy
 would walk k^(d-1) short rows per op.  The stencil instead works on
 frames: C-contiguous arrays of the step-k shape, leading axes included,
 whose cells [0, k)^d (frame_cells) can hold a step-(k-1) layer (frame).  On
-flattened frames each step is the constant offset of step_offsets, and
-step_slices turns it into one pair of contiguous slices; the engine's
-neighbour sums and PathDP take every step from it.
+flattened frames each step is a constant offset, and step_slices gives it
+as one pair of contiguous slices; the engine's neighbour sums and PathDP
+take every step from it.
 
 The rest of the module is coordinate-level: neighbor enumeration, cone
 iteration and masks, path validation, overlap counting, and the max-sum
@@ -84,7 +84,6 @@ def layer_cells(d: int, k: int) -> int:
     return math.prod(layer_shape(d, k))
 
 
-@lru_cache(maxsize=4096)
 def step_windows(d: int, k: int):
     """The 2d unit steps v, each with the window that applies it between the
     step-(k-1) and the step-k layer.
@@ -110,10 +109,10 @@ def step_windows(d: int, k: int):
     return tuple(out)
 
 
-def step_offsets(d: int, k: int):
-    """The 2d unit steps v of step_windows(d, k), in its order, each with
-    the flat offset o that applies it on step-k frames (not cached: the
-    stencil reads it through step_slices).
+@lru_cache(maxsize=8192)
+def step_slices(d: int, k: int, up: bool):
+    """The 2d unit steps v of step_windows(d, k), in its order, each as
+    (v, into, take) slices of flattened step-k frames.
 
     A step-k frame has the step-k layer's shape (leading axes included) and
     is C-contiguous; its cells [0, k)^d (frame_cells) can hold a step-(k-1)
@@ -121,18 +120,9 @@ def step_offsets(d: int, k: int):
     cell u + (o_1, ..., o_d) of the step-k layer, and with every o_j in
     {0, 1} no coordinate leaves [0, k]: on the flattened arrays the move is
     the constant offset o = sum_j o_j (k+1)^(d-j), within the cell's own
-    row of the leading axes.  The first step, +e_1, has offset 0.
-    """
-    strides = [(k + 1) ** (d - 1 - j) for j in range(d)]
-    return tuple((v, sum(w.start * s for w, s in zip(window[1:], strides)))
-                 for v, window in step_windows(d, k))
-
-
-@lru_cache(maxsize=8192)
-def step_slices(d: int, k: int, up: bool):
-    """step_offsets(d, k) as (v, into, take) slices of flattened step-k
-    frames, in the same order; with N the flat size, into and take are
-    [o, N) and [0, N - o) up, and the reverse down.
+    row of the leading axes.  The first step, +e_1, has offset 0.  With N
+    the flat size, into and take are [o, N) and [0, N - o) up, and the
+    reverse down.
 
     Up, ``out[into] += frame[take]`` with frame a step-(k-1) layer in a
     step-k frame is ``big[window] += small`` on every cell of the window.
@@ -142,8 +132,10 @@ def step_slices(d: int, k: int, up: bool):
     the result (down), so each step is one op on contiguous slices, however
     short the rows of the window are.
     """
+    strides = [(k + 1) ** (d - 1 - j) for j in range(d)]
     out = []
-    for v, o in step_offsets(d, k):
+    for v, window in step_windows(d, k):
+        o = sum(w.start * s for w, s in zip(window[1:], strides))
         head, tail = slice(o, None), slice(None, -o or None)
         out.append((v, head, tail) if up else (v, tail, head))
     return tuple(out)
@@ -210,8 +202,7 @@ def reachable_sites(d: int, k: int) -> Iterator[Site]:
     if k < 1:
         raise ValueError("k must be >= 1")
     for x in product(range(-k, k + 1), repeat=d):
-        s = sum(abs(c) for c in x)
-        if s <= k and (s - k) % 2 == 0:
+        if is_reachable(x, k):
             yield x
 
 
@@ -234,8 +225,10 @@ class PathDP:
     The score of a path is the sum of the fields along it; every cell of the
     layout competes, including cells of zero field.  Ties go to the
     lexicographically smallest endpoint, then at each step back to the
-    lexicographically smallest predecessor.  Fields carry the leading axes
-    `lead` (one environment per entry) before their d site axes.
+    lexicographically smallest predecessor, among scores that are equal in
+    floating point: where exact ties round apart (beta=0 in d >= 3), the
+    rounding decides.  Fields carry the leading axes `lead` (one
+    environment per entry) before their d site axes.
 
     Each push frames the previous scores with -inf (lattice.frame) and takes
     every move as a pair of contiguous slices (step_slices); -inf padding

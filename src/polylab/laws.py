@@ -219,13 +219,13 @@ def load_table_law(path: str) -> EnvironmentLaw:
     return make_table_law(xs, fs)
 
 
-def poincare_constant(law: EnvironmentLaw, grid_points: int = 4096) -> float:
+def poincare_constant(law: EnvironmentLaw) -> float:
     """K = sup of h over the support.
 
-    Grid supremum tightened by golden-section refinement around the grid
-    maximizer to within 1e-8 in the argument.
+    Supremum over a 4096-point interior grid, tightened by golden-section
+    refinement around the grid maximizer to within 1e-8 in the argument.
     """
-    grid = law.interior_grid(grid_points)
+    grid = law.interior_grid(4096)
     hv = np.asarray(law.h(grid), dtype=np.float64)
     i = int(np.argmax(hv))
     lo = grid[max(i - 1, 0)]

@@ -96,7 +96,7 @@ def test_criterion_09_sampler():
     sol = forward_backward(inst)
     rng = np.random.default_rng(derive_seed(9009, 1, 0x5A3))
     m = 50_000
-    paths = sample_paths(sol, inst, m, rng)
+    paths = sample_paths(sol, m, rng)
 
     exceed = total = 0
     for k in range(1, 31):

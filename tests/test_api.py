@@ -1,0 +1,36 @@
+"""The public API of the polylab package: the names it exports, pinned, so
+that every change to them is a deliberate diff of this list."""
+
+import types
+
+import polylab
+
+PUBLIC = [
+    "EnvironmentLaw", "ExperimentConfig", "LawValidationError",
+    "LocalizationReport", "NumericalError", "PolymerInstance",
+    "ReplicationRecord", "ThetaSolution", "alpha_floor", "alpha_profile",
+    "brute_force", "build_report", "check_ibp", "check_poincare",
+    "check_poincare_tensorized", "counter_uniform", "derive_seed", "ell",
+    "env_layer", "env_value", "forward_backward", "gamma_tau_profiles",
+    "histogram", "kappa", "layer_theta", "make_table_law", "make_uniform",
+    "neighbors", "overlap", "parse_law_spec", "phi", "poincare_constant",
+    "primed_estimates", "psi", "reachable_sites", "replication_seed", "rho",
+    "run_replications", "sample_paths", "scaling_study", "summary_stats",
+    "theta_derivative_check", "validate_path",
+]
+
+
+def test_public_names_are_pinned():
+    """Names of polylab itself; its submodules are not part of the list."""
+    names = sorted(name for name, value in vars(polylab).items()
+                   if not name.startswith("_")
+                   and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC
+
+
+def test_public_names_resolve():
+    """Each name is a class or function of a polylab module."""
+    for name in PUBLIC:
+        value = getattr(polylab, name)
+        assert callable(value), name
+        assert value.__module__.startswith("polylab."), name

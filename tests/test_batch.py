@@ -278,9 +278,9 @@ class TestSingleEnvironmentOnly:
             layer_theta(inst, 2, 0.0)
 
     def test_sample_paths_rejected(self, solved):
-        inst, sol = solved
+        _, sol = solved
         with pytest.raises(ValueError):
-            sample_paths(sol, inst, 1, np.random.default_rng(0))
+            sample_paths(sol, 1, np.random.default_rng(0))
 
     def test_theta_value_rejected(self, solved):
         _, sol = solved

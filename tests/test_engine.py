@@ -11,8 +11,8 @@ import pytest
 from polylab import engine, verify
 from polylab.engine import (NumericalError, PolymerInstance, brute_force,
                             dump_solution, env_layer, env_value,
-                            forward_backward, layer_theta, sample_path,
-                            sample_paths, theta_derivative_check)
+                            forward_backward, layer_theta, sample_paths,
+                            theta_derivative_check)
 from polylab.functionals import ell, rho
 from polylab import lattice
 from polylab.lattice import (PathDP, layer_shape, layer_sites, reachable_sites,
@@ -31,6 +31,32 @@ def replace_layer(monkeypatch, k, omega):
         return np.array(omega, dtype=np.float64) if j == k else draw(instance, j)
 
     monkeypatch.setattr(engine, "env_layer", env_layer)
+
+
+class TestInstanceValidation:
+    """Bad sizes and temperatures fail at construction, not in the solve."""
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf,
+                                      np.float64("nan"), -1.0])
+    def test_beta_must_be_finite_and_nonnegative(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            PolymerInstance(d=1, n=5, beta=beta, law=LAW, seed=1)
+
+    @pytest.mark.parametrize("name,value", [("d", True), ("d", 1.0), ("d", 1.5),
+                                            ("n", False), ("n", 5.0),
+                                            ("n", np.float64(5.0)), ("n", "5")])
+    def test_sizes_must_be_ints(self, name, value):
+        sizes = {"d": 1, "n": 5, name: value}
+        with pytest.raises(TypeError, match=name):
+            PolymerInstance(beta=1.0, law=LAW, seed=1, **sizes)
+
+    @pytest.mark.parametrize("d,n", [(np.int64(2), np.int32(4)), (np.uint8(3), np.int64(5))])
+    def test_numpy_int_sizes_become_ints(self, d, n):
+        inst = PolymerInstance(d=d, n=n, beta=1.0, law=LAW, seed=1)
+        assert type(inst.d) is int and type(inst.n) is int
+        assert inst == PolymerInstance(d=int(d), n=int(n), beta=1.0, law=LAW, seed=1)
+        sol = forward_backward(inst, keep_theta=False)
+        assert ell(sol)[0] == ell(forward_backward(inst))[0]
 
 
 class TestEnvValue:
@@ -199,22 +225,17 @@ class TestSampler:
         return inst, forward_backward(inst)
 
     def test_paths_valid(self, solved):
-        inst, sol = solved
+        _, sol = solved
         rng = np.random.default_rng(derive_seed(11, 0))
-        paths = sample_paths(sol, inst, 200, rng)
+        paths = sample_paths(sol, 200, rng)
         for p in paths:
             validate_path(p, 1)
 
-    def test_single_path_shape(self, solved):
-        inst, sol = solved
-        p = sample_path(sol, inst, np.random.default_rng(1))
-        assert p.shape == (30, 1)
-
     def test_visit_frequencies_match_theta(self, solved):
-        inst, sol = solved
+        _, sol = solved
         rng = np.random.default_rng(derive_seed(11, 1))
         m = 20_000
-        paths = sample_paths(sol, inst, m, rng)
+        paths = sample_paths(sol, m, rng)
         k = 15
         t = sol.theta_array(k)
         freq = np.bincount(site_cells(1, k, paths[:, k - 1]), minlength=t.size) / m
@@ -231,7 +252,7 @@ class TestSampler:
         inst = PolymerInstance(d=d, n=n, beta=2.0, law=LAW, seed=seed)
         sol = forward_backward(inst)
         m = 20_000
-        paths = sample_paths(sol, inst, m, np.random.default_rng(derive_seed(seed, 1)))
+        paths = sample_paths(sol, m, np.random.default_rng(derive_seed(seed, 1)))
         for p in paths[:200]:
             validate_path(p, d)
         for k in (n // 2, n):
@@ -247,7 +268,7 @@ class TestSampler:
         inst = PolymerInstance(d=2, n=10, beta=2.0, law=LAW, seed=21)
         sol = forward_backward(inst)
         rng = np.random.default_rng(3)
-        paths = sample_paths(sol, inst, 100, rng)
+        paths = sample_paths(sol, 100, rng)
         for p in paths:
             validate_path(p, 2)
 
@@ -255,7 +276,7 @@ class TestSampler:
         inst, _ = solved
         sol2 = forward_backward(inst, keep_forward=False)
         with pytest.raises(ValueError):
-            sample_paths(sol2, inst, 1, np.random.default_rng(0))
+            sample_paths(sol2, 1, np.random.default_rng(0))
 
 
 class TestZeroLayer:
@@ -427,12 +448,6 @@ class TestDerivativeIdentity:
 
     def test_random_sites(self):
         assert verify.derivative_identity(n=40, trials=20, seed=606)[0]["passed"]
-
-    def test_fd_step_bounds(self):
-        inst = PolymerInstance(d=1, n=4, beta=1.0, law=LAW, seed=2)
-        sol = forward_backward(inst)
-        with pytest.raises(ValueError):
-            theta_derivative_check(inst, sol, 2, (0,), fd_step=1e-3)
 
 
 def test_dump_solution(tmp_path):

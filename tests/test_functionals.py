@@ -101,6 +101,23 @@ class TestEll:
         # beta=0 measure is seed-independent; the tie-broken path must agree
         np.testing.assert_array_equal(ell(sol_a)[1], ell(sol_b)[1])
 
+    @pytest.mark.parametrize("d,n,seed", [(3, 12, 5), (3, 16, 2), (4, 8, 3)])
+    def test_beta0_tie_break_up_to_rounding(self, d, n, seed):
+        """At beta=0 in d >= 3 exact ties among paths are decided by the
+        rounding of their scores, so the lexicographic rule does not fix
+        the path.  What holds: the path is valid, stored and streamed solves
+        agree on ell and the path bit for bit, and the path attains ell."""
+        inst = PolymerInstance(d=d, n=n, beta=0.0, law=LAW, seed=seed)
+        stored = forward_backward(inst, keep_forward=False)
+        l, path = ell(stored)
+        validate_path(path, d)
+        l_streamed, path_streamed = ell(forward_backward(inst, keep_forward=False,
+                                                         keep_theta=False))
+        assert l_streamed == l
+        np.testing.assert_array_equal(path_streamed, path, strict=True)
+        mean = sum(stored.theta_value(k, tuple(path[k - 1])) for k in range(1, n + 1)) / n
+        assert abs(mean - l) <= 1e-15 * l
+
 
 class TestGammaTau:
     def test_gamma_bounded_by_K(self):
@@ -148,7 +165,7 @@ class TestPsi:
         gamma, _ = gamma_tau_profiles(sol, inst)
         rng = np.random.default_rng(derive_seed(72, 9))
         m = 4000
-        paths = sample_paths(sol, inst, m, rng)
+        paths = sample_paths(sol, m, rng)
         vals = np.array([psi(inst, p, range(1, 21)) for p in paths])
         se = vals.std(ddof=1) / math.sqrt(m)
         assert abs(vals.mean() - gamma.sum()) <= 4 * se

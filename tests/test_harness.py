@@ -18,7 +18,7 @@ from polylab import harness
 from polylab.harness import (ConfigError, ExperimentConfig, ReplicationRecord,
                              chunk_size, histogram, parse_law_spec,
                              run_replications, scaling_study, summary_stats,
-                             tail_probe, worker_count, write_histogram_csv,
+                             worker_count, write_histogram_csv,
                              write_report_csv)
 from polylab.rng import replication_seed
 from polylab.verify import binomial_rho
@@ -314,28 +314,15 @@ class TestScaling:
         with pytest.raises(ConfigError):
             scaling_study(d, n_grid)
 
+    @pytest.mark.parametrize("n_grid", [[8, 16.5], [8.0, 16], [8, True, 16],
+                                        [np.int64(8), np.float64(16.0)]])
+    def test_rejects_non_integral_sizes(self, n_grid):
+        """int(n) would truncate 16.5 to 16 and take True for 1."""
+        with pytest.raises(ConfigError, match="integer"):
+            scaling_study(1, n_grid)
 
-class TestTailProbe:
-    @pytest.fixture(scope="class")
-    @staticmethod
-    def records():
-        return run_replications(CFG)
-
-    def test_cdf_monotone(self, records):
-        rows, _, _ = tail_probe(records, [0.05, 0.1, 0.3, 0.6, 0.9], 1, 40)
-        probs = [p for _, p in rows]
-        assert probs == sorted(probs)
-
-    def test_below_floor_probability_zero(self, records):
-        floor = 1.0 / (3 * 40)
-        rows, min_rho, reported_floor = tail_probe(records, [floor / 2], 1, 40)
-        assert rows[0][1] == 0.0
-        assert reported_floor == floor
-        assert min_rho >= floor
-
-    def test_delta_guard(self, records):
-        with pytest.raises(ConfigError):
-            tail_probe(records, [1.5], 1, 40)
+    def test_numpy_int_sizes_are_ints(self):
+        assert scaling_study(1, [np.int64(8), np.int32(16)]) == scaling_study(1, [8, 16])
 
 
 def test_summary_stats():

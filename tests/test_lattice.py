@@ -8,7 +8,7 @@ import pytest
 from polylab.lattice import (PathDP, cell_sites, frame, frame_cells,
                              is_reachable, layer_cells, layer_mask, layer_shape,
                              layer_sites, neighbors, overlap, reachable_sites,
-                             site_cells, step_offsets, step_slices, step_vectors,
+                             site_cells, step_slices, step_vectors,
                              step_windows, validate_path)
 
 
@@ -107,14 +107,16 @@ class TestCubeLayout:
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_step_offsets_apply_the_windows(d):
-    """A step-(k-1) layer framed and shifted by a step's flat offset adds
-    into the step-k layer exactly as its window does, step by step in
-    step_windows order; step_slices applies the same steps both ways."""
+    """A step-(k-1) layer framed and shifted by a step's flat offset o (where
+    its up slice starts) adds into the step-k layer exactly as its window
+    does, step by step in step_windows order; step_slices applies the same
+    steps both ways."""
     rng = np.random.default_rng(d)
     for k in (1, 2, 3, 6):
-        offsets, windows = step_offsets(d, k), step_windows(d, k)
-        assert [v for v, _ in offsets] == [v for v, _ in windows]
-        assert offsets[0][1] == 0
+        ups, downs = step_slices(d, k, up=True), step_slices(d, k, up=False)
+        windows = step_windows(d, k)
+        assert [v for v, *_ in ups] == [v for v, *_ in downs] == [v for v, _ in windows]
+        assert ups[0][1].start == 0
         small = rng.random((2,) + layer_shape(d, k - 1))
         padded = frame(small, d, k, np.nan)
         np.testing.assert_array_equal(padded[frame_cells(d, k)], small)
@@ -122,8 +124,8 @@ def test_step_offsets_apply_the_windows(d):
         padded = frame(small, d, k, 0.0).reshape(-1)
         size = padded.size
         big = rng.random((2,) + layer_shape(d, k))
-        for (_, o), (_, window), (_, up_into, up_take), (_, into, take) in zip(
-                offsets, windows, step_slices(d, k, up=True), step_slices(d, k, up=False)):
+        for (_, window), (_, up_into, up_take), (_, into, take) in zip(windows, ups, downs):
+            o = up_into.start
             want = big.copy()
             want[window] += small
             got = big.copy().reshape(-1)
