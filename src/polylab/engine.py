@@ -15,8 +15,8 @@ When one layer's weights span more than exp(LOG_SPACE_RANGE), products of
 normalized layers could underflow, and the same sweeps run in log space:
 layers hold log-masses and neighbour sums are log-sum-exps.  Every
 neighbour sum takes its 2d steps as adds of contiguous flat slices of
-lattice frames (lattice.step_slices), with the results of the windowed
-sums bit for bit.
+lattice frames (lattice.step_slices, planned per solve by
+lattice.step_plan), with the results of the windowed sums bit for bit.
 
 The backward sweep runs first and the forward sweep then yields theta in
 increasing k.  By default every backward layer is kept and theta is written
@@ -25,13 +25,25 @@ the tops of segments that hold about equal numbers of cells
 (segment_tops), recomputes each segment from its checkpoint, and reduces
 every theta layer to alpha and one step of the ell program as it appears,
 so a solve holds about sqrt(n) layers' worth of cells instead of n layers.
+Either mode draws each layer's environment twice (layer 1 once): the
+backward sweep consumes the layers from n down, the forward sweep from 1
+up, and holding them between the sweeps would cost n layers of memory
+(Griewank & Walther's checkpointing, "revolve", ACM TOMS 26, 2000).
+
+A figure-1 chunk solve is bound by the number of numpy calls per layer,
+not by its cells: one replication costs over a third of what 53 do.  So a
+solve looks its steps' slices and shapes up once (lattice.step_plan),
+reduces over the site axes without reshaping, checks each normalizer with
+two reductions and each drawn layer with one pass, and the counter RNG
+mixes the keys of a block of steps at once.
 
 layer_theta answers one-layer questions (the zero-layer marginal zeta_k, a
 finite difference in omega_k) from one sweep over the other layers, since
 F_{k-1} and B_k do not depend on omega_k.  It and forward_backward take
 every step from _backward_step and _forward_step, and every layer, in
 either domain, is normalized by _normalize, which raises NumericalError on
-a layer that is not finite.
+a layer that is not finite; a drawn layer with any non-finite value raises
+it too (_shifted).
 
 An instance whose seed is a tuple of R seeds is a batch of R independent
 environments.  Every layer then carries a leading axis of length R, every
@@ -57,9 +69,9 @@ from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .lattice import (PathDP, Site, cell_sites, frame, frame_cells,
-                      is_reachable, layer_cells, layer_shape, layer_sites,
-                      site_cells, step_slices, step_vectors)
+from .lattice import (PathDP, Site, Step, cell_sites, framed, is_reachable,
+                      layer_cells, layer_shape, layer_sites, site_cells,
+                      sites_bytes, step_geometry, step_plan, step_vectors)
 from .laws import EnvironmentLaw
 from .rng import counter_uniform
 
@@ -156,53 +168,57 @@ def env_value(instance: PolymerInstance, k: int, x: Site) -> float:
 def _neighbor_sum(layer: np.ndarray, d: int, k: int, up: bool) -> np.ndarray:
     """Sum over the 2d neighbours of every site of the step-k layer, on the
     trailing d axes: up from the step-(k-1) layer, otherwise down from the
-    step-(k+1) layer.
+    step-(k+1) layer (see _sum)."""
+    return _sum(layer, layer.shape[:-d], step_geometry(d, k),
+                step_geometry(d, k + (not up)), up)
+
+
+def _sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
+         up: bool) -> np.ndarray:
+    """_neighbor_sum into the step `here` from a frame of step `big` (here
+    itself up, the step after it down), with leading axes lead.
 
     Each step is one add of contiguous flat slices (lattice.step_slices)
     on frames of the larger layer (_stencil).  Padding adds +0.0, so every
     cell gets the same terms in the same order as from windows."""
-    source, out, steps, finish = _stencil(layer, d, k, up, 0.0)
-    (_, _, first), *rest = steps
+    result, source, out, pairs = _stencil(layer, lead, here, big, up, 0.0)
+    (_, first), *rest = pairs
     np.copyto(out, source[first])       # offset 0: a copy, not 0 + x
-    for _, into, take in rest:
+    for into, take in rest:
         out[into] += source[take]
-    return finish()
+    if not up:
+        np.copyto(result, out.reshape(layer.shape)[big.frame])
+    return result
 
 
-def _stencil(layer: np.ndarray, d: int, k: int, up: bool, fill: float):
-    """A neighbour sum into the step-k layer as flat frames: (source, out,
-    steps, finish).  Each step (v, into, take) of steps reads source[take]
-    into out[into]; finish() then returns the step-k result.
+def _stencil(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
+             up: bool, fill: float):
+    """A neighbour sum into the step-k layer as flat frames: (result,
+    source, out, pairs).  Each (into, take) of pairs reads source[take] into
+    out[into].
 
     Up, source is the step-(k-1) layer in a step-k frame padded with fill,
     and out is the result itself.  Down, source is the step-(k+1) layer and
-    out a new frame of its shape, whose cells [0, k+1)^d finish copies
+    out a new frame of its shape, whose cells [0, k+1)^d the caller copies
     into the result.  The result outlives the frames and is allocated
     before them, so freed frames leave no holes between longer-lived
     layers: the other way round, figure1's peak RSS was about 1 MiB higher."""
-    result = np.empty(layer.shape[:-d] + layer_shape(d, k))
+    result = np.empty(lead + here.shape)
     if up:
-        source = frame(layer, d, k, fill).reshape(-1)
-        return source, result.reshape(-1), step_slices(d, k, True), lambda: result
+        return result, framed(layer, here, fill).reshape(-1), result.reshape(-1), here.up
     source = layer.reshape(-1)
-    out = np.empty(source.shape)
-
-    def finish() -> np.ndarray:
-        np.copyto(result, out.reshape(layer.shape)[frame_cells(d, k + 1)])
-        return result
-    return source, out, step_slices(d, k + 1, False), finish
-
-
-def _site_reduce(op: np.ufunc, layer: np.ndarray, d: int) -> np.ndarray:
-    """op.reduce (np.add: sums, np.maximum: maxima) over the trailing d site
-    axes, kept as size-1 axes."""
-    lead = layer.shape[:-d]
-    return op.reduce(layer.reshape(lead + (-1,)), axis=-1).reshape(lead + (1,) * d)
+    return result, source, np.empty(source.shape), big.down
 
 
 def layer_alpha(theta: np.ndarray, d: int) -> np.ndarray:
     """alpha = sum_x theta_x^2 over the trailing d site axes of one layer."""
-    return _site_reduce(np.add, theta ** 2, d).reshape(theta.shape[:-d])
+    return np.add.reduce((theta ** 2).reshape(theta.shape[:-d] + (-1,)), axis=-1)
+
+
+def _within(s: np.ndarray, lo: float) -> bool:
+    """Whether every entry of s lies in (lo, inf): two reductions, and NaN
+    fails both comparisons."""
+    return lo < np.minimum.reduce(s, axis=None) and np.maximum.reduce(s, axis=None) < np.inf
 
 
 # A layer's weights span exp(beta * width) for a law of support width
@@ -220,31 +236,47 @@ def log_space(beta: float, law: EnvironmentLaw) -> bool:
 
 
 Weights = Optional[Tuple[np.ndarray, np.ndarray]]
+Plan = Tuple[Step, ...]
+
+
+def _shifted(scaled: np.ndarray, d: int, log: bool) -> Weights:
+    """(exp(scaled - m), m), written over scaled = beta*omega, with m the
+    max of scaled over each environment's sites (size-1 site axes); in log
+    space (scaled - m, m).
+
+    The shifted weights lie in (0, 1], so they never overflow, and the
+    shift is taken per environment, so it does not depend on the batch.  A
+    layer with any non-finite value raises NumericalError: +inf and NaN
+    would poison the shift, and a lone -inf would pass as a zero weight.
+    A maximum is exact in any order, so each environment's is taken over
+    its run of the flat layer (reduceat), which numpy runs in about half
+    the time of a reduction over the site axes of a figure-1 chunk."""
+    flat = scaled.reshape(-1)
+    cells = math.prod(scaled.shape[-d:])
+    m = np.maximum.reduceat(flat, np.arange(0, flat.size, cells))
+    # the smallest value is -inf or NaN if any is, and m is +inf or NaN
+    # where any is: checked before the shift, which would warn on inf - inf
+    if not (-np.inf < np.minimum.reduce(flat, axis=None)
+            and np.maximum.reduce(m, axis=None) < np.inf):
+        raise NumericalError("non-finite environment layer")
+    m = m.reshape(scaled.shape[:-d] + (1,) * d)
+    scaled -= m
+    if not log:
+        np.exp(scaled, out=scaled)
+    return scaled, m
 
 
 def _weights(beta: float, omega: np.ndarray, d: int, log: bool) -> Weights:
-    """(exp(beta*omega - m), m) with m the max of beta*omega over each
-    environment's sites, or None for the all-ones weights of beta=0; in log
-    space (beta*omega - m, m).
-
-    The shifted weights lie in (0, 1], so they never overflow, and the
-    shift is taken per environment, so it does not depend on the batch."""
-    if beta == 0.0:
-        return None
-    scaled = beta * omega
-    m = _site_reduce(np.maximum, scaled, d)
-    if not np.isfinite(m).all():
-        raise NumericalError("non-finite environment layer")
-    scaled -= m
-    return (scaled if log else np.exp(scaled, out=scaled)), m
+    """The shifted weights of beta*omega (_shifted), or None for the
+    all-ones weights of beta=0."""
+    return None if beta == 0.0 else _shifted(beta * omega, d, log)
 
 
-def _layer_weights(instance: PolymerInstance, k: int) -> Weights:
-    """The shifted weights of layer k (see _weights)."""
+def _layer_weights(instance: PolymerInstance, k: int, log: bool) -> Weights:
+    """The shifted weights of layer k (_shifted); beta=0 draws nothing."""
     if instance.beta == 0.0:
         return None
-    return _weights(instance.beta, env_layer(instance, k), instance.d,
-                    log_space(instance.beta, instance.law))
+    return _weights(instance.beta, env_layer(instance, k), instance.d, log)
 
 
 def _log(values: np.ndarray) -> np.ndarray:
@@ -255,97 +287,115 @@ def _log(values: np.ndarray) -> np.ndarray:
 
 
 def _log_neighbor_sum(layer: np.ndarray, d: int, k: int, up: bool) -> np.ndarray:
-    """_neighbor_sum of log-masses: the log of the sum of exp(layer) over
-    the 2d neighbours, -inf where every neighbour is -inf.  Padding is
-    -inf, which changes no maximum and adds exp(-inf) = +0.0."""
-    source, total, steps, finish = _stencil(layer, d, k, up, -np.inf)
+    """_neighbor_sum of log-masses (see _log_sum)."""
+    return _log_sum(layer, layer.shape[:-d], step_geometry(d, k),
+                    step_geometry(d, k + (not up)), up)
+
+
+def _log_sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
+             up: bool) -> np.ndarray:
+    """_sum of log-masses: the log of the sum of exp(layer) over the 2d
+    neighbours, -inf where every neighbour is -inf.  Padding is -inf, which
+    changes no maximum and adds exp(-inf) = +0.0."""
+    result, source, total, pairs = _stencil(layer, lead, here, big, up, -np.inf)
     top = np.full(source.shape, -np.inf)
-    for _, into, take in steps:
+    for into, take in pairs:
         np.maximum(top[into], source[take], out=top[into])
     np.copyto(top, 0.0, where=top == -np.inf)     # no finite neighbour
     total.fill(0.0)
     scaled = np.empty(source.shape)
-    for _, into, take in steps:
+    for into, take in pairs:
         term = np.subtract(source[take], top[into], out=scaled[into])
         total[into] += np.exp(term, out=term)
     del scaled                          # not held through the log and the copy
     with np.errstate(divide="ignore"):
         np.log(total, out=total)
     total += top
-    return finish()
+    if not up:
+        np.copyto(result, total.reshape(layer.shape)[big.frame])
+    return result
 
 
 # The sweeps' (combine, neighbour sum): masses multiply by their weights and
 # add over neighbours; log-masses add their log-weights and log-sum-exp.
-_SWEEP_OPS = {False: (np.multiply, _neighbor_sum), True: (np.add, _log_neighbor_sum)}
+_SWEEP_OPS = {False: (np.multiply, _sum), True: (np.add, _log_sum)}
 
 
-def _normalize(x: np.ndarray, d: int, what: str, k: int, log: bool) -> np.ndarray:
-    """Normalize the step-k layer x in place to total mass 1 per environment
-    and return the normalizers, with size-1 site axes.  Masses are divided
-    by their sum s, and s is returned.  In log space log s is subtracted and
-    returned, summed as exp(x - max) with the max added back.  A layer
-    whose s is not finite and positive (in log space: whose largest
-    log-mass is not finite) raises NumericalError naming `what` and k."""
+def _normalize(x: np.ndarray, axes: Tuple[int, ...], what: str, k: int,
+               log: bool) -> np.ndarray:
+    """Normalize the step-k layer x (C-contiguous) in place to total mass 1
+    per environment and return the normalizers, with size-1 site axes.
+    axes are x's trailing site axes; a reduction over them is the one over
+    the flattened layer, bit for bit.  Masses are divided by their sum s,
+    and s is returned.  In log space log s is subtracted and returned,
+    summed as exp(x - max) with the max added back.  A layer whose s is not
+    finite and positive (in log space: whose largest log-mass is not
+    finite) raises NumericalError naming `what` and k."""
     if log:
-        top = _site_reduce(np.maximum, x, d)
-        if not np.isfinite(top).all():
+        top = np.maximum.reduce(x, axis=axes, keepdims=True)
+        if not _within(top, -np.inf):
             raise NumericalError(f"non-finite {what} layer at k={k}")
         scaled = x - top
-        s = top + _log(_site_reduce(np.add, np.exp(scaled, out=scaled), d))
+        s = top + _log(np.add.reduce(np.exp(scaled, out=scaled), axis=axes, keepdims=True))
         x -= s
         return s
-    s = _site_reduce(np.add, x, d)
-    if not (np.isfinite(s).all() and (s > 0.0).all()):
+    s = np.add.reduce(x, axis=axes, keepdims=True)
+    if not _within(s, 0.0):
         raise NumericalError(f"non-finite {what} layer at k={k}")
     x /= s
     return s
 
 
-def _backward_step(b: Optional[np.ndarray], w: Weights, k: int, d: int,
+def _backward_step(b: Optional[np.ndarray], w: Weights, plan: Plan, k: int,
                    lead: Tuple[int, ...], log: bool) -> np.ndarray:
     """B_k = normalize(down(B_{k+1} * w)) from B_{k+1} (None for B_n = 1)
     and the weights w of layer k+1 (None at beta=0, which never runs in log
-    space); in log space, the log of it from log B_{k+1}."""
+    space); in log space, the log of it from log B_{k+1}.  plan is the
+    solve's lattice.step_plan."""
     combine, neighbor_sum = _SWEEP_OPS[log]
+    here = plan[k]
     if b is None:
-        b = np.ones(lead + layer_shape(d, k + 1)) if w is None else w[0]
+        b = np.ones(lead + plan[k + 1].shape) if w is None else w[0]
     elif w is not None:
         b = combine(b, w[0])
-    b = neighbor_sum(b, d, k, up=False)
-    _normalize(b, d, "backward", k, log)
+    b = neighbor_sum(b, lead, here, plan[k + 1], False)
+    _normalize(b, here.axes, "backward", k, log)
     return b
 
 
-def _forward_step(f: np.ndarray, w: Weights, k: int, d: int,
-                  log: bool) -> Tuple[np.ndarray, np.ndarray]:
+def _forward_step(f: np.ndarray, w: Weights, plan: Plan, k: int,
+                  lead: Tuple[int, ...], log: bool) -> Tuple[np.ndarray, np.ndarray]:
     """F_k = normalize(up(F_{k-1}) * w) and the log of its normalizer with
-    the weights' shift added back, from F_{k-1} and the weights w of layer
-    k (None at beta=0); in log space, log F_k from log F_{k-1}."""
+    the weights' shift added back (shape lead), from F_{k-1} and the
+    weights w of layer k (None at beta=0); in log space, log F_k from
+    log F_{k-1}."""
     combine, neighbor_sum = _SWEEP_OPS[log]
-    f = neighbor_sum(f, d, k, up=True)
+    here = plan[k]
+    f = neighbor_sum(f, lead, here, here, True)
     if w is not None:
         combine(f, w[0], out=f)
-    s = _normalize(f, d, "forward", k, log)
-    log_s = (s if log else _log(s)).reshape(s.shape[:-d])
+    s = _normalize(f, here.axes, "forward", k, log)
+    log_s = s if log else _log(s)
     if w is not None:
-        log_s += w[1].reshape(log_s.shape)
-    return f, log_s
+        log_s += w[1]
+    return f, log_s.reshape(lead)
 
 
-def _theta(f: np.ndarray, b: np.ndarray, k: int, d: int, log: bool) -> np.ndarray:
+def _theta(f: np.ndarray, b: np.ndarray, k: int, axes: Tuple[int, ...],
+           log: bool) -> np.ndarray:
     """theta_k = normalize(F_k * B_k), written over b; in log space b holds
     log B_k, and the log-masses are shifted by their largest and
-    exponentiated before the (linear) normalization."""
+    exponentiated before the (linear) normalization.  axes are the site
+    axes."""
     combine, _ = _SWEEP_OPS[log]
     th = combine(b, f, out=b)
     if log:
-        top = _site_reduce(np.maximum, th, d)
-        if not np.isfinite(top).all():
+        top = np.maximum.reduce(th, axis=axes, keepdims=True)
+        if not _within(top, -np.inf):
             raise NumericalError(f"non-finite theta layer at k={k}")
         th -= top
         np.exp(th, out=th)
-    _normalize(th, d, "theta", k, False)
+    _normalize(th, axes, "theta", k, False)
     return th
 
 
@@ -439,15 +489,27 @@ def segment_tops(d: int, n: int) -> Tuple[int, ...]:
 
 # Bytes a solve holds beside its environments' shares (streamed_bytes),
 # whatever its batch size: array headers and small objects, chiefly one
-# packed choice array and one weight shift per layer, and the temporaries
-# of drawing a layer (counter_uniform over its sites), which streamed_bytes
-# does not count.  Every stencil op runs on contiguous slices, so numpy
-# holds no ufunc buffer at a sweep's peak.  At the chunk sizes of
-# tests/test_harness.py the peaks exceed the shares by at most 40 KB, but a
-# one-replication d=3, n=12 solve exceeds its share by 175 KiB, nearly all
-# of it the draw of the top layer's 2197 sites; the tests check that this
-# constant covers it.  Larger layers' draws need more.
+# packed choice array and one weight shift per layer and the counter RNG's
+# last block of keys (8 words per environment), and the temporaries of
+# drawing a layer whose sites are cached (counter_uniform's coordinate
+# words).  Every stencil op runs on contiguous slices, so numpy holds no
+# ufunc buffer at a sweep's peak.  At the chunk sizes of
+# tests/test_harness.py the peaks exceed the shares by at most 40 KB.  A
+# one-replication d=3, n=12 solve exceeds its share by about 175 KiB, the
+# draw of the top layer's 2197 uncached sites; the tests check that this
+# constant covers it even without draw_bytes, which sets aside the
+# temporaries of drawing uncached layers for every (d, n).
 SOLVE_FIXED_BYTES = 192 << 10
+
+
+def draw_bytes(d: int, n: int, beta: float) -> int:
+    """Bytes of the temporaries of drawing a layer whose site coordinates
+    are not cached, whatever the batch size: those of making the top
+    layer's sites (lattice.sites_bytes), or 0 at beta=0, which draws
+    nothing.  The rest of a draw holds less beside the environments'
+    shares: the coordinates and their words (2d per cell), and arrays of
+    the batch's shape, which streamed_bytes' moments cover."""
+    return 0 if beta == 0.0 else sites_bytes(d, n)
 
 
 def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
@@ -539,16 +601,17 @@ def forward_backward(instance: PolymerInstance,
     lead = batch_shape(instance.seed)
     log = log_space(instance.beta, instance.law)
     tops = tuple(range(1, n + 1)) if keep_theta else segment_tops(d, n)
+    plan = step_plan(d, n)
 
     def weights(k: int) -> Weights:
         if k in omegas:
             return _weights(beta, omegas[k], d, log)
-        return _layer_weights(instance, k)
+        return _layer_weights(instance, k, log)
 
     checkpoints = dict.fromkeys(tops[:-1])
     b = None
     for k in range(n - 1, 0, -1):
-        b = _backward_step(b, weights(k + 1), k, d, lead, log)
+        b = _backward_step(b, weights(k + 1), plan, k, lead, log)
         if k in checkpoints:
             checkpoints[k] = b
 
@@ -563,9 +626,9 @@ def forward_backward(instance: PolymerInstance,
         bs = [None] * len(ws)
         bs[-1] = checkpoints.pop(hi, None)
         for i in range(len(bs) - 2, -1, -1):
-            bs[i] = _backward_step(bs[i + 1], ws[i + 1], lo + i, d, lead, log)
+            bs[i] = _backward_step(bs[i + 1], ws[i + 1], plan, lo + i, lead, log)
         for i, k in enumerate(range(lo, hi + 1)):
-            f, lognorms[..., k - 1] = _forward_step(f, ws[i], k, d, log)
+            f, lognorms[..., k - 1] = _forward_step(f, ws[i], plan, k, lead, log)
             ws[i] = None
             if keep_forward:
                 forward.append(np.exp(f) if log else f)
@@ -573,7 +636,7 @@ def forward_backward(instance: PolymerInstance,
                 # f is not read after step n, so its logs can become theta_n
                 th = forward[-1].copy() if keep_forward else (np.exp(f, out=f) if log else f)
             else:
-                th = _theta(f, bs[i], k, d, log)
+                th = _theta(f, bs[i], k, plan[k].axes, log)
                 bs[i] = None
             if keep_theta:
                 theta.append(th)
@@ -609,19 +672,21 @@ def layer_theta(instance: PolymerInstance, k: int, omega_k) -> np.ndarray:
     if not (1 <= k <= n):
         raise ValueError(f"step {k} outside 1..{n}")
     log = log_space(instance.beta, instance.law)
+    plan = step_plan(d, n)
     b = None
     for j in range(n - 1, k - 1, -1):
-        b = _backward_step(b, _layer_weights(instance, j + 1), j, d, (), log)
+        b = _backward_step(b, _layer_weights(instance, j + 1, log), plan, j, (), log)
     f = np.full((1,) * d, 0.0 if log else 1.0)
     for j in range(1, k):
-        f, _ = _forward_step(f, _layer_weights(instance, j), j, d, log)
+        f, _ = _forward_step(f, _layer_weights(instance, j, log), plan, j, (), log)
     omega_k = np.asarray(omega_k, dtype=np.float64)
     shape = np.broadcast_shapes(omega_k.shape, layer_shape(d, k))
     w = _weights(instance.beta, np.broadcast_to(omega_k, shape), d, log)
-    f, _ = _forward_step(np.broadcast_to(f, shape[:-d] + f.shape), w, k, d, log)
+    f, _ = _forward_step(np.broadcast_to(f, shape[:-d] + f.shape), w, plan, k,
+                         shape[:-d], log)
     if k == n:
         return np.exp(f) if log else f
-    return _theta(f, np.broadcast_to(b, shape).copy(), k, d, log)
+    return _theta(f, np.broadcast_to(b, shape).copy(), k, plan[k].axes, log)
 
 
 def _digits(idx: np.ndarray, base: int, n: int) -> np.ndarray:

@@ -83,15 +83,29 @@ def ell(solution: ThetaSolution):
     """
     n = solution.n
     lead = batch_shape(solution.seed)
-    dp = solution.path_dp
-    if dp is None:
-        dp = PathDP(solution.d, lead)
-        for t in solution.theta_layers:
-            dp.push(t)
-    top, path = dp.result()
+    top, path = _path_program(solution).result()
     scores = (top / n).reshape(lead)
     path = path.reshape(lead + (n, solution.d))
     return (scores if lead else float(scores)), path
+
+
+def ell_scores(solution: ThetaSolution):
+    """ell alone, as ell(solution)[0] bit for bit, without backtracking the
+    path that attains it."""
+    lead = batch_shape(solution.seed)
+    scores = (_path_program(solution).top() / solution.n).reshape(lead)
+    return scores if lead else float(scores)
+
+
+def _path_program(solution: ThetaSolution) -> PathDP:
+    """The ell program the keep_theta=False sweep ran, or one run now over
+    the stored theta layers."""
+    dp = solution.path_dp
+    if dp is None:
+        dp = PathDP(solution.d, batch_shape(solution.seed))
+        for t in solution.theta_layers:
+            dp.push(t)
+    return dp
 
 
 def overlap_chain_holds(r: float, l: float) -> bool:

@@ -28,8 +28,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import functionals
-from .engine import (SOLVE_FIXED_BYTES, PolymerInstance, forward_backward,
-                     log_space, streamed_bytes)
+from .engine import (SOLVE_FIXED_BYTES, PolymerInstance, draw_bytes,
+                     forward_backward, log_space, streamed_bytes)
 from .laws import EnvironmentLaw, load_table_law, make_uniform
 from .rng import replication_seed
 
@@ -132,9 +132,10 @@ class ReplicationRecord:
 
 def chunk_size(d: int, n: int, beta: float, log: bool = False) -> int:
     """Replications per chunk: what CHUNK_BYTES leaves beside a solve's
-    fixed bytes (engine.SOLVE_FIXED_BYTES), over what one replication holds
-    in a keep_theta=False solve (in log space if log)."""
-    return max(1, (CHUNK_BYTES - SOLVE_FIXED_BYTES)
+    fixed bytes (engine.SOLVE_FIXED_BYTES and engine.draw_bytes), over what
+    one replication holds in a keep_theta=False solve (in log space if
+    log)."""
+    return max(1, (CHUNK_BYTES - SOLVE_FIXED_BYTES - draw_bytes(d, n, beta))
                // streamed_bytes(d, n, beta, log))
 
 
@@ -150,7 +151,7 @@ def _solve_chunk(config: ExperimentConfig, law: EnvironmentLaw,
                            seed=seeds, centered=config.centered)
     sol = forward_backward(inst, keep_forward=False, keep_theta=False)
     rhos = functionals.alpha_profile(sol).mean(axis=-1)
-    ells, _ = functionals.ell(sol)
+    ells = functionals.ell_scores(sol)       # the paths are not reported
     log_z = np.broadcast_to(sol.log_partition, rhos.shape)
     ms = (time.perf_counter() - t0) * 1e3 / (hi - lo)
     records = [ReplicationRecord(index=r, rho=float(rhos[i]), ell=float(ells[i]),

@@ -20,8 +20,10 @@ would walk k^(d-1) short rows per op.  The stencil instead works on
 frames: C-contiguous arrays of the step-k shape, leading axes included,
 whose cells [0, k)^d (frame_cells) can hold a step-(k-1) layer (frame).  On
 flattened frames each step is a constant offset, and step_slices gives it
-as one pair of contiguous slices; the engine's neighbour sums and PathDP
-take every step from it.
+as one pair of contiguous slices.  step_geometry gathers a step's slices,
+shape and frame cells in one Step, and step_plan the Steps of a solve, so
+the engine's neighbour sums and PathDP look them up once per solve or push,
+not once per op.
 
 The rest of the module is coordinate-level: neighbor enumeration, cone
 iteration and masks, path validation, overlap counting, and the max-sum
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -109,7 +111,6 @@ def step_windows(d: int, k: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=8192)
 def step_slices(d: int, k: int, up: bool):
     """The 2d unit steps v of step_windows(d, k), in its order, each as
     (v, into, take) slices of flattened step-k frames.
@@ -147,13 +148,56 @@ def frame_cells(d: int, k: int):
     return (Ellipsis,) + (slice(0, k),) * d
 
 
+class Step(NamedTuple):
+    """Everything a stencil op at step k reads of the layout, built once
+    (step_geometry).  up and down are the (into, take) slice pairs of
+    step_slices(d, k, up), +e_1 (offset 0) first.  moves are the up pairs
+    in the lexicographic order of v (PathDP's choices), each with the cells
+    [0, o) its into skips, or None where o = 0."""
+
+    shape: Tuple[int, ...]      # layer_shape(d, k)
+    axes: Tuple[int, ...]       # the trailing d site axes, (-d, ..., -1)
+    frame: tuple                # frame_cells(d, k)
+    pads: tuple                 # the frame's other cells: coordinate j is k
+    up: tuple
+    down: tuple
+    moves: tuple
+
+
+@lru_cache(maxsize=8192)
+def step_geometry(d: int, k: int) -> Step:
+    """The layout of step k as one Step; read-only slices and tuples."""
+    ups = step_slices(d, k, True)
+    return Step(
+        shape=layer_shape(d, k),
+        axes=tuple(range(-d, 0)),
+        frame=frame_cells(d, k),
+        pads=tuple((Ellipsis, k) + (slice(None),) * (d - 1 - j) for j in range(d)),
+        up=tuple((into, take) for _, into, take in ups),
+        down=tuple((into, take) for _, into, take in step_slices(d, k, False)),
+        moves=tuple((into, take, slice(0, into.start) if into.start else None)
+                    for _, into, take in sorted(ups)))
+
+
+@lru_cache(maxsize=64)
+def step_plan(d: int, n: int) -> Tuple[Step, ...]:
+    """step_geometry(d, k) for k = 0..n: a solve of length n looks each
+    step up here, once per solve, not once per op."""
+    return tuple(step_geometry(d, k) for k in range(n + 1))
+
+
 def frame(layer: np.ndarray, d: int, k: int, fill: float) -> np.ndarray:
     """The step-(k-1) layer (leading axes kept) in a new step-k frame whose
     other cells hold fill."""
-    out = np.empty(layer.shape[:-d] + layer_shape(d, k))
-    out[frame_cells(d, k)] = layer
-    for j in range(d):                  # the other cells: coordinate j is k
-        out[(Ellipsis, k) + (slice(None),) * (d - 1 - j)] = fill
+    return framed(layer, step_geometry(d, k), fill)
+
+
+def framed(layer: np.ndarray, step: Step, fill: float) -> np.ndarray:
+    """frame() with step k's geometry given."""
+    out = np.empty(layer.shape[:layer.ndim - len(step.shape)] + step.shape)
+    out[step.frame] = layer
+    for pad in step.pads:
+        out[pad] = fill
     return out
 
 
@@ -178,6 +222,15 @@ def layer_sites(d: int, k: int) -> np.ndarray:
     if layer_cells(d, k) <= _CACHED_SITES:
         return _layer_sites(d, k)
     return _layer_sites.__wrapped__(d, k)
+
+
+def sites_bytes(d: int, k: int) -> int:
+    """Peak bytes of the temporaries of layer_sites(d, k): none for a
+    cached layer; otherwise those of cell_sites, the cell indices, d index
+    arrays and their stack, the rotated coordinates and two temporaries of
+    their shape, 4d + 1 words per cell."""
+    cells = layer_cells(d, k)
+    return 0 if cells <= _CACHED_SITES else 8 * (4 * d + 1) * cells
 
 
 def site_cells(d: int, k: int, x: np.ndarray) -> np.ndarray:
@@ -255,21 +308,29 @@ class PathDP:
     def push(self, field: np.ndarray) -> None:
         d = self.d
         self.n = k = self.n + 1
-        layer = field.reshape((self.batch,) + layer_shape(d, k))
+        step = step_geometry(d, k)
+        layer = field.reshape((self.batch,) + step.shape)
         # predecessors y = x + v in lexicographic order of v: the choice is
         # the last move c that is strictly better than moves 0..c-1, i.e.
         # the smallest of tied predecessors, and that is the largest c * better
-        moves = sorted(step_slices(d, k, up=True))
+        (into, take, edge), (into1, take1, edge1), *rest = step.moves
         # the scores outlive the frame: allocated first, as in the engine's
-        # neighbour sums
-        score = np.full(layer.size, -np.inf)
-        best = frame(self.best, d, k, -np.inf).reshape(-1)
-        choice = np.zeros(best.shape, dtype=np.uint8)
-        better = np.empty(best.shape, dtype=bool)
-        for c, (_, into, take) in enumerate(moves):
-            if c == 0:
-                score[into] = best[take]
-                continue
+        # neighbour sums.  Move 0 writes every score but the first cells.
+        score = np.empty(layer.size)
+        best = framed(self.best, step, -np.inf).reshape(-1)
+        if edge is not None:
+            score[edge] = -np.inf
+        score[into] = best[take]
+        # move 1 marks choice 1 where it is better and 0 elsewhere: its
+        # `better` is the choice itself
+        choice = np.empty(best.shape, dtype=np.uint8)
+        if edge1 is not None:
+            choice[edge1] = 0
+        np.greater(best[take1], score[into1], out=choice.view(bool)[into1])
+        np.maximum(score[into1], best[take1], out=score[into1])
+        if rest:
+            better = np.empty(best.shape, dtype=bool)
+        for c, (into, take, _) in enumerate(rest, 2):
             np.greater(best[take], score[into], out=better[into])
             np.maximum(score[into], best[take], out=score[into])
             mark = better[into].view(np.uint8)      # c where better, else 0
@@ -278,16 +339,23 @@ class PathDP:
         score = score.reshape(layer.shape)
         score += layer
         if k > 1:       # every step-1 cell comes from the origin
-            # packbits packs every non-zero byte as a 1 bit
-            bits = choice.reshape(self.batch, 1, -1) & self.plane_bits[:, None]
+            # packbits packs every non-zero byte as a 1 bit; with one plane
+            # (d = 1) every choice is 0 or 1 already
+            bits = choice.reshape(self.batch, 1, -1)
+            if self.plane_bits.size > 1:
+                bits = bits & self.plane_bits[:, None]
             self.choices.append(np.packbits(bits, axis=-1))
         self.best = score
+
+    def top(self) -> np.ndarray:
+        """The top scores, shape (batch,), without backtracking a path."""
+        return self.best.reshape(self.batch, -1).max(axis=1)
 
     def result(self) -> Tuple[np.ndarray, np.ndarray]:
         """(top scores of shape (batch,), best paths of shape (batch, n, d))."""
         d, n, best = self.d, self.n, self.best
         rows = np.arange(self.batch)
-        top = best.reshape(self.batch, -1).max(axis=1)
+        top = self.top()
         # cube C order is not lexicographic in d >= 2: sort the tied cells
         # by (row, site) and keep each row's first
         tied_rows, tied = np.nonzero(best.reshape(self.batch, -1) == top[:, None])

@@ -89,15 +89,45 @@ def derive_seed(seed, *words) -> int:
     return int(mix_words(seed, *words))
 
 
+# The sweeps draw the steps of one seed tuple in runs of consecutive k, so
+# the keys mix_words(seed, k + 1) are mixed _KEY_BLOCK steps at a time: one
+# finalizer pass over a block makes the calls of one key.  The cache keeps
+# the last block, _KEY_BLOCK words per seed.
+_KEY_BLOCK = 8
+
+
+@lru_cache(maxsize=1)
+def _key_block(seed, first: int) -> np.ndarray:
+    """mix_words(seed, j) for j = first, ..., first + _KEY_BLOCK - 1, on the
+    leading axis, read-only."""
+    seeds = _seed_words(seed)
+    steps = np.arange(first, first + _KEY_BLOCK, dtype=np.uint64) * GOLDEN
+    keys = _finalize(steps.reshape((-1,) + (1,) * seeds.ndim) ^ seeds)
+    keys.flags.writeable = False
+    return keys
+
+
+def _key(seed, j: int) -> np.ndarray:
+    """mix_words(seed, j), from a cached block when the seed is an int or a
+    tuple and j >= 0 (a step's j = k + 1 is)."""
+    if isinstance(seed, (int, tuple)) and j >= 0:
+        return _key_block(seed, j - j % _KEY_BLOCK)[j % _KEY_BLOCK, ...]
+    return mix_words(seed, j)
+
+
 def counter_uniform(seed, k, coords):
     """Uniform [0,1) variates keyed by (seed, step k, site coordinates).
 
     coords: integer array of shape (..., d); one variate per leading entry.
     seed: one seed, or a sequence/array of seeds of shape S, which prepends
     S to the output shape.  Identical keys always give identical output.
+
+    This is mix_words(seed, k + 1, x_1, ..., x_d) per site, with the key
+    mix_words(seed, k + 1) mixed once for all sites (and, through _key,
+    once for a block of steps).
     """
     coords = np.asarray(coords, dtype=np.int64)
-    key = mix_words(seed, k + 1)
+    key = _key(seed, k + 1)
     sites = coords.shape[:-1]
     state = np.empty(key.shape + sites, dtype=np.uint64)
     np.copyto(state, key.reshape(key.shape + (1,) * len(sites)))

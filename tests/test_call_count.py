@@ -1,0 +1,35 @@
+"""A deterministic guard on the streamed sweep's per-layer fixed cost.
+
+Wall-clock times of the figure-1 run spread by several percent between
+runs of the same code, but the number of Python-level calls a solve makes
+does not.  A figure-1 chunk solve is bound by those calls (a solve of one
+replication costs over a third of one of 53), so a change that adds calls
+per layer shows here first, as a failed count, not as noise in the
+benchmark."""
+
+import cProfile
+import pstats
+
+from polylab.engine import PolymerInstance, forward_backward
+from polylab.laws import make_uniform
+from polylab.rng import replication_seed
+
+# Python-level calls (cProfile's total) of one streamed figure-1 solve of
+# 53 replications after a solve that fills the caches: 59,883 before the
+# per-layer steps were planned once per solve, 42,005 after.  The budget
+# leaves 10% of headroom.
+CALL_BUDGET = 46_200
+
+
+def test_streamed_figure1_solve_stays_within_its_call_budget():
+    inst = PolymerInstance(d=1, n=300, beta=3.0, law=make_uniform(-1.0, 1.0),
+                           seed=tuple(replication_seed(20250823, r) for r in range(53)))
+    forward_backward(inst, keep_forward=False, keep_theta=False)
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        forward_backward(inst, keep_forward=False, keep_theta=False)
+    finally:
+        profile.disable()
+    calls = pstats.Stats(profile).total_calls
+    assert calls <= CALL_BUDGET, f"{calls} calls, budget {CALL_BUDGET}"

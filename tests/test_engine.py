@@ -11,8 +11,8 @@ import pytest
 from polylab import engine, verify
 from polylab.engine import (NumericalError, PolymerInstance, brute_force,
                             dump_solution, env_layer, env_value,
-                            forward_backward, layer_theta, sample_paths,
-                            theta_derivative_check)
+                            forward_backward, layer_theta, log_space,
+                            sample_paths, theta_derivative_check)
 from polylab.functionals import ell, rho
 from polylab import lattice
 from polylab.lattice import (PathDP, layer_shape, layer_sites, reachable_sites,
@@ -165,22 +165,39 @@ class TestForwardBackward:
         assert np.isfinite(sol.log_partition)
 
 
-    @pytest.mark.parametrize("keep_theta", [True, False])
-    @pytest.mark.parametrize("k,site,value", [
+    NON_FINITE = [
         (1, (1,), math.inf),         # layer 1 is drawn by the forward sweep only
         (5, (-3,), math.inf),        # reachable
         (4, (-2, 2, 2), math.nan),   # off the cone, in the d=3 cube: zero mass times nan
         (8, (-4, 4, 4), math.nan),
-    ])
-    def test_non_finite_environment_raises(self, monkeypatch, keep_theta, k, site,
-                                           value):
+        (5, (-3,), -math.inf),       # a lone -inf would be a silent zero weight
+        (1, (-1,), -math.inf),
+        (4, (-2, 2, 2), -math.inf),
+    ]
+
+    @staticmethod
+    def solve_with(monkeypatch, beta, keep_theta, k, site, value):
         d = len(site)
-        inst = PolymerInstance(d=d, n=8, beta=1.0, law=LAW, seed=6)
+        inst = PolymerInstance(d=d, n=8, beta=beta, law=LAW, seed=6)
         omega = env_layer(inst, k)
         omega.reshape(-1)[site_cells(d, k, site)] = value
         replace_layer(monkeypatch, k, omega)
+        forward_backward(inst, keep_forward=False, keep_theta=keep_theta)
+
+    @pytest.mark.parametrize("keep_theta", [True, False])
+    @pytest.mark.parametrize("k,site,value", NON_FINITE)
+    def test_non_finite_environment_raises(self, monkeypatch, keep_theta, k, site,
+                                           value):
         with pytest.raises(NumericalError):
-            forward_backward(inst, keep_forward=False, keep_theta=keep_theta)
+            self.solve_with(monkeypatch, 1.0, keep_theta, k, site, value)
+
+    @pytest.mark.parametrize("keep_theta", [True, False])
+    @pytest.mark.parametrize("k,site,value", NON_FINITE)
+    def test_non_finite_environment_raises_in_log_space(self, monkeypatch, keep_theta,
+                                                        k, site, value):
+        assert log_space(100.0, LAW)
+        with pytest.raises(NumericalError):
+            self.solve_with(monkeypatch, 100.0, keep_theta, k, site, value)
 
     def test_cube_coordinates_cached_read_only(self):
         small = layer_sites(2, 3)

@@ -285,3 +285,14 @@ class TestReport:
         assert rep.alpha_profile.size == 30
         assert rep.gamma_profile is not None and np.all(rep.gamma_profile > 0)
         validate_path(rep.argmax_path, 1)
+
+
+@pytest.mark.parametrize("keep_theta", [True, False], ids=["stored", "streamed"])
+@pytest.mark.parametrize("d,n,beta", [(1, 40, 3.0), (2, 9, 0.0), (3, 6, 100.0)])
+@pytest.mark.parametrize("seed", [31, (31, 32, 33)], ids=["single", "batch3"])
+def test_ell_scores_are_ell_without_the_path(keep_theta, d, n, beta, seed):
+    inst = PolymerInstance(d=d, n=n, beta=beta, law=LAW, seed=seed)
+    sol = forward_backward(inst, keep_forward=False, keep_theta=keep_theta)
+    scores = functionals.ell_scores(sol)
+    assert type(scores) is type(ell(sol)[0])
+    assert np.asarray(scores).tobytes() == np.asarray(ell(sol)[0]).tobytes()

@@ -9,8 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polylab.engine import (SOLVE_FIXED_BYTES, PolymerInstance, forward_backward,
-                            log_space, streamed_bytes)
+from polylab import lattice
+from polylab.engine import (SOLVE_FIXED_BYTES, PolymerInstance, draw_bytes,
+                            forward_backward, log_space, streamed_bytes)
+from polylab.lattice import layer_cells
 from polylab.laws import make_table_law, make_uniform
 from polylab.functionals import ell as ell_fn
 from polylab.functionals import rho as rho_fn
@@ -185,6 +187,24 @@ class TestChunks:
         bytes cover them at d=3, n=12 (2197 sites, about 175 KiB)."""
         peak = _streamed_peak(3, 12, 1.0, parse_law_spec("uniform:-1,1"), 1)
         assert peak <= streamed_bytes(3, 12, 1.0) + SOLVE_FIXED_BYTES
+
+    @pytest.mark.parametrize("d,n", [(3, 12), (3, 20), (4, 8)])
+    def test_draw_bytes_bound_one_replication_with_large_layers(self, d, n):
+        """The top layer's sites are not cached (9261 in d=3, n=20; 6561 in
+        d=4, n=8): their coordinates' temporaries, set aside as draw_bytes,
+        keep the model an upper bound of a one-replication solve."""
+        assert layer_cells(d, n) > lattice._CACHED_SITES
+        peak = _streamed_peak(d, n, 1.0, parse_law_spec("uniform:-1,1"), 1)
+        assert peak <= streamed_bytes(d, n, 1.0) + SOLVE_FIXED_BYTES + draw_bytes(d, n, 1.0)
+
+    def test_draw_bytes_only_for_uncached_drawn_layers(self):
+        # figure 1's layers are all cached, so its chunk is unchanged
+        assert draw_bytes(1, 300, 3.0) == 0
+        assert draw_bytes(3, 20, 0.0) == 0                     # beta=0 draws nothing
+        assert draw_bytes(3, 20, 1.0) == 8 * 13 * 21 ** 3
+        assert chunk_size(3, 20, 1.0) == \
+            (harness.CHUNK_BYTES - SOLVE_FIXED_BYTES - draw_bytes(3, 20, 1.0)) \
+            // streamed_bytes(3, 20, 1.0)
 
     # chunks of 1, of 3 (3+3+2, so the last chunk is shorter), of all 8
     @pytest.mark.parametrize("budget,size", [

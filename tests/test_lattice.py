@@ -8,8 +8,8 @@ import pytest
 from polylab.lattice import (PathDP, cell_sites, frame, frame_cells,
                              is_reachable, layer_cells, layer_mask, layer_shape,
                              layer_sites, neighbors, overlap, reachable_sites,
-                             site_cells, step_slices, step_vectors,
-                             step_windows, validate_path)
+                             site_cells, step_geometry, step_plan, step_slices,
+                             step_vectors, step_windows, validate_path)
 
 
 def walk_support(d, k):
@@ -263,3 +263,33 @@ def test_path_dp_matches_site_by_site_reference(d, n):
 def test_path_dp_without_batch_axis_matches_reference(d, n):
     check_path_dp(d, n, ())
 
+
+
+def test_step_plans_are_bounded_read_only_and_match_the_slices():
+    """step_geometry and step_plan are bounded caches of immutable tuples
+    and slices; their pairs are step_slices' without the step vectors, and
+    PathDP's moves are the up pairs in the lexicographic order of v."""
+    assert step_geometry.cache_info().maxsize == 8192
+    assert step_plan.cache_info().maxsize == 64
+    plan = step_plan(2, 7)
+    assert len(plan) == 8 and all(p is step_geometry(2, k) for k, p in enumerate(plan))
+    for d in (1, 2, 3):
+        for k in (1, 2, 5):
+            step = step_geometry(d, k)
+            with pytest.raises(AttributeError):
+                step.shape = ()
+            assert step.shape == layer_shape(d, k) and step.frame == frame_cells(d, k)
+            assert step.axes == tuple(range(-d, 0))
+            ups, downs = step_slices(d, k, True), step_slices(d, k, False)
+            assert step.up == tuple((i, t) for _, i, t in ups)
+            assert step.down == tuple((i, t) for _, i, t in downs)
+            assert [(i, t) for i, t, _ in step.moves] == [(i, t) for _, i, t in sorted(ups)]
+
+
+def test_path_dp_top_is_the_result_score():
+    rng = np.random.default_rng(4)
+    for d, lead in ((1, (5,)), (2, ()), (3, (2,))):
+        dp = PathDP(d, lead)
+        for k in range(1, 6):
+            dp.push(rng.random(lead + layer_shape(d, k)))
+        assert dp.top().tobytes() == dp.result()[0].tobytes()

@@ -1,7 +1,9 @@
 """Counter RNG: determinism, key separation, and distribution quality."""
 
 import numpy as np
+import pytest
 
+from polylab import lattice, rng
 from polylab.rng import (counter_uniform, derive_seed, mix_words,
                          replication_seed, splitmix64)
 
@@ -58,3 +60,77 @@ def test_mix_words_broadcasts():
     out = mix_words(5, ws)
     assert out.shape == (8,)
     assert len(set(out.tolist())) == 8
+
+
+# The fold counter_uniform replaced, written out here: SplitMix64 on the
+# uint64 words (seed, k+1, x_1, ..., x_d), each word times the golden
+# ratio constant, then the top 53 bits of the state as a float.
+
+_MASK = (1 << 64) - 1
+
+
+def reference_finalize(z):
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def reference_uniform(seed, k, coords):
+    coords = np.asarray(coords, dtype=np.int64)
+    key = mix_words(seed, k + 1)
+    sites = coords.shape[:-1]
+    state = np.empty(key.shape + sites, dtype=np.uint64)
+    np.copyto(state, key.reshape(key.shape + (1,) * len(sites)))
+    for j in range(coords.shape[-1]):
+        with np.errstate(over="ignore"):       # a single site's words are scalars
+            state ^= coords[..., j].view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        reference_finalize(state)
+    state >>= np.uint64(11)
+    out = state.astype(np.float64)
+    out *= 2.0 ** -53
+    return out
+
+
+def test_mix_words_matches_the_reference_fold():
+    seeds = np.array([0, 1, 2 ** 63, _MASK, 12345], dtype=np.uint64)
+    z = seeds ^ np.uint64((7 * 0x9E3779B97F4A7C15) & _MASK)
+    np.testing.assert_array_equal(mix_words(seeds, 7), reference_finalize(z))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [987, -5, (3, 2 ** 64 - 1, -7),
+                                  np.array([11, 2 ** 40], dtype=np.int64)],
+                         ids=["int", "negative-int", "tuple", "ndarray"])
+def test_counter_uniform_matches_reference_fold(d, seed):
+    """Bit for bit, on negative coordinates, on a layer's cube of sites and
+    on a layer larger than the coordinate cache."""
+    k = {1: lattice._CACHED_SITES + 5, 2: 40, 3: 11, 4: 6}[d]
+    sites = lattice.layer_sites(d, k)
+    assert sites.min() < 0
+    if d == 1:
+        assert sites.shape[0] > lattice._CACHED_SITES
+    for coords in (sites, sites.reshape(-1, d)[::7], sites.reshape(-1, d)[0]):
+        got = counter_uniform(seed, k, coords)
+        want = reference_uniform(seed, k, coords)
+        assert type(got) is type(want) is np.ndarray
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_key_cache_is_bounded_read_only_and_the_fold():
+    """The keys of a block of steps are mixed at once and the last block is
+    kept: one block, read-only, and bit for bit mix_words across block
+    edges and for every seed kind."""
+    assert rng._key_block.cache_info().maxsize == 1
+    block = rng._key_block((4, 5, 6), 8)
+    assert block.shape == (rng._KEY_BLOCK, 3) and not block.flags.writeable
+    for seed in (9, -9, (4, 5, 6), np.array([4, 5, 6]), [4, 5, 6]):
+        for j in (0, 1, 7, 8, 9, 15, 16, 301):
+            assert rng._key(seed, j).tobytes() == mix_words(seed, j).tobytes()
+    assert rng._key(9, -3).tobytes() == mix_words(9, -3).tobytes()
+    u = counter_uniform((4, 5, 6), 7, np.array([[1], [3]]))
+    u[:] = 0.5                       # the caller owns the variates
+    assert not np.array_equal(counter_uniform((4, 5, 6), 7, np.array([[1], [3]])), u)
