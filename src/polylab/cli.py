@@ -18,8 +18,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import functionals, laws, verify
 from .engine import NumericalError, PolymerInstance, forward_backward
 from .harness import (ConfigError, ExperimentConfig, FIGURE1_CONFIG, histogram,
@@ -128,7 +126,7 @@ def cmd_env_check(args) -> int:
     law = parse_law_spec(args.law)
     law.validate()
     grid = law.interior_grid(args.grid_points)
-    hv = np.asarray(law.h(grid), dtype=np.float64)
+    hv = law.h(grid)
     K = laws.poincare_constant(law)
     print(f"law: {law.name}  support ({law.support_lo}, {law.support_hi})  "
           f"mean {law.mean:.12g}")

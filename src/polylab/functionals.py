@@ -124,7 +124,7 @@ def _gamma(instance: PolymerInstance, k: int, omega: np.ndarray,
     if np.any(raw <= law.support_lo + law.guard) or \
        np.any(raw >= law.support_hi - law.guard):
         raise ValueError(f"omega at step {k} sits on the support edge; h undefined")
-    return float((np.asarray(law.h(raw), dtype=np.float64) * theta[support]).sum())
+    return float((law.h(raw) * theta[support]).sum())
 
 
 def gamma_tau_profiles(solution: ThetaSolution, instance: PolymerInstance):

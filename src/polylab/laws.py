@@ -17,7 +17,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -60,10 +60,13 @@ class LawValidationError(ValueError):
 class EnvironmentLaw:
     """A bounded-support probability law for the disorder variables.
 
-    density must accept numpy arrays.  h_closed_form, when present, is used
-    instead of quadrature and must match the quadrature value (checked in
-    validate()).  quantile maps [0, 1) into the open support.  The laws
-    built here bind module-level functions with functools.partial, so they
+    density must accept numpy arrays.  h_closed_form evaluates h exactly
+    (up to rounding) on arrays; quadrature of the density is only the
+    reference validate() checks it against.  kinks are the interior points
+    where the density is not smooth; integrate() splits its quadrature at
+    them, so the reference is exact to rounding for a piecewise-polynomial
+    density.  quantile maps [0, 1) into the open support.  The laws built
+    here bind module-level functions with functools.partial, so they
     pickle: a parallel run ships the law its parent parsed and validated.
     """
 
@@ -72,7 +75,8 @@ class EnvironmentLaw:
     density: Callable[[np.ndarray], np.ndarray]
     mean: float
     quantile: Callable[[np.ndarray], np.ndarray]
-    h_closed_form: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    h_closed_form: Callable[[np.ndarray], np.ndarray]
+    kinks: Tuple[float, ...] = ()
     name: str = "law"
 
     @property
@@ -90,21 +94,26 @@ class EnvironmentLaw:
                 f"({self.support_lo}, {self.support_hi}); h is undefined there")
 
     def h(self, x):
-        """The weight function h; closed form when available, else quadrature."""
-        if self.h_closed_form is not None:
-            return self.h_closed_form(np.asarray(x, dtype=np.float64))
-        return np.vectorize(self._h_quad, otypes=[np.float64])(x)
+        """The weight function h, as float64, in closed form."""
+        return self.h_closed_form(np.asarray(x, dtype=np.float64))
 
     def h_eval(self, x: float) -> float:
         """h at a single point strictly inside the support."""
         self._check_inside(x)
         return float(self.h(x))
 
+    def integrate(self, fn: Callable, lo: float, hi: float) -> float:
+        """integral over (lo, hi) of fn(y) * density(y), by gauss_legendre
+        on each piece between the kinks inside (lo, hi)."""
+        edges = [lo, *(k for k in self.kinks if lo < k < hi), hi]
+        return sum(gauss_legendre(lambda y: fn(y) * self.density(y), u, v)
+                   for u, v in zip(edges, edges[1:]))
+
     def _h_quad(self, x: float) -> float:
+        """Quadrature reference for h(x)."""
         self._check_inside(x)
         m = self.mean
-        num = gauss_legendre(lambda y: (y - m) * self.density(y),
-                             x, self.support_hi - self.guard)
+        num = self.integrate(lambda y: y - m, x, self.support_hi - self.guard)
         return num / float(self.density(np.asarray(x)))
 
     def interior_grid(self, count: int = 4096) -> np.ndarray:
@@ -116,10 +125,10 @@ class EnvironmentLaw:
         a, b = self.support_lo, self.support_hi
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise LawValidationError(f"invalid support ({a}, {b})")
-        total = gauss_legendre(lambda y: self.density(y), a + self.guard, b - self.guard)
+        total = self.integrate(lambda y: 1.0, a + self.guard, b - self.guard)
         if abs(total - 1.0) > 1e-8:
             raise LawValidationError(f"density integrates to {total}, not 1")
-        m = gauss_legendre(lambda y: y * self.density(y), a + self.guard, b - self.guard)
+        m = self.integrate(lambda y: y, a + self.guard, b - self.guard)
         if abs(m - self.mean) > 1e-8:
             raise LawValidationError(f"density mean {m} != declared mean {self.mean}")
         grid = self.interior_grid(512)
@@ -130,11 +139,10 @@ class EnvironmentLaw:
         dh = np.diff(hv) / np.diff(grid)
         if not np.all(np.isfinite(dh)):
             raise LawValidationError("h' is not finite on the interior grid")
-        if self.h_closed_form is not None:
-            probe = self.interior_grid(64)
-            hq = np.array([self._h_quad(float(x)) for x in probe])
-            if np.max(np.abs(self.h(probe) - hq)) > 1e-8:
-                raise LawValidationError("closed-form h disagrees with quadrature")
+        probe = self.interior_grid(64)
+        hq = np.array([self._h_quad(float(x)) for x in probe])
+        if np.max(np.abs(self.h(probe) - hq)) > 1e-8:
+            raise LawValidationError("closed-form h disagrees with quadrature")
 
 
 def _uniform_density(lo, hi, y):
@@ -174,11 +182,29 @@ def _table_density(xs, fs, y):
     return np.where((y >= xs[0]) & (y <= xs[-1]), np.interp(y, xs, fs), 0.0)
 
 
+def _table_moment(u, v, fu, fv, m):
+    """integral over (u, v) of (y - m) f(y) for f linear from fu to fv, by
+    Simpson's rule, which is exact for this quadratic."""
+    return (v - u) / 6.0 * ((u - m) * fu + 2.0 * (0.5 * (u + v) - m) * (fu + fv)
+                            + (v - m) * fv)
+
+
+def _table_h(xs, fs, tails, m, x):
+    """h of the piecewise-linear density: tails[i] is the integral of
+    (y - m) f(y) over (xs[i], b), and x's own panel adds the rest."""
+    i = np.searchsorted(xs[1:-1], x, side="right")
+    fx = np.interp(x, xs, fs)
+    return (tails[i + 1] + _table_moment(x, xs[i + 1], fx, fs[i + 1], m)) / fx
+
+
 def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
     """Law from tabulated density samples (strictly increasing x covering (a,b)).
 
     The density is linearly interpolated and renormalized; the quantile is
     the exact inverse of the piecewise-linear interpolant of the numeric CDF.
+    h is exact for the interpolant: (y - m) f(y) is quadratic on each panel,
+    so its tail integrals are panel sums; the interior samples are the
+    law's kinks.
     """
     xs = np.asarray(xs, dtype=np.float64)
     fs = np.asarray(fs, dtype=np.float64)
@@ -197,9 +223,13 @@ def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
     cdf /= cdf[-1]
     mean = float(np.trapezoid(grid * pdf, grid) / np.trapezoid(pdf, grid))
+    panels = _table_moment(xs[:-1], xs[1:], fs[:-1], fs[1:], mean)
+    tails = np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
     return EnvironmentLaw(support_lo=lo, support_hi=hi,
                           density=partial(_table_density, xs, fs), mean=mean,
-                          quantile=partial(np.interp, xp=cdf, fp=grid), name="table")
+                          quantile=partial(np.interp, xp=cdf, fp=grid),
+                          h_closed_form=partial(_table_h, xs, fs, tails, mean),
+                          kinks=tuple(float(x) for x in xs[1:-1]), name="table")
 
 
 def load_table_law(path: str) -> EnvironmentLaw:
@@ -226,7 +256,7 @@ def poincare_constant(law: EnvironmentLaw) -> float:
     refinement around the grid maximizer to within 1e-8 in the argument.
     """
     grid = law.interior_grid(4096)
-    hv = np.asarray(law.h(grid), dtype=np.float64)
+    hv = law.h(grid)
     i = int(np.argmax(hv))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
@@ -255,11 +285,9 @@ def phi(law: EnvironmentLaw, lam: float) -> float:
     if lam == 0:
         return 1.0
 
-    def integrand(y):
-        return np.exp(-lam * np.asarray(law.h(y), dtype=np.float64)) * law.density(y)
-
     g = law.guard
-    return gauss_legendre(integrand, law.support_lo + g, law.support_hi - g)
+    return law.integrate(lambda y: np.exp(-lam * law.h(y)),
+                         law.support_lo + g, law.support_hi - g)
 
 
 def kappa(law: EnvironmentLaw, d: int) -> float:
@@ -293,9 +321,8 @@ def check_ibp(law: EnvironmentLaw, g: Callable, g_prime: Callable) -> float:
     """
     # Gauss-Legendre nodes are strictly interior, so no guard band is needed
     lo, hi = law.support_lo, law.support_hi
-    lhs = gauss_legendre(lambda y: (y - law.mean) * np.asarray(g(y)) * law.density(y), lo, hi)
-    rhs = gauss_legendre(
-        lambda y: np.asarray(law.h(y)) * np.asarray(g_prime(y)) * law.density(y), lo, hi)
+    lhs = law.integrate(lambda y: (y - law.mean) * np.asarray(g(y)), lo, hi)
+    rhs = law.integrate(lambda y: law.h(y) * np.asarray(g_prime(y)), lo, hi)
     return abs(lhs - rhs)
 
 
@@ -303,9 +330,9 @@ def check_poincare(law: EnvironmentLaw, g: Callable, g_prime: Callable) -> float
     """Margin K * E(g'(X)^2) - Var(g(X)); nonnegative up to quadrature error."""
     lo, hi = law.support_lo, law.support_hi
     K = poincare_constant(law)
-    eg = gauss_legendre(lambda y: np.asarray(g(y)) * law.density(y), lo, hi)
-    eg2 = gauss_legendre(lambda y: np.asarray(g(y)) ** 2 * law.density(y), lo, hi)
-    egp2 = gauss_legendre(lambda y: np.asarray(g_prime(y)) ** 2 * law.density(y), lo, hi)
+    eg = law.integrate(lambda y: np.asarray(g(y)), lo, hi)
+    eg2 = law.integrate(lambda y: np.asarray(g(y)) ** 2, lo, hi)
+    egp2 = law.integrate(lambda y: np.asarray(g_prime(y)) ** 2, lo, hi)
     return K * egp2 - (eg2 - eg * eg)
 
 

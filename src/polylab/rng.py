@@ -40,7 +40,7 @@ def _finalize(z: np.ndarray) -> np.ndarray:
 
 
 def splitmix64(z):
-    """SplitMix64 finalizer (xor-shift-multiply), vectorized over uint64."""
+    """SplitMix64 finalizer (xor-shift-multiply), elementwise on uint64 arrays."""
     return _finalize(np.array(z, dtype=np.uint64))
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from polylab import cli, verify
@@ -183,6 +184,16 @@ class TestEnvCheck:
         out = capsys.readouterr().out
         assert "K = sup h = 0.5" in out
         assert "kappa(d=1)" in out
+
+    def test_table(self, tmp_path, capsys):
+        """The 201-node 1 - x^2 table, perfbench's table_law density."""
+        path = tmp_path / "density.csv"
+        path.write_text("x,f\n" + "".join(f"{x:.17g},{max(0.0, 1.0 - x * x):.17g}\n"
+                                          for x in np.linspace(-1.0, 1.0, 201)))
+        assert main(["env-check", "--law", f"table:{path}"]) == EXIT_OK
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("K = sup h = "))
+        assert float(line.split("=")[-1]) == pytest.approx(0.24999479159, abs=1e-8)
 
     def test_zero_grid_points_is_config_error(self, capsys):
         assert_config_error(main(["env-check", "--grid-points", "0"]), capsys)

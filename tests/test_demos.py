@@ -1,7 +1,6 @@
 """Smoke tests of the demo scripts: each runs as its own process, exits 0 and
 prints something, so a renamed or removed export cannot break a demo
-silently.  demos/04_law_diagnostics.py is left out: its quadrature battery
-takes about 20 s."""
+silently."""
 
 import os
 import subprocess
@@ -12,7 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ["01_single_instance.py", "02_histogram_experiment.py",
-         "03_scaling_and_contrast.py"]
+         "03_scaling_and_contrast.py", "04_law_diagnostics.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

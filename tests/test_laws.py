@@ -1,6 +1,9 @@
 """Environment laws: closed forms vs quadrature, identity batteries."""
 
+import dataclasses
 import math
+import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +30,33 @@ def quad_h(law, x):
     """Independent quadrature oracle for h: int_x^b (y-m) f(y) dy / f(x)."""
     num = gauss_legendre(lambda y: (y - law.mean) * law.density(y), x, law.support_hi)
     return num / float(law.density(np.asarray(x)))
+
+
+def exact_table_h(law, xs, x):
+    """h of a table law in exact rational arithmetic, from the law's own
+    normalized samples (its density at the nodes) and its mean: on each
+    panel the density is linear, so int (y - m) f(y) dy is a cubic."""
+    nodes = [Fraction(v) for v in np.asarray(xs, dtype=float)]
+    fs = [Fraction(float(v)) for v in law.density(np.asarray(xs, dtype=float))]
+    m, x = Fraction(law.mean), Fraction(float(x))
+
+    def f(y, i):
+        return fs[i] + (fs[i + 1] - fs[i]) * (y - nodes[i]) / (nodes[i + 1] - nodes[i])
+
+    def moment(u, v, i):
+        fu, slope, w = f(u, i), (fs[i + 1] - fs[i]) / (nodes[i + 1] - nodes[i]), v - u
+        return (u - m) * fu * w + ((u - m) * slope + fu) * w ** 2 / 2 + slope * w ** 3 / 3
+
+    i = max(j for j in range(len(nodes) - 1) if nodes[j] <= x)
+    num = moment(x, nodes[i + 1], i) + sum(
+        moment(nodes[j], nodes[j + 1], j) for j in range(i + 1, len(nodes) - 1))
+    return float(num / f(x, i))
+
+
+def parabola():
+    """perfbench's table_law density: 1 - x^2 sampled at 201 nodes."""
+    xs = np.linspace(-1.0, 1.0, 201)
+    return xs, np.maximum(0.0, 1.0 - xs * xs)
 
 
 class TestUniform:
@@ -214,6 +244,48 @@ class TestTableLaw:
         got = law.quantile(u)
         assert got.shape == u.shape
         assert max(abs(g - bisect(v)) for g, v in zip(got, u)) <= tol
+
+    @pytest.mark.parametrize("xs,fs", [
+        ([0.0, 0.3, 0.45, 1.2], [0.0, 2.0, 1.0, 0.5]),
+        ([-1.0, -0.2, 0.1, 0.5, 0.7, 2.0], [1.0, 3.0, 2.0, 2.5, 0.1, 0.0]),
+        ([-2.0, -1.0, 0.3, 0.31, 0.9, 1.5, 3.0], [0.0, 1.0, 5.0, 4.0, 1.0, 1.0, 0.2]),
+        parabola(),
+    ])
+    def test_closed_form_is_exact(self, xs, fs):
+        law = make_table_law(xs, fs)
+        probe = law.interior_grid(64)
+        exact = [exact_table_h(law, xs, x) for x in probe]
+        np.testing.assert_allclose(law.h(probe), exact, rtol=0, atol=1e-14)
+        assert law.kinks == tuple(xs[1:-1])
+
+    def test_quadrature_reference_exact_on_parabola(self):
+        """_h_quad splits at the nodes, so no quadrature panel straddles a
+        kink of the density."""
+        xs, fs = parabola()
+        law = make_table_law(xs, fs)
+        probe = law.interior_grid(64)
+        exact = [exact_table_h(law, xs, x) for x in probe]
+        np.testing.assert_allclose([law._h_quad(float(x)) for x in probe], exact,
+                                   rtol=0, atol=1e-12)
+
+    def test_flat_table_is_uniform(self):
+        xs = np.linspace(-1.0, 1.0, 201)
+        law, uni = make_table_law(xs, np.ones_like(xs)), make_uniform(-1.0, 1.0)
+        grid = law.interior_grid(512)
+        np.testing.assert_allclose(law.h(grid), uni.h(grid), rtol=0, atol=1e-12)
+
+    def test_validate_rejects_scaled_h(self):
+        law = make_table_law(*parabola())
+        bad = dataclasses.replace(law, h_closed_form=lambda x: 1.01 * law.h_closed_form(x))
+        with pytest.raises(LawValidationError, match="disagrees with quadrature"):
+            bad.validate()
+
+    def test_pickled_h_is_bit_identical(self):
+        law = make_table_law(*parabola())
+        copy = pickle.loads(pickle.dumps(law))
+        grid = law.interior_grid(512)
+        np.testing.assert_array_equal(copy.h(grid), law.h(grid))
+        assert copy.kinks == law.kinks
 
     def test_rejects_nonmonotone(self):
         with pytest.raises(LawValidationError):
