@@ -20,7 +20,7 @@ law = make_uniform(-1.0, 1.0)
 inst = PolymerInstance(d=D, n=N, beta=BETA, law=law, seed=SEED)
 sol = forward_backward(inst)
 
-report = build_report(sol, inst)
+report = build_report(sol)
 print(f"instance: d={D}, n={N}, beta={BETA}, law={law.name}")
 print(f"log Z          = {sol.log_partition:.6f}")
 print(f"rho (overlap)  = {report.rho:.6f}")

@@ -8,7 +8,9 @@ Subcommands:
   verify     full property battery; exit 0 iff everything passes
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
-failure.  Every subcommand is deterministic given its flags.
+failure, 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports
+a writer stopped by a closed pipe).  Every subcommand is deterministic given
+its flags.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -73,7 +76,7 @@ def cmd_simulate(args) -> int:
                                seed=replication_seed(config.base_seed, 0),
                                centered=config.centered)
         sol = forward_backward(inst, keep_forward=False)
-        report = functionals.build_report(sol, inst)
+        report = functionals.build_report(sol)
     # every solve is done before the first file is opened
     write_report_csv(records, args.out, include_runtime=args.timings)
     if report is not None:
@@ -215,7 +218,13 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, which matches the config-error code
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()      # a block-buffered stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: give it a sink
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ConfigError, laws.LawValidationError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -403,6 +403,12 @@ def _theta(f: np.ndarray, b: np.ndarray, k: int, axes: Tuple[int, ...],
 class ThetaSolution:
     """Full forward-backward result for one instance or a batch.
 
+    instance is the PolymerInstance that was solved: its d, n, beta and
+    seed are the solution's, and the readers of a solution (theta_value,
+    sample_paths, theta_derivative_check, dump_solution and the
+    functionals) take them, and the environment, from it.  A
+    forward_backward(layer_omega=) solve keeps the instance whose other
+    layers it drew, so its replaced layers are not that instance's layers.
     theta_layers[k-1] holds the occupation probabilities at step k in the
     layout of lattice.layer_shape;
     forward_layers holds the normalized forward mass (needed for exact path
@@ -412,10 +418,7 @@ class ThetaSolution:
     the alpha sums (batch + (n,)) and the ell program (path_dp) instead.
     """
 
-    d: int
-    n: int
-    beta: float
-    seed: Seed
+    instance: PolymerInstance
     theta_layers: List[np.ndarray]
     log_partition: Union[float, np.ndarray]
     layer_lognorms: Optional[np.ndarray] = None
@@ -424,21 +427,22 @@ class ThetaSolution:
     path_dp: Optional[PathDP] = None
 
     def theta_array(self, k: int) -> np.ndarray:
-        if not (1 <= k <= self.n):
-            raise ValueError(f"step {k} outside 1..{self.n}")
+        if not (1 <= k <= self.instance.n):
+            raise ValueError(f"step {k} outside 1..{self.instance.n}")
         if not self.theta_layers:
             raise ValueError("theta layers were not kept (keep_theta=False)")
         return self.theta_layers[k - 1]
 
     def theta_value(self, k: int, site: Site) -> float:
         """theta at one (step, site) key; 0 off the reachability cone."""
-        require_single(self.seed, "theta_value")
+        d = self.instance.d
+        require_single(self.instance.seed, "theta_value")
         theta = self.theta_array(k)
-        if len(site) != self.d:
-            raise ValueError(f"site {site} has {len(site)} coordinates, not d={self.d}")
+        if len(site) != d:
+            raise ValueError(f"site {site} has {len(site)} coordinates, not d={d}")
         if not is_reachable(site, k):
             return 0.0
-        return float(theta.reshape(-1)[site_cells(self.d, k, site)])
+        return float(theta.reshape(-1)[site_cells(d, k, site)])
 
 
 def _cumulative_cells(d: int, n: int) -> List[int]:
@@ -589,7 +593,8 @@ def forward_backward(instance: PolymerInstance,
     (layer 1 once).
 
     layer_omega {k: omega} replaces layer k of one environment by omega,
-    which broadcasts to the step-k layer shape, as in layer_theta.
+    which broadcasts to the step-k layer shape, as in layer_theta.  The
+    solution's instance is still `instance`, whose layer k is not omega.
     """
     d, n, beta = instance.d, instance.n, instance.beta
     omegas = {}
@@ -647,7 +652,7 @@ def forward_backward(instance: PolymerInstance,
 
     log_partition = lognorms.sum(axis=-1)
     return ThetaSolution(
-        d=d, n=n, beta=beta, seed=instance.seed,
+        instance=instance,
         theta_layers=theta,
         log_partition=log_partition if lead else float(log_partition),
         layer_lognorms=lognorms,
@@ -755,7 +760,7 @@ def brute_force(instance: PolymerInstance):
     ell = best / n
 
     sol = ThetaSolution(
-        d=d, n=n, beta=beta, seed=instance.seed,
+        instance=instance,
         theta_layers=theta, log_partition=log_partition,
         layer_lognorms=None, forward_layers=None,
     )
@@ -769,10 +774,10 @@ def sample_paths(solution: ThetaSolution, count: int,
     Samples the endpoint from the forward mass, then walks backward choosing
     each predecessor proportionally to its forward mass.
     """
-    require_single(solution.seed, "sample_paths")
+    require_single(solution.instance.seed, "sample_paths")
     if solution.forward_layers is None:
         raise ValueError("solution lacks forward layers; rebuild with keep_forward=True")
-    d, n = solution.d, solution.n
+    d, n = solution.instance.d, solution.instance.n
     steps = step_vectors(d)
     out = np.empty((count, n, d), dtype=np.int64)
 
@@ -808,14 +813,14 @@ def sample_paths(solution: ThetaSolution, count: int,
 _FD_STEP = 1e-6
 
 
-def theta_derivative_check(instance: PolymerInstance, solution: ThetaSolution,
-                           k: int, x: Site):
+def theta_derivative_check(solution: ThetaSolution, k: int, x: Site):
     """Compare the analytic sensitivity beta*theta*(1-theta) of theta_{k,x}
     to its own omega against a central finite difference of half-width
-    _FD_STEP.
+    _FD_STEP in the environment of solution.instance.
 
     Returns (analytic, numeric).
     """
+    instance = solution.instance
     t = solution.theta_value(k, x)
     analytic = instance.beta * t * (1.0 - t)
 
@@ -841,19 +846,20 @@ def dump_solution(solution: ThetaSolution, csv_path: str, json_path: str) -> Non
     """Write the nonzero theta entries of reachable sites as CSV rows
     (k, site, theta), sites in lexicographic order, plus a JSON sidecar with
     the run parameters."""
-    require_single(solution.seed, "dump_solution")
+    inst = solution.instance
+    require_single(inst.seed, "dump_solution")
     with open(csv_path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["k", "site", "theta"])
-        for k in range(1, solution.n + 1):
+        for k in range(1, inst.n + 1):
             theta = solution.theta_array(k).reshape(-1)
-            sites = layer_sites(solution.d, k).reshape(-1, solution.d)
+            sites = layer_sites(inst.d, k).reshape(-1, inst.d)
             order = np.lexsort(sites.T[::-1])       # cube C order is not lexicographic
             for x, val in zip(sites[order].tolist(), theta[order].tolist()):
                 if val != 0.0 and is_reachable(x, k):
                     wr.writerow([k, ";".join(map(str, x)), f"{val:.17g}"])
     with open(json_path, "w") as fh:
         json.dump({"log_partition": solution.log_partition,
-                   "seed": solution.seed, "d": solution.d,
-                   "n": solution.n, "beta": solution.beta}, fh, indent=2)
+                   "seed": inst.seed, "d": inst.d,
+                   "n": inst.n, "beta": inst.beta}, fh, indent=2)
         fh.write("\n")

@@ -50,7 +50,7 @@ def alpha_profile(solution: ThetaSolution) -> np.ndarray:
     """alpha_k = sum_x theta_{k,x}^2 for k = 1..n; shape batch + (n,)."""
     if solution.alpha is not None:
         return solution.alpha.copy()
-    return np.stack([layer_alpha(t, solution.d) for t in solution.theta_layers],
+    return np.stack([layer_alpha(t, solution.instance.d) for t in solution.theta_layers],
                     axis=-1)
 
 
@@ -65,7 +65,7 @@ def rho(solution: ThetaSolution):
 
     A float, or an (R,) array for a batched solution."""
     r = alpha_profile(solution).mean(axis=-1)
-    return r if batch_shape(solution.seed) else float(r)
+    return r if batch_shape(solution.instance.seed) else float(r)
 
 
 def ell(solution: ThetaSolution):
@@ -81,19 +81,19 @@ def ell(solution: ThetaSolution):
     scores, (R, n, d) paths).
     A keep_theta=False solve ran the program during its sweep.
     """
-    n = solution.n
-    lead = batch_shape(solution.seed)
+    d, n = solution.instance.d, solution.instance.n
+    lead = batch_shape(solution.instance.seed)
     top, path = _path_program(solution).result()
     scores = (top / n).reshape(lead)
-    path = path.reshape(lead + (n, solution.d))
+    path = path.reshape(lead + (n, d))
     return (scores if lead else float(scores)), path
 
 
 def ell_scores(solution: ThetaSolution):
     """ell alone, as ell(solution)[0] bit for bit, without backtracking the
     path that attains it."""
-    lead = batch_shape(solution.seed)
-    scores = (_path_program(solution).top() / solution.n).reshape(lead)
+    lead = batch_shape(solution.instance.seed)
+    scores = (_path_program(solution).top() / solution.instance.n).reshape(lead)
     return scores if lead else float(scores)
 
 
@@ -102,7 +102,7 @@ def _path_program(solution: ThetaSolution) -> PathDP:
     the stored theta layers."""
     dp = solution.path_dp
     if dp is None:
-        dp = PathDP(solution.d, batch_shape(solution.seed))
+        dp = PathDP(solution.instance.d, batch_shape(solution.instance.seed))
         for t in solution.theta_layers:
             dp.push(t)
     return dp
@@ -127,12 +127,14 @@ def _gamma(instance: PolymerInstance, k: int, omega: np.ndarray,
     return float((law.h(raw) * theta[support]).sum())
 
 
-def gamma_tau_profiles(solution: ThetaSolution, instance: PolymerInstance):
-    """(gamma_k, tau_k) arrays, with tau_k = sum_x omega_{k,x} theta_{k,x}."""
-    require_single(solution.seed, "gamma_tau_profiles")
-    gamma = np.empty(solution.n)
-    tau = np.empty(solution.n)
-    for k in range(1, solution.n + 1):
+def gamma_tau_profiles(solution: ThetaSolution):
+    """(gamma_k, tau_k) arrays in the environment of solution.instance, with
+    tau_k = sum_x omega_{k,x} theta_{k,x}."""
+    instance = solution.instance
+    require_single(instance.seed, "gamma_tau_profiles")
+    gamma = np.empty(instance.n)
+    tau = np.empty(instance.n)
+    for k in range(1, instance.n + 1):
         th = solution.theta_array(k)
         om = env_layer(instance, k)
         gamma[k - 1] = _gamma(instance, k, om, th)
@@ -176,23 +178,23 @@ def primed_estimates(instance: PolymerInstance, k: int, resamples: int):
     for j, omega in enumerate(env_layer(replace(instance, seed=subs), k)):
         sol = forward_backward(instance, keep_forward=False, layer_omega={k: omega})
         th = sol.theta_array(k)
-        alphas[j] = float((th ** 2).sum())
+        alphas[j] = float(layer_alpha(th, instance.d))
         gammas[j] = _gamma(instance, k, omega, th)
     se = (float(np.std(alphas, ddof=1)) / math.sqrt(resamples),
           float(np.std(gammas, ddof=1)) / math.sqrt(resamples))
     return float(alphas.mean()), float(gammas.mean()), se
 
 
-def build_report(solution: ThetaSolution,
-                 instance: PolymerInstance) -> LocalizationReport:
-    """Assemble the localization report and check its internal identities."""
-    require_single(solution.seed, "build_report")
+def build_report(solution: ThetaSolution) -> LocalizationReport:
+    """Assemble the localization report of solution.instance and check its
+    internal identities."""
+    require_single(solution.instance.seed, "build_report")
     alpha = alpha_profile(solution)
     r = float(alpha.mean())
     l, path = ell(solution)
     if not overlap_chain_holds(r, l):
         raise RuntimeError(f"overlap chain violated: ell^2={l*l} rho={r} ell={l}")
-    gamma, tau = gamma_tau_profiles(solution, instance)
+    gamma, tau = gamma_tau_profiles(solution)
     return LocalizationReport(rho=r, ell=l, argmax_path=path,
                               alpha_profile=alpha, gamma_profile=gamma,
                               tau_profile=tau)

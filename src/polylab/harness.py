@@ -146,7 +146,7 @@ def _solve_chunk(config: ExperimentConfig, law: EnvironmentLaw,
     runtime_ms is the chunk's wall time divided by its size.
     """
     t0 = time.perf_counter()
-    seeds = tuple(replication_seed(config.base_seed, r) for r in range(lo, hi))
+    seeds = tuple(replication_seed(config.base_seed, np.arange(lo, hi)))
     inst = PolymerInstance(d=config.d, n=config.n, beta=config.beta, law=law,
                            seed=seeds, centered=config.centered)
     sol = forward_backward(inst, keep_forward=False, keep_theta=False)

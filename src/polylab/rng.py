@@ -57,18 +57,8 @@ def _seed_words(seed) -> np.ndarray:
     if isinstance(seed, np.ndarray):
         return _as_word(seed)
     if isinstance(seed, (tuple, list)):
-        return _tuple_words(tuple(seed))
+        return np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)
     return np.asarray(np.uint64(int(seed) & _MASK64))
-
-
-@lru_cache(maxsize=16)
-def _tuple_words(seed: tuple) -> np.ndarray:
-    """A tuple of seeds as read-only uint64 words.  A batched solve draws
-    every layer of its R environments with one seed tuple, so the tuple is
-    converted once, not once per layer."""
-    words = np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)
-    words.flags.writeable = False
-    return words
 
 
 def mix_words(seed, *words):
@@ -140,7 +130,8 @@ def counter_uniform(seed, k, coords):
     return out
 
 
-def replication_seed(base_seed: int, r: int) -> int:
-    """Seed for replication r: finalizer of base_seed + r * golden."""
+def replication_seed(base_seed: int, r):
+    """Seed for replication r: finalizer of base_seed + r * golden.  For an
+    integer array r, the list of the seeds of its entries."""
     base = np.asarray(base_seed & _MASK64, dtype=np.uint64)
-    return int(splitmix64(base + np.asarray(r, dtype=np.uint64) * GOLDEN))
+    return splitmix64(base + np.asarray(r, dtype=np.uint64) * GOLDEN).tolist()

@@ -14,8 +14,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import functionals, laws
-from .engine import (PolymerInstance, brute_force, forward_backward, layer_theta,
-                     theta_derivative_check)
+from .engine import (PolymerInstance, brute_force, forward_backward, layer_alpha,
+                     layer_theta, theta_derivative_check)
 from .harness import FIGURE1_CONFIG
 from .lattice import layer_sites
 from .rng import derive_seed, replication_seed
@@ -198,7 +198,7 @@ def zero_layer_bounds(betas: Sequence[float] = (1.0, 3.0), n: int = 40,
                                 and np.all(ratio <= (1 + SANDWICH_TOL) * bound))
             worst = max(worst, float(ratio.max()) / bound)
         k = n // 2
-        alpha_k = float((sol.theta_array(k) ** 2).sum())
+        alpha_k = float(layer_alpha(sol.theta_array(k), inst.d))
         ah, _, (se_a, _) = functionals.primed_estimates(inst, k, resamples)
         bound_ok &= ah <= math.exp(4 * beta * LAW.width) * alpha_k + SE_BAND * se_a
         primed.append(f"beta={beta}: alpha'={ah:.3g} vs alpha={alpha_k:.3g}")
@@ -218,7 +218,7 @@ def derivative_identity(n: int = 40, trials: int = 100, seed: int = 5005) -> Lis
         k = int(rng.integers(1, n + 1))
         xs = layer_sites(1, k)[:, 0]
         analytic, numeric = theta_derivative_check(
-            inst, sol, k, (int(xs[rng.integers(len(xs))]),))
+            sol, k, (int(xs[rng.integers(len(xs))]),))
         worst = max(worst, abs(analytic - numeric) / max(1.0, abs(analytic)))
     return [_check("derivative_identity", worst <= FD_TOL, f"worst mismatch {worst:.2e}")]
 

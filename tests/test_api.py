@@ -1,6 +1,8 @@
 """The public API of the polylab package: the names it exports, pinned, so
 that every change to them is a deliberate diff of this list."""
 
+import dataclasses
+import inspect
 import types
 
 import polylab
@@ -34,3 +36,18 @@ def test_public_names_resolve():
         value = getattr(polylab, name)
         assert callable(value), name
         assert value.__module__.startswith("polylab."), name
+
+
+def test_a_solution_carries_its_instance():
+    """ThetaSolution holds its PolymerInstance and no copy of its fields, and
+    the functions of one solved environment take no second instance that
+    could disagree with it."""
+    fields = [f.name for f in dataclasses.fields(polylab.ThetaSolution)]
+    assert fields == ["instance", "theta_layers", "log_partition", "layer_lognorms",
+                      "forward_layers", "alpha", "path_dp"]
+    assert not any(hasattr(polylab.ThetaSolution, name)
+                   for name in ("d", "n", "beta", "seed"))
+    for fn, params in [(polylab.build_report, ["solution"]),
+                       (polylab.gamma_tau_profiles, ["solution"]),
+                       (polylab.theta_derivative_check, ["solution", "k", "x"])]:
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__

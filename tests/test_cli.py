@@ -1,12 +1,19 @@
 """CLI: subcommand plumbing, exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polylab import cli, verify
-from polylab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED, main)
+from polylab.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED,
+                         main)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def not_called(*args, **kwargs):
@@ -242,3 +249,23 @@ def test_unwritable_output_fails_before_computing(monkeypatch, tmp_path, capsys,
                                                   argv, owner, name):
     monkeypatch.setattr(owner, name, not_called)
     assert_config_error(main(argv + [str(tmp_path / "missing" / "f")]), capsys)
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_without_traceback(flags):
+    """A reader that closes the pipe before the command writes (as in
+    `polylab env-check | head -1` on a long output) ends it with
+    128 + SIGPIPE, whether stdout fails on a print or on the final flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, *flags, "-m", "polylab.cli", "env-check",
+                               "--grid-points", "256"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in done.stderr

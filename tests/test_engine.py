@@ -451,20 +451,34 @@ class TestDerivativeIdentity:
     def test_beta0_zero_derivative(self):
         inst = PolymerInstance(d=1, n=10, beta=0.0, law=LAW, seed=2)
         sol = forward_backward(inst)
-        analytic, numeric = theta_derivative_check(inst, sol, 5, (1,))
+        analytic, numeric = theta_derivative_check(sol, 5, (1,))
         assert analytic == 0.0
         assert abs(numeric) <= 1e-9
 
     def test_n1_softmax_derivative(self):
         inst = PolymerInstance(d=1, n=1, beta=2.0, law=LAW, seed=17)
         sol = forward_backward(inst)
-        analytic, numeric = theta_derivative_check(inst, sol, 1, (1,))
+        analytic, numeric = theta_derivative_check(sol, 1, (1,))
         t = sol.theta_value(1, (1,))
         assert analytic == pytest.approx(2.0 * t * (1 - t), abs=1e-15)
         assert abs(analytic - numeric) <= 1e-5 * max(1.0, analytic)
 
     def test_random_sites(self):
         assert verify.derivative_identity(n=40, trials=20, seed=606)[0]["passed"]
+
+
+@pytest.mark.parametrize("seed,solve", [
+    (5, forward_backward),
+    (5, lambda inst: forward_backward(inst, keep_theta=False)),
+    ((5, 6, 7), forward_backward),
+    (5, lambda inst: brute_force(inst)[0]),
+    (5, lambda inst: forward_backward(inst, layer_omega={2: 0.0})),
+], ids=["stored", "streamed", "batched", "brute-force", "layer-omega"])
+def test_solution_carries_its_instance(seed, solve):
+    """Every kind of solve hands back the instance it solved itself, the
+    one home of the solution's d, n, beta, law and seed."""
+    inst = PolymerInstance(d=2, n=4, beta=1.5, law=LAW, seed=seed)
+    assert solve(inst).instance is inst
 
 
 def test_dump_solution(tmp_path):

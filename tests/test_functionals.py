@@ -122,19 +122,19 @@ class TestEll:
 class TestGammaTau:
     def test_gamma_bounded_by_K(self):
         inst, sol = solved(1, 30, 2.0, 60)
-        gamma, tau = gamma_tau_profiles(sol, inst)
+        gamma, tau = gamma_tau_profiles(sol)
         K = poincare_constant(LAW)
         assert np.all(gamma > 0)
         assert np.all(gamma <= K + 1e-12)
 
     def test_tau_in_support(self):
         inst, sol = solved(1, 30, 2.0, 61)
-        _, tau = gamma_tau_profiles(sol, inst)
+        _, tau = gamma_tau_profiles(sol)
         assert np.all(tau > -1.0) and np.all(tau < 1.0)
 
     def test_n1_equal_weights_exact(self):
         inst, sol = solved(1, 1, 0.0, 62)
-        gamma, tau = gamma_tau_profiles(sol, inst)
+        gamma, tau = gamma_tau_profiles(sol)
         from polylab.engine import env_value
         v1, v2 = env_value(inst, 1, (-1,)), env_value(inst, 1, (1,))
         assert gamma[0] == pytest.approx(
@@ -145,7 +145,7 @@ class TestGammaTau:
         law = make_uniform(0.0, 2.0)
         inst = PolymerInstance(d=1, n=10, beta=1.0, law=law, seed=63, centered=True)
         sol = forward_backward(inst, keep_forward=False)
-        gamma, _ = gamma_tau_profiles(sol, inst)
+        gamma, _ = gamma_tau_profiles(sol)
         assert np.all(gamma > 0)
 
 
@@ -162,7 +162,7 @@ class TestPsi:
 
     def test_gibbs_average_matches_gamma_sum(self):
         inst, sol = solved(1, 20, 2.0, 72, keep_forward=True)
-        gamma, _ = gamma_tau_profiles(sol, inst)
+        gamma, _ = gamma_tau_profiles(sol)
         rng = np.random.default_rng(derive_seed(72, 9))
         m = 4000
         paths = sample_paths(sol, m, rng)
@@ -175,7 +175,7 @@ class TestPsi:
         minimum of psi over all paths."""
         inst = PolymerInstance(d=1, n=8, beta=2.0, law=LAW, seed=73)
         sol = forward_backward(inst, keep_forward=False)
-        gamma, _ = gamma_tau_profiles(sol, inst)
+        gamma, _ = gamma_tau_profiles(sol)
         A = list(range(1, 9))
         best = math.inf
         # enumerate all 2^8 paths
@@ -271,7 +271,7 @@ class TestPrimedEstimates:
         monkeypatch.setattr(functionals, "env_layer",
                             lambda instance, j: np.full_like(draw(instance, j), -1.0))
         with pytest.raises(ValueError, match="support edge"):
-            gamma_tau_profiles(sol, inst)
+            gamma_tau_profiles(sol)
         with pytest.raises(ValueError, match="support edge"):
             primed_estimates(inst, 3, 100)
 
@@ -279,7 +279,7 @@ class TestPrimedEstimates:
 class TestReport:
     def test_build_report(self):
         inst, sol = solved(1, 30, 3.0, 90)
-        rep = build_report(sol, inst)
+        rep = build_report(sol)
         assert rep.rho == pytest.approx(rho(sol), abs=1e-15)
         assert rep.ell ** 2 <= rep.rho + 1e-12 <= rep.ell + 2e-12
         assert rep.alpha_profile.size == 30

@@ -100,6 +100,21 @@ def test_mix_words_matches_the_reference_fold():
     np.testing.assert_array_equal(mix_words(seeds, 7), reference_finalize(z))
 
 
+@pytest.mark.parametrize("base", [0, -1, 2 ** 64 - 1])
+def test_replication_seed_array_is_the_per_index_loop(base):
+    """One call over an integer array gives the list of the per-index seeds,
+    for r in 0..999 and near 2**63, where r * golden wraps; each is the
+    finalizer of base + r * golden mod 2**64."""
+    near = np.array([2 ** 63 - 2, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1], dtype=np.uint64)
+    for rs in (np.arange(1000), near):
+        got = replication_seed(base, rs)
+        assert type(got) is list and all(type(s) is int for s in got)
+        assert got == [replication_seed(base, int(r)) for r in rs]
+    for r in near.tolist():
+        z = np.array([(base + r * 0x9E3779B97F4A7C15) & _MASK], dtype=np.uint64)
+        assert replication_seed(base, r) == int(reference_finalize(z)[0])
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", [987, -5, (3, 2 ** 64 - 1, -7),
                                   np.array([11, 2 ** 40], dtype=np.int64)],
