@@ -72,7 +72,7 @@ def cmd_simulate(args) -> int:
     report = None
     if args.profiles:
         inst = PolymerInstance(d=config.d, n=config.n, beta=config.beta,
-                               law=config.law(),
+                               law=config.law,
                                seed=replication_seed(config.base_seed, 0),
                                centered=config.centered)
         sol = forward_backward(inst, keep_forward=False)

@@ -40,10 +40,13 @@ mixes the keys of a block of steps at once.
 layer_theta answers one-layer questions (the zero-layer marginal zeta_k, a
 finite difference in omega_k) from one sweep over the other layers, since
 F_{k-1} and B_k do not depend on omega_k.  It and forward_backward take
-every step from _backward_step and _forward_step, and every layer, in
-either domain, is normalized by _normalize, which raises NumericalError on
-a layer that is not finite; a drawn layer with any non-finite value raises
-it too (_shifted).
+every layer's weights from _weights (which alone knows that beta=0 draws
+nothing) and every step from _backward_step and _forward_step, and every
+layer, in either domain, is normalized by _normalize, which raises
+NumericalError on a layer that is not finite; a drawn layer with any
+non-finite value raises it too (_shifted).  Log-masses are shifted by
+their largest and exponentiated in one place, _exp_shifted, for
+_normalize and _theta alike.
 
 An instance whose seed is a tuple of R seeds is a batch of R independent
 environments.  Every layer then carries a leading axis of length R, every
@@ -52,7 +55,8 @@ bit the solution of the single instance with seed[r].  An int seed is the
 same code with no leading axis.
 
 A brute-force enumerator over all (2d)^n paths provides the independent
-oracle for small instances.
+oracle for small instances; path i takes its steps from the base-2d digits
+of i (np.unravel_index).
 """
 
 from __future__ import annotations
@@ -116,19 +120,34 @@ class PolymerInstance:
     centered: bool = False
 
     def __post_init__(self):
+        # PathDP calls int.bit_length on d; a seed is stored as Python ints
         for name in ("d", "n"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise TypeError(f"{name} must be an int, got {v!r}")
-            object.__setattr__(self, name, int(v))     # PathDP calls int.bit_length on d
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be >= 1")
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if isinstance(self.seed, (list, np.ndarray)):
-            raise TypeError("seed must be an int or a tuple of ints")
-        if isinstance(self.seed, tuple) and not self.seed:
-            raise ValueError("a seed tuple needs at least one seed")
+        if isinstance(self.seed, tuple):
+            if not self.seed:
+                raise ValueError("a seed tuple needs at least one seed")
+            seed = tuple(_as_int("each seed of a tuple", s) for s in self.seed)
+        else:
+            seed = _as_int("seed", self.seed)
+        object.__setattr__(self, "seed", seed)
+
+    @property
+    def omega_shift(self) -> float:
+        """What centering subtracts from every environment value: the law's
+        mean for a centered instance, else 0."""
+        return self.law.mean if self.centered else 0.0
+
+
+def _as_int(what: str, v) -> int:
+    """v as a Python int; TypeError for a bool or a non-integer, which int()
+    would silently turn into another value."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise TypeError(f"{what} must be an int, got {v!r}")
+    return int(v)
 
 
 def _draw(instance: PolymerInstance, k: int, coords: np.ndarray) -> np.ndarray:
@@ -137,7 +156,7 @@ def _draw(instance: PolymerInstance, k: int, coords: np.ndarray) -> np.ndarray:
     u = counter_uniform(instance.seed, k, coords)
     om = np.asarray(instance.law.quantile(u), dtype=np.float64)
     if instance.centered:
-        om -= instance.law.mean
+        om -= instance.omega_shift
     return om
 
 
@@ -266,17 +285,16 @@ def _shifted(scaled: np.ndarray, d: int, log: bool) -> Weights:
     return scaled, m
 
 
-def _weights(beta: float, omega: np.ndarray, d: int, log: bool) -> Weights:
-    """The shifted weights of beta*omega (_shifted), or None for the
-    all-ones weights of beta=0."""
-    return None if beta == 0.0 else _shifted(beta * omega, d, log)
-
-
-def _layer_weights(instance: PolymerInstance, k: int, log: bool) -> Weights:
-    """The shifted weights of layer k (_shifted); beta=0 draws nothing."""
+def _weights(instance: PolymerInstance, k: int, log: bool,
+             omega: Optional[np.ndarray] = None) -> Weights:
+    """The shifted weights (_shifted) of layer k, drawn unless omega is given
+    in its place, or None for the all-ones weights of beta=0, which draws
+    nothing."""
     if instance.beta == 0.0:
         return None
-    return _weights(instance.beta, env_layer(instance, k), instance.d, log)
+    if omega is None:
+        omega = env_layer(instance, k)
+    return _shifted(instance.beta * omega, instance.d, log)
 
 
 def _log(values: np.ndarray) -> np.ndarray:
@@ -332,11 +350,8 @@ def _normalize(x: np.ndarray, axes: Tuple[int, ...], what: str, k: int,
     finite and positive (in log space: whose largest log-mass is not
     finite) raises NumericalError naming `what` and k."""
     if log:
-        top = np.maximum.reduce(x, axis=axes, keepdims=True)
-        if not _within(top, -np.inf):
-            raise NumericalError(f"non-finite {what} layer at k={k}")
-        scaled = x - top
-        s = top + _log(np.add.reduce(np.exp(scaled, out=scaled), axis=axes, keepdims=True))
+        scaled, top = _exp_shifted(x, None, axes, what, k)
+        s = top + _log(np.add.reduce(scaled, axis=axes, keepdims=True))
         x -= s
         return s
     s = np.add.reduce(x, axis=axes, keepdims=True)
@@ -344,6 +359,19 @@ def _normalize(x: np.ndarray, axes: Tuple[int, ...], what: str, k: int,
         raise NumericalError(f"non-finite {what} layer at k={k}")
     x /= s
     return s
+
+
+def _exp_shifted(x: np.ndarray, out: Optional[np.ndarray], axes: Tuple[int, ...],
+                 what: str, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(exp(x - top), top) for the log-masses x of the step-k layer, with top
+    their largest per environment (size-1 site axes `axes`); the exp is
+    written into out, a new array if out is None.  A top that is not finite
+    raises NumericalError naming `what` and k."""
+    top = np.maximum.reduce(x, axis=axes, keepdims=True)
+    if not _within(top, -np.inf):
+        raise NumericalError(f"non-finite {what} layer at k={k}")
+    e = np.subtract(x, top, out=out)
+    return np.exp(e, out=e), top
 
 
 def _backward_step(b: Optional[np.ndarray], w: Weights, plan: Plan, k: int,
@@ -390,11 +418,7 @@ def _theta(f: np.ndarray, b: np.ndarray, k: int, axes: Tuple[int, ...],
     combine, _ = _SWEEP_OPS[log]
     th = combine(b, f, out=b)
     if log:
-        top = np.maximum.reduce(th, axis=axes, keepdims=True)
-        if not _within(top, -np.inf):
-            raise NumericalError(f"non-finite theta layer at k={k}")
-        th -= top
-        np.exp(th, out=th)
+        _exp_shifted(th, th, axes, "theta", k)
     _normalize(th, axes, "theta", k, False)
     return th
 
@@ -596,7 +620,7 @@ def forward_backward(instance: PolymerInstance,
     which broadcasts to the step-k layer shape, as in layer_theta.  The
     solution's instance is still `instance`, whose layer k is not omega.
     """
-    d, n, beta = instance.d, instance.n, instance.beta
+    d, n = instance.d, instance.n
     omegas = {}
     for k, om in (layer_omega or {}).items():
         require_single(instance.seed, "layer_omega")
@@ -609,9 +633,7 @@ def forward_backward(instance: PolymerInstance,
     plan = step_plan(d, n)
 
     def weights(k: int) -> Weights:
-        if k in omegas:
-            return _weights(beta, omegas[k], d, log)
-        return _layer_weights(instance, k, log)
+        return _weights(instance, k, log, omegas.get(k))
 
     checkpoints = dict.fromkeys(tops[:-1])
     b = None
@@ -680,28 +702,18 @@ def layer_theta(instance: PolymerInstance, k: int, omega_k) -> np.ndarray:
     plan = step_plan(d, n)
     b = None
     for j in range(n - 1, k - 1, -1):
-        b = _backward_step(b, _layer_weights(instance, j + 1, log), plan, j, (), log)
+        b = _backward_step(b, _weights(instance, j + 1, log), plan, j, (), log)
     f = np.full((1,) * d, 0.0 if log else 1.0)
     for j in range(1, k):
-        f, _ = _forward_step(f, _layer_weights(instance, j, log), plan, j, (), log)
+        f, _ = _forward_step(f, _weights(instance, j, log), plan, j, (), log)
     omega_k = np.asarray(omega_k, dtype=np.float64)
     shape = np.broadcast_shapes(omega_k.shape, layer_shape(d, k))
-    w = _weights(instance.beta, np.broadcast_to(omega_k, shape), d, log)
+    w = _weights(instance, k, log, np.broadcast_to(omega_k, shape))
     f, _ = _forward_step(np.broadcast_to(f, shape[:-d] + f.shape), w, plan, k,
                          shape[:-d], log)
     if k == n:
         return np.exp(f) if log else f
     return _theta(f, np.broadcast_to(b, shape).copy(), k, plan[k].axes, log)
-
-
-def _digits(idx: np.ndarray, base: int, n: int) -> np.ndarray:
-    """Base-`base` digits of idx, shape (m, n); digit j picks the step at j."""
-    out = np.empty((idx.size, n), dtype=np.int64)
-    rem = idx.astype(np.int64)
-    for j in range(n):
-        out[:, j] = rem % base
-        rem //= base
-    return out
 
 
 def _path_chunks(d: int, n: int):
@@ -712,7 +724,8 @@ def _path_chunks(d: int, n: int):
     total = (2 * d) ** n
     for lo in range(0, total, _BRUTE_CHUNK):
         idx = np.arange(lo, min(lo + _BRUTE_CHUNK, total))
-        pos = np.cumsum(steps[_digits(idx, 2 * d, n)], axis=1)      # (m, n, d)
+        digits = np.stack(np.unravel_index(idx, (2 * d,) * n)[::-1], axis=1)
+        pos = np.cumsum(steps[digits], axis=1)      # (m, n, d); digit j is step j
         flat = [site_cells(d, k, pos[:, k - 1]) for k in range(1, n + 1)]
         yield slice(lo, lo + idx.size), flat
 
@@ -825,9 +838,8 @@ def theta_derivative_check(solution: ThetaSolution, k: int, x: Site):
     analytic = instance.beta * t * (1.0 - t)
 
     w0 = env_value(instance, k, x)
-    shift = instance.law.mean if instance.centered else 0.0
-    lo = instance.law.support_lo - shift + instance.law.guard
-    hi = instance.law.support_hi - shift - instance.law.guard
+    lo = instance.law.support_lo - instance.omega_shift + instance.law.guard
+    hi = instance.law.support_hi - instance.omega_shift - instance.law.guard
     w_plus, w_minus = w0 + _FD_STEP, w0 - _FD_STEP
     if w_plus > hi or w_minus < lo:
         warnings.warn("finite-difference step leaves the support; clamping")
@@ -845,7 +857,8 @@ def theta_derivative_check(solution: ThetaSolution, k: int, x: Site):
 def dump_solution(solution: ThetaSolution, csv_path: str, json_path: str) -> None:
     """Write the nonzero theta entries of reachable sites as CSV rows
     (k, site, theta), sites in lexicographic order, plus a JSON sidecar with
-    the run parameters."""
+    the run parameters.  The cube's cells off the cone carry exactly zero
+    mass in either domain, so a nonzero entry is a reachable site."""
     inst = solution.instance
     require_single(inst.seed, "dump_solution")
     with open(csv_path, "w", newline="") as fh:
@@ -856,7 +869,7 @@ def dump_solution(solution: ThetaSolution, csv_path: str, json_path: str) -> Non
             sites = layer_sites(inst.d, k).reshape(-1, inst.d)
             order = np.lexsort(sites.T[::-1])       # cube C order is not lexicographic
             for x, val in zip(sites[order].tolist(), theta[order].tolist()):
-                if val != 0.0 and is_reachable(x, k):
+                if val != 0.0:
                     wr.writerow([k, ";".join(map(str, x)), f"{val:.17g}"])
     with open(json_path, "w") as fh:
         json.dump({"log_partition": solution.log_partition,

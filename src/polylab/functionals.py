@@ -116,11 +116,12 @@ def overlap_chain_holds(r: float, l: float) -> bool:
 def _gamma(instance: PolymerInstance, k: int, omega: np.ndarray,
            theta: np.ndarray) -> float:
     """gamma_k = sum_x h(omega_x + shift) theta_x over the sites where theta
-    is positive; shift is the law's mean for a centered instance, since h
-    is defined against the raw (uncentered) density."""
+    is positive; shift is instance.omega_shift (the law's mean for a
+    centered instance), since h is defined against the raw (uncentered)
+    density."""
     law = instance.law
     support = theta > 0
-    raw = omega[support] + (law.mean if instance.centered else 0.0)
+    raw = omega[support] + instance.omega_shift
     if np.any(raw <= law.support_lo + law.guard) or \
        np.any(raw >= law.support_hi - law.guard):
         raise ValueError(f"omega at step {k} sits on the support edge; h undefined")
@@ -150,11 +151,10 @@ def psi(instance: PolymerInstance, path: np.ndarray, index_set: Iterable[int]) -
     ks = sorted(set(int(k) for k in index_set))
     if ks and (ks[0] < 1 or ks[-1] > instance.n):
         raise ValueError("index set must lie in 1..n")
-    shift = instance.law.mean if instance.centered else 0.0
     total = 0.0
     for k in ks:
         w = env_value(instance, k, tuple(path[k - 1]))
-        total += float(instance.law.h(w + shift))
+        total += float(instance.law.h(w + instance.omega_shift))
     return total
 
 

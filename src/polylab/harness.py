@@ -22,7 +22,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,11 +92,10 @@ class ExperimentConfig:
         if self.d < 1 or self.n < 1 or self.beta < 0:
             raise ConfigError("need d >= 1, n >= 1, beta >= 0")
 
+    @cached_property
     def law(self) -> EnvironmentLaw:
+        """The parsed law_spec, parsed once per config."""
         return parse_law_spec(self.law_spec)
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -185,7 +184,7 @@ def run_replications(config: ExperimentConfig,
     """Run all replications; records are returned in index order and are
     identical whether executed serially or in parallel.  The law is parsed
     and validated once, here; workers receive it pickled."""
-    law = config.law()
+    law = config.law
     law.validate()
     size = chunk_size(config.d, config.n, config.beta,
                       log_space(config.beta, law))

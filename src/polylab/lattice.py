@@ -25,9 +25,9 @@ shape and frame cells in one Step, and step_plan the Steps of a solve, so
 the engine's neighbour sums and PathDP look them up once per solve or push,
 not once per op.
 
-The rest of the module is coordinate-level: neighbor enumeration, cone
-iteration and masks, path validation, overlap counting, and the max-sum
-path dynamic program.
+The rest of the module is coordinate-level: neighbor enumeration (x plus
+the unit steps of step_vectors), cone iteration and masks, path
+validation, overlap counting, and the max-sum path dynamic program.
 """
 
 from __future__ import annotations
@@ -43,26 +43,17 @@ Site = Tuple[int, ...]
 
 
 def neighbors(x: Site):
-    """The 2d sites at L1 distance 1 from x, in lexicographic order."""
-    out = []
-    for j in range(len(x)):
-        for s in (-1, 1):
-            y = list(x)
-            y[j] += s
-            out.append(tuple(y))
-    out.sort()
-    return out
+    """The 2d sites at L1 distance 1 from x, x + v over step_vectors, in
+    lexicographic order."""
+    sites = np.asarray(x, dtype=np.int64) + step_vectors(len(x))
+    return [tuple(y) for y in sites.tolist()]
 
 
 def step_vectors(d: int) -> np.ndarray:
-    """All 2d unit steps as an (2d, d) int array, lexicographically sorted."""
-    vecs = []
-    for j in range(d):
-        for s in (-1, 1):
-            v = [0] * d
-            v[j] = s
-            vecs.append(v)
-    return np.array(sorted(vecs), dtype=np.int64)
+    """All 2d unit steps as an (2d, d) int array, lexicographically sorted:
+    -e_1 < ... < -e_d < e_d < ... < e_1."""
+    eye = np.eye(d, dtype=np.int64)
+    return np.concatenate([-eye, eye[::-1]])
 
 
 def layer_shape(d: int, k: int) -> Tuple[int, ...]:

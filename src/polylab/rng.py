@@ -90,9 +90,8 @@ _KEY_BLOCK = 8
 def _key_block(seed, first: int) -> np.ndarray:
     """mix_words(seed, j) for j = first, ..., first + _KEY_BLOCK - 1, on the
     leading axis, read-only."""
-    seeds = _seed_words(seed)
-    steps = np.arange(first, first + _KEY_BLOCK, dtype=np.uint64) * GOLDEN
-    keys = _finalize(steps.reshape((-1,) + (1,) * seeds.ndim) ^ seeds)
+    steps = np.arange(first, first + _KEY_BLOCK, dtype=np.uint64)
+    keys = mix_words(seed, steps.reshape((-1, 1) if isinstance(seed, tuple) else -1))
     keys.flags.writeable = False
     return keys
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polylab import cli, verify
+from polylab import cli, harness, verify
 from polylab.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED,
                          main)
 
@@ -61,6 +61,23 @@ class TestSimulate:
         lines = prof.read_text().strip().splitlines()
         assert lines[0] == "k,alpha,gamma,tau"
         assert len(lines) == 21
+
+    def test_profiles_reuse_the_runs_law(self, monkeypatch, tmp_path):
+        """--profiles solves with the law the run parsed and validated: a
+        table law's CSV is parsed once."""
+        table = tmp_path / "law.csv"
+        xs = np.linspace(-1.0, 1.0, 5)
+        table.write_text("x,f\n" + "".join(f"{x:.17g},{1.0 - 0.5 * x * x:.17g}\n"
+                                           for x in xs))
+        specs = []
+        parse = harness.parse_law_spec
+        monkeypatch.setattr(harness, "parse_law_spec",
+                            lambda spec: specs.append(spec) or parse(spec))
+        code = main(["simulate", "--d", "1", "--n", "12", "--beta", "1",
+                     "--law", f"table:{table}", "--reps", "2", "--seed", "3",
+                     "--out", str(tmp_path / "r.csv"), "--profiles", str(tmp_path / "p.csv")])
+        assert code == EXIT_OK
+        assert specs == [f"table:{table}"]
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

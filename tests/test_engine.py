@@ -58,6 +58,26 @@ class TestInstanceValidation:
         sol = forward_backward(inst, keep_theta=False)
         assert ell(sol)[0] == ell(forward_backward(inst))[0]
 
+    @pytest.mark.parametrize("seed", [1.5, 1.9, True, "1", np.float64(1.0),
+                                      (1, 2.7), (1, True), [1, 2], np.array([1, 2])])
+    def test_seeds_must_be_ints(self, seed):
+        """int() would silently turn each of these into another seed."""
+        with pytest.raises(TypeError, match="seed"):
+            PolymerInstance(d=1, n=5, beta=1.0, law=LAW, seed=seed)
+
+    @pytest.mark.parametrize("seed,plain", [(np.int64(5), 5), ((np.int64(5), 6), (5, 6)),
+                                            ((np.uint64(2 ** 64 - 1),), (2 ** 64 - 1,))])
+    def test_numpy_int_seeds_become_ints(self, seed, plain):
+        inst = PolymerInstance(d=2, n=4, beta=1.0, law=LAW, seed=seed)
+        assert inst.seed == plain and type(inst.seed) is type(plain)
+        stored = inst.seed if isinstance(inst.seed, tuple) else (inst.seed,)
+        assert all(type(s) is int for s in stored)
+        got = forward_backward(inst)
+        want = forward_backward(dataclasses.replace(inst, seed=plain))
+        assert np.asarray(got.log_partition).tobytes() == np.asarray(want.log_partition).tobytes()
+        for a, b in zip(got.theta_layers, want.theta_layers):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestEnvValue:
     def test_deterministic(self):
@@ -531,7 +551,7 @@ class TestLayout:
         per_seed = 2 * sum(k + 1 for k in range(1, n + 1)) - 2
         assert sum(drawn) == len(seeds) * per_seed == 3 * 988
 
-    @pytest.mark.parametrize("d,n", [(1, 6), (2, 3)])
+    @pytest.mark.parametrize("d,n", [(1, 6), (2, 3), (3, 4)])
     def test_dump_rows_are_the_reachable_sites_in_order(self, tmp_path, d, n):
         inst = PolymerInstance(d=d, n=n, beta=1.0, law=LAW, seed=99)
         sol = forward_backward(inst, keep_forward=False)

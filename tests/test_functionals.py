@@ -1,6 +1,7 @@
 """Localization functionals: profiles, overlap chain, the DP for ell,
 path-sum diagnostics, and layer-conditional estimates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -147,6 +148,28 @@ class TestGammaTau:
         sol = forward_backward(inst, keep_forward=False)
         gamma, _ = gamma_tau_profiles(sol)
         assert np.all(gamma > 0)
+
+
+class TestFreeEnergyIdentity:
+    """d log Z / d beta = sum_k tau_k for every environment: the Gibbs mean of
+    the path energy, of the centered omega for a centered instance."""
+
+    @pytest.mark.parametrize("lo,hi,centered", [(-1.0, 1.0, False), (0.0, 3.0, False),
+                                                (0.0, 3.0, True)])
+    @pytest.mark.parametrize("d,n,beta", [(1, 20, 1.0), (1, 20, 3.0), (1, 20, 100.0),
+                                          (2, 8, 2.0), (2, 8, 60.0), (3, 5, 1.5)])
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_log_partition_slope_is_sum_tau(self, lo, hi, centered, d, n, beta, seed):
+        law = make_uniform(lo, hi)
+        eps = 1e-5 * max(1.0, beta)
+        # beta +- eps on one side of the switch to log space (100 runs in it)
+        assert engine.log_space(beta - eps, law) == engine.log_space(beta + eps, law)
+        inst = PolymerInstance(d=d, n=n, beta=beta, law=law, seed=seed, centered=centered)
+        up, down = (forward_backward(dataclasses.replace(inst, beta=b),
+                                     keep_forward=False).log_partition
+                    for b in (beta + eps, beta - eps))
+        _, tau = gamma_tau_profiles(forward_backward(inst, keep_forward=False))
+        assert (up - down) / (2 * eps) == pytest.approx(tau.sum(), rel=1e-7)
 
 
 class TestPsi:

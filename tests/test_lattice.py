@@ -34,6 +34,14 @@ class TestNeighbors:
     def test_count_is_2d(self, x):
         assert len(neighbors(x)) == 2 * len(x)
 
+    @pytest.mark.parametrize("x", [(3,), (0, -2), (1, 2, -3), (5, 0, -1, 2)])
+    def test_order_is_lexicographic(self, x):
+        """neighbors and step_vectors list the unit steps in sorted order."""
+        units = sorted(tuple(s * (i == j) for i in range(len(x)))
+                       for j in range(len(x)) for s in (-1, 1))
+        assert [tuple(v) for v in step_vectors(len(x)).tolist()] == units
+        assert neighbors(x) == [tuple(a + b for a, b in zip(x, v)) for v in units]
+
 
 class TestReachableSites:
     def test_d1_k1(self):
