@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import functionals, laws, verify
-from .engine import NumericalError, PolymerInstance, forward_backward
+from .engine import NumericalError, forward_backward
 from .harness import (ConfigError, ExperimentConfig, FIGURE1_CONFIG, histogram,
                       parse_law_spec, run_replications, scaling_study,
                       summary_stats, write_histogram_csv, write_profile_csv,
@@ -71,10 +71,7 @@ def cmd_simulate(args) -> int:
     records = run_replications(config, workers=args.workers)
     report = None
     if args.profiles:
-        inst = PolymerInstance(d=config.d, n=config.n, beta=config.beta,
-                               law=config.law,
-                               seed=replication_seed(config.base_seed, 0),
-                               centered=config.centered)
+        inst = config.instance(replication_seed(config.base_seed, 0), config.law)
         sol = forward_backward(inst, keep_forward=False)
         report = functionals.build_report(sol)
     # every solve is done before the first file is opened

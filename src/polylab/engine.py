@@ -17,6 +17,9 @@ layers hold log-masses and neighbour sums are log-sum-exps.  Every
 neighbour sum takes its 2d steps as adds of contiguous flat slices of
 lattice frames (lattice.step_slices, planned per solve by
 lattice.step_plan), with the results of the windowed sums bit for bit.
+Every function that takes a step k, from env_layer to the keys of
+forward_backward's layer_omega, reads it through PolymerInstance.step,
+which refuses a bool, a non-integer and a step not in 1..n.
 
 The backward sweep runs first and the forward sweep then yields theta in
 increasing k.  By default every backward layer is kept and theta is written
@@ -141,6 +144,15 @@ class PolymerInstance:
         mean for a centered instance, else 0."""
         return self.law.mean if self.centered else 0.0
 
+    def step(self, k) -> int:
+        """k as a step of this instance, an int in 1..n: TypeError for a bool
+        or a non-integer (numpy integers are taken), ValueError outside 1..n.
+        Every function that takes a step reads it through here."""
+        k = k if type(k) is int else _as_int("step", k)
+        if not 1 <= k <= self.n:
+            raise ValueError(f"step {k} outside 1..{self.n}")
+        return k
+
 
 def _as_int(what: str, v) -> int:
     """v as a Python int; TypeError for a bool or a non-integer, which int()
@@ -167,16 +179,14 @@ def env_layer(instance: PolymerInstance, k: int) -> np.ndarray:
     In d >= 3 the cube's sites off the cone are drawn too, but carry no
     weight in the recursion since the forward mass there is zero.
     """
-    if not (1 <= k <= instance.n):
-        raise ValueError(f"step {k} outside 1..{instance.n}")
+    k = instance.step(k)
     return _draw(instance, k, layer_sites(instance.d, k))
 
 
 def env_value(instance: PolymerInstance, k: int, x: Site) -> float:
     """The omega value at one (step, site) key."""
     require_single(instance.seed, "env_value")
-    if not (1 <= k <= instance.n):
-        raise ValueError(f"step {k} outside 1..{instance.n}")
+    k = instance.step(k)
     if len(x) != instance.d:
         raise ValueError(f"site {x} has {len(x)} coordinates, not d={instance.d}")
     if not is_reachable(x, k):
@@ -451,11 +461,9 @@ class ThetaSolution:
     path_dp: Optional[PathDP] = None
 
     def theta_array(self, k: int) -> np.ndarray:
-        if not (1 <= k <= self.instance.n):
-            raise ValueError(f"step {k} outside 1..{self.instance.n}")
         if not self.theta_layers:
             raise ValueError("theta layers were not kept (keep_theta=False)")
-        return self.theta_layers[k - 1]
+        return self.theta_layers[self.instance.step(k) - 1]
 
     def theta_value(self, k: int, site: Site) -> float:
         """theta at one (step, site) key; 0 off the reachability cone."""
@@ -624,8 +632,7 @@ def forward_backward(instance: PolymerInstance,
     omegas = {}
     for k, om in (layer_omega or {}).items():
         require_single(instance.seed, "layer_omega")
-        if not (1 <= k <= n):
-            raise ValueError(f"step {k} outside 1..{n}")
+        k = instance.step(k)
         omegas[k] = np.broadcast_to(np.asarray(om, dtype=np.float64), layer_shape(d, k))
     lead = batch_shape(instance.seed)
     log = log_space(instance.beta, instance.law)
@@ -696,8 +703,7 @@ def layer_theta(instance: PolymerInstance, k: int, omega_k) -> np.ndarray:
     """
     require_single(instance.seed, "layer_theta")
     d, n = instance.d, instance.n
-    if not (1 <= k <= n):
-        raise ValueError(f"step {k} outside 1..{n}")
+    k = instance.step(k)
     log = log_space(instance.beta, instance.law)
     plan = step_plan(d, n)
     b = None
@@ -838,8 +844,7 @@ def theta_derivative_check(solution: ThetaSolution, k: int, x: Site):
     analytic = instance.beta * t * (1.0 - t)
 
     w0 = env_value(instance, k, x)
-    lo = instance.law.support_lo - instance.omega_shift + instance.law.guard
-    hi = instance.law.support_hi - instance.omega_shift - instance.law.guard
+    lo, hi = (edge - instance.omega_shift for edge in instance.law.inner)
     w_plus, w_minus = w0 + _FD_STEP, w0 - _FD_STEP
     if w_plus > hi or w_minus < lo:
         warnings.warn("finite-difference step leaves the support; clamping")

@@ -119,13 +119,12 @@ def _gamma(instance: PolymerInstance, k: int, omega: np.ndarray,
     is positive; shift is instance.omega_shift (the law's mean for a
     centered instance), since h is defined against the raw (uncentered)
     density."""
-    law = instance.law
+    lo, hi = instance.law.inner
     support = theta > 0
     raw = omega[support] + instance.omega_shift
-    if np.any(raw <= law.support_lo + law.guard) or \
-       np.any(raw >= law.support_hi - law.guard):
+    if np.any(raw <= lo) or np.any(raw >= hi):
         raise ValueError(f"omega at step {k} sits on the support edge; h undefined")
-    return float((law.h(raw) * theta[support]).sum())
+    return float((instance.law.h(raw) * theta[support]).sum())
 
 
 def gamma_tau_profiles(solution: ThetaSolution):
@@ -145,12 +144,13 @@ def gamma_tau_profiles(solution: ThetaSolution):
 
 
 def psi(instance: PolymerInstance, path: np.ndarray, index_set: Iterable[int]) -> float:
-    """sum over k in the index set of h(omega_{k, x_k}) along the path."""
+    """sum over k in the index set of h(omega_{k, x_k}) along the path, which
+    has one site for each of the instance's n steps."""
     path = np.asarray(path)
     validate_path(path, instance.d)
-    ks = sorted(set(int(k) for k in index_set))
-    if ks and (ks[0] < 1 or ks[-1] > instance.n):
-        raise ValueError("index set must lie in 1..n")
+    if path.shape[0] != instance.n:
+        raise ValueError(f"path has {path.shape[0]} sites, not n={instance.n}")
+    ks = sorted(set(map(instance.step, index_set)))
     total = 0.0
     for k in ks:
         w = env_value(instance, k, tuple(path[k - 1]))
@@ -170,6 +170,7 @@ def primed_estimates(instance: PolymerInstance, k: int, resamples: int):
     gamma from the same row.
     """
     require_single(instance.seed, "primed_estimates")
+    k = instance.step(k)
     if resamples < 100:
         raise ValueError("need at least 100 resamples")
     subs = tuple(derive_seed(instance.seed, _PRIMED_TAG, k, j) for j in range(resamples))

@@ -5,7 +5,8 @@ Replication r runs on its own derived seed, so results are independent of
 execution order.  Replications are solved in chunks, each chunk one batched
 forward_backward over its seeds that keeps no theta layers but reduces them
 to alpha and the ell program as the sweep produces them.  Serial and
-parallel runs solve the same chunks with the law the parent parsed, and a
+parallel runs solve the same chunks with the law the parent parsed
+(ExperimentConfig.instance builds a chunk's instance from it), and a
 batched solve equals the per-seed solves bit for bit, so records do not
 depend on the chunk size or the worker count.  All floats are emitted with
 17 significant digits; reports are byte-identical across reruns of the same
@@ -97,6 +98,13 @@ class ExperimentConfig:
         """The parsed law_spec, parsed once per config."""
         return parse_law_spec(self.law_spec)
 
+    def instance(self, seed, law: EnvironmentLaw) -> PolymerInstance:
+        """The PolymerInstance of this config for seed (an int, or a tuple
+        for a batch), solved with law: the config's own law, or the copy a
+        worker received pickled."""
+        return PolymerInstance(d=self.d, n=self.n, beta=self.beta, law=law,
+                               seed=seed, centered=self.centered)
+
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
@@ -146,9 +154,7 @@ def _solve_chunk(config: ExperimentConfig, law: EnvironmentLaw,
     """
     t0 = time.perf_counter()
     seeds = tuple(replication_seed(config.base_seed, np.arange(lo, hi)))
-    inst = PolymerInstance(d=config.d, n=config.n, beta=config.beta, law=law,
-                           seed=seeds, centered=config.centered)
-    sol = forward_backward(inst, keep_forward=False, keep_theta=False)
+    sol = forward_backward(config.instance(seeds, law), keep_forward=False, keep_theta=False)
     rhos = functionals.alpha_profile(sol).mean(axis=-1)
     ells = functionals.ell_scores(sol)       # the paths are not reported
     log_z = np.broadcast_to(sol.log_partition, rhos.shape)

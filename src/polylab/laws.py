@@ -8,7 +8,10 @@ derive the weight function
 its supremum K (the Poincare constant of the law), the Laplace-type
 transform phi(lambda) of h, and the threshold scale kappa used in the
 lower-tail argument.  Self-checks verify the integration-by-parts identity
-and the Poincare inequality on concrete test functions.
+and the Poincare inequality on concrete test functions.  Integrals and edge
+checks stay inside EnvironmentLaw.inner, the support less its guard band;
+quadrature stops at a panel that is not finite, and every check of
+validate() is written so that NaN fails it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ def gauss_legendre(fn: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
     """Adaptive composite Gauss-Legendre quadrature (256 nodes per panel).
 
     Panels are bisected until the two-half refinement agrees with the whole
-    panel within abs_tol.  Deterministic for a given integrand.
+    panel within abs_tol.  A panel whose halves sum to NaN or an infinity is
+    returned as it is, since no bisection can make it agree.  Deterministic
+    for a given integrand.
     """
     mid = 0.5 * (lo + hi)
 
@@ -46,7 +51,7 @@ def gauss_legendre(fn: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
 
     whole = panel(lo, hi)
     halves = panel(lo, mid) + panel(mid, hi)
-    if abs(whole - halves) <= abs_tol or _depth >= 24:
+    if not math.isfinite(halves) or abs(whole - halves) <= abs_tol or _depth >= 24:
         return halves
     return (gauss_legendre(fn, lo, mid, abs_tol / 2, _depth + 1)
             + gauss_legendre(fn, mid, hi, abs_tol / 2, _depth + 1))
@@ -87,6 +92,12 @@ class EnvironmentLaw:
     def guard(self) -> float:
         return EDGE_GUARD * self.width
 
+    @property
+    def inner(self) -> Tuple[float, float]:
+        """The support less its guard band at each end, where h and the
+        density are evaluated without a 0/0 form."""
+        return self.support_lo + self.guard, self.support_hi - self.guard
+
     def _check_inside(self, x: float) -> None:
         if not (self.support_lo < x < self.support_hi):
             raise ValueError(
@@ -113,7 +124,7 @@ class EnvironmentLaw:
         """Quadrature reference for h(x)."""
         self._check_inside(x)
         m = self.mean
-        num = self.integrate(lambda y: y - m, x, self.support_hi - self.guard)
+        num = self.integrate(lambda y: y - m, x, self.inner[1])
         return num / float(self.density(np.asarray(x)))
 
     def interior_grid(self, count: int = 4096) -> np.ndarray:
@@ -121,15 +132,18 @@ class EnvironmentLaw:
         return np.linspace(self.support_lo + pad, self.support_hi - pad, count)
 
     def validate(self) -> None:
-        """Raise LawValidationError if the law fails its structural checks."""
+        """Raise LawValidationError if the law fails its structural checks.
+
+        Each test is written so that NaN fails it: a density, a mean or an h
+        that is NaN where a test looks is refused."""
         a, b = self.support_lo, self.support_hi
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise LawValidationError(f"invalid support ({a}, {b})")
-        total = self.integrate(lambda y: 1.0, a + self.guard, b - self.guard)
-        if abs(total - 1.0) > 1e-8:
+        total = self.integrate(lambda y: 1.0, *self.inner)
+        if not abs(total - 1.0) <= 1e-8:
             raise LawValidationError(f"density integrates to {total}, not 1")
-        m = self.integrate(lambda y: y, a + self.guard, b - self.guard)
-        if abs(m - self.mean) > 1e-8:
+        m = self.integrate(lambda y: y, *self.inner)
+        if not abs(m - self.mean) <= 1e-8:
             raise LawValidationError(f"density mean {m} != declared mean {self.mean}")
         grid = self.interior_grid(512)
         hv = self.h(grid)
@@ -141,7 +155,7 @@ class EnvironmentLaw:
             raise LawValidationError("h' is not finite on the interior grid")
         probe = self.interior_grid(64)
         hq = np.array([self._h_quad(float(x)) for x in probe])
-        if np.max(np.abs(self.h(probe) - hq)) > 1e-8:
+        if not np.max(np.abs(self.h(probe) - hq)) <= 1e-8:
             raise LawValidationError("closed-form h disagrees with quadrature")
 
 
@@ -279,15 +293,13 @@ def poincare_constant(law: EnvironmentLaw) -> float:
 
 
 def phi(law: EnvironmentLaw, lam: float) -> float:
-    """phi(lambda) = E exp(-lambda h(X)); equals 1 at lambda 0, decreasing."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    """phi(lambda) = E exp(-lambda h(X)); equals 1 at lambda 0, decreasing.
+    A negative or NaN lambda raises ValueError."""
+    if not lam >= 0:
+        raise ValueError(f"lambda must be nonnegative, got {lam!r}")
     if lam == 0:
         return 1.0
-
-    g = law.guard
-    return law.integrate(lambda y: np.exp(-lam * law.h(y)),
-                         law.support_lo + g, law.support_hi - g)
+    return law.integrate(lambda y: np.exp(-lam * law.h(y)), *law.inner)
 
 
 def kappa(law: EnvironmentLaw, d: int) -> float:

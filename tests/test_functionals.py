@@ -216,6 +216,16 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(inst, path, [6])
 
+    @pytest.mark.parametrize("sites", [5, 12])
+    def test_path_must_have_n_sites(self, sites):
+        """A short path once raised IndexError at a step past its end, and a
+        long one was read up to step n."""
+        inst = PolymerInstance(d=1, n=10, beta=1.0, law=LAW, seed=75)
+        path = np.array([[1 - j % 2] for j in range(sites)])
+        validate_path(path, 1)
+        with pytest.raises(ValueError, match=f"path has {sites} sites, not n=10"):
+            psi(inst, path, [7] if sites < 10 else [1])
+
 
 class TestPrimedEstimates:
     def test_beta0_alpha_exact(self):

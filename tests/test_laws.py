@@ -304,3 +304,40 @@ class TestTableLaw:
         quadrature never converged."""
         with pytest.raises(LawValidationError, match="finite"):
             make_table_law(xs, fs)
+
+
+class TestNaN:
+    """NaN fails every test of quadrature and validate(): a NaN integrand
+    stops at once instead of bisecting to the depth limit."""
+
+    def test_nan_integrand_stops_after_three_panels(self):
+        panels = []
+
+        def fn(x):
+            panels.append(x.size)
+            return np.full_like(x, np.nan)
+
+        assert math.isnan(gauss_legendre(fn, 0.0, 1.0))
+        assert len(panels) == 3
+
+    def test_validate_rejects_nan_density(self, sym):
+        bad = dataclasses.replace(
+            sym, density=lambda y: np.where(np.asarray(y) > 0.5, np.nan, sym.density(y)))
+        with pytest.raises(LawValidationError, match="integrates to nan"):
+            bad.validate()
+
+    def test_validate_rejects_nan_mean(self, sym):
+        with pytest.raises(LawValidationError, match="declared mean nan"):
+            dataclasses.replace(sym, mean=math.nan).validate()
+
+    def test_validate_rejects_h_that_is_nan_at_the_probe(self, sym):
+        probe = sym.interior_grid(64)
+        bad = dataclasses.replace(
+            sym, h_closed_form=lambda x: np.where(np.isin(x, probe), np.nan,
+                                                  sym.h_closed_form(x)))
+        with pytest.raises(LawValidationError, match="disagrees with quadrature"):
+            bad.validate()
+
+    def test_phi_rejects_nan_rate(self, sym):
+        with pytest.raises(ValueError, match="nonnegative"):
+            phi(sym, math.nan)
