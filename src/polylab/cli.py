@@ -19,11 +19,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import functionals, laws, verify
 from .engine import NumericalError, forward_backward
-from .harness import (ConfigError, ExperimentConfig, FIGURE1_CONFIG, histogram,
-                      parse_law_spec, run_replications, scaling_study,
+from .harness import (DEFAULT_LAW, FIGURE1, ConfigError, ExperimentConfig,
+                      histogram, parse_law_spec, run_replications, scaling_study,
                       summary_stats, write_histogram_csv, write_profile_csv,
                       write_report_csv, worker_count)
 from .rng import replication_seed
@@ -37,8 +38,7 @@ EXIT_BROKEN_PIPE = 141
 
 def _config_from_args(args) -> ExperimentConfig:
     if args.config:
-        inline = [args.d, args.n, args.beta, args.reps, args.seed]
-        if any(v is not None for v in inline) or args.law != "uniform:-1,1":
+        if any(v is not None for v in (args.d, args.n, args.beta, args.law, args.reps, args.seed)):
             raise ConfigError("--config and inline flags are mutually exclusive")
         with open(args.config) as fh:
             return ExperimentConfig.from_json(fh.read())
@@ -48,7 +48,8 @@ def _config_from_args(args) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing required flags: {' '.join(missing)}")
     return ExperimentConfig(
-        d=args.d, n=args.n, beta=args.beta, law_spec=args.law,
+        d=args.d, n=args.n, beta=args.beta,
+        law_spec=args.law if args.law is not None else DEFAULT_LAW,
         replications=args.reps if args.reps is not None else 1,
         base_seed=args.seed if args.seed is not None else 0)
 
@@ -84,14 +85,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    config = ExperimentConfig(
-        d=FIGURE1_CONFIG["d"], n=FIGURE1_CONFIG["n"], beta=FIGURE1_CONFIG["beta"],
-        law_spec=FIGURE1_CONFIG["law"],
-        replications=args.reps, base_seed=args.seed, histogram_bins=args.bins)
+    config = replace(FIGURE1, replications=args.reps, base_seed=args.seed)
+    histogram([], args.bins)        # refuses too few bins before any solve
     for suffix in ("_report.csv", "_histogram.csv", "_summary.json"):
         _check_writable("--out-prefix", args.out_prefix + suffix)
     records = run_replications(config, workers=args.workers)
-    edges, counts = histogram(records, config.histogram_bins)
+    edges, counts = histogram(records, args.bins)
     write_report_csv(records, args.out_prefix + "_report.csv")
     write_histogram_csv(edges, counts, args.out_prefix + "_histogram.csv")
     summary = summary_stats(records)
@@ -169,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--d", type=int)
     sim.add_argument("--n", type=int)
     sim.add_argument("--beta", type=float)
-    sim.add_argument("--law", default="uniform:-1,1",
-                     help="uniform:lo,hi or table:path.csv")
+    sim.add_argument("--law", help=f"uniform:lo,hi or table:path.csv (default {DEFAULT_LAW})")
     sim.add_argument("--reps", type=int)
     sim.add_argument("--seed", type=int)
     sim.add_argument("--out", required=True, help="report CSV path")
@@ -181,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(fn=cmd_simulate)
 
     fig = sub.add_parser("figure1", help="canonical histogram run")
-    fig.add_argument("--reps", type=int, default=FIGURE1_CONFIG["replications"])
-    fig.add_argument("--seed", type=int, default=FIGURE1_CONFIG["base_seed"])
+    fig.add_argument("--reps", type=int, default=FIGURE1.replications)
+    fig.add_argument("--seed", type=int, default=FIGURE1.base_seed)
     fig.add_argument("--bins", type=int, default=40)
     fig.add_argument("--out-prefix", default="figure1")
     fig.add_argument("--workers", type=int)
@@ -195,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(fn=cmd_scaling)
 
     env = sub.add_parser("env-check", help="law diagnostics")
-    env.add_argument("--law", default="uniform:-1,1")
+    env.add_argument("--law", default=DEFAULT_LAW)
     env.add_argument("--grid-points", type=int, default=4096)
     env.set_defaults(fn=cmd_env_check)
 

@@ -67,6 +67,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -80,7 +81,7 @@ from .lattice import (PathDP, Site, Step, cell_sites, framed, is_reachable,
                       layer_cells, layer_shape, layer_sites, site_cells,
                       sites_bytes, step_geometry, step_plan, step_vectors)
 from .laws import EnvironmentLaw
-from .rng import counter_uniform
+from .rng import as_int, counter_uniform
 
 BRUTE_FORCE_LIMIT = 20_000_000
 _BRUTE_CHUNK = 1 << 15
@@ -111,6 +112,9 @@ class PolymerInstance:
 
     seed is an int for one environment, or a tuple of R ints for a batch of
     R environments solved together (a tuple keeps the instance hashable).
+    d, n and the seeds follow rng.as_int and are stored as Python ints;
+    beta is a real number (not a bool), stored as a float.  The law is not
+    read when an instance is made.
     centered: subtract the law's mean from every environment value.  This
     leaves the Gibbs measure unchanged up to a constant shift of log Z.
     """
@@ -125,17 +129,20 @@ class PolymerInstance:
     def __post_init__(self):
         # PathDP calls int.bit_length on d; a seed is stored as Python ints
         for name in ("d", "n"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be >= 1")
+        if isinstance(self.beta, bool) or not isinstance(self.beta, numbers.Real):
+            raise TypeError(f"beta must be a real number, got {self.beta!r}")
+        object.__setattr__(self, "beta", float(self.beta))
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
         if isinstance(self.seed, tuple):
             if not self.seed:
                 raise ValueError("a seed tuple needs at least one seed")
-            seed = tuple(_as_int("each seed of a tuple", s) for s in self.seed)
+            seed = tuple(as_int("each seed of a tuple", s) for s in self.seed)
         else:
-            seed = _as_int("seed", self.seed)
+            seed = as_int("seed", self.seed)
         object.__setattr__(self, "seed", seed)
 
     @property
@@ -148,18 +155,10 @@ class PolymerInstance:
         """k as a step of this instance, an int in 1..n: TypeError for a bool
         or a non-integer (numpy integers are taken), ValueError outside 1..n.
         Every function that takes a step reads it through here."""
-        k = k if type(k) is int else _as_int("step", k)
+        k = k if type(k) is int else as_int("step", k)
         if not 1 <= k <= self.n:
             raise ValueError(f"step {k} outside 1..{self.n}")
         return k
-
-
-def _as_int(what: str, v) -> int:
-    """v as a Python int; TypeError for a bool or a non-integer, which int()
-    would silently turn into another value."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise TypeError(f"{what} must be an int, got {v!r}")
-    return int(v)
 
 
 def _draw(instance: PolymerInstance, k: int, coords: np.ndarray) -> np.ndarray:

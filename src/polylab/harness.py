@@ -1,6 +1,11 @@
 """Batch experiment driver: replicated simulations over independent
 environments, histogram/CSV emission and the beta=0 scaling study.
 
+An ExperimentConfig and scaling_study check their polymer's d, n, beta and
+seed by building its PolymerInstance, which holds those rules, and report a
+broken one as a ConfigError.  FIGURE1 is the paper's figure-1 run and
+DEFAULT_LAW the law a run takes when none is named.
+
 Replication r runs on its own derived seed, so results are independent of
 execution order.  Replications are solved in chunks, each chunk one batched
 forward_backward over its seeds that keeps no theta layers but reduces them
@@ -18,11 +23,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -32,10 +36,9 @@ from . import functionals
 from .engine import (SOLVE_FIXED_BYTES, PolymerInstance, draw_bytes,
                      forward_backward, log_space, streamed_bytes)
 from .laws import EnvironmentLaw, load_table_law, make_uniform
-from .rng import replication_seed
+from .rng import as_int, replication_seed
 
-FIGURE1_CONFIG = dict(d=1, n=300, beta=3.0, law="uniform:-1,1",
-                      replications=1000, base_seed=20250823)
+DEFAULT_LAW = "uniform:-1,1"
 
 # Byte budget for what one chunk of replications holds in its streamed solve
 # (engine.streamed_bytes, an upper bound).  Batching shares the per-layer
@@ -68,30 +71,35 @@ def parse_law_spec(spec: str) -> EnvironmentLaw:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """`replications` environments of one polymer, replication r on seed
+    replication_seed(base_seed, r).
+
+    d, n, beta and base_seed follow PolymerInstance's rules: the config
+    builds its instance for base_seed and stores the instance's values, so
+    numpy integers become ints and beta a float.  Any invalid field is a
+    ConfigError."""
+
     d: int
     n: int
     beta: float
     law_spec: str
     replications: int
     base_seed: int
-    histogram_bins: int = 40
     centered: bool = False
 
     def __post_init__(self):
-        for name in ("d", "n", "replications", "base_seed", "histogram_bins"):
-            if type(getattr(self, name)) is not int:      # bool is not an int here
-                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if isinstance(self.beta, bool) or not isinstance(self.beta, (int, float)) \
-                or not math.isfinite(self.beta):
-            raise ConfigError(f"beta must be a finite number, got {self.beta!r}")
         if type(self.centered) is not bool or not isinstance(self.law_spec, str):
             raise ConfigError("centered must be true or false and law_spec a string")
-        if self.replications < 1:
+        try:
+            inst = self.instance(as_int("base_seed", self.base_seed), None)
+            replications = as_int("replications", self.replications)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+        if replications < 1:
             raise ConfigError("replications must be >= 1")
-        if self.histogram_bins < 10:
-            raise ConfigError("histogram needs at least 10 bins")
-        if self.d < 1 or self.n < 1 or self.beta < 0:
-            raise ConfigError("need d >= 1, n >= 1, beta >= 0")
+        # the fields as the instance stores them (frozen, so not by setattr)
+        vars(self).update(d=inst.d, n=inst.n, beta=inst.beta, base_seed=inst.seed,
+                          replications=replications)
 
     @cached_property
     def law(self) -> EnvironmentLaw:
@@ -115,6 +123,10 @@ class ExperimentConfig:
             return cls(**data)
         except TypeError as exc:
             raise ConfigError(f"bad config document: {exc}") from exc
+
+
+FIGURE1 = ExperimentConfig(d=1, n=300, beta=3.0, law_spec=DEFAULT_LAW,
+                           replications=1000, base_seed=20250823)
 
 
 @dataclass(frozen=True)
@@ -250,27 +262,27 @@ def write_profile_csv(alpha: np.ndarray, gamma: np.ndarray, tau: np.ndarray,
 
 
 def scaling_study(d: int, n_grid: Sequence[int], base_seed: int = 0,
-                  law_spec: str = "uniform:-1,1"):
+                  law_spec: str = DEFAULT_LAW):
     """ell and rho of the beta=0 (simple random walk) measure across n.
 
     The beta=0 measure is deterministic, so a single run per n suffices.
     Returns (rows, slope) where rows are (n, ell, rho) and slope is the
     fitted log-log slope of ell against n, which needs two distinct n.
+    d, every n and base_seed follow PolymerInstance's rules.
     """
-    if d < 1 or any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
-                    or n < 1 for n in n_grid):
-        raise ConfigError(f"need d >= 1 and every n an integer >= 1, got d={d}, "
-                          f"n={list(n_grid)}")
-    if len(set(n_grid)) < 2:
-        raise ConfigError(f"a slope needs at least two distinct n, got {list(n_grid)}")
     law = parse_law_spec(law_spec)
+    try:    # checks n and base_seed before replication_seed reads them
+        insts = [PolymerInstance(d=d, n=n, beta=0.0, law=law, seed=base_seed) for n in n_grid]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"scaling needs integers d, n >= 1 and base_seed: {exc}") from None
+    if len({inst.n for inst in insts}) < 2:
+        raise ConfigError(f"a slope needs at least two distinct n, got {list(n_grid)}")
     rows = []
-    for n in n_grid:
-        inst = PolymerInstance(d=d, n=int(n), beta=0.0, law=law,
-                               seed=replication_seed(base_seed, n))
+    for inst in insts:
+        inst = replace(inst, seed=replication_seed(base_seed, inst.n))
         sol = forward_backward(inst, keep_forward=False, keep_theta=False)
         l_val, _ = functionals.ell(sol)
-        rows.append((int(n), l_val, functionals.rho(sol)))
+        rows.append((inst.n, l_val, functionals.rho(sol)))
     ls = np.log([r[1] for r in rows])
     ns = np.log([r[0] for r in rows])
     slope = float(np.polyfit(ns, ls, 1)[0])

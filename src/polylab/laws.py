@@ -24,7 +24,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .rng import derive_seed
+from .rng import as_int, derive_seed
 
 # Guard band keeping evaluations strictly inside the open support, as a
 # fraction of (b - a).  f may vanish at the endpoints, making h a 0/0 form.
@@ -304,9 +304,10 @@ def phi(law: EnvironmentLaw, lam: float) -> float:
 
 def kappa(law: EnvironmentLaw, d: int) -> float:
     """1 / lambda* where lambda* is the smallest rate at which
-    log phi(lambda) drops below -2 log 2 - 2 log(2d) - 4.
+    log phi(lambda) drops below -2 log 2 - 2 log(2d) - 4.  d follows
+    rng.as_int.
     """
-    if d < 1:
+    if as_int("d", d) < 1:
         raise ValueError("d must be >= 1")
     threshold = -2.0 * math.log(2) - 2.0 * math.log(2 * d) - 4.0
 

@@ -29,6 +29,16 @@ _U53 = 2.0 ** -53
 _SHIFT11 = np.uint64(11)
 
 
+def as_int(what: str, v) -> int:
+    """v as a Python int; TypeError for a bool or a non-integer, which int()
+    would silently turn into another value.  The one integer rule: the sizes,
+    seeds and steps of a PolymerInstance, kappa's d and replication_seed's
+    base seed read through it."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise TypeError(f"{what} must be an int, got {v!r}")
+    return int(v)
+
+
 def _finalize(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer applied in place to a uint64 array."""
     z ^= z >> _SH1
@@ -131,6 +141,7 @@ def counter_uniform(seed, k, coords):
 
 def replication_seed(base_seed: int, r):
     """Seed for replication r: finalizer of base_seed + r * golden.  For an
-    integer array r, the list of the seeds of its entries."""
-    base = np.asarray(base_seed & _MASK64, dtype=np.uint64)
+    integer array r, the list of the seeds of its entries.  base_seed
+    follows as_int."""
+    base = np.asarray(as_int("base_seed", base_seed) & _MASK64, dtype=np.uint64)
     return splitmix64(base + np.asarray(r, dtype=np.uint64) * GOLDEN).tolist()

@@ -16,7 +16,7 @@ import numpy as np
 from . import functionals, laws
 from .engine import (PolymerInstance, brute_force, forward_backward, layer_alpha,
                      layer_theta, theta_derivative_check)
-from .harness import FIGURE1_CONFIG
+from .harness import FIGURE1
 from .lattice import layer_sites
 from .rng import derive_seed, replication_seed
 
@@ -145,11 +145,11 @@ def beta0_reduction(n: int = 300, seed: int = 7007) -> List[Dict]:
                    f"theta sup-norm {theta_err:.2e}, rho err {rho_err:.2e}")]
 
 
-def layer_normalization(n: int = FIGURE1_CONFIG["n"],
-                        seed: int = replication_seed(FIGURE1_CONFIG["base_seed"], 0)
+def layer_normalization(n: int = FIGURE1.n,
+                        seed: int = replication_seed(FIGURE1.base_seed, 0)
                         ) -> List[Dict]:
     """Every theta layer of one d = 1 instance at figure 1's beta sums to 1."""
-    sol = forward_backward(_instance(1, n, FIGURE1_CONFIG["beta"], seed), keep_forward=False)
+    sol = forward_backward(_instance(1, n, FIGURE1.beta, seed), keep_forward=False)
     worst = max(abs(float(t.sum()) - 1.0) for t in sol.theta_layers)
     return [_check("layer_normalization", worst <= NORM_TOL,
                    f"worst |sum-1| = {worst:.2e}")]

@@ -91,7 +91,7 @@ class TestSimulate:
     @pytest.mark.parametrize("key,value", [
         ("n", 20.0), ("replications", 2.0), ("base_seed", 5.0), ("d", True),
         ("histogram_bins", 40.0), ("beta", float("nan")), ("beta", float("inf")),
-        ("beta", "1"), ("centered", 1), ("law_spec", 5),
+        ("beta", "1"), ("centered", 1), ("law_spec", 5), ("beta", True),
     ])
     def test_ill_typed_config_is_config_error(self, tmp_path, key, value):
         doc = {"d": 1, "n": 20, "beta": 1.0, "law_spec": "uniform:-1,1",
@@ -109,6 +109,16 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--n", "10",
                      "--out", str(tmp_path / "r.csv")])
         assert code == EXIT_CONFIG
+
+    def test_config_refuses_law_flag(self, tmp_path, capsys):
+        """--law is an inline flag too, even when it names the default law."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 1, "n": 20, "beta": 1.0, "law_spec": "uniform:-1,1",
+                                   "replications": 2, "base_seed": 5}))
+        code = main(["simulate", "--config", str(cfg), "--law", "uniform:-1,1",
+                     "--out", str(tmp_path / "r.csv")])
+        assert "mutually exclusive" in assert_config_error(code, capsys)
+        assert not (tmp_path / "r.csv").exists()
 
     def test_malformed_json_config_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -143,6 +153,14 @@ class TestSimulate:
         code = main(["figure1", "--reps", "2", "--out-prefix",
                      str(tmp_path / "missing" / "fig")])
         assert_config_error(code, capsys)
+
+    def test_figure1_too_few_bins_fails_before_solving(self, monkeypatch, tmp_path,
+                                                       capsys):
+        monkeypatch.setattr(cli, "run_replications", not_called)
+        code = main(["figure1", "--reps", "2", "--bins", "5",
+                     "--out-prefix", str(tmp_path / "fig")])
+        assert "at least 10 bins" in assert_config_error(code, capsys)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("text", ["x,f\n-1,0\n0,one\n1,0\n", "x,f\n-1,0\n0\n1,0\n"])
     def test_malformed_table_law_is_config_error(self, tmp_path, capsys, text):

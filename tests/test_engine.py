@@ -78,6 +78,21 @@ class TestInstanceValidation:
         for a, b in zip(got.theta_layers, want.theta_layers):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("beta", [True, "1", None])
+    def test_beta_must_be_a_real_number(self, beta):
+        with pytest.raises(TypeError, match="beta must be a real number"):
+            PolymerInstance(d=1, n=5, beta=beta, law=LAW, seed=1)
+
+    @pytest.mark.parametrize("beta", [np.float32(2.0), np.int64(2), 2])
+    def test_beta_is_stored_as_a_float(self, beta):
+        inst = PolymerInstance(d=2, n=6, beta=beta, law=LAW, seed=5)
+        assert type(inst.beta) is float
+        got = forward_backward(inst)
+        want = forward_backward(dataclasses.replace(inst, beta=2.0))
+        assert np.asarray(got.log_partition).tobytes() == np.asarray(want.log_partition).tobytes()
+        for a, b in zip(got.theta_layers, want.theta_layers):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestEnvValue:
     def test_deterministic(self):

@@ -52,9 +52,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(d=1, n=10, beta=1.0, law_spec="uniform:-1,1",
                              replications=0, base_seed=0)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(d=1, n=10, beta=1.0, law_spec="uniform:-1,1",
-                             replications=5, base_seed=0, histogram_bins=5)
+
+    def test_numpy_values_are_stored_as_python_numbers(self):
+        """The config stores d, n, base_seed and beta as its PolymerInstance
+        does: numpy integers as ints and beta as a float, with the records
+        of the plain config."""
+        cfg = ExperimentConfig(d=np.int64(1), n=np.int64(40), beta=np.float32(2.0),
+                               law_spec="uniform:-1,1", replications=8,
+                               base_seed=np.int64(31415))
+        assert [type(v) for v in (cfg.d, cfg.n, cfg.base_seed, cfg.beta)] == \
+            [int, int, int, float]
+        assert cfg == CFG
+        assert _data(run_replications(cfg)) == _data(run_replications(CFG))
+
+    def test_batch_base_seed_is_config_error(self):
+        """An instance takes a tuple of seeds; a config's base seed is one int."""
+        with pytest.raises(ConfigError, match="base_seed must be an int"):
+            dataclasses.replace(CFG, base_seed=(1, 2))
 
 
 class TestRunReplications:
@@ -339,6 +353,11 @@ class TestScaling:
         """int(n) would truncate 16.5 to 16 and take True for 1."""
         with pytest.raises(ConfigError, match="integer"):
             scaling_study(1, n_grid)
+
+    @pytest.mark.parametrize("d", [True, 1.5])
+    def test_rejects_non_integral_dimension(self, d):
+        with pytest.raises(ConfigError, match="d must be an int"):
+            scaling_study(d, [8, 16])
 
     def test_numpy_int_sizes_are_ints(self):
         assert scaling_study(1, [np.int64(8), np.int32(16)]) == scaling_study(1, [8, 16])

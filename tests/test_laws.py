@@ -150,6 +150,14 @@ class TestPhiKappa:
     def test_kappa_decreases_with_dimension(self, sym):
         assert kappa(sym, 2) <= kappa(sym, 1)
 
+    @pytest.mark.parametrize("d", [True, 2.5, "2"])
+    def test_kappa_needs_an_integer_dimension(self, sym, d):
+        with pytest.raises(TypeError, match="d must be an int"):
+            kappa(sym, d)
+
+    def test_kappa_takes_numpy_integer_dimensions(self, sym):
+        assert kappa(sym, np.int64(2)) == kappa(sym, 2)
+
     def test_phi_small_at_kappa_rate(self, sym):
         assert phi(sym, 1.0 / kappa(sym, 1)) < 0.01
 

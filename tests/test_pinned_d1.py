@@ -14,7 +14,7 @@ from polylab import harness
 from polylab.engine import (SOLVE_FIXED_BYTES, PolymerInstance, forward_backward,
                             layer_theta, streamed_bytes)
 from polylab.functionals import alpha_profile, ell
-from polylab.harness import ExperimentConfig, chunk_size, run_replications
+from polylab.harness import chunk_size, run_replications
 from polylab.laws import make_uniform
 from polylab.rng import replication_seed
 
@@ -36,10 +36,7 @@ def several_chunks(monkeypatch, config, size):
     assert chunk_size(config.d, config.n, config.beta) == size
 
 
-_FIG = harness.FIGURE1_CONFIG
-FIGURE1 = ExperimentConfig(d=_FIG["d"], n=_FIG["n"], beta=_FIG["beta"],
-                           law_spec=_FIG["law"], replications=40,
-                           base_seed=_FIG["base_seed"])
+FIGURE1 = dataclasses.replace(harness.FIGURE1, replications=40)
 
 
 def test_figure1_records_over_several_chunks(monkeypatch):

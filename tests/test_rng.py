@@ -50,6 +50,18 @@ def test_replication_seeds_distinct():
     assert len(set(seeds)) == 1000
 
 
+def test_replication_seed_takes_numpy_integer_base_seeds():
+    for r in (0, 1, 7):
+        assert replication_seed(np.int64(5), r) == replication_seed(5, r)
+
+
+@pytest.mark.parametrize("base", [5.0, True])
+def test_replication_seed_refuses_non_integer_base_seeds(base):
+    """int() would turn each of these into the base seed 5 or 1."""
+    with pytest.raises(TypeError, match="base_seed must be an int"):
+        replication_seed(base, 0)
+
+
 def test_derive_seed_order_sensitive():
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
