@@ -76,7 +76,7 @@ def cmd_simulate(args) -> int:
         sol = forward_backward(inst, keep_forward=False)
         report = functionals.build_report(sol)
     # every solve is done before the first file is opened
-    write_report_csv(records, args.out, include_runtime=args.timings)
+    write_report_csv(records, args.out)
     if report is not None:
         write_profile_csv(report.alpha_profile, report.gamma_profile,
                           report.tau_profile, args.profiles)
@@ -120,12 +120,9 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_env_check(args) -> int:
-    if args.grid_points < 1:
-        raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
     law = parse_law_spec(args.law)
     law.validate()
-    grid = law.interior_grid(args.grid_points)
-    hv = law.h(grid)
+    hv = law.h(law.interior_grid())
     K = laws.poincare_constant(law)
     print(f"law: {law.name}  support ({law.support_lo}, {law.support_hi})  "
           f"mean {law.mean:.12g}")
@@ -173,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int)
     sim.add_argument("--out", required=True, help="report CSV path")
     sim.add_argument("--profiles", help="optional per-k profile CSV path")
-    sim.add_argument("--timings", action="store_true",
-                     help="write measured runtimes (breaks byte determinism)")
     sim.add_argument("--workers", type=int)
     sim.set_defaults(fn=cmd_simulate)
 
@@ -194,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     env = sub.add_parser("env-check", help="law diagnostics")
     env.add_argument("--law", default=DEFAULT_LAW)
-    env.add_argument("--grid-points", type=int, default=4096)
     env.set_defaults(fn=cmd_env_check)
 
     ver = sub.add_parser("verify", help="run the full property battery")

@@ -19,7 +19,10 @@ lattice frames (lattice.step_slices, planned per solve by
 lattice.step_plan), with the results of the windowed sums bit for bit.
 Every function that takes a step k, from env_layer to the keys of
 forward_backward's layer_omega, reads it through PolymerInstance.step,
-which refuses a bool, a non-integer and a step not in 1..n.
+which refuses a bool, a non-integer and a step not in 1..n, and every
+function that takes a site (env_value, theta_value and so
+theta_derivative_check) reads it through PolymerInstance.site, which
+refuses the same coordinates and a site of the wrong length.
 
 The backward sweep runs first and the forward sweep then yields theta in
 increasing k.  By default every backward layer is kept and theta is written
@@ -106,6 +109,14 @@ def require_single(seed: Seed, what: str) -> None:
                          f"{len(seed)} seeds")
 
 
+def require_drawn(solution: "ThetaSolution", what: str) -> None:
+    """Refuse a solve with replaced layers where `what` redraws its
+    environment from solution.instance, whose layers those are not."""
+    if solution.replaced:
+        raise ValueError(f"{what} redraws the environment of the instance, but "
+                         f"this solve replaced its layers {list(solution.replaced)}")
+
+
 @dataclass(frozen=True)
 class PolymerInstance:
     """Quenched realizations: dimension, length, temperature, law, seed.
@@ -160,6 +171,17 @@ class PolymerInstance:
             raise ValueError(f"step {k} outside 1..{self.n}")
         return k
 
+    def site(self, k, x) -> Optional[Site]:
+        """x as a site of step k (read through step): a tuple of d ints, or
+        None off the step-k cone.  Each coordinate follows rng.as_int, and a
+        site without d coordinates raises ValueError.  Every function that
+        takes a site reads it through here."""
+        k = self.step(k)
+        site = tuple(as_int("a site coordinate", c) for c in x)
+        if len(site) != self.d:
+            raise ValueError(f"site {site} has {len(site)} coordinates, not d={self.d}")
+        return site if is_reachable(site, k) else None
+
 
 def _draw(instance: PolymerInstance, k: int, coords: np.ndarray) -> np.ndarray:
     """omega at step k on the given site coordinates (counter RNG, quantile,
@@ -186,11 +208,10 @@ def env_value(instance: PolymerInstance, k: int, x: Site) -> float:
     """The omega value at one (step, site) key."""
     require_single(instance.seed, "env_value")
     k = instance.step(k)
-    if len(x) != instance.d:
-        raise ValueError(f"site {x} has {len(x)} coordinates, not d={instance.d}")
-    if not is_reachable(x, k):
+    site = instance.site(k, x)
+    if site is None:
         raise ValueError(f"site {x} not reachable at step {k}")
-    return float(_draw(instance, k, np.asarray([x], dtype=np.int64))[0])
+    return float(_draw(instance, k, np.asarray([site], dtype=np.int64))[0])
 
 
 def _neighbor_sum(layer: np.ndarray, d: int, k: int, up: bool) -> np.ndarray:
@@ -439,9 +460,11 @@ class ThetaSolution:
     instance is the PolymerInstance that was solved: its d, n, beta and
     seed are the solution's, and the readers of a solution (theta_value,
     sample_paths, theta_derivative_check, dump_solution and the
-    functionals) take them, and the environment, from it.  A
-    forward_backward(layer_omega=) solve keeps the instance whose other
-    layers it drew, so its replaced layers are not that instance's layers.
+    functionals) take them, and the environment, from it.  replaced lists
+    the steps whose layers a forward_backward(layer_omega=) solve replaced;
+    the readers that redraw the environment from the instance
+    (gamma_tau_profiles, theta_derivative_check and dump_solution) refuse
+    such a solve (require_drawn).
     theta_layers[k-1] holds the occupation probabilities at step k in the
     layout of lattice.layer_shape;
     forward_layers holds the normalized forward mass (needed for exact path
@@ -458,6 +481,7 @@ class ThetaSolution:
     forward_layers: Optional[List[np.ndarray]] = None
     alpha: Optional[np.ndarray] = None
     path_dp: Optional[PathDP] = None
+    replaced: Tuple[int, ...] = ()
 
     def theta_array(self, k: int) -> np.ndarray:
         if not self.theta_layers:
@@ -466,14 +490,12 @@ class ThetaSolution:
 
     def theta_value(self, k: int, site: Site) -> float:
         """theta at one (step, site) key; 0 off the reachability cone."""
-        d = self.instance.d
         require_single(self.instance.seed, "theta_value")
         theta = self.theta_array(k)
-        if len(site) != d:
-            raise ValueError(f"site {site} has {len(site)} coordinates, not d={d}")
-        if not is_reachable(site, k):
+        site = self.instance.site(k, site)
+        if site is None:
             return 0.0
-        return float(theta.reshape(-1)[site_cells(d, k, site)])
+        return float(theta.reshape(-1)[site_cells(self.instance.d, k, site)])
 
 
 def _cumulative_cells(d: int, n: int) -> List[int]:
@@ -625,7 +647,8 @@ def forward_backward(instance: PolymerInstance,
 
     layer_omega {k: omega} replaces layer k of one environment by omega,
     which broadcasts to the step-k layer shape, as in layer_theta.  The
-    solution's instance is still `instance`, whose layer k is not omega.
+    solution's instance is still `instance`, whose layer k is not omega, and
+    its `replaced` lists the replaced steps in increasing order.
     """
     d, n = instance.d, instance.n
     omegas = {}
@@ -687,6 +710,7 @@ def forward_backward(instance: PolymerInstance,
         forward_layers=forward if keep_forward else None,
         alpha=alpha,
         path_dp=path_dp,
+        replaced=tuple(sorted(omegas)),
     )
 
 
@@ -838,6 +862,7 @@ def theta_derivative_check(solution: ThetaSolution, k: int, x: Site):
 
     Returns (analytic, numeric).
     """
+    require_drawn(solution, "theta_derivative_check")
     instance = solution.instance
     t = solution.theta_value(k, x)
     analytic = instance.beta * t * (1.0 - t)
@@ -865,6 +890,7 @@ def dump_solution(solution: ThetaSolution, csv_path: str, json_path: str) -> Non
     mass in either domain, so a nonzero entry is a reachable site."""
     inst = solution.instance
     require_single(inst.seed, "dump_solution")
+    require_drawn(solution, "dump_solution")
     with open(csv_path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["k", "site", "theta"])

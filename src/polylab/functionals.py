@@ -27,7 +27,8 @@ from typing import Iterable
 import numpy as np
 
 from .engine import (PolymerInstance, ThetaSolution, batch_shape, env_layer,
-                     env_value, forward_backward, layer_alpha, require_single)
+                     env_value, forward_backward, layer_alpha, require_drawn,
+                     require_single)
 from .lattice import PathDP, validate_path
 from .rng import derive_seed
 
@@ -132,6 +133,7 @@ def gamma_tau_profiles(solution: ThetaSolution):
     tau_k = sum_x omega_{k,x} theta_{k,x}."""
     instance = solution.instance
     require_single(instance.seed, "gamma_tau_profiles")
+    require_drawn(solution, "gamma_tau_profiles")
     gamma = np.empty(instance.n)
     tau = np.empty(instance.n)
     for k in range(1, instance.n + 1):

@@ -15,8 +15,7 @@ parallel runs solve the same chunks with the law the parent parsed
 batched solve equals the per-seed solves bit for bit, so records do not
 depend on the chunk size or the worker count.  All floats are emitted with
 17 significant digits; reports are byte-identical across reruns of the same
-config.  Wall-clock timings are kept in memory and only written to CSV on
-request, since they would break byte determinism.
+config, so no wall-clock time goes into a record or a report.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -135,7 +133,6 @@ class ReplicationRecord:
     rho: float
     ell: float
     log_partition: float
-    runtime_ms: float
 
     def check(self, d: int, n: int) -> None:
         floor = 1.0 / (3 ** d * n)
@@ -160,19 +157,14 @@ def chunk_size(d: int, n: int, beta: float, log: bool = False) -> int:
 
 def _solve_chunk(config: ExperimentConfig, law: EnvironmentLaw,
                  lo: int, hi: int) -> List[ReplicationRecord]:
-    """Records of replications lo..hi-1 from one batched solve.
-
-    runtime_ms is the chunk's wall time divided by its size.
-    """
-    t0 = time.perf_counter()
+    """Records of replications lo..hi-1 from one batched solve."""
     seeds = tuple(replication_seed(config.base_seed, np.arange(lo, hi)))
     sol = forward_backward(config.instance(seeds, law), keep_forward=False, keep_theta=False)
     rhos = functionals.alpha_profile(sol).mean(axis=-1)
     ells = functionals.ell_scores(sol)       # the paths are not reported
     log_z = np.broadcast_to(sol.log_partition, rhos.shape)
-    ms = (time.perf_counter() - t0) * 1e3 / (hi - lo)
     records = [ReplicationRecord(index=r, rho=float(rhos[i]), ell=float(ells[i]),
-                                 log_partition=float(log_z[i]), runtime_ms=ms)
+                                 log_partition=float(log_z[i]))
                for i, r in enumerate(range(lo, hi))]
     for rec in records:
         rec.check(config.d, config.n)
@@ -234,18 +226,11 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[list]) -> None:
         wr.writerows(rows)
 
 
-def write_report_csv(records: Sequence[ReplicationRecord], path: str,
-                     include_runtime: bool = False) -> None:
-    """Report CSV: replication,rho,ell,log_partition,runtime_ms.
-
-    runtime_ms is written as 0 unless include_runtime is set, keeping the
-    default output byte-deterministic across reruns.
-    """
-    _write_csv(path, ["replication", "rho", "ell", "log_partition", "runtime_ms"],
+def write_report_csv(records: Sequence[ReplicationRecord], path: str) -> None:
+    """Report CSV: replication,rho,ell,log_partition."""
+    _write_csv(path, ["replication", "rho", "ell", "log_partition"],
                ([rec.index, f"{rec.rho:.17g}", f"{rec.ell:.17g}",
-                 f"{rec.log_partition:.17g}",
-                 f"{rec.runtime_ms:.17g}" if include_runtime else "0"]
-                for rec in records))
+                 f"{rec.log_partition:.17g}"] for rec in records))
 
 
 def write_histogram_csv(edges: np.ndarray, counts: np.ndarray, path: str) -> None:

@@ -18,7 +18,7 @@ layout.
 A window is a d-dimensional view whose rows are k cells long, so numpy
 would walk k^(d-1) short rows per op.  The stencil instead works on
 frames: C-contiguous arrays of the step-k shape, leading axes included,
-whose cells [0, k)^d (frame_cells) can hold a step-(k-1) layer (frame).  On
+whose cells [0, k)^d (frame_cells) can hold a step-(k-1) layer (framed).  On
 flattened frames each step is a constant offset, and step_slices gives it
 as one pair of contiguous slices.  step_geometry gathers a step's slices,
 shape and frame cells in one Step, and step_plan the Steps of a solve, so
@@ -27,7 +27,8 @@ not once per op.
 
 The rest of the module is coordinate-level: neighbor enumeration (x plus
 the unit steps of step_vectors), cone iteration and masks, path
-validation, overlap counting, and the max-sum path dynamic program.
+validation (an integer array, read as int64), overlap counting, and the
+max-sum path dynamic program.
 """
 
 from __future__ import annotations
@@ -177,14 +178,10 @@ def step_plan(d: int, n: int) -> Tuple[Step, ...]:
     return tuple(step_geometry(d, k) for k in range(n + 1))
 
 
-def frame(layer: np.ndarray, d: int, k: int, fill: float) -> np.ndarray:
-    """The step-(k-1) layer (leading axes kept) in a new step-k frame whose
-    other cells hold fill."""
-    return framed(layer, step_geometry(d, k), fill)
-
-
 def framed(layer: np.ndarray, step: Step, fill: float) -> np.ndarray:
-    """frame() with step k's geometry given."""
+    """The step-(k-1) layer (leading axes kept) in a new frame of step k,
+    whose geometry is step (step_geometry(d, k)); the frame's other cells
+    hold fill."""
     out = np.empty(layer.shape[:layer.ndim - len(step.shape)] + step.shape)
     out[step.frame] = layer
     for pad in step.pads:
@@ -274,7 +271,7 @@ class PathDP:
     rounding decides.  Fields carry the leading axes `lead` (one
     environment per entry) before their d site axes.
 
-    Each push frames the previous scores with -inf (lattice.frame) and takes
+    Each push frames the previous scores with -inf (framed) and takes
     every move as a pair of contiguous slices (step_slices); -inf padding
     never wins a move, so the scores and choices are those of the windows.
     Only the current layer's scores are kept, starting from score 0 at the
@@ -370,9 +367,17 @@ class PathDP:
 def validate_path(path: np.ndarray, d: int) -> None:
     """Check the path invariants; raise ValueError on the first violation.
 
-    path: integer array of shape (n, d), sites for steps 1..n.
+    path: integer array of shape (n, d), sites for steps 1..n; any other
+    dtype, bool included, raises TypeError.  The sites are read as int64,
+    so an unsigned path steps back without wrapping around; an unsigned
+    site past the int64 range, which would wrap, is off every cone.
     """
     path = np.asarray(path)
+    if not np.issubdtype(path.dtype, np.integer):
+        raise TypeError(f"path must be an integer array, got dtype {path.dtype}")
+    if np.any(path > np.iinfo(np.int64).max):
+        raise ValueError("path leaves the reachability cone")
+    path = path.astype(np.int64, copy=False)
     if path.ndim != 2 or path.shape[1] != d:
         raise ValueError(f"path must have shape (n, {d}), got {path.shape}")
     n = path.shape[0]

@@ -217,8 +217,9 @@ def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
     The density is linearly interpolated and renormalized; the quantile is
     the exact inverse of the piecewise-linear interpolant of the numeric CDF.
     h is exact for the interpolant: (y - m) f(y) is quadratic on each panel,
-    so its tail integrals are panel sums; the interior samples are the
-    law's kinks.
+    so its tail integrals are panel sums.  The mean m is the sum of the same
+    panel moments taken about 0, so the tail over the whole support is 0 up
+    to rounding.  The interior samples are the law's kinks.
     """
     xs = np.asarray(xs, dtype=np.float64)
     fs = np.asarray(fs, dtype=np.float64)
@@ -236,7 +237,7 @@ def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
     pdf = np.interp(grid, xs, fs)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
     cdf /= cdf[-1]
-    mean = float(np.trapezoid(grid * pdf, grid) / np.trapezoid(pdf, grid))
+    mean = float(_table_moment(xs[:-1], xs[1:], fs[:-1], fs[1:], 0.0).sum())
     panels = _table_moment(xs[:-1], xs[1:], fs[:-1], fs[1:], mean)
     tails = np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
     return EnvironmentLaw(support_lo=lo, support_hi=hi,

@@ -32,8 +32,8 @@ _SHIFT11 = np.uint64(11)
 def as_int(what: str, v) -> int:
     """v as a Python int; TypeError for a bool or a non-integer, which int()
     would silently turn into another value.  The one integer rule: the sizes,
-    seeds and steps of a PolymerInstance, kappa's d and replication_seed's
-    base seed read through it."""
+    seeds, steps and site coordinates of a PolymerInstance, kappa's d and
+    replication_seed's base seed and index read through it."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise TypeError(f"{what} must be an int, got {v!r}")
     return int(v)
@@ -141,7 +141,14 @@ def counter_uniform(seed, k, coords):
 
 def replication_seed(base_seed: int, r):
     """Seed for replication r: finalizer of base_seed + r * golden.  For an
-    integer array r, the list of the seeds of its entries.  base_seed
-    follows as_int."""
+    integer array r, the list of the seeds of its entries.  base_seed and an
+    r that is not an array follow as_int; an array r needs an integer dtype
+    (not bool), and a negative index raises ValueError."""
     base = np.asarray(as_int("base_seed", base_seed) & _MASK64, dtype=np.uint64)
+    if not isinstance(r, np.ndarray):
+        r = as_int("replication index", r)
+    elif not np.issubdtype(r.dtype, np.integer):
+        raise TypeError(f"replication indices must be integers, got dtype {r.dtype}")
+    if np.any(r < 0):
+        raise ValueError("replication indices must be >= 0")
     return splitmix64(base + np.asarray(r, dtype=np.uint64) * GOLDEN).tolist()

@@ -44,7 +44,7 @@ def test_a_solution_carries_its_instance():
     could disagree with it."""
     fields = [f.name for f in dataclasses.fields(polylab.ThetaSolution)]
     assert fields == ["instance", "theta_layers", "log_partition", "layer_lognorms",
-                      "forward_layers", "alpha", "path_dp"]
+                      "forward_layers", "alpha", "path_dp", "replaced"]
     assert not any(hasattr(polylab.ThetaSolution, name)
                    for name in ("d", "n", "beta", "seed"))
     for fn, params in [(polylab.build_report, ["solution"]),

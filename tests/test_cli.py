@@ -36,7 +36,7 @@ class TestSimulate:
                      "--out", str(out)])
         assert code == EXIT_OK
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "replication,rho,ell,log_partition,runtime_ms"
+        assert lines[0] == "replication,rho,ell,log_partition"
         assert len(lines) == 6
 
     def test_missing_n_is_config_error(self, tmp_path):
@@ -221,8 +221,7 @@ class TestScaling:
 
 class TestEnvCheck:
     def test_uniform(self, capsys):
-        assert main(["env-check", "--law", "uniform:-1,1",
-                     "--grid-points", "256"]) == EXIT_OK
+        assert main(["env-check", "--law", "uniform:-1,1"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "K = sup h = 0.5" in out
         assert "kappa(d=1)" in out
@@ -237,8 +236,11 @@ class TestEnvCheck:
                     if l.startswith("K = sup h = "))
         assert float(line.split("=")[-1]) == pytest.approx(0.24999479159, abs=1e-8)
 
-    def test_zero_grid_points_is_config_error(self, capsys):
-        assert_config_error(main(["env-check", "--grid-points", "0"]), capsys)
+    def test_coarse_asymmetric_table(self, tmp_path):
+        """Four nodes on (0, 2): the law validates, so env-check succeeds."""
+        path = tmp_path / "density.csv"
+        path.write_text("x,f\n0,0\n0.1,3\n0.7,0.2\n2.0,0\n")
+        assert main(["env-check", "--law", f"table:{path}"]) == EXIT_OK
 
 
 class TestVerify:
@@ -276,6 +278,20 @@ def test_unknown_subcommand_is_config_error():
     assert main(["frobnicate"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--d", "1", "--n", "5", "--beta", "1", "--out", "r.csv"], "--timings"),
+    (["env-check"], "--grid-points"),
+])
+def test_removed_options_are_config_errors(monkeypatch, capsys, argv, flag):
+    """simulate has no --timings (a report holds no wall-clock time) and
+    env-check no --grid-points: argparse refuses both before any work."""
+    monkeypatch.setattr(cli, "run_replications", not_called)
+    monkeypatch.setattr(cli, "parse_law_spec", not_called)
+    args = argv + [flag] + (["5"] if flag == "--grid-points" else [])
+    assert main(args) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,owner,name", [
     (["scaling", "--out"], cli, "scaling_study"),
     (["verify", "--report"], verify, "run_checks"),
@@ -297,8 +313,8 @@ def test_closed_stdout_exits_141_without_traceback(flags):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run([sys.executable, *flags, "-m", "polylab.cli", "env-check",
-                               "--grid-points", "256"], stdout=write_end,
+        done = subprocess.run([sys.executable, *flags, "-m", "polylab.cli", "env-check"],
+                              stdout=write_end,
                               stderr=subprocess.PIPE, env=env, text=True, timeout=120)
     finally:
         os.close(write_end)

@@ -13,7 +13,7 @@ from polylab.engine import (NumericalError, PolymerInstance, brute_force,
                             dump_solution, env_layer, env_value,
                             forward_backward, layer_theta, log_space,
                             sample_paths, theta_derivative_check)
-from polylab.functionals import ell, rho
+from polylab.functionals import build_report, ell, gamma_tau_profiles, rho
 from polylab import lattice
 from polylab.lattice import (PathDP, layer_shape, layer_sites, reachable_sites,
                              site_cells, validate_path)
@@ -121,6 +121,31 @@ class TestEnvValue:
             env_value(inst, 3, site)
         with pytest.raises(ValueError, match="coordinates"):
             forward_backward(inst).theta_value(3, site)
+
+    @pytest.mark.parametrize("site", [(True,), (1.0,), (np.float64(1.0),), "1", ("1",)])
+    def test_site_coordinates_follow_the_integer_rule(self, site):
+        """(True,) and (1.0,) drew site 1, theta_value read (0.5,) as off the
+        cone, and "1" failed inside abs()."""
+        inst = PolymerInstance(d=1, n=5, beta=1.0, law=LAW, seed=3)
+        sol = forward_backward(inst)
+        for read in (lambda: env_value(inst, 1, site), lambda: sol.theta_value(1, site),
+                     lambda: theta_derivative_check(sol, 1, site)):
+            with pytest.raises(TypeError, match="a site coordinate must be an int"):
+                read()
+        with pytest.raises(TypeError, match="a site coordinate must be an int"):
+            sol.theta_value(1, (0.5,))
+
+    def test_site_reads_numpy_integers_as_ints(self):
+        inst = PolymerInstance(d=2, n=5, beta=1.0, law=LAW, seed=3)
+        sol = forward_backward(inst)
+        for site in [(np.int64(1), np.int32(0)), np.array([1, 0]), [1, 0]]:
+            got = inst.site(np.int64(3), site)
+            assert got == (1, 0) and all(type(c) is int for c in got)
+            assert env_value(inst, 3, site) == env_value(inst, 3, (1, 0))
+            assert sol.theta_value(3, site) == sol.theta_value(3, (1, 0))
+        assert inst.site(3, (2, 0)) is None and sol.theta_value(3, (2, 0)) == 0.0
+        with pytest.raises(ValueError, match="outside"):
+            inst.site(6, (1, 0))
 
     def test_layer_matches_pointwise(self):
         inst = PolymerInstance(d=2, n=6, beta=1.0, law=LAW, seed=5)
@@ -480,6 +505,34 @@ class TestLayerOmega:
         inst = PolymerInstance(d=1, n=10, beta=1.0, law=LAW, seed=(3, 4))
         with pytest.raises(ValueError, match="one environment"):
             forward_backward(inst, layer_omega={4: np.zeros(5)})
+
+    def test_solution_records_the_replaced_steps(self):
+        inst = PolymerInstance(d=1, n=10, beta=1.0, law=LAW, seed=3)
+        assert forward_backward(inst).replaced == ()
+        assert forward_backward(inst, layer_omega={}).replaced == ()
+        sol = forward_backward(inst, keep_theta=False,
+                               layer_omega={np.int64(7): 0.0, 4: 0.5})
+        assert sol.replaced == (4, 7) and type(sol.replaced[1]) is int
+
+    @pytest.mark.parametrize("reader", [
+        gamma_tau_profiles,
+        build_report,
+        lambda sol: theta_derivative_check(sol, 10, (0,)),
+        lambda sol: dump_solution(sol, "never.csv", "never.json"),
+    ], ids=["gamma_tau_profiles", "build_report", "theta_derivative_check",
+            "dump_solution"])
+    def test_readers_that_redraw_refuse_a_replaced_solve(self, monkeypatch,
+                                                          tmp_path, reader):
+        """These readers draw layers from solution.instance, which are not
+        the replaced ones: with layer 10 set to 0.9, tau_10 would read the
+        drawn layer (-0.4474), the derivative check would compare 0.7478
+        against 0.7325, and the dump's seed would not reproduce its theta."""
+        monkeypatch.chdir(tmp_path)
+        inst = PolymerInstance(d=1, n=20, beta=3.0, law=LAW, seed=1)
+        with pytest.raises(ValueError, match=r"replaced its layers \[10\]"):
+            reader(forward_backward(inst, layer_omega={10: 0.9}))
+        assert not list(tmp_path.iterdir())
+        reader(forward_backward(inst))
 
 
 class TestDerivativeIdentity:

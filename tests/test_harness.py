@@ -110,7 +110,7 @@ class TestRunReplications:
         p = tmp_path / "r.csv"
         write_report_csv(records, str(p))
         lines = p.read_text().strip().splitlines()
-        assert lines[0] == "replication,rho,ell,log_partition,runtime_ms"
+        assert lines[0] == "replication,rho,ell,log_partition"
         assert len(lines) == 9
 
     def test_parallel_matches_serial(self, records):
@@ -302,13 +302,13 @@ class TestWorkerCount:
 
 class TestHistogram:
     def test_counts_sum(self):
-        recs = [ReplicationRecord(i, 0.1 + 0.02 * i, 0.5, 0.0, 0.0) for i in range(20)]
+        recs = [ReplicationRecord(i, 0.1 + 0.02 * i, 0.5, 0.0) for i in range(20)]
         edges, counts = histogram(recs, 40)
         assert counts.sum() == 20
         assert edges.size == 41
 
     def test_all_equal_single_bin(self):
-        recs = [ReplicationRecord(i, 0.4321, 0.7, 0.0, 0.0) for i in range(12)]
+        recs = [ReplicationRecord(i, 0.4321, 0.7, 0.0) for i in range(12)]
         _, counts = histogram(recs, 10)
         assert counts.max() == 12
         assert (counts > 0).sum() == 1
@@ -318,7 +318,7 @@ class TestHistogram:
             histogram([], 5)
 
     def test_csv(self, tmp_path):
-        recs = [ReplicationRecord(i, 0.5, 0.7, 0.0, 0.0) for i in range(3)]
+        recs = [ReplicationRecord(i, 0.5, 0.7, 0.0) for i in range(3)]
         edges, counts = histogram(recs, 10)
         p = tmp_path / "h.csv"
         write_histogram_csv(edges, counts, str(p))
@@ -364,7 +364,7 @@ class TestScaling:
 
 
 def test_summary_stats():
-    recs = [ReplicationRecord(i, v, 0.8, 0.0, 0.0)
+    recs = [ReplicationRecord(i, v, 0.8, 0.0)
             for i, v in enumerate([0.02, 0.4, 0.6])]
     s = summary_stats(recs)
     assert s["min_rho"] == 0.02

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from polylab.lattice import (PathDP, cell_sites, frame, frame_cells,
+from polylab.lattice import (PathDP, cell_sites, frame_cells, framed,
                              is_reachable, layer_cells, layer_mask, layer_shape,
                              layer_sites, neighbors, overlap, reachable_sites,
                              site_cells, step_geometry, step_plan, step_slices,
@@ -126,10 +126,10 @@ def test_step_offsets_apply_the_windows(d):
         assert [v for v, *_ in ups] == [v for v, *_ in downs] == [v for v, _ in windows]
         assert ups[0][1].start == 0
         small = rng.random((2,) + layer_shape(d, k - 1))
-        padded = frame(small, d, k, np.nan)
+        padded = framed(small, step_geometry(d, k), np.nan)
         np.testing.assert_array_equal(padded[frame_cells(d, k)], small)
         assert np.isnan(padded).sum() == padded.size - small.size
-        padded = frame(small, d, k, 0.0).reshape(-1)
+        padded = framed(small, step_geometry(d, k), 0.0).reshape(-1)
         size = padded.size
         big = rng.random((2,) + layer_shape(d, k))
         for (_, window), (_, up_into, up_take), (_, into, take) in zip(windows, ups, downs):
@@ -207,6 +207,26 @@ class TestValidatePath:
     def test_rejects_diagonal(self):
         with pytest.raises(ValueError):
             validate_path(np.array([[1, 0], [2, 1]]), 2)
+
+    @pytest.mark.parametrize("path", [np.array([[1.0], [0.0]]), np.array([[True], [False]]),
+                                      [[1.0], [2.0]], np.array([["1"], ["0"]])])
+    def test_rejects_non_integer_paths(self, path):
+        """A float or bool path passed as the integer path it rounds to."""
+        with pytest.raises(TypeError, match="integer array"):
+            validate_path(path, 1)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int32, np.uint64])
+    def test_any_integer_dtype_steps_as_int64(self, dtype):
+        """np.diff of an unsigned path wraps a step back (0 - 1) to 255 and
+        more; the path is read as int64 first."""
+        validate_path(np.array([[1], [0], [1]], dtype=dtype), 1)
+        with pytest.raises(ValueError, match="not neighbors"):
+            validate_path(np.array([[1], [2], [0]], dtype=dtype), 1)
+
+    def test_unsigned_site_past_int64_is_off_the_cone(self):
+        """2**64 - 1 would be read as the site -1."""
+        with pytest.raises(ValueError, match="cone"):
+            validate_path(np.array([[2 ** 64 - 1], [0]], dtype=np.uint64), 1)
 
     def test_random_walks_valid(self):
         rng = np.random.default_rng(7)

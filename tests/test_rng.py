@@ -62,6 +62,30 @@ def test_replication_seed_refuses_non_integer_base_seeds(base):
         replication_seed(base, 0)
 
 
+@pytest.mark.parametrize("r", [1.5, True, np.float64(1.0), "1", [0, 1],
+                               np.array([0.5]), np.array([True])])
+def test_replication_seed_refuses_non_integer_indices(r):
+    """An index follows the integer rule: 1.5 and True drew the seed of
+    r = 1, and np.array([0.5]) that of r = 0."""
+    with pytest.raises(TypeError, match="replication ind"):
+        replication_seed(5, r)
+
+
+@pytest.mark.parametrize("r", [-1, np.int64(-1), np.array([-1]), np.array([3, -2])])
+def test_replication_seed_refuses_negative_indices(r):
+    """-1 raised a bare OverflowError, and np.array([-1]) wrapped around to
+    the seed of r = 2**64 - 1."""
+    with pytest.raises(ValueError, match=">= 0"):
+        replication_seed(5, r)
+
+
+def test_replication_seed_takes_numpy_integer_indices():
+    assert replication_seed(5, np.int64(3)) == replication_seed(5, 3)
+    for dtype in (np.int32, np.uint8, np.uint64):
+        assert replication_seed(5, np.arange(4, dtype=dtype)) == replication_seed(
+            5, np.arange(4))
+
+
 def test_derive_seed_order_sensitive():
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
