@@ -35,6 +35,10 @@ Either mode draws each layer's environment twice (layer 1 once): the
 backward sweep consumes the layers from n down, the forward sweep from 1
 up, and holding them between the sweeps would cost n layers of memory
 (Griewank & Walther's checkpointing, "revolve", ACM TOMS 26, 2000).
+At beta=0 every backward layer is constant, and is kept as one float
+(_backward_step), bit for bit every cell of the array sweep: a beta=0
+solve runs no backward stencil op, and in either mode every layer is a
+checkpoint, so nothing is recomputed.
 
 A figure-1 chunk solve is bound by the number of numpy calls per layer,
 not by its cells: one replication costs over a third of what 53 do.  So a
@@ -285,6 +289,8 @@ def log_space(beta: float, law: EnvironmentLaw) -> bool:
 
 
 Weights = Optional[Tuple[np.ndarray, np.ndarray]]
+# A backward layer: an array, or at beta=0 the float of its every cell
+Backward = Union[np.ndarray, float, None]
 Plan = Tuple[Step, ...]
 
 
@@ -404,19 +410,32 @@ def _exp_shifted(x: np.ndarray, out: Optional[np.ndarray], axes: Tuple[int, ...]
     return np.exp(e, out=e), top
 
 
-def _backward_step(b: Optional[np.ndarray], w: Weights, plan: Plan, k: int,
-                   lead: Tuple[int, ...], log: bool) -> np.ndarray:
+def _backward_step(b: Backward, w: Weights, plan: Plan, k: int,
+                   lead: Tuple[int, ...], log: bool) -> Backward:
     """B_k = normalize(down(B_{k+1} * w)) from B_{k+1} (None for B_n = 1)
-    and the weights w of layer k+1 (None at beta=0, which never runs in log
-    space); in log space, the log of it from log B_{k+1}.  plan is the
-    solve's lattice.step_plan."""
+    and the weights w of layer k+1; in log space, the log of it from
+    log B_{k+1}.  plan is the solve's lattice.step_plan.
+
+    At beta=0 (w None, never in log space) every B_k is one float b_k:
+    each of the 2d steps shifts the step-k cube into the step-(k+1) cube,
+    so every cell of B_k adds all 2d cells of a constant B_{k+1} in the
+    same order, t, and is divided by s, the sum of its c_k cells.  A
+    reduction of t broadcast to c_k cells adds them as one of c_k stored
+    copies does, so b_k = t / s is every cell of the array sweep bit for
+    bit, without a stencil op."""
+    here, big = plan[k], plan[k + 1]
+    if w is None:
+        b = 1.0 if b is None else b
+        t = b
+        for _ in big.down[1:]:              # as _sum: a copy, then 2d-1 adds
+            t += b
+        s = float(np.add.reduce(np.broadcast_to(t, (math.prod(here.shape),))))
+        if not 0.0 < s < math.inf:
+            raise NumericalError(f"non-finite backward layer at k={k}")
+        return t / s
     combine, neighbor_sum = _SWEEP_OPS[log]
-    here = plan[k]
-    if b is None:
-        b = np.ones(lead + plan[k + 1].shape) if w is None else w[0]
-    elif w is not None:
-        b = combine(b, w[0])
-    b = neighbor_sum(b, lead, here, plan[k + 1], False)
+    b = w[0] if b is None else combine(b, w[0])
+    b = neighbor_sum(b, lead, here, big, False)
     _normalize(b, here.axes, "backward", k, log)
     return b
 
@@ -439,14 +458,14 @@ def _forward_step(f: np.ndarray, w: Weights, plan: Plan, k: int,
     return f, log_s.reshape(lead)
 
 
-def _theta(f: np.ndarray, b: np.ndarray, k: int, axes: Tuple[int, ...],
+def _theta(f: np.ndarray, b: Backward, k: int, axes: Tuple[int, ...],
            log: bool) -> np.ndarray:
-    """theta_k = normalize(F_k * B_k), written over b; in log space b holds
-    log B_k, and the log-masses are shifted by their largest and
-    exponentiated before the (linear) normalization.  axes are the site
-    axes."""
+    """theta_k = normalize(F_k * B_k), written over b, or a new array for
+    the float b_k of beta=0; in log space b holds log B_k, and the
+    log-masses are shifted by their largest and exponentiated before the
+    (linear) normalization.  axes are the site axes."""
     combine, _ = _SWEEP_OPS[log]
-    th = combine(b, f, out=b)
+    th = combine(b, f, out=b if isinstance(b, np.ndarray) else None)
     if log:
         _exp_shifted(th, th, axes, "theta", k)
     _normalize(th, axes, "theta", k, False)
@@ -589,30 +608,37 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
     lo).  In log space (log_space) the neighbour sums of the forward step
     and the recompute hold two more frames, the running maxima and terms
     of their log-sum-exps.  The bound is the largest total over the steps,
-    8 bytes per float cell.  beta=0 draws no weights."""
+    8 bytes per float cell.
+    beta=0 draws no weights and its backward layers are floats
+    (_backward_step), so it holds no backward layer or checkpoint and
+    recomputes nothing; its theta_k (k < n) is a new array, which the ell
+    step holds in place of B_k."""
     cum = _cumulative_cells(d, n)
     c = [1] + [cum[k] - cum[k - 1] for k in range(1, n + 1)]     # c[0]: the origin
     planes = (2 * d - 1).bit_length()
     choices = list(accumulate((planes * -(-c[k] // 8) if k > 1 else 0
                                for k in range(1, n + 1)), initial=0))
     stencil = 4 if log else 2
-    tops = segment_tops(d, n)
-    above = sum(c[t] for t in tops[:-1])
+    arrays = beta > 0                       # weights and backward layers
+    tops = segment_tops(d, n) if arrays else tuple(range(1, n + 1))
+    above = sum(c[t] for t in tops[:-1]) if arrays else 0
     worst = 0
     for lo, hi in zip((0,) + tops[:-1], tops):
-        if hi < n:
+        if hi < n and arrays:
             above -= c[hi]                  # this checkpoint is the segment's B_hi
         for k in range(lo + 1, hi + 1):
-            rest = cum[hi] - cum[k - 1]     # cells of layers k..hi
-            weights = rest if beta > 0 else 0
-            forward = 8 * (weights + 2 * c[k - 1] + stencil * c[k])
-            ell = (8 * (weights - (c[k] if beta > 0 else 0) + 3 * c[k] + c[k - 1])
+            rest = cum[hi] - cum[k - 1] if arrays else 0    # cells of layers k..hi
+            # the ell step holds the weights of layers k+1..hi and theta_k,
+            # written over B_k (which `backward` counts) or at beta=0 a new
+            # array; theta_n is F_n itself
+            theta = c[k] if not arrays and k < n else 0
+            forward = 8 * (rest + 2 * c[k - 1] + stencil * c[k])
+            ell = (8 * (max(rest - c[k], 0) + theta + 3 * c[k] + c[k - 1])
                    + (2 + planes) * c[k])
             recompute = 0
             if k < hi:
-                segment = cum[hi] - cum[lo] if beta > 0 else 0
-                recompute = 8 * (segment + stencil * c[k + 1] + 2 * c[lo])
-            backward = rest - (c[n] if hi == n else 0)
+                recompute = 8 * (cum[hi] - cum[lo] + stencil * c[k + 1] + 2 * c[lo])
+            backward = rest - (c[n] if hi == n and arrays else 0)
             held = 8 * (above + backward + 2 * n + 8) + choices[k]
             worst = max(worst, held + max(forward, ell, recompute))
     return worst
@@ -643,7 +669,9 @@ def forward_backward(instance: PolymerInstance,
     of the ell program before dropping it.  The default mode is the plan
     in which every layer is a segment.  The values are those of the default
     mode bit for bit, and either mode draws each layer's environment twice
-    (layer 1 once).
+    (layer 1 once).  At beta=0, which draws nothing, each B_k is one float
+    (_backward_step): no backward stencil op runs, and every layer is a
+    segment in either mode, so no B_k is recomputed.
 
     layer_omega {k: omega} replaces layer k of one environment by omega,
     which broadcasts to the step-k layer shape, as in layer_theta.  The
@@ -658,7 +686,10 @@ def forward_backward(instance: PolymerInstance,
         omegas[k] = np.broadcast_to(np.asarray(om, dtype=np.float64), layer_shape(d, k))
     lead = batch_shape(instance.seed)
     log = log_space(instance.beta, instance.law)
-    tops = tuple(range(1, n + 1)) if keep_theta else segment_tops(d, n)
+    # beta=0 backward layers are floats: every layer is a checkpoint, and
+    # no segment is recomputed
+    tops = (tuple(range(1, n + 1)) if keep_theta or instance.beta == 0.0
+            else segment_tops(d, n))
     plan = step_plan(d, n)
 
     def weights(k: int) -> Weights:
@@ -742,7 +773,9 @@ def layer_theta(instance: PolymerInstance, k: int, omega_k) -> np.ndarray:
                          shape[:-d], log)
     if k == n:
         return np.exp(f) if log else f
-    return _theta(f, np.broadcast_to(b, shape).copy(), k, plan[k].axes, log)
+    if isinstance(b, np.ndarray):
+        b = np.broadcast_to(b, shape).copy()
+    return _theta(f, b, k, plan[k].axes, log)
 
 
 def _path_chunks(d: int, n: int):

@@ -31,6 +31,7 @@ from .rng import as_int, derive_seed
 EDGE_GUARD = 1e-12
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(256)
+_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def gauss_legendre(fn: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
@@ -55,6 +56,35 @@ def gauss_legendre(fn: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
         return halves
     return (gauss_legendre(fn, lo, mid, abs_tol / 2, _depth + 1)
             + gauss_legendre(fn, mid, hi, abs_tol / 2, _depth + 1))
+
+
+def panel_gauss(fn: Callable, edges: Sequence[float], abs_tol: float = 1e-10,
+                max_depth: int = 24) -> float:
+    """integral of fn over (edges[0], edges[-1]) by a 16-node Gauss-Legendre
+    rule on each panel between consecutive edges and on its two halves.  A
+    panel whose halves differ from it by more than its share of abs_tol
+    (its width over the whole) is bisected, unless its halves sum to NaN or
+    an infinity or it lies max_depth bisections deep; otherwise its halves
+    are kept.  Each round evaluates fn once, on the nodes of every open
+    panel as a (panels, 16) array."""
+    lo, hi = np.asarray(edges[:-1], dtype=np.float64), np.asarray(edges[1:], dtype=np.float64)
+    share = abs_tol / (edges[-1] - edges[0])
+    total = 0.0
+    for depth in range(max_depth + 1):
+        mid = 0.5 * (lo + hi)
+        u, v = np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi))
+        c, hw = 0.5 * (u + v), 0.5 * (v - u)
+        y = c[:, None] + hw[:, None] * _PANEL_NODES
+        vals = hw * (np.asarray(fn(y), dtype=np.float64) @ _PANEL_WEIGHTS)
+        whole, left, right = np.split(vals, 3)
+        halves = left + right
+        keep = (~np.isfinite(halves) | (np.abs(whole - halves) <= share * (hi - lo))
+                | (depth == max_depth))
+        total += float(np.add.reduce(halves[keep]))
+        lo, hi = np.concatenate((lo[~keep], mid[~keep])), np.concatenate((mid[~keep], hi[~keep]))
+        if not lo.size:
+            break
+    return total
 
 
 class LawValidationError(ValueError):
@@ -203,12 +233,18 @@ def _table_moment(u, v, fu, fv, m):
                             + (v - m) * fv)
 
 
-def _table_h(xs, fs, tails, m, x):
-    """h of the piecewise-linear density: tails[i] is the integral of
-    (y - m) f(y) over (xs[i], b), and x's own panel adds the rest."""
+def _table_h(xs, fs, heads, tails, m, x):
+    """h of the piecewise-linear density.  Above the mean it is the
+    integral of (y - m) f(y) over (x, b) over f(x): tails[i] is the integral
+    over (xs[i], b), and x's own panel adds the rest.  Below the mean it is
+    minus the integral over (a, x), from heads[i], the integral over
+    (a, xs[i]), so that neither form is a small difference of two large
+    integrals: the whole integral is 0."""
     i = np.searchsorted(xs[1:-1], x, side="right")
     fx = np.interp(x, xs, fs)
-    return (tails[i + 1] + _table_moment(x, xs[i + 1], fx, fs[i + 1], m)) / fx
+    above = tails[i + 1] + _table_moment(x, xs[i + 1], fx, fs[i + 1], m)
+    below = heads[i] + _table_moment(xs[i], x, fs[i], fx, m)
+    return np.where(x < m, -below, above) / fx
 
 
 def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
@@ -217,7 +253,8 @@ def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
     The density is linearly interpolated and renormalized; the quantile is
     the exact inverse of the piecewise-linear interpolant of the numeric CDF.
     h is exact for the interpolant: (y - m) f(y) is quadratic on each panel,
-    so its tail integrals are panel sums.  The mean m is the sum of the same
+    so its tail integrals are panel sums, taken from the nearer end of the
+    support (_table_h).  The mean m is the sum of the same
     panel moments taken about 0, so the tail over the whole support is 0 up
     to rounding.  The interior samples are the law's kinks.
     """
@@ -240,10 +277,11 @@ def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
     mean = float(_table_moment(xs[:-1], xs[1:], fs[:-1], fs[1:], 0.0).sum())
     panels = _table_moment(xs[:-1], xs[1:], fs[:-1], fs[1:], mean)
     tails = np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
+    heads = np.concatenate(([0.0], np.cumsum(panels)))
     return EnvironmentLaw(support_lo=lo, support_hi=hi,
                           density=partial(_table_density, xs, fs), mean=mean,
                           quantile=partial(np.interp, xp=cdf, fp=grid),
-                          h_closed_form=partial(_table_h, xs, fs, tails, mean),
+                          h_closed_form=partial(_table_h, xs, fs, heads, tails, mean),
                           kinks=tuple(float(x) for x in xs[1:-1]), name="table")
 
 
@@ -293,14 +331,34 @@ def poincare_constant(law: EnvironmentLaw) -> float:
     return max(float(np.max(hv)), fc, fd)
 
 
+# phi's end pieces are cut this many times toward each end of the support:
+# 2^-40 < EDGE_GUARD, so the finest panel is narrower than the guard band
+# whatever the end piece's width
+_PHI_GRADING = 40
+
+
 def phi(law: EnvironmentLaw, lam: float) -> float:
     """phi(lambda) = E exp(-lambda h(X)); equals 1 at lambda 0, decreasing.
-    A negative or NaN lambda raises ValueError."""
+    A negative or NaN lambda raises ValueError.
+
+    The integral runs over law.inner by panel_gauss, whose first panels
+    are the pieces between the law's kinks, so a table law's h and density
+    are evaluated once per round on all of its panels (EnvironmentLaw.
+    integrate, an adaptive quadrature per piece, is the reference).  h
+    vanishes at the support's ends, so at large lambda the integrand lives
+    in a layer of width about 1/lambda there, narrower than any node of an
+    end piece's rule sees: the end pieces are cut at 2^-1, ..., 2^-40 of
+    their width from the end, so that some panel matches the layer."""
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam!r}")
     if lam == 0:
         return 1.0
-    return law.integrate(lambda y: np.exp(-lam * law.h(y)), *law.inner)
+    lo, hi = law.inner
+    kinks = [k for k in law.kinks if lo < k < hi] or [0.5 * (lo + hi)]
+    grading = 0.5 ** np.arange(_PHI_GRADING, 0, -1)
+    edges = np.concatenate(([lo], lo + (kinks[0] - lo) * grading, kinks,
+                            hi - (hi - kinks[-1]) * grading[::-1], [hi]))
+    return panel_gauss(lambda y: np.exp(-lam * law.h(y)) * law.density(y), edges)
 
 
 def kappa(law: EnvironmentLaw, d: int) -> float:

@@ -143,12 +143,13 @@ def replication_seed(base_seed: int, r):
     """Seed for replication r: finalizer of base_seed + r * golden.  For an
     integer array r, the list of the seeds of its entries.  base_seed and an
     r that is not an array follow as_int; an array r needs an integer dtype
-    (not bool), and a negative index raises ValueError."""
+    (not bool), and an index outside the uint64 range 0..2**64-1 raises
+    ValueError."""
     base = np.asarray(as_int("base_seed", base_seed) & _MASK64, dtype=np.uint64)
     if not isinstance(r, np.ndarray):
         r = as_int("replication index", r)
     elif not np.issubdtype(r.dtype, np.integer):
         raise TypeError(f"replication indices must be integers, got dtype {r.dtype}")
-    if np.any(r < 0):
-        raise ValueError("replication indices must be >= 0")
+    if np.any(r < 0) or np.any(r > _MASK64):
+        raise ValueError("replication indices must lie in 0..2**64-1 (>= 0 and < 2**64)")
     return splitmix64(base + np.asarray(r, dtype=np.uint64) * GOLDEN).tolist()

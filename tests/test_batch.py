@@ -251,15 +251,20 @@ def test_figure1_plan_and_byte_model():
     # 8565 words where ceil(sqrt(n))-layer segments hold 12562
     assert plan_words(1, 300, sqrt_plan(300)) == 12562
     assert plan_words(1, 300, segment_tops(1, 300)) == 8565
-    # the recompute of B_109 bounds the peak: it holds the weights of the
-    # segment k = 109..128, B_110 * w_110 and the frame the neighbour sum adds
-    # into, and F_108 with its ell scores.  At beta=0 there are no weights,
-    # and the ell step of k = 109 (F_109, the scores of layers 108 and 109,
-    # the framed layer-108 scores and 330 choice bytes) outweighs the
-    # recompute there
+    # the recompute of B_109 bounds the peak: beside the segment's backward
+    # layers, the checkpoints above it (3412 cells), alpha, the log
+    # normalizers, 8 scalars and 810 choice bytes, it holds the weights of
+    # the segment k = 109..128, B_110 * w_110 and the frame the neighbour sum
+    # adds into, and F_108 with its ell scores.  At beta=0 there are no
+    # weights, the backward layers are floats, so no checkpoint holds cells
+    # and nothing is recomputed, and the ell step of k = 299 bounds it:
+    # theta_299, F_299, the scores of layers 298 and 299, the framed
+    # layer-298 scores and 900 choice bytes, beside 5774 bytes of choices
     segment = sum(k + 1 for k in range(109, 129))
-    assert streamed_bytes(1, 300, 3.0) - streamed_bytes(1, 300, 0.0) == \
-        8 * (segment + 2 * 111 + 2 * 109) - (8 * (3 * 110 + 109) + 330)
+    assert streamed_bytes(1, 300, 3.0) - 8 * (segment + 2 * 111 + 2 * 109) == \
+        8 * (segment + 3412 + 2 * 300 + 8) + 810
+    assert streamed_bytes(1, 300, 0.0) - (8 * (4 * 300 + 299) + 900) == \
+        8 * (2 * 300 + 8) + 5774
 
 
 class TestSingleEnvironmentOnly:

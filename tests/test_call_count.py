@@ -10,6 +10,8 @@ benchmark."""
 import cProfile
 import pstats
 
+import pytest
+
 from polylab.engine import PolymerInstance, forward_backward
 from polylab.laws import make_uniform
 from polylab.rng import replication_seed
@@ -33,3 +35,21 @@ def test_streamed_figure1_solve_stays_within_its_call_budget():
         profile.disable()
     calls = pstats.Stats(profile).total_calls
     assert calls <= CALL_BUDGET, f"{calls} calls, budget {CALL_BUDGET}"
+
+
+@pytest.mark.parametrize("keep_theta", [True, False], ids=["stored", "streamed"])
+def test_beta0_solve_runs_only_the_forward_stencil(keep_theta):
+    """A beta=0 backward layer is one float, so a solve runs one neighbour
+    sum per forward step and none backward: n calls of engine._sum, where
+    the array sweeps made 2n - 1 stored and, with their recompute, 90
+    streamed at n = 32."""
+    inst = PolymerInstance(d=3, n=32, beta=0.0, law=make_uniform(-1.0, 1.0), seed=5)
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        forward_backward(inst, keep_forward=False, keep_theta=keep_theta)
+    finally:
+        profile.disable()
+    sums = [calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+            if name == "_sum" and path.endswith("engine.py")]
+    assert sums == [inst.n]

@@ -11,9 +11,10 @@ import pytest
 from polylab import engine, verify
 from polylab.engine import (NumericalError, PolymerInstance, brute_force,
                             dump_solution, env_layer, env_value,
-                            forward_backward, layer_theta, log_space,
+                            forward_backward, layer_alpha, layer_theta, log_space,
                             sample_paths, theta_derivative_check)
-from polylab.functionals import build_report, ell, gamma_tau_profiles, rho
+from polylab.functionals import (alpha_profile, build_report, ell,
+                                 gamma_tau_profiles, rho)
 from polylab import lattice
 from polylab.lattice import (PathDP, layer_shape, layer_sites, reachable_sites,
                              site_cells, validate_path)
@@ -268,6 +269,40 @@ class TestForwardBackward:
         assert big.shape == (lattice._CACHED_SITES + 1, 1)
         assert big is not layer_sites(1, lattice._CACHED_SITES)
         np.testing.assert_array_equal(big, layer_sites(1, lattice._CACHED_SITES))
+
+
+class TestBeta0Backward:
+    """At beta=0 every backward layer is one float (engine._backward_step),
+    bit for bit every cell of the array sweep from B_n = 1 it replaces."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batch"])
+    @pytest.mark.parametrize("d,n", [(1, 200), (2, 40), (3, 20), (4, 9)])
+    def test_float_layers_equal_the_array_sweep(self, d, n, lead):
+        plan = lattice.step_plan(d, n)
+        array = np.ones(lead + plan[n].shape)
+        b = None
+        for k in range(n - 1, 0, -1):
+            array = engine._sum(array, lead, plan[k], plan[k + 1], False)
+            engine._normalize(array, plan[k].axes, "backward", k, False)
+            b = engine._backward_step(b, None, plan, k, lead, False)
+            assert type(b) is float
+            assert np.all(array == b), k
+
+    @pytest.mark.parametrize("keep_theta", [True, False], ids=["stored", "streamed"])
+    def test_solve_matches_brute_force(self, keep_theta):
+        inst = PolymerInstance(d=4, n=4, beta=0.0, law=LAW, seed=9)
+        sol = forward_backward(inst, keep_forward=False, keep_theta=keep_theta)
+        bf_sol, bf_rho, bf_ell = brute_force(inst)
+        for k in range(1, inst.n + 1):
+            want = layer_alpha(bf_sol.theta_array(k), inst.d)
+            if keep_theta:
+                np.testing.assert_allclose(sol.theta_array(k), bf_sol.theta_array(k),
+                                           atol=1e-12)
+            assert alpha_profile(sol)[k - 1] == pytest.approx(want, abs=1e-12)
+        assert sol.log_partition == pytest.approx(4 * math.log(8), abs=1e-12)
+        assert bf_sol.log_partition == pytest.approx(4 * math.log(8), abs=1e-12)
+        assert rho(sol) == pytest.approx(bf_rho, abs=1e-12)
+        assert ell(sol)[0] == pytest.approx(bf_ell, abs=1e-12)
 
 
 class TestBruteForce:

@@ -155,12 +155,15 @@ class TestChunks:
         assert streamed_bytes(1, 300, 3.0) == held + 8 * (2390 + 2 * 111 + 2 * 109) == 74730
         assert chunk_size(1, 300, 3.0) == \
             (harness.CHUNK_BYTES - SOLVE_FIXED_BYTES) // 74730 == 53
-        # beta=0 draws no weights, and the ell step of k = 109 bounds it: F_109,
-        # the step-109 scores, the layer-108 scores and their step-109 frame,
-        # and the choice, better and bit-plane bytes of layer 109
+        # beta=0 draws no weights and keeps its backward layers as floats, so
+        # it holds no checkpoint and recomputes nothing.  The ell step of
+        # k = 299 bounds it: alpha, the log normalizers, 8 scalars and 5774
+        # choice bytes up to k = 299, then theta_299 (a new array), F_299,
+        # the step-299 scores, the layer-298 scores and their step-299
+        # frame, and the choice, better and bit-plane bytes of layer 299
         assert streamed_bytes(1, 300, 0.0) == \
-            held + 8 * (3 * 110 + 109) + 3 * 110 == 55932
-        assert chunk_size(1, 300, 0.0) == 71
+            8 * (2 * 300 + 8) + 5774 + 8 * (4 * 300 + 299) + 3 * 300 == 23530
+        assert chunk_size(1, 300, 0.0) == 169
         assert chunk_size(3, 200, 1.0) == 1
         # in log space the recompute holds two more frames of 111 cells
         assert streamed_bytes(1, 300, 3.0, log=True) == 74730 + 8 * 2 * 111
@@ -181,7 +184,7 @@ class TestChunks:
 
     @pytest.mark.parametrize("d,n,beta", [(1, 300, 3.0), (2, 40, 2.0), (3, 12, 1.0),
                                           (1, 300, 100.0), (2, 20, 100.0),
-                                          (3, 16, 0.0), (3, 8, 100.0)])
+                                          (3, 16, 0.0), (3, 8, 100.0), (1, 300, 0.0)])
     def test_streamed_bytes_bounds_the_peak_tightly(self, d, n, beta):
         """A chunk's tracemalloc peak is at most its modelled bytes, the
         environments' share plus the solve's fixed bytes, and at least 85%

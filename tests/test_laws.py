@@ -179,6 +179,26 @@ class TestPhiKappa:
     def test_phi_small_at_kappa_rate(self, sym):
         assert phi(sym, 1.0 / kappa(sym, 1)) < 0.01
 
+    @pytest.mark.parametrize("lam", [0.5, 3.0, 30.0, 300.0])
+    @pytest.mark.parametrize("law", [
+        make_table_law(*parabola()), make_table_law(*COARSE), make_table_law(*RAMP),
+        make_uniform(-1.0, 1.0)], ids=["parabola", "coarse", "ramp", "uniform"])
+    def test_phi_matches_the_adaptive_reference(self, law, lam):
+        """phi's panel rule against EnvironmentLaw.integrate, an adaptive
+        256-node quadrature of each piece between the kinks."""
+        ref = law.integrate(lambda y: np.exp(-lam * law.h(y)), *law.inner)
+        assert phi(law, lam) == pytest.approx(ref, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("lam", [1e4, 1e6])
+    def test_phi_resolves_the_layer_at_the_support_ends(self, sym, lam):
+        """For Uniform[-1, 1], phi(lam) = D(s) / s with D Dawson's function
+        and s^2 = lam / 2, which is (1 + 1/lam + 3/lam^2 + ...) / lam; the
+        guard band drops about its width, 2e-12, of it.  The integrand lives
+        within about 1/lam of each end; at lam = 1e6 the adaptive reference
+        misses that layer and reads 1.6e-14."""
+        want = (1 + 1 / lam + 3 / lam ** 2) / lam - sym.guard
+        assert phi(sym, lam) == pytest.approx(want, rel=1e-9, abs=0)
+
 
 class TestIdentities:
     def test_ibp_linear_exact(self, sym):
@@ -331,6 +351,14 @@ class TestTableLaw:
         hv = law.h(np.array([1e-7, 1e-5, 1e-3]))
         assert np.all(hv > 0)
         assert hv[2] == pytest.approx(1e-3 * (1 - 1e-3) / 3, rel=1e-9)
+
+    def test_h_keeps_its_digits_next_to_the_lower_edge(self):
+        """Below the mean h is minus the integral over (a, x): the tail
+        over (x, b), a difference of two integrals of order 1, gave
+        h(1e-7) = 3.3445e-8 for the exact 3.3333e-8."""
+        law = make_table_law(*RAMP)
+        x = np.array([1e-7, 1e-5, 1e-3])
+        np.testing.assert_allclose(law.h(x), x * (1 - x) / 3, rtol=1e-12, atol=0)
 
     def test_rejects_nonmonotone(self):
         with pytest.raises(LawValidationError):

@@ -79,6 +79,18 @@ def test_replication_seed_refuses_negative_indices(r):
         replication_seed(5, r)
 
 
+@pytest.mark.parametrize("r", [2 ** 64, 2 ** 70])
+def test_replication_seed_refuses_indices_past_uint64(r):
+    """2**64 raised a bare OverflowError from numpy."""
+    with pytest.raises(ValueError, match=r"0\.\.2\*\*64-1"):
+        replication_seed(5, r)
+
+
+def test_replication_seed_takes_the_largest_index():
+    assert replication_seed(5, 2 ** 64 - 1) == replication_seed(
+        5, np.array([2 ** 64 - 1], dtype=np.uint64))[0]
+
+
 def test_replication_seed_takes_numpy_integer_indices():
     assert replication_seed(5, np.int64(3)) == replication_seed(5, 3)
     for dtype in (np.int32, np.uint8, np.uint64):
