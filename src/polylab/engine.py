@@ -578,6 +578,16 @@ def segment_tops(d: int, n: int) -> Tuple[int, ...]:
 SOLVE_FIXED_BYTES = 192 << 10
 
 
+def _solve_tops(d: int, n: int, beta: float, keep_theta: bool) -> Tuple[int, ...]:
+    """The segment tops a solve keeps checkpoints at: every layer in the
+    default mode and at beta=0, whose backward layers are floats
+    (_backward_step), so that no segment is recomputed; segment_tops(d, n)
+    otherwise."""
+    if keep_theta or beta == 0.0:
+        return tuple(range(1, n + 1))
+    return segment_tops(d, n)
+
+
 def draw_bytes(d: int, n: int, beta: float) -> int:
     """Bytes of the temporaries of drawing a layer whose site coordinates
     are not cached, whatever the batch size: those of making the top
@@ -610,35 +620,38 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
     of their log-sum-exps.  The bound is the largest total over the steps,
     8 bytes per float cell.
     beta=0 draws no weights and its backward layers are floats
-    (_backward_step), so it holds no backward layer or checkpoint and
-    recomputes nothing; its theta_k (k < n) is a new array, which the ell
-    step holds in place of B_k."""
+    (_backward_step), so it holds no weight, backward layer or checkpoint;
+    every layer is a segment (_solve_tops), so it recomputes nothing; and
+    its theta_k (k < n) is a new array, which the ell step holds in place
+    of B_k."""
     cum = _cumulative_cells(d, n)
     c = [1] + [cum[k] - cum[k - 1] for k in range(1, n + 1)]     # c[0]: the origin
     planes = (2 * d - 1).bit_length()
     choices = list(accumulate((planes * -(-c[k] // 8) if k > 1 else 0
                                for k in range(1, n + 1)), initial=0))
     stencil = 4 if log else 2
-    arrays = beta > 0                       # weights and backward layers
-    tops = segment_tops(d, n) if arrays else tuple(range(1, n + 1))
-    above = sum(c[t] for t in tops[:-1]) if arrays else 0
+    # a[k]: the cells of layer k's weights, and of B_k; both are arrays
+    # only at beta != 0 (None and a float at beta=0)
+    a = [0] * (n + 1) if beta == 0.0 else c
+    acum = list(accumulate(a))
+    tops = _solve_tops(d, n, beta, False)
+    above = sum(a[t] for t in tops[:-1])
     worst = 0
     for lo, hi in zip((0,) + tops[:-1], tops):
-        if hi < n and arrays:
-            above -= c[hi]                  # this checkpoint is the segment's B_hi
+        if hi < n:
+            above -= a[hi]                  # this checkpoint is the segment's B_hi
         for k in range(lo + 1, hi + 1):
-            rest = cum[hi] - cum[k - 1] if arrays else 0    # cells of layers k..hi
+            rest = acum[hi] - acum[k - 1]   # array cells of layers k..hi
             # the ell step holds the weights of layers k+1..hi and theta_k,
-            # written over B_k (which `backward` counts) or at beta=0 a new
-            # array; theta_n is F_n itself
-            theta = c[k] if not arrays and k < n else 0
+            # written over B_k (which `backward` counts) or a new array
+            # where B_k is a float; theta_n is F_n itself
+            theta = c[k] - a[k] if k < n else 0
             forward = 8 * (rest + 2 * c[k - 1] + stencil * c[k])
-            ell = (8 * (max(rest - c[k], 0) + theta + 3 * c[k] + c[k - 1])
-                   + (2 + planes) * c[k])
+            ell = 8 * (rest - a[k] + theta + 3 * c[k] + c[k - 1]) + (2 + planes) * c[k]
             recompute = 0
             if k < hi:
-                recompute = 8 * (cum[hi] - cum[lo] + stencil * c[k + 1] + 2 * c[lo])
-            backward = rest - (c[n] if hi == n and arrays else 0)
+                recompute = 8 * (acum[hi] - acum[lo] + stencil * c[k + 1] + 2 * c[lo])
+            backward = rest - (a[n] if hi == n else 0)
             held = 8 * (above + backward + 2 * n + 8) + choices[k]
             worst = max(worst, held + max(forward, ell, recompute))
     return worst
@@ -686,10 +699,7 @@ def forward_backward(instance: PolymerInstance,
         omegas[k] = np.broadcast_to(np.asarray(om, dtype=np.float64), layer_shape(d, k))
     lead = batch_shape(instance.seed)
     log = log_space(instance.beta, instance.law)
-    # beta=0 backward layers are floats: every layer is a checkpoint, and
-    # no segment is recomputed
-    tops = (tuple(range(1, n + 1)) if keep_theta or instance.beta == 0.0
-            else segment_tops(d, n))
+    tops = _solve_tops(d, n, instance.beta, keep_theta)
     plan = step_plan(d, n)
 
     def weights(k: int) -> Weights:

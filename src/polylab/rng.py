@@ -151,5 +151,5 @@ def replication_seed(base_seed: int, r):
     elif not np.issubdtype(r.dtype, np.integer):
         raise TypeError(f"replication indices must be integers, got dtype {r.dtype}")
     if np.any(r < 0) or np.any(r > _MASK64):
-        raise ValueError("replication indices must lie in 0..2**64-1 (>= 0 and < 2**64)")
+        raise ValueError("replication indices must lie in 0..2**64-1")
     return splitmix64(base + np.asarray(r, dtype=np.uint64) * GOLDEN).tolist()

@@ -75,7 +75,7 @@ def test_replication_seed_refuses_non_integer_indices(r):
 def test_replication_seed_refuses_negative_indices(r):
     """-1 raised a bare OverflowError, and np.array([-1]) wrapped around to
     the seed of r = 2**64 - 1."""
-    with pytest.raises(ValueError, match=">= 0"):
+    with pytest.raises(ValueError, match=r"0\.\.2\*\*64-1"):
         replication_seed(5, r)
 
 
