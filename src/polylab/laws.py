@@ -8,10 +8,12 @@ derive the weight function
 its supremum K (the Poincare constant of the law), the Laplace-type
 transform phi(lambda) of h, and the threshold scale kappa used in the
 lower-tail argument.  Self-checks verify the integration-by-parts identity
-and the Poincare inequality on concrete test functions.  Integrals and edge
-checks stay inside EnvironmentLaw.inner, the support less its guard band;
-quadrature stops at a panel that is not finite, and every check of
-validate() is written so that NaN fails it.
+and the Poincare inequality on concrete test functions.  Every integral,
+phi's among them, is EnvironmentLaw.integrate, one panel rule, over a
+range inside EnvironmentLaw.inner, the support less its guard band, and
+the edge checks stay inside it too; quadrature stops at a panel that is
+not finite, and every check of validate() is written so that NaN fails
+it.
 """
 
 from __future__ import annotations
@@ -30,36 +32,17 @@ from .rng import as_int, derive_seed
 # fraction of (b - a).  f may vanish at the endpoints, making h a 0/0 form.
 EDGE_GUARD = 1e-12
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(256)
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # panel_gauss's absolute tolerance over the whole interval, and the most
-# bisections of one of its panels (gauss_legendre's tolerance and depth)
+# panels one of its rounds bisects: an integrand whose rounding exceeds the
+# tolerance, as x^2 near x = 1e4 does, would otherwise double its panels
+# every round until they are an ulp wide
 _PANEL_TOL = 1e-10
-_PANEL_MAX_DEPTH = 24
-
-
-def gauss_legendre(fn: Callable, lo: float, hi: float, abs_tol: float = 1e-10,
-                   _depth: int = 0) -> float:
-    """Adaptive composite Gauss-Legendre quadrature (256 nodes per panel).
-
-    Panels are bisected until the two-half refinement agrees with the whole
-    panel within abs_tol.  A panel whose halves sum to NaN or an infinity is
-    returned as it is, since no bisection can make it agree.  Deterministic
-    for a given integrand.
-    """
-    mid = 0.5 * (lo + hi)
-
-    def panel(u, v):
-        c, hw = 0.5 * (u + v), 0.5 * (v - u)
-        x = c + hw * _GL_NODES
-        return hw * float(np.dot(_GL_WEIGHTS, np.asarray(fn(x), dtype=np.float64)))
-
-    whole = panel(lo, hi)
-    halves = panel(lo, mid) + panel(mid, hi)
-    if not math.isfinite(halves) or abs(whole - halves) <= abs_tol or _depth >= 24:
-        return halves
-    return (gauss_legendre(fn, lo, mid, abs_tol / 2, _depth + 1)
-            + gauss_legendre(fn, mid, hi, abs_tol / 2, _depth + 1))
+_PANEL_MAX_SPLIT = 2 ** 14
+# integrate's end pieces are cut this many times toward each end:
+# 2^-40 < EDGE_GUARD, so the finest panel is narrower than the guard band
+# whatever the end piece's width
+_END_GRADING = 40
 
 
 def panel_gauss(fn: Callable, edges: Sequence[float]) -> float:
@@ -68,9 +51,11 @@ def panel_gauss(fn: Callable, edges: Sequence[float]) -> float:
     panel whose halves differ from it by more than its share of
     _PANEL_TOL (its width over the whole) is bisected, its halves becoming
     the next round's panels, unless its halves sum to NaN or an infinity
-    or it lies _PANEL_MAX_DEPTH bisections deep; otherwise its halves are
-    kept.  fn is evaluated once on the first panels' nodes, as a
-    (panels, 16) array, and once per round on their halves' nodes."""
+    or its midpoint rounds to one of its ends; otherwise its halves are
+    kept.  A round that would bisect more than _PANEL_MAX_SPLIT panels
+    keeps all their halves instead, so the work is bounded whatever fn
+    is.  fn is evaluated once on the first panels' nodes, as a (panels,
+    16) array, and once per round on their halves' nodes."""
     def rule(lo, hi):
         c, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
         return hw * (np.asarray(fn(c[:, None] + hw[:, None] * _PANEL_NODES),
@@ -79,18 +64,17 @@ def panel_gauss(fn: Callable, edges: Sequence[float]) -> float:
     lo, hi = np.asarray(edges[:-1], dtype=np.float64), np.asarray(edges[1:], dtype=np.float64)
     share = _PANEL_TOL / (edges[-1] - edges[0])
     whole, total = rule(lo, hi), 0.0
-    for depth in range(_PANEL_MAX_DEPTH + 1):
+    while lo.size:
         mid = 0.5 * (lo + hi)
         left, right = np.split(rule(np.concatenate((lo, mid)), np.concatenate((mid, hi))), 2)
         halves = left + right
-        keep = (~np.isfinite(halves) | (np.abs(whole - halves) <= share * (hi - lo))
-                | (depth == _PANEL_MAX_DEPTH))
-        total += float(np.add.reduce(halves[keep]))
-        split = ~keep
+        split = (np.isfinite(halves) & ~(np.abs(whole - halves) <= share * (hi - lo))
+                 & (mid != lo) & (mid != hi))
+        if np.count_nonzero(split) > _PANEL_MAX_SPLIT:
+            split[:] = False
+        total += float(np.add.reduce(halves[~split]))
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
         whole = np.concatenate((left[split], right[split]))
-        if not lo.size:
-            break
     return total
 
 
@@ -105,11 +89,11 @@ class EnvironmentLaw:
     density must accept numpy arrays.  h_closed_form evaluates h exactly
     (up to rounding) on arrays; quadrature of the density is only the
     reference validate() checks it against.  kinks are the interior points
-    where the density is not smooth; integrate() splits its quadrature at
-    them, so the reference is exact to rounding for a piecewise-polynomial
-    density.  quantile maps [0, 1) into the open support.  The laws built
-    here bind module-level functions with functools.partial, so they
-    pickle: a parallel run ships the law its parent parsed and validated.
+    where the density is not smooth; integrate() starts its panels at
+    them, so it is exact to rounding for a piecewise-polynomial density.
+    quantile maps [0, 1) into the open support.  The laws built here bind
+    module-level functions with functools.partial, so they pickle: a
+    parallel run ships the law its parent parsed and validated.
     """
 
     support_lo: float
@@ -151,11 +135,24 @@ class EnvironmentLaw:
         return float(self.h(x))
 
     def integrate(self, fn: Callable, lo: float, hi: float) -> float:
-        """integral over (lo, hi) of fn(y) * density(y), by gauss_legendre
-        on each piece between the kinks inside (lo, hi)."""
-        edges = [lo, *(k for k in self.kinks if lo < k < hi), hi]
-        return sum(gauss_legendre(lambda y: fn(y) * self.density(y), u, v)
-                   for u, v in zip(edges, edges[1:]))
+        """integral over (lo, hi) of fn(y) * density(y) by panel_gauss, whose
+        first panels are the pieces between the kinks inside (lo, hi), or
+        the two halves of (lo, hi) if there are none, so that fn and the
+        density are evaluated once per round on all of them.  h vanishes
+        at the support's ends, so at large lambda exp(-lambda h) lives in a
+        layer of width about 1/lambda there, narrower than any node of an
+        end piece's rule sees: the end pieces are cut at 2^-1, ..., 2^-40
+        of their width from the end, so that some panel matches the layer.  A
+        layer also forms where h is small at an interior kink, as next to
+        the peak of a coarse table's density, and the pieces are not graded
+        there: panel_gauss bisects the panels that do not resolve it (one
+        fixed rule per panel misses about 1e-8 of phi at lambda 300 on
+        tests/test_laws.py's COARSE table)."""
+        kinks = [k for k in self.kinks if lo < k < hi] or [0.5 * (lo + hi)]
+        grading = 0.5 ** np.arange(_END_GRADING, 0, -1)
+        edges = np.concatenate(([lo], lo + (kinks[0] - lo) * grading, kinks,
+                                hi - (hi - kinks[-1]) * grading[::-1], [hi]))
+        return panel_gauss(lambda y: fn(y) * self.density(y), edges)
 
     def _h_quad(self, x: float) -> float:
         """Quadrature reference for h(x)."""
@@ -179,9 +176,12 @@ class EnvironmentLaw:
         total = self.integrate(lambda y: 1.0, *self.inner)
         if not abs(total - 1.0) <= 1e-8:
             raise LawValidationError(f"density integrates to {total}, not 1")
-        m = self.integrate(lambda y: y, *self.inner)
-        if not abs(m - self.mean) <= 1e-8:
-            raise LawValidationError(f"density mean {m} != declared mean {self.mean}")
+        # about the declared mean, so that no guard band's loss of mass
+        # reads as a shift of a mean far from 0
+        off = self.integrate(lambda y: y - self.mean, *self.inner)
+        if not abs(off) <= 1e-8:
+            raise LawValidationError(
+                f"density mean {self.mean + off} != declared mean {self.mean}")
         grid = self.interior_grid(512)
         hv = self.h(grid)
         if np.any(hv <= 0):
@@ -338,39 +338,14 @@ def poincare_constant(law: EnvironmentLaw) -> float:
     return max(float(np.max(hv)), fc, fd)
 
 
-# phi's end pieces are cut this many times toward each end of the support:
-# 2^-40 < EDGE_GUARD, so the finest panel is narrower than the guard band
-# whatever the end piece's width
-_PHI_GRADING = 40
-
-
 def phi(law: EnvironmentLaw, lam: float) -> float:
-    """phi(lambda) = E exp(-lambda h(X)); equals 1 at lambda 0, decreasing.
-    A negative or NaN lambda raises ValueError.
-
-    The integral runs over law.inner by panel_gauss, whose first panels
-    are the pieces between the law's kinks, so a table law's h and density
-    are evaluated once per round on all of its panels (EnvironmentLaw.
-    integrate, an adaptive quadrature per piece, is the reference).  h
-    vanishes at the support's ends, so at large lambda the integrand lives
-    in a layer of width about 1/lambda there, narrower than any node of an
-    end piece's rule sees: the end pieces are cut at 2^-1, ..., 2^-40 of
-    their width from the end, so that some panel matches the layer.  A
-    layer also forms where h is small at an interior kink, as next to the
-    peak of a coarse table's density, and the pieces are not graded
-    there: panel_gauss bisects the panels that do not resolve it (one
-    fixed rule per panel misses about 1e-8 of phi at lambda 300 on
-    tests/test_laws.py's COARSE table)."""
+    """phi(lambda) = E exp(-lambda h(X)) over law.inner; equals 1 at lambda
+    0, decreasing.  A negative or NaN lambda raises ValueError."""
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam!r}")
     if lam == 0:
         return 1.0
-    lo, hi = law.inner
-    kinks = [k for k in law.kinks if lo < k < hi] or [0.5 * (lo + hi)]
-    grading = 0.5 ** np.arange(_PHI_GRADING, 0, -1)
-    edges = np.concatenate(([lo], lo + (kinks[0] - lo) * grading, kinks,
-                            hi - (hi - kinks[-1]) * grading[::-1], [hi]))
-    return panel_gauss(lambda y: np.exp(-lam * law.h(y)) * law.density(y), edges)
+    return law.integrate(lambda y: np.exp(-lam * law.h(y)), *law.inner)
 
 
 def kappa(law: EnvironmentLaw, d: int) -> float:
@@ -402,22 +377,25 @@ def kappa(law: EnvironmentLaw, d: int) -> float:
 def check_ibp(law: EnvironmentLaw, g: Callable, g_prime: Callable) -> float:
     """Residual of the integration-by-parts identity
     E((X - m) g(X)) = E(h(X) g'(X)); should vanish for smooth bounded g.
+    Over law.inner the two sides differ by the boundary term h f g at the
+    guard band, about 2e-12 for Uniform[-1, 1].
     """
-    # Gauss-Legendre nodes are strictly interior, so no guard band is needed
-    lo, hi = law.support_lo, law.support_hi
-    lhs = law.integrate(lambda y: (y - law.mean) * np.asarray(g(y)), lo, hi)
-    rhs = law.integrate(lambda y: law.h(y) * np.asarray(g_prime(y)), lo, hi)
+    lhs = law.integrate(lambda y: (y - law.mean) * np.asarray(g(y)), *law.inner)
+    rhs = law.integrate(lambda y: law.h(y) * np.asarray(g_prime(y)), *law.inner)
     return abs(lhs - rhs)
 
 
 def check_poincare(law: EnvironmentLaw, g: Callable, g_prime: Callable) -> float:
-    """Margin K * E(g'(X)^2) - Var(g(X)); nonnegative up to quadrature error."""
-    lo, hi = law.support_lo, law.support_hi
+    """Margin K * E(g'(X)^2) - Var(g(X)); nonnegative up to quadrature error.
+    The expectations are over law.inner, divided by its mass, and the
+    variance is the mean square of g less its mean, taken in a second
+    pass, so that it does not cancel when g is far from 0."""
     K = poincare_constant(law)
-    eg = law.integrate(lambda y: np.asarray(g(y)), lo, hi)
-    eg2 = law.integrate(lambda y: np.asarray(g(y)) ** 2, lo, hi)
-    egp2 = law.integrate(lambda y: np.asarray(g_prime(y)) ** 2, lo, hi)
-    return K * egp2 - (eg2 - eg * eg)
+    mass = law.integrate(lambda y: 1.0, *law.inner)
+    gbar = law.integrate(g, *law.inner) / mass
+    var = law.integrate(lambda y: (np.asarray(g(y)) - gbar) ** 2, *law.inner)
+    egp2 = law.integrate(lambda y: np.asarray(g_prime(y)) ** 2, *law.inner)
+    return (K * egp2 - var) / mass
 
 
 def check_poincare_tensorized(law: EnvironmentLaw, n: int, g: Callable,

@@ -10,8 +10,8 @@ import pytest
 
 from polylab import laws
 from polylab.laws import (LawValidationError, check_ibp, check_poincare,
-                          check_poincare_tensorized, gauss_legendre, kappa,
-                          make_table_law, make_uniform, phi, poincare_constant)
+                          check_poincare_tensorized, kappa, make_table_law,
+                          make_uniform, phi, poincare_constant)
 
 BATTERY = [
     (lambda x: np.asarray(x, dtype=float), lambda x: np.ones_like(np.asarray(x, dtype=float))),
@@ -24,6 +24,33 @@ BATTERY = [
 @pytest.fixture(scope="module")
 def sym():
     return make_uniform(-1.0, 1.0)
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(256)
+
+
+def gauss_legendre(fn, lo, hi, abs_tol=1e-10, _depth=0):
+    """Adaptive composite Gauss-Legendre quadrature (256 nodes per panel),
+    recursive and independent of the library's panel rule.
+
+    Panels are bisected until the two-half refinement agrees with the whole
+    panel within abs_tol.  A panel whose halves sum to NaN or an infinity is
+    returned as it is, since no bisection can make it agree.  Deterministic
+    for a given integrand.
+    """
+    mid = 0.5 * (lo + hi)
+
+    def panel(u, v):
+        c, hw = 0.5 * (u + v), 0.5 * (v - u)
+        x = c + hw * _GL_NODES
+        return hw * float(np.dot(_GL_WEIGHTS, np.asarray(fn(x), dtype=np.float64)))
+
+    whole = panel(lo, hi)
+    halves = panel(lo, mid) + panel(mid, hi)
+    if not math.isfinite(halves) or abs(whole - halves) <= abs_tol or _depth >= 24:
+        return halves
+    return (gauss_legendre(fn, lo, mid, abs_tol / 2, _depth + 1)
+            + gauss_legendre(fn, mid, hi, abs_tol / 2, _depth + 1))
 
 
 def quad_h(law, x):
@@ -64,6 +91,12 @@ def exact_table_mean(law, xs):
                 for u, v, fu, fv in panels)
     return first / mass
 
+
+# More integrand nodes than check_poincare may evaluate on one law: each of
+# its integrals ends on panel_gauss's split cap within about 2.1e6 nodes,
+# while panels that doubled every round until they reached an ulp would
+# pass this within a few rounds more
+NODE_BUDGET = 10_000_000
 
 # A coarse asymmetric table and f = x on 5 nodes: a trapezoid mean over a
 # dense grid missed their exact means by 1.1e-8 and 1.2e-9
@@ -122,6 +155,16 @@ class TestUniform:
 
     def test_validate_passes(self, sym):
         sym.validate()
+
+    @pytest.mark.parametrize("c", [1e2, 1e4, 1e6])
+    def test_validate_passes_far_from_zero(self, c):
+        """The mean is checked as the integral of y - mean: at c = 1e4 the
+        guard band's lost mass, 2e-12, read as a mean off by 1.8e-8."""
+        make_uniform(c - 1.0, c + 1.0).validate()
+
+    def test_validate_refuses_a_mean_off_by_1e_7(self, sym):
+        with pytest.raises(LawValidationError, match="declared mean 1e-07"):
+            dataclasses.replace(sym, mean=1e-7).validate()
 
     def test_h_positive_on_dense_grid(self, sym):
         grid = sym.interior_grid(4096)
@@ -184,9 +227,12 @@ class TestPhiKappa:
         make_table_law(*parabola()), make_table_law(*COARSE), make_table_law(*RAMP),
         make_uniform(-1.0, 1.0)], ids=["parabola", "coarse", "ramp", "uniform"])
     def test_phi_matches_the_adaptive_reference(self, law, lam):
-        """phi's panel rule against EnvironmentLaw.integrate, an adaptive
-        256-node quadrature of each piece between the kinks."""
-        ref = law.integrate(lambda y: np.exp(-lam * law.h(y)), *law.inner)
+        """phi's panel rule against gauss_legendre, an adaptive 256-node
+        quadrature of each piece between the kinks over law.inner."""
+        lo, hi = law.inner
+        edges = [lo, *(k for k in law.kinks if lo < k < hi), hi]
+        ref = sum(gauss_legendre(lambda y: np.exp(-lam * law.h(y)) * law.density(y), u, v)
+                  for u, v in zip(edges, edges[1:]))
         assert phi(law, lam) == pytest.approx(ref, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("lam", [1e4, 1e6])
@@ -198,6 +244,14 @@ class TestPhiKappa:
         misses that layer and reads 1.6e-14."""
         want = (1 + 1 / lam + 3 / lam ** 2) / lam - sym.guard
         assert phi(sym, lam) == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_integrate_resolves_the_layer_at_the_support_ends(self, sym):
+        """integrate takes phi's graded end pieces: the recursive reference
+        reads 1.6e-14 for this integral of about 1e-6."""
+        lam = 1e6
+        got = sym.integrate(lambda y: np.exp(-lam * sym.h(y)), *sym.inner)
+        want = (1 + 1 / lam + 3 / lam ** 2) / lam - sym.guard
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
 
 
 class TestIdentities:
@@ -230,6 +284,36 @@ class TestIdentities:
     def test_poincare_battery_nonnegative(self, sym):
         for g, gp in BATTERY:
             assert check_poincare(sym, g, gp) >= -1e-9
+
+    @pytest.mark.parametrize("c", [1e2, 1e4, 1e6])
+    def test_poincare_linear_margin_far_from_zero(self, c):
+        """The variance is taken about the mean in a second pass: E g^2 -
+        (E g)^2 read 0.16650 at c = 1e6 and was off by 9.9e-9 at c = 1e4."""
+        m = check_poincare(make_uniform(c - 1.0, c + 1.0), lambda x: np.asarray(x, dtype=float),
+                           lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        assert m == pytest.approx(1.0 / 6.0, abs=1e-9)
+
+    def test_poincare_work_is_bounded_far_from_zero(self):
+        """g = x^2 on the 201-node table shifted to [9999, 10001]: its
+        integrands are near 1e8, whose rounding no panel's absolute
+        tolerance can beat, so panel_gauss stops on its split cap.  Under
+        a depth cap of 24 bisections alone, one round could hold 2^24 times
+        the first panels."""
+        xs, fs = parabola()
+        law = make_table_law(xs + 1e4, fs)
+        nodes = []
+
+        def count(fn):
+            def wrapped(x):
+                nodes.append(np.size(x))
+                if sum(nodes) > NODE_BUDGET:
+                    raise RuntimeError(f"{sum(nodes)} nodes evaluated")
+                return fn(x)
+            return wrapped
+
+        margin = check_poincare(law, count(lambda x: np.asarray(x) ** 2),
+                                count(lambda x: 2.0 * np.asarray(x)))
+        assert margin > 0
 
 
 class TestTensorized:
@@ -381,17 +465,17 @@ class TestTableLaw:
 
 class TestNaN:
     """NaN fails every test of quadrature and validate(): a NaN integrand
-    stops at once instead of bisecting to the depth limit."""
+    stops at once instead of bisecting its panels."""
 
-    def test_nan_integrand_stops_after_three_panels(self):
-        panels = []
+    def test_nan_integrand_stops_after_one_round(self, sym):
+        calls = []
 
         def fn(x):
-            panels.append(x.size)
+            calls.append(x.size)
             return np.full_like(x, np.nan)
 
-        assert math.isnan(gauss_legendre(fn, 0.0, 1.0))
-        assert len(panels) == 3
+        assert math.isnan(sym.integrate(fn, 0.0, 1.0))
+        assert len(calls) == 2
 
     def test_validate_rejects_nan_density(self, sym):
         bad = dataclasses.replace(
