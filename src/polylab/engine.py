@@ -14,9 +14,10 @@ value, so that they never overflow.
 When one layer's weights span more than exp(LOG_SPACE_RANGE), products of
 normalized layers could underflow, and the same sweeps run in log space:
 layers hold log-masses and neighbour sums are log-sum-exps.  Every
-neighbour sum takes its 2d steps as adds of contiguous flat slices of
-lattice frames (lattice.step_slices, planned per solve by
-lattice.step_plan), with the results of the windowed sums bit for bit.
+neighbour sum (_sum, or _log_sum in log space) takes its 2d steps as adds
+of contiguous flat slices of lattice frames (lattice.step_slices, planned
+per solve by lattice.step_plan), with the results of the windowed sums bit
+for bit.
 Every function that takes a step k, from env_layer to the keys of
 forward_backward's layer_omega, reads it through PolymerInstance.step,
 which refuses a bool, a non-integer and a step not in 1..n, and every
@@ -71,8 +72,6 @@ of i (np.unravel_index).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import numbers
 import warnings
@@ -86,7 +85,7 @@ import numpy as np
 
 from .lattice import (PathDP, Site, Step, cell_sites, framed, is_reachable,
                       layer_cells, layer_shape, layer_sites, site_cells,
-                      sites_bytes, step_geometry, step_plan, step_vectors)
+                      sites_bytes, step_plan, step_vectors)
 from .laws import EnvironmentLaw
 from .rng import as_int, counter_uniform
 
@@ -115,7 +114,8 @@ def require_single(seed: Seed, what: str) -> None:
 
 def require_drawn(solution: "ThetaSolution", what: str) -> None:
     """Refuse a solve with replaced layers where `what` redraws its
-    environment from solution.instance, whose layers those are not."""
+    environment from solution.instance, whose layers those are not: the
+    callers are gamma_tau_profiles and theta_derivative_check."""
     if solution.replaced:
         raise ValueError(f"{what} redraws the environment of the instance, but "
                          f"this solve replaced its layers {list(solution.replaced)}")
@@ -218,18 +218,12 @@ def env_value(instance: PolymerInstance, k: int, x: Site) -> float:
     return float(_draw(instance, k, np.asarray([site], dtype=np.int64))[0])
 
 
-def _neighbor_sum(layer: np.ndarray, d: int, k: int, up: bool) -> np.ndarray:
-    """Sum over the 2d neighbours of every site of the step-k layer, on the
-    trailing d axes: up from the step-(k-1) layer, otherwise down from the
-    step-(k+1) layer (see _sum)."""
-    return _sum(layer, layer.shape[:-d], step_geometry(d, k),
-                step_geometry(d, k + (not up)), up)
-
-
 def _sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
          up: bool) -> np.ndarray:
-    """_neighbor_sum into the step `here` from a frame of step `big` (here
-    itself up, the step after it down), with leading axes lead.
+    """Sum over the 2d neighbours of every site of the step-k layer, whose
+    geometry is `here` (lattice.step_geometry), with leading axes lead: up
+    from the step-(k-1) layer, otherwise down from the step-(k+1) layer,
+    whose geometry is `big` (`here` itself up).
 
     Each step is one add of contiguous flat slices (lattice.step_slices)
     on frames of the larger layer (_stencil).  Padding adds +0.0, so every
@@ -338,12 +332,6 @@ def _log(values: np.ndarray) -> np.ndarray:
     log Z must not depend on the batch size."""
     return np.fromiter(map(math.log, values.ravel().tolist()), dtype=np.float64,
                        count=values.size).reshape(values.shape)
-
-
-def _log_neighbor_sum(layer: np.ndarray, d: int, k: int, up: bool) -> np.ndarray:
-    """_neighbor_sum of log-masses (see _log_sum)."""
-    return _log_sum(layer, layer.shape[:-d], step_geometry(d, k),
-                    step_geometry(d, k + (not up)), up)
 
 
 def _log_sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
@@ -478,12 +466,11 @@ class ThetaSolution:
 
     instance is the PolymerInstance that was solved: its d, n, beta and
     seed are the solution's, and the readers of a solution (theta_value,
-    sample_paths, theta_derivative_check, dump_solution and the
-    functionals) take them, and the environment, from it.  replaced lists
-    the steps whose layers a forward_backward(layer_omega=) solve replaced;
-    the readers that redraw the environment from the instance
-    (gamma_tau_profiles, theta_derivative_check and dump_solution) refuse
-    such a solve (require_drawn).
+    sample_paths, theta_derivative_check and the functionals) take them,
+    and the environment, from it.  replaced lists the steps whose layers a
+    forward_backward(layer_omega=) solve replaced; the readers that redraw
+    the environment from the instance (gamma_tau_profiles and
+    theta_derivative_check) refuse such a solve (require_drawn).
     theta_layers[k-1] holds the occupation probabilities at step k in the
     layout of lattice.layer_shape;
     forward_layers holds the normalized forward mass (needed for exact path
@@ -924,28 +911,3 @@ def theta_derivative_check(solution: ThetaSolution, k: int, x: Site):
     t_plus, t_minus = layer_theta(instance, k, forced).reshape(2, -1)[:, cell]
     numeric = float(t_plus - t_minus) / (w_plus - w_minus)
     return analytic, numeric
-
-
-def dump_solution(solution: ThetaSolution, csv_path: str, json_path: str) -> None:
-    """Write the nonzero theta entries of reachable sites as CSV rows
-    (k, site, theta), sites in lexicographic order, plus a JSON sidecar with
-    the run parameters.  The cube's cells off the cone carry exactly zero
-    mass in either domain, so a nonzero entry is a reachable site."""
-    inst = solution.instance
-    require_single(inst.seed, "dump_solution")
-    require_drawn(solution, "dump_solution")
-    with open(csv_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["k", "site", "theta"])
-        for k in range(1, inst.n + 1):
-            theta = solution.theta_array(k).reshape(-1)
-            sites = layer_sites(inst.d, k).reshape(-1, inst.d)
-            order = np.lexsort(sites.T[::-1])       # cube C order is not lexicographic
-            for x, val in zip(sites[order].tolist(), theta[order].tolist()):
-                if val != 0.0:
-                    wr.writerow([k, ";".join(map(str, x)), f"{val:.17g}"])
-    with open(json_path, "w") as fh:
-        json.dump({"log_partition": solution.log_partition,
-                   "seed": inst.seed, "d": inst.d,
-                   "n": inst.n, "beta": inst.beta}, fh, indent=2)
-        fh.write("\n")

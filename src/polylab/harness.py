@@ -24,7 +24,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -173,7 +173,8 @@ def _solve_chunk(config: ExperimentConfig, law: EnvironmentLaw,
 
 def worker_count(requested: Optional[int] = None) -> int:
     """Worker processes: `requested`, else POLYLAB_THREADS, else 1; at most
-    os.cpu_count().  A count below 1 or a non-integer is a ConfigError."""
+    os.cpu_count().  A count below 1 or a non-integer (by rng.as_int, for
+    `requested`) is a ConfigError."""
     source = "workers"
     if requested is None:
         env = os.environ.get("POLYLAB_THREADS")
@@ -184,6 +185,11 @@ def worker_count(requested: Optional[int] = None) -> int:
             requested = int(env)
         except ValueError:
             raise ConfigError(f"{source} is not an integer") from None
+    else:
+        try:
+            requested = as_int(source, requested)
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from None
     if requested < 1:
         raise ConfigError(f"{source}: need at least 1 worker, got {requested}")
     return min(requested, os.cpu_count() or 1)
@@ -256,7 +262,7 @@ def scaling_study(d: int, n_grid: Sequence[int], base_seed: int = 0,
     d, every n and base_seed follow PolymerInstance's rules.
     """
     law = parse_law_spec(law_spec)
-    try:    # checks n and base_seed before replication_seed reads them
+    try:    # beta=0 draws nothing, but base_seed is checked all the same
         insts = [PolymerInstance(d=d, n=n, beta=0.0, law=law, seed=base_seed) for n in n_grid]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"scaling needs integers d, n >= 1 and base_seed: {exc}") from None
@@ -264,7 +270,6 @@ def scaling_study(d: int, n_grid: Sequence[int], base_seed: int = 0,
         raise ConfigError(f"a slope needs at least two distinct n, got {list(n_grid)}")
     rows = []
     for inst in insts:
-        inst = replace(inst, seed=replication_seed(base_seed, inst.n))
         sol = forward_backward(inst, keep_forward=False, keep_theta=False)
         l_val, _ = functionals.ell(sol)
         rows.append((inst.n, l_val, functionals.rho(sol)))

@@ -33,11 +33,14 @@ from .rng import as_int, derive_seed
 EDGE_GUARD = 1e-12
 
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# panel_gauss's absolute tolerance over the whole interval, and the most
+# panel_gauss's tolerance over the whole interval: absolute, or relative to
+# the integral of |fn| where that is larger, since an integrand near 1e8
+# (x^2 near x = 1e4) rounds by more than any absolute 1e-10.  And the most
 # panels one of its rounds bisects: an integrand whose rounding exceeds the
-# tolerance, as x^2 near x = 1e4 does, would otherwise double its panels
-# every round until they are an ulp wide
+# tolerance would otherwise double its panels every round until they are an
+# ulp wide
 _PANEL_TOL = 1e-10
+_PANEL_REL = 1e-11
 _PANEL_MAX_SPLIT = 2 ** 14
 # integrate's end pieces are cut this many times toward each end:
 # 2^-40 < EDGE_GUARD, so the finest panel is narrower than the guard band
@@ -47,23 +50,26 @@ _END_GRADING = 40
 
 def panel_gauss(fn: Callable, edges: Sequence[float]) -> float:
     """integral of fn over (edges[0], edges[-1]) by a 16-node Gauss-Legendre
-    rule on each panel between consecutive edges and on its two halves.  A
-    panel whose halves differ from it by more than its share of
-    _PANEL_TOL (its width over the whole) is bisected, its halves becoming
-    the next round's panels, unless its halves sum to NaN or an infinity
-    or its midpoint rounds to one of its ends; otherwise its halves are
-    kept.  A round that would bisect more than _PANEL_MAX_SPLIT panels
-    keeps all their halves instead, so the work is bounded whatever fn
-    is.  fn is evaluated once on the first panels' nodes, as a (panels,
-    16) array, and once per round on their halves' nodes."""
+    rule on each panel between consecutive edges and on its two halves.  The
+    tolerance is _PANEL_TOL, or _PANEL_REL times the sum of |rule| over the
+    first panels where that is larger and finite.  A panel whose halves
+    differ from it by more than its share of the tolerance (its width over
+    the whole) is bisected, its halves becoming the next round's panels,
+    unless its halves sum to NaN or an infinity or its midpoint rounds to
+    one of its ends; otherwise its halves are kept.  A round that would
+    bisect more than _PANEL_MAX_SPLIT panels keeps all their halves
+    instead, so the work is bounded whatever fn is.  fn is evaluated once
+    on the first panels' nodes, as a (panels, 16) array, and once per round
+    on their halves' nodes."""
     def rule(lo, hi):
         c, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
         return hw * (np.asarray(fn(c[:, None] + hw[:, None] * _PANEL_NODES),
                                 dtype=np.float64) @ _PANEL_WEIGHTS)
 
     lo, hi = np.asarray(edges[:-1], dtype=np.float64), np.asarray(edges[1:], dtype=np.float64)
-    share = _PANEL_TOL / (edges[-1] - edges[0])
     whole, total = rule(lo, hi), 0.0
+    scale = _PANEL_REL * float(np.add.reduce(np.abs(whole)))
+    share = (scale if _PANEL_TOL < scale < math.inf else _PANEL_TOL) / (edges[-1] - edges[0])
     while lo.size:
         mid = 0.5 * (lo + hi)
         left, right = np.split(rule(np.concatenate((lo, mid)), np.concatenate((mid, hi))), 2)
@@ -312,30 +318,17 @@ def load_table_law(path: str) -> EnvironmentLaw:
 def poincare_constant(law: EnvironmentLaw) -> float:
     """K = sup of h over the support.
 
-    Supremum over a 4096-point interior grid, tightened by golden-section
-    refinement around the grid maximizer to within 1e-8 in the argument.
+    The largest h on a nested grid: the 4096-point interior grid, then
+    three times 4097 points between the two grid neighbours of the
+    current maximizer, each spanning 1/2048 of the one before.
     """
-    grid = law.interior_grid(4096)
-    hv = law.h(grid)
-    i = int(np.argmax(hv))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = float(law.h(c)), float(law.h(d))
-    while b - a > 1e-8:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(law.h(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(law.h(d))
-    return max(float(np.max(hv)), fc, fd)
+    grid, best = law.interior_grid(4096), []
+    for _ in range(4):
+        hv = law.h(grid)
+        i = int(np.argmax(hv))
+        best.append(hv[i])
+        grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 4097)
+    return float(np.max(best))
 
 
 def phi(law: EnvironmentLaw, lam: float) -> float:

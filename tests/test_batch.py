@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from polylab import engine
-from polylab.engine import (PolymerInstance, brute_force, dump_solution,
-                            forward_backward, layer_theta, sample_paths,
-                            segment_tops, streamed_bytes)
+from polylab.engine import (PolymerInstance, brute_force, forward_backward,
+                            layer_theta, sample_paths, segment_tops,
+                            streamed_bytes)
 from polylab.functionals import alpha_profile, ell, rho
 from polylab.lattice import layer_cells, site_cells, validate_path
 from polylab.laws import make_uniform
@@ -291,12 +291,6 @@ class TestSingleEnvironmentOnly:
         _, sol = solved
         with pytest.raises(ValueError):
             sol.theta_value(1, (1,))
-
-    def test_dump_solution_rejected(self, solved, tmp_path):
-        _, sol = solved
-        with pytest.raises(ValueError):
-            dump_solution(sol, str(tmp_path / "t.csv"), str(tmp_path / "t.json"))
-        assert not (tmp_path / "t.csv").exists()
 
     def test_seed_must_be_hashable_or_nonempty(self):
         with pytest.raises(TypeError):

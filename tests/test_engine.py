@@ -10,9 +10,9 @@ import pytest
 
 from polylab import engine, verify
 from polylab.engine import (NumericalError, PolymerInstance, brute_force,
-                            dump_solution, env_layer, env_value,
-                            forward_backward, layer_alpha, layer_theta, log_space,
-                            sample_paths, theta_derivative_check)
+                            env_layer, env_value, forward_backward, layer_alpha,
+                            layer_theta, log_space, sample_paths,
+                            theta_derivative_check)
 from polylab.functionals import (alpha_profile, build_report, ell,
                                  gamma_tau_profiles, rho)
 from polylab import lattice
@@ -553,20 +553,15 @@ class TestLayerOmega:
         gamma_tau_profiles,
         build_report,
         lambda sol: theta_derivative_check(sol, 10, (0,)),
-        lambda sol: dump_solution(sol, "never.csv", "never.json"),
-    ], ids=["gamma_tau_profiles", "build_report", "theta_derivative_check",
-            "dump_solution"])
-    def test_readers_that_redraw_refuse_a_replaced_solve(self, monkeypatch,
-                                                          tmp_path, reader):
+    ], ids=["gamma_tau_profiles", "build_report", "theta_derivative_check"])
+    def test_readers_that_redraw_refuse_a_replaced_solve(self, reader):
         """These readers draw layers from solution.instance, which are not
         the replaced ones: with layer 10 set to 0.9, tau_10 would read the
-        drawn layer (-0.4474), the derivative check would compare 0.7478
-        against 0.7325, and the dump's seed would not reproduce its theta."""
-        monkeypatch.chdir(tmp_path)
+        drawn layer (-0.4474), and the derivative check would compare
+        0.7478 against 0.7325."""
         inst = PolymerInstance(d=1, n=20, beta=3.0, law=LAW, seed=1)
         with pytest.raises(ValueError, match=r"replaced its layers \[10\]"):
             reader(forward_backward(inst, layer_omega={10: 0.9}))
-        assert not list(tmp_path.iterdir())
         reader(forward_backward(inst))
 
 
@@ -604,22 +599,6 @@ def test_solution_carries_its_instance(seed, solve):
     assert solve(inst).instance is inst
 
 
-def test_dump_solution(tmp_path):
-    inst = PolymerInstance(d=1, n=4, beta=1.0, law=LAW, seed=99)
-    sol = forward_backward(inst, keep_forward=False)
-    csv_path = tmp_path / "theta.csv"
-    json_path = tmp_path / "theta.json"
-    dump_solution(sol, str(csv_path), str(json_path))
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "k,site,theta"
-    # layers 1..4 hold 2+3+4+5 = 14 strictly positive entries at beta > 0
-    assert len(lines) == 1 + 14
-    import json as _json
-    meta = _json.loads(json_path.read_text())
-    assert meta["n"] == 4 and meta["seed"] == 99
-    assert meta["log_partition"] == pytest.approx(sol.log_partition)
-
-
 class TestLayout:
     """In d=1 every layer is the cone x = -k, -k+2, ..., k; in d >= 2 the
     cube {0..k}^d of the rotated coordinates (k + s(x)) / 2."""
@@ -655,18 +634,20 @@ class TestLayout:
         assert sum(drawn) == len(seeds) * per_seed == 3 * 988
 
     @pytest.mark.parametrize("d,n", [(1, 6), (2, 3), (3, 4)])
-    def test_dump_rows_are_the_reachable_sites_in_order(self, tmp_path, d, n):
+    def test_nonzero_theta_cells_are_the_reachable_sites(self, d, n):
+        """At beta > 0 every reachable site carries mass and the cube's
+        cells off the cone carry exactly none, and theta_value reads each
+        site's own cell."""
         inst = PolymerInstance(d=d, n=n, beta=1.0, law=LAW, seed=99)
         sol = forward_backward(inst, keep_forward=False)
-        dump_solution(sol, str(tmp_path / "t.csv"), str(tmp_path / "t.json"))
-        rows = [line.split(",") for line in
-                (tmp_path / "t.csv").read_text().strip().splitlines()[1:]]
-        expected = [(str(k), ";".join(map(str, x)))
-                    for k in range(1, n + 1) for x in sorted(reachable_sites(d, k))]
-        assert [(k, site) for k, site, _ in rows] == expected
-        for k, site, value in rows:
-            x = tuple(int(c) for c in site.split(";"))
-            assert float(value) == sol.theta_value(int(k), x)
+        for k in range(1, n + 1):
+            theta = sol.theta_array(k).reshape(-1)
+            sites = layer_sites(d, k).reshape(-1, d)
+            nonzero = {tuple(x): v for x, v in
+                       zip(sites.tolist(), theta.tolist()) if v != 0.0}
+            assert sorted(nonzero) == sorted(reachable_sites(d, k))
+            for x, value in nonzero.items():
+                assert value == sol.theta_value(k, x)
 
 
 EPS = np.finfo(np.float64).eps

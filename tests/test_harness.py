@@ -302,6 +302,16 @@ class TestWorkerCount:
         with pytest.raises(ConfigError):
             worker_count(0)
 
+    @pytest.mark.parametrize("requested", [True, 2.5, "2", np.float64(1.0)])
+    def test_requested_count_must_be_an_int(self, requested):
+        """A bool passed as True (1 worker), 2.5 passed as 2 on two CPUs
+        and as 2.5 on more, and "2" raised a bare TypeError."""
+        with pytest.raises(ConfigError, match="workers must be an int"):
+            worker_count(requested)
+
+    def test_numpy_integer_count_is_an_int(self):
+        assert type(worker_count(np.int64(1))) is int
+
 
 class TestHistogram:
     def test_counts_sum(self):

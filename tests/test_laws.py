@@ -92,10 +92,10 @@ def exact_table_mean(law, xs):
     return first / mass
 
 
-# More integrand nodes than check_poincare may evaluate on one law: each of
-# its integrals ends on panel_gauss's split cap within about 2.1e6 nodes,
-# while panels that doubled every round until they reached an ulp would
-# pass this within a few rounds more
+# More integrand nodes than check_poincare may evaluate on one law: with
+# an absolute tolerance each of its integrals ended on panel_gauss's split
+# cap within about 2.1e6 nodes, while panels that doubled every round until
+# they reached an ulp would pass this within a few rounds more
 NODE_BUDGET = 10_000_000
 
 # A coarse asymmetric table and f = x on 5 nodes: a trapezoid mean over a
@@ -185,6 +185,10 @@ class TestPoincareConstant:
 
     def test_positive(self):
         assert poincare_constant(make_uniform(-3.0, 7.0)) > 0
+
+    def test_ramp_table(self):
+        """f = x on (0, 1): h = x (1 - x) / 3, largest at 1/2."""
+        assert poincare_constant(make_table_law(*RAMP)) == pytest.approx(1.0 / 12.0, abs=1e-12)
 
 
 class TestPhiKappa:
@@ -293,12 +297,11 @@ class TestIdentities:
                            lambda x: np.ones_like(np.asarray(x, dtype=float)))
         assert m == pytest.approx(1.0 / 6.0, abs=1e-9)
 
-    def test_poincare_work_is_bounded_far_from_zero(self):
-        """g = x^2 on the 201-node table shifted to [9999, 10001]: its
-        integrands are near 1e8, whose rounding no panel's absolute
-        tolerance can beat, so panel_gauss stops on its split cap.  Under
-        a depth cap of 24 bisections alone, one round could hold 2^24 times
-        the first panels."""
+    @staticmethod
+    def far_poincare_nodes(budget):
+        """check_poincare for g = x^2 on the 201-node table shifted to
+        [9999, 10001]: the margin and the g and g' nodes it evaluated, or
+        RuntimeError past budget nodes."""
         xs, fs = parabola()
         law = make_table_law(xs + 1e4, fs)
         nodes = []
@@ -306,14 +309,29 @@ class TestIdentities:
         def count(fn):
             def wrapped(x):
                 nodes.append(np.size(x))
-                if sum(nodes) > NODE_BUDGET:
+                if sum(nodes) > budget:
                     raise RuntimeError(f"{sum(nodes)} nodes evaluated")
                 return fn(x)
             return wrapped
 
         margin = check_poincare(law, count(lambda x: np.asarray(x) ** 2),
                                 count(lambda x: 2.0 * np.asarray(x)))
+        return margin, sum(nodes)
+
+    def test_poincare_work_is_bounded_far_from_zero(self):
+        """The integrands are near 1e8, whose rounding no absolute
+        tolerance can beat; panel_gauss's split cap bounds the work
+        whatever the tolerance.  Under a depth cap of 24 bisections alone,
+        one round could hold 2^24 times the first panels."""
+        margin, _ = self.far_poincare_nodes(NODE_BUDGET)
         assert margin > 0
+
+    def test_poincare_tolerance_is_relative_far_from_zero(self):
+        """A tolerance relative to the integral of |fn| ends this case in
+        45 248 nodes; an absolute 1e-10 ran every integral to the split
+        cap, 5.9e6 nodes in all."""
+        margin, nodes = self.far_poincare_nodes(200_000)
+        assert margin > 0 and nodes <= 200_000
 
 
 class TestTensorized:

@@ -7,10 +7,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from polylab.engine import (PolymerInstance, _log_neighbor_sum, _neighbor_sum,
-                            forward_backward)
+from polylab.engine import PolymerInstance, _log_sum, _sum, forward_backward
 from polylab.functionals import alpha_profile, ell
-from polylab.lattice import PathDP, layer_shape, step_windows
+from polylab.lattice import PathDP, layer_shape, step_geometry, step_windows
 from polylab.laws import make_uniform
 from polylab.rng import replication_seed
 
@@ -104,14 +103,15 @@ def assert_bits_equal(got, want):
 @pytest.mark.parametrize("log", [False, True], ids=["mass", "log"])
 @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
 def test_neighbor_sums_match_windowed_reference(d, ks, lead, log, up):
-    new = _log_neighbor_sum if log else _neighbor_sum
+    new = _log_sum if log else _sum
     ref = windowed_log_neighbor_sum if log else windowed_neighbor_sum
     rng = np.random.default_rng([d, len(lead), log, up])
     for k in ks:
         # up: step k-1 to step k; down: step k+1 to step k
         layer = sparse_layer(rng, lead + layer_shape(d, k - 1 if up else k + 1), log)
         with np.errstate(invalid="raise", over="raise"):
-            got = new(layer, d, k, up)
+            got = new(layer, lead, step_geometry(d, k),
+                      step_geometry(d, k + (not up)), up)
         assert_bits_equal(got, ref(layer, d, k, up))
 
 
