@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 failure, 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports
-a writer stopped by a closed pipe).  Every subcommand is deterministic given
-its flags.
+a writer stopped by a closed pipe).  An input file that cannot be read or
+decoded and an output path the OS refuses (any OSError but a closed pipe)
+are config errors.  Every subcommand is deterministic given its flags.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import replace
 
 from . import functionals, laws, verify
@@ -40,8 +42,11 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         if any(v is not None for v in (args.d, args.n, args.beta, args.law, args.reps, args.seed)):
             raise ConfigError("--config and inline flags are mutually exclusive")
-        with open(args.config) as fh:
-            return ExperimentConfig.from_json(fh.read())
+        try:
+            with open(args.config) as fh:
+                return ExperimentConfig.from_json(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"--config {args.config!r} cannot be decoded: {exc}") from None
     missing = [name for name, v in
                [("--d", args.d), ("--n", args.n), ("--beta", args.beta)]
                if v is None]
@@ -56,12 +61,16 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _check_writable(flag: str, path: str) -> None:
     """Refuse an output path that cannot take a file, before any solve: a
-    directory, or a path whose directory does not exist.  Creates nothing."""
+    directory, a path whose directory does not exist, or a name the OS
+    refuses (os.stat fails other than for a missing file, and main reports
+    the OSError as a config error).  Creates nothing."""
     if os.path.isdir(path):
         raise ConfigError(f"{flag} {path!r} is a directory")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise ConfigError(f"{flag} {path!r}: no directory {parent!r}")
+    with suppress(FileNotFoundError):
+        os.stat(path)
 
 
 def cmd_simulate(args) -> int:
@@ -214,8 +223,7 @@ def main(argv=None) -> int:
         # the interpreter flushes stdout again at exit: give it a sink
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (ConfigError, laws.LawValidationError, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError) as exc:
+    except (ConfigError, laws.LawValidationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, RuntimeError) as exc:

@@ -15,7 +15,7 @@ When one layer's weights span more than exp(LOG_SPACE_RANGE), products of
 normalized layers could underflow, and the same sweeps run in log space:
 layers hold log-masses and neighbour sums are log-sum-exps.  Every
 neighbour sum (_sum, or _log_sum in log space) takes its 2d steps as adds
-of contiguous flat slices of lattice frames (lattice.step_slices, planned
+of contiguous flat slices of lattice frames (lattice.step_geometry, planned
 per solve by lattice.step_plan), with the results of the windowed sums bit
 for bit.
 Every function that takes a step k, from env_layer to the keys of
@@ -225,7 +225,7 @@ def _sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
     from the step-(k-1) layer, otherwise down from the step-(k+1) layer,
     whose geometry is `big` (`here` itself up).
 
-    Each step is one add of contiguous flat slices (lattice.step_slices)
+    Each step is one add of contiguous flat slices (lattice.step_geometry)
     on frames of the larger layer (_stencil).  Padding adds +0.0, so every
     cell gets the same terms in the same order as from windows."""
     result, source, out, pairs = _stencil(layer, lead, here, big, up, 0.0)

@@ -12,17 +12,17 @@ and a unit step moves every entry of s by +-1, so each of the 2d steps is a
 {0,1}^d shift between consecutive cubes.  In d = 1 the cube is the cone
 itself, the k+1 sites x = -k + 2j; in d = 2 every cell is on the cone; in
 d = 3 about 2/3 of the (k+1)^3 cells are, and the rest carry zero mass.
-layer_shape, step_windows, layer_sites, site_cells and cell_sites are the
+layer_shape, step_geometry, layer_sites, site_cells and cell_sites are the
 layout.
 
-A window is a d-dimensional view whose rows are k cells long, so numpy
-would walk k^(d-1) short rows per op.  The stencil instead works on
-frames: C-contiguous arrays of the step-k shape, leading axes included,
-whose cells [0, k)^d (frame_cells) can hold a step-(k-1) layer (framed).  On
-flattened frames each step is a constant offset, and step_slices gives it
-as one pair of contiguous slices.  step_geometry gathers a step's slices,
-shape and frame cells in one Step, and step_plan the Steps of a solve, so
-the engine's neighbour sums and PathDP look them up once per solve or push,
+The stencil works on frames: C-contiguous arrays of the step-k shape,
+leading axes included, whose cells [0, k)^d can hold a step-(k-1) layer
+(framed).  On flattened frames each unit step v is one constant offset,
+its {0,1}^d shift (1 - s(v)) / 2 dotted with the frame's strides, so a pair
+of contiguous slices applies it, where a d-dimensional view would walk
+k^(d-1) short rows per op.  step_geometry gathers a step's slices, shape
+and frame cells in one Step, and step_plan the Steps of a solve, so the
+engine's neighbour sums and PathDP look them up once per solve or push,
 not once per op.
 
 The rest of the module is coordinate-level: neighbor enumeration (x plus
@@ -78,78 +78,18 @@ def layer_cells(d: int, k: int) -> int:
     return math.prod(layer_shape(d, k))
 
 
-def step_windows(d: int, k: int):
-    """The 2d unit steps v, each with the window that applies it between the
-    step-(k-1) and the step-k layer.
-
-    window indexes the trailing d axes of a step-k layer (leading axes are
-    kept) and has the step-(k-1) layer's shape: its cell at site x lines up
-    with the step-(k-1) cell at site x + v.  So ``big[window] += small``
-    adds small[x + v] into big[x], and ``small += big[window]`` adds
-    big[x - v] into small[x].  Pairs come in axis order, +e_j before -e_j;
-    every neighbour sum adds them in this order, which fixes its
-    floating-point rounding.  Site x + v of step k-1 sits at cell
-    u(x) - (1 - s(v)) / 2, so the window is [o, o + k) on an axis where the
-    offset (1 - s(v)) / 2 is o.
-    """
-    out = []
-    for j in range(d):
-        for sign in (1, -1):
-            v = np.zeros(d, dtype=np.int64)
-            v[j] = sign
-            offsets = (1 - _signature(d) @ v) // 2
-            window = (Ellipsis,) + tuple(slice(o, o + k) for o in offsets.tolist())
-            out.append((tuple(v.tolist()), window))
-    return tuple(out)
-
-
-def step_slices(d: int, k: int, up: bool):
-    """The 2d unit steps v of step_windows(d, k), in its order, each as
-    (v, into, take) slices of flattened step-k frames.
-
-    A step-k frame has the step-k layer's shape (leading axes included) and
-    is C-contiguous; its cells [0, k)^d (frame_cells) can hold a step-(k-1)
-    layer.  A step's window [o_1, o_1 + k) x ... moves cell u of [0, k)^d to
-    cell u + (o_1, ..., o_d) of the step-k layer, and with every o_j in
-    {0, 1} no coordinate leaves [0, k]: on the flattened arrays the move is
-    the constant offset o = sum_j o_j (k+1)^(d-j), within the cell's own
-    row of the leading axes.  The first step, +e_1, has offset 0.  With N
-    the flat size, into and take are [o, N) and [0, N - o) up, and the
-    reverse down.
-
-    Up, ``out[into] += frame[take]`` with frame a step-(k-1) layer in a
-    step-k frame is ``big[window] += small`` on every cell of the window.
-    Down, ``out[into] += big[take]`` with big a step-k layer adds
-    big[window] into cells [0, k)^d of the frame out, the step-(k-1) layer.
-    The other cells meet only the frame's padding (up) or are not part of
-    the result (down), so each step is one op on contiguous slices, however
-    short the rows of the window are.
-    """
-    strides = [(k + 1) ** (d - 1 - j) for j in range(d)]
-    out = []
-    for v, window in step_windows(d, k):
-        o = sum(w.start * s for w, s in zip(window[1:], strides))
-        head, tail = slice(o, None), slice(None, -o or None)
-        out.append((v, head, tail) if up else (v, tail, head))
-    return tuple(out)
-
-
-def frame_cells(d: int, k: int):
-    """The cells [0, k)^d of a step-k frame that hold a step-(k-1) layer,
-    as an index on the trailing d axes."""
-    return (Ellipsis,) + (slice(0, k),) * d
-
-
 class Step(NamedTuple):
     """Everything a stencil op at step k reads of the layout, built once
-    (step_geometry).  up and down are the (into, take) slice pairs of
-    step_slices(d, k, up), +e_1 (offset 0) first.  moves are the up pairs
-    in the lexicographic order of v (PathDP's choices), each with the cells
-    [0, o) its into skips, or None where o = 0."""
+    (step_geometry).  up and down are the (into, take) slice pairs of the
+    2d unit steps v in axis order, +e_1 (offset 0) first, then -e_1, +e_2,
+    -e_2, ...; every neighbour sum adds them in this order, which fixes its
+    floating-point rounding.  moves are the up pairs in the lexicographic
+    order of v (PathDP's choices), each with the cells [0, o) its into
+    skips, or None where o = 0."""
 
     shape: Tuple[int, ...]      # layer_shape(d, k)
     axes: Tuple[int, ...]       # the trailing d site axes, (-d, ..., -1)
-    frame: tuple                # frame_cells(d, k)
+    frame: tuple                # the cells [0, k)^d that hold step k-1
     pads: tuple                 # the frame's other cells: coordinate j is k
     up: tuple
     down: tuple
@@ -158,17 +98,38 @@ class Step(NamedTuple):
 
 @lru_cache(maxsize=8192)
 def step_geometry(d: int, k: int) -> Step:
-    """The layout of step k as one Step; read-only slices and tuples."""
-    ups = step_slices(d, k, True)
+    """The layout of step k as one Step; read-only slices and tuples.
+
+    Site x + v of step k-1 sits at cell u(x) - (1 - S v) / 2, with S the
+    signature (_signature), so step v moves cell u of a step-k frame's
+    [0, k)^d to cell u + (1 - S v) / 2 of the step-k layer.  Every entry of
+    (1 - S v) / 2 is 0 or 1, so no coordinate leaves [0, k], and on
+    flattened C-contiguous arrays (leading axes included) the move is the
+    constant offset o = (1 - S v) / 2 . ((k+1)^(d-1), ..., k+1, 1) within
+    the cell's own row of the leading axes.  With N the flat size, into
+    and take are [o, N) and [0, N - o) up, and the reverse down.
+
+    Up, ``out[into] += frame[take]`` with frame a step-(k-1) layer in a
+    step-k frame adds the step-(k-1) cell at x + v into the step-k cell at
+    x.  Down, ``out[into] += big[take]`` with big a step-k layer adds the
+    step-k cell at x - v into the frame cell at x of the step-(k-1) layer.
+    The other cells meet only the frame's padding (up) or are not part of
+    the result (down), so each step is one op on contiguous slices.
+    """
+    steps = np.kron(np.eye(d, dtype=np.int64), [[1], [-1]])    # +e_1, -e_1, ...
+    flat = (k + 1) ** np.arange(d - 1, -1, -1)
+    offsets = ((1 - steps @ _signature(d).T) // 2 @ flat).tolist()
+    up = tuple((slice(o, None), slice(None, -o or None)) for o in offsets)
+    moves = sorted(zip(steps.tolist(), up, offsets))
     return Step(
         shape=layer_shape(d, k),
         axes=tuple(range(-d, 0)),
-        frame=frame_cells(d, k),
+        frame=(Ellipsis,) + (slice(0, k),) * d,
         pads=tuple((Ellipsis, k) + (slice(None),) * (d - 1 - j) for j in range(d)),
-        up=tuple((into, take) for _, into, take in ups),
-        down=tuple((into, take) for _, into, take in step_slices(d, k, False)),
-        moves=tuple((into, take, slice(0, into.start) if into.start else None)
-                    for _, into, take in sorted(ups)))
+        up=up,
+        down=tuple(pair[::-1] for pair in up),
+        moves=tuple((into, take, slice(0, o) if o else None)
+                    for _, (into, take), o in moves))
 
 
 @lru_cache(maxsize=64)
@@ -272,8 +233,9 @@ class PathDP:
     environment per entry) before their d site axes.
 
     Each push frames the previous scores with -inf (framed) and takes
-    every move as a pair of contiguous slices (step_slices); -inf padding
-    never wins a move, so the scores and choices are those of the windows.
+    every move as a pair of contiguous slices at its offset (Step.moves);
+    -inf padding never wins a move, so every cell's score and choice are
+    those of its 2d predecessors.
     Only the current layer's scores are kept, starting from score 0 at the
     origin.  A cell no path reaches (a cube cell off the cone, in d >= 3)
     has no scored predecessor, so its score stays -inf.  Every cell of every

@@ -299,9 +299,11 @@ def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
 
 
 def load_table_law(path: str) -> EnvironmentLaw:
-    """Read a CSV with x,f columns into a table law."""
+    """Read a CSV with x,f columns into a table law.  Bytes that are not
+    UTF-8 are kept as escapes (surrogateescape), so a cell that holds one
+    is not a number and its line is refused by name."""
     xs, fs = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or row[0].strip().lower() == "x":

@@ -302,6 +302,34 @@ def test_unwritable_output_fails_before_computing(monkeypatch, tmp_path, capsys,
     assert_config_error(main(argv + [str(tmp_path / "missing" / "f")]), capsys)
 
 
+@pytest.mark.parametrize("case", ["long-out-name", "out-dev-full",
+                                  "config-not-utf8", "table-not-utf8"])
+def test_refused_paths_and_undecodable_files_exit_2(monkeypatch, tmp_path, capsys,
+                                                    case):
+    """An output path the OS refuses and an input file that is not UTF-8
+    exit 2 with one config error line, not a traceback and exit 1.  A name
+    too long for the OS is refused before any replication is solved and
+    leaves no file; an undecodable file is named."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe\x00")
+    small = ["simulate", "--d", "1", "--n", "5", "--beta", "1", "--reps", "1"]
+    argv = {
+        "long-out-name": small + ["--out", str(tmp_path / ("r" * 296 + ".csv"))],
+        "out-dev-full": small + ["--out", "/dev/full"],
+        "config-not-utf8": ["simulate", "--config", str(bad),
+                            "--out", str(tmp_path / "r.csv")],
+        "table-not-utf8": ["env-check", "--law", f"table:{bad}"],
+    }[case]
+    if case == "out-dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    if case == "long-out-name":
+        monkeypatch.setattr(cli, "run_replications", not_called)
+    err = assert_config_error(main(argv), capsys)
+    if case.endswith("not-utf8"):
+        assert str(bad) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad"]
+
+
 @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_141_without_traceback(flags):
     """A reader that closes the pipe before the command writes (as in

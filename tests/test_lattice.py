@@ -5,11 +5,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from polylab.lattice import (PathDP, cell_sites, frame_cells, framed,
-                             is_reachable, layer_cells, layer_mask, layer_shape,
-                             layer_sites, neighbors, overlap, reachable_sites,
-                             site_cells, step_geometry, step_plan, step_slices,
-                             step_vectors, step_windows, validate_path)
+from polylab.lattice import (PathDP, cell_sites, framed, is_reachable,
+                             layer_cells, layer_mask, layer_shape, layer_sites,
+                             neighbors, overlap, reachable_sites, site_cells,
+                             step_geometry, step_plan, step_vectors, validate_path)
+
+from stencil_windows import step_windows
 
 
 def walk_support(d, k):
@@ -117,22 +118,23 @@ class TestCubeLayout:
 def test_step_offsets_apply_the_windows(d):
     """A step-(k-1) layer framed and shifted by a step's flat offset o (where
     its up slice starts) adds into the step-k layer exactly as its window
-    does, step by step in step_windows order; step_slices applies the same
-    steps both ways."""
+    does, step by step in the windows' axis order; step_geometry's down
+    pairs apply the same steps the other way."""
     rng = np.random.default_rng(d)
     for k in (1, 2, 3, 6):
-        ups, downs = step_slices(d, k, up=True), step_slices(d, k, up=False)
-        windows = step_windows(d, k)
-        assert [v for v, *_ in ups] == [v for v, *_ in downs] == [v for v, _ in windows]
-        assert ups[0][1].start == 0
+        step, windows = step_geometry(d, k), step_windows(d, k)
+        assert len(step.up) == len(step.down) == len(windows) == 2 * d
+        assert step.up[0][0].start == 0
+        cells = (Ellipsis,) + (slice(0, k),) * d
         small = rng.random((2,) + layer_shape(d, k - 1))
-        padded = framed(small, step_geometry(d, k), np.nan)
-        np.testing.assert_array_equal(padded[frame_cells(d, k)], small)
+        padded = framed(small, step, np.nan)
+        np.testing.assert_array_equal(padded[cells], small)
         assert np.isnan(padded).sum() == padded.size - small.size
-        padded = framed(small, step_geometry(d, k), 0.0).reshape(-1)
+        padded = framed(small, step, 0.0).reshape(-1)
         size = padded.size
         big = rng.random((2,) + layer_shape(d, k))
-        for (_, window), (_, up_into, up_take), (_, into, take) in zip(windows, ups, downs):
+        for (_, window), (up_into, up_take), (into, take) in zip(windows, step.up,
+                                                                  step.down):
             o = up_into.start
             want = big.copy()
             want[window] += small
@@ -146,20 +148,21 @@ def test_step_offsets_apply_the_windows(d):
             # down: the step-k layer's window lands on the frame cells
             out = np.zeros(size)
             out[into] += big.reshape(-1)[take]
-            np.testing.assert_array_equal(
-                out.reshape(big.shape)[frame_cells(d, k)], big[window])
+            np.testing.assert_array_equal(out.reshape(big.shape)[cells], big[window])
 
 
 def test_d1_layout_is_the_cone():
     """The d=1 layer is the cone x = -k + 2j with the windows [0, k) and
-    [1, k+1): the layout, and so every d=1 record, is that of the cone
-    sweep bit for bit."""
+    [1, k+1), so the offsets 0 and 1: the layout, and so every d=1 record,
+    is that of the cone sweep bit for bit."""
     for k in range(1, 40):
         cone = np.arange(-k, k + 1, 2)
         np.testing.assert_array_equal(layer_sites(1, k)[:, 0], cone)
         np.testing.assert_array_equal(site_cells(1, k, cone[:, None]), np.arange(k + 1))
         assert step_windows(1, k) == (((1,), (Ellipsis, slice(0, k))),
                                       ((-1,), (Ellipsis, slice(1, k + 1))))
+        assert step_geometry(1, k).up == ((slice(0, None), slice(None, None)),
+                                          (slice(1, None), slice(None, -1)))
 
 
 class TestOverlap:
@@ -295,8 +298,9 @@ def test_path_dp_without_batch_axis_matches_reference(d, n):
 
 def test_step_plans_are_bounded_read_only_and_match_the_slices():
     """step_geometry and step_plan are bounded caches of immutable tuples
-    and slices; their pairs are step_slices' without the step vectors, and
-    PathDP's moves are the up pairs in the lexicographic order of v."""
+    and slices; their pairs are the slices [o, N) and [0, N - o) of the
+    windows' offsets o (reversed down), and PathDP's moves are the up pairs
+    in the lexicographic order of v, each with the cells [0, o) it skips."""
     assert step_geometry.cache_info().maxsize == 8192
     assert step_plan.cache_info().maxsize == 64
     plan = step_plan(2, 7)
@@ -306,12 +310,19 @@ def test_step_plans_are_bounded_read_only_and_match_the_slices():
             step = step_geometry(d, k)
             with pytest.raises(AttributeError):
                 step.shape = ()
-            assert step.shape == layer_shape(d, k) and step.frame == frame_cells(d, k)
+            assert step.shape == layer_shape(d, k)
+            assert step.frame == (Ellipsis,) + (slice(0, k),) * d
             assert step.axes == tuple(range(-d, 0))
-            ups, downs = step_slices(d, k, True), step_slices(d, k, False)
-            assert step.up == tuple((i, t) for _, i, t in ups)
-            assert step.down == tuple((i, t) for _, i, t in downs)
-            assert [(i, t) for i, t, _ in step.moves] == [(i, t) for _, i, t in sorted(ups)]
+            # a window's starts are its {0,1}^d shift; on a flattened frame
+            # the shift is one offset
+            offsets = {v: sum(w.start * (k + 1) ** (d - 1 - j)
+                              for j, w in enumerate(window[1:]))
+                       for v, window in step_windows(d, k)}
+            ups = {v: (slice(o, None), slice(None, -o or None)) for v, o in offsets.items()}
+            assert step.up == tuple(ups.values())
+            assert step.down == tuple((t, i) for i, t in ups.values())
+            edges = {v: slice(0, o) if o else None for v, o in offsets.items()}
+            assert step.moves == tuple(ups[v] + (edges[v],) for v in sorted(ups))
 
 
 def test_path_dp_top_is_the_result_score():

@@ -9,15 +9,18 @@ import pytest
 
 from polylab.engine import PolymerInstance, _log_sum, _sum, forward_backward
 from polylab.functionals import alpha_profile, ell
-from polylab.lattice import PathDP, layer_shape, step_geometry, step_windows
+from polylab.lattice import PathDP, layer_shape, step_geometry
 from polylab.laws import make_uniform
 from polylab.rng import replication_seed
+
+from stencil_windows import step_windows
 
 LAW = make_uniform(-1.0, 1.0)
 
 
 # The windowed stencil: every step is a d-dimensional view of the step-k
-# layer.  These are the reference for the engine's stencil.
+# layer, from the window rule of stencil_windows.  These are the reference
+# for the engine's stencil.
 
 def windowed_neighbor_sum(layer, d, k, up):
     if up:
