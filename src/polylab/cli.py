@@ -10,8 +10,10 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 failure, 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports
 a writer stopped by a closed pipe).  An input file that cannot be read or
-decoded and an output path the OS refuses (any OSError but a closed pipe)
-are config errors.  Every subcommand is deterministic given its flags.
+decoded, an output path the OS refuses (any OSError but a closed stdout)
+and a failed write to an output file (a full disk, say) are config errors;
+the last two name the flag and the file.  Every subcommand is
+deterministic given its flags.
 """
 
 from __future__ import annotations
@@ -73,6 +75,21 @@ def _check_writable(flag: str, path: str) -> None:
         os.stat(path)
 
 
+def _write(flag: str, path: str, write, *data) -> None:
+    """write(*data, path), with an OSError from it reported as a config
+    error that names the flag and the file: a path that passed
+    _check_writable can still fail on its first write, as /dev/full does."""
+    try:
+        write(*data, path)
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path!r}: {exc}") from None
+
+
+def _write_text(text: str, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     _check_writable("--out", args.out)
@@ -85,10 +102,10 @@ def cmd_simulate(args) -> int:
         sol = forward_backward(inst, keep_forward=False)
         report = functionals.build_report(sol)
     # every solve is done before the first file is opened
-    write_report_csv(records, args.out)
+    _write("--out", args.out, write_report_csv, records)
     if report is not None:
-        write_profile_csv(report.alpha_profile, report.gamma_profile,
-                          report.tau_profile, args.profiles)
+        _write("--profiles", args.profiles, write_profile_csv, report.alpha_profile,
+               report.gamma_profile, report.tau_profile)
     print(f"wrote {len(records)} replications to {args.out}")
     return EXIT_OK
 
@@ -100,13 +117,12 @@ def cmd_figure1(args) -> int:
         _check_writable("--out-prefix", args.out_prefix + suffix)
     records = run_replications(config, workers=args.workers)
     edges, counts = histogram(records, args.bins)
-    write_report_csv(records, args.out_prefix + "_report.csv")
-    write_histogram_csv(edges, counts, args.out_prefix + "_histogram.csv")
-    summary = summary_stats(records)
-    with open(args.out_prefix + "_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    summary = json.dumps(summary_stats(records), indent=2, sort_keys=True) + "\n"
+    for suffix, write, *data in [("_report.csv", write_report_csv, records),
+                                 ("_histogram.csv", write_histogram_csv, edges, counts),
+                                 ("_summary.json", _write_text, summary)]:
+        _write("--out-prefix", args.out_prefix + suffix, write, *data)
+    print(summary, end="")
     return EXIT_OK
 
 
@@ -123,8 +139,7 @@ def cmd_scaling(args) -> int:
     print(table, end="")
     print(f"log-log slope of ell vs n: {slope:.4f}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(table)
+        _write("--out", args.out, _write_text, table)
     return EXIT_OK
 
 
@@ -151,10 +166,9 @@ def cmd_verify(args) -> int:
         _check_writable("--report", args.report)
     checks = verify.run_checks(fast=not args.full)
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump({"checks": checks,
-                       "passed": all(c["passed"] for c in checks)}, fh, indent=2)
-            fh.write("\n")
+        report = json.dumps({"checks": checks,
+                             "passed": all(c["passed"] for c in checks)}, indent=2)
+        _write("--report", args.report, _write_text, report + "\n")
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {c['detail']}")
     failing = [c for c in checks if not c["passed"]]

@@ -36,10 +36,10 @@ Either mode draws each layer's environment twice (layer 1 once): the
 backward sweep consumes the layers from n down, the forward sweep from 1
 up, and holding them between the sweeps would cost n layers of memory
 (Griewank & Walther's checkpointing, "revolve", ACM TOMS 26, 2000).
-At beta=0 every backward layer is constant, and is kept as one float
-(_backward_step), bit for bit every cell of the array sweep: a beta=0
-solve runs no backward stencil op, and in either mode every layer is a
-checkpoint, so nothing is recomputed.
+At beta=0 every backward layer is constant (before normalization, B_k is
+(2d)^(n-k) at every site), so theta_k is the normalized forward layer F_k
+itself: a beta=0 solve is its forward sweep, with no backward layer, no
+draw and no second normalization.
 
 A figure-1 chunk solve is bound by the number of numpy calls per layer,
 not by its cells: one replication costs over a third of what 53 do.  So a
@@ -283,8 +283,6 @@ def log_space(beta: float, law: EnvironmentLaw) -> bool:
 
 
 Weights = Optional[Tuple[np.ndarray, np.ndarray]]
-# A backward layer: an array, or at beta=0 the float of its every cell
-Backward = Union[np.ndarray, float, None]
 Plan = Tuple[Step, ...]
 
 
@@ -398,29 +396,13 @@ def _exp_shifted(x: np.ndarray, out: Optional[np.ndarray], axes: Tuple[int, ...]
     return np.exp(e, out=e), top
 
 
-def _backward_step(b: Backward, w: Weights, plan: Plan, k: int,
-                   lead: Tuple[int, ...], log: bool) -> Backward:
+def _backward_step(b: Optional[np.ndarray], w: Weights, plan: Plan, k: int,
+                   lead: Tuple[int, ...], log: bool) -> np.ndarray:
     """B_k = normalize(down(B_{k+1} * w)) from B_{k+1} (None for B_n = 1)
     and the weights w of layer k+1; in log space, the log of it from
-    log B_{k+1}.  plan is the solve's lattice.step_plan.
-
-    At beta=0 (w None, never in log space) every B_k is one float b_k:
-    each of the 2d steps shifts the step-k cube into the step-(k+1) cube,
-    so every cell of B_k adds all 2d cells of a constant B_{k+1} in the
-    same order, t, and is divided by s, the sum of its c_k cells.  A
-    reduction of t broadcast to c_k cells adds them as one of c_k stored
-    copies does, so b_k = t / s is every cell of the array sweep bit for
-    bit, without a stencil op."""
+    log B_{k+1}.  plan is the solve's lattice.step_plan.  Only a beta > 0
+    solve makes backward layers: at beta=0 theta_k is F_k."""
     here, big = plan[k], plan[k + 1]
-    if w is None:
-        b = 1.0 if b is None else b
-        t = b
-        for _ in big.down[1:]:              # as _sum: a copy, then 2d-1 adds
-            t += b
-        s = float(np.add.reduce(np.broadcast_to(t, (math.prod(here.shape),))))
-        if not 0.0 < s < math.inf:
-            raise NumericalError(f"non-finite backward layer at k={k}")
-        return t / s
     combine, neighbor_sum = _SWEEP_OPS[log]
     b = w[0] if b is None else combine(b, w[0])
     b = neighbor_sum(b, lead, here, big, False)
@@ -446,14 +428,14 @@ def _forward_step(f: np.ndarray, w: Weights, plan: Plan, k: int,
     return f, log_s.reshape(lead)
 
 
-def _theta(f: np.ndarray, b: Backward, k: int, axes: Tuple[int, ...],
+def _theta(f: np.ndarray, b: np.ndarray, k: int, axes: Tuple[int, ...],
            log: bool) -> np.ndarray:
-    """theta_k = normalize(F_k * B_k), written over b, or a new array for
-    the float b_k of beta=0; in log space b holds log B_k, and the
-    log-masses are shifted by their largest and exponentiated before the
-    (linear) normalization.  axes are the site axes."""
+    """theta_k = normalize(F_k * B_k), written over b; in log space b holds
+    log B_k, and the log-masses are shifted by their largest and
+    exponentiated before the (linear) normalization.  axes are the site
+    axes."""
     combine, _ = _SWEEP_OPS[log]
-    th = combine(b, f, out=b if isinstance(b, np.ndarray) else None)
+    th = combine(b, f, out=b)
     if log:
         _exp_shifted(th, th, axes, "theta", k)
     _normalize(th, axes, "theta", k, False)
@@ -566,13 +548,16 @@ SOLVE_FIXED_BYTES = 192 << 10
 
 
 def _solve_tops(d: int, n: int, beta: float, keep_theta: bool) -> Tuple[int, ...]:
-    """The segment tops a solve keeps checkpoints at: every layer in the
-    default mode and at beta=0, whose backward layers are floats
-    (_backward_step), so that no segment is recomputed; segment_tops(d, n)
-    otherwise."""
+    """The segment tops a solve keeps backward checkpoints at, increasing and
+    ending at n.  Every layer is a segment in the default mode and at
+    beta=0, which makes no backward layer.  A streamed beta > 0 solve keeps
+    segment_tops(d, n) and every layer below its lowest top: the first
+    backward sweep computes those layers anyway, so the lowest segment is
+    never recomputed."""
     if keep_theta or beta == 0.0:
         return tuple(range(1, n + 1))
-    return segment_tops(d, n)
+    tops = segment_tops(d, n)
+    return tuple(range(1, tops[0])) + tops
 
 
 def draw_bytes(d: int, n: int, beta: float) -> int:
@@ -606,19 +591,17 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
     and the recompute hold two more frames, the running maxima and terms
     of their log-sum-exps.  The bound is the largest total over the steps,
     8 bytes per float cell.
-    beta=0 draws no weights and its backward layers are floats
-    (_backward_step), so it holds no weight, backward layer or checkpoint;
-    every layer is a segment (_solve_tops), so it recomputes nothing; and
-    its theta_k (k < n) is a new array, which the ell step holds in place
-    of B_k."""
+    beta=0 draws no weights and makes no backward layer, so it holds no
+    weight, backward layer or checkpoint, recomputes nothing, and its
+    theta_k is F_k itself."""
     cum = _cumulative_cells(d, n)
     c = [1] + [cum[k] - cum[k - 1] for k in range(1, n + 1)]     # c[0]: the origin
     planes = (2 * d - 1).bit_length()
     choices = list(accumulate((planes * -(-c[k] // 8) if k > 1 else 0
                                for k in range(1, n + 1)), initial=0))
     stencil = 4 if log else 2
-    # a[k]: the cells of layer k's weights, and of B_k; both are arrays
-    # only at beta != 0 (None and a float at beta=0)
+    # a[k]: the cells of layer k's weights, and of B_k; neither exists at
+    # beta=0
     a = [0] * (n + 1) if beta == 0.0 else c
     acum = list(accumulate(a))
     tops = _solve_tops(d, n, beta, False)
@@ -630,11 +613,10 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
         for k in range(lo + 1, hi + 1):
             rest = acum[hi] - acum[k - 1]   # array cells of layers k..hi
             # the ell step holds the weights of layers k+1..hi and theta_k,
-            # written over B_k (which `backward` counts) or a new array
-            # where B_k is a float; theta_n is F_n itself
-            theta = c[k] - a[k] if k < n else 0
+            # written over B_k (which `backward` counts), or F_k itself at
+            # k = n and at beta=0
             forward = 8 * (rest + 2 * c[k - 1] + stencil * c[k])
-            ell = 8 * (rest - a[k] + theta + 3 * c[k] + c[k - 1]) + (2 + planes) * c[k]
+            ell = 8 * (rest - a[k] + 3 * c[k] + c[k - 1]) + (2 + planes) * c[k]
             recompute = 0
             if k < hi:
                 recompute = 8 * (acum[hi] - acum[lo] + stencil * c[k + 1] + 2 * c[lo])
@@ -655,9 +637,10 @@ def forward_backward(instance: PolymerInstance,
     B_k = normalize(down(B_{k+1} * exp(beta*omega_{k+1}))); then the forward
     sweep F_k = normalize(up(F_{k-1}) * exp(beta*omega_k)) yields theta in
     increasing k, theta_k = normalize(F_k * B_k) written over B_k, and
-    theta_n = F_n.  The weights are taken relative to each environment's
-    largest in the layer, and past LOG_SPACE_RANGE the layers hold
-    log-masses (log_space).  A seed tuple solves its R environments
+    theta_n = F_n.  At beta=0 every B_k is constant, so no backward layer is
+    made and theta_k is F_k (a copy where keep_forward also keeps F_k).
+    The weights are taken relative to each environment's largest in the
+    layer, and past LOG_SPACE_RANGE the layers hold log-masses (log_space).  A seed tuple solves its R environments
     together, layer by layer.  keep_forward keeps every F_k, for exact path
     sampling.
 
@@ -669,9 +652,9 @@ def forward_backward(instance: PolymerInstance,
     of the ell program before dropping it.  The default mode is the plan
     in which every layer is a segment.  The values are those of the default
     mode bit for bit, and either mode draws each layer's environment twice
-    (layer 1 once).  At beta=0, which draws nothing, each B_k is one float
-    (_backward_step): no backward stencil op runs, and every layer is a
-    segment in either mode, so no B_k is recomputed.
+    (layer 1 once).  The layers below the lowest segment top are
+    checkpoints too (_solve_tops), so the lowest segment is not recomputed.
+    beta=0 draws nothing and runs only the forward sweep, in either mode.
 
     layer_omega {k: omega} replaces layer k of one environment by omega,
     which broadcasts to the step-k layer shape, as in layer_theta.  The
@@ -693,11 +676,12 @@ def forward_backward(instance: PolymerInstance,
         return _weights(instance, k, log, omegas.get(k))
 
     checkpoints = dict.fromkeys(tops[:-1])
-    b = None
-    for k in range(n - 1, 0, -1):
-        b = _backward_step(b, weights(k + 1), plan, k, lead, log)
-        if k in checkpoints:
-            checkpoints[k] = b
+    if instance.beta:           # at beta=0 every checkpoint stays None
+        b = None
+        for k in range(n - 1, 0, -1):
+            b = _backward_step(b, weights(k + 1), plan, k, lead, log)
+            if k in checkpoints:
+                checkpoints[k] = b
 
     theta: List[np.ndarray] = []
     forward: List[np.ndarray] = []
@@ -716,8 +700,10 @@ def forward_backward(instance: PolymerInstance,
             ws[i] = None
             if keep_forward:
                 forward.append(np.exp(f) if log else f)
-            if k == n:
-                # f is not read after step n, so its logs can become theta_n
+            if bs[i] is None:
+                # B_k is constant (k = n, or beta=0), so theta_k is F_k; only
+                # at k = n can f be in log space, and it is not read after
+                # step n, so its logs can become theta_n
                 th = forward[-1].copy() if keep_forward else (np.exp(f, out=f) if log else f)
             else:
                 th = _theta(f, bs[i], k, plan[k].axes, log)
@@ -748,7 +734,8 @@ def layer_theta(instance: PolymerInstance, k: int, omega_k) -> np.ndarray:
 
     B_k and F_{k-1} do not depend on omega_k: sweep the other layers down to
     B_k and up to F_{k-1}, take one forward step with exp(beta*omega_k), and
-    return normalize(F_k * B_k), or F_n at k = n.  omega_k broadcasts against
+    return normalize(F_k * B_k), or F_k where B_k is constant (k = n, or
+    beta=0, which makes no backward layer).  omega_k broadcasts against
     the step-k layer: a scalar (0.0 gives zeta_k), one layer, or M layers on
     a leading axis for an (M,) + layer result.
     """
@@ -757,9 +744,10 @@ def layer_theta(instance: PolymerInstance, k: int, omega_k) -> np.ndarray:
     k = instance.step(k)
     log = log_space(instance.beta, instance.law)
     plan = step_plan(d, n)
-    b = None
-    for j in range(n - 1, k - 1, -1):
-        b = _backward_step(b, _weights(instance, j + 1, log), plan, j, (), log)
+    b = None                    # B_k, made only at beta > 0 and k < n
+    if instance.beta:
+        for j in range(n - 1, k - 1, -1):
+            b = _backward_step(b, _weights(instance, j + 1, log), plan, j, (), log)
     f = np.full((1,) * d, 0.0 if log else 1.0)
     for j in range(1, k):
         f, _ = _forward_step(f, _weights(instance, j, log), plan, j, (), log)
@@ -768,11 +756,9 @@ def layer_theta(instance: PolymerInstance, k: int, omega_k) -> np.ndarray:
     w = _weights(instance, k, log, np.broadcast_to(omega_k, shape))
     f, _ = _forward_step(np.broadcast_to(f, shape[:-d] + f.shape), w, plan, k,
                          shape[:-d], log)
-    if k == n:
+    if b is None:
         return np.exp(f) if log else f
-    if isinstance(b, np.ndarray):
-        b = np.broadcast_to(b, shape).copy()
-    return _theta(f, b, k, plan[k].axes, log)
+    return _theta(f, np.broadcast_to(b, shape).copy(), k, plan[k].axes, log)
 
 
 def _path_chunks(d: int, n: int):

@@ -256,15 +256,15 @@ def test_figure1_plan_and_byte_model():
     # normalizers, 8 scalars and 810 choice bytes, it holds the weights of
     # the segment k = 109..128, B_110 * w_110 and the frame the neighbour sum
     # adds into, and F_108 with its ell scores.  At beta=0 there are no
-    # weights, the backward layers are floats, so no checkpoint holds cells
-    # and nothing is recomputed, and the ell step of k = 299 bounds it:
-    # theta_299, F_299, the scores of layers 298 and 299, the framed
-    # layer-298 scores and 900 choice bytes, beside 5774 bytes of choices
+    # weights and no backward layers, so no checkpoint holds cells, nothing
+    # is recomputed and theta_k is F_k, and the ell step of k = 300 bounds
+    # it: F_300, the scores of layers 299 and 300, the framed layer-299
+    # scores and 903 choice bytes, beside 5812 bytes of choices
     segment = sum(k + 1 for k in range(109, 129))
     assert streamed_bytes(1, 300, 3.0) - 8 * (segment + 2 * 111 + 2 * 109) == \
         8 * (segment + 3412 + 2 * 300 + 8) + 810
-    assert streamed_bytes(1, 300, 0.0) - (8 * (4 * 300 + 299) + 900) == \
-        8 * (2 * 300 + 8) + 5774
+    assert streamed_bytes(1, 300, 0.0) - (8 * (3 * 301 + 300) + 903) == \
+        8 * (2 * 300 + 8) + 5812
 
 
 class TestSingleEnvironmentOnly:

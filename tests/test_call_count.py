@@ -12,7 +12,7 @@ import pstats
 
 import pytest
 
-from polylab.engine import PolymerInstance, forward_backward
+from polylab.engine import PolymerInstance, forward_backward, segment_tops
 from polylab.laws import make_uniform
 from polylab.rng import replication_seed
 
@@ -37,19 +37,38 @@ def test_streamed_figure1_solve_stays_within_its_call_budget():
     assert calls <= CALL_BUDGET, f"{calls} calls, budget {CALL_BUDGET}"
 
 
-@pytest.mark.parametrize("keep_theta", [True, False], ids=["stored", "streamed"])
-def test_beta0_solve_runs_only_the_forward_stencil(keep_theta):
-    """A beta=0 backward layer is one float, so a solve runs one neighbour
-    sum per forward step and none backward: n calls of engine._sum, where
-    the array sweeps made 2n - 1 stored and, with their recompute, 90
-    streamed at n = 32."""
-    inst = PolymerInstance(d=3, n=32, beta=0.0, law=make_uniform(-1.0, 1.0), seed=5)
+def engine_calls(solve) -> dict:
+    """Calls of each engine function during solve()."""
     profile = cProfile.Profile()
     profile.enable()
     try:
-        forward_backward(inst, keep_forward=False, keep_theta=keep_theta)
+        solve()
     finally:
         profile.disable()
-    sums = [calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
-            if name == "_sum" and path.endswith("engine.py")]
-    assert sums == [inst.n]
+    return {name: calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+            if path.endswith("engine.py")}
+
+
+@pytest.mark.parametrize("keep_theta", [True, False], ids=["stored", "streamed"])
+def test_beta0_solve_runs_only_the_forward_stencil(keep_theta):
+    """A beta=0 backward layer is constant, so theta_k is F_k and a solve
+    makes no backward layer: n calls of engine._sum, one per forward step,
+    and none of engine._backward_step, where the array sweeps made 2n - 1
+    sums stored and, with their recompute, 90 streamed at n = 32."""
+    inst = PolymerInstance(d=3, n=32, beta=0.0, law=make_uniform(-1.0, 1.0), seed=5)
+    counts = engine_calls(lambda: forward_backward(inst, keep_forward=False,
+                                                   keep_theta=keep_theta))
+    assert counts["_sum"] == inst.n
+    assert "_backward_step" not in counts
+
+
+def test_streamed_solve_recomputes_no_layer_below_the_lowest_top():
+    """The first backward sweep keeps every layer below segment_tops' lowest
+    top as a checkpoint, so a streamed solve recomputes only the segments
+    above it: at figure 1 (lowest top 49, 20 segments), 299 + 232 backward
+    steps, where recomputing the lowest segment too made 299 + 280."""
+    inst = PolymerInstance(d=1, n=300, beta=3.0, law=make_uniform(-1.0, 1.0), seed=5)
+    tops = segment_tops(1, 300)
+    assert (tops[0], len(tops)) == (49, 20)
+    counts = engine_calls(lambda: forward_backward(inst, keep_forward=False, keep_theta=False))
+    assert counts["_backward_step"] == 299 + (300 - 20) - (49 - 1) == 531

@@ -1,5 +1,6 @@
 """CLI: subcommand plumbing, exit codes, file outputs, determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -327,7 +328,36 @@ def test_refused_paths_and_undecodable_files_exit_2(monkeypatch, tmp_path, capsy
     err = assert_config_error(main(argv), capsys)
     if case.endswith("not-utf8"):
         assert str(bad) in err
+    if case == "out-dev-full":
+        assert "--out" in err and "/dev/full" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad"]
+
+
+@pytest.mark.parametrize("case", ["simulate-profiles", "scaling-out", "verify-report",
+                                  "figure1-histogram"])
+def test_a_failed_write_names_its_flag_and_file(monkeypatch, tmp_path, capsys, case):
+    """A write that fails after its path was checked, as on a full disk,
+    exits 2 with a config error naming the flag and the file."""
+    full = "/dev/full"
+    if case == "figure1-histogram":
+        def write_histogram_csv(edges, counts, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(cli, "write_histogram_csv", write_histogram_csv)
+        full = str(tmp_path / "f_histogram.csv")
+    elif not os.path.exists(full):
+        pytest.skip("no /dev/full on this system")
+    monkeypatch.setattr(verify, "run_checks", lambda fast: [])
+    flag, argv = {
+        "simulate-profiles": ("--profiles", ["simulate", "--d", "1", "--n", "5", "--beta", "1",
+                                             "--out", str(tmp_path / "r.csv"),
+                                             "--profiles", full]),
+        "scaling-out": ("--out", ["scaling", "--n-grid", "4,8", "--out", full]),
+        "verify-report": ("--report", ["verify", "--report", full]),
+        "figure1-histogram": ("--out-prefix", ["figure1", "--reps", "2",
+                                               "--out-prefix", str(tmp_path / "f")]),
+    }[case]
+    err = assert_config_error(main(argv), capsys)
+    assert f"{flag} {full!r}: [Errno {errno.ENOSPC}]" in err
 
 
 @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])

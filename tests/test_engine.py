@@ -272,21 +272,33 @@ class TestForwardBackward:
 
 
 class TestBeta0Backward:
-    """At beta=0 every backward layer is one float (engine._backward_step),
-    bit for bit every cell of the array sweep from B_n = 1 it replaces."""
+    """At beta=0 every backward layer of the array sweep from B_n = 1 is
+    constant, so theta_k = normalize(F_k * B_k) is F_k up to rounding, and a
+    solve takes theta_k = F_k without making B_k."""
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batch"])
     @pytest.mark.parametrize("d,n", [(1, 200), (2, 40), (3, 20), (4, 9)])
-    def test_float_layers_equal_the_array_sweep(self, d, n, lead):
+    def test_theta_is_the_array_sweeps_within_rounding(self, d, n, lead):
+        seed = (4, 5, 6) if lead else 4
+        inst = PolymerInstance(d=d, n=n, beta=0.0, law=LAW, seed=seed)
+        sol = forward_backward(inst)
         plan = lattice.step_plan(d, n)
         array = np.ones(lead + plan[n].shape)
-        b = None
         for k in range(n - 1, 0, -1):
             array = engine._sum(array, lead, plan[k], plan[k + 1], False)
             engine._normalize(array, plan[k].axes, "backward", k, False)
-            b = engine._backward_step(b, None, plan, k, lead, False)
-            assert type(b) is float
-            assert np.all(array == b), k
+            assert np.all(array == array.reshape(-1)[0]), k
+            swept = engine._theta(sol.forward_layers[k - 1], array.copy(), k,
+                                  plan[k].axes, False)
+            np.testing.assert_allclose(sol.theta_layers[k - 1], swept, rtol=1e-15, atol=0)
+
+    def test_stored_theta_is_a_copy_of_the_forward_layer(self):
+        for d, n in [(1, 30), (2, 12), (3, 8)]:
+            inst = PolymerInstance(d=d, n=n, beta=0.0, law=LAW, seed=7)
+            sol = forward_backward(inst, keep_forward=True)
+            for theta, f in zip(sol.theta_layers, sol.forward_layers, strict=True):
+                np.testing.assert_array_equal(theta, f)
+                assert not np.shares_memory(theta, f)
 
     @pytest.mark.parametrize("keep_theta", [True, False], ids=["stored", "streamed"])
     def test_solve_matches_brute_force(self, keep_theta):
@@ -408,6 +420,15 @@ class TestZeroLayer:
         inst = PolymerInstance(d=1, n=20, beta=0.0, law=LAW, seed=5)
         sol = forward_backward(inst, keep_forward=False)
         np.testing.assert_array_equal(sol.theta_array(10), layer_theta(inst, 10, 0.0))
+        # in d = 2 and 3 too, and for M layers on a leading axis: at beta=0
+        # omega_k carries no weight
+        for d, n, k in [(2, 12, 6), (3, 8, 4), (3, 8, 8)]:
+            inst = PolymerInstance(d=d, n=n, beta=0.0, law=LAW, seed=5)
+            theta = forward_backward(inst, keep_forward=False).theta_array(k)
+            np.testing.assert_array_equal(theta, layer_theta(inst, k, 0.0))
+            stacked = np.stack([env_layer(inst, k), -env_layer(inst, k), np.zeros(theta.shape)])
+            for row in layer_theta(inst, k, stacked):
+                np.testing.assert_array_equal(row, theta)
 
     def test_zeta_sums_to_one(self):
         inst = PolymerInstance(d=2, n=12, beta=3.0, law=LAW, seed=5)

@@ -155,15 +155,15 @@ class TestChunks:
         assert streamed_bytes(1, 300, 3.0) == held + 8 * (2390 + 2 * 111 + 2 * 109) == 74730
         assert chunk_size(1, 300, 3.0) == \
             (harness.CHUNK_BYTES - SOLVE_FIXED_BYTES) // 74730 == 53
-        # beta=0 draws no weights and keeps its backward layers as floats, so
-        # it holds no checkpoint and recomputes nothing.  The ell step of
-        # k = 299 bounds it: alpha, the log normalizers, 8 scalars and 5774
-        # choice bytes up to k = 299, then theta_299 (a new array), F_299,
-        # the step-299 scores, the layer-298 scores and their step-299
-        # frame, and the choice, better and bit-plane bytes of layer 299
+        # beta=0 draws no weights and makes no backward layer, so it holds no
+        # checkpoint, recomputes nothing, and its theta_k is F_k.  The ell
+        # step of k = 300 bounds it: alpha, the log normalizers, 8 scalars
+        # and 5812 choice bytes up to k = 300, then F_300, the step-300
+        # scores, the layer-299 scores and their step-300 frame, and the
+        # choice, better and bit-plane bytes of layer 300
         assert streamed_bytes(1, 300, 0.0) == \
-            8 * (2 * 300 + 8) + 5774 + 8 * (4 * 300 + 299) + 3 * 300 == 23530
-        assert chunk_size(1, 300, 0.0) == 169
+            8 * (2 * 300 + 8) + 5812 + 8 * (3 * 301 + 300) + 3 * 301 == 21203
+        assert chunk_size(1, 300, 0.0) == 188
         assert chunk_size(3, 200, 1.0) == 1
         # in log space the recompute holds two more frames of 111 cells
         assert streamed_bytes(1, 300, 3.0, log=True) == 74730 + 8 * 2 * 111

@@ -76,13 +76,13 @@ BATCH = tuple(replication_seed(19, r) for r in range(5))
 
 DIGESTS = {
     (0.0, "single", "stored"):
-        "bb74429cde17efa2b82d2f28210d7186b59640d803c8428b5a11f564fa7dfa83",
+        "ac5a961e87cb7a0b62e97bd4fd00cedd67c61442e18fba44ffbb7cf769714e18",
     (0.0, "single", "streamed"):
-        "477a9e4695c35bfaf74c67d772624a575e49a0980b433dbbebceb0e596f8313e",
+        "9004be98557f717a4e2a1f4d62dad6717f072c70c501cbb444b35fde2198c56f",
     (0.0, "batch5", "stored"):
-        "178ff63f62ab4cf24ff7dd4650b2b2d9db937b37c99de78777c283d72f9fb95e",
+        "18c6139aae27ae22ab8d7099688a1c56ed5683b68b9e1b51fd635c5c3401a7b2",
     (0.0, "batch5", "streamed"):
-        "d5a970f15771fc386ada0245a1adc309b133453f2dc5cc0650d2dc915c6333dc",
+        "903885154a73c9747830837438143aabfad9432b02a3eee788be48cef5c4b693",
     (3.0, "single", "stored"):
         "04798accc2992cbe6a629930b1389a3be1727527e15e0bac032238da83663fb4",
     (3.0, "single", "streamed"):

@@ -155,16 +155,17 @@ def solve_digest(d, n, beta, seed, keep_theta):
 SINGLE = 4242
 BATCH = tuple(replication_seed(17, r) for r in range(3))
 
-# Digests of the windowed stencil's solves; beta=100 sweeps in log space.
+# Digests of the windowed stencil's solves; beta=100 sweeps in log space,
+# and at beta=0 each theta_k is the forward layer F_k.
 DIGESTS = {
     (2, 0.0, "single", "stored"):
-        "cfdd1febda7b5703008da7de01fc70cfb99dabc2d87fa258367f916bd3dbe188",
+        "7072bffbcb30c33decb510e00b0c0115ae6f976c6f18ced40cf7469610c444d9",
     (2, 0.0, "single", "streamed"):
-        "aced66d1e0253ec1fff68c3e76c833a37a2d275313c6de9de66f812c32cd3a03",
+        "1cd6b3027351a18c2c63683216fc22d0552ecc2e1c375f031197c238db5d3aec",
     (2, 0.0, "batch3", "stored"):
-        "b55421d03a8dbc6dcb811f5566c013220076e3c819a472f8e9fdeebb8b3a86e7",
+        "68d0bd866beb59f7a12362da2daf697829c9c6bcec283bfdfa0ea3730f280b33",
     (2, 0.0, "batch3", "streamed"):
-        "13ac73f518a1af15a45e123c9256a582a106e105366b53827eb2f0462e1bc924",
+        "ee4dd155fa663f0dbeb123073321bdb20c440b94ac04191f2ccbf7a7978d4aeb",
     (2, 3.0, "single", "stored"):
         "397565adb37e66e227f9e14e8ac00e2186919f7315e9a322e0e16f6270df0d2b",
     (2, 3.0, "single", "streamed"):
@@ -182,13 +183,13 @@ DIGESTS = {
     (2, 100.0, "batch3", "streamed"):
         "8b0cbc3d4cbf90ccfd78b908a954c7574c6dcae48f34481631c1458025a8da92",
     (3, 0.0, "single", "stored"):
-        "15fd9a70e791172044cea5f36c91e5e76e4f5990fc148215499690eb63bee530",
+        "e1854a1bf5e4d318e3e82f7165008323cc9f02814d322e5db1a76ae8bd88eeed",
     (3, 0.0, "single", "streamed"):
-        "d43e11c2e35154ca37db8a585edaa38e869d7ad2e3a58ebcc8755dacb62be6cf",
+        "d7b4f9b061bc1dc959d53b9dffab14d72a7914c26fde13ea90c46bb9d3ea263d",
     (3, 0.0, "batch3", "stored"):
-        "0ec4c22f97ba77714585ab1b912505052bca824cb56ee3ea73d5dda20b5c1ae0",
+        "5113ac1babb3bd26ad9a8d03f8d82ee3996c2a244d236ac84e4bc655eb3c55d6",
     (3, 0.0, "batch3", "streamed"):
-        "c80fc0d401d40b93aaf64c6d4c5376fe73fe985c5cb1c4da94f5bbf668082ce3",
+        "cd540aa894dfd052775a1a1ae4c22d71c1a8e4f851d9685ee06ad4e4e69b9121",
     (3, 3.0, "single", "stored"):
         "4a8c58a0d644955182bb804ccb44d2e05873c1af030206ff5a888337691103b9",
     (3, 3.0, "single", "streamed"):
