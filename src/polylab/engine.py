@@ -39,7 +39,11 @@ up, and holding them between the sweeps would cost n layers of memory
 At beta=0 every backward layer is constant (before normalization, B_k is
 (2d)^(n-k) at every site), so theta_k is the normalized forward layer F_k
 itself: a beta=0 solve is its forward sweep, with no backward layer, no
-draw and no second normalization.
+draw and no second normalization.  Nor does F_k depend on n, so the solve
+of length m is the first m layers of any longer one: the same theta,
+alpha and normalizers, and the ell program's state after m steps.
+ThetaSolution.prefix(m) reads it off; a streamed solve keeps that state
+for the lengths forward_backward(prefixes=) names, one score layer each.
 
 A figure-1 chunk solve is bound by the number of numpy calls per layer,
 not by its cells: one replication costs over a third of what 53 do.  So a
@@ -76,10 +80,10 @@ import math
 import numbers
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
-from typing import List, Mapping, Optional, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -485,6 +489,31 @@ class ThetaSolution:
             return 0.0
         return float(theta.reshape(-1)[site_cells(self.instance.d, k, site)])
 
+    def prefix(self, m: int) -> "ThetaSolution":
+        """The solve of length m, bit for bit, from this beta=0 solve of
+        length n >= m: theta_k = F_k does not depend on n, so every field is
+        its first m layers, log Z their normalizers' sum, and the ell
+        program its state after m steps.  A streamed solve has that state
+        for m = n and for the lengths its forward_backward(prefixes=) named,
+        and raises ValueError for any other; so does a solve at beta > 0."""
+        instance = self.instance
+        if instance.beta:
+            raise ValueError(f"a solve at beta={instance.beta} has no prefixes: "
+                             f"theta_k depends on n")
+        m = instance.step(m)
+        lognorms = self.layer_lognorms[..., :m]
+        log_partition = lognorms.sum(axis=-1)
+        return ThetaSolution(
+            instance=replace(instance, n=m),
+            theta_layers=self.theta_layers[:m],
+            log_partition=log_partition if lognorms.ndim > 1 else float(log_partition),
+            layer_lognorms=lognorms,
+            forward_layers=None if self.forward_layers is None else self.forward_layers[:m],
+            alpha=None if self.alpha is None else self.alpha[..., :m],
+            path_dp=None if self.path_dp is None else self.path_dp.prefix(m),
+            replaced=tuple(k for k in self.replaced if k <= m),
+        )
+
 
 def _cumulative_cells(d: int, n: int) -> List[int]:
     """cum[k] = cells of layers 1..k, for k = 0..n."""
@@ -629,8 +658,8 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
 def forward_backward(instance: PolymerInstance,
                      keep_forward: bool = True,
                      keep_theta: bool = True,
-                     layer_omega: Optional[Mapping[int, np.ndarray]] = None
-                     ) -> ThetaSolution:
+                     layer_omega: Optional[Mapping[int, np.ndarray]] = None,
+                     prefixes: Iterable[int] = ()) -> ThetaSolution:
     """Stabilized transfer-matrix recursion producing theta and log Z.
 
     The backward sweep runs first, B_n = 1 and
@@ -660,8 +689,18 @@ def forward_backward(instance: PolymerInstance,
     which broadcasts to the step-k layer shape, as in layer_theta.  The
     solution's instance is still `instance`, whose layer k is not omega, and
     its `replaced` lists the replaced steps in increasing order.
+
+    prefixes names lengths m whose solves ThetaSolution.prefix(m) will
+    read off this one, each read through instance.step.  Only a beta=0
+    solve has them (theta_k = F_k does not depend on n), so at beta > 0 a
+    length raises ValueError.  A stored solve needs nothing for them; a
+    streamed one keeps the ell program's scores after each such step.
     """
     d, n = instance.d, instance.n
+    prefixes = frozenset(map(instance.step, prefixes))
+    if prefixes and instance.beta:
+        raise ValueError(f"prefixes {sorted(prefixes)} need beta=0: at beta="
+                         f"{instance.beta} theta_k depends on n")
     omegas = {}
     for k, om in (layer_omega or {}).items():
         require_single(instance.seed, "layer_omega")
@@ -687,7 +726,7 @@ def forward_backward(instance: PolymerInstance,
     forward: List[np.ndarray] = []
     lognorms = np.empty(lead + (n,))
     alpha = None if keep_theta else np.empty(lead + (n,))
-    path_dp = None if keep_theta else PathDP(d, lead)
+    path_dp = None if keep_theta else PathDP(d, lead, prefixes)
     f = np.full(lead + (1,) * d, 0.0 if log else 1.0)
     for lo, hi in zip((1,) + tuple(t + 1 for t in tops[:-1]), tops):
         ws = [weights(k) for k in range(lo, hi + 1)]

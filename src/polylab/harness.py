@@ -256,23 +256,30 @@ def scaling_study(d: int, n_grid: Sequence[int], base_seed: int = 0,
                   law_spec: str = DEFAULT_LAW):
     """ell and rho of the beta=0 (simple random walk) measure across n.
 
-    The beta=0 measure is deterministic, so a single run per n suffices.
-    Returns (rows, slope) where rows are (n, ell, rho) and slope is the
-    fitted log-log slope of ell against n, which needs two distinct n.
-    d, every n and base_seed follow PolymerInstance's rules.
+    The beta=0 measure is deterministic, so a single run per n suffices,
+    and the solve of length n is the first n layers of a longer one
+    (ThetaSolution.prefix): one streamed solve at the largest n, which
+    keeps the ell program's state at every n of the grid, gives every row
+    bit for bit as its own solve would.
+    Returns (rows, slope) where rows are (n, ell, rho) in grid order and
+    slope is the fitted log-log slope of ell against n, which needs two
+    distinct n.  d, every n and base_seed follow PolymerInstance's rules.
     """
     law = parse_law_spec(law_spec)
     try:    # beta=0 draws nothing, but base_seed is checked all the same
         insts = [PolymerInstance(d=d, n=n, beta=0.0, law=law, seed=base_seed) for n in n_grid]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"scaling needs integers d, n >= 1 and base_seed: {exc}") from None
-    if len({inst.n for inst in insts}) < 2:
+    sizes = [inst.n for inst in insts]
+    if len(set(sizes)) < 2:
         raise ConfigError(f"a slope needs at least two distinct n, got {list(n_grid)}")
+    sol = forward_backward(max(insts, key=lambda inst: inst.n), keep_forward=False,
+                           keep_theta=False, prefixes=sizes)
     rows = []
-    for inst in insts:
-        sol = forward_backward(inst, keep_forward=False, keep_theta=False)
-        l_val, _ = functionals.ell(sol)
-        rows.append((inst.n, l_val, functionals.rho(sol)))
+    for n in sizes:
+        part = sol.prefix(n)
+        l_val, _ = functionals.ell(part)
+        rows.append((n, l_val, functionals.rho(part)))
     ls = np.log([r[1] for r in rows])
     ns = np.log([r[0] for r in rows])
     slope = float(np.polyfit(ns, ls, 1)[0])

@@ -33,10 +33,11 @@ max-sum path dynamic program.
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -244,9 +245,14 @@ class PathDP:
     planes (bit j of every c), each packed with np.packbits over the
     flattened cells: shape (batch, planes, ceil(cells / 8)), so 1 bit per
     cell in d=1, 2 in d=2 and 3 in d=3.
+
+    keep names push counts m whose state prefix(m) can return later.  A
+    push makes a new score layer and only appends to choices, so the state
+    after m pushes is that push's scores and the first m - 1 choice layers:
+    keeping it holds one score layer, and nothing is copied.
     """
 
-    def __init__(self, d: int, lead: Tuple[int, ...]):
+    def __init__(self, d: int, lead: Tuple[int, ...], keep: Iterable[int] = ()):
         self.d = d
         self.batch = lead[0] if lead else 1
         self.n = 0
@@ -254,6 +260,7 @@ class PathDP:
         # the value of bit plane j in a choice: 1, 2, 4
         self.plane_bits = 1 << np.arange((2 * d - 1).bit_length(), dtype=np.uint8)
         self.choices: List[np.ndarray] = []
+        self.kept = dict.fromkeys(keep)      # m -> the scores after push m
 
     def push(self, field: np.ndarray) -> None:
         d = self.d
@@ -296,6 +303,19 @@ class PathDP:
                 bits = bits & self.plane_bits[:, None]
             self.choices.append(np.packbits(bits, axis=-1))
         self.best = score
+        if k in self.kept:
+            self.kept[k] = score
+
+    def prefix(self, m: int) -> "PathDP":
+        """The program as it stood after its first m pushes: m is the pushes
+        made so far or one of keep.  Shares its arrays with this one."""
+        best = self.best if m == self.n else self.kept.get(m)
+        if best is None:
+            raise ValueError(f"the path program kept no state after {m} of "
+                             f"{self.n} pushes")
+        dp = copy.copy(self)
+        dp.n, dp.best, dp.choices, dp.kept = m, best, self.choices[:m - 1], {}
+        return dp
 
     def top(self) -> np.ndarray:
         """The top scores, shape (batch,), without backtracking a path."""

@@ -267,6 +267,68 @@ def test_figure1_plan_and_byte_model():
         8 * (2 * 300 + 8) + 5812
 
 
+def assert_same_program(got, want):
+    """Two ell programs in the same state: steps, scores and choices."""
+    assert got.n == want.n and len(got.choices) == len(want.choices) == want.n - 1
+    np.testing.assert_array_equal(got.best, want.best)
+    for a, b in zip(got.choices, want.choices):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("d,n,m", [(1, 40, 17), (2, 12, 5), (3, 10, 4)])
+@pytest.mark.parametrize("seed", [21, seeds(21, 3)], ids=["int", "tuple3"])
+@pytest.mark.parametrize("keep_theta", [True, False], ids=["stored", "streamed"])
+def test_beta0_prefix_equals_the_direct_solve(d, n, m, seed, keep_theta):
+    """At beta=0 theta_k = F_k does not depend on n, so the first m layers of
+    a length-n solve are the length-m solve in every field, bit for bit."""
+    long = forward_backward(batch(d, n, 0.0, seed), keep_theta=keep_theta, prefixes=[m])
+    got = long.prefix(m)
+    want = forward_backward(batch(d, m, 0.0, seed), keep_theta=keep_theta)
+    assert got.instance == want.instance and got.replaced == want.replaced == ()
+    assert type(got.log_partition) is type(want.log_partition)
+    np.testing.assert_array_equal(got.log_partition, want.log_partition)
+    np.testing.assert_array_equal(got.layer_lognorms, want.layer_lognorms)
+    for field in ("theta_layers", "forward_layers"):
+        for a, b in zip(getattr(got, field), getattr(want, field), strict=True):
+            np.testing.assert_array_equal(a, b)
+    if keep_theta:
+        assert got.alpha is got.path_dp is want.alpha is want.path_dp is None
+    else:
+        np.testing.assert_array_equal(got.alpha, want.alpha)
+        assert_same_program(got.path_dp, want.path_dp)
+        # the long solve stays streamed: one kept score layer, no theta
+        assert long.theta_layers == [] and list(long.path_dp.kept) == [m]
+        # and is its own prefix, though n was not named
+        assert_same_program(long.prefix(n).path_dp, long.path_dp)
+    for a, b in zip(ell(got), ell(want), strict=True):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(rho(got), rho(want))
+
+
+def test_prefix_refusals():
+    """Prefixes exist at beta=0 only, for steps 1..n, and a streamed solve
+    has the ell program's state only for the lengths it was asked to keep."""
+    with pytest.raises(ValueError, match="beta=0"):
+        forward_backward(batch(1, 10, 1.0, 3), prefixes=[4])
+    with pytest.raises(ValueError, match="prefixes"):
+        forward_backward(batch(1, 10, 1.0, 3)).prefix(4)
+    with pytest.raises(ValueError, match="outside"):
+        forward_backward(batch(1, 10, 0.0, 3), prefixes=[11])
+    with pytest.raises(ValueError, match="outside"):
+        forward_backward(batch(1, 10, 0.0, 3), keep_theta=False, prefixes=[0])
+    with pytest.raises(TypeError):
+        forward_backward(batch(1, 10, 0.0, 3), prefixes=[4.5])
+    stored = forward_backward(batch(1, 10, 0.0, 3))
+    assert stored.prefix(4).instance.n == 4       # a stored solve keeps every layer
+    for m in (0, 11):
+        with pytest.raises(ValueError, match="outside"):
+            stored.prefix(m)
+    streamed = forward_backward(batch(1, 10, 0.0, 3), keep_theta=False, prefixes=[5])
+    assert streamed.prefix(5).instance.n == 5
+    with pytest.raises(ValueError, match="kept no state after 4 of 10"):
+        streamed.prefix(4)
+
+
 class TestSingleEnvironmentOnly:
     @pytest.fixture(scope="class")
     @staticmethod

@@ -13,6 +13,7 @@ import pstats
 import pytest
 
 from polylab.engine import PolymerInstance, forward_backward, segment_tops
+from polylab.harness import scaling_study
 from polylab.laws import make_uniform
 from polylab.rng import replication_seed
 
@@ -72,3 +73,12 @@ def test_streamed_solve_recomputes_no_layer_below_the_lowest_top():
     assert (tops[0], len(tops)) == (49, 20)
     counts = engine_calls(lambda: forward_backward(inst, keep_forward=False, keep_theta=False))
     assert counts["_backward_step"] == 299 + (300 - 20) - (49 - 1) == 531
+
+
+def test_beta0_scaling_study_is_one_sweep():
+    """A beta=0 solve of length n is the first n layers of a longer one, so
+    scaling_study solves only its largest n: one forward_backward call and
+    32 forward steps for the grid 8, 16, 32, where a solve per n made 3
+    calls and 8 + 16 + 32 = 56 steps."""
+    counts = engine_calls(lambda: scaling_study(3, [8, 16, 32]))
+    assert (counts["forward_backward"], counts["_sum"]) == (1, 32)

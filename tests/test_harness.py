@@ -372,6 +372,19 @@ class TestScaling:
         with pytest.raises(ConfigError, match="d must be an int"):
             scaling_study(d, [8, 16])
 
+    @pytest.mark.parametrize("d,n_grid", [(1, [32, 8, 16, 8]), (2, [6, 12])])
+    def test_rows_equal_per_n_solves_in_grid_order(self, d, n_grid):
+        """One solve at the largest n gives every row as its own solve does,
+        in grid order, repeated sizes included."""
+        law = parse_law_spec("uniform:-1,1")
+        want = []
+        for n in n_grid:
+            sol = forward_backward(PolymerInstance(d=d, n=n, beta=0.0, law=law, seed=0),
+                                   keep_forward=False, keep_theta=False)
+            want.append((n, ell_fn(sol)[0], rho_fn(sol)))
+        rows, _ = scaling_study(d, n_grid)
+        assert rows == want
+
     def test_numpy_int_sizes_are_ints(self):
         assert scaling_study(1, [np.int64(8), np.int32(16)]) == scaling_study(1, [8, 16])
 
