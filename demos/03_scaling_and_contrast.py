@@ -10,7 +10,7 @@ behaviours side by side.
 import numpy as np
 
 from polylab import PolymerInstance, forward_backward, make_uniform
-from polylab.functionals import ell, rho
+from polylab.functionals import ell_scores, rho
 from polylab.harness import scaling_study
 from polylab.rng import replication_seed
 
@@ -33,7 +33,7 @@ for i, n in enumerate([50, 100, 200, 400]):
     inst = PolymerInstance(d=1, n=n, beta=3.0, law=law,
                            seed=replication_seed(777, i))
     sol = forward_backward(inst, keep_forward=False, keep_theta=False)
-    print(f"  {n:4d}  {ell(sol)[0]:.6f}  {rho(sol):.6f}")
+    print(f"  {n:4d}  {ell_scores(sol):.6f}  {rho(sol):.6f}")
 
 print("\nthe disordered rho values hover around a constant while the free")
 print("ones fall like a power law -- that gap is the localization effect.")

@@ -607,13 +607,17 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
     always holds the checkpoints of the segments above, the backward
     layers k..hi (B_n = 1 is not stored), alpha and the log normalizers (2
     words per layer), 8 scalar words (normalizers, weight shifts, their
-    logs) and the packed ell choices up to layer k.  On top of that it
+    logs) and the packed ell choices up to layer k, 2d - 1 move masks of
+    one bit per cell from layer 2 on (lattice.PathDP).  On top of that it
     holds the largest of three moments, with c_j the cells of layer j:
     the forward step (the weights of layers k..hi, F_{k-1} and the ell
     scores of layer k-1, and F_k with the step-k frame its neighbour sum
     reads), the ell step (the weights of layers k+1..hi, F_k, the scores of
     layer k-1, the step-k scores and the frame of the layer-(k-1) scores,
-    and 2 + planes choice bytes per cell of layer k), and the recompute of
+    and 2d + 1 bytes per cell of layer k: one byte for each of its 2d - 1
+    masks before packing, and two bytes of slack, which the d=1 chunk sizes
+    of 53 and 188 replications at figure 1's n and beta=0 rest on), and the
+    recompute of
     B_k (every weight of the segment, B_{k+1} * w_{k+1} and the step-(k+1)
     frame the neighbour sum adds into, and F_lo and the scores of layer
     lo).  In log space (log_space) the neighbour sums of the forward step
@@ -625,8 +629,8 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
     theta_k is F_k itself."""
     cum = _cumulative_cells(d, n)
     c = [1] + [cum[k] - cum[k - 1] for k in range(1, n + 1)]     # c[0]: the origin
-    planes = (2 * d - 1).bit_length()
-    choices = list(accumulate((planes * -(-c[k] // 8) if k > 1 else 0
+    moves = 2 * d - 1
+    choices = list(accumulate((moves * -(-c[k] // 8) if k > 1 else 0
                                for k in range(1, n + 1)), initial=0))
     stencil = 4 if log else 2
     # a[k]: the cells of layer k's weights, and of B_k; neither exists at
@@ -645,7 +649,7 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
             # written over B_k (which `backward` counts), or F_k itself at
             # k = n and at beta=0
             forward = 8 * (rest + 2 * c[k - 1] + stencil * c[k])
-            ell = 8 * (rest - a[k] + 3 * c[k] + c[k - 1]) + (2 + planes) * c[k]
+            ell = 8 * (rest - a[k] + 3 * c[k] + c[k - 1]) + (moves + 2) * c[k]
             recompute = 0
             if k < hi:
                 recompute = 8 * (acum[hi] - acum[lo] + stencil * c[k + 1] + 2 * c[lo])

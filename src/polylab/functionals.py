@@ -75,7 +75,7 @@ def ell(solution: ThetaSolution):
     Dynamic program (lattice.PathDP) over all nearest-neighbor paths from
     the origin, including sites of zero theta; ties broken by the
     lexicographically smallest endpoint, then at each step back by the
-    lexicographically smallest predecessor.  At beta=0 in d >= 3 many
+    lexicographically smallest predecessor.  At beta=0, in every d, many
     paths tie exactly, and which of them wins depends on the rounding of
     their summed scores, so there the tie-break holds only up to rounding.
     Returns (ell, path of shape (n, d)), or for a batched solution ((R,)

@@ -12,8 +12,8 @@ and a unit step moves every entry of s by +-1, so each of the 2d steps is a
 {0,1}^d shift between consecutive cubes.  In d = 1 the cube is the cone
 itself, the k+1 sites x = -k + 2j; in d = 2 every cell is on the cone; in
 d = 3 about 2/3 of the (k+1)^3 cells are, and the rest carry zero mass.
-layer_shape, step_geometry, layer_sites, site_cells and cell_sites are the
-layout.
+layer_shape, step_geometry, layer_sites, site_cells, cell_sites and
+cube_sites are the layout.
 
 The stencil works on frames: C-contiguous arrays of the step-k shape,
 leading axes included, whose cells [0, k)^d can hold a step-(k-1) layer
@@ -192,8 +192,13 @@ def site_cells(d: int, k: int, x: np.ndarray) -> np.ndarray:
 
 def cell_sites(d: int, k: int, cells: np.ndarray) -> np.ndarray:
     """Site coordinates (shape cells.shape + (d,)) of flat step-k cells."""
-    u = np.stack(np.unravel_index(np.asarray(cells, dtype=np.int64),
-                                  layer_shape(d, k)), axis=-1)
+    return cube_sites(k, np.stack(np.unravel_index(np.asarray(cells, dtype=np.int64),
+                                                   layer_shape(d, k)), axis=-1))
+
+
+def cube_sites(k, u: np.ndarray) -> np.ndarray:
+    """Site coordinates (shape u.shape) of the step-k cube cells u (shape
+    (..., d)); k may be an array that broadcasts against u's leading axes."""
     s = 2 * u - k
     x = (s[..., :1] - s) >> 1           # x_i = (s_1 - s_i) / 2 for i >= 2
     x[..., 0] = s[..., 0] - x[..., 1:].sum(axis=-1)
@@ -229,8 +234,8 @@ class PathDP:
     layout competes, including cells of zero field.  Ties go to the
     lexicographically smallest endpoint, then at each step back to the
     lexicographically smallest predecessor, among scores that are equal in
-    floating point: where exact ties round apart (beta=0 in d >= 3), the
-    rounding decides.  Fields carry the leading axes `lead` (one
+    floating point: where exact ties round apart (at beta=0, in every d),
+    the rounding decides.  Fields carry the leading axes `lead` (one
     environment per entry) before their d site axes.
 
     Each push frames the previous scores with -inf (framed) and takes
@@ -239,12 +244,16 @@ class PathDP:
     those of its 2d predecessors.
     Only the current layer's scores are kept, starting from score 0 at the
     origin.  A cell no path reaches (a cube cell off the cone, in d >= 3)
-    has no scored predecessor, so its score stays -inf.  Every cell of every
-    layer from step 2 keeps which of the 2d predecessors gave its score, a
-    choice c < 2d.  A layer stores its choices as (2d-1).bit_length() bit
-    planes (bit j of every c), each packed with np.packbits over the
-    flattened cells: shape (batch, planes, ceil(cells / 8)), so 1 bit per
-    cell in d=1, 2 in d=2 and 3 in d=3.
+    has no scored predecessor, so its score stays -inf.  Every layer from
+    step 2 keeps which of the 2d predecessors gave each cell its score, a
+    choice c < 2d, as one mask per move c >= 1: the cells where move c was
+    strictly better than moves 0..c-1.  A cell's choice is its last set
+    mask, or 0 if none is set.  The 2d - 1 masks of a layer are packed with
+    np.packbits over the flattened cells: shape (batch, 2d - 1,
+    ceil(cells / 8)), so 1 bit per cell in d=1, 3 in d=2 and 5 in d=3.
+    result walks each row back from its endpoint in cube coordinates, with
+    Python ints: one mask byte per move tried, then the move's {0,1}^d
+    shift.
 
     keep names push counts m whose state prefix(m) can return later.  A
     push makes a new score layer and only appends to choices, so the state
@@ -257,8 +266,6 @@ class PathDP:
         self.batch = lead[0] if lead else 1
         self.n = 0
         self.best = np.zeros((self.batch,) + layer_shape(d, 0))
-        # the value of bit plane j in a choice: 1, 2, 4
-        self.plane_bits = 1 << np.arange((2 * d - 1).bit_length(), dtype=np.uint8)
         self.choices: List[np.ndarray] = []
         self.kept = dict.fromkeys(keep)      # m -> the scores after push m
 
@@ -267,10 +274,10 @@ class PathDP:
         self.n = k = self.n + 1
         step = step_geometry(d, k)
         layer = field.reshape((self.batch,) + step.shape)
-        # predecessors y = x + v in lexicographic order of v: the choice is
-        # the last move c that is strictly better than moves 0..c-1, i.e.
-        # the smallest of tied predecessors, and that is the largest c * better
-        (into, take, edge), (into1, take1, edge1), *rest = step.moves
+        # predecessors y = x + v in lexicographic order of v: mask c - 1 holds
+        # where move c is strictly better than moves 0..c-1, so the last set
+        # mask is the smallest of the tied predecessors
+        (into, take, edge), *rest = step.moves
         # the scores outlive the frame: allocated first, as in the engine's
         # neighbour sums.  Move 0 writes every score but the first cells.
         score = np.empty(layer.size)
@@ -278,30 +285,18 @@ class PathDP:
         if edge is not None:
             score[edge] = -np.inf
         score[into] = best[take]
-        # move 1 marks choice 1 where it is better and 0 elsewhere: its
-        # `better` is the choice itself
-        choice = np.empty(best.shape, dtype=np.uint8)
-        if edge1 is not None:
-            choice[edge1] = 0
-        np.greater(best[take1], score[into1], out=choice.view(bool)[into1])
-        np.maximum(score[into1], best[take1], out=score[into1])
-        if rest:
-            better = np.empty(best.shape, dtype=bool)
-        for c, (into, take, _) in enumerate(rest, 2):
-            np.greater(best[take], score[into], out=better[into])
+        masks = np.empty((len(rest), best.size), dtype=bool)
+        for c, (into, take, edge) in enumerate(rest):
+            mask = masks[c]     # iterating over masks would cost more per push
+            if edge is not None:
+                mask[edge] = False
+            np.greater(best[take], score[into], out=mask[into])
             np.maximum(score[into], best[take], out=score[into])
-            mark = better[into].view(np.uint8)      # c where better, else 0
-            np.multiply(mark, np.uint8(c), out=mark)
-            np.maximum(choice[into], mark, out=choice[into])
         score = score.reshape(layer.shape)
         score += layer
         if k > 1:       # every step-1 cell comes from the origin
-            # packbits packs every non-zero byte as a 1 bit; with one plane
-            # (d = 1) every choice is 0 or 1 already
-            bits = choice.reshape(self.batch, 1, -1)
-            if self.plane_bits.size > 1:
-                bits = bits & self.plane_bits[:, None]
-            self.choices.append(np.packbits(bits, axis=-1))
+            masks = masks.reshape(len(rest), self.batch, -1).transpose(1, 0, 2)
+            self.choices.append(np.packbits(masks, axis=-1))
         self.best = score
         if k in self.kept:
             self.kept[k] = score
@@ -324,7 +319,6 @@ class PathDP:
     def result(self) -> Tuple[np.ndarray, np.ndarray]:
         """(top scores of shape (batch,), best paths of shape (batch, n, d))."""
         d, n, best = self.d, self.n, self.best
-        rows = np.arange(self.batch)
         top = self.top()
         # cube C order is not lexicographic in d >= 2: sort the tied cells
         # by (row, site) and keep each row's first
@@ -332,18 +326,27 @@ class PathDP:
         x = cell_sites(d, n, tied)
         order = np.lexsort(tuple(x.T[::-1]) + (tied_rows,))
         first = order[np.unique(tied_rows[order], return_index=True)[1]]
-        cell, x = tied[first], x[first]
-        steps = step_vectors(d)
-        path = np.empty((self.batch, n, d), dtype=np.int64)
-        path[:, n - 1] = x
-        for k in range(n, 1, -1):
-            # the R packed bits of each plane at the path's step-k cell
-            packed = self.choices[k - 2][rows, :, cell >> 3]          # (batch, planes)
-            c = ((packed >> (7 - (cell & 7))[:, None]) & 1) @ self.plane_bits
-            x = x + steps[c]                  # the predecessor x + v
-            cell = site_cells(d, k - 1, x)
-            path[:, k - 2] = x
-        return top, path
+        # move c takes cell u of the step-k cube to u - shifts[c] of the
+        # step-(k-1) one, whose side is k
+        shifts = ((1 - step_vectors(d) @ _signature(d).T) // 2).tolist()
+        views = [memoryview(masks) for masks in self.choices]
+        cubes = []
+        for row, cell in enumerate(tied[first].tolist()):
+            u = [cell // (n + 1) ** j % (n + 1) for j in range(d - 1, -1, -1)]
+            walk = [u]
+            for k in range(n, 1, -1):
+                view, byte, bit = views[k - 2], cell >> 3, 7 - (cell & 7)
+                c = len(shifts) - 1
+                while c and not view[row, c - 1, byte] >> bit & 1:
+                    c -= 1
+                u = [a - b for a, b in zip(u, shifts[c])]
+                cell = 0
+                for a in u:
+                    cell = cell * k + a
+                walk.append(u)
+            cubes.append(walk[::-1])
+        ks = np.arange(1, n + 1)[:, None]
+        return top, cube_sites(ks, np.array(cubes, dtype=np.int64).reshape(self.batch, n, d))
 
 
 def validate_path(path: np.ndarray, d: int) -> None:

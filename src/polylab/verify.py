@@ -128,7 +128,7 @@ def oracle_equivalence(cases: Sequence[Tuple[int, float]] = _ORACLE_CASES,
                 sol.theta_array(k) - bf_sol.theta_array(k)))))
         worst = max(worst,
                     abs(functionals.rho(sol) - bf_rho),
-                    abs(functionals.ell(sol)[0] - bf_ell),
+                    abs(functionals.ell_scores(sol) - bf_ell),
                     abs(sol.log_partition - bf_sol.log_partition))
     return [_check("oracle_equivalence", worst <= ORACLE_TOL, f"worst diff {worst:.2e}")]
 
@@ -166,7 +166,7 @@ def chain_and_floors(cases: Sequence[Tuple[int, int, float]] = _CHAIN_CASES,
                                keep_forward=False, keep_theta=False)
         alpha = functionals.alpha_profile(sol)
         r = float(alpha.mean())
-        violations += not functionals.overlap_chain_holds(r, functionals.ell(sol)[0])
+        violations += not functionals.overlap_chain_holds(r, functionals.ell_scores(sol))
         below_floor += not (np.all(alpha >= functionals.alpha_floor(d, n))
                             and r >= 1.0 / (3 ** d * n))
     return [

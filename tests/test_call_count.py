@@ -38,8 +38,9 @@ def test_streamed_figure1_solve_stays_within_its_call_budget():
     assert calls <= CALL_BUDGET, f"{calls} calls, budget {CALL_BUDGET}"
 
 
-def engine_calls(solve) -> dict:
-    """Calls of each engine function during solve()."""
+def engine_calls(solve, module: str = "engine.py") -> dict:
+    """Calls of each function of the polylab module (engine by default)
+    during solve()."""
     profile = cProfile.Profile()
     profile.enable()
     try:
@@ -47,7 +48,7 @@ def engine_calls(solve) -> dict:
     finally:
         profile.disable()
     return {name: calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
-            if path.endswith("engine.py")}
+            if path.endswith("polylab/" + module)}
 
 
 @pytest.mark.parametrize("keep_theta", [True, False], ids=["stored", "streamed"])
@@ -82,3 +83,13 @@ def test_beta0_scaling_study_is_one_sweep():
     calls and 8 + 16 + 32 = 56 steps."""
     counts = engine_calls(lambda: scaling_study(3, [8, 16, 32]))
     assert (counts["forward_backward"], counts["_sum"]) == (1, 32)
+
+
+def test_scaling_study_backtracks_without_site_lookups():
+    """PathDP.result walks each path back in cube coordinates and turns
+    them into sites once: scaling_study(3, [8, 16, 32]) makes no
+    lattice.site_cells call, where a step-by-step lookup made 7 + 15 + 31 =
+    53, and one cell_sites call per path, for its tied endpoints."""
+    counts = engine_calls(lambda: scaling_study(3, [8, 16, 32]), "lattice.py")
+    assert "site_cells" not in counts
+    assert counts["cell_sites"] == counts["result"] == 3

@@ -276,12 +276,12 @@ def check_path_dp(d, n, lead):
         score, path = best_path_reference([f[r] if lead else f for f in fields], d)
         assert top[r] == score
         np.testing.assert_array_equal(paths[r], path)
-    # choices c < 2d stored as packed bit planes: 1, 2 and 3 bits per cell
-    planes = (2 * d - 1).bit_length()
+    # choices c < 2d stored as 2d - 1 packed move masks: 1, 3 and 5 bits
+    # per cell
     for k, packed in enumerate(dp.choices, start=2):
         assert packed.dtype == np.uint8
-        assert packed.shape == (batch, planes, -(-layer_cells(d, k) // 8))
-    if n > 1:       # the top plane is in use: some choice is >= 2^(planes-1)
+        assert packed.shape == (batch, 2 * d - 1, -(-layer_cells(d, k) // 8))
+    if n > 1:       # the last mask row is in use: some choice is 2d - 1
         assert any(packed[:, -1].any() for packed in dp.choices)
 
 

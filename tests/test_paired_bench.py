@@ -71,3 +71,69 @@ def test_main_prints_every_run_and_stops_at_a_wrong_one(tmp_path, capsys):
     assert " 0/2  no" in out
     assert paired_bench.main([good, bad, "--workload", "w", "--pairs", "2"]) == 1
     assert "change seed 1: correct: false" in capsys.readouterr().err
+
+
+def stub_tree(root, name, sleep_ms, log, bad_call=None):
+    """A checkout whose perfbench/workloads.py has one workload "w": each
+    call sleeps sleep_ms, appends "name i" to log, and has a problem at
+    call bad_call."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "workloads.py").write_text(
+        "import time\n"
+        "MEASURED_PASS = 0\n"
+        "class W:\n"
+        "    def __init__(self, seed, seconds, work_dir):\n"
+        "        self.seed = seed\n"
+        "    def setup(self):\n"
+        "        print('setup output stays off the replies')\n"
+        "    def warmup(self):\n"
+        "        pass\n"
+        "    def call(self, i, pass_id):\n"
+        f"        time.sleep({sleep_ms} / 1000)\n"
+        f"        with open({str(log)!r}, 'a') as fh:\n"
+        f"            fh.write('{name} %d %d %d\\n' % (i, pass_id, self.seed))\n"
+        "        return i\n"
+        "    def problems(self, i, out):\n"
+        f"        return ['wrong output'] if i == {bad_call!r} else []\n"
+        "WORKLOADS = {'w': W}\n")
+    return str(root)
+
+
+def test_interleave_alternates_the_first_side_and_times_each_call(tmp_path, capsys):
+    log = tmp_path / "calls.log"
+    slow = stub_tree(tmp_path / "slow", "slow", 40, log)
+    fast = stub_tree(tmp_path / "fast", "fast", 5, log)
+    assert paired_bench.main([slow, fast, "--workload", "w", "--interleave", "4",
+                              "--seed0", "9"]) == 0
+    # the parent first in even rounds, the change first in odd ones; both
+    # sides make call i of the measured pass with the same seed
+    assert log.read_text().splitlines() == [
+        "slow 0 0 9", "fast 0 0 9", "fast 1 0 9", "slow 1 0 9",
+        "slow 2 0 9", "fast 2 0 9", "fast 3 0 9", "slow 3 0 9"]
+    out = capsys.readouterr().out
+    assert "interleaved w: 4 rounds, seed 9" in out
+    assert "change faster in 4/4 rounds" in out
+    ratio = float(out.split("ratio parent/change: median ")[1].split()[0])
+    assert ratio > 2.0
+
+
+def test_interleave_stops_at_a_problem(tmp_path, capsys):
+    log = tmp_path / "calls.log"
+    good = stub_tree(tmp_path / "good", "good", 0, log)
+    bad = stub_tree(tmp_path / "bad", "bad", 0, log, bad_call=1)
+    assert paired_bench.main([good, bad, "--workload", "w", "--interleave", "5"]) == 1
+    assert "change call 1: ['wrong output']" in capsys.readouterr().err
+    assert log.read_text().splitlines()[-1] == "bad 1 0 1"
+    # a worker that cannot build its workload
+    assert paired_bench.main([good, good, "--workload", "nope", "--interleave", "2"]) == 1
+    assert "did not start" in capsys.readouterr().err
+
+
+def test_interleave_summary_on_fixed_numbers():
+    parent = [10e6, 12e6, 11e6, 13e6, 10e6]
+    change = [8e6, 10e6, 12e6, 10e6, 10e6]
+    s = paired_bench.interleave_summary(parent, change)
+    assert (s["wins"], s["rounds"]) == (3, 5)       # a tie is no win
+    assert s["parent"]["median"] == 11.0 and s["change"]["median"] == 10.0
+    assert s["ratio"]["median"] == 1.2
+    assert s["ratio"]["values"] == [1.25, 1.2, 11 / 12, 1.3, 1.0]

@@ -124,3 +124,18 @@ def test_layer_theta_matches_pinned_digest(beta):
     got = np.concatenate([layer_theta(inst, 12, omega).ravel(),
                           layer_theta(inst, 30, 0.0).ravel()])
     assert hashlib.sha256(got.tobytes()).hexdigest() == LAYER_DIGESTS[beta]
+
+
+def test_figure1_chunk_choices_match_pinned_digest():
+    """The ell program's packed choices of one figure-1 chunk (53
+    replications), byte for byte: in d = 1 the one move mask is the choice
+    bit, so the chunk's choice bytes and their memory do not move."""
+    cfg = harness.FIGURE1
+    seeds = tuple(replication_seed(cfg.base_seed, np.arange(53)))
+    sol = forward_backward(cfg.instance(seeds, cfg.law), keep_forward=False, keep_theta=False)
+    choices = sol.path_dp.choices
+    assert [c.shape for c in choices] == [(53, 1, -(-(k + 1) // 8)) for k in range(2, 301)]
+    h = hashlib.sha256()
+    for c in choices:
+        h.update(c.tobytes())
+    assert h.hexdigest() == "a96a2ccdade6f4b50768799248ed00d049d97e03e7e64ebe05477ca9c891190f"

@@ -65,20 +65,17 @@ class WindowedPathDP(PathDP):
         layer = field.reshape((self.batch,) + layer_shape(d, k))
         moves = sorted(step_windows(d, k))
         score = np.full(layer.shape, -np.inf)
-        choice = np.zeros(score.shape, dtype=np.uint8)
-        better = np.empty(self.best.shape, dtype=bool)
-        mark = np.empty(self.best.shape, dtype=np.uint8)
+        # mask c - 1: the cells where move c beats moves 0..c-1
+        masks = np.zeros((len(moves) - 1,) + score.shape, dtype=bool)
         for c, (_, window) in enumerate(moves):
             if c == 0:
                 score[window] = self.best
                 continue
-            np.greater(self.best, score[window], out=better)
+            masks[c - 1][window] = self.best > score[window]
             np.maximum(score[window], self.best, out=score[window])
-            np.multiply(better.view(np.uint8), np.uint8(c), out=mark)
-            np.maximum(choice[window], mark, out=choice[window])
         score += layer
         if k > 1:
-            bits = choice.reshape(self.batch, 1, -1) & self.plane_bits[:, None]
+            bits = masks.reshape(len(moves) - 1, self.batch, -1).swapaxes(0, 1)
             self.choices.append(np.packbits(bits, axis=-1))
         self.best = score
 

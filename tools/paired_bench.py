@@ -1,6 +1,7 @@
 """Paired benchmark runs of two checkouts: does the change gain, and by how much.
 
 Usage: python3 tools/paired_bench.py PARENT CHANGE --workload W --pairs N --seed0 K
+       python3 tools/paired_bench.py PARENT CHANGE --workload W --interleave ROUNDS --seed0 K
 
 PARENT and CHANGE are checkouts of this repository.  Pair i (0..N-1) runs
 the workload with seed K+i in each tree, the parent first in even pairs and
@@ -15,6 +16,19 @@ neither side) and whether a gain holds: the change wins at least nine tenths
 of the pairs and its median is better than the parent's by more than the
 distance between the parent's quartiles.  Exits 1 as soon as a run fails or
 reports `correct: false`.  Only the standard library is used.
+
+--interleave times single calls instead of whole runs, which resolves
+gains that the spread of 40-s runs hides.  Each checkout gets one
+long-lived worker process that imports that tree's src/ and builds its
+perfbench/workloads.py workload W with seed K, runs setup() and warmup(),
+and then times one call() per request with perf_counter_ns; a figure1 call
+solves one chunk of 53 replications (CALL_REPS).  Round i asks both workers
+for call i, on the same inputs, the parent first in even rounds and the
+change first in odd ones.  After each timed call the worker checks the
+output with the workload's problems(); the tool exits 1 on the first
+problem.  It prints each side's per-call median and quartiles, the
+per-round ratio parent/change (its median and quartiles) and the rounds
+the change was faster in.
 """
 
 from __future__ import annotations
@@ -24,6 +38,8 @@ import importlib.util
 import json
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 
@@ -58,6 +74,109 @@ def summarize(parent: list, change: list, metrics: list) -> list:
     return rows
 
 
+# Replications per figure1 call in --interleave: one streamed chunk at
+# figure 1's (d, n, beta).
+CALL_REPS = {"figure1": 53}
+
+
+def serve(tree: str, workload: str, seed: str) -> None:
+    """The --interleave worker: builds tree's workload, then answers each
+    line i on stdin with the nanoseconds of call(i) and the workload's
+    problems with its output, as one JSON line on stdout."""
+    reply = sys.stdout
+    sys.stdout = sys.stderr         # whatever the workload prints stays off the replies
+    sys.path.insert(0, str(Path(tree) / "src"))
+    spec = importlib.util.spec_from_file_location("workloads", Path(tree) / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with tempfile.TemporaryDirectory() as work_dir:
+        wl = module.WORKLOADS[workload](int(seed), 1.0, work_dir)
+        wl.setup()
+        if workload in CALL_REPS:
+            wl.reps = CALL_REPS[workload]
+        wl.warmup()
+        print("ready", file=reply, flush=True)
+        for line in sys.stdin:
+            i = int(line)
+            t0 = time.perf_counter_ns()
+            out = wl.call(i, module.MEASURED_PASS)
+            ns = time.perf_counter_ns() - t0
+            print(json.dumps({"ns": ns, "problems": wl.problems(i, out)}), file=reply, flush=True)
+
+
+class Worker:
+    """A serve() process for one checkout."""
+
+    def __init__(self, tree: Path, workload: str, seed: int):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import paired_bench; "
+                "paired_bench.serve(*sys.argv[2:])")
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(Path(__file__).resolve().parent),
+             str(tree), workload, str(seed)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        if self.proc.stdout.readline().strip() != "ready":
+            self.close()
+            raise RuntimeError(f"the worker of {tree} did not start")
+
+    def call(self, i: int) -> dict:
+        self.proc.stdin.write(f"{i}\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"the worker stopped at call {i}")
+        return json.loads(line)
+
+    def close(self) -> None:
+        self.proc.stdin.close()         # the worker's loop ends at EOF
+        try:
+            self.proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
+
+
+def interleave_summary(parent_ns: list, change_ns: list) -> dict:
+    """Per-call and per-round summaries of interleaved rounds: each side's
+    spread.py summary in ms, the ratios parent/change of each round, and
+    the rounds the change was faster in."""
+    ratios = [p / c for p, c in zip(parent_ns, change_ns)]
+    return {"parent": SPREAD.summarize([v / 1e6 for v in parent_ns]),
+            "change": SPREAD.summarize([v / 1e6 for v in change_ns]),
+            "ratio": SPREAD.summarize(ratios),
+            "wins": sum(r > 1.0 for r in ratios), "rounds": len(ratios)}
+
+
+def interleave(parent: Path, change: Path, workload: str, rounds: int, seed: int) -> int:
+    workers = {}
+    try:
+        for side, tree in (("parent", parent), ("change", change)):
+            workers[side] = Worker(tree, workload, seed)
+        ns = {"parent": [], "change": []}
+        for i in range(rounds):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                reply = workers[side].call(i)
+                if reply["problems"]:
+                    print(f"paired_bench: {side} call {i}: {reply['problems']}", file=sys.stderr)
+                    return 1
+                ns[side].append(reply["ns"])
+    except RuntimeError as exc:
+        print(f"paired_bench: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        for worker in workers.values():
+            worker.close()
+    s = interleave_summary(ns["parent"], ns["change"])
+    print(f"interleaved {workload}: {rounds} rounds, seed {seed}, the parent first in even rounds")
+    for side in ("parent", "change"):
+        q = s[side]
+        print(f"{side:6s} per call: median {q['median']:.4f} ms [{q['q1']:.4f}, {q['q3']:.4f}]")
+    r = s["ratio"]
+    print(f"ratio parent/change: median {r['median']:.4f} [{r['q1']:.4f}, {r['q3']:.4f}]")
+    print(f"change faster in {s['wins']}/{s['rounds']} rounds")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -65,7 +184,13 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed0", type=int, default=1)
+    ap.add_argument("--interleave", type=int, metavar="ROUNDS",
+                    help="time ROUNDS alternating single calls instead of paired runs")
     args = ap.parse_args(argv)
+    if args.interleave is not None:
+        if args.interleave < 2:
+            ap.error("--interleave must be at least 2 to have quartiles")
+        return interleave(args.parent, args.change, args.workload, args.interleave, args.seed0)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 to have quartiles")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
