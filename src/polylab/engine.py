@@ -52,6 +52,20 @@ reduces over the site axes without reshaping, checks each normalizer with
 two reductions and each drawn layer with one pass, and the counter RNG
 mixes the keys of a block of steps at once.
 
+A streamed beta=0 solve (keep_theta=False, keep_forward=False) returns
+none of its layers, so it takes its layer-sized working arrays from
+buffers that its thread keeps between solves (_Retained, at most
+RETAINED_BYTES): F_k and the frame of its neighbour sum, the square in
+layer_alpha, and PathDP's framed old scores, new scores and move masks.
+Allocated anew, they were freed at the end of every solve, glibc trimmed
+the heap, and the next solve faulted its working set in again.  Nothing
+retained leaves a solve: alpha, the log normalizers, the packed choices
+and the scores of the last push and of every kept prefix are new arrays.
+A beta > 0 solve allocates every array anew, decided once per solve:
+retaining its forward and ell arrays made figure1 slower, because its
+segments' weights and backward layers, still allocated anew, were then
+trimmed and faulted in more often.
+
 layer_theta answers one-layer questions (the zero-layer marginal zeta_k, a
 finite difference in omega_k) from one sweep over the other layers, since
 F_{k-1} and B_k do not depend on omega_k.  It and forward_backward take
@@ -77,19 +91,21 @@ of i (np.unravel_index).
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
+import threading
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .lattice import (PathDP, Site, Step, cell_sites, framed, is_reachable,
-                      layer_cells, layer_shape, layer_sites, site_cells,
-                      sites_bytes, step_plan, step_vectors)
+from .lattice import (FRESH, Buffers, PathDP, Site, Step, cell_sites, framed,
+                      is_reachable, layer_cells, layer_shape, layer_sites,
+                      site_cells, sites_bytes, step_plan, step_vectors)
 from .laws import EnvironmentLaw
 from .rng import as_int, counter_uniform
 
@@ -223,7 +239,7 @@ def env_value(instance: PolymerInstance, k: int, x: Site) -> float:
 
 
 def _sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
-         up: bool) -> np.ndarray:
+         up: bool, empty: Buffers = FRESH) -> np.ndarray:
     """Sum over the 2d neighbours of every site of the step-k layer, whose
     geometry is `here` (lattice.step_geometry), with leading axes lead: up
     from the step-(k-1) layer, otherwise down from the step-(k+1) layer,
@@ -232,7 +248,7 @@ def _sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
     Each step is one add of contiguous flat slices (lattice.step_geometry)
     on frames of the larger layer (_stencil).  Padding adds +0.0, so every
     cell gets the same terms in the same order as from windows."""
-    result, source, out, pairs = _stencil(layer, lead, here, big, up, 0.0)
+    result, source, out, pairs = _stencil(layer, lead, here, big, up, 0.0, empty)
     (_, first), *rest = pairs
     np.copyto(out, source[first])       # offset 0: a copy, not 0 + x
     for into, take in rest:
@@ -243,7 +259,7 @@ def _sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
 
 
 def _stencil(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
-             up: bool, fill: float):
+             up: bool, fill: float, empty: Buffers):
     """A neighbour sum into the step-k layer as flat frames: (result,
     source, out, pairs).  Each (into, take) of pairs reads source[take] into
     out[into].
@@ -253,17 +269,24 @@ def _stencil(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
     out a new frame of its shape, whose cells [0, k+1)^d the caller copies
     into the result.  The result outlives the frames and is allocated
     before them, so freed frames leave no holes between longer-lived
-    layers: the other way round, figure1's peak RSS was about 1 MiB higher."""
-    result = np.empty(lead + here.shape)
+    layers: the other way round, figure1's peak RSS was about 1 MiB higher.
+    Up, the result and the frame come from empty (lattice.Buffers); framing
+    reads the layer before the result is written, so the layer and the
+    result may share a buffer."""
+    result = empty.layer(lead + here.shape)
     if up:
-        return result, framed(layer, here, fill).reshape(-1), result.reshape(-1), here.up
+        return (result, framed(layer, here, fill, empty.frame).reshape(-1),
+                result.reshape(-1), here.up)
     source = layer.reshape(-1)
     return result, source, np.empty(source.shape), big.down
 
 
-def layer_alpha(theta: np.ndarray, d: int) -> np.ndarray:
-    """alpha = sum_x theta_x^2 over the trailing d site axes of one layer."""
-    return np.add.reduce((theta ** 2).reshape(theta.shape[:-d] + (-1,)), axis=-1)
+def layer_alpha(theta: np.ndarray, d: int, _empty: Callable = np.empty) -> np.ndarray:
+    """alpha = sum_x theta_x^2 over the trailing d site axes of one layer.
+    The square comes from _empty, which only the engine sets
+    (lattice.Buffers.frame); a new one is theta ** 2."""
+    sq = theta ** 2 if _empty is np.empty else np.square(theta, out=_empty(theta.shape))
+    return np.add.reduce(sq.reshape(theta.shape[:-d] + (-1,)), axis=-1)
 
 
 def _within(s: np.ndarray, lo: float) -> bool:
@@ -337,11 +360,11 @@ def _log(values: np.ndarray) -> np.ndarray:
 
 
 def _log_sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
-             up: bool) -> np.ndarray:
+             up: bool, empty: Buffers = FRESH) -> np.ndarray:
     """_sum of log-masses: the log of the sum of exp(layer) over the 2d
     neighbours, -inf where every neighbour is -inf.  Padding is -inf, which
     changes no maximum and adds exp(-inf) = +0.0."""
-    result, source, total, pairs = _stencil(layer, lead, here, big, up, -np.inf)
+    result, source, total, pairs = _stencil(layer, lead, here, big, up, -np.inf, empty)
     top = np.full(source.shape, -np.inf)
     for into, take in pairs:
         np.maximum(top[into], source[take], out=top[into])
@@ -415,14 +438,15 @@ def _backward_step(b: Optional[np.ndarray], w: Weights, plan: Plan, k: int,
 
 
 def _forward_step(f: np.ndarray, w: Weights, plan: Plan, k: int,
-                  lead: Tuple[int, ...], log: bool) -> Tuple[np.ndarray, np.ndarray]:
+                  lead: Tuple[int, ...], log: bool,
+                  empty: Buffers = FRESH) -> Tuple[np.ndarray, np.ndarray]:
     """F_k = normalize(up(F_{k-1}) * w) and the log of its normalizer with
     the weights' shift added back (shape lead), from F_{k-1} and the
     weights w of layer k (None at beta=0); in log space, log F_k from
-    log F_{k-1}."""
+    log F_{k-1}.  F_k and its frame come from empty (lattice.Buffers)."""
     combine, neighbor_sum = _SWEEP_OPS[log]
     here = plan[k]
-    f = neighbor_sum(f, lead, here, here, True)
+    f = neighbor_sum(f, lead, here, here, True, empty)
     if w is not None:
         combine(f, w[0], out=f)
     s = _normalize(f, here.axes, "forward", k, log)
@@ -659,6 +683,48 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
     return worst
 
 
+# The most bytes one thread keeps in the buffers of streamed beta=0 solves
+# (_Retained).  When a solve drops its layers, glibc hands the freed top of
+# the heap back to the kernel, and the next solve faults its working set in
+# again: about 500 minor faults of about 3 us each per warm
+# scaling_study(3, [8, 16, 32]), whose buffers take 1.0 MiB; a
+# 188-replication d=1, n=300 chunk's take 1.4 MiB.  A few MiB cover both
+# and bound what an idle thread holds; a larger request allocates anew.
+RETAINED_BYTES = 4 << 20
+
+
+class _Retained(threading.local):
+    """This thread's buffers for the working arrays of streamed beta=0
+    solves, kept between solves: one flat anonymous mapping per role of
+    lattice.Buffers, sized for the largest request so far, while their
+    total stays within RETAINED_BYTES.  A mapping stays mapped when a solve
+    ends, so a warm solve touches no new page.  Each thread has its own
+    set, so concurrent solves never share one, and the mappings are
+    private, so a forked worker writes to its own copy."""
+
+    def __init__(self):
+        self.flats = {}         # role -> flat array over its mapping
+
+    def buffers(self) -> Buffers:
+        return Buffers(*map(self._allocator, Buffers._fields))
+
+    def _allocator(self, role: str) -> Callable:
+        def empty(shape, dtype=np.float64):
+            size, flat = math.prod(shape), self.flats.get(role)
+            if flat is None or flat.size < size or flat.dtype != dtype:
+                held = sum(f.nbytes for r, f in self.flats.items() if r != role)
+                nbytes = size * np.dtype(dtype).itemsize
+                if held + nbytes > RETAINED_BYTES:
+                    return np.empty(shape, dtype)
+                flat = np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE), dtype)
+                self.flats[role] = flat
+            return flat[:size].reshape(shape)
+        return empty
+
+
+_RETAINED = _Retained()
+
+
 def forward_backward(instance: PolymerInstance,
                      keep_forward: bool = True,
                      keep_theta: bool = True,
@@ -714,6 +780,10 @@ def forward_backward(instance: PolymerInstance,
     log = log_space(instance.beta, instance.law)
     tops = _solve_tops(d, n, instance.beta, keep_theta)
     plan = step_plan(d, n)
+    # a streamed beta=0 solve takes its working layers from this thread's
+    # retained buffers; any other allocates them anew (module docstring)
+    streamed0 = not (instance.beta or keep_theta or keep_forward)
+    empty = _RETAINED.buffers() if streamed0 else FRESH
 
     def weights(k: int) -> Weights:
         return _weights(instance, k, log, omegas.get(k))
@@ -739,7 +809,7 @@ def forward_backward(instance: PolymerInstance,
         for i in range(len(bs) - 2, -1, -1):
             bs[i] = _backward_step(bs[i + 1], ws[i + 1], plan, lo + i, lead, log)
         for i, k in enumerate(range(lo, hi + 1)):
-            f, lognorms[..., k - 1] = _forward_step(f, ws[i], plan, k, lead, log)
+            f, lognorms[..., k - 1] = _forward_step(f, ws[i], plan, k, lead, log, empty)
             ws[i] = None
             if keep_forward:
                 forward.append(np.exp(f) if log else f)
@@ -754,10 +824,14 @@ def forward_backward(instance: PolymerInstance,
             if keep_theta:
                 theta.append(th)
             else:
-                alpha[..., k - 1] = layer_alpha(th, d)
-                path_dp.push(th)
+                alpha[..., k - 1] = layer_alpha(th, d, empty.frame)
+                path_dp.push(th, empty)
             th = None       # the next step's layers can take its place
 
+    if streamed0 and n not in prefixes:
+        # the last scores are in a retained buffer, which the next solve
+        # overwrites (a kept push's scores are new already)
+        path_dp.best = path_dp.best.copy()
     log_partition = lognorms.sum(axis=-1)
     return ThetaSolution(
         instance=instance,

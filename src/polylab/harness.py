@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -210,6 +209,9 @@ def run_replications(config: ExperimentConfig,
     if w <= 1 or len(los) == 1:
         parts = [_solve_chunk(config, law, lo, hi) for lo, hi in zip(los, his)]
     else:
+        # imported here, not with the module: it loads multiprocessing, which
+        # a serial run (and every import of polylab) would carry for nothing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(w, len(los))) as pool:
             parts = list(pool.map(partial(_solve_chunk, config, law), los, his))
     return [rec for part in parts for rec in part]

@@ -37,7 +37,7 @@ import copy
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -140,11 +140,31 @@ def step_plan(d: int, n: int) -> Tuple[Step, ...]:
     return tuple(step_geometry(d, k) for k in range(n + 1))
 
 
-def framed(layer: np.ndarray, step: Step, fill: float) -> np.ndarray:
+class Buffers(NamedTuple):
+    """Where a solve takes its layer-sized working arrays from: one
+    allocator per role, called as np.empty(shape, dtype).  frame serves the
+    frames of framed (a neighbour sum's and PathDP.push's) and the square of
+    engine.layer_alpha, whose lifetimes never overlap; layer the forward
+    layers F_k, score PathDP's scores and masks its move masks.  FRESH
+    allocates every array anew; the engine passes another set only to a
+    streamed beta=0 solve (engine._Retained)."""
+
+    frame: Callable = np.empty
+    layer: Callable = np.empty
+    score: Callable = np.empty
+    masks: Callable = np.empty
+
+
+FRESH = Buffers()
+
+
+def framed(layer: np.ndarray, step: Step, fill: float,
+           _empty: Callable = np.empty) -> np.ndarray:
     """The step-(k-1) layer (leading axes kept) in a new frame of step k,
     whose geometry is step (step_geometry(d, k)); the frame's other cells
-    hold fill."""
-    out = np.empty(layer.shape[:layer.ndim - len(step.shape)] + step.shape)
+    hold fill.  The frame comes from _empty, which only the engine sets
+    (Buffers.frame)."""
+    out = _empty(layer.shape[:layer.ndim - len(step.shape)] + step.shape)
     out[step.frame] = layer
     for pad in step.pads:
         out[pad] = fill
@@ -259,6 +279,9 @@ class PathDP:
     push makes a new score layer and only appends to choices, so the state
     after m pushes is that push's scores and the first m - 1 choice layers:
     keeping it holds one score layer, and nothing is copied.
+    push takes its frame, masks and scores from _buffers (lattice.Buffers),
+    which only the engine sets, except that a kept push's scores are always
+    a new array: the next push may overwrite scores from a buffer.
     """
 
     def __init__(self, d: int, lead: Tuple[int, ...], keep: Iterable[int] = ()):
@@ -269,7 +292,7 @@ class PathDP:
         self.choices: List[np.ndarray] = []
         self.kept = dict.fromkeys(keep)      # m -> the scores after push m
 
-    def push(self, field: np.ndarray) -> None:
+    def push(self, field: np.ndarray, _buffers: Buffers = FRESH) -> None:
         d = self.d
         self.n = k = self.n + 1
         step = step_geometry(d, k)
@@ -279,13 +302,16 @@ class PathDP:
         # mask is the smallest of the tied predecessors
         (into, take, edge), *rest = step.moves
         # the scores outlive the frame: allocated first, as in the engine's
-        # neighbour sums.  Move 0 writes every score but the first cells.
-        score = np.empty(layer.size)
-        best = framed(self.best, step, -np.inf).reshape(-1)
+        # neighbour sums, and framing reads the old scores before any score
+        # is written, so the two may share a buffer.  Move 0 writes every
+        # score but the first cells.
+        kept = k in self.kept
+        score = (np.empty if kept else _buffers.score)((layer.size,))
+        best = framed(self.best, step, -np.inf, _buffers.frame).reshape(-1)
         if edge is not None:
             score[edge] = -np.inf
         score[into] = best[take]
-        masks = np.empty((len(rest), best.size), dtype=bool)
+        masks = _buffers.masks((len(rest), best.size), bool)
         for c, (into, take, edge) in enumerate(rest):
             mask = masks[c]     # iterating over masks would cost more per push
             if edge is not None:
@@ -298,7 +324,7 @@ class PathDP:
             masks = masks.reshape(len(rest), self.batch, -1).transpose(1, 0, 2)
             self.choices.append(np.packbits(masks, axis=-1))
         self.best = score
-        if k in self.kept:
+        if kept:
             self.kept[k] = score
 
     def prefix(self, m: int) -> "PathDP":

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polylab import lattice
+from polylab import engine, lattice
 from polylab.engine import (SOLVE_FIXED_BYTES, PolymerInstance, draw_bytes,
                             forward_backward, log_space, streamed_bytes)
 from polylab.lattice import layer_cells
@@ -129,14 +129,19 @@ CHUNKED = ExperimentConfig(d=2, n=80, beta=2.0, law_spec="uniform:-1,1",
 
 def _streamed_peak(d, n, beta, law, size):
     """The tracemalloc peak of a keep_theta=False solve of size
-    environments, after one solve that fills the caches."""
+    environments, after one solve that fills the caches, plus the bytes of
+    the buffers a streamed beta=0 solve keeps between calls
+    (engine._Retained).  The first solve makes them, sized for this solve
+    alone, before the trace starts, and tracemalloc does not see a mapping."""
     inst = PolymerInstance(d=d, n=n, beta=beta, law=law,
                            seed=tuple(replication_seed(3, r) for r in range(size)))
+    engine._RETAINED.flats.clear()
     forward_backward(inst, keep_forward=False, keep_theta=False)
+    retained = sum(flat.nbytes for flat in engine._RETAINED.flats.values())
     tracemalloc.start()
     try:
         forward_backward(inst, keep_forward=False, keep_theta=False)
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] + retained
     finally:
         tracemalloc.stop()
 

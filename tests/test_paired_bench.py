@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _SPEC = importlib.util.spec_from_file_location(
     "paired_bench", Path(__file__).resolve().parent.parent / "tools" / "paired_bench.py")
 paired_bench = importlib.util.module_from_spec(_SPEC)
@@ -137,3 +139,40 @@ def test_interleave_summary_on_fixed_numbers():
     assert s["parent"]["median"] == 11.0 and s["change"]["median"] == 10.0
     assert s["ratio"]["median"] == 1.2
     assert s["ratio"]["values"] == [1.25, 1.2, 11 / 12, 1.3, 1.0]
+
+
+def test_sets_run_fresh_workers_on_consecutive_seeds(tmp_path, capsys):
+    log = tmp_path / "calls.log"
+    slow = stub_tree(tmp_path / "slow", "slow", 20, log)
+    fast = stub_tree(tmp_path / "fast", "fast", 2, log)
+    for tree in (slow, fast):   # each worker logs its import of the workload
+        with open(Path(tree) / "perfbench" / "workloads.py", "a") as fh:
+            fh.write(f"open({str(log)!r}, 'a').write('import\\n')\n")
+    assert paired_bench.main([slow, fast, "--workload", "w", "--interleave", "2",
+                              "--sets", "3", "--seed0", "7"]) == 0
+    lines = log.read_text().splitlines()
+    # per set: a new worker for each side, then two rounds on the set's seed
+    for j, seed in enumerate((7, 8, 9)):
+        assert lines[6 * j:6 * j + 6] == [
+            "import", "import", f"slow 0 0 {seed}", f"fast 0 0 {seed}",
+            f"fast 1 0 {seed}", f"slow 1 0 {seed}"]
+    out = capsys.readouterr().out
+    assert [f"seed {s}," in out for s in (7, 8, 9)] == [True] * 3
+    assert out.count("change faster in 2/2 rounds") == 3
+    assert "3 sets: median ratio over the sets " in out
+    assert "change faster in 6/6 rounds" in out
+
+
+def test_sets_summary_on_fixed_numbers():
+    sets = [{"ratio": {"median": m}, "wins": w, "rounds": 10}
+            for m, w in ((1.02, 7), (0.97, 4), (1.10, 9))]
+    assert paired_bench.sets_summary(sets) == {
+        "median": 1.02, "lo": 0.97, "hi": 1.10, "wins": 20, "rounds": 30}
+
+
+def test_sets_need_interleave(tmp_path):
+    with pytest.raises(SystemExit):
+        paired_bench.main([str(tmp_path), str(tmp_path), "--workload", "w", "--sets", "2"])
+    with pytest.raises(SystemExit):
+        paired_bench.main([str(tmp_path), str(tmp_path), "--workload", "w",
+                           "--interleave", "2", "--sets", "0"])

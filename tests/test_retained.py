@@ -1,0 +1,105 @@
+"""Streamed beta=0 solves keep their layer-sized working arrays between
+calls (engine._Retained).  What a solve returns must never live in those
+buffers, concurrent solves in threads or forked workers must never share
+them, and a warm solve allocates no layer of its own."""
+
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from polylab.engine import PolymerInstance, forward_backward
+from polylab.functionals import alpha_profile, ell, ell_scores
+from polylab.harness import ExperimentConfig, chunk_size, run_replications, scaling_study
+from polylab.laws import make_uniform
+
+LAW = make_uniform(-1.0, 1.0)
+
+
+def solve(d, n, seed, keep_theta=False, prefixes=()):
+    inst = PolymerInstance(d=d, n=n, beta=0.0, law=LAW, seed=seed)
+    return forward_backward(inst, keep_forward=False, keep_theta=keep_theta,
+                            prefixes=prefixes)
+
+
+def fingerprint(solution, lengths):
+    """The bytes of everything a solve answers for each length m of
+    lengths: the ell scores, score and path, alpha and the layer log
+    normalizers of its prefix(m)."""
+    out = []
+    for m in lengths:
+        part = solution.prefix(m)
+        score, path = ell(part)
+        out += [np.asarray(a).tobytes() for a in
+                (ell_scores(part), score, path, alpha_profile(part), part.layer_lognorms)]
+    return out
+
+
+@pytest.mark.parametrize("d,n", [(1, 24), (2, 12), (3, 9)])
+@pytest.mark.parametrize("prefixes", [(), (3, 7), (3, 7, "n")], ids=["none", "inner", "with-n"])
+@pytest.mark.parametrize("seed", [5, (5, 6, 7)], ids=["int", "tuple3"])
+def test_a_kept_solution_survives_later_solves(d, n, prefixes, seed):
+    """A streamed beta=0 solution is bit for bit a stored solve's, in every
+    prefix it kept, after a same-size and a longer solve have reused the
+    buffers: the scores of its last push and of its prefixes are its own."""
+    prefixes = [n if m == "n" else m for m in prefixes]
+    lengths = sorted({*prefixes, n})
+    first = solve(d, n, seed, prefixes=prefixes)
+    solve(d, n, seed, prefixes=prefixes)
+    solve(d, 2 * n, seed)
+    want = fingerprint(solve(d, n, seed, keep_theta=True), lengths)
+    assert fingerprint(first, lengths) == want
+
+
+def test_threads_get_the_serial_results():
+    """Each thread keeps its own buffers: threads solving different sizes
+    at once, switching every few microseconds, get what serial solves get."""
+    cases = [(3, 14, 1), (3, 11, 2), (2, 30, (1, 2)), (1, 80, 3)]
+    want = [fingerprint(solve(d, n, seed), [n]) for d, n, seed in cases]
+    got = [[] for _ in cases]
+
+    def work(i):
+        d, n, seed = cases[i]
+        for _ in range(15):
+            got[i].append(fingerprint(solve(d, n, seed), [n]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for runs, w in zip(got, want):
+        assert len(runs) == 15 and all(run == w for run in runs)
+
+
+def test_forked_workers_write_their_own_buffers():
+    """The parent's buffers exist when the pool forks; each worker writes
+    to its own private copy, so a parallel beta=0 run equals a serial one."""
+    solve(3, 16, 1)
+    cfg = ExperimentConfig(d=3, n=16, beta=0.0, law_spec="uniform:-1,1",
+                           replications=3 * chunk_size(3, 16, 0.0), base_seed=4)
+    serial = run_replications(cfg, workers=1)
+    assert run_replications(cfg, workers=2) == serial
+
+
+def test_a_warm_scaling_study_allocates_no_layer():
+    """Warm, a beta=0 scaling study takes every working layer from the
+    retained buffers: what it allocates is the kept scores (the top layer of
+    n=32 is 35,937 cells, 281 KiB) and the packed choices, under 1 MiB,
+    where allocating every working array anew peaked at 1,526 KiB."""
+    scaling_study(3, [8, 16, 32])
+    tracemalloc.start()
+    try:
+        scaling_study(3, [8, 16, 32])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

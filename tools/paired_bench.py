@@ -1,7 +1,8 @@
 """Paired benchmark runs of two checkouts: does the change gain, and by how much.
 
 Usage: python3 tools/paired_bench.py PARENT CHANGE --workload W --pairs N --seed0 K
-       python3 tools/paired_bench.py PARENT CHANGE --workload W --interleave ROUNDS --seed0 K
+       python3 tools/paired_bench.py PARENT CHANGE --workload W --interleave ROUNDS
+           [--sets S] --seed0 K
 
 PARENT and CHANGE are checkouts of this repository.  Pair i (0..N-1) runs
 the workload with seed K+i in each tree, the parent first in even pairs and
@@ -29,6 +30,14 @@ output with the workload's problems(); the tool exits 1 on the first
 problem.  It prints each side's per-call median and quartiles, the
 per-round ratio parent/change (its median and quartiles) and the rounds
 the change was faster in.
+
+--sets S runs S such interleaved sets one after another, set j with seed
+K+j and a fresh pair of workers, and prints each set's summary as it ends,
+then the median and the range of the sets' median ratios and the rounds
+the change was faster in over all sets.  figure1's median ratios have
+moved more between sets with fresh workers than the quartiles of one set
+suggest (benchmarks/ell_masks_runs.txt), so a claim of a few percent
+rests on several sets.
 """
 
 from __future__ import annotations
@@ -36,11 +45,13 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 
 def load_spread(tree: Path):
@@ -147,7 +158,18 @@ def interleave_summary(parent_ns: list, change_ns: list) -> dict:
             "wins": sum(r > 1.0 for r in ratios), "rounds": len(ratios)}
 
 
-def interleave(parent: Path, change: Path, workload: str, rounds: int, seed: int) -> int:
+def sets_summary(sets: list) -> dict:
+    """Over interleave_summary results of several sets: the median and the
+    range of their median ratios, and the rounds the change won of all."""
+    medians = [s["ratio"]["median"] for s in sets]
+    return {"median": statistics.median(medians), "lo": min(medians), "hi": max(medians),
+            "wins": sum(s["wins"] for s in sets), "rounds": sum(s["rounds"] for s in sets)}
+
+
+def interleave(parent: Path, change: Path, workload: str, rounds: int,
+               seed: int) -> Optional[dict]:
+    """One interleaved set with a fresh pair of workers: prints and returns
+    its interleave_summary, or None after a failure, which it reports."""
     workers = {}
     try:
         for side, tree in (("parent", parent), ("change", change)):
@@ -158,11 +180,11 @@ def interleave(parent: Path, change: Path, workload: str, rounds: int, seed: int
                 reply = workers[side].call(i)
                 if reply["problems"]:
                     print(f"paired_bench: {side} call {i}: {reply['problems']}", file=sys.stderr)
-                    return 1
+                    return None
                 ns[side].append(reply["ns"])
     except RuntimeError as exc:
         print(f"paired_bench: {exc}", file=sys.stderr)
-        return 1
+        return None
     finally:
         for worker in workers.values():
             worker.close()
@@ -173,8 +195,8 @@ def interleave(parent: Path, change: Path, workload: str, rounds: int, seed: int
         print(f"{side:6s} per call: median {q['median']:.4f} ms [{q['q1']:.4f}, {q['q3']:.4f}]")
     r = s["ratio"]
     print(f"ratio parent/change: median {r['median']:.4f} [{r['q1']:.4f}, {r['q3']:.4f}]")
-    print(f"change faster in {s['wins']}/{s['rounds']} rounds")
-    return 0
+    print(f"change faster in {s['wins']}/{s['rounds']} rounds", flush=True)
+    return s
 
 
 def main(argv=None) -> int:
@@ -186,11 +208,29 @@ def main(argv=None) -> int:
     ap.add_argument("--seed0", type=int, default=1)
     ap.add_argument("--interleave", type=int, metavar="ROUNDS",
                     help="time ROUNDS alternating single calls instead of paired runs")
+    ap.add_argument("--sets", type=int, default=1,
+                    help="with --interleave: run this many sets, each with fresh workers")
     args = ap.parse_args(argv)
+    if args.sets != 1 and args.interleave is None:
+        ap.error("--sets needs --interleave")
     if args.interleave is not None:
         if args.interleave < 2:
             ap.error("--interleave must be at least 2 to have quartiles")
-        return interleave(args.parent, args.change, args.workload, args.interleave, args.seed0)
+        if args.sets < 1:
+            ap.error("--sets must be at least 1")
+        sets = []
+        for j in range(args.sets):
+            s = interleave(args.parent, args.change, args.workload, args.interleave,
+                           args.seed0 + j)
+            if s is None:
+                return 1
+            sets.append(s)
+        if args.sets > 1:
+            t = sets_summary(sets)
+            print(f"{args.sets} sets: median ratio over the sets {t['median']:.4f} "
+                  f"[range {t['lo']:.4f}, {t['hi']:.4f}]; change faster in "
+                  f"{t['wins']}/{t['rounds']} rounds")
+        return 0
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 to have quartiles")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
