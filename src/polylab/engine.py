@@ -43,7 +43,8 @@ draw and no second normalization.  Nor does F_k depend on n, so the solve
 of length m is the first m layers of any longer one: the same theta,
 alpha and normalizers, and the ell program's state after m steps.
 ThetaSolution.prefix(m) reads it off; a streamed solve keeps that state
-for the lengths forward_backward(prefixes=) names, one score layer each.
+for the lengths forward_backward(prefixes=) names, two numbers per
+environment each (lattice.PathDP.settle).
 
 A figure-1 chunk solve is bound by the number of numpy calls per layer,
 not by its cells: one replication costs over a third of what 53 do.  So a
@@ -59,8 +60,10 @@ RETAINED_BYTES): F_k and the frame of its neighbour sum, the square in
 layer_alpha, and PathDP's framed old scores, new scores and move masks.
 Allocated anew, they were freed at the end of every solve, glibc trimmed
 the heap, and the next solve faulted its working set in again.  Nothing
-retained leaves a solve: alpha, the log normalizers, the packed choices
-and the scores of the last push and of every kept prefix are new arrays.
+retained leaves a solve: alpha, the log normalizers and the packed
+choices are new arrays, and the ell program keeps no score layer once
+the sweep has settled it (lattice.PathDP.settle), only each row's top
+score and endpoint, at the end and at every kept prefix.
 A beta > 0 solve allocates every array anew, decided once per solve:
 retaining its forward and ell arrays made figure1 slower, because its
 segments' weights and backward layers, still allocated anew, were then
@@ -98,8 +101,8 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate
-from typing import Callable, Iterable, List, Mapping, Optional, Tuple, Union
+from itertools import accumulate, chain
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -284,8 +287,8 @@ def _stencil(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
 def layer_alpha(theta: np.ndarray, d: int, _empty: Callable = np.empty) -> np.ndarray:
     """alpha = sum_x theta_x^2 over the trailing d site axes of one layer.
     The square comes from _empty, which only the engine sets
-    (lattice.Buffers.frame); a new one is theta ** 2."""
-    sq = theta ** 2 if _empty is np.empty else np.square(theta, out=_empty(theta.shape))
+    (lattice.Buffers.frame)."""
+    sq = np.square(theta, out=_empty(theta.shape))
     return np.add.reduce(sq.reshape(theta.shape[:-d] + (-1,)), axis=-1)
 
 
@@ -600,7 +603,7 @@ def segment_tops(d: int, n: int) -> Tuple[int, ...]:
 SOLVE_FIXED_BYTES = 192 << 10
 
 
-def _solve_tops(d: int, n: int, beta: float, keep_theta: bool) -> Tuple[int, ...]:
+def _solve_tops(d: int, n: int, beta: float, keep_theta: bool) -> Sequence[int]:
     """The segment tops a solve keeps backward checkpoints at, increasing and
     ending at n.  Every layer is a segment in the default mode and at
     beta=0, which makes no backward layer.  A streamed beta > 0 solve keeps
@@ -608,7 +611,7 @@ def _solve_tops(d: int, n: int, beta: float, keep_theta: bool) -> Tuple[int, ...
     backward sweep computes those layers anyway, so the lowest segment is
     never recomputed."""
     if keep_theta or beta == 0.0:
-        return tuple(range(1, n + 1))
+        return range(1, n + 1)
     tops = segment_tops(d, n)
     return tuple(range(1, tops[0])) + tops
 
@@ -639,9 +642,7 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
     reads), the ell step (the weights of layers k+1..hi, F_k, the scores of
     layer k-1, the step-k scores and the frame of the layer-(k-1) scores,
     and 2d + 1 bytes per cell of layer k: one byte for each of its 2d - 1
-    masks before packing, and two bytes of slack, which the d=1 chunk sizes
-    of 53 and 188 replications at figure 1's n and beta=0 rest on), and the
-    recompute of
+    masks before packing, and two bytes of slack), and the recompute of
     B_k (every weight of the segment, B_{k+1} * w_{k+1} and the step-(k+1)
     frame the neighbour sum adds into, and F_lo and the scores of layer
     lo).  In log space (log_space) the neighbour sums of the forward step
@@ -650,7 +651,9 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
     8 bytes per float cell.
     beta=0 draws no weights and makes no backward layer, so it holds no
     weight, backward layer or checkpoint, recomputes nothing, and its
-    theta_k is F_k itself."""
+    theta_k is F_k itself.  Its working arrays come from retained buffers
+    (_Retained), where F_k is written over F_{k-1} and the step-k scores
+    over the layer-(k-1) ones, so neither older layer adds to a step."""
     cum = _cumulative_cells(d, n)
     c = [1] + [cum[k] - cum[k - 1] for k in range(1, n + 1)]     # c[0]: the origin
     moves = 2 * d - 1
@@ -664,16 +667,18 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
     tops = _solve_tops(d, n, beta, False)
     above = sum(a[t] for t in tops[:-1])
     worst = 0
-    for lo, hi in zip((0,) + tops[:-1], tops):
+    for lo, hi in zip(chain((0,), tops), tops):
         if hi < n:
             above -= a[hi]                  # this checkpoint is the segment's B_hi
         for k in range(lo + 1, hi + 1):
             rest = acum[hi] - acum[k - 1]   # array cells of layers k..hi
             # the ell step holds the weights of layers k+1..hi and theta_k,
             # written over B_k (which `backward` counts), or F_k itself at
-            # k = n and at beta=0
-            forward = 8 * (rest + 2 * c[k - 1] + stencil * c[k])
-            ell = 8 * (rest - a[k] + 3 * c[k] + c[k - 1]) + (moves + 2) * c[k]
+            # k = n and at beta=0.  At beta=0, F_k is written over F_{k-1}
+            # and the step-k scores over the layer-(k-1) ones (_Retained).
+            old = c[k - 1] if beta else 0
+            forward = 8 * (rest + c[k - 1] + old + stencil * c[k])
+            ell = 8 * (rest - a[k] + 3 * c[k] + old) + (moves + 2) * c[k]
             recompute = 0
             if k < hi:
                 recompute = 8 * (acum[hi] - acum[lo] + stencil * c[k + 1] + 2 * c[lo])
@@ -688,7 +693,7 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
 # the heap back to the kernel, and the next solve faults its working set in
 # again: about 500 minor faults of about 3 us each per warm
 # scaling_study(3, [8, 16, 32]), whose buffers take 1.0 MiB; a
-# 188-replication d=1, n=300 chunk's take 1.4 MiB.  A few MiB cover both
+# 212-replication d=1, n=300 chunk's take 1.5 MiB.  A few MiB cover both
 # and bound what an idle thread holds; a larger request allocates anew.
 RETAINED_BYTES = 4 << 20
 
@@ -764,7 +769,8 @@ def forward_backward(instance: PolymerInstance,
     read off this one, each read through instance.step.  Only a beta=0
     solve has them (theta_k = F_k does not depend on n), so at beta > 0 a
     length raises ValueError.  A stored solve needs nothing for them; a
-    streamed one keeps the ell program's scores after each such step.
+    streamed one keeps the ell program's settled answer, each row's top
+    score and endpoint, after each such step (lattice.PathDP).
     """
     d, n = instance.d, instance.n
     prefixes = frozenset(map(instance.step, prefixes))
@@ -782,14 +788,14 @@ def forward_backward(instance: PolymerInstance,
     plan = step_plan(d, n)
     # a streamed beta=0 solve takes its working layers from this thread's
     # retained buffers; any other allocates them anew (module docstring)
-    streamed0 = not (instance.beta or keep_theta or keep_forward)
-    empty = _RETAINED.buffers() if streamed0 else FRESH
+    empty = FRESH if instance.beta or keep_theta or keep_forward else _RETAINED.buffers()
 
     def weights(k: int) -> Weights:
         return _weights(instance, k, log, omegas.get(k))
 
-    checkpoints = dict.fromkeys(tops[:-1])
-    if instance.beta:           # at beta=0 every checkpoint stays None
+    # beta=0 makes no backward layer, so it keeps no checkpoint
+    checkpoints = dict.fromkeys(tops[:-1] if instance.beta else ())
+    if instance.beta:
         b = None
         for k in range(n - 1, 0, -1):
             b = _backward_step(b, weights(k + 1), plan, k, lead, log)
@@ -802,7 +808,7 @@ def forward_backward(instance: PolymerInstance,
     alpha = None if keep_theta else np.empty(lead + (n,))
     path_dp = None if keep_theta else PathDP(d, lead, prefixes)
     f = np.full(lead + (1,) * d, 0.0 if log else 1.0)
-    for lo, hi in zip((1,) + tuple(t + 1 for t in tops[:-1]), tops):
+    for lo, hi in zip(chain((1,), (t + 1 for t in tops)), tops):
         ws = [weights(k) for k in range(lo, hi + 1)]
         bs = [None] * len(ws)
         bs[-1] = checkpoints.pop(hi, None)
@@ -828,10 +834,8 @@ def forward_backward(instance: PolymerInstance,
                 path_dp.push(th, empty)
             th = None       # the next step's layers can take its place
 
-    if streamed0 and n not in prefixes:
-        # the last scores are in a retained buffer, which the next solve
-        # overwrites (a kept push's scores are new already)
-        path_dp.best = path_dp.best.copy()
+    if path_dp is not None:
+        path_dp.settle()
     log_partition = lognorms.sum(axis=-1)
     return ThetaSolution(
         instance=instance,
@@ -892,6 +896,16 @@ def _path_chunks(d: int, n: int):
         yield slice(lo, lo + idx.size), flat
 
 
+def _path_sums(layers: List[np.ndarray], d: int, n: int):
+    """For each chunk of _path_chunks: (slice of path indices, the sum over
+    k of layers[k-1] at each path's step-k cell)."""
+    for rows, flat in _path_chunks(d, n):
+        total = np.zeros(rows.stop - rows.start)
+        for layer, fl in zip(layers, flat):
+            total += layer.ravel()[fl]
+        yield rows, total
+
+
 def brute_force(instance: PolymerInstance):
     """Exhaustive enumeration of all (2d)^n paths.
 
@@ -904,12 +918,9 @@ def brute_force(instance: PolymerInstance):
     if total > BRUTE_FORCE_LIMIT:
         raise ValueError(f"(2d)^n = {total} exceeds brute-force limit {BRUTE_FORCE_LIMIT}")
 
-    omega = [env_layer(instance, k).ravel() for k in range(1, n + 1)]
+    omega = [env_layer(instance, k) for k in range(1, n + 1)]
     logw = np.empty(total)
-    for rows, flat in _path_chunks(d, n):
-        s = np.zeros(rows.stop - rows.start)
-        for om, fl in zip(omega, flat):
-            s += om[fl]
+    for rows, s in _path_sums(omega, d, n):
         logw[rows] = beta * s
 
     m = logw.max()
@@ -926,20 +937,9 @@ def brute_force(instance: PolymerInstance):
     rho = float(sum(float((t ** 2).sum()) for t in theta) / n)
 
     # ell: exhaustive max over the same path set of the mean theta along the path.
-    best = -np.inf
-    for rows, flat in _path_chunks(d, n):
-        score = np.zeros(rows.stop - rows.start)
-        for t, fl in zip(theta, flat):
-            score += t.ravel()[fl]
-        best = max(best, float(score.max()))
-    ell = best / n
+    ell = max(float(score.max()) for _, score in _path_sums(theta, d, n)) / n
 
-    sol = ThetaSolution(
-        instance=instance,
-        theta_layers=theta, log_partition=log_partition,
-        layer_lognorms=None, forward_layers=None,
-    )
-    return sol, rho, ell
+    return ThetaSolution(instance, theta, log_partition), rho, ell
 
 
 def sample_paths(solution: ThetaSolution, count: int,

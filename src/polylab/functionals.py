@@ -82,30 +82,34 @@ def ell(solution: ThetaSolution):
     scores, (R, n, d) paths).
     A keep_theta=False solve ran the program during its sweep.
     """
-    d, n = solution.instance.d, solution.instance.n
-    lead = batch_shape(solution.instance.seed)
     top, path = _path_program(solution).result()
-    scores = (top / n).reshape(lead)
-    path = path.reshape(lead + (n, d))
-    return (scores if lead else float(scores)), path
+    lead = batch_shape(solution.instance.seed)
+    return _per_step(solution, top), path.reshape(lead + path.shape[1:])
 
 
 def ell_scores(solution: ThetaSolution):
     """ell alone, as ell(solution)[0] bit for bit, without backtracking the
     path that attains it."""
+    return _per_step(solution, _path_program(solution).top())
+
+
+def _per_step(solution: ThetaSolution, top: np.ndarray):
+    """The ell program's top scores over n, in the solution's batch shape:
+    a float for one environment, else an (R,) array."""
     lead = batch_shape(solution.instance.seed)
-    scores = (_path_program(solution).top() / solution.instance.n).reshape(lead)
+    scores = (top / solution.instance.n).reshape(lead)
     return scores if lead else float(scores)
 
 
 def _path_program(solution: ThetaSolution) -> PathDP:
-    """The ell program the keep_theta=False sweep ran, or one run now over
-    the stored theta layers."""
+    """The settled ell program the keep_theta=False sweep ran, or one run
+    now over the stored theta layers and settled as that sweep settles."""
     dp = solution.path_dp
     if dp is None:
         dp = PathDP(solution.instance.d, batch_shape(solution.instance.seed))
         for t in solution.theta_layers:
             dp.push(t)
+        dp.settle()
     return dp
 
 

@@ -262,26 +262,30 @@ class PathDP:
     every move as a pair of contiguous slices at its offset (Step.moves);
     -inf padding never wins a move, so every cell's score and choice are
     those of its 2d predecessors.
-    Only the current layer's scores are kept, starting from score 0 at the
-    origin.  A cell no path reaches (a cube cell off the cone, in d >= 3)
-    has no scored predecessor, so its score stays -inf.  Every layer from
-    step 2 keeps which of the 2d predecessors gave each cell its score, a
-    choice c < 2d, as one mask per move c >= 1: the cells where move c was
-    strictly better than moves 0..c-1.  A cell's choice is its last set
-    mask, or 0 if none is set.  The 2d - 1 masks of a layer are packed with
-    np.packbits over the flattened cells: shape (batch, 2d - 1,
+    Only the current layer's scores (best) are kept, starting from score 0
+    at the origin.  A cell no path reaches (a cube cell off the cone, in
+    d >= 3) has no scored predecessor, so its score stays -inf.  Every
+    layer from step 2 keeps which of the 2d predecessors gave each cell its
+    score, a choice c < 2d, as one mask per move c >= 1: the cells where
+    move c was strictly better than moves 0..c-1.  A cell's choice is its
+    last set mask, or 0 if none is set.  The 2d - 1 masks of a layer are
+    packed with np.packbits over the flattened cells: shape (batch, 2d - 1,
     ceil(cells / 8)), so 1 bit per cell in d=1, 3 in d=2 and 5 in d=3.
-    result walks each row back from its endpoint in cube coordinates, with
-    Python ints: one mask byte per move tried, then the move's {0,1}^d
-    shift.
+
+    settle ends the sweep: it reduces the scores to what top, result and
+    prefix read, each row's top score (tops) and the flat cell of its
+    endpoint (ends), and drops them.  top, result and prefix(n) settle a
+    program first.  result walks each row back from its endpoint in cube
+    coordinates, with Python ints: one mask byte per move tried, then the
+    move's {0,1}^d shift.  push takes its frame, masks and scores from
+    _buffers (lattice.Buffers), which only the engine sets, and may write
+    the scores into a buffer that outlives the program; a settled program
+    holds no score layer.
 
     keep names push counts m whose state prefix(m) can return later.  A
-    push makes a new score layer and only appends to choices, so the state
-    after m pushes is that push's scores and the first m - 1 choice layers:
-    keeping it holds one score layer, and nothing is copied.
-    push takes its frame, masks and scores from _buffers (lattice.Buffers),
-    which only the engine sets, except that a kept push's scores are always
-    a new array: the next push may overwrite scores from a buffer.
+    push only appends to choices, so the state after m pushes is that
+    push's (tops, ends), settled as the push ends, and the first m - 1
+    choice layers: two numbers per row and nothing copied.
     """
 
     def __init__(self, d: int, lead: Tuple[int, ...], keep: Iterable[int] = ()):
@@ -289,13 +293,13 @@ class PathDP:
         self.batch = lead[0] if lead else 1
         self.n = 0
         self.best = np.zeros((self.batch,) + layer_shape(d, 0))
+        self.tops = self.ends = None
         self.choices: List[np.ndarray] = []
-        self.kept = dict.fromkeys(keep)      # m -> the scores after push m
+        self.kept = dict.fromkeys(keep)      # m -> (tops, ends) after push m
 
     def push(self, field: np.ndarray, _buffers: Buffers = FRESH) -> None:
-        d = self.d
         self.n = k = self.n + 1
-        step = step_geometry(d, k)
+        step = step_geometry(self.d, k)
         layer = field.reshape((self.batch,) + step.shape)
         # predecessors y = x + v in lexicographic order of v: mask c - 1 holds
         # where move c is strictly better than moves 0..c-1, so the last set
@@ -305,8 +309,7 @@ class PathDP:
         # neighbour sums, and framing reads the old scores before any score
         # is written, so the two may share a buffer.  Move 0 writes every
         # score but the first cells.
-        kept = k in self.kept
-        score = (np.empty if kept else _buffers.score)((layer.size,))
+        score = _buffers.score((layer.size,))
         best = framed(self.best, step, -np.inf, _buffers.frame).reshape(-1)
         if edge is not None:
             score[edge] = -np.inf
@@ -324,40 +327,56 @@ class PathDP:
             masks = masks.reshape(len(rest), self.batch, -1).transpose(1, 0, 2)
             self.choices.append(np.packbits(masks, axis=-1))
         self.best = score
-        if kept:
-            self.kept[k] = score
+        if k in self.kept:
+            self.kept[k] = self._answer()
+
+    def _answer(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(tops, ends) of the current scores: each row's top score and the
+        flat cell of its lexicographically smallest tied endpoint."""
+        scores = self.best.reshape(self.batch, -1)
+        tops = scores.max(axis=1)
+        rows, tied = divmod(np.flatnonzero(scores == tops[:, None]), scores.shape[1])
+        # cube C order is not lexicographic in d >= 2: sort the tied cells
+        # by (row, site) and keep each row's first
+        x = cell_sites(self.d, self.n, tied)
+        order = np.lexsort(tuple(x.T[::-1]) + (rows,))
+        return tops, tied[order[np.unique(rows[order], return_index=True)[1]]]
+
+    def settle(self) -> Tuple[np.ndarray, np.ndarray]:
+        """End the sweep: keep the current scores' (tops, ends), drop the
+        scores and return (tops, ends).  A settled program takes no more
+        pushes; settling it again changes nothing."""
+        if self.best is not None:
+            self.tops, self.ends = self.kept.get(self.n) or self._answer()
+            self.best = None
+        return self.tops, self.ends
 
     def prefix(self, m: int) -> "PathDP":
-        """The program as it stood after its first m pushes: m is the pushes
-        made so far or one of keep.  Shares its arrays with this one."""
-        best = self.best if m == self.n else self.kept.get(m)
-        if best is None:
+        """The settled program as it stood after its first m pushes: m is
+        the pushes made so far or one of keep.  Shares its arrays with this
+        one."""
+        answer = self.settle() if m == self.n else self.kept.get(m)
+        if answer is None:
             raise ValueError(f"the path program kept no state after {m} of "
                              f"{self.n} pushes")
         dp = copy.copy(self)
-        dp.n, dp.best, dp.choices, dp.kept = m, best, self.choices[:m - 1], {}
+        dp.n, (dp.tops, dp.ends), dp.choices, dp.kept = m, answer, self.choices[:m - 1], {}
         return dp
 
     def top(self) -> np.ndarray:
         """The top scores, shape (batch,), without backtracking a path."""
-        return self.best.reshape(self.batch, -1).max(axis=1)
+        return self.settle()[0]
 
     def result(self) -> Tuple[np.ndarray, np.ndarray]:
         """(top scores of shape (batch,), best paths of shape (batch, n, d))."""
-        d, n, best = self.d, self.n, self.best
-        top = self.top()
-        # cube C order is not lexicographic in d >= 2: sort the tied cells
-        # by (row, site) and keep each row's first
-        tied_rows, tied = np.nonzero(best.reshape(self.batch, -1) == top[:, None])
-        x = cell_sites(d, n, tied)
-        order = np.lexsort(tuple(x.T[::-1]) + (tied_rows,))
-        first = order[np.unique(tied_rows[order], return_index=True)[1]]
+        d, n = self.d, self.n
+        top, ends = self.settle()
         # move c takes cell u of the step-k cube to u - shifts[c] of the
         # step-(k-1) one, whose side is k
         shifts = ((1 - step_vectors(d) @ _signature(d).T) // 2).tolist()
         views = [memoryview(masks) for masks in self.choices]
         cubes = []
-        for row, cell in enumerate(tied[first].tolist()):
+        for row, cell in enumerate(ends.tolist()):
             u = [cell // (n + 1) ** j % (n + 1) for j in range(d - 1, -1, -1)]
             walk = [u]
             for k in range(n, 1, -1):

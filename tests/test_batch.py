@@ -258,19 +258,24 @@ def test_figure1_plan_and_byte_model():
     # adds into, and F_108 with its ell scores.  At beta=0 there are no
     # weights and no backward layers, so no checkpoint holds cells, nothing
     # is recomputed and theta_k is F_k, and the ell step of k = 300 bounds
-    # it: F_300, the scores of layers 299 and 300, the framed layer-299
-    # scores and 903 choice bytes, beside 5812 bytes of choices
+    # it: F_300, the step-300 scores (written over the layer-299 ones), the
+    # framed layer-299 scores and 903 choice bytes, beside 5812 bytes of
+    # choices
     segment = sum(k + 1 for k in range(109, 129))
     assert streamed_bytes(1, 300, 3.0) - 8 * (segment + 2 * 111 + 2 * 109) == \
         8 * (segment + 3412 + 2 * 300 + 8) + 810
-    assert streamed_bytes(1, 300, 0.0) - (8 * (3 * 301 + 300) + 903) == \
+    assert streamed_bytes(1, 300, 0.0) - (8 * 3 * 301 + 903) == \
         8 * (2 * 300 + 8) + 5812
 
 
 def assert_same_program(got, want):
-    """Two ell programs in the same state: steps, scores and choices."""
+    """Two settled ell programs in the same state: steps, top scores,
+    endpoints and choices.  No score layer is left after a sweep."""
     assert got.n == want.n and len(got.choices) == len(want.choices) == want.n - 1
-    np.testing.assert_array_equal(got.best, want.best)
+    assert got.best is None and want.best is None
+    for field in ("tops", "ends"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     for a, b in zip(got.choices, want.choices):
         np.testing.assert_array_equal(a, b)
 
@@ -296,7 +301,7 @@ def test_beta0_prefix_equals_the_direct_solve(d, n, m, seed, keep_theta):
     else:
         np.testing.assert_array_equal(got.alpha, want.alpha)
         assert_same_program(got.path_dp, want.path_dp)
-        # the long solve stays streamed: one kept score layer, no theta
+        # the long solve stays streamed: one kept answer, no theta
         assert long.theta_layers == [] and list(long.path_dp.kept) == [m]
         # and is its own prefix, though n was not named
         assert_same_program(long.prefix(n).path_dp, long.path_dp)

@@ -164,11 +164,12 @@ class TestChunks:
         # checkpoint, recomputes nothing, and its theta_k is F_k.  The ell
         # step of k = 300 bounds it: alpha, the log normalizers, 8 scalars
         # and 5812 choice bytes up to k = 300, then F_300, the step-300
-        # scores, the layer-299 scores and their step-300 frame, and the
-        # choice, better and bit-plane bytes of layer 300
+        # scores (written over the layer-299 ones) and the step-300 frame of
+        # the layer-299 scores, and the choice, better and bit-plane bytes of
+        # layer 300
         assert streamed_bytes(1, 300, 0.0) == \
-            8 * (2 * 300 + 8) + 5812 + 8 * (3 * 301 + 300) + 3 * 301 == 21203
-        assert chunk_size(1, 300, 0.0) == 188
+            8 * (2 * 300 + 8) + 5812 + 8 * 3 * 301 + 3 * 301 == 18803
+        assert chunk_size(1, 300, 0.0) == 212
         assert chunk_size(3, 200, 1.0) == 1
         # in log space the recompute holds two more frames of 111 cells
         assert streamed_bytes(1, 300, 3.0, log=True) == 74730 + 8 * 2 * 111

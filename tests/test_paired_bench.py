@@ -2,8 +2,10 @@
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -119,6 +121,83 @@ def test_interleave_alternates_the_first_side_and_times_each_call(tmp_path, caps
     assert ratio > 2.0
 
 
+def fake_git(tree, head, refs=None, packed=None):
+    """A .git directory in tree with the given HEAD, loose refs and
+    packed-refs lines."""
+    git = Path(tree) / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text(head + "\n")
+    for name, sha in (refs or {}).items():
+        (git / name).write_text(sha + "\n")
+    if packed:
+        (git / "packed-refs").write_text("# pack-refs with: peeled\n" + "\n".join(packed) + "\n")
+    return git
+
+
+def test_interleave_writes_the_bench_file(tmp_path, capsys):
+    log = tmp_path / "calls.log"
+    slow = stub_tree(tmp_path / "slow", "slow", 20, log)
+    fast = stub_tree(tmp_path / "fast", "fast", 2, log)
+    fake_git(slow, "ref: refs/heads/main", refs={"refs/heads/main": "a" * 40})
+    fake_git(fast, "ref: refs/heads/topic", packed=[f"{'b' * 40} refs/heads/topic"])
+    assert paired_bench.main([slow, fast, "--workload", "w", "--interleave", "3",
+                              "--sets", "2", "--seed0", "4"]) == 0
+    out = Path(fast) / "benchmarks" / "BENCH_w.json"
+    assert f"wrote {out}" in capsys.readouterr().out
+    record = json.loads(out.read_text())
+    assert record["workload"] == "w"
+    assert (record["parent_sha"], record["change_sha"]) == ("a" * 40, "b" * 40)
+    assert (record["rounds"], record["sets"], record["seed0"]) == (3, 2, 4)
+    assert record["machine"]["cpu"] == paired_bench.cpu_model()
+    assert record["machine"]["platform"] and record["python"].count(".") == 2
+    assert record["numpy"] == np.__version__
+    assert [s["seed"] for s in record["per_set"]] == [4, 5]
+    for s in record["per_set"]:
+        assert (s["wins"], s["rounds"]) == (3, 3)
+        for key in ("parent_ms", "change_ms", "ratio"):
+            assert list(s[key]) == ["q1", "median", "q3"]
+        assert s["parent_ms"]["median"] > 15 > 5 > s["change_ms"]["median"]
+    over = record["over_sets"]
+    assert (over["wins"], over["rounds"]) == (6, 6)
+    assert over["lo"] <= over["median"] <= over["hi"]
+    assert over["median"] == statistics.median(s["ratio"]["median"] for s in record["per_set"])
+
+
+def test_an_aa_run_of_a_tree_without_git_records_no_sha(tmp_path):
+    tree = stub_tree(tmp_path / "tree", "tree", 0, tmp_path / "calls.log")
+    assert paired_bench.main([tree, tree, "--workload", "w", "--interleave", "2"]) == 0
+    record = json.loads((Path(tree) / "benchmarks" / "BENCH_w.json").read_text())
+    assert record["parent_sha"] is record["change_sha"] is None
+    assert record["per_set"][0]["rounds"] == 2
+
+
+def test_git_sha_reads_detached_heads_and_gitdir_files(tmp_path):
+    fake_git(tmp_path / "detached", "c" * 40)
+    assert paired_bench.git_sha(tmp_path / "detached") == "c" * 40
+    # a worktree: .git is a file naming its git dir, whose commondir holds the refs
+    main = fake_git(tmp_path / "main", "ref: refs/heads/main", refs={"refs/heads/main": "d" * 40})
+    wt_git = main / "worktrees" / "wt"
+    wt_git.mkdir(parents=True)
+    (wt_git / "HEAD").write_text("ref: refs/heads/main\n")
+    (wt_git / "commondir").write_text("../..\n")
+    (tmp_path / "wt").mkdir()
+    (tmp_path / "wt" / ".git").write_text(f"gitdir: {wt_git}\n")
+    assert paired_bench.git_sha(tmp_path / "wt") == "d" * 40
+    fake_git(tmp_path / "dangling", "ref: refs/heads/gone")
+    assert paired_bench.git_sha(tmp_path / "dangling") is None
+    assert paired_bench.git_sha(tmp_path) is None
+
+
+def test_cpu_model_reads_the_first_model_name(tmp_path):
+    info = tmp_path / "cpuinfo"
+    info.write_text("processor\t: 0\nmodel name\t: Test CPU @ 2.0GHz\n\n"
+                    "processor\t: 1\nmodel name\t: Other\n")
+    assert paired_bench.cpu_model(info) == "Test CPU @ 2.0GHz"
+    info.write_text("processor\t: 0\n")
+    assert paired_bench.cpu_model(info) is None
+    assert paired_bench.cpu_model(tmp_path / "missing") is None
+
+
 def test_interleave_stops_at_a_problem(tmp_path, capsys):
     log = tmp_path / "calls.log"
     good = stub_tree(tmp_path / "good", "good", 0, log)
@@ -126,6 +205,7 @@ def test_interleave_stops_at_a_problem(tmp_path, capsys):
     assert paired_bench.main([good, bad, "--workload", "w", "--interleave", "5"]) == 1
     assert "change call 1: ['wrong output']" in capsys.readouterr().err
     assert log.read_text().splitlines()[-1] == "bad 1 0 1"
+    assert not (Path(bad) / "benchmarks").exists()      # a failed run writes no record
     # a worker that cannot build its workload
     assert paired_bench.main([good, good, "--workload", "nope", "--interleave", "2"]) == 1
     assert "did not start" in capsys.readouterr().err

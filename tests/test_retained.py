@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from polylab import engine
 from polylab.engine import PolymerInstance, forward_backward
 from polylab.functionals import alpha_profile, ell, ell_scores
 from polylab.harness import ExperimentConfig, chunk_size, run_replications, scaling_study
@@ -53,6 +54,34 @@ def test_a_kept_solution_survives_later_solves(d, n, prefixes, seed):
     assert fingerprint(first, lengths) == want
 
 
+def returned_arrays(solution):
+    """Every array a streamed solution holds: alpha, the log normalizers and
+    log Z, and its ell program's tops, endpoints, choices and kept answers."""
+    dp = solution.path_dp
+    arrays = [solution.alpha, solution.layer_lognorms, solution.log_partition,
+              dp.tops, dp.ends, *dp.choices]
+    for answer in dp.kept.values():
+        arrays += answer
+    return [a for a in arrays if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("d,n", [(1, 24), (2, 12), (3, 9)])
+@pytest.mark.parametrize("prefixes", [(), (3, 7), (3, 7, "n")], ids=["none", "inner", "with-n"])
+def test_no_returned_array_shares_a_retained_buffer(d, n, prefixes):
+    """A streamed beta=0 solution keeps no score layer, and none of its
+    arrays, nor its prefixes', lies in this thread's retained mappings."""
+    prefixes = [n if m == "n" else m for m in prefixes]
+    sol = solve(d, n, (5, 6, 7), prefixes=prefixes)
+    assert sol.path_dp.best is None
+    assert all(answer is not None for answer in sol.path_dp.kept.values())
+    flats = list(engine._RETAINED.flats.values())
+    assert len(flats) == 4
+    arrays = returned_arrays(sol)
+    for m in sorted({*prefixes, n}):
+        arrays += returned_arrays(sol.prefix(m))
+    assert not [a for a in arrays for flat in flats if np.shares_memory(a, flat)]
+
+
 def test_threads_get_the_serial_results():
     """Each thread keeps its own buffers: threads solving different sizes
     at once, switching every few microseconds, get what serial solves get."""
@@ -92,9 +121,10 @@ def test_forked_workers_write_their_own_buffers():
 
 def test_a_warm_scaling_study_allocates_no_layer():
     """Warm, a beta=0 scaling study takes every working layer from the
-    retained buffers: what it allocates is the kept scores (the top layer of
-    n=32 is 35,937 cells, 281 KiB) and the packed choices, under 1 MiB,
-    where allocating every working array anew peaked at 1,526 KiB."""
+    retained buffers and keeps no score layer: what it allocates is chiefly
+    the packed choices (192 KiB), under 320 KiB.  Keeping the score layers
+    of every n (35,937 cells at n=32, 281 KiB) peaked at 565 KiB, and
+    allocating every working array anew at 1,526 KiB."""
     scaling_study(3, [8, 16, 32])
     tracemalloc.start()
     try:
@@ -102,4 +132,4 @@ def test_a_warm_scaling_study_allocates_no_layer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 320 << 10

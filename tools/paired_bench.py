@@ -38,13 +38,24 @@ the change was faster in over all sets.  figure1's median ratios have
 moved more between sets with fresh workers than the quartiles of one set
 suggest (benchmarks/ell_masks_runs.txt), so a claim of a few percent
 rests on several sets.
+
+After the last set, --interleave writes CHANGE/benchmarks/BENCH_<W>.json:
+the git sha that each checkout's .git names (read from the files, so a
+tree with uncommitted changes shows its HEAD), the machine (platform and
+the CPU model of /proc/cpuinfo), the numpy and Python versions, the
+rounds, sets and first seed, each set's per-call quartiles of both sides
+with its ratio summary and wins, and the summary over the sets
+(sets_summary).  An A/A run of one checkout (PARENT = CHANGE) records
+that checkout's spread.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import importlib.util
 import json
+import platform
 import statistics
 import subprocess
 import sys
@@ -166,6 +177,73 @@ def sets_summary(sets: list) -> dict:
             "wins": sum(s["wins"] for s in sets), "rounds": sum(s["rounds"] for s in sets)}
 
 
+def git_sha(tree: Path) -> Optional[str]:
+    """The commit tree's HEAD names, read from its .git (a directory, or a
+    file `gitdir: PATH`), loose refs first, then packed-refs; None when
+    there is no .git or the ref is not found."""
+    git = tree / ".git"
+    if git.is_file():
+        git = tree / git.read_text().split("gitdir:", 1)[1].strip()
+    try:
+        head = (git / "HEAD").read_text().strip()
+    except OSError:
+        return None
+    if not head.startswith("ref:"):
+        return head
+    ref = head[4:].strip()
+    roots = [git]
+    if (git / "commondir").is_file():       # a worktree keeps its refs there
+        roots.append(git / (git / "commondir").read_text().strip())
+    for root in roots:
+        if (root / ref).is_file():
+            return (root / ref).read_text().strip()
+        packed = root / "packed-refs"
+        if packed.is_file():
+            for line in packed.read_text().splitlines():
+                sha, _, name = line.partition(" ")
+                if name == ref:
+                    return sha
+    return None
+
+
+def cpu_model(cpuinfo: Path = Path("/proc/cpuinfo")) -> Optional[str]:
+    """The first `model name` of cpuinfo, or None where there is none."""
+    try:
+        lines = cpuinfo.read_text().splitlines()
+    except OSError:
+        return None
+    for line in lines:
+        key, _, value = line.partition(":")
+        if key.strip() == "model name":
+            return value.strip()
+    return None
+
+
+def bench_record(parent: Path, change: Path, workload: str, rounds: int, seed0: int,
+                 sets: list) -> dict:
+    """The BENCH_<workload>.json document of interleaved sets (their
+    interleave_summary results, set j on seed seed0 + j)."""
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = None
+
+    def quartiles(q: dict) -> dict:
+        return {key: q[key] for key in ("q1", "median", "q3")}
+
+    return {
+        "workload": workload,
+        "parent_sha": git_sha(parent), "change_sha": git_sha(change),
+        "machine": {"platform": platform.platform(), "cpu": cpu_model()},
+        "numpy": numpy, "python": platform.python_version(),
+        "rounds": rounds, "sets": len(sets), "seed0": seed0,
+        "per_set": [{"seed": seed0 + j, "parent_ms": quartiles(s["parent"]),
+                     "change_ms": quartiles(s["change"]), "ratio": quartiles(s["ratio"]),
+                     "wins": s["wins"], "rounds": s["rounds"]} for j, s in enumerate(sets)],
+        "over_sets": sets_summary(sets),
+    }
+
+
 def interleave(parent: Path, change: Path, workload: str, rounds: int,
                seed: int) -> Optional[dict]:
     """One interleaved set with a fresh pair of workers: prints and returns
@@ -230,6 +308,12 @@ def main(argv=None) -> int:
             print(f"{args.sets} sets: median ratio over the sets {t['median']:.4f} "
                   f"[range {t['lo']:.4f}, {t['hi']:.4f}]; change faster in "
                   f"{t['wins']}/{t['rounds']} rounds")
+        out = args.change / "benchmarks" / f"BENCH_{args.workload}.json"
+        out.parent.mkdir(exist_ok=True)
+        record = bench_record(args.parent, args.change, args.workload, args.interleave,
+                              args.seed0, sets)
+        out.write_text(json.dumps(record, indent=2) + "\n")
+        print(f"wrote {out}")
         return 0
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 to have quartiles")
