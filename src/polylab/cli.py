@@ -22,12 +22,12 @@ import argparse
 import json
 import os
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 
 from . import functionals, laws, verify
 from .engine import NumericalError, forward_backward
-from .harness import (DEFAULT_LAW, FIGURE1, ConfigError, ExperimentConfig,
+from .harness import (DEFAULT_LAW, FIGURE1, ConfigError, ExperimentConfig, ReportFile,
                       histogram, parse_law_spec, run_replications, scaling_study,
                       summary_stats, write_histogram_csv, write_profile_csv,
                       write_report_csv, worker_count)
@@ -75,14 +75,21 @@ def _check_writable(flag: str, path: str) -> None:
         os.stat(path)
 
 
-def _write(flag: str, path: str, write, *data) -> None:
-    """write(*data, path), with an OSError from it reported as a config
-    error that names the flag and the file: a path that passed
-    _check_writable can still fail on its first write, as /dev/full does."""
+@contextmanager
+def _writing(flag: str, path: str):
+    """An OSError in the body reported as a config error that names the
+    flag and the file: a path that passed _check_writable can still fail
+    on its first write, as /dev/full does."""
     try:
-        write(*data, path)
+        yield
     except OSError as exc:
         raise ConfigError(f"{flag} {path!r}: {exc}") from None
+
+
+def _write(flag: str, path: str, write, *data) -> None:
+    """write(*data, path), its OSError a config error (_writing)."""
+    with _writing(flag, path):
+        write(*data, path)
 
 
 def _write_text(text: str, path: str) -> None:
@@ -95,14 +102,23 @@ def cmd_simulate(args) -> int:
     _check_writable("--out", args.out)
     if args.profiles:
         _check_writable("--profiles", args.profiles)
-    records = run_replications(config, workers=args.workers)
-    report = None
-    if args.profiles:
-        inst = config.instance(replication_seed(config.base_seed, 0), config.law)
-        sol = forward_backward(inst, keep_forward=False)
-        report = functionals.build_report(sol)
-    # every solve is done before the first file is opened
-    _write("--out", args.out, write_report_csv, records)
+    # the report's header is written before any solve, so an output that
+    # cannot take data (/dev/full) fails first; a failed solve leaves no
+    # partial report
+    with _writing("--out", args.out):
+        out = ReportFile(args.out)
+    try:
+        records = run_replications(config, workers=args.workers)
+        report = None
+        if args.profiles:
+            inst = config.instance(replication_seed(config.base_seed, 0), config.law)
+            sol = forward_backward(inst, keep_forward=False)
+            report = functionals.build_report(sol)
+    except BaseException:
+        out.discard()
+        raise
+    with _writing("--out", args.out):
+        out.finish(records)
     if report is not None:
         _write("--profiles", args.profiles, write_profile_csv, report.alpha_profile,
                report.gamma_profile, report.tau_profile)

@@ -51,20 +51,34 @@ not by its cells: one replication costs over a third of what 53 do.  So a
 solve looks its steps' slices and shapes up once (lattice.step_plan),
 reduces over the site axes without reshaping, checks each normalizer with
 two reductions and each drawn layer with one pass, and the counter RNG
-mixes the keys of a block of steps at once.
+mixes the keys of a block of steps at once.  Each step k of the forward
+sweep is bound to the arrays it reads and writes (lattice.bind): F_k and
+its (batch, cells) view, which _normalize and layer_alpha reduce over, and,
+for a step bound on retained buffers, its frame's interior and pads, the
+neighbour sum's 2d (into, take) view pairs and PathDP.push's scores, move
+slices, edge cells and mask rows.  _sum, _normalize, layer_alpha and push
+read the bound views; a step bound on new arrays binds the rest as it
+runs, as the stencil always has.
 
 A streamed beta=0 solve (keep_theta=False, keep_forward=False) returns
-none of its layers, so it takes its layer-sized working arrays from
-buffers that its thread keeps between solves (_Retained, at most
-RETAINED_BYTES): F_k and the frame of its neighbour sum, the square in
-layer_alpha, and PathDP's framed old scores, new scores and move masks.
-Allocated anew, they were freed at the end of every solve, glibc trimmed
-the heap, and the next solve faulted its working set in again.  Nothing
-retained leaves a solve: alpha, the log normalizers and the packed
-choices are new arrays, and the ell program keeps no score layer once
-the sweep has settled it (lattice.PathDP.settle), only each row's top
-score and endpoint, at the end and at every kept prefix.
-A beta > 0 solve allocates every array anew, decided once per solve:
+none of its layers, so it takes its steps bound on buffers that its thread
+keeps between solves (_Retained, at most RETAINED_BYTES): one mapping each
+for F_k, the frame (the neighbour sum's, the square in layer_alpha and
+PathDP's, whose lifetimes never overlap), PathDP's scores and its move
+masks, and the steps bound on them, which every later solve with the same
+d and batch reuses, a shorter one its first n.  Allocated anew, the arrays
+were freed at the end of every solve, glibc trimmed the heap, and the next
+solve faulted its working set in again; bound anew, every layer built its
+views again, about half of a small layer's cost.  A bound step holds about
+3.5 KiB of array headers, lists and tuples in d = 1 and 7.5 KiB in d = 3,
+counted with the mappings against RETAINED_BYTES: steps past it are bound
+as they are reached, on new arrays, as in a fresh solve.  The steps are
+bound again when a mapping is remapped (a longer solve, or another d or
+batch).  Nothing retained leaves a solve: alpha, the log normalizers and
+the packed choices are new arrays, and the ell program keeps no score
+layer once the sweep has settled it (lattice.PathDP.settle), only each
+row's top score and endpoint, at the end and at every kept prefix.
+A beta > 0 solve binds every step anew, decided once per solve:
 retaining its forward and ell arrays made figure1 slower, because its
 segments' weights and backward layers, still allocated anew, were then
 trimmed and faulted in more often.
@@ -72,8 +86,9 @@ trimmed and faulted in more often.
 layer_theta answers one-layer questions (the zero-layer marginal zeta_k, a
 finite difference in omega_k) from one sweep over the other layers, since
 F_{k-1} and B_k do not depend on omega_k.  It and forward_backward take
-every layer's weights from _weights (which alone knows that beta=0 draws
-nothing) and every step from _backward_step and _forward_step, and every
+every layer's weights from _weights (None at beta=0, which draws nothing;
+a beta=0 sweep is one segment and asks for none) and every step from
+_backward_step and _forward_step, and every
 layer, in either domain, is normalized by _normalize, which raises
 NumericalError on a layer that is not finite; a drawn layer with any
 non-finite value raises it too (_shifted).  Log-masses are shifted by
@@ -96,9 +111,10 @@ from __future__ import annotations
 import math
 import mmap
 import numbers
+import sys
 import threading
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate, chain
@@ -106,9 +122,9 @@ from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from .lattice import (FRESH, Buffers, PathDP, Site, Step, cell_sites, framed,
-                      is_reachable, layer_cells, layer_shape, layer_sites,
-                      site_cells, sites_bytes, step_plan, step_vectors)
+from .lattice import (Bound, PathDP, Site, Step, bind, cell_sites, framed,
+                      is_reachable, layer_cells, layer_shape, layer_sites, site_cells,
+                      sites_bytes, step_plan, step_vectors, sum_pairs)
 from .laws import EnvironmentLaw
 from .rng import as_int, counter_uniform
 
@@ -242,60 +258,77 @@ def env_value(instance: PolymerInstance, k: int, x: Site) -> float:
 
 
 def _sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
-         up: bool, empty: Buffers = FRESH) -> np.ndarray:
+         up: bool, bound: Optional[Bound] = None) -> np.ndarray:
     """Sum over the 2d neighbours of every site of the step-k layer, whose
     geometry is `here` (lattice.step_geometry), with leading axes lead: up
     from the step-(k-1) layer, otherwise down from the step-(k+1) layer,
     whose geometry is `big` (`here` itself up).
 
     Each step is one add of contiguous flat slices (lattice.step_geometry)
-    on frames of the larger layer (_stencil).  Padding adds +0.0, so every
-    cell gets the same terms in the same order as from windows."""
-    result, source, out, pairs = _stencil(layer, lead, here, big, up, 0.0, empty)
+    on frames of the larger layer.  Padding adds +0.0, so every cell gets
+    the same terms in the same order as from windows.  Up, the sum is
+    written into the layer of the bound step (bound, or here bound anew:
+    lattice.bind) through its slice pairs, or through pairs on a new
+    frame where the step has none."""
+    if up:
+        if bound is None:
+            bound = bind(here, lead)
+        if bound.frame is None:     # a frame of its own, freed when the sum ends
+            sums = sum_pairs(here, bound.layer, framed(layer, here, 0.0).reshape(-1))
+        else:
+            bound.frame.hold(layer, 0.0)
+            sums = bound.sums
+        (out, take), *rest = sums
+        out[...] = take                 # offset 0: a copy, not 0 + x
+        for out, take in rest:
+            out += take
+        return bound.layer
+    result, source, out, pairs = _stencil(layer, lead, here, big, False, 0.0, None)
     (_, first), *rest = pairs
-    np.copyto(out, source[first])       # offset 0: a copy, not 0 + x
+    out[...] = source[first]
     for into, take in rest:
         out[into] += source[take]
-    if not up:
-        np.copyto(result, out.reshape(layer.shape)[big.frame])
+    np.copyto(result, out.reshape(layer.shape)[big.frame])
     return result
 
 
 def _stencil(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
-             up: bool, fill: float, empty: Buffers):
+             up: bool, fill: float, bound: Optional[Bound]):
     """A neighbour sum into the step-k layer as flat frames: (result,
     source, out, pairs).  Each (into, take) of pairs reads source[take] into
     out[into].
 
-    Up, source is the step-(k-1) layer in a step-k frame padded with fill,
-    and out is the result itself.  Down, source is the step-(k+1) layer and
-    out a new frame of its shape, whose cells [0, k+1)^d the caller copies
-    into the result.  The result outlives the frames and is allocated
-    before them, so freed frames leave no holes between longer-lived
-    layers: the other way round, figure1's peak RSS was about 1 MiB higher.
-    Up, the result and the frame come from empty (lattice.Buffers); framing
+    Up, source is the step-(k-1) layer padded with fill in the frame of
+    the bound step (bound, or here bound anew), or in a new frame where the
+    step has none, and out is the result itself, the bound layer.  Framing
     reads the layer before the result is written, so the layer and the
-    result may share a buffer."""
-    result = empty.layer(lead + here.shape)
+    result may share a buffer.  Down, source
+    is the step-(k+1) layer and out a new frame of its shape, whose cells
+    [0, k+1)^d the caller copies into the result.  The result outlives the
+    frames and is allocated before them, so freed frames leave no holes
+    between longer-lived layers: the other way round, figure1's peak RSS
+    was about 1 MiB higher."""
     if up:
-        return (result, framed(layer, here, fill, empty.frame).reshape(-1),
-                result.reshape(-1), here.up)
+        if bound is None:
+            bound = bind(here, lead)
+        source = (framed(layer, here, fill).reshape(-1) if bound.frame is None
+                  else bound.frame.hold(layer, fill))
+        return bound.layer, source, bound.layer.reshape(-1), here.up
+    result = np.empty(lead + here.shape)
     source = layer.reshape(-1)
     return result, source, np.empty(source.shape), big.down
 
 
-def layer_alpha(theta: np.ndarray, d: int, _empty: Callable = np.empty) -> np.ndarray:
+def layer_alpha(theta: np.ndarray, d: int, bound: Optional[Bound] = None) -> np.ndarray:
     """alpha = sum_x theta_x^2 over the trailing d site axes of one layer.
-    The square comes from _empty, which only the engine sets
-    (lattice.Buffers.frame)."""
-    sq = np.square(theta, out=_empty(theta.shape))
-    return np.add.reduce(sq.reshape(theta.shape[:-d] + (-1,)), axis=-1)
-
-
-def _within(s: np.ndarray, lo: float) -> bool:
-    """Whether every entry of s lies in (lo, inf): two reductions, and NaN
-    fails both comparisons."""
-    return lo < np.minimum.reduce(s, axis=None) and np.maximum.reduce(s, axis=None) < np.inf
+    With the bound step of its sweep (lattice.bind), the square is written
+    into the step's frame and reduced over its (batch, cells) view: shape
+    (batch,), bit for bit the same sums."""
+    if bound is None or bound.squares is None:
+        sq = np.square(theta)
+        return np.add.reduce(sq.reshape(theta.shape[:-d] + (-1,)), axis=-1)
+    np.square(theta, out=bound.frame.cube)
+    return np.add.reduce(bound.squares, axis=-1)
 
 
 # A layer's weights span exp(beta * width) for a law of support width
@@ -355,19 +388,20 @@ def _weights(instance: PolymerInstance, k: int, log: bool,
     return _shifted(instance.beta * omega, instance.d, log)
 
 
-def _log(values: np.ndarray) -> np.ndarray:
-    """Elementwise math.log: np.log may differ from it in the last bit, and
-    log Z must not depend on the batch size."""
-    return np.fromiter(map(math.log, values.ravel().tolist()), dtype=np.float64,
-                       count=values.size).reshape(values.shape)
+def _log(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Elementwise math.log of the 1-d values, written into out (1-d, of
+    their size) and returned: np.log may differ from it in the last bit,
+    and log Z must not depend on the batch size."""
+    out[...] = list(map(math.log, values.tolist()))
+    return out
 
 
 def _log_sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
-             up: bool, empty: Buffers = FRESH) -> np.ndarray:
+             up: bool, bound: Optional[Bound] = None) -> np.ndarray:
     """_sum of log-masses: the log of the sum of exp(layer) over the 2d
     neighbours, -inf where every neighbour is -inf.  Padding is -inf, which
     changes no maximum and adds exp(-inf) = +0.0."""
-    result, source, total, pairs = _stencil(layer, lead, here, big, up, -np.inf, empty)
+    result, source, total, pairs = _stencil(layer, lead, here, big, up, -np.inf, bound)
     top = np.full(source.shape, -np.inf)
     for into, take in pairs:
         np.maximum(top[into], source[take], out=top[into])
@@ -391,6 +425,10 @@ def _log_sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
 _SWEEP_OPS = {False: (np.multiply, _sum), True: (np.add, _log_sum)}
 
 
+# The site axis of a layer's (batch, cells) view (lattice.Bound.flat).
+_FLAT = (-1,)
+
+
 def _normalize(x: np.ndarray, axes: Tuple[int, ...], what: str, k: int,
                log: bool) -> np.ndarray:
     """Normalize the step-k layer x (C-contiguous) in place to total mass 1
@@ -403,11 +441,14 @@ def _normalize(x: np.ndarray, axes: Tuple[int, ...], what: str, k: int,
     finite) raises NumericalError naming `what` and k."""
     if log:
         scaled, top = _exp_shifted(x, None, axes, what, k)
-        s = top + _log(np.add.reduce(scaled, axis=axes, keepdims=True))
+        s = np.add.reduce(scaled, axis=axes, keepdims=True)
+        _log(s.reshape(-1), s.reshape(-1))
+        s += top
         x -= s
         return s
     s = np.add.reduce(x, axis=axes, keepdims=True)
-    if not _within(s, 0.0):
+    # every s in (0, inf): two reductions, and NaN fails both comparisons
+    if not (0.0 < np.minimum.reduce(s, axis=None) and np.maximum.reduce(s, axis=None) < np.inf):
         raise NumericalError(f"non-finite {what} layer at k={k}")
     x /= s
     return s
@@ -420,7 +461,8 @@ def _exp_shifted(x: np.ndarray, out: Optional[np.ndarray], axes: Tuple[int, ...]
     written into out, a new array if out is None.  A top that is not finite
     raises NumericalError naming `what` and k."""
     top = np.maximum.reduce(x, axis=axes, keepdims=True)
-    if not _within(top, -np.inf):
+    if not (-np.inf < np.minimum.reduce(top, axis=None)
+            and np.maximum.reduce(top, axis=None) < np.inf):
         raise NumericalError(f"non-finite {what} layer at k={k}")
     e = np.subtract(x, top, out=out)
     return np.exp(e, out=e), top
@@ -440,23 +482,28 @@ def _backward_step(b: Optional[np.ndarray], w: Weights, plan: Plan, k: int,
     return b
 
 
-def _forward_step(f: np.ndarray, w: Weights, plan: Plan, k: int,
+def _forward_step(f: np.ndarray, w: Weights, bound: Bound, k: int,
                   lead: Tuple[int, ...], log: bool,
-                  empty: Buffers = FRESH) -> Tuple[np.ndarray, np.ndarray]:
-    """F_k = normalize(up(F_{k-1}) * w) and the log of its normalizer with
-    the weights' shift added back (shape lead), from F_{k-1} and the
-    weights w of layer k (None at beta=0); in log space, log F_k from
-    log F_{k-1}.  F_k and its frame come from empty (lattice.Buffers)."""
+                  lognorm: Optional[np.ndarray] = None) -> np.ndarray:
+    """F_k = normalize(up(F_{k-1}) * w), written into bound.layer (the
+    bound step k: lattice.bind), from F_{k-1} and the weights w of layer k
+    (None at beta=0); in log space, log F_k from log F_{k-1}.  The log of
+    its normalizer with the weights' shift added back is written into
+    lognorm, a (batch,) view, when it is given.  F_k is normalized through
+    its (batch, cells) view, which reduces as its site axes do."""
     combine, neighbor_sum = _SWEEP_OPS[log]
-    here = plan[k]
-    f = neighbor_sum(f, lead, here, here, True, empty)
+    f = neighbor_sum(f, lead, bound.step, bound.step, True, bound)
     if w is not None:
         combine(f, w[0], out=f)
-    s = _normalize(f, here.axes, "forward", k, log)
-    log_s = s if log else _log(s)
-    if w is not None:
-        log_s += w[1]
-    return f, log_s.reshape(lead)
+    s = _normalize(bound.flat, _FLAT, "forward", k, log)
+    if lognorm is not None:
+        if log:
+            lognorm[...] = s[:, 0]
+        else:
+            _log(s[:, 0], lognorm)
+        if w is not None:
+            lognorm += w[1].reshape(-1)
+    return f
 
 
 def _theta(f: np.ndarray, b: np.ndarray, k: int, axes: Tuple[int, ...],
@@ -605,12 +652,15 @@ SOLVE_FIXED_BYTES = 192 << 10
 
 def _solve_tops(d: int, n: int, beta: float, keep_theta: bool) -> Sequence[int]:
     """The segment tops a solve keeps backward checkpoints at, increasing and
-    ending at n.  Every layer is a segment in the default mode and at
-    beta=0, which makes no backward layer.  A streamed beta > 0 solve keeps
+    ending at n.  A beta=0 solve makes no backward layer, so it is one
+    segment; every layer is a segment in the default mode at beta > 0.  A
+    streamed beta > 0 solve keeps
     segment_tops(d, n) and every layer below its lowest top: the first
     backward sweep computes those layers anyway, so the lowest segment is
     never recomputed."""
-    if keep_theta or beta == 0.0:
+    if beta == 0.0:
+        return (n,)
+    if keep_theta:
         return range(1, n + 1)
     tops = segment_tops(d, n)
     return tuple(range(1, tops[0])) + tops
@@ -680,7 +730,7 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
             forward = 8 * (rest + c[k - 1] + old + stencil * c[k])
             ell = 8 * (rest - a[k] + 3 * c[k] + old) + (moves + 2) * c[k]
             recompute = 0
-            if k < hi:
+            if k < hi and beta:
                 recompute = 8 * (acum[hi] - acum[lo] + stencil * c[k + 1] + 2 * c[lo])
             backward = rest - (a[n] if hi == n else 0)
             held = 8 * (above + backward + 2 * n + 8) + choices[k]
@@ -698,33 +748,88 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
 RETAINED_BYTES = 4 << 20
 
 
+def _object_bytes(obj) -> int:
+    """Bytes of the Python objects of a bound step: each tuple's and list's
+    own and its items', and each array's header without its data.  The
+    Step it shares with lattice.step_geometry's cache counts nothing."""
+    if isinstance(obj, np.ndarray):
+        return sys.getsizeof(obj) - (obj.nbytes if obj.flags.owndata else 0)
+    if isinstance(obj, Step) or not isinstance(obj, (tuple, list)):
+        return 0
+    return sys.getsizeof(obj) + sum(map(_object_bytes, obj))
+
+
 class _Retained(threading.local):
-    """This thread's buffers for the working arrays of streamed beta=0
-    solves, kept between solves: one flat anonymous mapping per role of
-    lattice.Buffers, sized for the largest request so far, while their
-    total stays within RETAINED_BYTES.  A mapping stays mapped when a solve
-    ends, so a warm solve touches no new page.  Each thread has its own
-    set, so concurrent solves never share one, and the mappings are
-    private, so a forked worker writes to its own copy."""
+    """This thread's buffers and bound steps for streamed beta=0 solves,
+    kept between solves.
+
+    flats holds one flat anonymous mapping per role of lattice.bind
+    (layer, frame, score, masks).  A mapping stays mapped when a solve
+    ends, so a warm solve touches no new page.  steps binds the solve's
+    steps 1, 2, ... on the flats once (lattice.Bound: their views, slice
+    pairs and the ell program's moves) and every later solve with the same
+    d and leading axes reuses them, a shorter one the first n.  The flats
+    and the bound steps' objects (_object_bytes) stay within
+    RETAINED_BYTES together: a solve binds as many steps as fit, with the
+    flats sized for the largest, and binds every later step anew as it
+    reaches it, as a fresh solve does.  The bound steps view the mappings,
+    so they are bound again whenever a mapping is remapped (a longer solve,
+    or flats cleared), and they are kept for one (d, leading axes) at a
+    time.  Each thread has its own set, so concurrent solves never share
+    one, and the mappings are private, so a forked worker writes to its own
+    copy."""
 
     def __init__(self):
         self.flats = {}         # role -> flat array over its mapping
+        self.mapped = {}        # the flats that the bound steps view
+        self.key = None         # (d, lead) of the bound steps
+        self.bound = []         # the bound steps 1..len(bound)
+        self.planned = 0        # the longest solve they were planned for
+        self.bound_bytes = 0    # _object_bytes of the bound steps
 
-    def buffers(self) -> Buffers:
-        return Buffers(*map(self._allocator, Buffers._fields))
+    def steps(self, plan: Plan, lead: Tuple[int, ...]) -> List[Bound]:
+        """Bound steps 1..m (m <= n) of a streamed beta=0 solve with the
+        step plan of (d, n) and leading axes lead, all on the flats."""
+        d, n = len(plan[0].shape), len(plan) - 1
+        if (d, lead) != self.key or len(self.flats) != len(self.mapped) or any(
+                self.flats.get(role) is not flat for role, flat in self.mapped.items()):
+            self._drop((d, lead))
+        if n <= self.planned:
+            return self.bound
+        self.planned = n
+        rows, moves = math.prod(lead), 2 * d - 1
 
-    def _allocator(self, role: str) -> Callable:
-        def empty(shape, dtype=np.float64):
-            size, flat = math.prod(shape), self.flats.get(role)
-            if flat is None or flat.size < size or flat.dtype != dtype:
-                held = sum(f.nbytes for r, f in self.flats.items() if r != role)
-                nbytes = size * np.dtype(dtype).itemsize
-                if held + nbytes > RETAINED_BYTES:
-                    return np.empty(shape, dtype)
-                flat = np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE), dtype)
-                self.flats[role] = flat
-            return flat[:size].reshape(shape)
-        return empty
+        def need(k: int) -> dict:
+            cells = rows * layer_cells(d, k)
+            return {"layer": 8 * cells, "frame": 8 * cells, "score": 8 * cells,
+                    "masks": moves * cells}
+
+        # every bound step holds as many objects as step 1; keep the most
+        # steps whose flats and objects fit, with the flats sized for them
+        per = _object_bytes(bind(plan[1], lead, {role: np.empty(size, np.uint8)
+                                                 for role, size in need(1).items()}))
+        m = bisect_right(range(n + 1), RETAINED_BYTES,
+                         key=lambda k: sum(need(k).values()) + k * per) - 1
+        sizes = need(m)
+        if (any(role not in self.flats or self.flats[role].nbytes < size
+                for role, size in sizes.items())
+                or sum(f.nbytes for f in self.flats.values()) + m * per > RETAINED_BYTES):
+            self._drop((d, lead))
+            self.planned = n
+            self.flats.update((role, np.frombuffer(
+                mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE),
+                bool if role == "masks" else np.float64)) for role, size in sizes.items())
+            self.mapped = dict(self.flats)
+        for k in range(len(self.bound) + 1, m + 1):
+            step = bind(plan[k], lead, self.flats)
+            self.bound_bytes += _object_bytes(step)
+            self.bound.append(step)
+        return self.bound
+
+    def _drop(self, key) -> None:
+        """Forget every bound step: the next are bound for key from step 1."""
+        self.key, self.bound, self.planned, self.bound_bytes = key, [], 0, 0
+        self.mapped = dict(self.flats)
 
 
 _RETAINED = _Retained()
@@ -786,9 +891,10 @@ def forward_backward(instance: PolymerInstance,
     log = log_space(instance.beta, instance.law)
     tops = _solve_tops(d, n, instance.beta, keep_theta)
     plan = step_plan(d, n)
-    # a streamed beta=0 solve takes its working layers from this thread's
-    # retained buffers; any other allocates them anew (module docstring)
-    empty = FRESH if instance.beta or keep_theta or keep_forward else _RETAINED.buffers()
+    # a streamed beta=0 solve takes its steps bound on this thread's
+    # retained buffers; any other binds each step anew (module docstring)
+    bound_steps = () if instance.beta or keep_theta or keep_forward else \
+        _RETAINED.steps(plan, lead)
 
     def weights(k: int) -> Weights:
         return _weights(instance, k, log, omegas.get(k))
@@ -806,16 +912,24 @@ def forward_backward(instance: PolymerInstance,
     forward: List[np.ndarray] = []
     lognorms = np.empty(lead + (n,))
     alpha = None if keep_theta else np.empty(lead + (n,))
+    # (batch, n) views: column k - 1 takes step k's values
+    rows = (math.prod(lead), n)
+    lognorm_rows = lognorms.reshape(rows)
+    alpha_rows = None if keep_theta else alpha.reshape(rows)
     path_dp = None if keep_theta else PathDP(d, lead, prefixes)
     f = np.full(lead + (1,) * d, 0.0 if log else 1.0)
+    bound_count = len(bound_steps)
     for lo, hi in zip(chain((1,), (t + 1 for t in tops)), tops):
-        ws = [weights(k) for k in range(lo, hi + 1)]
-        bs = [None] * len(ws)
-        bs[-1] = checkpoints.pop(hi, None)
-        for i in range(len(bs) - 2, -1, -1):
-            bs[i] = _backward_step(bs[i + 1], ws[i + 1], plan, lo + i, lead, log)
+        ws = bs = [None] * (hi + 1 - lo)    # beta=0: no weights, no backward layer
+        if instance.beta:
+            ws = [weights(k) for k in range(lo, hi + 1)]
+            bs = [None] * len(ws)
+            bs[-1] = checkpoints.pop(hi, None)
+            for i in range(len(bs) - 2, -1, -1):
+                bs[i] = _backward_step(bs[i + 1], ws[i + 1], plan, lo + i, lead, log)
         for i, k in enumerate(range(lo, hi + 1)):
-            f, lognorms[..., k - 1] = _forward_step(f, ws[i], plan, k, lead, log, empty)
+            bound = bound_steps[k - 1] if k <= bound_count else bind(plan[k], lead)
+            f = _forward_step(f, ws[i], bound, k, lead, log, lognorm_rows[:, k - 1])
             ws[i] = None
             if keep_forward:
                 forward.append(np.exp(f) if log else f)
@@ -830,9 +944,9 @@ def forward_backward(instance: PolymerInstance,
             if keep_theta:
                 theta.append(th)
             else:
-                alpha[..., k - 1] = layer_alpha(th, d, empty.frame)
-                path_dp.push(th, empty)
-            th = None       # the next step's layers can take its place
+                alpha_rows[:, k - 1] = layer_alpha(th, d, bound)
+                path_dp.push(th, bound)
+            th = bound = None       # the next step's layers can take their place
 
     if path_dp is not None:
         path_dp.settle()
@@ -871,12 +985,12 @@ def layer_theta(instance: PolymerInstance, k: int, omega_k) -> np.ndarray:
             b = _backward_step(b, _weights(instance, j + 1, log), plan, j, (), log)
     f = np.full((1,) * d, 0.0 if log else 1.0)
     for j in range(1, k):
-        f, _ = _forward_step(f, _weights(instance, j, log), plan, j, (), log)
+        f = _forward_step(f, _weights(instance, j, log), bind(plan[j], ()), j, (), log)
     omega_k = np.asarray(omega_k, dtype=np.float64)
     shape = np.broadcast_shapes(omega_k.shape, layer_shape(d, k))
     w = _weights(instance, k, log, np.broadcast_to(omega_k, shape))
-    f, _ = _forward_step(np.broadcast_to(f, shape[:-d] + f.shape), w, plan, k,
-                         shape[:-d], log)
+    lead = shape[:-d]
+    f = _forward_step(np.broadcast_to(f, lead + f.shape), w, bind(plan[k], lead), k, lead, log)
     if b is None:
         return np.exp(f) if log else f
     return _theta(f, np.broadcast_to(b, shape).copy(), k, plan[k].axes, log)

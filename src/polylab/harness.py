@@ -234,11 +234,42 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[list]) -> None:
         wr.writerows(rows)
 
 
+class ReportFile:
+    """The report CSV at path (replication,rho,ell,log_partition), written
+    in two parts: the header as it is opened, flushed, so that a file which
+    cannot take data fails before any replication is solved, and the rows
+    at finish, which closes it.  discard closes it and removes it, if it is
+    a regular file, so that a failed run leaves no partial report."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.fh = open(path, "w", newline="")
+        try:
+            self.writer = csv.writer(self.fh)
+            self.writer.writerow(["replication", "rho", "ell", "log_partition"])
+            self.fh.flush()
+        except BaseException:
+            self.discard()
+            raise
+
+    def finish(self, records: Sequence[ReplicationRecord]) -> None:
+        with self.fh:
+            self.writer.writerows([rec.index, f"{rec.rho:.17g}", f"{rec.ell:.17g}",
+                                   f"{rec.log_partition:.17g}"] for rec in records)
+
+    def discard(self) -> None:
+        regular = os.path.isfile(self.path)
+        try:
+            self.fh.close()         # flushes what is buffered, which may fail again
+        except OSError:
+            pass
+        if regular:
+            os.remove(self.path)
+
+
 def write_report_csv(records: Sequence[ReplicationRecord], path: str) -> None:
-    """Report CSV: replication,rho,ell,log_partition."""
-    _write_csv(path, ["replication", "rho", "ell", "log_partition"],
-               ([rec.index, f"{rec.rho:.17g}", f"{rec.ell:.17g}",
-                 f"{rec.log_partition:.17g}"] for rec in records))
+    """Report CSV: replication,rho,ell,log_partition (ReportFile)."""
+    ReportFile(path).finish(records)
 
 
 def write_histogram_csv(edges: np.ndarray, counts: np.ndarray, path: str) -> None:

@@ -37,7 +37,7 @@ import copy
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -140,35 +140,115 @@ def step_plan(d: int, n: int) -> Tuple[Step, ...]:
     return tuple(step_geometry(d, k) for k in range(n + 1))
 
 
-class Buffers(NamedTuple):
-    """Where a solve takes its layer-sized working arrays from: one
-    allocator per role, called as np.empty(shape, dtype).  frame serves the
-    frames of framed (a neighbour sum's and PathDP.push's) and the square of
-    engine.layer_alpha, whose lifetimes never overlap; layer the forward
-    layers F_k, score PathDP's scores and masks its move masks.  FRESH
-    allocates every array anew; the engine passes another set only to a
-    streamed beta=0 solve (engine._Retained)."""
+class Frame(NamedTuple):
+    """A frame of step k bound to its views: the array (cube, leading axes
+    kept), its cells [0, k)^d that take a step-(k-1) layer (interior), its
+    other cells (pads) and its flattening (flat), which the stencil's slice
+    pairs read."""
 
-    frame: Callable = np.empty
-    layer: Callable = np.empty
-    score: Callable = np.empty
-    masks: Callable = np.empty
+    cube: np.ndarray
+    interior: np.ndarray
+    pads: list
+    flat: np.ndarray
+
+    def hold(self, layer: np.ndarray, fill: float) -> np.ndarray:
+        """Write the step-(k-1) layer into the frame, fill the other cells
+        and return the flattened frame."""
+        self.interior[...] = layer
+        for pad in self.pads:
+            pad[...] = fill
+        return self.flat
 
 
-FRESH = Buffers()
-
-
-def framed(layer: np.ndarray, step: Step, fill: float,
-           _empty: Callable = np.empty) -> np.ndarray:
+def framed(layer: np.ndarray, step: Step, fill: float) -> np.ndarray:
     """The step-(k-1) layer (leading axes kept) in a new frame of step k,
     whose geometry is step (step_geometry(d, k)); the frame's other cells
-    hold fill.  The frame comes from _empty, which only the engine sets
-    (Buffers.frame)."""
-    out = _empty(layer.shape[:layer.ndim - len(step.shape)] + step.shape)
+    hold fill."""
+    out = np.empty(layer.shape[:layer.ndim - len(step.shape)] + step.shape)
     out[step.frame] = layer
     for pad in step.pads:
         out[pad] = fill
     return out
+
+
+class Moves(NamedTuple):
+    """PathDP.push's views at step k: the frame it holds the step-(k-1)
+    scores in (None where they were framed anew), the step-k scores (best,
+    shape (batch,) + the step-k shape), move 0 as (edge, into, take) and
+    every other move c as (edge, take, into, mask) on the flattened scores,
+    frame and mask c - 1, with edge the cells [0, o) that into skips (None
+    where o = 0), and the masks as (batch, 2d - 1, cells) for packing."""
+
+    frame: Optional[Frame]
+    best: np.ndarray
+    first: tuple
+    rest: list
+    packed: np.ndarray
+
+
+def bind_moves(step: Step, batch: int, source: np.ndarray, score: np.ndarray,
+               masks: np.ndarray, frame: Optional[Frame] = None) -> Moves:
+    """The Moves of step k on the flattened frame source, the flat scores
+    score (batch times the step's cells) and masks, 2d - 1 bool rows of
+    that size; frame is source's Frame where push must fill it."""
+    (into, take, edge), *rest = step.moves
+    first = (None if edge is None else score[edge], score[into], source[take])
+    rest = [(None if edge is None else masks[c, edge], source[take], score[into], masks[c, into])
+            for c, (into, take, edge) in enumerate(rest)]
+    return Moves(frame, score.reshape((batch,) + step.shape), first, rest,
+                 masks.reshape(len(rest), batch, -1).transpose(1, 0, 2))
+
+
+def sum_pairs(step: Step, layer: np.ndarray, source: np.ndarray) -> list:
+    """The (into, take) view pairs of a neighbour sum up into the step-k
+    layer from the flattened frame source, in the order of Step.up: into
+    on the flattened layer, take on source."""
+    out = layer.reshape(-1)
+    return [(out[into], source[take]) for into, take in step.up]
+
+
+class Bound(NamedTuple):
+    """Step k of a forward sweep bound to the arrays it reads and writes
+    (bind): the forward layer F_k (layer, leading axes kept) and its
+    (batch, cells) view (flat); then the Frame of its neighbour sum, the
+    sum's slice pairs (sum_pairs), the frame as (batch, cells) (squares),
+    which holds engine.layer_alpha's square, and PathDP.push's Moves over
+    the same frame.  A step bound on new arrays has none of the last four:
+    the sum, the square and push each make their own when they run."""
+
+    step: Step
+    layer: np.ndarray
+    flat: np.ndarray
+    frame: Optional[Frame] = None
+    sums: Optional[list] = None
+    squares: Optional[np.ndarray] = None
+    moves: Optional[Moves] = None
+
+
+def bind(step: Step, lead: Tuple[int, ...], flats: Optional[dict] = None) -> Bound:
+    """Bind step k (step_geometry(d, k)) with leading axes lead.
+
+    flats None binds a new F_k and nothing else: the neighbour sum,
+    engine.layer_alpha and PathDP.push each allocate their frame, square
+    and scores when they run and drop what they can when they end, so a
+    fresh solve allocates and frees in the order it always has.  Otherwise
+    every array is a view of flats, {role: flat array} for the roles layer,
+    frame, score and masks, each at least the step's size, and the step is
+    bound in full: such steps are bound once and reused by every later
+    solve (engine._Retained)."""
+    shape = lead + step.shape
+    rows = math.prod(lead)
+    if flats is None:
+        layer = np.empty(shape)
+        return Bound(step, layer, layer.reshape(rows, -1))
+    size = rows * math.prod(step.shape)
+    layer = flats["layer"][:size].reshape(shape)
+    cube = flats["frame"][:size].reshape(shape)
+    frame = Frame(cube, cube[step.frame], [cube[pad] for pad in step.pads], cube.reshape(-1))
+    masks = flats["masks"][:(len(step.moves) - 1) * size].reshape(-1, size)
+    return Bound(step, layer, layer.reshape(rows, -1), frame,
+                 sum_pairs(step, layer, frame.flat), frame.cube.reshape(rows, -1),
+                 bind_moves(step, rows, frame.flat, flats["score"][:size], masks, frame))
 
 
 # Layers of at most this many cells keep their site coordinates between
@@ -277,9 +357,10 @@ class PathDP:
     endpoint (ends), and drops them.  top, result and prefix(n) settle a
     program first.  result walks each row back from its endpoint in cube
     coordinates, with Python ints: one mask byte per move tried, then the
-    move's {0,1}^d shift.  push takes its frame, masks and scores from
-    _buffers (lattice.Buffers), which only the engine sets, and may write
-    the scores into a buffer that outlives the program; a settled program
+    move's {0,1}^d shift.  push reads and writes its step's views (Moves):
+    those of the engine's bound step (bind) where the sweep retains them,
+    else views it binds on new scores, frame and masks.  A retained step's
+    scores lie in a buffer that outlives the program, so a settled program
     holds no score layer.
 
     keep names push counts m whose state prefix(m) can return later.  A
@@ -297,36 +378,44 @@ class PathDP:
         self.choices: List[np.ndarray] = []
         self.kept = dict.fromkeys(keep)      # m -> (tops, ends) after push m
 
-    def push(self, field: np.ndarray, _buffers: Buffers = FRESH) -> None:
+    def push(self, field: np.ndarray, bound: Optional[Bound] = None) -> None:
+        """Add the step-k field (leading axes lead), k the pushes so far
+        plus one, through the Moves of bound, step k as the engine's sweep
+        bound it (bind).  Without them the step is bound here, on new
+        scores, frame and masks."""
         self.n = k = self.n + 1
-        step = step_geometry(self.d, k)
-        layer = field.reshape((self.batch,) + step.shape)
-        # predecessors y = x + v in lexicographic order of v: mask c - 1 holds
-        # where move c is strictly better than moves 0..c-1, so the last set
-        # mask is the smallest of the tied predecessors
-        (into, take, edge), *rest = step.moves
-        # the scores outlive the frame: allocated first, as in the engine's
-        # neighbour sums, and framing reads the old scores before any score
-        # is written, so the two may share a buffer.  Move 0 writes every
-        # score but the first cells.
-        score = _buffers.score((layer.size,))
-        best = framed(self.best, step, -np.inf, _buffers.frame).reshape(-1)
+        moves = None if bound is None else bound.moves
+        if moves is None:
+            step = step_geometry(self.d, k)
+            size = self.batch * math.prod(step.shape)
+            # the scores outlive the frame: allocated first, as the engine's
+            # forward layers are
+            score = np.empty(size)
+            source = framed(self.best, step, -np.inf).reshape(-1)
+            moves = bind_moves(step, self.batch, source, score,
+                               np.empty((len(step.moves) - 1, size), bool))
+        else:
+            # framing reads the old scores before any score is written, so
+            # the two may share a buffer
+            moves.frame.hold(self.best, -np.inf)
+        # predecessors y = x + v in lexicographic order of v: mask c - 1
+        # holds where move c is strictly better than moves 0..c-1, so the
+        # last set mask is the smallest of the tied predecessors.  Move 0
+        # writes every score but its edge.
+        edge, into, take = moves.first
         if edge is not None:
-            score[edge] = -np.inf
-        score[into] = best[take]
-        masks = _buffers.masks((len(rest), best.size), bool)
-        for c, (into, take, edge) in enumerate(rest):
-            mask = masks[c]     # iterating over masks would cost more per push
+            edge[...] = -np.inf
+        into[...] = take
+        for edge, take, into, mask in moves.rest:
             if edge is not None:
-                mask[edge] = False
-            np.greater(best[take], score[into], out=mask[into])
-            np.maximum(score[into], best[take], out=score[into])
-        score = score.reshape(layer.shape)
-        score += layer
+                edge[...] = False
+            np.greater(take, into, out=mask)
+            np.maximum(into, take, out=into)
+        best = moves.best
+        best += field
         if k > 1:       # every step-1 cell comes from the origin
-            masks = masks.reshape(len(rest), self.batch, -1).transpose(1, 0, 2)
-            self.choices.append(np.packbits(masks, axis=-1))
-        self.best = score
+            self.choices.append(np.packbits(moves.packed, axis=-1))
+        self.best = best
         if k in self.kept:
             self.kept[k] = self._answer()
 

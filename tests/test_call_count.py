@@ -5,7 +5,8 @@ runs of the same code, but the number of Python-level calls a solve makes
 does not.  A figure-1 chunk solve is bound by those calls (a solve of one
 replication costs over a third of one of 53), so a change that adds calls
 per layer shows here first, as a failed count, not as noise in the
-benchmark."""
+benchmark.  A warm beta=0 scaling study, whose steps are bound once on
+retained buffers, has a budget of its own."""
 
 import cProfile
 import pstats
@@ -23,6 +24,12 @@ from polylab.rng import replication_seed
 # leaves 10% of headroom.
 CALL_BUDGET = 46_200
 
+# Python-level calls of a warm scaling_study(3, [8, 16, 32]), whose solve
+# reuses the steps it bound on retained buffers (engine._Retained): 2,887
+# when every layer looked its views up anew, 1,270 with the steps bound
+# once.  The budget leaves 10% of headroom.
+SCALING_CALL_BUDGET = 1_397
+
 
 def test_streamed_figure1_solve_stays_within_its_call_budget():
     inst = PolymerInstance(d=1, n=300, beta=3.0, law=make_uniform(-1.0, 1.0),
@@ -36,6 +43,18 @@ def test_streamed_figure1_solve_stays_within_its_call_budget():
         profile.disable()
     calls = pstats.Stats(profile).total_calls
     assert calls <= CALL_BUDGET, f"{calls} calls, budget {CALL_BUDGET}"
+
+
+def test_warm_scaling_study_stays_within_its_call_budget():
+    scaling_study(3, [8, 16, 32])
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        scaling_study(3, [8, 16, 32])
+    finally:
+        profile.disable()
+    calls = pstats.Stats(profile).total_calls
+    assert calls <= SCALING_CALL_BUDGET, f"{calls} calls, budget {SCALING_CALL_BUDGET}"
 
 
 def engine_calls(solve, module: str = "engine.py") -> dict:

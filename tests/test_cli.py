@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from polylab import cli, harness, verify
-from polylab.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED,
-                         main)
+from polylab.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
+                         EXIT_VERIFY_FAILED, main)
+from polylab.engine import NumericalError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -184,6 +185,34 @@ class TestSimulate:
                      "--law", "cauchy:0,1", "--reps", "1", "--seed", "1",
                      "--out", str(tmp_path / "r.csv")])
         assert code == EXIT_CONFIG
+
+
+    def test_a_full_output_fails_before_solving(self, monkeypatch, capsys):
+        """The report's header is written and flushed before the run, so
+        /dev/full exits 2, naming the flag and the file, without solving a
+        replication."""
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        monkeypatch.setattr(cli, "run_replications", not_called)
+        code = main(["simulate", "--d", "1", "--n", "5", "--beta", "1",
+                     "--out", "/dev/full"])
+        err = assert_config_error(code, capsys)
+        assert f"--out '/dev/full': [Errno {errno.ENOSPC}]" in err
+
+    @pytest.mark.parametrize("failing", ["run", "profiles"])
+    def test_a_failed_solve_leaves_no_report(self, monkeypatch, tmp_path, capsys, failing):
+        """A run or a --profiles solve that fails after the report's header
+        was written exits 3 and removes the partial report."""
+        def fail(*args, **kwargs):
+            raise NumericalError("non-finite forward layer at k=2")
+        monkeypatch.setattr(cli, {"run": "run_replications",
+                                  "profiles": "forward_backward"}[failing], fail)
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--d", "1", "--n", "5", "--beta", "1", "--out", str(out),
+                     "--profiles", str(tmp_path / "p.csv")])
+        assert code == EXIT_NUMERICAL
+        assert "non-finite forward layer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFigure1:

@@ -256,3 +256,47 @@ def test_sets_need_interleave(tmp_path):
     with pytest.raises(SystemExit):
         paired_bench.main([str(tmp_path), str(tmp_path), "--workload", "w",
                            "--interleave", "2", "--sets", "0"])
+
+
+def ratio_sets(medians, rounds=None):
+    """interleave_summary-shaped sets with the given median ratios."""
+    return [{"ratio": {"median": m, "values": rounds}, "wins": 0, "rounds": 1}
+            for m in medians]
+
+
+def test_bootstrap_interval_resamples_sets_on_fixed_numbers():
+    medians = [1.02, 0.97, 1.10, 1.04, 0.99]
+    b = paired_bench.bootstrap_interval(ratio_sets(medians))
+    assert (b["level"], b["resamples"], b["seed"]) == (0.95, 10_000, 0)
+    assert min(medians) <= b["lo"] <= statistics.median(medians) <= b["hi"] <= max(medians)
+    assert b["lo"] in medians and b["hi"] in medians   # a median of 5 drawn set medians
+    assert paired_bench.bootstrap_interval(ratio_sets(medians)) == b    # seeded
+    assert paired_bench.bootstrap_interval(ratio_sets(medians), seed=1)["lo"] in medians
+    # three sets: a resample's median is the low set's in 7 of 27 draws, so
+    # the 2.5% and 97.5% points are the lowest and the highest set
+    three = paired_bench.bootstrap_interval(ratio_sets([1.02, 0.97, 1.10]))
+    assert (three["lo"], three["hi"]) == (0.97, 1.10)
+    one = paired_bench.bootstrap_interval(ratio_sets([1.25]))
+    assert (one["lo"], one["hi"]) == (1.25, 1.25)
+
+
+def test_bootstrap_interval_ignores_the_rounds_within_a_set():
+    """Sets whose rounds spread widely but whose medians agree give an
+    interval of that median alone: the rounds are not resampled."""
+    b = paired_bench.bootstrap_interval(ratio_sets([1.2] * 4, rounds=[0.5, 1.2, 3.0]))
+    assert (b["lo"], b["hi"]) == (1.2, 1.2)
+
+
+def test_the_bench_file_holds_the_bootstrap(tmp_path, capsys):
+    log = tmp_path / "calls.log"
+    slow = stub_tree(tmp_path / "slow", "slow", 20, log)
+    fast = stub_tree(tmp_path / "fast", "fast", 2, log)
+    assert paired_bench.main([slow, fast, "--workload", "w", "--interleave", "2",
+                              "--sets", "3", "--seed0", "1"]) == 0
+    assert "95% bootstrap interval over sets [" in capsys.readouterr().out
+    record = json.loads((Path(fast) / "benchmarks" / "BENCH_w.json").read_text())
+    medians = [s["ratio"]["median"] for s in record["per_set"]]
+    b = record["bootstrap"]
+    assert (b["lo"], b["hi"]) == (min(medians), max(medians))
+    assert b == paired_bench.bootstrap_interval(
+        [{"ratio": {"median": m}} for m in medians])

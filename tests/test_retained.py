@@ -133,3 +133,90 @@ def test_a_warm_scaling_study_allocates_no_layer():
     finally:
         tracemalloc.stop()
     assert peak < 320 << 10
+
+
+def bound_object_bytes():
+    """The bytes of every distinct array header, tuple and list that this
+    thread's bound steps hold, each counted once, without array data."""
+    seen, total, stack = set(), 0, list(engine._RETAINED.bound)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, engine.Step):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            total += sys.getsizeof(obj) - (obj.nbytes if obj.flags.owndata else 0)
+        elif isinstance(obj, (tuple, list)):
+            total += sys.getsizeof(obj)
+            stack.extend(obj)
+    return total
+
+
+def assert_within_budget():
+    """This thread's flats and bound steps fit in RETAINED_BYTES, and the
+    bytes it counts for its bound steps cover what they hold."""
+    retained = engine._RETAINED
+    assert retained.bound_bytes >= bound_object_bytes()
+    flats = sum(flat.nbytes for flat in retained.flats.values())
+    assert flats + retained.bound_bytes <= engine.RETAINED_BYTES
+
+
+def assert_warm_equals_stored(d, n, seed, prefixes=()):
+    lengths = sorted({*prefixes, n})
+    want = fingerprint(solve(d, n, seed, keep_theta=True), lengths)
+    assert fingerprint(solve(d, n, seed, prefixes=prefixes), lengths) == want
+    assert_within_budget()
+
+
+@pytest.mark.parametrize("d,n", [(1, 24), (2, 12), (3, 9)])
+def test_a_longer_solve_rebinds_the_steps_it_remaps(d, n):
+    """A longer solve outgrows the mappings and maps new ones; the steps
+    bound on the old ones are bound again, so a shorter solve after it is
+    still a stored solve's, bit for bit."""
+    seed = (5, 6, 7)
+    engine._RETAINED.flats.clear()      # mapped anew, sized for this solve
+    assert_warm_equals_stored(d, n, seed, (3, 7))
+    before = dict(engine._RETAINED.flats)
+    solve(d, 3 * n, seed)
+    assert any(engine._RETAINED.flats[role] is not flat for role, flat in before.items())
+    assert len(engine._RETAINED.bound) == 3 * n
+    assert_warm_equals_stored(d, n, seed, (3, 7))
+    assert_warm_equals_stored(d, 3 * n, seed)
+
+
+def test_cleared_flats_are_mapped_and_bound_again():
+    assert_warm_equals_stored(3, 9, 5)
+    engine._RETAINED.flats.clear()
+    assert_warm_equals_stored(3, 9, 5)
+    assert len(engine._RETAINED.flats) == 4
+    flats = list(engine._RETAINED.flats.values())
+    bound = engine._RETAINED.bound[-1]
+    assert [flat for flat in flats if np.shares_memory(bound.layer, flat)]
+
+
+def test_another_dimension_or_batch_rebinds():
+    """The bound steps serve one d and batch at a time: a solve with
+    another binds its own, and the first binds again after it."""
+    assert_warm_equals_stored(3, 9, 5)
+    for d, n, seed in [(2, 12, 5), (3, 9, (5, 6)), (3, 9, 5), (1, 40, (1, 2, 3)), (3, 9, 5)]:
+        assert_warm_equals_stored(d, n, seed)
+        assert engine._RETAINED.key == (d, engine.batch_shape(seed))
+
+
+def test_the_default_scaling_grid_top_stays_within_the_budget():
+    """At d=1, n=1024, the top of `polylab scaling`'s default grid, the
+    bound steps take most of RETAINED_BYTES; a warm solve is still a
+    stored one's."""
+    assert_warm_equals_stored(1, 1024, 0, (512,))
+    assert_warm_equals_stored(1, 1024, 0, (512,))
+
+
+def test_steps_past_the_budget_are_bound_as_they_are_reached(monkeypatch):
+    """With a budget that holds only some of the steps, the rest are bound
+    anew in every solve, and every answer is still a stored solve's."""
+    monkeypatch.setattr(engine, "RETAINED_BYTES", 1 << 20)
+    engine._RETAINED.flats.clear()
+    assert_warm_equals_stored(1, 1024, (1, 2), (300, 900))
+    assert 0 < len(engine._RETAINED.bound) < 1024
+    assert_warm_equals_stored(1, 1024, (1, 2), (300, 900))
+    engine._RETAINED.flats.clear()      # leave no mapping sized for this budget

@@ -33,8 +33,9 @@ the change was faster in.
 
 --sets S runs S such interleaved sets one after another, set j with seed
 K+j and a fresh pair of workers, and prints each set's summary as it ends,
-then the median and the range of the sets' median ratios and the rounds
-the change was faster in over all sets.  figure1's median ratios have
+then the median and the range of the sets' median ratios, the rounds
+the change was faster in over all sets and a 95% bootstrap interval of
+the median ratio over the sets.  figure1's median ratios have
 moved more between sets with fresh workers than the quartiles of one set
 suggest (benchmarks/ell_masks_runs.txt), so a claim of a few percent
 rests on several sets.
@@ -44,8 +45,9 @@ the git sha that each checkout's .git names (read from the files, so a
 tree with uncommitted changes shows its HEAD), the machine (platform and
 the CPU model of /proc/cpuinfo), the numpy and Python versions, the
 rounds, sets and first seed, each set's per-call quartiles of both sides
-with its ratio summary and wins, and the summary over the sets
-(sets_summary).  An A/A run of one checkout (PARENT = CHANGE) records
+with its ratio summary and wins, the summary over the sets
+(sets_summary) and a seeded 95% bootstrap interval of the median ratio
+that resamples the sets (bootstrap_interval).  An A/A run of one checkout (PARENT = CHANGE) records
 that checkout's spread.
 """
 
@@ -55,7 +57,9 @@ import argparse
 import importlib.metadata
 import importlib.util
 import json
+import math
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -177,6 +181,30 @@ def sets_summary(sets: list) -> dict:
             "wins": sum(s["wins"] for s in sets), "rounds": sum(s["rounds"] for s in sets)}
 
 
+# The bootstrap of the median ratio over sets: resamples and seed.
+BOOTSTRAP_RESAMPLES = 10_000
+BOOTSTRAP_SEED = 0
+
+
+def bootstrap_interval(sets: list, level: float = 0.95,
+                       resamples: int = BOOTSTRAP_RESAMPLES,
+                       seed: int = BOOTSTRAP_SEED) -> dict:
+    """A percentile bootstrap interval of the median ratio over the sets
+    (interleave_summary results): each resample draws as many sets as
+    there are, with replacement, from a seeded random.Random, and takes
+    the median of their median ratios.  Sets, not the rounds of one set,
+    are resampled: the ratio moves more between sets with fresh workers
+    than within one.  With few sets the interval is at most their range."""
+    medians = [s["ratio"]["median"] for s in sets]
+    rng = random.Random(seed)
+    stats = sorted(statistics.median(rng.choices(medians, k=len(medians)))
+                   for _ in range(resamples))
+    tail = (1.0 - level) / 2.0
+    return {"level": level, "resamples": resamples, "seed": seed,
+            "lo": stats[int(tail * resamples)],
+            "hi": stats[min(resamples, math.ceil((1.0 - tail) * resamples)) - 1]}
+
+
 def git_sha(tree: Path) -> Optional[str]:
     """The commit tree's HEAD names, read from its .git (a directory, or a
     file `gitdir: PATH`), loose refs first, then packed-refs; None when
@@ -241,6 +269,7 @@ def bench_record(parent: Path, change: Path, workload: str, rounds: int, seed0: 
                      "change_ms": quartiles(s["change"]), "ratio": quartiles(s["ratio"]),
                      "wins": s["wins"], "rounds": s["rounds"]} for j, s in enumerate(sets)],
         "over_sets": sets_summary(sets),
+        "bootstrap": bootstrap_interval(sets),
     }
 
 
@@ -304,10 +333,11 @@ def main(argv=None) -> int:
                 return 1
             sets.append(s)
         if args.sets > 1:
-            t = sets_summary(sets)
+            t, b = sets_summary(sets), bootstrap_interval(sets)
             print(f"{args.sets} sets: median ratio over the sets {t['median']:.4f} "
                   f"[range {t['lo']:.4f}, {t['hi']:.4f}]; change faster in "
-                  f"{t['wins']}/{t['rounds']} rounds")
+                  f"{t['wins']}/{t['rounds']} rounds; {b['level']:.0%} bootstrap "
+                  f"interval over sets [{b['lo']:.4f}, {b['hi']:.4f}]")
         out = args.change / "benchmarks" / f"BENCH_{args.workload}.json"
         out.parent.mkdir(exist_ok=True)
         record = bench_record(args.parent, args.change, args.workload, args.interleave,
