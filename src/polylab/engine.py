@@ -118,7 +118,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate, chain
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -259,10 +260,8 @@ class ReportFile:
 
     def discard(self) -> None:
         regular = os.path.isfile(self.path)
-        try:
-            self.fh.close()         # flushes what is buffered, which may fail again
-        except OSError:
-            pass
+        with suppress(OSError):     # closing flushes what is buffered, which may fail again
+            self.fh.close()
         if regular:
             os.remove(self.path)
 
