@@ -820,9 +820,13 @@ class _Retained(threading.local):
                 mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE),
                 bool if role == "masks" else np.float64)) for role, size in sizes.items())
             self.mapped = dict(self.flats)
+        held = sum(f.nbytes for f in self.flats.values())
         for k in range(len(self.bound) + 1, m + 1):
             step = bind(plan[k], lead, self.flats)
-            self.bound_bytes += _object_bytes(step)
+            size = _object_bytes(step)
+            if held + self.bound_bytes + size > RETAINED_BYTES:
+                break
+            self.bound_bytes += size
             self.bound.append(step)
         return self.bound
 
