@@ -10,7 +10,7 @@ from .functionals import (LocalizationReport, alpha_floor, alpha_profile,
 from .harness import (ExperimentConfig, ReplicationRecord, histogram,
                       parse_law_spec, run_replications, scaling_study,
                       summary_stats)
-from .lattice import neighbors, overlap, reachable_sites, validate_path
+from .lattice import neighbors, validate_path
 from .laws import (EnvironmentLaw, LawValidationError, check_ibp,
                    check_poincare, check_poincare_tensorized, kappa,
                    make_table_law, make_uniform, phi, poincare_constant)

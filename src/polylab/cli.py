@@ -27,10 +27,10 @@ from dataclasses import replace
 
 from . import functionals, laws, verify
 from .engine import NumericalError, forward_backward
-from .harness import (DEFAULT_LAW, FIGURE1, ConfigError, ExperimentConfig, ReportFile,
-                      histogram, parse_law_spec, run_replications, scaling_study,
-                      summary_stats, write_histogram_csv, write_profile_csv,
-                      write_report_csv, worker_count)
+from .harness import (DEFAULT_LAW, FIGURE1, ConfigError, ExperimentConfig, histogram,
+                      parse_law_spec, profile_file, profile_rows, report_file,
+                      report_rows, run_replications, scaling_study, summary_stats,
+                      write_histogram_csv, write_report_csv, worker_count)
 from .rng import replication_seed
 
 EXIT_OK = 0
@@ -99,29 +99,32 @@ def _write_text(text: str, path: str) -> None:
 
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    _check_writable("--out", args.out)
+    outputs = [("--out", args.out, report_file)]
     if args.profiles:
-        _check_writable("--profiles", args.profiles)
-    # the report's header is written before any solve, so an output that
-    # cannot take data (/dev/full) fails first; a failed solve leaves no
-    # partial report
-    with _writing("--out", args.out):
-        out = ReportFile(args.out)
+        outputs.append(("--profiles", args.profiles, profile_file))
+    for flag, path, _ in outputs:
+        _check_writable(flag, path)
+    # every header is written before any solve, so an output that cannot
+    # take data (/dev/full) fails first; a failed write or solve leaves no
+    # file
+    files = []
     try:
+        for flag, path, open_file in outputs:
+            with _writing(flag, path):
+                files.append(open_file(path))
         records = run_replications(config, workers=args.workers)
-        report = None
+        rows = [report_rows(records)]
         if args.profiles:
             inst = config.instance(replication_seed(config.base_seed, 0), config.law)
-            sol = forward_backward(inst, keep_forward=False)
-            report = functionals.build_report(sol)
+            rows.append(profile_rows(functionals.build_report(
+                forward_backward(inst, keep_forward=False))))
+        for (flag, path, _), out, data in zip(outputs, files, rows):
+            with _writing(flag, path):
+                out.finish(data)
     except BaseException:
-        out.discard()
+        for out in files:
+            out.discard()
         raise
-    with _writing("--out", args.out):
-        out.finish(records)
-    if report is not None:
-        _write("--profiles", args.profiles, write_profile_csv, report.alpha_profile,
-               report.gamma_profile, report.tau_profile)
     print(f"wrote {len(records)} replications to {args.out}")
     return EXIT_OK
 

@@ -267,12 +267,11 @@ def _sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
     Each step is one add of contiguous flat slices (lattice.step_geometry)
     on frames of the larger layer.  Padding adds +0.0, so every cell gets
     the same terms in the same order as from windows.  Up, the sum is
-    written into the layer of the bound step (bound, or here bound anew:
-    lattice.bind) through its slice pairs, or through pairs on a new
-    frame where the step has none."""
+    written into the layer of bound, step k as the forward sweep bound it
+    (lattice.bind), through its slice pairs, or through pairs on a new
+    frame where the step has none.  Framing reads the layer before the sum
+    is written, so the layer and the sum may share a buffer."""
     if up:
-        if bound is None:
-            bound = bind(here, lead)
         if bound.frame is None:     # a frame of its own, freed when the sum ends
             sums = sum_pairs(here, bound.layer, framed(layer, here, 0.0).reshape(-1))
         else:
@@ -298,21 +297,17 @@ def _stencil(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
     source, out, pairs).  Each (into, take) of pairs reads source[take] into
     out[into].
 
-    Up, source is the step-(k-1) layer padded with fill in the frame of
-    the bound step (bound, or here bound anew), or in a new frame where the
-    step has none, and out is the result itself, the bound layer.  Framing
-    reads the layer before the result is written, so the layer and the
-    result may share a buffer.  Down, source
-    is the step-(k+1) layer and out a new frame of its shape, whose cells
-    [0, k+1)^d the caller copies into the result.  The result outlives the
-    frames and is allocated before them, so freed frames leave no holes
-    between longer-lived layers: the other way round, figure1's peak RSS
-    was about 1 MiB higher."""
+    Up, source is the step-(k-1) layer padded with fill in a new frame,
+    and out is the result itself, the layer of bound (step k as the forward
+    sweep bound it).  Only _log_sum sums up here, and only at beta > 0,
+    whose steps have no retained frame.  Down, source is the step-(k+1)
+    layer and out a new frame of its shape, whose cells [0, k+1)^d the
+    caller copies into the result.  The result outlives the frames and is
+    allocated before them, so freed frames leave no holes between
+    longer-lived layers: the other way round, figure1's peak RSS was about
+    1 MiB higher."""
     if up:
-        if bound is None:
-            bound = bind(here, lead)
-        source = (framed(layer, here, fill).reshape(-1) if bound.frame is None
-                  else bound.frame.hold(layer, fill))
+        source = framed(layer, here, fill).reshape(-1)
         return bound.layer, source, bound.layer.reshape(-1), here.up
     result = np.empty(lead + here.shape)
     source = layer.reshape(-1)
@@ -773,15 +768,13 @@ class _Retained(threading.local):
     RETAINED_BYTES together: a solve binds as many steps as fit, with the
     flats sized for the largest, and binds every later step anew as it
     reaches it, as a fresh solve does.  The bound steps view the mappings,
-    so they are bound again whenever a mapping is remapped (a longer solve,
-    or flats cleared), and they are kept for one (d, leading axes) at a
-    time.  Each thread has its own set, so concurrent solves never share
-    one, and the mappings are private, so a forked worker writes to its own
-    copy."""
+    so they are bound again whenever a mapping is remapped (a longer
+    solve), and they are kept for one (d, leading axes) at a time.  Each
+    thread has its own set, so concurrent solves never share one, and the
+    mappings are private, so a forked worker writes to its own copy."""
 
     def __init__(self):
         self.flats = {}         # role -> flat array over its mapping
-        self.mapped = {}        # the flats that the bound steps view
         self.key = None         # (d, lead) of the bound steps
         self.bound = []         # the bound steps 1..len(bound)
         self.planned = 0        # the longest solve they were planned for
@@ -791,8 +784,7 @@ class _Retained(threading.local):
         """Bound steps 1..m (m <= n) of a streamed beta=0 solve with the
         step plan of (d, n) and leading axes lead, all on the flats."""
         d, n = len(plan[0].shape), len(plan) - 1
-        if (d, lead) != self.key or len(self.flats) != len(self.mapped) or any(
-                self.flats.get(role) is not flat for role, flat in self.mapped.items()):
+        if (d, lead) != self.key:
             self._drop((d, lead))
         if n <= self.planned:
             return self.bound
@@ -819,7 +811,6 @@ class _Retained(threading.local):
             self.flats.update((role, np.frombuffer(
                 mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE),
                 bool if role == "masks" else np.float64)) for role, size in sizes.items())
-            self.mapped = dict(self.flats)
         held = sum(f.nbytes for f in self.flats.values())
         for k in range(len(self.bound) + 1, m + 1):
             step = bind(plan[k], lead, self.flats)
@@ -833,7 +824,6 @@ class _Retained(threading.local):
     def _drop(self, key) -> None:
         """Forget every bound step: the next are bound for key from step 1."""
         self.key, self.bound, self.planned, self.bound_bytes = key, [], 0, 0
-        self.mapped = dict(self.flats)
 
 
 _RETAINED = _Retained()

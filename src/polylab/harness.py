@@ -228,35 +228,27 @@ def histogram(records: Sequence[ReplicationRecord],
     return edges, counts
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
-
-
 class ReportFile:
-    """The report CSV at path (replication,rho,ell,log_partition), written
-    in two parts: the header as it is opened, flushed, so that a file which
-    cannot take data fails before any replication is solved, and the rows
-    at finish, which closes it.  discard closes it and removes it, if it is
-    a regular file, so that a failed run leaves no partial report."""
+    """A CSV at path, written in two parts: its header as it is opened,
+    flushed, so that a file which cannot take data fails before any
+    replication is solved, and its rows at finish, which closes it.
+    discard closes it and removes it, if it is a regular file, so that a
+    failed run leaves no partial file."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, header: Sequence[str]):
         self.path = path
         self.fh = open(path, "w", newline="")
         try:
             self.writer = csv.writer(self.fh)
-            self.writer.writerow(["replication", "rho", "ell", "log_partition"])
+            self.writer.writerow(header)
             self.fh.flush()
         except BaseException:
             self.discard()
             raise
 
-    def finish(self, records: Sequence[ReplicationRecord]) -> None:
+    def finish(self, rows: Iterable[list]) -> None:
         with self.fh:
-            self.writer.writerows([rec.index, f"{rec.rho:.17g}", f"{rec.ell:.17g}",
-                                   f"{rec.log_partition:.17g}"] for rec in records)
+            self.writer.writerows(rows)
 
     def discard(self) -> None:
         regular = os.path.isfile(self.path)
@@ -266,22 +258,38 @@ class ReportFile:
             os.remove(self.path)
 
 
+def report_file(path: str) -> ReportFile:
+    """The report CSV at path, its header replication,rho,ell,log_partition
+    written: finish it with report_rows."""
+    return ReportFile(path, ["replication", "rho", "ell", "log_partition"])
+
+
+def report_rows(records: Sequence[ReplicationRecord]) -> Iterable[list]:
+    return ([rec.index, f"{rec.rho:.17g}", f"{rec.ell:.17g}", f"{rec.log_partition:.17g}"]
+            for rec in records)
+
+
 def write_report_csv(records: Sequence[ReplicationRecord], path: str) -> None:
-    """Report CSV: replication,rho,ell,log_partition (ReportFile)."""
-    ReportFile(path).finish(records)
+    """Report CSV: replication,rho,ell,log_partition (report_file)."""
+    report_file(path).finish(report_rows(records))
 
 
 def write_histogram_csv(edges: np.ndarray, counts: np.ndarray, path: str) -> None:
-    _write_csv(path, ["bin_lo", "bin_hi", "count"],
-               ([f"{lo:.17g}", f"{hi:.17g}", int(c)]
-                for lo, hi, c in zip(edges[:-1], edges[1:], counts)))
+    ReportFile(path, ["bin_lo", "bin_hi", "count"]).finish(
+        [f"{lo:.17g}", f"{hi:.17g}", int(c)] for lo, hi, c in zip(edges[:-1], edges[1:], counts))
 
 
-def write_profile_csv(alpha: np.ndarray, gamma: np.ndarray, tau: np.ndarray,
-                      path: str) -> None:
-    _write_csv(path, ["k", "alpha", "gamma", "tau"],
-               ([k, f"{a:.17g}", f"{g:.17g}", f"{t:.17g}"]
-                for k, (a, g, t) in enumerate(zip(alpha, gamma, tau), 1)))
+def profile_file(path: str) -> ReportFile:
+    """The per-k profile CSV at path, its header k,alpha,gamma,tau written:
+    finish it with profile_rows."""
+    return ReportFile(path, ["k", "alpha", "gamma", "tau"])
+
+
+def profile_rows(report: functionals.LocalizationReport) -> Iterable[list]:
+    """One row per step k of report's alpha, gamma and tau profiles."""
+    profiles = zip(report.alpha_profile, report.gamma_profile, report.tau_profile)
+    return ([k, f"{a:.17g}", f"{g:.17g}", f"{t:.17g}"]
+            for k, (a, g, t) in enumerate(profiles, 1))
 
 
 def scaling_study(d: int, n_grid: Sequence[int], base_seed: int = 0,

@@ -26,9 +26,9 @@ engine's neighbour sums and PathDP look them up once per solve or push,
 not once per op.
 
 The rest of the module is coordinate-level: neighbor enumeration (x plus
-the unit steps of step_vectors), cone iteration and masks, path
-validation (an integer array, read as int64), overlap counting, and the
-max-sum path dynamic program.
+the unit steps of step_vectors), cone membership and masks, path
+validation (an integer array, read as int64) and the max-sum path
+dynamic program.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from __future__ import annotations
 import copy
 import math
 from functools import lru_cache
-from itertools import product
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -172,14 +171,12 @@ def framed(layer: np.ndarray, step: Step, fill: float) -> np.ndarray:
 
 
 class Moves(NamedTuple):
-    """PathDP.push's views at step k: the frame it holds the step-(k-1)
-    scores in (None where they were framed anew), the step-k scores (best,
-    shape (batch,) + the step-k shape), move 0 as (edge, into, take) and
-    every other move c as (edge, take, into, mask) on the flattened scores,
-    frame and mask c - 1, with edge the cells [0, o) that into skips (None
-    where o = 0), and the masks as (batch, 2d - 1, cells) for packing."""
+    """PathDP.push's views at step k: the step-k scores (best, shape
+    (batch,) + the step-k shape), move 0 as (edge, into, take) and every
+    other move c as (edge, take, into, mask) on the flattened scores, frame
+    and mask c - 1, with edge the cells [0, o) that into skips (None where
+    o = 0), and the masks as (batch, 2d - 1, cells) for packing."""
 
-    frame: Optional[Frame]
     best: np.ndarray
     first: tuple
     rest: list
@@ -187,15 +184,15 @@ class Moves(NamedTuple):
 
 
 def bind_moves(step: Step, batch: int, source: np.ndarray, score: np.ndarray,
-               masks: np.ndarray, frame: Optional[Frame] = None) -> Moves:
+               masks: np.ndarray) -> Moves:
     """The Moves of step k on the flattened frame source, the flat scores
     score (batch times the step's cells) and masks, 2d - 1 bool rows of
-    that size; frame is source's Frame where push must fill it."""
+    that size."""
     (into, take, edge), *rest = step.moves
     first = (None if edge is None else score[edge], score[into], source[take])
     rest = [(None if edge is None else masks[c, edge], source[take], score[into], masks[c, into])
             for c, (into, take, edge) in enumerate(rest)]
-    return Moves(frame, score.reshape((batch,) + step.shape), first, rest,
+    return Moves(score.reshape((batch,) + step.shape), first, rest,
                  masks.reshape(len(rest), batch, -1).transpose(1, 0, 2))
 
 
@@ -248,7 +245,7 @@ def bind(step: Step, lead: Tuple[int, ...], flats: Optional[dict] = None) -> Bou
     masks = flats["masks"][:(len(step.moves) - 1) * size].reshape(-1, size)
     return Bound(step, layer, layer.reshape(rows, -1), frame,
                  sum_pairs(step, layer, frame.flat), frame.cube.reshape(rows, -1),
-                 bind_moves(step, rows, frame.flat, flats["score"][:size], masks, frame))
+                 bind_moves(step, rows, frame.flat, flats["score"][:size], masks))
 
 
 # Layers of at most this many cells keep their site coordinates between
@@ -303,15 +300,6 @@ def cube_sites(k, u: np.ndarray) -> np.ndarray:
     x = (s[..., :1] - s) >> 1           # x_i = (s_1 - s_i) / 2 for i >= 2
     x[..., 0] = s[..., 0] - x[..., 1:].sum(axis=-1)
     return x
-
-
-def reachable_sites(d: int, k: int) -> Iterator[Site]:
-    """All sites reachable at step k: |x|_1 <= k with the parity of k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    for x in product(range(-k, k + 1), repeat=d):
-        if is_reachable(x, k):
-            yield x
 
 
 def is_reachable(x: Site, k: int) -> bool:
@@ -380,12 +368,11 @@ class PathDP:
 
     def push(self, field: np.ndarray, bound: Optional[Bound] = None) -> None:
         """Add the step-k field (leading axes lead), k the pushes so far
-        plus one, through the Moves of bound, step k as the engine's sweep
-        bound it (bind).  Without them the step is bound here, on new
-        scores, frame and masks."""
+        plus one, through the Moves and the Frame of bound, step k as the
+        engine's sweep bound it (bind).  Without them the step is bound
+        here, on new scores, frame and masks."""
         self.n = k = self.n + 1
-        moves = None if bound is None else bound.moves
-        if moves is None:
+        if bound is None or bound.moves is None:
             step = step_geometry(self.d, k)
             size = self.batch * math.prod(step.shape)
             # the scores outlive the frame: allocated first, as the engine's
@@ -397,7 +384,8 @@ class PathDP:
         else:
             # framing reads the old scores before any score is written, so
             # the two may share a buffer
-            moves.frame.hold(self.best, -np.inf)
+            moves = bound.moves
+            bound.frame.hold(self.best, -np.inf)
         # predecessors y = x + v in lexicographic order of v: mask c - 1
         # holds where move c is strictly better than moves 0..c-1, so the
         # last set mask is the smallest of the tied predecessors.  Move 0
@@ -512,13 +500,3 @@ def validate_path(path: np.ndarray, d: int) -> None:
     ks = np.arange(1, n + 1)
     if np.any(l1 > ks) or np.any((l1 - ks) % 2 != 0):
         raise ValueError("path leaves the reachability cone")
-
-
-def overlap(p: np.ndarray, q: np.ndarray) -> int:
-    """Number of steps k at which the two equal-length paths coincide."""
-    p = np.asarray(p)
-    q = np.asarray(q)
-    if p.shape != q.shape:
-        raise ValueError(f"path shapes differ: {p.shape} vs {q.shape}")
-    return int(np.all(p == q, axis=1).sum())
-

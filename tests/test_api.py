@@ -15,9 +15,8 @@ PUBLIC = [
     "check_poincare_tensorized", "counter_uniform", "derive_seed", "ell",
     "env_layer", "env_value", "forward_backward", "gamma_tau_profiles",
     "histogram", "kappa", "layer_theta", "make_table_law", "make_uniform",
-    "neighbors", "overlap", "parse_law_spec", "phi", "poincare_constant",
-    "primed_estimates", "psi", "reachable_sites", "replication_seed", "rho",
-    "run_replications", "sample_paths", "scaling_study", "summary_stats",
+    "neighbors", "parse_law_spec", "phi", "poincare_constant",
+    "primed_estimates", "psi", "replication_seed", "rho", "run_replications", "sample_paths", "scaling_study", "summary_stats",
     "theta_derivative_check", "validate_path",
 ]
 

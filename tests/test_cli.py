@@ -199,6 +199,21 @@ class TestSimulate:
         err = assert_config_error(code, capsys)
         assert f"--out '/dev/full': [Errno {errno.ENOSPC}]" in err
 
+    def test_a_full_profile_output_fails_before_solving(self, monkeypatch, tmp_path,
+                                                        capsys):
+        """The profile CSV's header is written and flushed before the run as
+        the report's is, so --profiles /dev/full exits 2, naming the flag
+        and the file, without solving a replication, and the report whose
+        header was written is removed."""
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        monkeypatch.setattr(cli, "run_replications", not_called)
+        code = main(["simulate", "--d", "1", "--n", "5", "--beta", "1", "--reps", "3",
+                     "--out", str(tmp_path / "r.csv"), "--profiles", "/dev/full"])
+        err = assert_config_error(code, capsys)
+        assert f"--profiles '/dev/full': [Errno {errno.ENOSPC}]" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("failing", ["run", "profiles"])
     def test_a_failed_solve_leaves_no_report(self, monkeypatch, tmp_path, capsys, failing):
         """A run or a --profiles solve that fails after the report's header

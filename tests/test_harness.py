@@ -135,7 +135,7 @@ def _streamed_peak(d, n, beta, law, size):
     alone, before the trace starts, and tracemalloc does not see a mapping."""
     inst = PolymerInstance(d=d, n=n, beta=beta, law=law,
                            seed=tuple(replication_seed(3, r) for r in range(size)))
-    engine._RETAINED.flats.clear()
+    engine._RETAINED = engine._Retained()
     forward_backward(inst, keep_forward=False, keep_theta=False)
     retained = sum(flat.nbytes for flat in engine._RETAINED.flats.values())
     tracemalloc.start()
@@ -165,8 +165,8 @@ class TestChunks:
         # step of k = 300 bounds it: alpha, the log normalizers, 8 scalars
         # and 5812 choice bytes up to k = 300, then F_300, the step-300
         # scores (written over the layer-299 ones) and the step-300 frame of
-        # the layer-299 scores, and the choice, better and bit-plane bytes of
-        # layer 300
+        # the layer-299 scores, and, per cell of layer 300, 2d - 1 = 1
+        # unpacked mask byte plus 2 bytes of slack
         assert streamed_bytes(1, 300, 0.0) == \
             8 * (2 * 300 + 8) + 5812 + 8 * 3 * 301 + 3 * 301 == 18803
         assert chunk_size(1, 300, 0.0) == 212

@@ -1,4 +1,5 @@
-"""Lattice geometry: neighbor sets, reachability cones, overlap counting."""
+"""Lattice geometry: neighbor sets, reachability cones, path validation and
+the max-sum path program."""
 
 from itertools import product
 
@@ -7,9 +8,10 @@ import pytest
 
 from polylab.lattice import (PathDP, cell_sites, framed, is_reachable,
                              layer_cells, layer_mask, layer_shape, layer_sites,
-                             neighbors, overlap, reachable_sites, site_cells,
-                             step_geometry, step_plan, step_vectors, validate_path)
+                             neighbors, site_cells, step_geometry, step_plan,
+                             step_vectors, validate_path)
 
+from cone_sites import reachable_sites
 from stencil_windows import step_windows
 
 
@@ -163,36 +165,6 @@ def test_d1_layout_is_the_cone():
                                       ((-1,), (Ellipsis, slice(1, k + 1))))
         assert step_geometry(1, k).up == ((slice(0, None), slice(None, None)),
                                           (slice(1, None), slice(None, -1)))
-
-
-class TestOverlap:
-    def test_self_overlap_full(self):
-        p = np.array([[1], [2], [3], [2]])
-        assert overlap(p, p) == 4
-
-    def test_single_match(self):
-        p = np.array([[1], [2], [3]])
-        q = np.array([[1], [0], [1]])
-        assert overlap(p, q) == 1
-
-    def test_two_matches(self):
-        p = np.array([[1], [0], [1]])
-        q = np.array([[-1], [0], [1]])
-        assert overlap(p, q) == 2
-
-    def test_symmetric_and_bounded(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            steps = rng.choice([-1, 1], size=(10, 1))
-            p = np.cumsum(steps, axis=0)
-            steps = rng.choice([-1, 1], size=(10, 1))
-            q = np.cumsum(steps, axis=0)
-            assert overlap(p, q) == overlap(q, p)
-            assert 0 <= overlap(p, q) <= 10
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            overlap(np.array([[1]]), np.array([[1], [2]]))
 
 
 class TestValidatePath:

@@ -169,12 +169,13 @@ def assert_warm_equals_stored(d, n, seed, prefixes=()):
 
 
 @pytest.mark.parametrize("d,n", [(1, 24), (2, 12), (3, 9)])
-def test_a_longer_solve_rebinds_the_steps_it_remaps(d, n):
+def test_a_longer_solve_rebinds_the_steps_it_remaps(monkeypatch, d, n):
     """A longer solve outgrows the mappings and maps new ones; the steps
     bound on the old ones are bound again, so a shorter solve after it is
     still a stored solve's, bit for bit."""
     seed = (5, 6, 7)
-    engine._RETAINED.flats.clear()      # mapped anew, sized for this solve
+    # a fresh set, mapped anew and sized for this solve
+    monkeypatch.setattr(engine, "_RETAINED", engine._Retained())
     assert_warm_equals_stored(d, n, seed, (3, 7))
     before = dict(engine._RETAINED.flats)
     solve(d, 3 * n, seed)
@@ -182,16 +183,6 @@ def test_a_longer_solve_rebinds_the_steps_it_remaps(d, n):
     assert len(engine._RETAINED.bound) == 3 * n
     assert_warm_equals_stored(d, n, seed, (3, 7))
     assert_warm_equals_stored(d, 3 * n, seed)
-
-
-def test_cleared_flats_are_mapped_and_bound_again():
-    assert_warm_equals_stored(3, 9, 5)
-    engine._RETAINED.flats.clear()
-    assert_warm_equals_stored(3, 9, 5)
-    assert len(engine._RETAINED.flats) == 4
-    flats = list(engine._RETAINED.flats.values())
-    bound = engine._RETAINED.bound[-1]
-    assert [flat for flat in flats if np.shares_memory(bound.layer, flat)]
 
 
 def test_another_dimension_or_batch_rebinds():
@@ -215,8 +206,8 @@ def test_steps_past_the_budget_are_bound_as_they_are_reached(monkeypatch):
     """With a budget that holds only some of the steps, the rest are bound
     anew in every solve, and every answer is still a stored solve's."""
     monkeypatch.setattr(engine, "RETAINED_BYTES", 1 << 20)
-    engine._RETAINED.flats.clear()
+    # a fresh set, dropped with the budget when the test ends
+    monkeypatch.setattr(engine, "_RETAINED", engine._Retained())
     assert_warm_equals_stored(1, 1024, (1, 2), (300, 900))
     assert 0 < len(engine._RETAINED.bound) < 1024
     assert_warm_equals_stored(1, 1024, (1, 2), (300, 900))
-    engine._RETAINED.flats.clear()      # leave no mapping sized for this budget

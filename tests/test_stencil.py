@@ -9,7 +9,7 @@ import pytest
 
 from polylab.engine import PolymerInstance, _log_sum, _sum, forward_backward
 from polylab.functionals import alpha_profile, ell
-from polylab.lattice import PathDP, layer_shape, step_geometry
+from polylab.lattice import PathDP, bind, layer_shape, step_geometry
 from polylab.laws import make_uniform
 from polylab.rng import replication_seed
 
@@ -107,11 +107,13 @@ def test_neighbor_sums_match_windowed_reference(d, ks, lead, log, up):
     ref = windowed_log_neighbor_sum if log else windowed_neighbor_sum
     rng = np.random.default_rng([d, len(lead), log, up])
     for k in ks:
-        # up: step k-1 to step k; down: step k+1 to step k
+        # up: step k-1 to step k, into step k bound as the forward sweep
+        # binds it; down: step k+1 to step k
         layer = sparse_layer(rng, lead + layer_shape(d, k - 1 if up else k + 1), log)
+        bound = bind(step_geometry(d, k), lead) if up else None
         with np.errstate(invalid="raise", over="raise"):
             got = new(layer, lead, step_geometry(d, k),
-                      step_geometry(d, k + (not up)), up)
+                      step_geometry(d, k + (not up)), up, bound)
         assert_bits_equal(got, ref(layer, d, k, up))
 
 
