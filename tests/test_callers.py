@@ -12,7 +12,10 @@ never fails one that a program calls.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import polylab
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "polylab"
@@ -94,3 +97,13 @@ def test_the_census_sees_every_kind_of_read():
     tree = ast.parse("from m import a\nimport b\nc = d\ne.f\ndef g(): pass\n")
     assert read_names(tree) == {"a", "d", "e", "f"}
     assert defined_names(tree) == {"c", "g"}
+
+
+def test_each_exported_only_name_is_library_api():
+    """Each exception is a name the package gives its users: an attribute
+    of polylab that README's library section names in code."""
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    for name in EXPORTED_ONLY:
+        assert hasattr(polylab, name), name
+        assert re.search(rf"`{name}[`(]", library), name

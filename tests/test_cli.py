@@ -229,6 +229,24 @@ class TestSimulate:
         assert "non-finite forward layer" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag,rows", [("--out", "report_rows"),
+                                           ("--profiles", "profile_rows")])
+    def test_a_failed_write_removes_every_output(self, monkeypatch, tmp_path, capsys,
+                                                 flag, rows):
+        """A write that fails after both headers were written exits 2,
+        naming its flag, and removes the report and the profile CSV, the
+        one already finished included."""
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+            yield
+        monkeypatch.setattr(cli, rows, full)
+        code = main(["simulate", "--d", "1", "--n", "5", "--beta", "1", "--reps", "2",
+                     "--out", str(tmp_path / "r.csv"),
+                     "--profiles", str(tmp_path / "p.csv")])
+        err = assert_config_error(code, capsys)
+        assert f"{flag} '{tmp_path}" in err and f"[Errno {errno.ENOSPC}]" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFigure1:
     def test_small_run(self, tmp_path):

@@ -1,6 +1,8 @@
 """Harness: replication batches, CSV determinism, histogram, scaling, tail probe."""
 
+import csv
 import dataclasses
+import errno
 import json
 import os
 import pickle
@@ -9,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polylab import engine, lattice
+from polylab import engine, functionals, lattice
 from polylab.engine import (SOLVE_FIXED_BYTES, PolymerInstance, draw_bytes,
                             forward_backward, log_space, streamed_bytes)
 from polylab.lattice import layer_cells
@@ -18,9 +20,10 @@ from polylab.functionals import ell as ell_fn
 from polylab.functionals import rho as rho_fn
 from polylab import harness
 from polylab.harness import (ConfigError, ExperimentConfig, ReplicationRecord,
-                             chunk_size, histogram, parse_law_spec,
-                             run_replications, scaling_study, summary_stats,
-                             worker_count, write_histogram_csv,
+                             ReportFile, chunk_size, histogram, parse_law_spec,
+                             profile_file, profile_rows, report_file,
+                             report_rows, run_replications, scaling_study,
+                             summary_stats, worker_count, write_histogram_csv,
                              write_report_csv)
 from polylab.rng import replication_seed
 from polylab.verify import binomial_rho
@@ -117,6 +120,51 @@ class TestRunReplications:
         par = run_replications(CFG, workers=2)
         for a, b in zip(records, par):
             assert (a.rho, a.ell, a.log_partition) == (b.rho, b.ell, b.log_partition)
+
+
+class TestReportFile:
+    def test_the_header_is_on_disk_before_the_rows(self, tmp_path):
+        """Opening writes and flushes the header alone; finish adds the rows
+        and closes, giving write_report_csv's bytes."""
+        records = run_replications(dataclasses.replace(CFG, replications=2))
+        p, q = tmp_path / "a.csv", tmp_path / "b.csv"
+        out = report_file(str(p))
+        assert p.read_bytes() == b"replication,rho,ell,log_partition\r\n"
+        out.finish(report_rows(records))
+        assert out.fh.closed
+        write_report_csv(records, str(q))
+        assert p.read_bytes() == q.read_bytes()
+
+    def test_discard_removes_the_partial_file(self, tmp_path):
+        p = tmp_path / "r.csv"
+        out = ReportFile(str(p), ["a", "b"])
+        out.discard()
+        assert out.fh.closed
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_header_that_cannot_be_written_leaves_no_file(self, monkeypatch, tmp_path):
+        class Full:
+            def writerow(self, row):
+                raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(harness.csv, "writer", lambda fh: Full())
+        with pytest.raises(OSError):
+            ReportFile(str(tmp_path / "h.csv"), ["bin_lo", "bin_hi", "count"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_profile_rows_read_back_exactly(self, tmp_path):
+        """One row per step k = 1..n, each profile value read back bit for
+        bit."""
+        inst = CFG.instance(replication_seed(CFG.base_seed, 0), CFG.law)
+        report = functionals.build_report(forward_backward(inst, keep_forward=False))
+        p = tmp_path / "p.csv"
+        profile_file(str(p)).finish(profile_rows(report))
+        with open(p, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["k", "alpha", "gamma", "tau"]
+        assert [int(row[0]) for row in rows] == list(range(1, CFG.n + 1))
+        profiles = (report.alpha_profile, report.gamma_profile, report.tau_profile)
+        for column, profile in zip(list(zip(*rows))[1:], profiles):
+            assert [float(v) for v in column] == list(profile)
 
 
 def _data(records):
