@@ -10,10 +10,17 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 failure, 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports
 a writer stopped by a closed pipe).  An input file that cannot be read or
-decoded, an output path the OS refuses (any OSError but a closed stdout)
+decoded, a size too large to allocate (MemoryError), an output path the OS
+refuses (any OSError but a closed stdout), one file named by two outputs
 and a failed write to an output file (a full disk, say) are config errors;
-the last two name the flag and the file.  Every subcommand is
-deterministic given its flags.
+the last three name the flag and the file.
+
+Every command that writes files does so one way (_outputs): it checks every
+input that needs no solve, then opens every output, a CSV's header written
+and flushed, then computes, then finishes each output.  So a refused
+command touches no file, and a command that fails once its outputs are open
+removes every output it opened, one that existed before included.  Every
+subcommand is deterministic given its flags.
 """
 
 from __future__ import annotations
@@ -22,15 +29,16 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import replace
 
 from . import functionals, laws, verify
 from .engine import NumericalError, forward_backward
-from .harness import (DEFAULT_LAW, FIGURE1, ConfigError, ExperimentConfig, histogram,
-                      parse_law_spec, profile_file, profile_rows, report_file,
-                      report_rows, run_replications, scaling_study, summary_stats,
-                      write_histogram_csv, write_report_csv, worker_count)
+from .harness import (DEFAULT_LAW, FIGURE1, ConfigError, ExperimentConfig, ReportFile,
+                      histogram, histogram_file, histogram_rows, parse_law_spec,
+                      profile_file, profile_rows, report_file, report_rows,
+                      run_replications, scaling_instances, scaling_study,
+                      summary_stats, worker_count)
 from .rng import replication_seed
 
 EXIT_OK = 0
@@ -61,70 +69,66 @@ def _config_from_args(args) -> ExperimentConfig:
         base_seed=args.seed if args.seed is not None else 0)
 
 
-def _check_writable(flag: str, path: str) -> None:
-    """Refuse an output path that cannot take a file, before any solve: a
-    directory, a path whose directory does not exist, or a name the OS
-    refuses (os.stat fails other than for a missing file, and main reports
-    the OSError as a config error).  Creates nothing."""
-    if os.path.isdir(path):
-        raise ConfigError(f"{flag} {path!r} is a directory")
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        raise ConfigError(f"{flag} {path!r}: no directory {parent!r}")
-    with suppress(FileNotFoundError):
-        os.stat(path)
-
-
 @contextmanager
 def _writing(flag: str, path: str):
     """An OSError in the body reported as a config error that names the
-    flag and the file: a path that passed _check_writable can still fail
-    on its first write, as /dev/full does."""
+    flag and the file."""
     try:
         yield
     except OSError as exc:
         raise ConfigError(f"{flag} {path!r}: {exc}") from None
 
 
-def _write(flag: str, path: str, write, *data) -> None:
-    """write(*data, path), its OSError a config error (_writing)."""
-    with _writing(flag, path):
-        write(*data, path)
+@contextmanager
+def _outputs(*outputs):
+    """A command's outputs, opened for the with body, which computes and
+    then calls the function it is given with one body of lines per output
+    to finish each.  Enter it once every input check that needs no solve
+    has passed.
 
-
-def _write_text(text: str, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def cmd_simulate(args) -> int:
-    config = _config_from_args(args)
-    outputs = [("--out", args.out, report_file)]
-    if args.profiles:
-        outputs.append(("--profiles", args.profiles, profile_file))
+    outputs are (flag, path, open_file) triples, path None for an output
+    not asked for.  Two outputs of one real path are refused before any is
+    opened.  open_file(path) opens a harness.ReportFile, which writes and
+    flushes its head, so /dev/full fails before any work.  Any failure
+    discards every file opened, one that existed before included, and an
+    OSError of a file is a config error that names its flag and the file."""
+    outputs = [out for out in outputs if out[1] is not None]
+    named = {}
     for flag, path, _ in outputs:
-        _check_writable(flag, path)
-    # every header is written before any solve, so an output that cannot
-    # take data (/dev/full) fails first; a failed write or solve leaves no
-    # file
+        first = named.setdefault(os.path.realpath(path), (flag, path))
+        if first != (flag, path):
+            raise ConfigError(f"{flag} {path!r} names the file of {first[0]} {first[1]!r}")
     files = []
+
+    def finish(*bodies):
+        for (flag, path, _), out, body in zip(outputs, files, bodies, strict=True):
+            with _writing(flag, path):
+                out.finish(body)
+
     try:
         for flag, path, open_file in outputs:
             with _writing(flag, path):
                 files.append(open_file(path))
-        records = run_replications(config, workers=args.workers)
-        rows = [report_rows(records)]
-        if args.profiles:
-            inst = config.instance(replication_seed(config.base_seed, 0), config.law)
-            rows.append(profile_rows(functionals.build_report(
-                forward_backward(inst, keep_forward=False))))
-        for (flag, path, _), out, data in zip(outputs, files, rows):
-            with _writing(flag, path):
-                out.finish(data)
+        yield finish
     except BaseException:
         for out in files:
             out.discard()
         raise
+
+
+def cmd_simulate(args) -> int:
+    config = _config_from_args(args)
+    config.law.validate()       # before any output opens; run_replications checks it again
+    workers = worker_count(args.workers)
+    with _outputs(("--out", args.out, report_file),
+                  ("--profiles", args.profiles, profile_file)) as finish:
+        records = run_replications(config, workers=workers)
+        bodies = [report_rows(records)]
+        if args.profiles is not None:
+            inst = config.instance(replication_seed(config.base_seed, 0), config.law)
+            bodies.append(profile_rows(functionals.build_report(
+                forward_backward(inst, keep_forward=False))))
+        finish(*bodies)
     print(f"wrote {len(records)} replications to {args.out}")
     return EXIT_OK
 
@@ -132,15 +136,14 @@ def cmd_simulate(args) -> int:
 def cmd_figure1(args) -> int:
     config = replace(FIGURE1, replications=args.reps, base_seed=args.seed)
     histogram([], args.bins)        # refuses too few bins before any solve
-    for suffix in ("_report.csv", "_histogram.csv", "_summary.json"):
-        _check_writable("--out-prefix", args.out_prefix + suffix)
-    records = run_replications(config, workers=args.workers)
-    edges, counts = histogram(records, args.bins)
-    summary = json.dumps(summary_stats(records), indent=2, sort_keys=True) + "\n"
-    for suffix, write, *data in [("_report.csv", write_report_csv, records),
-                                 ("_histogram.csv", write_histogram_csv, edges, counts),
-                                 ("_summary.json", _write_text, summary)]:
-        _write("--out-prefix", args.out_prefix + suffix, write, *data)
+    workers = worker_count(args.workers)
+    prefix = args.out_prefix
+    with _outputs(("--out-prefix", prefix + "_report.csv", report_file),
+                  ("--out-prefix", prefix + "_histogram.csv", histogram_file),
+                  ("--out-prefix", prefix + "_summary.json", ReportFile)) as finish:
+        records = run_replications(config, workers=workers)
+        summary = json.dumps(summary_stats(records), indent=2, sort_keys=True) + "\n"
+        finish(report_rows(records), histogram_rows(*histogram(records, args.bins)), [summary])
     print(summary, end="")
     return EXIT_OK
 
@@ -151,14 +154,14 @@ def cmd_scaling(args) -> int:
     except ValueError:
         raise ConfigError(f"--n-grid wants comma-separated integers, "
                           f"got {args.n_grid!r}") from None
-    if args.out:
-        _check_writable("--out", args.out)
-    rows, slope = scaling_study(args.d, n_grid)
-    table = "n,ell,rho\n" + "".join(f"{n},{l:.17g},{r:.17g}\n" for n, l, r in rows)
-    print(table, end="")
+    scaling_instances(args.d, n_grid)       # refuses a bad d or grid before any open
+    head = "n,ell,rho\n"
+    with _outputs(("--out", args.out, lambda path: ReportFile(path, head))) as finish:
+        rows, slope = scaling_study(args.d, n_grid)
+        table = "".join(f"{n},{l:.17g},{r:.17g}\n" for n, l, r in rows)
+        finish([table])
+    print(head + table, end="")
     print(f"log-log slope of ell vs n: {slope:.4f}")
-    if args.out:
-        _write("--out", args.out, _write_text, table)
     return EXIT_OK
 
 
@@ -181,13 +184,10 @@ def cmd_env_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.report:
-        _check_writable("--report", args.report)
-    checks = verify.run_checks(fast=not args.full)
-    if args.report:
-        report = json.dumps({"checks": checks,
-                             "passed": all(c["passed"] for c in checks)}, indent=2)
-        _write("--report", args.report, _write_text, report + "\n")
+    with _outputs(("--report", args.report, ReportFile)) as finish:
+        checks = verify.run_checks(fast=not args.full)
+        finish([json.dumps({"checks": checks,
+                            "passed": all(c["passed"] for c in checks)}, indent=2) + "\n"])
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {c['detail']}")
     failing = [c for c in checks if not c["passed"]]
@@ -256,7 +256,7 @@ def main(argv=None) -> int:
         # the interpreter flushes stdout again at exit: give it a sink
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (ConfigError, laws.LawValidationError, OSError) as exc:
+    except (ConfigError, laws.LawValidationError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, RuntimeError) as exc:

@@ -1,5 +1,7 @@
 """Batch experiment driver: replicated simulations over independent
-environments, histogram/CSV emission and the beta=0 scaling study.
+environments, their histogram, the beta=0 scaling study and the output
+files: a ReportFile is opened with its head (a CSV's header) written
+before any work, finished with its rows, or discarded.
 
 An ExperimentConfig and scaling_study check their polymer's d, n, beta and
 seed by building its PolymerInstance, which holds those rules, and report a
@@ -20,7 +22,6 @@ config, so no wall-clock time goes into a record or a report.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from contextlib import suppress
@@ -229,26 +230,25 @@ def histogram(records: Sequence[ReplicationRecord],
 
 
 class ReportFile:
-    """A CSV at path, written in two parts: its header as it is opened,
-    flushed, so that a file which cannot take data fails before any
-    replication is solved, and its rows at finish, which closes it.
-    discard closes it and removes it, if it is a regular file, so that a
-    failed run leaves no partial file."""
+    """A text file at path, written in two parts: head as it is opened,
+    flushed, so that a file which cannot take data fails before any work
+    (a CSV's header; a JSON document opens with an empty head), and its
+    lines at finish, which closes it.  discard closes it and removes it, if
+    it is a regular file, so that a failed run leaves no partial file."""
 
-    def __init__(self, path: str, header: Sequence[str]):
+    def __init__(self, path: str, head: str = ""):
         self.path = path
         self.fh = open(path, "w", newline="")
         try:
-            self.writer = csv.writer(self.fh)
-            self.writer.writerow(header)
+            self.fh.write(head)
             self.fh.flush()
         except BaseException:
             self.discard()
             raise
 
-    def finish(self, rows: Iterable[list]) -> None:
+    def finish(self, lines: Iterable[str]) -> None:
         with self.fh:
-            self.writer.writerows(rows)
+            self.fh.writelines(lines)
 
     def discard(self) -> None:
         regular = os.path.isfile(self.path)
@@ -258,38 +258,59 @@ class ReportFile:
             os.remove(self.path)
 
 
+def _csv(*fields) -> str:
+    """One CSV line, ended as the csv module ends it: a float with 17
+    significant digits, any other field (a name, an int) as str gives it.
+    No field needs quoting."""
+    return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in fields) + "\r\n"
+
+
 def report_file(path: str) -> ReportFile:
     """The report CSV at path, its header replication,rho,ell,log_partition
     written: finish it with report_rows."""
-    return ReportFile(path, ["replication", "rho", "ell", "log_partition"])
+    return ReportFile(path, _csv("replication", "rho", "ell", "log_partition"))
 
 
-def report_rows(records: Sequence[ReplicationRecord]) -> Iterable[list]:
-    return ([rec.index, f"{rec.rho:.17g}", f"{rec.ell:.17g}", f"{rec.log_partition:.17g}"]
-            for rec in records)
+def report_rows(records: Sequence[ReplicationRecord]) -> Iterable[str]:
+    return (_csv(rec.index, rec.rho, rec.ell, rec.log_partition) for rec in records)
 
 
-def write_report_csv(records: Sequence[ReplicationRecord], path: str) -> None:
-    """Report CSV: replication,rho,ell,log_partition (report_file)."""
-    report_file(path).finish(report_rows(records))
+def histogram_file(path: str) -> ReportFile:
+    """The histogram CSV at path, its header bin_lo,bin_hi,count written:
+    finish it with histogram_rows."""
+    return ReportFile(path, _csv("bin_lo", "bin_hi", "count"))
 
 
-def write_histogram_csv(edges: np.ndarray, counts: np.ndarray, path: str) -> None:
-    ReportFile(path, ["bin_lo", "bin_hi", "count"]).finish(
-        [f"{lo:.17g}", f"{hi:.17g}", int(c)] for lo, hi, c in zip(edges[:-1], edges[1:], counts))
+def histogram_rows(edges: np.ndarray, counts: np.ndarray) -> Iterable[str]:
+    """One row per bin of histogram's (edges, counts)."""
+    return (_csv(lo, hi, int(c)) for lo, hi, c in zip(edges[:-1], edges[1:], counts))
 
 
 def profile_file(path: str) -> ReportFile:
     """The per-k profile CSV at path, its header k,alpha,gamma,tau written:
     finish it with profile_rows."""
-    return ReportFile(path, ["k", "alpha", "gamma", "tau"])
+    return ReportFile(path, _csv("k", "alpha", "gamma", "tau"))
 
 
-def profile_rows(report: functionals.LocalizationReport) -> Iterable[list]:
+def profile_rows(report: functionals.LocalizationReport) -> Iterable[str]:
     """One row per step k of report's alpha, gamma and tau profiles."""
     profiles = zip(report.alpha_profile, report.gamma_profile, report.tau_profile)
-    return ([k, f"{a:.17g}", f"{g:.17g}", f"{t:.17g}"]
-            for k, (a, g, t) in enumerate(profiles, 1))
+    return (_csv(k, *values) for k, values in enumerate(profiles, 1))
+
+
+def scaling_instances(d: int, n_grid: Sequence[int], base_seed: int = 0,
+                      law_spec: str = DEFAULT_LAW) -> List[PolymerInstance]:
+    """The beta=0 instances of scaling_study's grid, one per n, in grid
+    order.  d, every n and base_seed follow PolymerInstance's rules, and a
+    slope needs two distinct n; anything else is a ConfigError."""
+    law = parse_law_spec(law_spec)
+    try:    # beta=0 draws nothing, but base_seed is checked all the same
+        insts = [PolymerInstance(d=d, n=n, beta=0.0, law=law, seed=base_seed) for n in n_grid]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"scaling needs integers d, n >= 1 and base_seed: {exc}") from None
+    if len({inst.n for inst in insts}) < 2:
+        raise ConfigError(f"a slope needs at least two distinct n, got {list(n_grid)}")
+    return insts
 
 
 def scaling_study(d: int, n_grid: Sequence[int], base_seed: int = 0,
@@ -303,16 +324,10 @@ def scaling_study(d: int, n_grid: Sequence[int], base_seed: int = 0,
     bit for bit as its own solve would.
     Returns (rows, slope) where rows are (n, ell, rho) in grid order and
     slope is the fitted log-log slope of ell against n, which needs two
-    distinct n.  d, every n and base_seed follow PolymerInstance's rules.
+    distinct n.  The grid is checked by scaling_instances.
     """
-    law = parse_law_spec(law_spec)
-    try:    # beta=0 draws nothing, but base_seed is checked all the same
-        insts = [PolymerInstance(d=d, n=n, beta=0.0, law=law, seed=base_seed) for n in n_grid]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"scaling needs integers d, n >= 1 and base_seed: {exc}") from None
+    insts = scaling_instances(d, n_grid, base_seed, law_spec)
     sizes = [inst.n for inst in insts]
-    if len(set(sizes)) < 2:
-        raise ConfigError(f"a slope needs at least two distinct n, got {list(n_grid)}")
     sol = forward_backward(max(insts, key=lambda inst: inst.n), keep_forward=False,
                            keep_theta=False, prefixes=sizes)
     rows = []

@@ -14,8 +14,8 @@ import pytest
 from polylab import verify
 from polylab.engine import PolymerInstance, forward_backward, sample_paths
 from polylab.functionals import rho
-from polylab.harness import (ExperimentConfig, run_replications, scaling_study,
-                             write_report_csv)
+from polylab.harness import (ExperimentConfig, report_file, report_rows,
+                             run_replications, scaling_study)
 from polylab.lattice import site_cells
 from polylab.rng import derive_seed
 
@@ -139,7 +139,7 @@ def test_criterion_11_environment_battery():
 
 def test_criterion_12_determinism(figure1_records, tmp_path):
     p1, p2 = tmp_path / "run1.csv", tmp_path / "run2.csv"
-    write_report_csv(figure1_records, str(p1))
-    write_report_csv(run_replications(FIG1), str(p2))
+    report_file(str(p1)).finish(report_rows(figure1_records))
+    report_file(str(p2)).finish(report_rows(run_replications(FIG1)))
     _report(12, "byte-identical rerun of the histogram config",
             p1.read_bytes() == p2.read_bytes())

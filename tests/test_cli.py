@@ -214,6 +214,23 @@ class TestSimulate:
         assert f"--profiles '/dev/full': [Errno {errno.ENOSPC}]" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("second", ["same.csv", "./same.csv", "link.csv"])
+    def test_one_file_named_by_two_outputs_is_refused(self, monkeypatch, tmp_path, capsys,
+                                                      second):
+        """--out and --profiles of one real path (the profile rows would
+        overwrite the report) exit 2 before any solve, naming both flags,
+        and leave the file as it was."""
+        monkeypatch.setattr(cli, "run_replications", not_called)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "same.csv").write_bytes(b"kept\n")
+        (tmp_path / "link.csv").symlink_to("same.csv")
+        code = main(["simulate", "--d", "1", "--n", "5", "--beta", "1", "--reps", "3",
+                     "--out", "same.csv", "--profiles", second])
+        err = assert_config_error(code, capsys)
+        assert f"--profiles {second!r} names the file of --out 'same.csv'" in err
+        assert (tmp_path / "same.csv").read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "same.csv"]
+
     @pytest.mark.parametrize("failing", ["run", "profiles"])
     def test_a_failed_solve_leaves_no_report(self, monkeypatch, tmp_path, capsys, failing):
         """A run or a --profiles solve that fails after the report's header
@@ -227,24 +244,6 @@ class TestSimulate:
                      "--profiles", str(tmp_path / "p.csv")])
         assert code == EXIT_NUMERICAL
         assert "non-finite forward layer" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("flag,rows", [("--out", "report_rows"),
-                                           ("--profiles", "profile_rows")])
-    def test_a_failed_write_removes_every_output(self, monkeypatch, tmp_path, capsys,
-                                                 flag, rows):
-        """A write that fails after both headers were written exits 2,
-        naming its flag, and removes the report and the profile CSV, the
-        one already finished included."""
-        def full(*args):
-            raise OSError(errno.ENOSPC, "No space left on device")
-            yield
-        monkeypatch.setattr(cli, rows, full)
-        code = main(["simulate", "--d", "1", "--n", "5", "--beta", "1", "--reps", "2",
-                     "--out", str(tmp_path / "r.csv"),
-                     "--profiles", str(tmp_path / "p.csv")])
-        err = assert_config_error(code, capsys)
-        assert f"{flag} '{tmp_path}" in err and f"[Errno {errno.ENOSPC}]" in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -395,31 +394,76 @@ def test_refused_paths_and_undecodable_files_exit_2(monkeypatch, tmp_path, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad"]
 
 
-@pytest.mark.parametrize("case", ["simulate-profiles", "scaling-out", "verify-report",
-                                  "figure1-histogram"])
+def full_rows(*args):
+    """Rows whose first write fails as on a full disk."""
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    yield
+
+
+@pytest.mark.parametrize("case", ["simulate-out", "simulate-profiles", "figure1-histogram",
+                                  "scaling-out", "verify-report"])
 def test_a_failed_write_names_its_flag_and_file(monkeypatch, tmp_path, capsys, case):
-    """A write that fails after its path was checked, as on a full disk,
-    exits 2 with a config error naming the flag and the file."""
-    full = "/dev/full"
-    if case == "figure1-histogram":
-        def write_histogram_csv(edges, counts, path):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        monkeypatch.setattr(cli, "write_histogram_csv", write_histogram_csv)
-        full = str(tmp_path / "f_histogram.csv")
+    """A write that fails once the command's outputs are open, as on a full
+    disk, exits 2 with a config error naming the flag and the file, and
+    leaves no file: every output the command opened is removed, one
+    already finished included.  simulate's outputs and figure1's histogram
+    fail on their rows; scaling's --out and verify's --report are
+    /dev/full, where scaling's CSV fails at its header, before
+    scaling_study, and verify's JSON document at its finish."""
+    sim = ["simulate", "--d", "1", "--n", "5", "--beta", "1", "--reps", "2",
+           "--out", str(tmp_path / "r.csv"), "--profiles", str(tmp_path / "p.csv")]
+    flag, full, argv, rows = {
+        "simulate-out": ("--out", str(tmp_path / "r.csv"), sim, "report_rows"),
+        "simulate-profiles": ("--profiles", str(tmp_path / "p.csv"), sim, "profile_rows"),
+        "figure1-histogram": ("--out-prefix", str(tmp_path / "f_histogram.csv"),
+                              ["figure1", "--reps", "2", "--out-prefix", str(tmp_path / "f")],
+                              "histogram_rows"),
+        "scaling-out": ("--out", "/dev/full",
+                        ["scaling", "--n-grid", "4,8", "--out", "/dev/full"], None),
+        "verify-report": ("--report", "/dev/full", ["verify", "--report", "/dev/full"], None),
+    }[case]
+    if rows:
+        monkeypatch.setattr(cli, rows, full_rows)
     elif not os.path.exists(full):
         pytest.skip("no /dev/full on this system")
+    monkeypatch.setattr(cli, "scaling_study", not_called)
     monkeypatch.setattr(verify, "run_checks", lambda fast: [])
-    flag, argv = {
-        "simulate-profiles": ("--profiles", ["simulate", "--d", "1", "--n", "5", "--beta", "1",
-                                             "--out", str(tmp_path / "r.csv"),
-                                             "--profiles", full]),
-        "scaling-out": ("--out", ["scaling", "--n-grid", "4,8", "--out", full]),
-        "verify-report": ("--report", ["verify", "--report", full]),
-        "figure1-histogram": ("--out-prefix", ["figure1", "--reps", "2",
-                                               "--out-prefix", str(tmp_path / "f")]),
-    }[case]
     err = assert_config_error(main(argv), capsys)
     assert f"{flag} {full!r}: [Errno {errno.ENOSPC}]" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--d", "1", "--n", "5", "--beta", "1", "--law", "cauchy:0,1", "--out", "r.csv"],
+    ["simulate", "--d", "1", "--n", "5", "--beta", "1", "--workers", "0", "--out", "r.csv"],
+    ["scaling", "--d", "0", "--out", "r.csv"],
+    ["figure1", "--bins", "5", "--out-prefix", "r"],
+], ids=["simulate-law", "simulate-workers", "scaling-d", "figure1-bins"])
+def test_a_refused_command_touches_no_file(monkeypatch, tmp_path, capsys, argv):
+    """Every input check that needs no solve runs before the first output
+    is opened, so a refused command leaves the files already at its output
+    paths byte-identical."""
+    monkeypatch.chdir(tmp_path)
+    names = ["r.csv", "r_report.csv", "r_histogram.csv", "r_summary.json"]
+    for name in names:
+        (tmp_path / name).write_bytes(b"kept\r\n")
+    assert_config_error(main(argv), capsys)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == dict.fromkeys(
+        names, b"kept\r\n")
+
+
+@pytest.mark.parametrize("argv", [["figure1", "--bins", "1000000000000"],
+                                  ["scaling", "--d", "40", "--n-grid", "4,8"]],
+                         ids=["figure1-bins", "scaling-d"])
+def test_a_size_too_large_to_allocate_is_a_config_error(monkeypatch, tmp_path, capsys,
+                                                        argv):
+    """numpy refuses these requests at once (7.28 TiB of bin edges; 8 TiB
+    for a layer in d=40): one config error line and exit 2, not a traceback
+    and exit 1, and no file."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_replications", not_called)
+    assert "Unable to allocate" in assert_config_error(main(argv), capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import errno
+import io
 import json
 import os
 import pickle
@@ -20,11 +21,11 @@ from polylab.functionals import ell as ell_fn
 from polylab.functionals import rho as rho_fn
 from polylab import harness
 from polylab.harness import (ConfigError, ExperimentConfig, ReplicationRecord,
-                             ReportFile, chunk_size, histogram, parse_law_spec,
-                             profile_file, profile_rows, report_file,
-                             report_rows, run_replications, scaling_study,
-                             summary_stats, worker_count, write_histogram_csv,
-                             write_report_csv)
+                             ReportFile, chunk_size, histogram, histogram_file,
+                             histogram_rows, parse_law_spec, profile_file,
+                             profile_rows, report_file, report_rows,
+                             run_replications, scaling_instances, scaling_study,
+                             summary_stats, worker_count)
 from polylab.rng import replication_seed
 from polylab.verify import binomial_rho
 
@@ -105,13 +106,13 @@ class TestRunReplications:
 
     def test_csv_bytes_deterministic(self, records, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_report_csv(records, str(p1))
-        write_report_csv(run_replications(CFG), str(p2))
+        report_file(str(p1)).finish(report_rows(records))
+        report_file(str(p2)).finish(report_rows(run_replications(CFG)))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_header_and_rows(self, records, tmp_path):
         p = tmp_path / "r.csv"
-        write_report_csv(records, str(p))
+        report_file(str(p)).finish(report_rows(records))
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "replication,rho,ell,log_partition"
         assert len(lines) == 9
@@ -125,30 +126,45 @@ class TestRunReplications:
 class TestReportFile:
     def test_the_header_is_on_disk_before_the_rows(self, tmp_path):
         """Opening writes and flushes the header alone; finish adds the rows
-        and closes, giving write_report_csv's bytes."""
+        and closes, giving the bytes the csv module writes for the header
+        and each record's index and 17-digit floats."""
         records = run_replications(dataclasses.replace(CFG, replications=2))
-        p, q = tmp_path / "a.csv", tmp_path / "b.csv"
+        p = tmp_path / "a.csv"
         out = report_file(str(p))
         assert p.read_bytes() == b"replication,rho,ell,log_partition\r\n"
         out.finish(report_rows(records))
         assert out.fh.closed
-        write_report_csv(records, str(q))
-        assert p.read_bytes() == q.read_bytes()
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["replication", "rho", "ell", "log_partition"])
+        writer.writerows([rec.index, f"{rec.rho:.17g}", f"{rec.ell:.17g}",
+                          f"{rec.log_partition:.17g}"] for rec in records)
+        assert p.read_bytes() == expected.getvalue().encode()
+
+    def test_a_json_document_opens_empty(self, tmp_path):
+        p = tmp_path / "s.json"
+        out = ReportFile(str(p))
+        assert p.read_bytes() == b""
+        out.finish(['{"a": 1}\n'])
+        assert p.read_text() == '{"a": 1}\n'
 
     def test_discard_removes_the_partial_file(self, tmp_path):
         p = tmp_path / "r.csv"
-        out = ReportFile(str(p), ["a", "b"])
+        out = ReportFile(str(p), "a,b\r\n")
         out.discard()
         assert out.fh.closed
         assert list(tmp_path.iterdir()) == []
 
     def test_a_header_that_cannot_be_written_leaves_no_file(self, monkeypatch, tmp_path):
-        class Full:
-            def writerow(self, row):
+        def full_open(path, mode, newline):
+            def full(text):
                 raise OSError(errno.ENOSPC, "No space left on device")
-        monkeypatch.setattr(harness.csv, "writer", lambda fh: Full())
+            fh = open(path, mode, newline=newline)
+            fh.write = full
+            return fh
+        monkeypatch.setattr(harness, "open", full_open, raising=False)
         with pytest.raises(OSError):
-            ReportFile(str(tmp_path / "h.csv"), ["bin_lo", "bin_hi", "count"])
+            histogram_file(str(tmp_path / "h.csv"))
         assert list(tmp_path.iterdir()) == []
 
     def test_profile_rows_read_back_exactly(self, tmp_path):
@@ -388,7 +404,7 @@ class TestHistogram:
         recs = [ReplicationRecord(i, 0.5, 0.7, 0.0) for i in range(3)]
         edges, counts = histogram(recs, 10)
         p = tmp_path / "h.csv"
-        write_histogram_csv(edges, counts, str(p))
+        histogram_file(str(p)).finish(histogram_rows(edges, counts))
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == 11
@@ -411,20 +427,29 @@ class TestScaling:
     @pytest.mark.parametrize("d,n_grid", [(1, [16]), (1, [16, 16]), (1, []),
                                           (1, [0, 8]), (0, [8, 16])])
     def test_needs_two_distinct_valid_sizes(self, d, n_grid):
-        with pytest.raises(ConfigError):
-            scaling_study(d, n_grid)
+        for check in (scaling_instances, scaling_study):
+            with pytest.raises(ConfigError):
+                check(d, n_grid)
 
     @pytest.mark.parametrize("n_grid", [[8, 16.5], [8.0, 16], [8, True, 16],
                                         [np.int64(8), np.float64(16.0)]])
     def test_rejects_non_integral_sizes(self, n_grid):
         """int(n) would truncate 16.5 to 16 and take True for 1."""
-        with pytest.raises(ConfigError, match="integer"):
-            scaling_study(1, n_grid)
+        for check in (scaling_instances, scaling_study):
+            with pytest.raises(ConfigError, match="integer"):
+                check(1, n_grid)
 
     @pytest.mark.parametrize("d", [True, 1.5])
     def test_rejects_non_integral_dimension(self, d):
-        with pytest.raises(ConfigError, match="d must be an int"):
-            scaling_study(d, [8, 16])
+        for check in (scaling_instances, scaling_study):
+            with pytest.raises(ConfigError, match="d must be an int"):
+                check(d, [8, 16])
+
+    def test_instances_follow_the_grid(self):
+        """One beta=0 instance per n, in grid order, repeated sizes included."""
+        insts = scaling_instances(2, [12, np.int64(6), 12], base_seed=5)
+        assert [(i.d, i.n, i.beta, i.seed) for i in insts] == [
+            (2, 12, 0.0, 5), (2, 6, 0.0, 5), (2, 12, 0.0, 5)]
 
     @pytest.mark.parametrize("d,n_grid", [(1, [32, 8, 16, 8]), (2, [6, 12])])
     def test_rows_equal_per_n_solves_in_grid_order(self, d, n_grid):
