@@ -16,11 +16,12 @@ and a failed write to an output file (a full disk, say) are config errors;
 the last three name the flag and the file.
 
 Every command that writes files does so one way (_outputs): it checks every
-input that needs no solve, then opens every output, a CSV's header written
-and flushed, then computes, then finishes each output.  So a refused
-command touches no file, and a command that fails once its outputs are open
-removes every output it opened, one that existed before included.  Every
-subcommand is deterministic given its flags.
+input that needs no solve, then opens every output, a CSV's header or a
+JSON document's opening brace written and flushed, then computes, then
+finishes each output.  So a refused command touches no file, and a command
+that fails once its outputs are open removes every output it opened, one
+that existed before included.  Every subcommand is deterministic given its
+flags.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import replace
 from . import functionals, laws, verify
 from .engine import NumericalError, forward_backward
 from .harness import (DEFAULT_LAW, FIGURE1, ConfigError, ExperimentConfig, ReportFile,
-                      histogram, histogram_file, histogram_rows, parse_law_spec,
+                      histogram, histogram_file, histogram_rows, json_file, parse_law_spec,
                       profile_file, profile_rows, report_file, report_rows,
                       run_replications, scaling_instances, scaling_study,
                       summary_stats, worker_count)
@@ -118,14 +119,14 @@ def _outputs(*outputs):
 
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    config.law.validate()       # before any output opens; run_replications checks it again
+    law = config.law        # parsed and validated before any output opens
     workers = worker_count(args.workers)
     with _outputs(("--out", args.out, report_file),
                   ("--profiles", args.profiles, profile_file)) as finish:
         records = run_replications(config, workers=workers)
         bodies = [report_rows(records)]
         if args.profiles is not None:
-            inst = config.instance(replication_seed(config.base_seed, 0), config.law)
+            inst = config.instance(replication_seed(config.base_seed, 0), law)
             bodies.append(profile_rows(functionals.build_report(
                 forward_backward(inst, keep_forward=False))))
         finish(*bodies)
@@ -140,10 +141,11 @@ def cmd_figure1(args) -> int:
     prefix = args.out_prefix
     with _outputs(("--out-prefix", prefix + "_report.csv", report_file),
                   ("--out-prefix", prefix + "_histogram.csv", histogram_file),
-                  ("--out-prefix", prefix + "_summary.json", ReportFile)) as finish:
+                  ("--out-prefix", prefix + "_summary.json", json_file)) as finish:
         records = run_replications(config, workers=workers)
         summary = json.dumps(summary_stats(records), indent=2, sort_keys=True) + "\n"
-        finish(report_rows(records), histogram_rows(*histogram(records, args.bins)), [summary])
+        # the summary after its opening brace, which json_file wrote
+        finish(report_rows(records), histogram_rows(*histogram(records, args.bins)), [summary[1:]])
     print(summary, end="")
     return EXIT_OK
 
@@ -184,10 +186,11 @@ def cmd_env_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with _outputs(("--report", args.report, ReportFile)) as finish:
+    with _outputs(("--report", args.report, json_file)) as finish:
         checks = verify.run_checks(fast=not args.full)
-        finish([json.dumps({"checks": checks,
-                            "passed": all(c["passed"] for c in checks)}, indent=2) + "\n"])
+        doc = {"checks": checks, "passed": all(c["passed"] for c in checks)}
+        # the document after its opening brace, which json_file wrote
+        finish([json.dumps(doc, indent=2)[1:] + "\n"])
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {c['detail']}")
     failing = [c for c in checks if not c["passed"]]

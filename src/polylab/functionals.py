@@ -22,14 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
 from .engine import (PolymerInstance, ThetaSolution, batch_shape, env_layer,
-                     env_value, forward_backward, layer_alpha, require_drawn,
-                     require_single)
-from .lattice import PathDP, validate_path
+                     forward_backward, layer_alpha, require_drawn, require_single)
+from .lattice import PathDP
 from .rng import derive_seed
 
 _PRIMED_TAG = 0x41C7
@@ -147,21 +145,6 @@ def gamma_tau_profiles(solution: ThetaSolution):
         support = th > 0
         tau[k - 1] = float((om[support] * th[support]).sum())
     return gamma, tau
-
-
-def psi(instance: PolymerInstance, path: np.ndarray, index_set: Iterable[int]) -> float:
-    """sum over k in the index set of h(omega_{k, x_k}) along the path, which
-    has one site for each of the instance's n steps."""
-    path = np.asarray(path)
-    validate_path(path, instance.d)
-    if path.shape[0] != instance.n:
-        raise ValueError(f"path has {path.shape[0]} sites, not n={instance.n}")
-    ks = sorted(set(map(instance.step, index_set)))
-    total = 0.0
-    for k in ks:
-        w = env_value(instance, k, tuple(path[k - 1]))
-        total += float(instance.law.h(w + instance.omega_shift))
-    return total
 
 
 def primed_estimates(instance: PolymerInstance, k: int, resamples: int):

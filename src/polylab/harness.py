@@ -1,7 +1,8 @@
 """Batch experiment driver: replicated simulations over independent
 environments, their histogram, the beta=0 scaling study and the output
-files: a ReportFile is opened with its head (a CSV's header) written
-before any work, finished with its rows, or discarded.
+files: a ReportFile is opened with its head (a CSV's header, a JSON
+document's opening brace) written before any work, finished with the
+rest, or discarded.
 
 An ExperimentConfig and scaling_study check their polymer's d, n, beta and
 seed by building its PolymerInstance, which holds those rules, and report a
@@ -102,8 +103,11 @@ class ExperimentConfig:
 
     @cached_property
     def law(self) -> EnvironmentLaw:
-        """The parsed law_spec, parsed once per config."""
-        return parse_law_spec(self.law_spec)
+        """The parsed law_spec, parsed and validated once per config: a law
+        that fails EnvironmentLaw.validate raises LawValidationError."""
+        law = parse_law_spec(self.law_spec)
+        law.validate()
+        return law
 
     def instance(self, seed, law: EnvironmentLaw) -> PolymerInstance:
         """The PolymerInstance of this config for seed (an int, or a tuple
@@ -199,10 +203,9 @@ def worker_count(requested: Optional[int] = None) -> int:
 def run_replications(config: ExperimentConfig,
                      workers: Optional[int] = None) -> List[ReplicationRecord]:
     """Run all replications; records are returned in index order and are
-    identical whether executed serially or in parallel.  The law is parsed
-    and validated once, here; workers receive it pickled."""
+    identical whether executed serially or in parallel.  The law is the
+    config's, parsed and validated once; workers receive it pickled."""
     law = config.law
-    law.validate()
     size = chunk_size(config.d, config.n, config.beta,
                       log_space(config.beta, law))
     los = range(0, config.replications, size)
@@ -232,11 +235,11 @@ def histogram(records: Sequence[ReplicationRecord],
 class ReportFile:
     """A text file at path, written in two parts: head as it is opened,
     flushed, so that a file which cannot take data fails before any work
-    (a CSV's header; a JSON document opens with an empty head), and its
-    lines at finish, which closes it.  discard closes it and removes it, if
-    it is a regular file, so that a failed run leaves no partial file."""
+    (a CSV's header; a JSON document's opening brace), and its lines at
+    finish, which closes it.  discard closes it and removes it, if it is a
+    regular file, so that a failed run leaves no partial file."""
 
-    def __init__(self, path: str, head: str = ""):
+    def __init__(self, path: str, head: str):
         self.path = path
         self.fh = open(path, "w", newline="")
         try:
@@ -296,6 +299,12 @@ def profile_rows(report: functionals.LocalizationReport) -> Iterable[str]:
     """One row per step k of report's alpha, gamma and tau profiles."""
     profiles = zip(report.alpha_profile, report.gamma_profile, report.tau_profile)
     return (_csv(k, *values) for k, values in enumerate(profiles, 1))
+
+
+def json_file(path: str) -> ReportFile:
+    """A JSON object document at path, its opening brace written: finish it
+    with the document's text after that brace."""
+    return ReportFile(path, "{")
 
 
 def scaling_instances(d: int, n_grid: Sequence[int], base_seed: int = 0,

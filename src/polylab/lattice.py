@@ -26,9 +26,8 @@ engine's neighbour sums and PathDP look them up once per solve or push,
 not once per op.
 
 The rest of the module is coordinate-level: neighbor enumeration (x plus
-the unit steps of step_vectors), cone membership and masks, path
-validation (an integer array, read as int64) and the max-sum path
-dynamic program.
+the unit steps of step_vectors), cone membership and masks, and the
+max-sum path dynamic program.
 """
 
 from __future__ import annotations
@@ -469,34 +468,3 @@ class PathDP:
             cubes.append(walk[::-1])
         ks = np.arange(1, n + 1)[:, None]
         return top, cube_sites(ks, np.array(cubes, dtype=np.int64).reshape(self.batch, n, d))
-
-
-def validate_path(path: np.ndarray, d: int) -> None:
-    """Check the path invariants; raise ValueError on the first violation.
-
-    path: integer array of shape (n, d), sites for steps 1..n; any other
-    dtype, bool included, raises TypeError.  The sites are read as int64,
-    so an unsigned path steps back without wrapping around; an unsigned
-    site past the int64 range, which would wrap, is off every cone.
-    """
-    path = np.asarray(path)
-    if not np.issubdtype(path.dtype, np.integer):
-        raise TypeError(f"path must be an integer array, got dtype {path.dtype}")
-    if np.any(path > np.iinfo(np.int64).max):
-        raise ValueError("path leaves the reachability cone")
-    path = path.astype(np.int64, copy=False)
-    if path.ndim != 2 or path.shape[1] != d:
-        raise ValueError(f"path must have shape (n, {d}), got {path.shape}")
-    n = path.shape[0]
-    if n < 1:
-        raise ValueError("path must have at least one site")
-    if np.abs(path[0]).sum() != 1:
-        raise ValueError("first site must be adjacent to the origin")
-    steps = np.abs(np.diff(path, axis=0)).sum(axis=1)
-    if n > 1 and np.any(steps != 1):
-        k = int(np.argmax(steps != 1)) + 1
-        raise ValueError(f"sites at steps {k} and {k + 1} are not neighbors")
-    l1 = np.abs(path).sum(axis=1)
-    ks = np.arange(1, n + 1)
-    if np.any(l1 > ks) or np.any((l1 - ks) % 2 != 0):
-        raise ValueError("path leaves the reachability cone")

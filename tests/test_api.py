@@ -16,8 +16,8 @@ PUBLIC = [
     "env_layer", "env_value", "forward_backward", "gamma_tau_profiles",
     "histogram", "kappa", "layer_theta", "make_table_law", "make_uniform",
     "neighbors", "parse_law_spec", "phi", "poincare_constant",
-    "primed_estimates", "psi", "replication_seed", "rho", "run_replications", "sample_paths", "scaling_study", "summary_stats",
-    "theta_derivative_check", "validate_path",
+    "primed_estimates", "replication_seed", "rho", "run_replications", "sample_paths", "scaling_study", "summary_stats",
+    "theta_derivative_check",
 ]
 
 

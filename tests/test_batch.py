@@ -15,9 +15,11 @@ from polylab.engine import (PolymerInstance, brute_force, forward_backward,
                             layer_theta, sample_paths, segment_tops,
                             streamed_bytes)
 from polylab.functionals import alpha_profile, ell, rho
-from polylab.lattice import layer_cells, site_cells, validate_path
+from polylab.lattice import layer_cells, site_cells
 from polylab.laws import make_uniform
 from polylab.rng import counter_uniform, mix_words, replication_seed
+
+from paths import validate_path
 
 LAW = make_uniform(-1.0, 1.0)
 

@@ -1,32 +1,26 @@
-"""Every top-level name of src/polylab has a caller outside the tests.
+"""Every top-level name of src/polylab is reached by a program.
 
-A top-level def, class or assigned name of a polylab module counts as used
-when some non-test .py file of src/, demos/ or perfbench/ reads it: as a
-loaded name, as the attribute of an ast.Attribute, or as a name in a
-`from ... import`.  perfbench's tracer wraps functions it names by string
-in TARGETS, so those attribute names count as reads too.  The package's
-own re-exports (src/polylab/__init__.py) are no read: a name that only
-they reach must be in EXPORTED_ONLY, with the reason it stays.  Reads are
-matched by name alone, so the check can pass a name it should not, but it
-never fails one that a program calls.
+A program starts from its roots: cli.main (the console script), the
+module-level statements of src/polylab, the non-test .py files of demos/
+and perfbench/, and the functions perfbench's tracer wraps, which it names
+by string in TARGETS.  Whatever a root reads is reached, and a reached
+top-level def or class reads, in turn, every name of its own statement.
+A name is read as a loaded name, as the attribute of an ast.Attribute or
+as a name in a `from ... import`; the imports of src/polylab itself,
+the package's re-exports included, read nothing, since they bind a name
+without calling it.  So a name that only the tests, the re-exports or
+code no program reaches read is unreached, and the check fails on it.
+Reads are matched by name alone, so the check can pass a name it should
+not, but it never fails one that a program calls.
 """
 
 import ast
-import re
 from pathlib import Path
-
-import polylab
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "polylab"
-READERS = ("src", "demos", "perfbench")
-INIT = PACKAGE / "__init__.py"
-
-# Names that no program reads but the package re-exports, each with why it
-# stays.
-EXPORTED_ONLY = {
-    "psi": "README's library section documents it as API",
-}
+PROGRAMS = ("demos", "perfbench")
+ENTRY = "main"      # cli.main, the console script of pyproject.toml
 
 
 def parse(path):
@@ -60,6 +54,31 @@ def read_names(tree):
     return names
 
 
+def module_reads(tree):
+    """(roots, bodies) of a polylab module: the names its module-level
+    statements read, imports aside, and for each top-level def or class
+    the names its statement reads."""
+    roots, bodies = set(), {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bodies[node.name] = read_names(node)
+        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            roots |= read_names(node)
+    return roots, bodies
+
+
+def reached(reads, bodies):
+    """The names reads reach: each of them, and what the body of a reached
+    name reads, until nothing new is reached."""
+    seen, todo = set(), list(reads)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(bodies.get(name, ()))
+    return seen
+
+
 def traced_names(tree):
     """The attribute names of the tracer's TARGETS: (module, attribute,
     span name, counter) tuples."""
@@ -70,25 +89,28 @@ def traced_names(tree):
     raise AssertionError("perfbench/tracer.py defines no TARGETS")
 
 
-def reader_files():
-    for top in READERS:
+def program_files():
+    for top in PROGRAMS:
         for path in sorted((ROOT / top).rglob("*.py")):
-            if not (path.name.startswith("test_") or path.name == "conftest.py"
-                    or path == INIT):
+            if not (path.name.startswith("test_") or path.name == "conftest.py"):
                 yield path
 
 
 def test_every_top_level_name_has_a_caller():
-    reads = traced_names(parse(ROOT / "perfbench" / "tracer.py"))
-    for path in reader_files():
+    reads = {ENTRY} | traced_names(parse(ROOT / "perfbench" / "tracer.py"))
+    for path in program_files():
         reads |= read_names(parse(path))
-    unread = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
-              for name in sorted(defined_names(parse(path)) - reads)]
-    left = [f"{stem}.{name}" for stem, name in unread if name not in EXPORTED_ONLY]
-    assert not left, f"defined in src/polylab but read by no program: {left}"
-    # each exception is still one: re-exported, and read by no program
-    exported = read_names(parse(INIT))
-    assert EXPORTED_ONLY.keys() <= {name for _, name in unread} & exported
+    bodies, defined = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        roots, own = module_reads(tree)
+        reads |= roots
+        for name, names in own.items():
+            bodies.setdefault(name, set()).update(names)
+        defined += [f"{path.stem}.{name}" for name in sorted(defined_names(tree))]
+    seen = reached(reads, bodies)
+    unreached = [name for name in defined if name.split(".")[1] not in seen]
+    assert not unreached, f"defined in src/polylab but reached by no program: {unreached}"
 
 
 def test_the_census_sees_every_kind_of_read():
@@ -99,11 +121,14 @@ def test_the_census_sees_every_kind_of_read():
     assert defined_names(tree) == {"c", "g"}
 
 
-def test_each_exported_only_name_is_library_api():
-    """Each exception is a name the package gives its users: an attribute
-    of polylab that README's library section names in code."""
-    readme = (ROOT / "README.md").read_text()
-    library = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
-    for name in EXPORTED_ONLY:
-        assert hasattr(polylab, name), name
-        assert re.search(rf"`{name}[`(]", library), name
+def test_a_name_read_only_by_unreached_code_is_unreached():
+    """A module's imports read nothing, its other module-level statements
+    are roots, and a def or class passes on its reads only once reached:
+    g through f, but not k through h, nor D through the class C."""
+    tree = ast.parse("from m import h\nA = f(B)\ndef f(): return g()\ndef g(): pass\n"
+                     "def h(): return k()\ndef k(): pass\n"
+                     "class C:\n    def m(self): return D\nD = 1\n")
+    roots, bodies = module_reads(tree)
+    assert roots == {"f", "B"}
+    assert reached(roots, bodies) == {"f", "B", "g"}
+    assert reached({"h"}, bodies) == {"h", "k"}

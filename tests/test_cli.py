@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polylab import cli, harness, verify
+from polylab import cli, harness, laws, verify
 from polylab.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                          EXIT_VERIFY_FAILED, main)
 from polylab.engine import NumericalError
@@ -80,6 +80,18 @@ class TestSimulate:
                      "--out", str(tmp_path / "r.csv"), "--profiles", str(tmp_path / "p.csv")])
         assert code == EXIT_OK
         assert specs == [f"table:{table}"]
+
+    def test_the_law_is_validated_once(self, monkeypatch, tmp_path):
+        """The run's law is validated as its config parses it, once: before
+        any output opens, and not again by run_replications or --profiles."""
+        calls = []
+        validate = laws.EnvironmentLaw.validate
+        monkeypatch.setattr(laws.EnvironmentLaw, "validate",
+                            lambda law: calls.append(law) or validate(law))
+        code = main(["simulate", "--d", "1", "--n", "8", "--beta", "1", "--reps", "2",
+                     "--out", str(tmp_path / "r.csv"), "--profiles", str(tmp_path / "p.csv")])
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -409,7 +421,8 @@ def test_a_failed_write_names_its_flag_and_file(monkeypatch, tmp_path, capsys, c
     already finished included.  simulate's outputs and figure1's histogram
     fail on their rows; scaling's --out and verify's --report are
     /dev/full, where scaling's CSV fails at its header, before
-    scaling_study, and verify's JSON document at its finish."""
+    scaling_study, and verify's JSON document at its opening brace, before
+    run_checks."""
     sim = ["simulate", "--d", "1", "--n", "5", "--beta", "1", "--reps", "2",
            "--out", str(tmp_path / "r.csv"), "--profiles", str(tmp_path / "p.csv")]
     flag, full, argv, rows = {
@@ -427,7 +440,7 @@ def test_a_failed_write_names_its_flag_and_file(monkeypatch, tmp_path, capsys, c
     elif not os.path.exists(full):
         pytest.skip("no /dev/full on this system")
     monkeypatch.setattr(cli, "scaling_study", not_called)
-    monkeypatch.setattr(verify, "run_checks", lambda fast: [])
+    monkeypatch.setattr(verify, "run_checks", not_called)
     err = assert_config_error(main(argv), capsys)
     assert f"{flag} {full!r}: [Errno {errno.ENOSPC}]" in err
     assert list(tmp_path.iterdir()) == []

@@ -16,11 +16,12 @@ from polylab.engine import (NumericalError, PolymerInstance, brute_force,
 from polylab.functionals import (alpha_profile, build_report, ell,
                                  gamma_tau_profiles, rho)
 from polylab import lattice
-from polylab.lattice import PathDP, layer_shape, layer_sites, site_cells, validate_path
+from polylab.lattice import PathDP, layer_shape, layer_sites, site_cells
 from polylab.laws import make_uniform
 from polylab.rng import counter_uniform, derive_seed, replication_seed
 
 from cone_sites import reachable_sites
+from paths import validate_path
 
 LAW = make_uniform(-1.0, 1.0)
 

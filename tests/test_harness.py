@@ -22,7 +22,7 @@ from polylab.functionals import rho as rho_fn
 from polylab import harness
 from polylab.harness import (ConfigError, ExperimentConfig, ReplicationRecord,
                              ReportFile, chunk_size, histogram, histogram_file,
-                             histogram_rows, parse_law_spec, profile_file,
+                             histogram_rows, json_file, parse_law_spec, profile_file,
                              profile_rows, report_file, report_rows,
                              run_replications, scaling_instances, scaling_study,
                              summary_stats, worker_count)
@@ -141,12 +141,14 @@ class TestReportFile:
                           f"{rec.log_partition:.17g}"] for rec in records)
         assert p.read_bytes() == expected.getvalue().encode()
 
-    def test_a_json_document_opens_empty(self, tmp_path):
+    def test_a_json_document_opens_with_its_brace(self, tmp_path):
+        """A JSON object document's head is its opening brace, on disk at
+        open; finish writes the rest of the document after it."""
         p = tmp_path / "s.json"
-        out = ReportFile(str(p))
-        assert p.read_bytes() == b""
-        out.finish(['{"a": 1}\n'])
-        assert p.read_text() == '{"a": 1}\n'
+        out = json_file(str(p))
+        assert p.read_bytes() == b"{"
+        out.finish(['"a": 1}\n'])
+        assert json.loads(p.read_text()) == {"a": 1}
 
     def test_discard_removes_the_partial_file(self, tmp_path):
         p = tmp_path / "r.csv"

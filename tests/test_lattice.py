@@ -1,5 +1,5 @@
-"""Lattice geometry: neighbor sets, reachability cones, path validation and
-the max-sum path program."""
+"""Lattice geometry: neighbor sets, reachability cones, the path check of
+tests/paths.py and the max-sum path program."""
 
 from itertools import product
 
@@ -9,9 +9,10 @@ import pytest
 from polylab.lattice import (PathDP, cell_sites, framed, is_reachable,
                              layer_cells, layer_mask, layer_shape, layer_sites,
                              neighbors, site_cells, step_geometry, step_plan,
-                             step_vectors, validate_path)
+                             step_vectors)
 
 from cone_sites import reachable_sites
+from paths import validate_path
 from stencil_windows import step_windows
 
 

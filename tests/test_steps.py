@@ -11,13 +11,12 @@ import pytest
 from polylab.engine import (PolymerInstance, env_layer, env_value,
                             forward_backward, layer_theta,
                             theta_derivative_check)
-from polylab.functionals import primed_estimates, psi
+from polylab.functionals import primed_estimates
 from polylab.laws import make_uniform
 
 N = 6
 INST = PolymerInstance(d=1, n=N, beta=1.5, law=make_uniform(-1.0, 1.0), seed=11)
 SOL = forward_backward(INST)
-PATH = np.array([[1], [2], [1], [2], [3], [2]])
 SITE = (1,)                     # reachable at the good step, 3
 
 CALLERS = {
@@ -31,7 +30,6 @@ CALLERS = {
     "layer_theta": lambda k: layer_theta(INST, k, 0.0),
     "primed_estimates": lambda k: primed_estimates(INST, k, 100),
     "theta_derivative_check": lambda k: theta_derivative_check(SOL, k, SITE),
-    "psi": lambda k: psi(INST, PATH, [k]),
 }
 
 BAD_STEPS = [
