@@ -40,8 +40,15 @@ def validate_path(path: np.ndarray, d: int) -> None:
 
 def psi(instance, path, steps):
     """sum over the distinct k of steps of h(omega_{k, x_k}) along the path,
-    which has a site for each of them: the path sum whose Gibbs average
-    over paths is the sum of gamma_k over the same steps."""
+    which has one site for each of the instance's n steps: the path sum whose
+    Gibbs average over paths is the sum of gamma_k over the same steps.  A
+    path that is not one of the instance's, or a step outside 1..n, raises,
+    so the tests that hold gamma_tau_profiles against it cannot pass on a
+    misread path."""
+    path = np.asarray(path)
+    validate_path(path, instance.d)
+    if path.shape[0] != instance.n:
+        raise ValueError(f"path has {path.shape[0]} sites, not n={instance.n}")
     return sum(float(instance.law.h(env_value(instance, k, tuple(path[k - 1]))
                                     + instance.omega_shift))
-               for k in sorted(set(steps)))
+               for k in sorted(set(map(instance.step, steps))))

@@ -174,6 +174,18 @@ class TestFreeEnergyIdentity:
 
 
 class TestPsi:
+    """psi is the reference in tests/paths.py, no longer a library name."""
+
+    def test_empty_index_set(self):
+        inst, sol = solved(1, 10, 1.0, 70)
+        _, path = ell(sol)
+        assert psi(inst, path, []) == 0.0
+
+    def test_nonnegative(self):
+        inst, sol = solved(1, 15, 2.0, 71)
+        _, path = ell(sol)
+        assert psi(inst, path, range(1, 16)) >= 0.0
+
     def test_gibbs_average_matches_gamma_sum(self):
         inst, sol = solved(1, 20, 2.0, 72, keep_forward=True)
         gamma, _ = gamma_tau_profiles(sol)
@@ -198,6 +210,24 @@ class TestPsi:
             path = np.cumsum(steps).reshape(-1, 1)
             best = min(best, psi(inst, path, A))
         assert best <= gamma.sum() + 1e-12
+
+    def test_invalid_indices(self):
+        inst, sol = solved(1, 5, 1.0, 74)
+        _, path = ell(sol)
+        with pytest.raises(ValueError):
+            psi(inst, path, [0])
+        with pytest.raises(ValueError):
+            psi(inst, path, [6])
+
+    @pytest.mark.parametrize("sites", [5, 12])
+    def test_path_must_have_n_sites(self, sites):
+        """A short path once raised IndexError at a step past its end, and a
+        long one was read up to step n."""
+        inst = PolymerInstance(d=1, n=10, beta=1.0, law=LAW, seed=75)
+        path = np.array([[1 - j % 2] for j in range(sites)])
+        validate_path(path, 1)
+        with pytest.raises(ValueError, match=f"path has {sites} sites, not n=10"):
+            psi(inst, path, [7] if sites < 10 else [1])
 
 
 class TestPrimedEstimates:

@@ -14,9 +14,12 @@ from polylab.engine import (PolymerInstance, env_layer, env_value,
 from polylab.functionals import primed_estimates
 from polylab.laws import make_uniform
 
+from paths import psi
+
 N = 6
 INST = PolymerInstance(d=1, n=N, beta=1.5, law=make_uniform(-1.0, 1.0), seed=11)
 SOL = forward_backward(INST)
+PATH = np.array([[1], [2], [1], [2], [3], [2]])
 SITE = (1,)                     # reachable at the good step, 3
 
 CALLERS = {
@@ -30,6 +33,7 @@ CALLERS = {
     "layer_theta": lambda k: layer_theta(INST, k, 0.0),
     "primed_estimates": lambda k: primed_estimates(INST, k, 100),
     "theta_derivative_check": lambda k: theta_derivative_check(SOL, k, SITE),
+    "psi": lambda k: psi(INST, PATH, [k]),          # the tests' reference
 }
 
 BAD_STEPS = [
