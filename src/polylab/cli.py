@@ -16,12 +16,14 @@ and a failed write to an output file (a full disk, say) are config errors;
 the last three name the flag and the file.
 
 Every command that writes files does so one way (_outputs): it checks every
-input that needs no solve, then opens every output, a CSV's header or a
-JSON document's opening brace written and flushed, then computes, then
-finishes each output.  So a refused command touches no file, and a command
-that fails once its outputs are open removes every output it opened, one
-that existed before included.  Every subcommand is deterministic given its
-flags.
+input that needs no solve, then opens every output asked for, a CSV's
+header or a JSON document's opening brace written and flushed, then
+computes, then finishes each output with one body per declared output; an
+output not asked for (scaling without --out, verify without --report,
+simulate without --profiles) is neither opened nor written.  So a refused
+command touches no file, and a command that fails once its outputs are
+open removes every output it opened, one that existed before included.
+Every subcommand is deterministic given its flags.
 """
 
 from __future__ import annotations
@@ -88,31 +90,33 @@ def _outputs(*outputs):
     has passed.
 
     outputs are (flag, path, open_file) triples, path None for an output
-    not asked for.  Two outputs of one real path are refused before any is
-    opened.  open_file(path) opens a harness.ReportFile, which writes and
-    flushes its head, so /dev/full fails before any work.  Any failure
-    discards every file opened, one that existed before included, and an
-    OSError of a file is a config error that names its flag and the file."""
-    outputs = [out for out in outputs if out[1] is not None]
+    not asked for, which is neither opened nor written.  finish takes one
+    body per declared output, asked for or not, in the order declared.  Two
+    outputs of one real path are refused before any is opened.
+    open_file(path) opens a harness.ReportFile, which writes and flushes its
+    head, so /dev/full fails before any work.  Any failure discards every
+    file opened, one that existed before included, and an OSError of a file
+    is a config error that names its flag and the file."""
     named = {}
-    for flag, path, _ in outputs:
+    for flag, path in [(flag, path) for flag, path, _ in outputs if path is not None]:
         first = named.setdefault(os.path.realpath(path), (flag, path))
         if first != (flag, path):
             raise ConfigError(f"{flag} {path!r} names the file of {first[0]} {first[1]!r}")
-    files = []
+    files = []      # one per output opened so far, None for one not asked for
 
     def finish(*bodies):
         for (flag, path, _), out, body in zip(outputs, files, bodies, strict=True):
-            with _writing(flag, path):
-                out.finish(body)
+            if out is not None:
+                with _writing(flag, path):
+                    out.finish(body)
 
     try:
         for flag, path, open_file in outputs:
             with _writing(flag, path):
-                files.append(open_file(path))
+                files.append(None if path is None else open_file(path))
         yield finish
     except BaseException:
-        for out in files:
+        for out in filter(None, files):     # the outputs opened
             out.discard()
         raise
 
@@ -124,12 +128,10 @@ def cmd_simulate(args) -> int:
     with _outputs(("--out", args.out, report_file),
                   ("--profiles", args.profiles, profile_file)) as finish:
         records = run_replications(config, workers=workers)
-        bodies = [report_rows(records)]
-        if args.profiles is not None:
-            inst = config.instance(replication_seed(config.base_seed, 0), law)
-            bodies.append(profile_rows(functionals.build_report(
-                forward_backward(inst, keep_forward=False))))
-        finish(*bodies)
+        profiles = None if args.profiles is None else profile_rows(functionals.build_report(
+            forward_backward(config.instance(replication_seed(config.base_seed, 0), law),
+                             keep_forward=False)))
+        finish(report_rows(records), profiles)
     print(f"wrote {len(records)} replications to {args.out}")
     return EXIT_OK
 

@@ -146,6 +146,8 @@ class ReplicationRecord:
                                f"outside [{floor}, 1]")
         if not (0.0 < self.ell <= 1.0):
             raise RuntimeError(f"replication {self.index}: ell={self.ell} outside (0, 1]")
+        if not np.isfinite(self.log_partition):
+            raise RuntimeError(f"replication {self.index}: non-finite log Z={self.log_partition}")
         if not functionals.overlap_chain_holds(self.rho, self.ell):
             raise RuntimeError(f"replication {self.index}: overlap chain violated "
                                f"(ell={self.ell}, rho={self.rho})")

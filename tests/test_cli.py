@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,28 @@ class TestSimulate:
         lines = prof.read_text().strip().splitlines()
         assert lines[0] == "k,alpha,gamma,tau"
         assert len(lines) == 21
+
+    def test_the_report_is_the_same_without_profiles(self, tmp_path):
+        flags = ["simulate", "--d", "1", "--n", "20", "--beta", "2", "--reps", "3",
+                 "--seed", "5"]
+        alone, beside = tmp_path / "alone.csv", tmp_path / "beside.csv"
+        assert main(flags + ["--out", str(alone)]) == EXIT_OK
+        assert main(flags + ["--out", str(beside), "--profiles", str(tmp_path / "p.csv")]) \
+            == EXIT_OK
+        assert alone.read_bytes() == beside.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowed_log_partition_is_a_numerical_failure(self, monkeypatch, tmp_path,
+                                                                 capsys):
+        """At beta=5e307 the third replication's log Z overflows to inf
+        (numpy warns of the overflow on the way): the run exits 3 and
+        removes its report."""
+        monkeypatch.chdir(tmp_path)
+        code = main(["simulate", "--d", "1", "--n", "10", "--beta", "5e307", "--reps", "3",
+                     "--out", "r.csv"])
+        assert code == EXIT_NUMERICAL
+        assert "replication 2: non-finite log Z=inf" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_profiles_reuse_the_runs_law(self, monkeypatch, tmp_path):
         """--profiles solves with the law the run parsed and validated: a
@@ -444,6 +467,47 @@ def test_a_failed_write_names_its_flag_and_file(monkeypatch, tmp_path, capsys, c
     err = assert_config_error(main(argv), capsys)
     assert f"{flag} {full!r}: [Errno {errno.ENOSPC}]" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,last,files", [
+    (["scaling", "--n-grid", "8,16"], "log-log slope of ell vs n: ", []),
+    (["verify"], "PASS  ", []),
+    (["env-check"], f"g={verify.IBP_BATTERY[-1][0]}: ibp residual ", []),
+    (["simulate", "--d", "1", "--n", "5", "--beta", "1", "--out", "r.csv"],
+     "wrote 1 replications to r.csv", ["r.csv"]),
+    (["figure1", "--reps", "2", "--out-prefix", "p"], "}",
+     ["p_histogram.csv", "p_report.csv", "p_summary.json"]),
+], ids=["scaling", "verify", "env-check", "simulate", "figure1"])
+def test_each_command_runs_with_only_its_required_flags(monkeypatch, tmp_path, capsys, argv,
+                                                        last, files):
+    """An output not asked for is neither opened nor written: each command
+    exits 0, prints its usual last line and leaves exactly the files it
+    was asked for."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1].startswith(last)
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+def readme_commands():
+    """The polylab commands of README's "Command line" block, each one
+    line with its continuations joined, split as a shell splits them."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines() if line.startswith("polylab ")]
+
+
+def test_readme_command_line_block_shows_every_subcommand():
+    assert [argv[1] for argv in readme_commands()] == [
+        "simulate", "figure1", "scaling", "env-check", "verify"]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[1])
+def test_readme_command_line_examples_parse(argv):
+    """Each example parses, so no subcommand or flag it names was renamed
+    or removed; none is run."""
+    assert cli.build_parser().parse_args(argv[1:]).command == argv[1]
 
 
 @pytest.mark.parametrize("argv", [

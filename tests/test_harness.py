@@ -99,6 +99,12 @@ class TestRunReplications:
         for r in records:
             r.check(1, 40)
 
+    @pytest.mark.parametrize("log_z", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_log_partition_fails_the_check(self, log_z):
+        """rho and ell in range do not pass a record whose log Z overflowed."""
+        with pytest.raises(RuntimeError, match="replication 0: non-finite log Z"):
+            ReplicationRecord(0, 0.5, 0.6, log_z).check(1, 10)
+
     def test_rerun_identical_data(self, records):
         again = run_replications(CFG)
         for a, b in zip(records, again):
