@@ -8,12 +8,13 @@ Subcommands:
   verify     full property battery; exit 0 iff everything passes
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
-failure, 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports
-a writer stopped by a closed pipe).  An input file that cannot be read or
-decoded, a size too large to allocate (MemoryError), an output path the OS
-refuses (any OSError but a closed stdout), one file named by two outputs
-and a failed write to an output file (a full disk, say) are config errors;
-the last three name the flag and the file.
+failure, 4 internal error (any other exception, reported on one stderr
+line without a traceback), 141 stdout closed by its reader (128 + SIGPIPE,
+as a shell reports a writer stopped by a closed pipe).  An input file that
+cannot be read or decoded, a size too large to allocate (MemoryError), an
+output path the OS refuses (any OSError but a closed stdout), one file
+named by two outputs and a failed write to an output file (a full disk,
+say) are config errors; the last three name the flag and the file.
 
 Every command that writes files does so one way (_outputs): it checks every
 input that needs no solve, then opens every output asked for, a CSV's
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141
 
 
@@ -267,6 +269,11 @@ def main(argv=None) -> int:
     except (NumericalError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as exc:
+        # a fault of the program, not of its input: one line, no traceback;
+        # KeyboardInterrupt and SystemExit are no Exception and propagate
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

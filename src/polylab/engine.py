@@ -51,14 +51,16 @@ not by its cells: one replication costs over a third of what 53 do.  So a
 solve looks its steps' slices and shapes up once (lattice.step_plan),
 reduces over the site axes without reshaping, checks each normalizer with
 two reductions and each drawn layer with one pass, and the counter RNG
-mixes the keys of a block of steps at once.  Each step k of the forward
-sweep is bound to the arrays it reads and writes (lattice.bind): F_k and
-its (batch, cells) view, which _normalize and layer_alpha reduce over, and,
-for a step bound on retained buffers, its frame's interior and pads, the
-neighbour sum's 2d (into, take) view pairs and PathDP.push's scores, move
-slices, edge cells and mask rows.  _sum, _normalize, layer_alpha and push
-read the bound views; a step bound on new arrays binds the rest as it
-runs, as the stencil always has.
+mixes the keys of a block of steps at once.  A layer is drawn at its
+coordinate arrays (lattice.layer_coords), made anew for every draw in a
+few calls, each of at most (k+1)^2 entries in d <= 3.  Each step k of the
+forward sweep is bound to the arrays it reads and writes (lattice.bind):
+F_k and its (batch, cells) view, which _normalize and layer_alpha reduce
+over, and, for a step bound on retained buffers, its frame's interior and
+pads, the neighbour sum's 2d (into, take) view pairs and PathDP.push's
+scores, move slices, edge cells and mask rows.  _sum, _normalize,
+layer_alpha and push read the bound views; a step bound on new arrays
+binds the rest as it runs, as the stencil always has.
 
 A streamed beta=0 solve (keep_theta=False, keep_forward=False) returns
 none of its layers, so it takes its steps bound on buffers that its thread
@@ -123,8 +125,8 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .lattice import (Bound, PathDP, Site, Step, bind, cell_sites, framed,
-                      is_reachable, layer_cells, layer_shape, layer_sites, site_cells,
-                      sites_bytes, step_plan, step_vectors, sum_pairs)
+                      is_reachable, layer_cells, layer_coords, layer_shape, site_cells,
+                      step_plan, step_vectors, sum_pairs)
 from .laws import EnvironmentLaw
 from .rng import as_int, counter_uniform
 
@@ -226,9 +228,10 @@ class PolymerInstance:
         return site if is_reachable(site, k) else None
 
 
-def _draw(instance: PolymerInstance, k: int, coords: np.ndarray) -> np.ndarray:
-    """omega at step k on the given site coordinates (counter RNG, quantile,
-    centering), shared by env_layer and env_value."""
+def _draw(instance: PolymerInstance, k: int, coords) -> np.ndarray:
+    """omega at step k on the sites whose coordinates x_1, ..., x_d are
+    coords (counter RNG, quantile, centering), shared by env_layer and
+    env_value."""
     u = counter_uniform(instance.seed, k, coords)
     om = np.asarray(instance.law.quantile(u), dtype=np.float64)
     if instance.centered:
@@ -237,14 +240,15 @@ def _draw(instance: PolymerInstance, k: int, coords: np.ndarray) -> np.ndarray:
 
 
 def env_layer(instance: PolymerInstance, k: int) -> np.ndarray:
-    """omega at every cell of the step-k layer (lattice.layer_sites), with
-    the batch axis of a seed tuple in front.
+    """omega at every cell of the step-k layer, drawn at its coordinate
+    arrays (lattice.layer_coords), with the batch axis of a seed tuple in
+    front.
 
     In d >= 3 the cube's sites off the cone are drawn too, but carry no
     weight in the recursion since the forward mass there is zero.
     """
     k = instance.step(k)
-    return _draw(instance, k, layer_sites(instance.d, k))
+    return _draw(instance, k, layer_coords(instance.d, k))
 
 
 def env_value(instance: PolymerInstance, k: int, x: Site) -> float:
@@ -254,7 +258,7 @@ def env_value(instance: PolymerInstance, k: int, x: Site) -> float:
     site = instance.site(k, x)
     if site is None:
         raise ValueError(f"site {x} not reachable at step {k}")
-    return float(_draw(instance, k, np.asarray([site], dtype=np.int64))[0])
+    return float(_draw(instance, k, site))
 
 
 def _sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
@@ -634,14 +638,12 @@ def segment_tops(d: int, n: int) -> Tuple[int, ...]:
 # whatever its batch size: array headers and small objects, chiefly one
 # packed choice array and one weight shift per layer and the counter RNG's
 # last block of keys (8 words per environment), and the temporaries of
-# drawing a layer whose sites are cached (counter_uniform's coordinate
-# words).  Every stencil op runs on contiguous slices, so numpy holds no
-# ufunc buffer at a sweep's peak.  At the chunk sizes of
-# tests/test_harness.py the peaks exceed the shares by at most 40 KB.  A
-# one-replication d=3, n=12 solve exceeds its share by about 175 KiB, the
-# draw of the top layer's 2197 uncached sites; the tests check that this
-# constant covers it even without draw_bytes, which sets aside the
-# temporaries of drawing uncached layers for every (d, n).
+# drawing a layer, its coordinate arrays and their words, which draw_bytes
+# sets aside for the top layer.  Every stencil op runs on contiguous
+# slices, so numpy holds no ufunc buffer at a sweep's peak.  At the chunk
+# sizes of tests/test_harness.py the peaks exceed the shares by at most
+# 48 KB, and a one-replication solve by at most 45 KiB (d=1, n=300; about
+# 10 KiB at d=3, n=12).
 SOLVE_FIXED_BYTES = 192 << 10
 
 
@@ -662,13 +664,14 @@ def _solve_tops(d: int, n: int, beta: float, keep_theta: bool) -> Sequence[int]:
 
 
 def draw_bytes(d: int, n: int, beta: float) -> int:
-    """Bytes of the temporaries of drawing a layer whose site coordinates
-    are not cached, whatever the batch size: those of making the top
-    layer's sites (lattice.sites_bytes), or 0 at beta=0, which draws
-    nothing.  The rest of a draw holds less beside the environments'
-    shares: the coordinates and their words (2d per cell), and arrays of
-    the batch's shape, which streamed_bytes' moments cover."""
-    return 0 if beta == 0.0 else sites_bytes(d, n)
+    """Bytes of the temporaries of drawing the top layer, whatever the
+    batch size: 16 per entry of its largest coordinate array
+    (lattice.layer_coords), the array and its words in counter_uniform, or
+    0 at beta=0, which draws nothing.  That is 16 (n+1) bytes in d = 1 and
+    16 (n+1)^2 in d = 2, 3; from d = 4 on, x_1 spans every axis of the
+    layer.  The rest of a draw holds arrays of the batch's shape, which
+    streamed_bytes' moments cover."""
+    return 0 if beta == 0.0 else 16 * max(x.size for x in layer_coords(d, n))
 
 
 def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:

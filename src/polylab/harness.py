@@ -155,8 +155,10 @@ class ReplicationRecord:
 
 def chunk_size(d: int, n: int, beta: float, log: bool = False) -> int:
     """Replications per chunk: what CHUNK_BYTES leaves beside a solve's
-    fixed bytes (engine.SOLVE_FIXED_BYTES and engine.draw_bytes), over what
-    one replication holds in a keep_theta=False solve (in log space if
+    fixed bytes (engine.SOLVE_FIXED_BYTES) and the temporaries of drawing
+    its top layer (engine.draw_bytes, 16 bytes per entry of the layer's
+    largest coordinate array; 4,816 at figure 1, whose chunk is 53), over
+    what one replication holds in a keep_theta=False solve (in log space if
     log)."""
     return max(1, (CHUNK_BYTES - SOLVE_FIXED_BYTES - draw_bytes(d, n, beta))
                // streamed_bytes(d, n, beta, log))

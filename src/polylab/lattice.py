@@ -12,7 +12,7 @@ and a unit step moves every entry of s by +-1, so each of the 2d steps is a
 {0,1}^d shift between consecutive cubes.  In d = 1 the cube is the cone
 itself, the k+1 sites x = -k + 2j; in d = 2 every cell is on the cone; in
 d = 3 about 2/3 of the (k+1)^3 cells are, and the rest carry zero mass.
-layer_shape, step_geometry, layer_sites, site_cells, cell_sites and
+layer_shape, step_geometry, layer_coords, site_cells, cell_sites and
 cube_sites are the layout.
 
 The stencil works on frames: C-contiguous arrays of the step-k shape,
@@ -247,36 +247,23 @@ def bind(step: Step, lead: Tuple[int, ...], flats: Optional[dict] = None) -> Bou
                  bind_moves(step, rows, frame.flat, flats["score"][:size], masks))
 
 
-# Layers of at most this many cells keep their site coordinates between
-# calls, so the cache holds a finite key set (about 4 MiB at most, nearly
-# all d = 1).
-_CACHED_SITES = 1024
-
-
-@lru_cache(maxsize=None)
-def _layer_sites(d: int, k: int) -> np.ndarray:
-    out = cell_sites(d, k, np.arange(layer_cells(d, k))).reshape(layer_shape(d, k) + (d,))
-    out.flags.writeable = False
-    return out
-
-
-def layer_sites(d: int, k: int) -> np.ndarray:
-    """Integer coordinates of every cell of the step-k layer, shape
-    layer_shape(d, k) + (d,), read-only.  The environment is drawn at these
-    sites twice per solve and again in the next solve, so layers of at most
-    _CACHED_SITES cells come from a cache."""
-    if layer_cells(d, k) <= _CACHED_SITES:
-        return _layer_sites(d, k)
-    return _layer_sites.__wrapped__(d, k)
-
-
-def sites_bytes(d: int, k: int) -> int:
-    """Peak bytes of the temporaries of layer_sites(d, k): none for a
-    cached layer; otherwise those of cell_sites, the cell indices, d index
-    arrays and their stack, the rotated coordinates and two temporaries of
-    their shape, 4d + 1 words per cell."""
-    cells = layer_cells(d, k)
-    return 0 if cells <= _CACHED_SITES else 8 * (4 * d + 1) * cells
+def layer_coords(d: int, k: int) -> Tuple[np.ndarray, ...]:
+    """Site coordinates x_1, ..., x_d of the step-k layer as d int64 arrays
+    that broadcast to layer_shape(d, k).  Over the cube axes u_1..u_d,
+    x_1 = (3 - d) u_1 + u_2 + ... + u_d - k and x_i = u_1 - u_i for i >= 2
+    (cube_sites), so each array spans only the axes its coordinate depends
+    on: in d <= 3 at most two, (k+1)^2 entries, where the layer has
+    (k+1)^d cells."""
+    lead = (slice(None),) + (None,) * (d - 1)     # u_1 lies on axis 0, u_i on axis i
+    # (3 - d) u_1 - k as one arange (u_1's coefficient is 0 in d = 3), then
+    # u_2, ..., u_d added one axis each
+    first = -k if d == 3 else np.arange(-k, -k + (3 - d) * (k + 1), 3 - d)[lead]
+    rest = []
+    for j in range(d - 2, -1, -1):
+        u = np.arange(k + 1)
+        ui = u[(slice(None),) + (None,) * j]
+        first, rest = first + ui, rest + [u[lead] - ui]
+    return (first, *rest)
 
 
 def site_cells(d: int, k: int, x: np.ndarray) -> np.ndarray:

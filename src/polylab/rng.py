@@ -7,7 +7,11 @@ instances can run in parallel without shared state.
 
 The mixer is the SplitMix64 finalizer applied sequentially to the 64-bit
 words (seed, k+1, x_1, ..., x_d), each word pre-multiplied by the golden
-ratio constant before being folded in.
+ratio constant before being folded in.  counter_uniform takes the site
+coordinates as d arrays that broadcast to the sites' shape, so a layer is
+drawn at its coordinate arrays (lattice.layer_coords), each of which spans
+only the cube axes it depends on, and only the mixed state has one word
+per site.
 """
 
 from __future__ import annotations
@@ -117,22 +121,27 @@ def _key(seed, j: int) -> np.ndarray:
 def counter_uniform(seed, k, coords):
     """Uniform [0,1) variates keyed by (seed, step k, site coordinates).
 
-    coords: integer array of shape (..., d); one variate per leading entry.
-    seed: one seed, or a sequence/array of seeds of shape S, which prepends
-    S to the output shape.  Identical keys always give identical output.
+    coords: the coordinates x_1, ..., x_d of the sites, a sequence of
+    d >= 1 integer arrays (or scalars) that broadcast to one shape, with one
+    variate per entry of that shape: a layer's lattice.layer_coords, or an
+    (N, d) array of sites passed as its transpose.  seed: one seed, or a sequence/array of seeds
+    of shape S, which prepends S to the output shape.  Identical keys
+    always give identical output.
 
     This is mix_words(seed, k + 1, x_1, ..., x_d) per site, with the key
     mix_words(seed, k + 1) mixed once for all sites (and, through _key,
-    once for a block of steps).
+    once for a block of steps).  Each word x_j * golden is made at x_j's
+    own shape and broadcast into the state, so a layer drawn at its
+    coordinate arrays holds no coordinate array of the layer's size in
+    d <= 3.
     """
-    coords = np.asarray(coords, dtype=np.int64)
+    if len(coords) == 0:                # the fold would leave the state unset
+        raise ValueError("counter_uniform needs at least one site coordinate")
     key = _key(seed, k + 1)
-    sites = coords.shape[:-1]
-    state = np.empty(key.shape + sites, dtype=np.uint64)
-    np.copyto(state, key.reshape(key.shape + (1,) * len(sites)))
-    for j in range(coords.shape[-1]):
-        state ^= _as_word(coords[..., j]) * GOLDEN
-        _finalize(state)
+    state = np.empty(key.shape + np.broadcast(*coords).shape, dtype=np.uint64)
+    mixed = key.reshape(key.shape + (1,) * (state.ndim - key.ndim))
+    for x in coords:                    # the first word fills the state
+        mixed = _finalize(np.bitwise_xor(mixed, _as_word(x) * GOLDEN, out=state))
     state >>= _SHIFT11                  # in place: a layer's draw holds 2 arrays
     out = state.astype(np.float64)
     out *= _U53

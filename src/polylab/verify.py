@@ -17,7 +17,7 @@ from . import functionals, laws
 from .engine import (PolymerInstance, brute_force, forward_backward, layer_alpha,
                      layer_theta, theta_derivative_check)
 from .harness import FIGURE1
-from .lattice import layer_sites
+from .lattice import layer_coords
 from .rng import derive_seed, replication_seed
 
 LAW = laws.make_uniform(-1.0, 1.0)
@@ -65,7 +65,7 @@ def binomial_marginal(k: int) -> np.ndarray:
     """Simple-random-walk occupation probabilities at step k in the d = 1
     layout (entry j is site -k + 2j): exact integer binomials over 2^k,
     so each entry is the correctly rounded double of the true value."""
-    x = layer_sites(1, k)[:, 0]
+    x = layer_coords(1, k)[0]
     return np.array([math.comb(k, (k + int(v)) // 2) / 2 ** k for v in x])
 
 
@@ -216,7 +216,7 @@ def derivative_identity(n: int = 40, trials: int = 100, seed: int = 5005) -> Lis
     worst = 0.0
     for _ in range(trials):
         k = int(rng.integers(1, n + 1))
-        xs = layer_sites(1, k)[:, 0]
+        xs = layer_coords(1, k)[0]
         analytic, numeric = theta_derivative_check(
             sol, k, (int(xs[rng.integers(len(xs))]),))
         worst = max(worst, abs(analytic - numeric) / max(1.0, abs(analytic)))

@@ -34,7 +34,7 @@ def batch(d, n, beta, seed_tuple, law=LAW, centered=False):
 
 
 def test_rng_batches_over_seeds():
-    coords = np.arange(-4, 5).reshape(-1, 1)
+    coords = (np.arange(-4, 5),)
     ss = (3, 2 ** 64 - 1, -7)
     u = counter_uniform(ss, 4, coords)
     assert u.shape == (3, 9)

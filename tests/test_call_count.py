@@ -20,9 +20,11 @@ from polylab.rng import replication_seed
 
 # Python-level calls (cProfile's total) of one streamed figure-1 solve of
 # 53 replications after a solve that fills the caches: 59,883 before the
-# per-layer steps were planned once per solve, 42,005 after.  The budget
-# leaves 10% of headroom.
-CALL_BUDGET = 46_200
+# per-layer steps were planned once per solve, 42,005 after; 43,188 with
+# each layer's sites read from a cache, 40,792 with each layer drawn at its
+# coordinate arrays (lattice.layer_coords; Python 3.11, numpy 2.4.6).  The
+# budget leaves 10% of headroom.
+CALL_BUDGET = 44_871
 
 # Python-level calls of a warm scaling_study(3, [8, 16, 32]), whose solve
 # reuses the steps it bound on retained buffers (engine._Retained): 2,887

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from polylab import cli, harness, laws, verify
-from polylab.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                         EXIT_VERIFY_FAILED, main)
+from polylab.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERICAL,
+                         EXIT_OK, EXIT_VERIFY_FAILED, main)
 from polylab.engine import NumericalError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -309,6 +309,30 @@ class TestScaling:
     @pytest.mark.parametrize("grid", ["8,x", "0,8", "16", "16,16"])
     def test_bad_n_grid_is_config_error(self, grid, capsys):
         assert_config_error(main(["scaling", "--n-grid", grid]), capsys)
+
+    def test_an_unexpected_exception_is_an_internal_error(self, monkeypatch, tmp_path,
+                                                          capsys):
+        """Any other exception exits 4 with one stderr line and no
+        traceback, and the output it opened is removed."""
+        def divide(*args, **kwargs):
+            return 1 / 0
+        monkeypatch.setattr(cli, "scaling_study", divide)
+        out = tmp_path / "s.csv"
+        assert main(["scaling", "--out", str(out)]) == EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: ZeroDivisionError: division by zero\n"
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("raised", [KeyboardInterrupt, SystemExit])
+    def test_an_interrupt_propagates_and_removes_the_output(self, monkeypatch, tmp_path,
+                                                             raised):
+        def interrupt(*args, **kwargs):
+            raise raised()
+        monkeypatch.setattr(cli, "scaling_study", interrupt)
+        with pytest.raises(raised):
+            main(["scaling", "--out", str(tmp_path / "s.csv")])
+        assert list(tmp_path.iterdir()) == []
 
     def test_has_no_seed_flag(self, capsys):
         """The beta=0 measure draws no environment, so a seed would change nothing."""

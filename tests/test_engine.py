@@ -4,6 +4,7 @@ sensitivity identity."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from polylab.engine import (NumericalError, PolymerInstance, brute_force,
 from polylab.functionals import (alpha_profile, build_report, ell,
                                  gamma_tau_profiles, rho)
 from polylab import lattice
-from polylab.lattice import PathDP, layer_shape, layer_sites, site_cells
+from polylab.lattice import PathDP, layer_coords, layer_shape, site_cells
 from polylab.laws import make_uniform
 from polylab.rng import counter_uniform, derive_seed, replication_seed
 
@@ -156,12 +157,37 @@ class TestEnvValue:
         for site in [(1, 0), (-1, 2), (3, 0), (1, -2)]:
             assert om.reshape(-1)[site_cells(2, 3, site)] == env_value(inst, 3, site)
 
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_d3_layer_matches_pointwise_at_every_site(self, centered):
+        """env_layer draws at the layer's coordinate arrays, env_value at one
+        site's coordinates: the same value at every reachable site."""
+        inst = PolymerInstance(d=3, n=6, beta=1.0, law=LAW, seed=-8,
+                               centered=centered)
+        om = env_layer(inst, 5).reshape(-1)
+        sites = list(reachable_sites(3, 5))
+        cells = site_cells(3, 5, np.array(sites))
+        assert [env_value(inst, 5, x) for x in sites] == om[cells].tolist()
+
+    @pytest.mark.parametrize("d,n", [(3, 32), (4, 8)])
+    def test_top_layer_draw_peak_is_a_few_words_per_cell(self, d, n):
+        """A layer drawn at its coordinate arrays holds about the state and
+        a shift of the fold, the variates and the environment at its peak:
+        at most 5 words per cell, where making every cell's site held 12 in
+        d=3, n=32 and 17 in d=4, n=8."""
+        inst = PolymerInstance(d=d, n=n, beta=1.0, law=LAW, seed=11)
+        env_layer(inst, n)
+        tracemalloc.start()
+        try:
+            env_layer(inst, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * (n + 1) ** d
+
     def test_empirical_mean_clt_band(self):
         """10^6 distinct keys of Uniform[-1,1]: mean within the 4-sigma band."""
         inst = PolymerInstance(d=1, n=1, beta=0.0, law=LAW, seed=123456)
-        coords = np.arange(1_000_000).reshape(-1, 1)
-        from polylab.rng import counter_uniform
-        u = counter_uniform(inst.seed, 1, coords)
+        u = counter_uniform(inst.seed, 1, (np.arange(1_000_000),))
         vals = np.asarray(LAW.quantile(u))
         se = (1.0 / math.sqrt(3.0)) / 1000.0
         assert abs(vals.mean()) < 4 * se
@@ -262,15 +288,10 @@ class TestForwardBackward:
         with pytest.raises(NumericalError):
             self.solve_with(monkeypatch, 100.0, keep_theta, k, site, value)
 
-    def test_cube_coordinates_cached_read_only(self):
-        small = layer_sites(2, 3)
-        assert small is layer_sites(2, 3) and not small.flags.writeable
-        assert small.shape == (4, 4, 2) and small[0, 3].tolist() == [0, -3]
-        assert layer_sites(1, 3).tolist() == [[-3], [-1], [1], [3]]      # the cone
-        big = layer_sites(1, lattice._CACHED_SITES)
-        assert big.shape == (lattice._CACHED_SITES + 1, 1)
-        assert big is not layer_sites(1, lattice._CACHED_SITES)
-        np.testing.assert_array_equal(big, layer_sites(1, lattice._CACHED_SITES))
+    def test_cube_coordinates(self):
+        x1, x2 = layer_coords(2, 3)
+        assert (x1[0, 3], x2[0, 3]) == (0, -3)
+        assert layer_coords(1, 3)[0].tolist() == [-3, -1, 1, 3]        # the cone
 
 
 class TestBeta0Backward:
@@ -633,8 +654,7 @@ class TestLayout:
         inst = PolymerInstance(d=1, n=9, beta=1.0, law=law, seed=seed,
                                centered=centered)
         for k in range(1, 10):
-            box_sites = np.arange(-k, k + 1).reshape(-1, 1)
-            box = np.asarray(law.quantile(counter_uniform(seed, k, box_sites)))
+            box = np.asarray(law.quantile(counter_uniform(seed, k, (np.arange(-k, k + 1),))))
             if centered:
                 box = box - law.mean
             np.testing.assert_array_equal(env_layer(inst, k), box[..., ::2], strict=True)
@@ -665,7 +685,7 @@ class TestLayout:
         sol = forward_backward(inst, keep_forward=False)
         for k in range(1, n + 1):
             theta = sol.theta_array(k).reshape(-1)
-            sites = layer_sites(d, k).reshape(-1, d)
+            sites = np.stack(np.broadcast_arrays(*layer_coords(d, k)), axis=-1).reshape(-1, d)
             nonzero = {tuple(x): v for x, v in
                        zip(sites.tolist(), theta.tolist()) if v != 0.0}
             assert sorted(nonzero) == sorted(reachable_sites(d, k))

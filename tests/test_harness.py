@@ -12,10 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polylab import engine, functionals, lattice
+from polylab import engine, functionals
 from polylab.engine import (SOLVE_FIXED_BYTES, PolymerInstance, draw_bytes,
                             forward_backward, log_space, streamed_bytes)
-from polylab.lattice import layer_cells
 from polylab.laws import make_table_law, make_uniform
 from polylab.functionals import ell as ell_fn
 from polylab.functionals import rho as rho_fn
@@ -251,7 +250,7 @@ class TestChunks:
                                replications=25, base_seed=5)
         law = cfg.law
         size = chunk_size(1, 300, 3.0)
-        harness._solve_chunk(cfg, law, 0, size)  # fills the coordinate cache
+        harness._solve_chunk(cfg, law, 0, size)  # fills the step and key caches
         tracemalloc.start()
         try:
             harness._solve_chunk(cfg, law, 0, size)
@@ -274,33 +273,38 @@ class TestChunks:
         assert 0.85 * model <= _streamed_peak(d, n, beta, law, size) <= model
 
     def test_solve_fixed_bytes_cover_one_replication(self):
-        """A one-replication solve holds more beside its share than a chunk
-        does, chiefly the temporaries of drawing its top layer; the fixed
-        bytes cover them at d=3, n=12 (2197 sites, about 175 KiB)."""
+        """A one-replication solve holds the temporaries of drawing its top
+        layer beside its share; the fixed bytes cover them at d=3, n=12
+        (2197 sites, about 10 KiB) even without draw_bytes."""
         peak = _streamed_peak(3, 12, 1.0, parse_law_spec("uniform:-1,1"), 1)
         assert peak <= streamed_bytes(3, 12, 1.0) + SOLVE_FIXED_BYTES
 
     @pytest.mark.parametrize("d,n", [(3, 12), (3, 20), (4, 8)])
     def test_draw_bytes_bound_one_replication_with_large_layers(self, d, n):
-        """The top layer's sites are not cached (9261 in d=3, n=20; 6561 in
-        d=4, n=8): their coordinates' temporaries, set aside as draw_bytes,
-        keep the model an upper bound of a one-replication solve."""
-        assert layer_cells(d, n) > lattice._CACHED_SITES
+        """The temporaries of drawing the top layer (9261 cells in d=3,
+        n=20; 6561 in d=4, n=8, where x_1 spans every axis), set aside as
+        draw_bytes, keep the model an upper bound of a one-replication
+        solve."""
         peak = _streamed_peak(d, n, 1.0, parse_law_spec("uniform:-1,1"), 1)
         assert peak <= streamed_bytes(d, n, 1.0) + SOLVE_FIXED_BYTES + draw_bytes(d, n, 1.0)
 
-    def test_draw_bytes_only_for_uncached_drawn_layers(self):
-        # figure 1's layers are all cached, so its chunk is unchanged
-        assert draw_bytes(1, 300, 3.0) == 0
+    def test_draw_bytes_follow_the_largest_coordinate_array(self):
+        """16 bytes per entry of the top layer's largest coordinate array:
+        n + 1 entries in d = 1, (n+1)^2 in d = 2, 3, every cell in d = 4.
+        Figure 1's share is 16 x 301 bytes, so its chunk stays 53."""
+        assert draw_bytes(1, 300, 3.0) == 16 * 301
+        assert chunk_size(1, 300, 3.0) == 53
         assert draw_bytes(3, 20, 0.0) == 0                     # beta=0 draws nothing
-        assert draw_bytes(3, 20, 1.0) == 8 * 13 * 21 ** 3
+        assert draw_bytes(2, 20, 1.0) == draw_bytes(3, 20, 1.0) == 16 * 21 ** 2
+        assert draw_bytes(4, 8, 1.0) == 16 * 9 ** 4
         assert chunk_size(3, 20, 1.0) == \
             (harness.CHUNK_BYTES - SOLVE_FIXED_BYTES - draw_bytes(3, 20, 1.0)) \
             // streamed_bytes(3, 20, 1.0)
 
     # chunks of 1, of 3 (3+3+2, so the last chunk is shorter), of all 8
     @pytest.mark.parametrize("budget,size", [
-        (1, 1), (SOLVE_FIXED_BYTES + 3 * streamed_bytes(CFG.d, CFG.n, CFG.beta), 3),
+        (1, 1), (SOLVE_FIXED_BYTES + draw_bytes(CFG.d, CFG.n, CFG.beta)
+                 + 3 * streamed_bytes(CFG.d, CFG.n, CFG.beta), 3),
         (1 << 30, 8)])
     def test_records_do_not_depend_on_chunk_size(self, monkeypatch, budget, size):
         ref = _data(run_replications(CFG))

@@ -7,13 +7,19 @@ import numpy as np
 import pytest
 
 from polylab.lattice import (PathDP, cell_sites, framed, is_reachable,
-                             layer_cells, layer_mask, layer_shape, layer_sites,
+                             layer_cells, layer_coords, layer_mask, layer_shape,
                              neighbors, site_cells, step_geometry, step_plan,
                              step_vectors)
 
 from cone_sites import reachable_sites
 from paths import validate_path
 from stencil_windows import step_windows
+
+
+def layer_sites(d, k):
+    """The step-k layer's coordinate arrays stacked into its sites, shape
+    layer_shape(d, k) + (d,)."""
+    return np.stack(np.broadcast_arrays(*layer_coords(d, k)), axis=-1)
 
 
 def walk_support(d, k):
@@ -95,7 +101,21 @@ class TestCubeLayout:
             cells = np.arange(layer_cells(d, k))
             sites = cell_sites(d, k, cells)
             np.testing.assert_array_equal(site_cells(d, k, sites), cells)
+
+    def test_coordinate_arrays_are_the_cells_sites(self, d):
+        """layer_coords broadcast to the layer, cell for cell its sites; in
+        d <= 3 each spans at most two axes, in d = 3 x_1 not u_1's."""
+        for k in (0, 1, 2, 5, 9):
+            coords = layer_coords(d, k)
+            assert len(coords) == d
+            assert all(x.dtype == np.int64 for x in coords)
+            assert np.broadcast_shapes(*(x.shape for x in coords)) == layer_shape(d, k)
+            sites = cell_sites(d, k, np.arange(layer_cells(d, k)))
             np.testing.assert_array_equal(layer_sites(d, k).reshape(-1, d), sites)
+            spans = [sum(n > 1 for n in np.shape(x)) for x in coords]
+            if k > 0:
+                assert max(spans) == (min(d, 2) if d <= 3 else d)
+        assert layer_coords(3, 4)[0].shape == (5, 5)
 
     def test_every_reachable_site_is_a_cell(self, d):
         for k in range(1, 7):
@@ -160,7 +180,7 @@ def test_d1_layout_is_the_cone():
     is that of the cone sweep bit for bit."""
     for k in range(1, 40):
         cone = np.arange(-k, k + 1, 2)
-        np.testing.assert_array_equal(layer_sites(1, k)[:, 0], cone)
+        np.testing.assert_array_equal(layer_coords(1, k)[0], cone)
         np.testing.assert_array_equal(site_cells(1, k, cone[:, None]), np.arange(k + 1))
         assert step_windows(1, k) == (((1,), (Ellipsis, slice(0, k))),
                                       ((-1,), (Ellipsis, slice(1, k + 1))))

@@ -15,14 +15,14 @@ def test_splitmix_finalizer_bijective_on_samples():
 
 
 def test_counter_uniform_deterministic():
-    coords = np.array([[3, -2], [0, 0], [-5, 1]], dtype=np.int64)
+    coords = np.array([[3, -2], [0, 0], [-5, 1]], dtype=np.int64).T
     a = counter_uniform(42, 7, coords)
     b = counter_uniform(42, 7, coords)
     np.testing.assert_array_equal(a, b)
 
 
 def test_counter_uniform_range_and_key_separation():
-    coords = np.arange(-500, 500, dtype=np.int64).reshape(-1, 1)
+    coords = (np.arange(-500, 500, dtype=np.int64),)
     u1 = counter_uniform(1, 3, coords)
     u2 = counter_uniform(1, 4, coords)
     u3 = counter_uniform(2, 3, coords)
@@ -32,14 +32,14 @@ def test_counter_uniform_range_and_key_separation():
 
 
 def test_counter_uniform_negative_coords_distinct():
-    a = counter_uniform(0, 1, np.array([[-1]], dtype=np.int64))
-    b = counter_uniform(0, 1, np.array([[1]], dtype=np.int64))
+    a = counter_uniform(0, 1, np.array([[-1]], dtype=np.int64).T)
+    b = counter_uniform(0, 1, np.array([[1]], dtype=np.int64).T)
     assert a[0] != b[0]
 
 
 def test_counter_uniform_mean_clt_band():
     """Mean of 10^6 distinct keys sits in the 4-sigma CLT band around 1/2."""
-    coords = np.arange(1_000_000, dtype=np.int64).reshape(-1, 1)
+    coords = (np.arange(1_000_000, dtype=np.int64),)
     u = counter_uniform(987654321, 5, coords)
     se = np.sqrt(1.0 / 12.0 / u.size)
     assert abs(u.mean() - 0.5) < 4 * se
@@ -168,19 +168,32 @@ def test_replication_seed_array_is_the_per_index_loop(base):
                                   np.array([11, 2 ** 40], dtype=np.int64)],
                          ids=["int", "negative-int", "tuple", "ndarray"])
 def test_counter_uniform_matches_reference_fold(d, seed):
-    """Bit for bit, on negative coordinates, on a layer's cube of sites and
-    on a layer larger than the coordinate cache."""
-    k = {1: lattice._CACHED_SITES + 5, 2: 40, 3: 11, 4: 6}[d]
-    sites = lattice.layer_sites(d, k)
-    assert sites.min() < 0
+    """Bit for bit, on negative coordinates, on a layer's coordinate arrays
+    (lattice.layer_coords, which broadcast to the layer: in d = 1 one of
+    more than 1024 sites), and on (N, d) arrays of sites passed as their
+    transpose."""
+    k = {1: 1029, 2: 40, 3: 11, 4: 6}[d]
+    coords = lattice.layer_coords(d, k)
+    sites = np.stack(np.broadcast_arrays(*coords), axis=-1)
+    assert sites.min() < 0 and sites.size == d * (k + 1) ** d
     if d == 1:
-        assert sites.shape[0] > lattice._CACHED_SITES
-    for coords in (sites, sites.reshape(-1, d)[::7], sites.reshape(-1, d)[0]):
-        got = counter_uniform(seed, k, coords)
-        want = reference_uniform(seed, k, coords)
+        assert sites.shape[0] > 1024
+    for got_coords, want_coords in ((coords, sites),
+                                    (sites.reshape(-1, d)[::7].T, sites.reshape(-1, d)[::7]),
+                                    (sites.reshape(-1, d)[0], sites.reshape(-1, d)[0])):
+        got = counter_uniform(seed, k, got_coords)
+        want = reference_uniform(seed, k, want_coords)
         assert type(got) is type(want) is np.ndarray
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("coords", [(), [], np.empty((0, 5), dtype=np.int64)])
+def test_counter_uniform_refuses_sites_without_coordinates(coords):
+    """No coordinate array leaves the fold's state unset, so it is refused
+    rather than read."""
+    with pytest.raises(ValueError, match="at least one site coordinate"):
+        counter_uniform(1, 2, coords)
 
 
 def test_key_cache_is_bounded_read_only_and_the_fold():
@@ -194,6 +207,6 @@ def test_key_cache_is_bounded_read_only_and_the_fold():
         for j in (0, 1, 7, 8, 9, 15, 16, 301):
             assert rng._key(seed, j).tobytes() == mix_words(seed, j).tobytes()
     assert rng._key(9, -3).tobytes() == mix_words(9, -3).tobytes()
-    u = counter_uniform((4, 5, 6), 7, np.array([[1], [3]]))
+    u = counter_uniform((4, 5, 6), 7, np.array([[1, 3]]))
     u[:] = 0.5                       # the caller owns the variates
-    assert not np.array_equal(counter_uniform((4, 5, 6), 7, np.array([[1], [3]])), u)
+    assert not np.array_equal(counter_uniform((4, 5, 6), 7, np.array([[1, 3]])), u)
