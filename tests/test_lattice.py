@@ -115,7 +115,8 @@ class TestCubeLayout:
             spans = [sum(n > 1 for n in np.shape(x)) for x in coords]
             if k > 0:
                 assert max(spans) == (min(d, 2) if d <= 3 else d)
-        assert layer_coords(3, 4)[0].shape == (5, 5)
+            if d == 3:                          # x_1 = u_2 + u_3 - k
+                assert coords[0].shape == (k + 1, k + 1)
 
     def test_every_reachable_site_is_a_cell(self, d):
         for k in range(1, 7):
