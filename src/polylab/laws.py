@@ -161,10 +161,17 @@ class EnvironmentLaw:
         return panel_gauss(lambda y: fn(y) * self.density(y), edges)
 
     def _h_quad(self, x: float) -> float:
-        """Quadrature reference for h(x)."""
+        """Quadrature reference for h(x), its integral taken from the nearer
+        end as _table_h does: minus the integral over (inner[0], x) below
+        the mean, the integral over (x, inner[1]) at or above it.  Taken
+        from the far end in a thin tail, it is a near-cancellation of order-1
+        terms divided by a density of 1e-9 or less."""
         self._check_inside(x)
         m = self.mean
-        num = self.integrate(lambda y: y - m, x, self.inner[1])
+        if x < m:
+            num = -self.integrate(lambda y: y - m, self.inner[0], x)
+        else:
+            num = self.integrate(lambda y: y - m, x, self.inner[1])
         return num / float(self.density(np.asarray(x)))
 
     def interior_grid(self, count: int = 4096) -> np.ndarray:

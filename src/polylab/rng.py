@@ -122,11 +122,13 @@ def counter_uniform(seed, k, coords):
     """Uniform [0,1) variates keyed by (seed, step k, site coordinates).
 
     coords: the coordinates x_1, ..., x_d of the sites, a sequence of
-    d >= 1 integer arrays (or scalars) that broadcast to one shape, with one
-    variate per entry of that shape: a layer's lattice.layer_coords, or an
-    (N, d) array of sites passed as its transpose.  seed: one seed, or a sequence/array of seeds
-    of shape S, which prepends S to the output shape.  Identical keys
-    always give identical output.
+    d >= 1 integer arrays (or ints) that broadcast to one shape, with one
+    variate per entry of that shape: a layer's lattice.layer_coords, or
+    tuple(sites.T) for an (N, d) array of sites.  An ndarray is refused
+    with TypeError, since it would be read as one coordinate per row.
+    seed: one seed, or a sequence/array of seeds of shape S, which
+    prepends S to the output shape.  Identical keys always give identical
+    output.
 
     This is mix_words(seed, k + 1, x_1, ..., x_d) per site, with the key
     mix_words(seed, k + 1) mixed once for all sites (and, through _key,
@@ -135,6 +137,9 @@ def counter_uniform(seed, k, coords):
     coordinate arrays holds no coordinate array of the layer's size in
     d <= 3.
     """
+    if isinstance(coords, np.ndarray):
+        raise TypeError("counter_uniform takes a tuple of coordinate arrays, "
+                        "tuple(sites.T) for an (N, d) array of sites")
     if len(coords) == 0:                # the fold would leave the state unset
         raise ValueError("counter_uniform needs at least one site coordinate")
     key = _key(seed, k + 1)

@@ -462,6 +462,28 @@ class TestTableLaw:
         x = np.array([1e-7, 1e-5, 1e-3])
         np.testing.assert_allclose(law.h(x), x * (1 - x) / 3, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("step", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("mu", [2.0, 4.0])
+    def test_validate_accepts_thin_tailed_log_gamma_tables(self, mu, step):
+        """6001 knots of the log-gamma density exp(-mu w - e^-w) / Gamma(mu),
+        cut at the first and last point of a grid of the given step where
+        the density is at least 1e-12.  Its left tail falls
+        double-exponentially, so the density at the lowest probe is a few
+        1e-9.  Taken from the far end, the quadrature reference for h
+        there is a near-cancellation of order-1 integrals: it missed by
+        1.4e-8 to 3.2e-7, above validate's 1e-8, and whether a law passed
+        hung on where its table ended.  From the nearer end it agrees to
+        1.5e-10 at every cut."""
+        w = np.arange(-10.0, 60.0, step)
+        keep = np.flatnonzero(np.exp(-mu * w - np.exp(-w) - math.lgamma(mu)) >= 1e-12)
+        xs = np.linspace(w[keep[0]], w[keep[-1]], 6001)
+        law = make_table_law(xs, np.exp(-mu * xs - np.exp(-xs) - math.lgamma(mu)))
+        law.validate()
+        probe = law.interior_grid(64)
+        assert law.density(probe[0]) < 1e-8
+        quad = np.array([law._h_quad(float(x)) for x in probe])
+        assert np.max(np.abs(law.h(probe) - quad)) < 1e-9
+
     def test_rejects_nonmonotone(self):
         with pytest.raises(LawValidationError):
             make_table_law([0.0, 0.5, 0.4, 1.0], [1, 1, 1, 1])

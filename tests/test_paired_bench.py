@@ -1,17 +1,25 @@
 """tools/paired_bench.py: the summary of paired parent/change runs."""
 
+import ast
+import dataclasses
 import importlib.util
 import json
+import os
 import statistics
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polylab
+
 _SPEC = importlib.util.spec_from_file_location(
     "paired_bench", Path(__file__).resolve().parent.parent / "tools" / "paired_bench.py")
 paired_bench = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(paired_bench)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 METRICS = [{"name": "items_per_s", "unit": "items/s", "better": "higher", "bound": 0.25},
            {"name": "call_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
@@ -78,47 +86,77 @@ def test_main_prints_every_run_and_stops_at_a_wrong_one(tmp_path, capsys):
 
 
 def stub_tree(root, name, sleep_ms, log, bad_call=None):
-    """A checkout whose perfbench/workloads.py has one workload "w": each
-    call sleeps sleep_ms, appends "name i" to log, and has a problem at
-    call bad_call."""
-    (root / "perfbench").mkdir(parents=True)
+    """A checkout with a stub src/polylab and a perfbench/workloads.py
+    with one workload "w" that reads the package through
+    polylab_modules(), as the real workloads do.  Every tree gets the same
+    workloads.py: the package logs "load NAME PID" when it loads, and each
+    call sleeps its SLEEP_MS, appends "NAME i pass seed" to log, and has a
+    problem at its BAD_CALL."""
+    (root / "src" / "polylab").mkdir(parents=True)
+    (root / "src" / "polylab" / "__init__.py").write_text("from . import core\n")
+    (root / "src" / "polylab" / "core.py").write_text(
+        "import os\n"
+        f"NAME, SLEEP_MS, BAD_CALL = {name!r}, {sleep_ms!r}, {bad_call!r}\n"
+        f"with open({str(log)!r}, 'a') as fh:\n"
+        "    fh.write('load %s %d\\n' % (NAME, os.getpid()))\n")
+    (root / "perfbench").mkdir()
     (root / "perfbench" / "workloads.py").write_text(
-        "import time\n"
+        "import sys, time\n"
         "MEASURED_PASS = 0\n"
+        "def polylab_modules():\n"
+        "    import polylab\n"
+        "    return {'core': sys.modules['polylab.core']}\n"
         "class W:\n"
         "    def __init__(self, seed, seconds, work_dir):\n"
         "        self.seed = seed\n"
+        "        self.pl = polylab_modules()\n"
         "    def setup(self):\n"
-        "        print('setup output stays off the replies')\n"
+        "        print('setup output stays off the result')\n"
         "    def warmup(self):\n"
         "        pass\n"
         "    def call(self, i, pass_id):\n"
-        f"        time.sleep({sleep_ms} / 1000)\n"
+        "        core = self.pl['core']\n"
+        "        time.sleep(core.SLEEP_MS / 1000)\n"
         f"        with open({str(log)!r}, 'a') as fh:\n"
-        f"            fh.write('{name} %d %d %d\\n' % (i, pass_id, self.seed))\n"
+        "            fh.write('%s %d %d %d\\n' % (core.NAME, i, pass_id, self.seed))\n"
         "        return i\n"
         "    def problems(self, i, out):\n"
-        f"        return ['wrong output'] if i == {bad_call!r} else []\n"
+        "        return ['wrong output'] if i == self.pl['core'].BAD_CALL else []\n"
         "WORKLOADS = {'w': W}\n")
     return str(root)
 
 
-def test_interleave_alternates_the_first_side_and_times_each_call(tmp_path, capsys):
+def loads(lines):
+    """The (name, pid) of each "load NAME PID" line of a stub log."""
+    return [tuple(line.split()[1:]) for line in lines if line.startswith("load ")]
+
+
+def test_interleave_alternates_the_first_side_and_times_each_call(tmp_path, capfd):
     log = tmp_path / "calls.log"
     slow = stub_tree(tmp_path / "slow", "slow", 40, log)
     fast = stub_tree(tmp_path / "fast", "fast", 5, log)
     assert paired_bench.main([slow, fast, "--workload", "w", "--interleave", "4",
                               "--seed0", "9"]) == 0
-    # the parent first in even rounds, the change first in odd ones; both
-    # sides make call i of the measured pass with the same seed
-    assert log.read_text().splitlines() == [
+    lines = log.read_text().splitlines()
+    # one process loads the parent's package twice, for the untimed ballast
+    # and for the parent, then the change's; the parent first in even
+    # rounds, the change first in odd ones; both sides make call i of the
+    # measured pass with the same seed, each on its own tree's package
+    (ballast, pid), (parent, pid1), (change, pid2) = loads(lines[:3])
+    assert (ballast, parent, change) == ("slow", "slow", "fast")
+    assert pid == pid1 == pid2 != str(os.getpid())
+    assert lines[3:] == [
         "slow 0 0 9", "fast 0 0 9", "fast 1 0 9", "slow 1 0 9",
         "slow 2 0 9", "fast 2 0 9", "fast 3 0 9", "slow 3 0 9"]
-    out = capsys.readouterr().out
+    out, err = capfd.readouterr()
     assert "interleaved w: 4 rounds, seed 9" in out
+    assert "the parent's tree loaded first" in out
     assert "change faster in 4/4 rounds" in out
     ratio = float(out.split("ratio parent/change: median ")[1].split()[0])
     assert ratio > 2.0
+    # what the workloads print goes to stderr, not into the result
+    assert "setup output stays off the result" not in out
+    assert err.count("setup output stays off the result") == 3
 
 
 def fake_git(tree, head, refs=None, packed=None):
@@ -198,17 +236,21 @@ def test_cpu_model_reads_the_first_model_name(tmp_path):
     assert paired_bench.cpu_model(tmp_path / "missing") is None
 
 
-def test_interleave_stops_at_a_problem(tmp_path, capsys):
+def test_interleave_stops_at_a_problem(tmp_path, capfd):
     log = tmp_path / "calls.log"
     good = stub_tree(tmp_path / "good", "good", 0, log)
     bad = stub_tree(tmp_path / "bad", "bad", 0, log, bad_call=1)
     assert paired_bench.main([good, bad, "--workload", "w", "--interleave", "5"]) == 1
-    assert "change call 1: ['wrong output']" in capsys.readouterr().err
+    err = capfd.readouterr().err
+    assert "change call 1: ['wrong output']" in err
+    assert "the set on seed 1 failed (exit 1)" in err
     assert log.read_text().splitlines()[-1] == "bad 1 0 1"
     assert not (Path(bad) / "benchmarks").exists()      # a failed run writes no record
-    # a worker that cannot build its workload
+    # a workload that cannot be built
     assert paired_bench.main([good, good, "--workload", "nope", "--interleave", "2"]) == 1
-    assert "did not start" in capsys.readouterr().err
+    err = capfd.readouterr().err
+    assert "KeyError: 'nope'" in err and "the set on seed 1 failed (exit 1)" in err
+    assert not (Path(good) / "benchmarks").exists()
 
 
 def test_interleave_summary_on_fixed_numbers():
@@ -221,26 +263,32 @@ def test_interleave_summary_on_fixed_numbers():
     assert s["ratio"]["values"] == [1.25, 1.2, 11 / 12, 1.3, 1.0]
 
 
-def test_sets_run_fresh_workers_on_consecutive_seeds(tmp_path, capsys):
+def test_sets_run_in_fresh_processes_on_consecutive_seeds(tmp_path, capsys):
     log = tmp_path / "calls.log"
     slow = stub_tree(tmp_path / "slow", "slow", 20, log)
     fast = stub_tree(tmp_path / "fast", "fast", 2, log)
-    for tree in (slow, fast):   # each worker logs its import of the workload
-        with open(Path(tree) / "perfbench" / "workloads.py", "a") as fh:
-            fh.write(f"open({str(log)!r}, 'a').write('import\\n')\n")
     assert paired_bench.main([slow, fast, "--workload", "w", "--interleave", "2",
                               "--sets", "3", "--seed0", "7"]) == 0
     lines = log.read_text().splitlines()
-    # per set: a new worker for each side, then two rounds on the set's seed
+    # per set: a new process loads the ballast and both packages, the
+    # parent's first in even sets, then two rounds on the set's seed
+    pids = []
     for j, seed in enumerate((7, 8, 9)):
-        assert lines[6 * j:6 * j + 6] == [
-            "import", "import", f"slow 0 0 {seed}", f"fast 0 0 {seed}",
-            f"fast 1 0 {seed}", f"slow 1 0 {seed}"]
+        (ballast, pid), (first, pid1), (second, pid2) = loads(lines[7 * j:7 * j + 3])
+        assert (ballast, first, second) == (("slow", "slow", "fast") if j % 2 == 0
+                                            else ("fast", "fast", "slow"))
+        assert pid == pid1 == pid2
+        pids.append(pid)
+        assert lines[7 * j + 3:7 * j + 7] == [
+            f"slow 0 0 {seed}", f"fast 0 0 {seed}", f"fast 1 0 {seed}", f"slow 1 0 {seed}"]
+    assert len(set(pids)) == 3 and str(os.getpid()) not in pids
     out = capsys.readouterr().out
     assert [f"seed {s}," in out for s in (7, 8, 9)] == [True] * 3
     assert out.count("change faster in 2/2 rounds") == 3
     assert "3 sets: median ratio over the sets " in out
     assert "change faster in 6/6 rounds" in out
+    record = json.loads((Path(fast) / "benchmarks" / "BENCH_w.json").read_text())
+    assert [s["loaded_first"] for s in record["per_set"]] == ["parent", "change", "parent"]
 
 
 def test_sets_summary_on_fixed_numbers():
@@ -300,3 +348,45 @@ def test_the_bench_file_holds_the_bootstrap(tmp_path, capsys):
     assert (b["lo"], b["hi"]) == (min(medians), max(medians))
     assert b == paired_bench.bootstrap_interval(
         [{"ratio": {"median": m}} for m in medians])
+
+
+def test_the_package_imports_itself_only_relatively():
+    """--interleave loads each tree's src/polylab under its own name; an
+    absolute import of polylab inside it would load another copy."""
+    relative = 0
+    for path in sorted((ROOT / "src" / "polylab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                relative += node.level > 0
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            assert all(name.split(".")[0] != "polylab" for name in names), \
+                f"{path.name}:{node.lineno} imports polylab absolutely"
+    assert relative >= 10
+
+
+def test_the_package_under_another_name_solves_bit_for_bit():
+    """A streamed batch (d=1, n=30, beta=3, five seeds) solved by the copy
+    of src/polylab loaded as polylab_copy gives polylab's records, bit for
+    bit, from the copy's own modules."""
+    try:
+        copy = paired_bench.load_package(ROOT, "polylab_copy")
+        assert copy.harness.__name__ == "polylab_copy.harness"
+        assert copy.harness.forward_backward is copy.engine.forward_backward
+        assert copy.engine is not polylab.engine
+        records = {}
+        for package in (polylab, copy):
+            config = package.ExperimentConfig(d=1, n=30, beta=3.0, law_spec="uniform:-1,1",
+                                              replications=5, base_seed=11)
+            records[package.__name__] = [
+                dataclasses.astuple(r) for r in package.run_replications(config, workers=1)]
+        want = records["polylab"]
+        assert len(want) == 5
+        assert np.array(records["polylab_copy"]).tobytes() == np.array(want).tobytes()
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == "polylab_copy"]:
+            del sys.modules[name]
+    assert "polylab_copy" not in sys.modules

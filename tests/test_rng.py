@@ -15,7 +15,7 @@ def test_splitmix_finalizer_bijective_on_samples():
 
 
 def test_counter_uniform_deterministic():
-    coords = np.array([[3, -2], [0, 0], [-5, 1]], dtype=np.int64).T
+    coords = tuple(np.array([[3, -2], [0, 0], [-5, 1]], dtype=np.int64).T)
     a = counter_uniform(42, 7, coords)
     b = counter_uniform(42, 7, coords)
     np.testing.assert_array_equal(a, b)
@@ -32,8 +32,8 @@ def test_counter_uniform_range_and_key_separation():
 
 
 def test_counter_uniform_negative_coords_distinct():
-    a = counter_uniform(0, 1, np.array([[-1]], dtype=np.int64).T)
-    b = counter_uniform(0, 1, np.array([[1]], dtype=np.int64).T)
+    a = counter_uniform(0, 1, (np.array([-1], dtype=np.int64),))
+    b = counter_uniform(0, 1, (np.array([1], dtype=np.int64),))
     assert a[0] != b[0]
 
 
@@ -170,8 +170,8 @@ def test_replication_seed_array_is_the_per_index_loop(base):
 def test_counter_uniform_matches_reference_fold(d, seed):
     """Bit for bit, on negative coordinates, on a layer's coordinate arrays
     (lattice.layer_coords, which broadcast to the layer: in d = 1 one of
-    more than 1024 sites), and on (N, d) arrays of sites passed as their
-    transpose."""
+    more than 1024 sites), on (N, d) arrays of sites passed as
+    tuple(sites.T), and on one site passed as its tuple."""
     k = {1: 1029, 2: 40, 3: 11, 4: 6}[d]
     coords = lattice.layer_coords(d, k)
     sites = np.stack(np.broadcast_arrays(*coords), axis=-1)
@@ -179,8 +179,8 @@ def test_counter_uniform_matches_reference_fold(d, seed):
     if d == 1:
         assert sites.shape[0] > 1024
     for got_coords, want_coords in ((coords, sites),
-                                    (sites.reshape(-1, d)[::7].T, sites.reshape(-1, d)[::7]),
-                                    (sites.reshape(-1, d)[0], sites.reshape(-1, d)[0])):
+                                    (tuple(sites.reshape(-1, d)[::7].T), sites.reshape(-1, d)[::7]),
+                                    (tuple(sites.reshape(-1, d)[0]), sites.reshape(-1, d)[0])):
         got = counter_uniform(seed, k, got_coords)
         want = reference_uniform(seed, k, want_coords)
         assert type(got) is type(want) is np.ndarray
@@ -188,13 +188,24 @@ def test_counter_uniform_matches_reference_fold(d, seed):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("coords", [(), [], np.empty((0, 5), dtype=np.int64)])
+@pytest.mark.parametrize("coords", [(), [], tuple(np.empty((0, 5), dtype=np.int64))])
 def test_counter_uniform_refuses_sites_without_coordinates(coords):
     """No coordinate array leaves the fold's state unset, so it is refused
     rather than read."""
     with pytest.raises(ValueError, match="at least one site coordinate"):
         counter_uniform(1, 2, coords)
 
+
+
+def test_counter_uniform_refuses_an_array_of_sites():
+    """An (N, d) array would be read as N coordinates of d sites each and
+    give d variates of a wrong key; tuple(sites.T) is the site form."""
+    sites = np.array([[3, -2], [0, 0], [-5, 1]])
+    with pytest.raises(TypeError, match=r"tuple\(sites\.T\)"):
+        counter_uniform(1, 2, sites)
+    with pytest.raises(TypeError, match=r"tuple\(sites\.T\)"):
+        counter_uniform(1, 2, np.arange(3))
+    assert counter_uniform(1, 2, tuple(sites.T)).shape == (3,)
 
 def test_key_cache_is_bounded_read_only_and_the_fold():
     """The keys of a block of steps are mixed at once and the last block is
@@ -207,6 +218,6 @@ def test_key_cache_is_bounded_read_only_and_the_fold():
         for j in (0, 1, 7, 8, 9, 15, 16, 301):
             assert rng._key(seed, j).tobytes() == mix_words(seed, j).tobytes()
     assert rng._key(9, -3).tobytes() == mix_words(9, -3).tobytes()
-    u = counter_uniform((4, 5, 6), 7, np.array([[1, 3]]))
+    u = counter_uniform((4, 5, 6), 7, (np.array([1, 3]),))
     u[:] = 0.5                       # the caller owns the variates
-    assert not np.array_equal(counter_uniform((4, 5, 6), 7, np.array([[1, 3]])), u)
+    assert not np.array_equal(counter_uniform((4, 5, 6), 7, (np.array([1, 3]),)), u)

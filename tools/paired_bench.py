@@ -19,36 +19,49 @@ distance between the parent's quartiles.  Exits 1 as soon as a run fails or
 reports `correct: false`.  Only the standard library is used.
 
 --interleave times single calls instead of whole runs, which resolves
-gains that the spread of 40-s runs hides.  Each checkout gets one
-long-lived worker process that imports that tree's src/ and builds its
-perfbench/workloads.py workload W with seed K, runs setup() and warmup(),
-and then times one call() per request with perf_counter_ns; a figure1 call
-solves one chunk of 53 replications (CALL_REPS).  Round i asks both workers
-for call i, on the same inputs, the parent first in even rounds and the
-change first in odd ones.  After each timed call the worker checks the
-output with the workload's problems(); the tool exits 1 on the first
-problem.  It prints each side's per-call median and quartiles, the
-per-round ratio parent/change (its median and quartiles) and the rounds
-the change was faster in.
+gains that the spread of 40-s runs hides.  A set runs in one fresh Python
+process that holds both trees: it loads each tree's src/polylab under its
+own package name (polylab_parent, polylab_change; the package imports
+itself only relatively, so each copy's submodules come from its own
+tree) and builds that tree's perfbench/workloads.py workload W with
+`polylab` bound to that tree's package while the workload is made, set
+up and warmed up.  A figure1 call solves one chunk of 53 replications
+(CALL_REPS).  Round i times call i of both workloads with
+perf_counter_ns, on the same inputs, the parent first in even rounds and
+the change first in odd ones, and checks each output with the workload's
+problems(); the tool exits 1 on the first problem, or when a workload
+cannot be built.  Whatever the workloads print goes to stderr.  The tool
+prints each side's per-call median and quartiles, the per-round ratio
+parent/change (its median and quartiles) and the rounds the change was
+faster in.  Timing both trees in one process removes the few percent
+that followed each tree's own process state when every tree had a
+process of its own.
 
---sets S runs S such interleaved sets one after another, set j with seed
-K+j and a fresh pair of workers, and prints each set's summary as it ends,
-then the median and the range of the sets' median ratios, the rounds
-the change was faster in over all sets and a 95% bootstrap interval of
-the median ratio over the sets.  figure1's median ratios have
-moved more between sets with fresh workers than the quartiles of one set
-suggest (benchmarks/ell_masks_runs.txt), so a claim of a few percent
-rests on several sets.
+The first workload warmed in a process runs slower than the next for as
+long as it lives: the tree warmed second read 0.6-1.2% faster on
+scaling_d3 and about 0.7% on figure1.  So a set first builds and warms a
+third copy of one tree (polylab_ballast), which it keeps and never
+times; the tree built second then read about 0.3% faster on scaling_d3
+and no faster on figure1.
+
+--sets S runs S such interleaved sets one after another, set j in a new
+process with seed K+j, and prints each set's summary as it ends, then
+the median and the range of the sets' median ratios, the rounds the
+change was faster in over all sets and a 95% bootstrap interval of the
+median ratio over the sets.  Set j builds the parent's workload first
+(after the ballast, a copy of the parent's tree) when j is even and the
+change's first when j is odd, so that an even number of sets balances
+what order effect is left.
 
 After the last set, --interleave writes CHANGE/benchmarks/BENCH_<W>.json:
 the git sha that each checkout's .git names (read from the files, so a
 tree with uncommitted changes shows its HEAD), the machine (platform and
 the CPU model of /proc/cpuinfo), the numpy and Python versions, the
 rounds, sets and first seed, each set's per-call quartiles of both sides
-with its ratio summary and wins, the summary over the sets
-(sets_summary) and a seeded 95% bootstrap interval of the median ratio
-that resamples the sets (bootstrap_interval).  An A/A run of one checkout (PARENT = CHANGE) records
-that checkout's spread.
+with its ratio summary, wins and the tree loaded first, the summary over
+the sets (sets_summary) and a seeded 95% bootstrap interval of the median
+ratio that resamples the sets (bootstrap_interval).  An A/A run of one
+checkout (PARENT = CHANGE) records that checkout's spread.
 """
 
 from __future__ import annotations
@@ -69,12 +82,19 @@ from pathlib import Path
 from typing import Optional
 
 
-def load_spread(tree: Path):
-    """tree's perfbench/spread.py, whose run_once runs the benchmark in tree."""
-    spec = importlib.util.spec_from_file_location("spread", tree / "perfbench" / "spread.py")
+def load(name: str, path: Path, **spec_args):
+    """The module at path (a package's __init__.py with
+    submodule_search_locations), run and registered in sys.modules as name."""
+    spec = importlib.util.spec_from_file_location(name, path, **spec_args)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def load_spread(tree: Path):
+    """tree's perfbench/spread.py, whose run_once runs the benchmark in tree."""
+    return load("spread", tree / "perfbench" / "spread.py")
 
 
 SPREAD = load_spread(Path(__file__).resolve().parent.parent)
@@ -105,61 +125,58 @@ def summarize(parent: list, change: list, metrics: list) -> list:
 CALL_REPS = {"figure1": 53}
 
 
-def serve(tree: str, workload: str, seed: str) -> None:
-    """The --interleave worker: builds tree's workload, then answers each
-    line i on stdin with the nanoseconds of call(i) and the workload's
-    problems with its output, as one JSON line on stdout."""
-    reply = sys.stdout
-    sys.stdout = sys.stderr         # whatever the workload prints stays off the replies
-    sys.path.insert(0, str(Path(tree) / "src"))
-    spec = importlib.util.spec_from_file_location("workloads", Path(tree) / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def load_package(tree: Path, name: str):
+    """tree's src/polylab as the package name.  The package imports itself
+    only relatively, so its submodules load as name.engine, name.harness,
+    ... from the same tree."""
+    src = tree / "src" / "polylab"
+    return load(name, src / "__init__.py", submodule_search_locations=[str(src)])
+
+
+def build(tree: Path, side: str, workload: str, seed: int, work_dir: str):
+    """tree's workloads module and its workload, made, set up and warmed up
+    while `polylab` and `polylab.<sub>` in sys.modules name tree's package,
+    loaded as polylab_<side>, and its submodules."""
+    package = load_package(tree, f"polylab_{side}")
+    sys.modules.update({"polylab" + name[len(package.__name__):]: module
+                        for name, module in list(sys.modules.items())
+                        if name.split(".")[0] == package.__name__})
+    module = load(f"workloads_{side}", tree / "perfbench" / "workloads.py")
+    wl = module.WORKLOADS[workload](seed, 1.0, str(Path(work_dir) / side))
+    wl.setup()
+    if workload in CALL_REPS:
+        wl.reps = CALL_REPS[workload]
+    wl.warmup()
+    for name in [name for name in sys.modules if name.split(".")[0] == "polylab"]:
+        del sys.modules[name]
+    return module, wl
+
+
+def run_set(parent: str, change: str, workload: str, rounds: int, seed: int,
+            first: str) -> None:
+    """One interleaved set, in a process of its own: builds the ballast
+    and both trees' workloads, first's first, times the rounds and prints
+    the nanoseconds of each side's calls as one JSON line on stdout.
+    Exits with a message at the first problem."""
+    result = sys.stdout
+    sys.stdout = sys.stderr         # whatever the workloads print stays off the result
+    trees = {"parent": Path(parent), "change": Path(change)}
     with tempfile.TemporaryDirectory() as work_dir:
-        wl = module.WORKLOADS[workload](int(seed), 1.0, work_dir)
-        wl.setup()
-        if workload in CALL_REPS:
-            wl.reps = CALL_REPS[workload]
-        wl.warmup()
-        print("ready", file=reply, flush=True)
-        for line in sys.stdin:
-            i = int(line)
-            t0 = time.perf_counter_ns()
-            out = wl.call(i, module.MEASURED_PASS)
-            ns = time.perf_counter_ns() - t0
-            print(json.dumps({"ns": ns, "problems": wl.problems(i, out)}), file=reply, flush=True)
-
-
-class Worker:
-    """A serve() process for one checkout."""
-
-    def __init__(self, tree: Path, workload: str, seed: int):
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import paired_bench; "
-                "paired_bench.serve(*sys.argv[2:])")
-        self.proc = subprocess.Popen(
-            [sys.executable, "-c", code, str(Path(__file__).resolve().parent),
-             str(tree), workload, str(seed)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        if self.proc.stdout.readline().strip() != "ready":
-            self.close()
-            raise RuntimeError(f"the worker of {tree} did not start")
-
-    def call(self, i: int) -> dict:
-        self.proc.stdin.write(f"{i}\n")
-        self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
-        if not line:
-            raise RuntimeError(f"the worker stopped at call {i}")
-        return json.loads(line)
-
-    def close(self) -> None:
-        self.proc.stdin.close()         # the worker's loop ends at EOF
-        try:
-            self.proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
-        self.proc.stdout.close()
+        # kept, untimed, in the place of the first workload warmed
+        ballast = build(trees[first], "ballast", workload, seed, work_dir)  # noqa: F841
+        built = {side: build(trees[side], side, workload, seed, work_dir)
+                 for side in (first, "change" if first == "parent" else "parent")}
+        ns = {"parent": [], "change": []}
+        for i in range(rounds):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                module, wl = built[side]
+                t0 = time.perf_counter_ns()
+                out = wl.call(i, module.MEASURED_PASS)
+                ns[side].append(time.perf_counter_ns() - t0)
+                problems = wl.problems(i, out)
+                if problems:
+                    sys.exit(f"paired_bench: {side} call {i}: {problems}")
+    print(json.dumps(ns), file=result, flush=True)
 
 
 def interleave_summary(parent_ns: list, change_ns: list) -> dict:
@@ -193,8 +210,8 @@ def bootstrap_interval(sets: list, level: float = 0.95,
     (interleave_summary results): each resample draws as many sets as
     there are, with replacement, from a seeded random.Random, and takes
     the median of their median ratios.  Sets, not the rounds of one set,
-    are resampled: the ratio moves more between sets with fresh workers
-    than within one.  With few sets the interval is at most their range."""
+    are resampled: the ratio moves more between sets, each in a fresh
+    process, than within one.  With few sets the interval is at most their range."""
     medians = [s["ratio"]["median"] for s in sets]
     rng = random.Random(seed)
     stats = sorted(statistics.median(rng.choices(medians, k=len(medians)))
@@ -267,36 +284,32 @@ def bench_record(parent: Path, change: Path, workload: str, rounds: int, seed0: 
         "rounds": rounds, "sets": len(sets), "seed0": seed0,
         "per_set": [{"seed": seed0 + j, "parent_ms": quartiles(s["parent"]),
                      "change_ms": quartiles(s["change"]), "ratio": quartiles(s["ratio"]),
-                     "wins": s["wins"], "rounds": s["rounds"]} for j, s in enumerate(sets)],
+                     "wins": s["wins"], "rounds": s["rounds"],
+                     "loaded_first": s["loaded_first"]} for j, s in enumerate(sets)],
         "over_sets": sets_summary(sets),
         "bootstrap": bootstrap_interval(sets),
     }
 
 
 def interleave(parent: Path, change: Path, workload: str, rounds: int,
-               seed: int) -> Optional[dict]:
-    """One interleaved set with a fresh pair of workers: prints and returns
-    its interleave_summary, or None after a failure, which it reports."""
-    workers = {}
-    try:
-        for side, tree in (("parent", parent), ("change", change)):
-            workers[side] = Worker(tree, workload, seed)
-        ns = {"parent": [], "change": []}
-        for i in range(rounds):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                reply = workers[side].call(i)
-                if reply["problems"]:
-                    print(f"paired_bench: {side} call {i}: {reply['problems']}", file=sys.stderr)
-                    return None
-                ns[side].append(reply["ns"])
-    except RuntimeError as exc:
-        print(f"paired_bench: {exc}", file=sys.stderr)
+               seed: int, first: str) -> Optional[dict]:
+    """One interleaved set in a fresh process that loads first's tree
+    first: prints and returns its interleave_summary with the tree loaded
+    first, or None after a failure, which it reports."""
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import paired_bench; "
+            "paired_bench.run_set(**json.loads(sys.argv[2]))")
+    args = {"parent": str(parent), "change": str(change), "workload": workload,
+            "rounds": rounds, "seed": seed, "first": first}
+    proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent),
+                           json.dumps(args)], stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        print(f"paired_bench: the set on seed {seed} failed (exit {proc.returncode})",
+              file=sys.stderr)
         return None
-    finally:
-        for worker in workers.values():
-            worker.close()
-    s = interleave_summary(ns["parent"], ns["change"])
-    print(f"interleaved {workload}: {rounds} rounds, seed {seed}, the parent first in even rounds")
+    ns = json.loads(proc.stdout)
+    s = dict(interleave_summary(ns["parent"], ns["change"]), loaded_first=first)
+    print(f"interleaved {workload}: {rounds} rounds, seed {seed}, the parent first in "
+          f"even rounds, the {first}'s tree loaded first")
     for side in ("parent", "change"):
         q = s[side]
         print(f"{side:6s} per call: median {q['median']:.4f} ms [{q['q1']:.4f}, {q['q3']:.4f}]")
@@ -316,7 +329,7 @@ def main(argv=None) -> int:
     ap.add_argument("--interleave", type=int, metavar="ROUNDS",
                     help="time ROUNDS alternating single calls instead of paired runs")
     ap.add_argument("--sets", type=int, default=1,
-                    help="with --interleave: run this many sets, each with fresh workers")
+                    help="with --interleave: run this many sets, each in a fresh process")
     args = ap.parse_args(argv)
     if args.sets != 1 and args.interleave is None:
         ap.error("--sets needs --interleave")
@@ -328,7 +341,7 @@ def main(argv=None) -> int:
         sets = []
         for j in range(args.sets):
             s = interleave(args.parent, args.change, args.workload, args.interleave,
-                           args.seed0 + j)
+                           args.seed0 + j, "parent" if j % 2 == 0 else "change")
             if s is None:
                 return 1
             sets.append(s)
