@@ -63,23 +63,28 @@ layer_alpha and push read the bound views; a step bound on new arrays
 binds the rest as it runs, as the stencil always has.
 
 A streamed beta=0 solve (keep_theta=False, keep_forward=False) returns
-none of its layers, so it takes its steps bound on buffers that its thread
-keeps between solves (_Retained, at most RETAINED_BYTES): one mapping each
-for F_k, the frame (the neighbour sum's, the square in layer_alpha and
+none of its layers, so it binds its steps on buffers that its thread keeps
+between solves (_Retained, at most RETAINED_BYTES): one mapping each for
+F_k, the frame (the neighbour sum's, the square in layer_alpha and
 PathDP's, whose lifetimes never overlap), PathDP's scores and its move
-masks, and the steps bound on them, which every later solve with the same
-d and batch reuses, a shorter one its first n.  Allocated anew, the arrays
-were freed at the end of every solve, glibc trimmed the heap, and the next
-solve faulted its working set in again; bound anew, every layer built its
-views again, about half of a small layer's cost.  A bound step holds about
-3.5 KiB of array headers, lists and tuples in d = 1 and 7.5 KiB in d = 3,
-counted with the mappings against RETAINED_BYTES: steps past it are bound
-as they are reached, on new arrays, as in a fresh solve.  The steps are
-bound again when a mapping is remapped (a longer solve, or another d or
-batch).  Nothing retained leaves a solve: alpha, the log normalizers and
-the packed choices are new arrays, and the ell program keeps no score
-layer once the sweep has settled it (lattice.PathDP.settle), only each
-row's top score and endpoint, at the end and at every kept prefix.
+masks, sized for step m, the largest step whose four layers fit (m = n
+unless the top layers alone are too big, as for one environment in d = 3
+past n = 51).  Every
+step up to m is bound on them, and a step past m on new arrays.  Allocated
+anew, the arrays were freed at the end of every solve, glibc trimmed the
+heap, and the next solve faulted its working set in again; bound anew,
+every layer built its views again, about half of a small layer's cost.  So
+the steps bound first are kept, with the mappings, for every later solve
+with the same d and batch, a shorter one its first n: a bound step holds
+about 3.5 KiB of array headers, lists and tuples in d = 1 and 7.5 KiB in
+d = 3, and steps are kept while they fit beside the mappings in
+RETAINED_BYTES; the steps past them are bound on the mappings as the
+solve reaches them.  The kept steps are bound again when a mapping is
+remapped (a solve whose step m outgrows it) or for another d or batch.
+Nothing retained leaves a solve: alpha, the log normalizers and the packed
+choices are new arrays, and the ell program keeps no score layer once the
+sweep has settled it (lattice.PathDP.settle), only each row's top score
+and endpoint, at the end and at every kept prefix.
 A beta > 0 solve binds every step anew, decided once per solve:
 retaining its forward and ell arrays made figure1 slower, because its
 segments' weights and backward layers, still allocated anew, were then
@@ -128,7 +133,7 @@ from .lattice import (Bound, PathDP, Site, Step, bind, cell_sites, framed,
                       is_reachable, layer_cells, layer_coords, layer_shape, site_cells,
                       step_plan, step_vectors, sum_pairs)
 from .laws import EnvironmentLaw
-from .rng import as_int, counter_uniform
+from .rng import as_int, as_seed, counter_uniform
 
 BRUTE_FORCE_LIMIT = 20_000_000
 _BRUTE_CHUNK = 1 << 15
@@ -168,7 +173,8 @@ class PolymerInstance:
 
     seed is an int for one environment, or a tuple of R ints for a batch of
     R environments solved together (a tuple keeps the instance hashable).
-    d, n and the seeds follow rng.as_int and are stored as Python ints;
+    d and n follow rng.as_int and the seeds rng.as_seed (an int in
+    [-2**63, 2**64)), all stored as Python ints;
     beta is a real number (not a bool), stored as a float.  The law is not
     read when an instance is made.
     centered: subtract the law's mean from every environment value.  This
@@ -196,9 +202,9 @@ class PolymerInstance:
         if isinstance(self.seed, tuple):
             if not self.seed:
                 raise ValueError("a seed tuple needs at least one seed")
-            seed = tuple(as_int("each seed of a tuple", s) for s in self.seed)
+            seed = tuple(as_seed("each seed of a tuple", s) for s in self.seed)
         else:
-            seed = as_int("seed", self.seed)
+            seed = as_seed("seed", self.seed)
         object.__setattr__(self, "seed", seed)
 
     @property
@@ -635,16 +641,19 @@ def segment_tops(d: int, n: int) -> Tuple[int, ...]:
 
 
 # Bytes a solve holds beside its environments' shares (streamed_bytes),
-# whatever its batch size: array headers and small objects, chiefly one
-# packed choice array and one weight shift per layer and the counter RNG's
-# last block of keys (8 words per environment), and the temporaries of
-# drawing a layer, its coordinate arrays and their words, which draw_bytes
-# sets aside for the top layer.  Every stencil op runs on contiguous
-# slices, so numpy holds no ufunc buffer at a sweep's peak.  At the chunk
-# sizes of tests/test_harness.py the peaks exceed the shares by at most
-# 48 KB, and a one-replication solve by at most 45 KiB (d=1, n=300; about
-# 10 KiB at d=3, n=12).
-SOLVE_FIXED_BYTES = 192 << 10
+# whatever its batch size and n: array headers and small objects, chiefly
+# the counter RNG's last block of keys (8 words per environment) and the
+# temporaries of drawing a layer, its coordinate arrays and their words,
+# which draw_bytes sets aside for the top layer.  Every stencil op runs on
+# contiguous slices, so numpy holds no ufunc buffer at a sweep's peak.
+SOLVE_FIXED_BYTES = 148 << 10
+
+# Bytes a solve holds per layer beside its environments' shares, whatever
+# its batch size: the header of the layer's packed choice array, which is
+# 3-d (lattice.PathDP), and its pointer in the list of choices.  Both
+# fixed terms together exceed what the chunks of tests/test_harness.py
+# hold beside their shares.
+LAYER_FIXED_BYTES = sys.getsizeof(np.empty((0, 0, 0), np.uint8)) + 8
 
 
 def _solve_tops(d: int, n: int, beta: float, keep_theta: bool) -> Sequence[int]:
@@ -742,7 +751,8 @@ def streamed_bytes(d: int, n: int, beta: float, log: bool = False) -> int:
 # again: about 500 minor faults of about 3 us each per warm
 # scaling_study(3, [8, 16, 32]), whose buffers take 1.0 MiB; a
 # 212-replication d=1, n=300 chunk's take 1.5 MiB.  A few MiB cover both
-# and bound what an idle thread holds; a larger request allocates anew.
+# and bound what an idle thread holds; a step whose layers do not fit in
+# them is bound on new arrays.
 RETAINED_BYTES = 4 << 20
 
 
@@ -763,35 +773,33 @@ class _Retained(threading.local):
 
     flats holds one flat anonymous mapping per role of lattice.bind
     (layer, frame, score, masks).  A mapping stays mapped when a solve
-    ends, so a warm solve touches no new page.  steps binds the solve's
-    steps 1, 2, ... on the flats once (lattice.Bound: their views, slice
-    pairs and the ell program's moves) and every later solve with the same
-    d and leading axes reuses them, a shorter one the first n.  The flats
-    and the bound steps' objects (_object_bytes) stay within
-    RETAINED_BYTES together: a solve binds as many steps as fit, with the
-    flats sized for the largest, and binds every later step anew as it
-    reaches it, as a fresh solve does.  The bound steps view the mappings,
-    so they are bound again whenever a mapping is remapped (a longer
-    solve), and they are kept for one (d, leading axes) at a time.  Each
-    thread has its own set, so concurrent solves never share one, and the
-    mappings are private, so a forked worker writes to its own copy."""
+    ends, so a warm solve touches no new page.  steps sizes the flats for
+    step m, the largest step of the solve whose four layers fit in
+    RETAINED_BYTES (every step, unless the top layers alone are too big),
+    so the solve binds every step up to m on them and allocates no working
+    layer of its own.  It binds the steps 1, 2, ... on the flats once
+    (lattice.Bound: their views, slice pairs and the ell program's moves)
+    and keeps each while the flats and the kept steps' objects
+    (_object_bytes) fit in RETAINED_BYTES; every later solve with the same
+    d and leading axes reuses them, a shorter one the first n, and binds
+    the steps past them on the flats as it reaches them.  The kept steps
+    view the mappings, so they are bound again whenever a mapping is
+    remapped (a solve whose step m outgrows it), and they are kept for one
+    (d, leading axes) at a time.  Each thread has its own set, so
+    concurrent solves never share one, and the mappings are private, so a
+    forked worker writes to its own copy."""
 
     def __init__(self):
         self.flats = {}         # role -> flat array over its mapping
         self.key = None         # (d, lead) of the bound steps
         self.bound = []         # the bound steps 1..len(bound)
-        self.planned = 0        # the longest solve they were planned for
         self.bound_bytes = 0    # _object_bytes of the bound steps
 
-    def steps(self, plan: Plan, lead: Tuple[int, ...]) -> List[Bound]:
-        """Bound steps 1..m (m <= n) of a streamed beta=0 solve with the
-        step plan of (d, n) and leading axes lead, all on the flats."""
+    def steps(self, plan: Plan, lead: Tuple[int, ...]) -> Tuple[List[Bound], Optional[dict]]:
+        """(the kept bound steps 1..len, the flats) for a streamed beta=0
+        solve with the step plan of (d, n) and leading axes lead; flats None
+        where not even step 1 fits."""
         d, n = len(plan[0].shape), len(plan) - 1
-        if (d, lead) != self.key:
-            self._drop((d, lead))
-        if n <= self.planned:
-            return self.bound
-        self.planned = n
         rows, moves = math.prod(lead), 2 * d - 1
 
         def need(k: int) -> dict:
@@ -799,21 +807,17 @@ class _Retained(threading.local):
             return {"layer": 8 * cells, "frame": 8 * cells, "score": 8 * cells,
                     "masks": moves * cells}
 
-        # every bound step holds as many objects as step 1; keep the most
-        # steps whose flats and objects fit, with the flats sized for them
-        per = _object_bytes(bind(plan[1], lead, {role: np.empty(size, np.uint8)
-                                                 for role, size in need(1).items()}))
-        m = bisect_right(range(n + 1), RETAINED_BYTES,
-                         key=lambda k: sum(need(k).values()) + k * per) - 1
+        m = bisect_right(range(1, n + 1), RETAINED_BYTES, key=lambda k: sum(need(k).values()))
+        if not m:
+            return [], None
         sizes = need(m)
-        if (any(role not in self.flats or self.flats[role].nbytes < size
-                for role, size in sizes.items())
-                or sum(f.nbytes for f in self.flats.values()) + m * per > RETAINED_BYTES):
-            self._drop((d, lead))
-            self.planned = n
-            self.flats.update((role, np.frombuffer(
-                mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE),
-                bool if role == "masks" else np.float64)) for role, size in sizes.items())
+        if not self.flats or any(self.flats[role].nbytes < size for role, size in sizes.items()):
+            self.key = None         # the kept steps view the old mappings
+            self.flats = {role: np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE),
+                                              bool if role == "masks" else np.float64)
+                          for role, size in sizes.items()}
+        if (d, lead) != self.key:
+            self.key, self.bound, self.bound_bytes = (d, lead), [], 0
         held = sum(f.nbytes for f in self.flats.values())
         for k in range(len(self.bound) + 1, m + 1):
             step = bind(plan[k], lead, self.flats)
@@ -822,11 +826,7 @@ class _Retained(threading.local):
                 break
             self.bound_bytes += size
             self.bound.append(step)
-        return self.bound
-
-    def _drop(self, key) -> None:
-        """Forget every bound step: the next are bound for key from step 1."""
-        self.key, self.bound, self.planned, self.bound_bytes = key, [], 0, 0
+        return self.bound, self.flats
 
 
 _RETAINED = _Retained()
@@ -888,9 +888,9 @@ def forward_backward(instance: PolymerInstance,
     log = log_space(instance.beta, instance.law)
     tops = _solve_tops(d, n, instance.beta, keep_theta)
     plan = step_plan(d, n)
-    # a streamed beta=0 solve takes its steps bound on this thread's
-    # retained buffers; any other binds each step anew (module docstring)
-    bound_steps = () if instance.beta or keep_theta or keep_forward else \
+    # a streamed beta=0 solve binds its steps on this thread's retained
+    # buffers; any other binds each step anew (module docstring)
+    bound_steps, flats = ((), None) if instance.beta or keep_theta or keep_forward else \
         _RETAINED.steps(plan, lead)
 
     def weights(k: int) -> Weights:
@@ -925,7 +925,7 @@ def forward_backward(instance: PolymerInstance,
             for i in range(len(bs) - 2, -1, -1):
                 bs[i] = _backward_step(bs[i + 1], ws[i + 1], plan, lo + i, lead, log)
         for i, k in enumerate(range(lo, hi + 1)):
-            bound = bound_steps[k - 1] if k <= bound_count else bind(plan[k], lead)
+            bound = bound_steps[k - 1] if k <= bound_count else bind(plan[k], lead, flats)
             f = _forward_step(f, ws[i], bound, k, lead, log, lognorm_rows[:, k - 1])
             ws[i] = None
             if keep_forward:

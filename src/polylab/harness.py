@@ -33,10 +33,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import functionals
-from .engine import (SOLVE_FIXED_BYTES, PolymerInstance, draw_bytes,
+from .engine import (LAYER_FIXED_BYTES, SOLVE_FIXED_BYTES, PolymerInstance, draw_bytes,
                      forward_backward, log_space, streamed_bytes)
 from .laws import EnvironmentLaw, load_table_law, make_uniform
-from .rng import as_int, replication_seed
+from .rng import as_int, as_seed, replication_seed
 
 DEFAULT_LAW = "uniform:-1,1"
 
@@ -91,7 +91,7 @@ class ExperimentConfig:
         if type(self.centered) is not bool or not isinstance(self.law_spec, str):
             raise ConfigError("centered must be true or false and law_spec a string")
         try:
-            inst = self.instance(as_int("base_seed", self.base_seed), None)
+            inst = self.instance(as_seed("base_seed", self.base_seed), None)
             replications = as_int("replications", self.replications)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
@@ -155,13 +155,13 @@ class ReplicationRecord:
 
 def chunk_size(d: int, n: int, beta: float, log: bool = False) -> int:
     """Replications per chunk: what CHUNK_BYTES leaves beside a solve's
-    fixed bytes (engine.SOLVE_FIXED_BYTES) and the temporaries of drawing
-    its top layer (engine.draw_bytes, 16 bytes per entry of the layer's
-    largest coordinate array; 4,816 at figure 1, whose chunk is 53), over
-    what one replication holds in a keep_theta=False solve (in log space if
-    log)."""
-    return max(1, (CHUNK_BYTES - SOLVE_FIXED_BYTES - draw_bytes(d, n, beta))
-               // streamed_bytes(d, n, beta, log))
+    fixed bytes (engine.SOLVE_FIXED_BYTES, and engine.LAYER_FIXED_BYTES for
+    each of its n layers) and the temporaries of drawing its top layer
+    (engine.draw_bytes, 16 bytes per entry of the layer's largest
+    coordinate array; 4,816 at figure 1, whose chunk is 53), over what one
+    replication holds in a keep_theta=False solve (in log space if log)."""
+    fixed = SOLVE_FIXED_BYTES + n * LAYER_FIXED_BYTES + draw_bytes(d, n, beta)
+    return max(1, (CHUNK_BYTES - fixed) // streamed_bytes(d, n, beta, log))
 
 
 def _solve_chunk(config: ExperimentConfig, law: EnvironmentLaw,

@@ -224,20 +224,22 @@ class Bound(NamedTuple):
 def bind(step: Step, lead: Tuple[int, ...], flats: Optional[dict] = None) -> Bound:
     """Bind step k (step_geometry(d, k)) with leading axes lead.
 
-    flats None binds a new F_k and nothing else: the neighbour sum,
-    engine.layer_alpha and PathDP.push each allocate their frame, square
-    and scores when they run and drop what they can when they end, so a
-    fresh solve allocates and frees in the order it always has.  Otherwise
-    every array is a view of flats, {role: flat array} for the roles layer,
-    frame, score and masks, each at least the step's size, and the step is
-    bound in full: such steps are bound once and reused by every later
-    solve (engine._Retained)."""
+    flats is {role: flat array} for the roles layer, frame, score and
+    masks (engine._Retained's).  Where each holds the step's size (the
+    step's cells per row, times its 2d - 1 moves for masks), every array is
+    a view of them and the step is bound in full.  Otherwise (flats None, as
+    at beta > 0, or a step too large for them) it binds a new F_k and
+    nothing else: the neighbour sum, engine.layer_alpha and PathDP.push
+    each allocate their frame, square and scores when they run and drop
+    what they can when they end, so a fresh solve allocates and frees in
+    the order it always has."""
     shape = lead + step.shape
     rows = math.prod(lead)
-    if flats is None:
+    size = rows * math.prod(step.shape)
+    if flats is None or min(flats["layer"].size, flats["frame"].size, flats["score"].size,
+                            flats["masks"].size // (len(step.moves) - 1)) < size:
         layer = np.empty(shape)
         return Bound(step, layer, layer.reshape(rows, -1))
-    size = rows * math.prod(step.shape)
     layer = flats["layer"][:size].reshape(shape)
     cube = flats["frame"][:size].reshape(shape)
     frame = Frame(cube, cube[step.frame], [cube[pad] for pad in step.pads], cube.reshape(-1))

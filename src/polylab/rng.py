@@ -36,11 +36,23 @@ _SHIFT11 = np.uint64(11)
 def as_int(what: str, v) -> int:
     """v as a Python int; TypeError for a bool or a non-integer, which int()
     would silently turn into another value.  The one integer rule: the sizes,
-    seeds, steps and site coordinates of a PolymerInstance, kappa's d and
-    replication_seed's base seed and index read through it."""
+    seeds (through as_seed), steps and site coordinates of a
+    PolymerInstance, kappa's d and replication_seed's base seed (through
+    as_seed) and index read through it."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise TypeError(f"{what} must be an int, got {v!r}")
     return int(v)
+
+
+def as_seed(what: str, v) -> int:
+    """v as a seed: an int by as_int that one 64-bit word holds, in
+    [-2**63, 2**64); ValueError outside it, where masking to 64 bits would
+    alias another seed (2**64 would solve seed 0).  A negative seed is its
+    two's-complement word, so -1 solves as 2**64 - 1."""
+    v = as_int(what, v)
+    if not -(1 << 63) <= v <= _MASK64:
+        raise ValueError(f"{what} must lie in [-2**63, 2**64), got {v}")
+    return v
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
@@ -155,11 +167,11 @@ def counter_uniform(seed, k, coords):
 
 def replication_seed(base_seed: int, r):
     """Seed for replication r: finalizer of base_seed + r * golden.  For an
-    integer array r, the list of the seeds of its entries.  base_seed and an
-    r that is not an array follow as_int; an array r needs an integer dtype
-    (not bool), and an index outside the uint64 range 0..2**64-1 raises
-    ValueError."""
-    base = np.asarray(as_int("base_seed", base_seed) & _MASK64, dtype=np.uint64)
+    integer array r, the list of the seeds of its entries.  base_seed
+    follows as_seed and an r that is not an array as_int; an array r needs
+    an integer dtype (not bool), and an index outside the uint64 range
+    0..2**64-1 raises ValueError."""
+    base = np.asarray(as_seed("base_seed", base_seed) & _MASK64, dtype=np.uint64)
     if not isinstance(r, np.ndarray):
         r = as_int("replication index", r)
     elif not np.issubdtype(r.dtype, np.integer):

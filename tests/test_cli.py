@@ -42,6 +42,15 @@ class TestSimulate:
         assert lines[0] == "replication,rho,ell,log_partition"
         assert len(lines) == 6
 
+    def test_a_seed_past_one_word_is_config_error(self, tmp_path, capsys):
+        """--seed 2**70 wrote the bytes of --seed 0; now it exits 2 before
+        any output opens."""
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--d", "1", "--n", "20", "--beta", "3", "--reps", "2",
+                     "--seed", str(2 ** 70), "--out", str(out)])
+        assert "[-2**63, 2**64)" in assert_config_error(code, capsys)
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_n_is_config_error(self, tmp_path):
         code = main(["simulate", "--d", "1", "--beta", "3",
                      "--out", str(tmp_path / "r.csv")])

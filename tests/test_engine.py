@@ -69,6 +69,18 @@ class TestInstanceValidation:
         with pytest.raises(TypeError, match="seed"):
             PolymerInstance(d=1, n=5, beta=1.0, law=LAW, seed=seed)
 
+    @pytest.mark.parametrize("seed", [2 ** 64, 2 ** 70, -2 ** 63 - 1, (1, -2 ** 63 - 1),
+                                      (2 ** 64, 1)])
+    def test_seeds_must_fit_one_word(self, seed):
+        """A seed is one 64-bit word, and masking to 64 bits would alias
+        another: 2**64 solved seed 0, and -2**63 - 1 seed 2**63 - 1."""
+        with pytest.raises(ValueError, match=r"seed.*\[-2\*\*63, 2\*\*64\)"):
+            PolymerInstance(d=1, n=5, beta=1.0, law=LAW, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-2 ** 63, 2 ** 64 - 1, (-2 ** 63, 2 ** 64 - 1)])
+    def test_the_ends_of_the_word_are_seeds(self, seed):
+        assert PolymerInstance(d=1, n=5, beta=1.0, law=LAW, seed=seed).seed == seed
+
     @pytest.mark.parametrize("seed,plain", [(np.int64(5), 5), ((np.int64(5), 6), (5, 6)),
                                             ((np.uint64(2 ** 64 - 1),), (2 ** 64 - 1,))])
     def test_numpy_int_seeds_become_ints(self, seed, plain):

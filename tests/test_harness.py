@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from polylab import engine, functionals
-from polylab.engine import (SOLVE_FIXED_BYTES, PolymerInstance, draw_bytes,
+from polylab.engine import (LAYER_FIXED_BYTES, SOLVE_FIXED_BYTES, PolymerInstance, draw_bytes,
                             forward_backward, log_space, streamed_bytes)
 from polylab.laws import make_table_law, make_uniform
 from polylab.functionals import ell as ell_fn
@@ -67,6 +67,12 @@ class TestConfig:
             [int, int, int, float]
         assert cfg == CFG
         assert _data(run_replications(cfg)) == _data(run_replications(CFG))
+
+    @pytest.mark.parametrize("base_seed", [2 ** 64, 2 ** 70, -2 ** 63 - 1])
+    def test_base_seed_past_one_word_is_config_error(self, base_seed):
+        """2**70 ran the replications of base seed 0."""
+        with pytest.raises(ConfigError, match=r"base_seed must lie in \[-2\*\*63, 2\*\*64\)"):
+            dataclasses.replace(CFG, base_seed=base_seed)
 
     def test_batch_base_seed_is_config_error(self):
         """An instance takes a tuple of seeds; a config's base seed is one int."""
@@ -230,7 +236,7 @@ class TestChunks:
         held = 8 * (2390 + 3412 + 2 * 300 + 8) + 810
         assert streamed_bytes(1, 300, 3.0) == held + 8 * (2390 + 2 * 111 + 2 * 109) == 74730
         assert chunk_size(1, 300, 3.0) == \
-            (harness.CHUNK_BYTES - SOLVE_FIXED_BYTES) // 74730 == 53
+            (harness.CHUNK_BYTES - SOLVE_FIXED_BYTES - 300 * LAYER_FIXED_BYTES) // 74730 == 53
         # beta=0 draws no weights and makes no backward layer, so it holds no
         # checkpoint, recomputes nothing, and its theta_k is F_k.  The ell
         # step of k = 300 bounds it: alpha, the log normalizers, 8 scalars
@@ -261,23 +267,33 @@ class TestChunks:
 
     @pytest.mark.parametrize("d,n,beta", [(1, 300, 3.0), (2, 40, 2.0), (3, 12, 1.0),
                                           (1, 300, 100.0), (2, 20, 100.0),
-                                          (3, 16, 0.0), (3, 8, 100.0), (1, 300, 0.0)])
+                                          (3, 16, 0.0), (3, 8, 100.0), (1, 300, 0.0),
+                                          (1, 1000, 0.0), (1, 2000, 0.0), (1, 3000, 0.0),
+                                          (1, 2000, 3.0)])
     def test_streamed_bytes_bounds_the_peak_tightly(self, d, n, beta):
         """A chunk's tracemalloc peak is at most its modelled bytes, the
-        environments' share plus the solve's fixed bytes, and at least 85%
-        of them; beta=100 sweeps in log space."""
+        environments' share plus the solve's fixed bytes and per-layer
+        bytes, and at least 85% of them; beta=100 sweeps in log space.  The
+        per-layer bytes grow with n: at d=1, n=3000, beta=0 they are 456 KB
+        of the model.  The peak, retained buffers included, stays within
+        CHUNK_BYTES: d=1, beta=0 chunks bind every step on those buffers,
+        where binding the steps past the kept ones on new arrays peaked at
+        4,522,992 B at n=2000 and 4,215,730 B at n=3000."""
         law = parse_law_spec("uniform:-1,1")
         log = log_space(beta, law)
         size = chunk_size(d, n, beta, log)
-        model = size * streamed_bytes(d, n, beta, log) + SOLVE_FIXED_BYTES
-        assert 0.85 * model <= _streamed_peak(d, n, beta, law, size) <= model
+        model = size * streamed_bytes(d, n, beta, log) + SOLVE_FIXED_BYTES \
+            + n * LAYER_FIXED_BYTES
+        peak = _streamed_peak(d, n, beta, law, size)
+        assert 0.85 * model <= peak <= model
+        assert peak <= harness.CHUNK_BYTES
 
     def test_solve_fixed_bytes_cover_one_replication(self):
         """A one-replication solve holds the temporaries of drawing its top
         layer beside its share; the fixed bytes cover them at d=3, n=12
         (2197 sites, about 10 KiB) even without draw_bytes."""
         peak = _streamed_peak(3, 12, 1.0, parse_law_spec("uniform:-1,1"), 1)
-        assert peak <= streamed_bytes(3, 12, 1.0) + SOLVE_FIXED_BYTES
+        assert peak <= streamed_bytes(3, 12, 1.0) + SOLVE_FIXED_BYTES + 12 * LAYER_FIXED_BYTES
 
     @pytest.mark.parametrize("d,n", [(3, 12), (3, 20), (4, 8)])
     def test_draw_bytes_bound_one_replication_with_large_layers(self, d, n):
@@ -286,7 +302,8 @@ class TestChunks:
         draw_bytes, keep the model an upper bound of a one-replication
         solve."""
         peak = _streamed_peak(d, n, 1.0, parse_law_spec("uniform:-1,1"), 1)
-        assert peak <= streamed_bytes(d, n, 1.0) + SOLVE_FIXED_BYTES + draw_bytes(d, n, 1.0)
+        assert peak <= streamed_bytes(d, n, 1.0) + SOLVE_FIXED_BYTES + n * LAYER_FIXED_BYTES \
+            + draw_bytes(d, n, 1.0)
 
     def test_draw_bytes_follow_the_largest_coordinate_array(self):
         """16 bytes per entry of the top layer's largest coordinate array:
@@ -298,12 +315,12 @@ class TestChunks:
         assert draw_bytes(2, 20, 1.0) == draw_bytes(3, 20, 1.0) == 16 * 21 ** 2
         assert draw_bytes(4, 8, 1.0) == 16 * 9 ** 4
         assert chunk_size(3, 20, 1.0) == \
-            (harness.CHUNK_BYTES - SOLVE_FIXED_BYTES - draw_bytes(3, 20, 1.0)) \
-            // streamed_bytes(3, 20, 1.0)
+            (harness.CHUNK_BYTES - SOLVE_FIXED_BYTES - 20 * LAYER_FIXED_BYTES
+             - draw_bytes(3, 20, 1.0)) // streamed_bytes(3, 20, 1.0)
 
     # chunks of 1, of 3 (3+3+2, so the last chunk is shorter), of all 8
     @pytest.mark.parametrize("budget,size", [
-        (1, 1), (SOLVE_FIXED_BYTES + draw_bytes(CFG.d, CFG.n, CFG.beta)
+        (1, 1), (SOLVE_FIXED_BYTES + CFG.n * LAYER_FIXED_BYTES + draw_bytes(CFG.d, CFG.n, CFG.beta)
                  + 3 * streamed_bytes(CFG.d, CFG.n, CFG.beta), 3),
         (1 << 30, 8)])
     def test_records_do_not_depend_on_chunk_size(self, monkeypatch, budget, size):

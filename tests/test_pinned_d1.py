@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from polylab import harness
-from polylab.engine import (SOLVE_FIXED_BYTES, PolymerInstance, draw_bytes,
-                            forward_backward, layer_theta, streamed_bytes)
+from polylab.engine import (LAYER_FIXED_BYTES, SOLVE_FIXED_BYTES, PolymerInstance,
+                            draw_bytes, forward_backward, layer_theta, streamed_bytes)
 from polylab.functionals import alpha_profile, ell
 from polylab.harness import chunk_size, run_replications
 from polylab.laws import make_uniform
@@ -31,8 +31,9 @@ def records_digest(config):
 
 def several_chunks(monkeypatch, config, size):
     """Shrink the chunk budget to `size` replications per chunk."""
-    monkeypatch.setattr(harness, "CHUNK_BYTES", SOLVE_FIXED_BYTES + draw_bytes(
-        config.d, config.n, config.beta) + size * streamed_bytes(config.d, config.n, config.beta))
+    monkeypatch.setattr(harness, "CHUNK_BYTES", SOLVE_FIXED_BYTES + config.n * LAYER_FIXED_BYTES
+                        + draw_bytes(config.d, config.n, config.beta)
+                        + size * streamed_bytes(config.d, config.n, config.beta))
     assert chunk_size(config.d, config.n, config.beta) == size
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from polylab import engine
 from polylab.engine import PolymerInstance, forward_backward
-from polylab.functionals import alpha_profile, ell, ell_scores
+from polylab.functionals import alpha_profile, ell, ell_scores, rho
 from polylab.harness import ExperimentConfig, chunk_size, run_replications, scaling_study
 from polylab.laws import make_uniform
 
@@ -203,11 +203,49 @@ def test_the_default_scaling_grid_top_stays_within_the_budget():
 
 
 def test_steps_past_the_budget_are_bound_as_they_are_reached(monkeypatch):
-    """With a budget that holds only some of the steps, the rest are bound
-    anew in every solve, and every answer is still a stored solve's."""
+    """With a budget that holds the objects of only some of the bound
+    steps, the rest are bound on the same retained buffers in every solve,
+    as the solve reaches them, and every answer is still a stored
+    solve's."""
     monkeypatch.setattr(engine, "RETAINED_BYTES", 1 << 20)
     # a fresh set, dropped with the budget when the test ends
     monkeypatch.setattr(engine, "_RETAINED", engine._Retained())
     assert_warm_equals_stored(1, 1024, (1, 2), (300, 900))
     assert 0 < len(engine._RETAINED.bound) < 1024
     assert_warm_equals_stored(1, 1024, (1, 2), (300, 900))
+
+
+def test_a_warm_solve_past_the_kept_steps_allocates_no_layer(monkeypatch):
+    """The steps past the kept ones are bound on the retained buffers too,
+    so a warm solve allocates no layer-sized array: beside what it returns
+    it holds at most 84 KB at once at d=1, n=1024 with 16 environments,
+    under one layer (131,200 B).  Bound on new arrays, those steps held
+    557 KB."""
+    monkeypatch.setattr(engine, "RETAINED_BYTES", 1 << 20)
+    monkeypatch.setattr(engine, "_RETAINED", engine._Retained())
+    seed = tuple(range(16))
+    solve(1, 1024, seed, prefixes=(300, 900))
+    assert 0 < len(engine._RETAINED.bound) < 1024
+    tracemalloc.start()
+    try:
+        sol = solve(1, 1024, seed, prefixes=(300, 900))
+        returned, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - returned < 8 * 1025 * len(seed)
+    assert sol.path_dp.best is None
+    assert_within_budget()
+
+
+def test_a_scaling_study_whose_top_layers_do_not_fit(monkeypatch):
+    """At d=3 the four layers of step k take 29 (k+1)^3 bytes, more than
+    RETAINED_BYTES past k = 51: the buffers are sized for step 51, which
+    every step up to it is bound on, and steps 52..56 are bound on new
+    arrays.  Every row is still the stored solve's, bit for bit."""
+    monkeypatch.setattr(engine, "_RETAINED", engine._Retained())
+    rows, _ = scaling_study(3, [16, 32, 56])
+    assert engine._RETAINED.flats["layer"].size == 52 ** 3
+    assert_within_budget()
+    for n, l_val, r_val in rows:
+        stored = solve(3, n, 0, keep_theta=True)
+        assert (l_val, r_val) == (ell(stored)[0], rho(stored))

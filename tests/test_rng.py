@@ -62,6 +62,13 @@ def test_replication_seed_refuses_non_integer_base_seeds(base):
         replication_seed(base, 0)
 
 
+@pytest.mark.parametrize("base", [2 ** 64, 2 ** 70, -2 ** 63 - 1])
+def test_replication_seed_refuses_a_base_seed_past_one_word(base):
+    """Masked to 64 bits, 2**64 gave the seeds of base seed 0."""
+    with pytest.raises(ValueError, match=r"base_seed must lie in \[-2\*\*63, 2\*\*64\)"):
+        replication_seed(base, 0)
+
+
 @pytest.mark.parametrize("r", [1.5, True, np.float64(1.0), "1", [0, 1],
                                np.array([0.5]), np.array([True])])
 def test_replication_seed_refuses_non_integer_indices(r):
