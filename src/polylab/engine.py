@@ -69,18 +69,18 @@ F_k, the frame (the neighbour sum's, the square in layer_alpha and
 PathDP's, whose lifetimes never overlap), PathDP's scores and its move
 masks, sized for step m, the largest step whose four layers fit (m = n
 unless the top layers alone are too big, as for one environment in d = 3
-past n = 51).  Every
-step up to m is bound on them, and a step past m on new arrays.  Allocated
-anew, the arrays were freed at the end of every solve, glibc trimmed the
-heap, and the next solve faulted its working set in again; bound anew,
-every layer built its views again, about half of a small layer's cost.  So
-the steps bound first are kept, with the mappings, for every later solve
-with the same d and batch, a shorter one its first n: a bound step holds
-about 3.5 KiB of array headers, lists and tuples in d = 1 and 7.5 KiB in
-d = 3, and steps are kept while they fit beside the mappings in
-RETAINED_BYTES; the steps past them are bound on the mappings as the
-solve reaches them.  The kept steps are bound again when a mapping is
-remapped (a solve whose step m outgrows it) or for another d or batch.
+past n = 51).  Every step up to m is bound on them, and a step past m on
+new arrays.  Allocated anew, the arrays were freed at the end of every
+solve, glibc trimmed the heap, and the next solve faulted its working set
+in again; bound anew, every layer built its views again, about half of a
+small layer's cost.  So the steps bound first are kept, with the
+mappings, for every later solve with the same d and batch, a shorter one
+its first n: a bound step holds about 2.9 KiB of array headers, lists and
+tuples in d = 1 and 6.5 KiB in d = 3, and steps are kept while they fit
+beside the mappings in RETAINED_BYTES; the steps past them are bound on
+the mappings as the solve reaches them.  The kept steps are bound again
+when a mapping is remapped (a solve whose step m outgrows it) or for
+another d or batch.
 Nothing retained leaves a solve: alpha, the log normalizers and the packed
 choices are new arrays, and the ell program keeps no score layer once the
 sweep has settled it (lattice.PathDP.settle), only each row's top score
@@ -801,16 +801,16 @@ class _Retained(threading.local):
         where not even step 1 fits."""
         d, n = len(plan[0].shape), len(plan) - 1
         rows, moves = math.prod(lead), 2 * d - 1
-
-        def need(k: int) -> dict:
-            cells = rows * layer_cells(d, k)
-            return {"layer": 8 * cells, "frame": 8 * cells, "score": 8 * cells,
-                    "masks": moves * cells}
-
-        m = bisect_right(range(1, n + 1), RETAINED_BYTES, key=lambda k: sum(need(k).values()))
+        # step m's four layers: F_k, the frame and the scores of 8 bytes a
+        # cell, and a byte a cell for each of its 2d - 1 masks
+        per_cell = rows * (24 + moves)
+        m = bisect_right(range(1, n + 1), RETAINED_BYTES // per_cell,
+                         key=lambda k: layer_cells(d, k))
         if not m:
             return [], None
-        sizes = need(m)
+        cells = rows * layer_cells(d, m)
+        sizes = {"layer": 8 * cells, "frame": 8 * cells, "score": 8 * cells,
+                 "masks": moves * cells}
         if not self.flats or any(self.flats[role].nbytes < size for role, size in sizes.items()):
             self.key = None         # the kept steps view the old mappings
             self.flats = {role: np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE),

@@ -19,10 +19,18 @@ from polylab.laws import make_uniform
 LAW = make_uniform(-1.0, 1.0)
 
 
-def solve(d, n, seed, keep_theta=False, prefixes=()):
+def unchecked_solve(d, n, seed, keep_theta=False, prefixes=()):
     inst = PolymerInstance(d=d, n=n, beta=0.0, law=LAW, seed=seed)
     return forward_backward(inst, keep_forward=False, keep_theta=keep_theta,
                             prefixes=prefixes)
+
+
+def solve(d, n, seed, keep_theta=False, prefixes=()):
+    """A beta=0 solve, after which this thread's retained set must still
+    fit in RETAINED_BYTES (assert_within_budget)."""
+    solution = unchecked_solve(d, n, seed, keep_theta, prefixes)
+    assert_within_budget()
+    return solution
 
 
 def fingerprint(solution, lengths):
@@ -228,7 +236,7 @@ def test_a_warm_solve_past_the_kept_steps_allocates_no_layer(monkeypatch):
     assert 0 < len(engine._RETAINED.bound) < 1024
     tracemalloc.start()
     try:
-        sol = solve(1, 1024, seed, prefixes=(300, 900))
+        sol = unchecked_solve(1, 1024, seed, prefixes=(300, 900))
         returned, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
