@@ -767,6 +767,20 @@ def _object_bytes(obj) -> int:
     return sys.getsizeof(obj) + sum(map(_object_bytes, obj))
 
 
+@lru_cache(maxsize=64)
+def _workspace(d: int, n: int, rows: int, budget: int) -> Tuple[int, dict]:
+    """(m, {role: bytes}) of the flats of a streamed beta=0 solve of rows
+    environments, m the largest step <= n whose four layers fit in budget
+    bytes: F_k, the frame and the scores of 8 bytes a cell, and a byte a
+    cell for each of its 2d - 1 masks."""
+    moves = 2 * d - 1
+    m = bisect_right(range(1, n + 1), budget // (rows * (24 + moves)),
+                     key=lambda k: layer_cells(d, k))
+    cells = rows * layer_cells(d, m) if m else 0
+    return m, {"layer": 8 * cells, "frame": 8 * cells, "score": 8 * cells,
+               "masks": moves * cells}
+
+
 class _Retained(threading.local):
     """This thread's buffers and bound steps for streamed beta=0 solves,
     kept between solves.
@@ -798,19 +812,14 @@ class _Retained(threading.local):
     def steps(self, plan: Plan, lead: Tuple[int, ...]) -> Tuple[List[Bound], Optional[dict]]:
         """(the kept bound steps 1..len, the flats) for a streamed beta=0
         solve with the step plan of (d, n) and leading axes lead; flats None
-        where not even step 1 fits."""
+        where not even step 1 fits.  A warm solve whose steps 1..m are all
+        kept maps and binds nothing."""
         d, n = len(plan[0].shape), len(plan) - 1
-        rows, moves = math.prod(lead), 2 * d - 1
-        # step m's four layers: F_k, the frame and the scores of 8 bytes a
-        # cell, and a byte a cell for each of its 2d - 1 masks
-        per_cell = rows * (24 + moves)
-        m = bisect_right(range(1, n + 1), RETAINED_BYTES // per_cell,
-                         key=lambda k: layer_cells(d, k))
+        m, sizes = _workspace(d, n, math.prod(lead), RETAINED_BYTES)
         if not m:
             return [], None
-        cells = rows * layer_cells(d, m)
-        sizes = {"layer": 8 * cells, "frame": 8 * cells, "score": 8 * cells,
-                 "masks": moves * cells}
+        if (d, lead) == self.key and m <= len(self.bound):
+            return self.bound, self.flats
         if not self.flats or any(self.flats[role].nbytes < size for role, size in sizes.items()):
             self.key = None         # the kept steps view the old mappings
             self.flats = {role: np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE),
