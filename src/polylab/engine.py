@@ -17,7 +17,9 @@ layers hold log-masses and neighbour sums are log-sum-exps.  Every
 neighbour sum (_sum, or _log_sum in log space) takes its 2d steps as adds
 of contiguous flat slices of lattice frames (lattice.step_geometry, planned
 per solve by lattice.step_plan), with the results of the windowed sums bit
-for bit.
+for bit.  Each one, up or down, takes its frame and slices from _stencil,
+but _sum up into a step bound on retained buffers, whose frame and view
+pairs were bound with the step (lattice.bind).
 Every function that takes a step k, from env_layer to the keys of
 forward_backward's layer_omega, reads it through PolymerInstance.step,
 which refuses a bool, a non-integer and a step not in 1..n, and every
@@ -60,7 +62,8 @@ over, and, for a step bound on retained buffers, its frame's interior and
 pads, the neighbour sum's 2d (into, take) view pairs and PathDP.push's
 scores, move slices, edge cells and mask rows.  _sum, _normalize,
 layer_alpha and push read the bound views; a step bound on new arrays
-binds the rest as it runs, as the stencil always has.
+binds the rest as it runs: its neighbour sum frames the layer in
+_stencil, as every other sum does.
 
 A streamed beta=0 solve (keep_theta=False, keep_forward=False) returns
 none of its layers, so it binds its steps on buffers that its thread keeps
@@ -131,7 +134,7 @@ import numpy as np
 
 from .lattice import (Bound, PathDP, Site, Step, bind, cell_sites, framed,
                       is_reachable, layer_cells, layer_coords, layer_shape, site_cells,
-                      step_plan, step_vectors, sum_pairs)
+                      step_plan, step_vectors)
 from .laws import EnvironmentLaw
 from .rng import as_int, as_seed, counter_uniform
 
@@ -278,26 +281,24 @@ def _sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
     on frames of the larger layer.  Padding adds +0.0, so every cell gets
     the same terms in the same order as from windows.  Up, the sum is
     written into the layer of bound, step k as the forward sweep bound it
-    (lattice.bind), through its slice pairs, or through pairs on a new
-    frame where the step has none.  Framing reads the layer before the sum
-    is written, so the layer and the sum may share a buffer."""
-    if up:
-        if bound.frame is None:     # a frame of its own, freed when the sum ends
-            sums = sum_pairs(here, bound.layer, framed(layer, here, 0.0).reshape(-1))
-        else:
-            bound.frame.hold(layer, 0.0)
-            sums = bound.sums
-        (out, take), *rest = sums
+    (lattice.bind): through its bound view pairs where the step was bound
+    on retained buffers, otherwise through _stencil's slices, as every sum
+    down is.  Framing reads the layer before the sum is written, so the
+    layer and the sum may share a buffer."""
+    if up and bound.frame is not None:
+        bound.frame.hold(layer, 0.0)
+        (out, take), *rest = bound.sums
         out[...] = take                 # offset 0: a copy, not 0 + x
         for out, take in rest:
             out += take
         return bound.layer
-    result, source, out, pairs = _stencil(layer, lead, here, big, False, 0.0, None)
-    (_, first), *rest = pairs
-    out[...] = source[first]
+    result, source, out, ((into, take), *rest) = _stencil(layer, lead, here, big, up,
+                                                          0.0, bound)
+    out[into] = source[take]            # offset 0: a copy, not 0 + x
     for into, take in rest:
         out[into] += source[take]
-    np.copyto(result, out.reshape(layer.shape)[big.frame])
+    if not up:
+        np.copyto(result, out.reshape(layer.shape)[big.frame])
     return result
 
 
@@ -309,8 +310,8 @@ def _stencil(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
 
     Up, source is the step-(k-1) layer padded with fill in a new frame,
     and out is the result itself, the layer of bound (step k as the forward
-    sweep bound it).  Only _log_sum sums up here, and only at beta > 0,
-    whose steps have no retained frame.  Down, source is the step-(k+1)
+    sweep bound it): every sum up but _sum's on a retained step, which
+    reads the frame and pairs bound with it.  Down, source is the step-(k+1)
     layer and out a new frame of its shape, whose cells [0, k+1)^d the
     caller copies into the result.  The result outlives the frames and is
     allocated before them, so freed frames leave no holes between

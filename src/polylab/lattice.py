@@ -195,22 +195,16 @@ def bind_moves(step: Step, batch: int, source: np.ndarray, score: np.ndarray,
                  masks.reshape(len(rest), batch, -1).transpose(1, 0, 2))
 
 
-def sum_pairs(step: Step, layer: np.ndarray, source: np.ndarray) -> list:
-    """The (into, take) view pairs of a neighbour sum up into the step-k
-    layer from the flattened frame source, in the order of Step.up: into
-    on the flattened layer, take on source."""
-    out = layer.reshape(-1)
-    return [(out[into], source[take]) for into, take in step.up]
-
-
 class Bound(NamedTuple):
     """Step k of a forward sweep bound to the arrays it reads and writes
     (bind): the forward layer F_k (layer, leading axes kept) and its
     (batch, cells) view (flat); then the Frame of its neighbour sum, the
-    sum's slice pairs (sum_pairs), the frame as (batch, cells) (squares),
-    which holds engine.layer_alpha's square, and PathDP.push's Moves over
-    the same frame.  A step bound on new arrays has none of the last four:
-    the sum, the square and push each make their own when they run."""
+    sum's (into, take) view pairs in the order of Step.up, into on the
+    flattened layer and take on the flattened frame (sums), the frame as
+    (batch, cells) (squares), which holds engine.layer_alpha's square, and
+    PathDP.push's Moves over the same frame.  A step bound on new arrays
+    has none of the last four: the sum, the square and push each make their
+    own when they run."""
 
     step: Step
     layer: np.ndarray
@@ -229,10 +223,10 @@ def bind(step: Step, lead: Tuple[int, ...], flats: Optional[dict] = None) -> Bou
     step's cells per row, times its 2d - 1 moves for masks), every array is
     a view of them and the step is bound in full.  Otherwise (flats None, as
     at beta > 0, or a step too large for them) it binds a new F_k and
-    nothing else: the neighbour sum, engine.layer_alpha and PathDP.push
-    each allocate their frame, square and scores when they run and drop
-    what they can when they end, so a fresh solve allocates and frees in
-    the order it always has."""
+    nothing else: the neighbour sum (through engine._stencil),
+    engine.layer_alpha and PathDP.push each allocate their frame, square
+    and scores when they run and drop what they can when they end, so a
+    fresh solve allocates and frees in the order it always has."""
     shape = lead + step.shape
     rows = math.prod(lead)
     size = rows * math.prod(step.shape)
@@ -244,8 +238,10 @@ def bind(step: Step, lead: Tuple[int, ...], flats: Optional[dict] = None) -> Bou
     cube = flats["frame"][:size].reshape(shape)
     frame = Frame(cube, cube[step.frame], [cube[pad] for pad in step.pads], cube.reshape(-1))
     masks = flats["masks"][:(len(step.moves) - 1) * size].reshape(-1, size)
+    out = layer.reshape(-1)
     return Bound(step, layer, layer.reshape(rows, -1), frame,
-                 sum_pairs(step, layer, frame.flat), frame.cube.reshape(rows, -1),
+                 [(out[into], frame.flat[take]) for into, take in step.up],
+                 frame.cube.reshape(rows, -1),
                  bind_moves(step, rows, frame.flat, flats["score"][:size], masks))
 
 

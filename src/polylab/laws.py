@@ -306,21 +306,26 @@ def make_table_law(xs: Sequence[float], fs: Sequence[float]) -> EnvironmentLaw:
 
 
 def load_table_law(path: str) -> EnvironmentLaw:
-    """Read a CSV with x,f columns into a table law.  Bytes that are not
-    UTF-8 are kept as escapes (surrogateescape), so a cell that holds one
-    is not a number and its line is refused by name."""
-    xs, fs = [], []
+    """Read a CSV with x,f columns into a table law.  Blank rows are
+    skipped, and the first other row is a header if its first cell is x;
+    every other row holds two numbers, and a row with a non-blank cell
+    past them is refused by its line.  Bytes that are not UTF-8 are kept
+    as escapes (surrogateescape), so a cell that holds one is not a number
+    and its line is refused by name."""
     with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].strip().lower() == "x":
-                continue
-            try:
-                xs.append(float(row[0]))
-                fs.append(float(row[1]))
-            except (IndexError, ValueError):
-                raise LawValidationError(f"{path} line {reader.line_num}: want two "
-                                         f"numbers x,f, got {row!r}") from None
+        rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
+    if rows and rows[0][1][0].strip().lower() == "x":
+        del rows[0]
+    xs, fs = [], []
+    for line, row in rows:
+        try:
+            x, f = row[:2] + [cell for cell in row[2:] if cell.strip()]
+            xs.append(float(x))
+            fs.append(float(f))
+        except ValueError:          # not two cells, or one not a number
+            raise LawValidationError(f"{path} line {line}: want two "
+                                     f"numbers x,f, got {row!r}") from None
     return make_table_law(xs, fs)
 
 

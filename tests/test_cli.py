@@ -208,9 +208,13 @@ class TestSimulate:
         assert "at least 10 bins" in assert_config_error(code, capsys)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("text", ["x,f\n-1,0\n0,one\n1,0\n", "x,f\n-1,0\n0\n1,0\n"])
+    @pytest.mark.parametrize("text", [
+        "x,f\n-1,0\n0,one\n1,0\n", "x,f\n-1,0\n0\n1,0\n",
+        "x,f\n-1,0\n-0.5,0.75,9\n0,1\n0.5,0.75\n1,0\n",
+        "x,f\n-1,0\nx,f\n-0.5,0.75\n0,1\n0.5,0.75\n1,0\n"])
     def test_malformed_table_law_is_config_error(self, tmp_path, capsys, text):
-        """A non-numeric cell or a one-column row exits 2, naming its line."""
+        """A non-numeric cell, a one-column row, a third cell and an x,f
+        row past the header each exit 2, naming the line."""
         table = tmp_path / "f.csv"
         table.write_text(text)
         code = main(["simulate", "--d", "1", "--n", "10", "--beta", "1",

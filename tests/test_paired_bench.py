@@ -139,15 +139,19 @@ def test_interleave_alternates_the_first_side_and_times_each_call(tmp_path, capf
                               "--seed0", "9"]) == 0
     lines = log.read_text().splitlines()
     # one process loads the parent's package twice, for the untimed ballast
-    # and for the parent, then the change's; the parent first in even
-    # rounds, the change first in odd ones; both sides make call i of the
-    # measured pass with the same seed, each on its own tree's package
+    # and for the parent, then the change's; each round opens with the
+    # ballast's call i (a copy of the parent's tree here), then the parent
+    # first in even rounds, the change first in odd ones; all three make
+    # call i of the measured pass with the same seed, each on its own
+    # tree's package
     (ballast, pid), (parent, pid1), (change, pid2) = loads(lines[:3])
     assert (ballast, parent, change) == ("slow", "slow", "fast")
     assert pid == pid1 == pid2 != str(os.getpid())
     assert lines[3:] == [
-        "slow 0 0 9", "fast 0 0 9", "fast 1 0 9", "slow 1 0 9",
-        "slow 2 0 9", "fast 2 0 9", "fast 3 0 9", "slow 3 0 9"]
+        "slow 0 0 9", "slow 0 0 9", "fast 0 0 9",
+        "slow 1 0 9", "fast 1 0 9", "slow 1 0 9",
+        "slow 2 0 9", "slow 2 0 9", "fast 2 0 9",
+        "slow 3 0 9", "fast 3 0 9", "slow 3 0 9"]
     out, err = capfd.readouterr()
     assert "interleaved w: 4 rounds, seed 9" in out
     assert "the parent's tree loaded first" in out
@@ -271,16 +275,18 @@ def test_sets_run_in_fresh_processes_on_consecutive_seeds(tmp_path, capsys):
                               "--sets", "3", "--seed0", "7"]) == 0
     lines = log.read_text().splitlines()
     # per set: a new process loads the ballast and both packages, the
-    # parent's first in even sets, then two rounds on the set's seed
+    # parent's first in even sets, then two rounds on the set's seed, each
+    # opened by the ballast's call (a copy of the tree loaded first)
     pids = []
     for j, seed in enumerate((7, 8, 9)):
-        (ballast, pid), (first, pid1), (second, pid2) = loads(lines[7 * j:7 * j + 3])
+        (ballast, pid), (first, pid1), (second, pid2) = loads(lines[9 * j:9 * j + 3])
         assert (ballast, first, second) == (("slow", "slow", "fast") if j % 2 == 0
                                             else ("fast", "fast", "slow"))
         assert pid == pid1 == pid2
         pids.append(pid)
-        assert lines[7 * j + 3:7 * j + 7] == [
-            f"slow 0 0 {seed}", f"fast 0 0 {seed}", f"fast 1 0 {seed}", f"slow 1 0 {seed}"]
+        assert lines[9 * j + 3:9 * j + 9] == [
+            f"{ballast} 0 0 {seed}", f"slow 0 0 {seed}", f"fast 0 0 {seed}",
+            f"{ballast} 1 0 {seed}", f"fast 1 0 {seed}", f"slow 1 0 {seed}"]
     assert len(set(pids)) == 3 and str(os.getpid()) not in pids
     out = capsys.readouterr().out
     assert [f"seed {s}," in out for s in (7, 8, 9)] == [True] * 3

@@ -26,9 +26,10 @@ itself only relatively, so each copy's submodules come from its own
 tree) and builds that tree's perfbench/workloads.py workload W with
 `polylab` bound to that tree's package while the workload is made, set
 up and warmed up.  A figure1 call solves one chunk of 53 replications
-(CALL_REPS).  Round i times call i of both workloads with
-perf_counter_ns, on the same inputs, the parent first in even rounds and
-the change first in odd ones, and checks each output with the workload's
+(CALL_REPS).  Round i makes call i of the ballast (below), untimed, and
+then times call i of both workloads with perf_counter_ns, on the same
+inputs, the parent first in even rounds and the change first in odd
+ones, and checks each output with the workload's
 problems(); the tool exits 1 on the first problem, or when a workload
 cannot be built.  Whatever the workloads print goes to stderr.  The tool
 prints each side's per-call median and quartiles, the per-round ratio
@@ -42,7 +43,12 @@ long as it lives: the tree warmed second read 0.6-1.2% faster on
 scaling_d3 and about 0.7% on figure1.  So a set first builds and warms a
 third copy of one tree (polylab_ballast), which it keeps and never
 times; the tree built second then read about 0.3% faster on scaling_d3
-and no faster on figure1.
+and no faster on figure1.  Without the ballast's call before each round,
+the first call of every round after the first followed a call of its
+own tree (p c | c p | p c ...), whose data it found in the caches: in
+A/A sets of scaling_d3, even rounds read a median ratio of 0.984-0.994
+and odd rounds 1.006-1.020.  With it, each round's first call follows a
+call of neither side.
 
 --sets S runs S such interleaved sets one after another, set j in a new
 process with seed K+j, and prints each set's summary as it ends, then
@@ -155,19 +161,22 @@ def build(tree: Path, side: str, workload: str, seed: int, work_dir: str):
 def run_set(parent: str, change: str, workload: str, rounds: int, seed: int,
             first: str) -> None:
     """One interleaved set, in a process of its own: builds the ballast
-    and both trees' workloads, first's first, times the rounds and prints
-    the nanoseconds of each side's calls as one JSON line on stdout.
-    Exits with a message at the first problem."""
+    and both trees' workloads, first's first, times the rounds, each after
+    an untimed call of the ballast, and prints the nanoseconds of each
+    side's calls as one JSON line on stdout.  Exits with a message at the
+    first problem."""
     result = sys.stdout
     sys.stdout = sys.stderr         # whatever the workloads print stays off the result
     trees = {"parent": Path(parent), "change": Path(change)}
     with tempfile.TemporaryDirectory() as work_dir:
-        # kept, untimed, in the place of the first workload warmed
-        ballast = build(trees[first], "ballast", workload, seed, work_dir)  # noqa: F841
+        # untimed, in the place of the first workload warmed
+        ballast, ballast_wl = build(trees[first], "ballast", workload, seed, work_dir)
         built = {side: build(trees[side], side, workload, seed, work_dir)
                  for side in (first, "change" if first == "parent" else "parent")}
         ns = {"parent": [], "change": []}
         for i in range(rounds):
+            # so that neither side's first call follows a call of its own tree
+            ballast_wl.call(i, ballast.MEASURED_PASS)
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 module, wl = built[side]
                 t0 = time.perf_counter_ns()
