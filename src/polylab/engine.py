@@ -292,8 +292,8 @@ def _sum(layer: np.ndarray, lead: Tuple[int, ...], here: Step, big: Step,
         for out, take in rest:
             out += take
         return bound.layer
-    result, source, out, ((into, take), *rest) = _stencil(layer, lead, here, big, up,
-                                                          0.0, bound)
+    result, source, out, pairs = _stencil(layer, lead, here, big, up, 0.0, bound)
+    (into, take), *rest = pairs
     out[into] = source[take]            # offset 0: a copy, not 0 + x
     for into, take in rest:
         out[into] += source[take]

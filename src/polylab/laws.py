@@ -315,7 +315,7 @@ def load_table_law(path: str) -> EnvironmentLaw:
     with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
-    if rows and rows[0][1][0].strip().lower() == "x":
+    if rows and rows[0][1][0].strip().lower() == "x":     # the header
         del rows[0]
     xs, fs = [], []
     for line, row in rows:

@@ -22,14 +22,18 @@ from polylab.rng import replication_seed
 # 53 replications after a solve that fills the caches: 59,883 before the
 # per-layer steps were planned once per solve, 42,005 after; 43,188 with
 # each layer's sites read from a cache, 40,792 with each layer drawn at its
-# coordinate arrays (lattice.layer_coords; Python 3.11, numpy 2.4.6).  The
-# budget leaves 10% of headroom.
+# coordinate arrays (lattice.layer_coords; Python 3.11, numpy 2.4.6);
+# 41,691 before, and 41,391 after, every neighbour sum on a step not bound
+# on retained buffers went through engine._stencil.  The budget leaves 10%
+# of headroom.
 CALL_BUDGET = 44_871
 
 # Python-level calls of a warm scaling_study(3, [8, 16, 32]), whose solve
 # reuses the steps it bound on retained buffers (engine._Retained): 2,887
 # when every layer looked its views up anew, 1,270 with the steps bound
-# once.  The budget leaves 10% of headroom.
+# once, and 1,269 both before and after the unbound sums went through
+# engine._stencil, since every step here is bound.  The budget leaves 10%
+# of headroom.
 SCALING_CALL_BUDGET = 1_397
 
 

@@ -437,6 +437,16 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_paths(sol2, 1, np.random.default_rng(0))
 
+    def test_a_step_without_forward_mass_is_refused(self, solved):
+        """A forward layer with no mass at any neighbour of the endpoint
+        leaves the walk back no predecessor to choose."""
+        _, sol = solved
+        layers = list(sol.forward_layers)
+        layers[-2] = np.zeros_like(layers[-2])
+        with pytest.raises(NumericalError, match="no admissible predecessor at k=29"):
+            sample_paths(dataclasses.replace(sol, forward_layers=layers), 5,
+                         np.random.default_rng(0))
+
 
 class TestZeroLayer:
     def test_sandwich(self):
@@ -640,6 +650,16 @@ class TestDerivativeIdentity:
     def test_random_sites(self):
         assert verify.derivative_identity(n=40, trials=20, seed=606)[0]["passed"]
 
+    def test_a_step_past_the_support_is_clamped_with_a_warning(self):
+        """A law narrower than the difference step (1e-7 against 2e-6) puts
+        both shifted values outside the support; they are clamped to its
+        inner edges, with a warning, and the difference still matches."""
+        inst = PolymerInstance(d=1, n=4, beta=1.0, law=make_uniform(0.0, 1e-7), seed=3)
+        sol = forward_backward(inst)
+        with pytest.warns(UserWarning, match="leaves the support; clamping"):
+            analytic, numeric = theta_derivative_check(sol, 2, (0,))
+        assert numeric == pytest.approx(analytic, rel=1e-6)
+
 
 @pytest.mark.parametrize("seed,solve", [
     (5, forward_backward),
@@ -767,3 +787,19 @@ class TestLowTemperature:
         for k in range(1, n + 1):
             np.testing.assert_allclose(b.theta_array(k), a.theta_array(k), atol=0,
                                        rtol=math.expm1(2 * drift) + rounding * LAW.width)
+
+
+class TestNonFiniteLayers:
+    """The normalizers refuse a layer they cannot normalize, naming it."""
+
+    @pytest.mark.parametrize("value", [0.0, np.inf, np.nan])
+    def test_normalize_refuses_a_sum_that_is_not_finite_and_positive(self, value):
+        x = np.array([[0.25, 0.75], [value, value]])
+        with pytest.raises(NumericalError, match="non-finite forward layer at k=3"):
+            engine._normalize(x, (-1,), "forward", 3, False)
+
+    @pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan])
+    def test_exp_shifted_refuses_a_top_that_is_not_finite(self, value):
+        x = np.array([[0.0, -1.0], [value, value]])
+        with pytest.raises(NumericalError, match="non-finite theta layer at k=2"):
+            engine._exp_shifted(x, None, (-1,), "theta", 2)

@@ -322,6 +322,14 @@ class TestReport:
         assert rep.gamma_profile is not None and np.all(rep.gamma_profile > 0)
         validate_path(rep.argmax_path, 1)
 
+    def test_a_broken_overlap_chain_is_refused(self):
+        """Theta layers scaled by 10 are no probabilities: rho grows 100
+        times and ell 10 times, so rho passes ell and the report is refused."""
+        _, sol = solved(1, 30, 3.0, 90)
+        scaled = dataclasses.replace(sol, theta_layers=[10.0 * t for t in sol.theta_layers])
+        with pytest.raises(RuntimeError, match="overlap chain violated"):
+            build_report(scaled)
+
 
 @pytest.mark.parametrize("keep_theta", [True, False], ids=["stored", "streamed"])
 @pytest.mark.parametrize("d,n,beta", [(1, 40, 3.0), (2, 9, 0.0), (3, 6, 100.0)])

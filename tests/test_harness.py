@@ -110,6 +110,17 @@ class TestRunReplications:
         with pytest.raises(RuntimeError, match="replication 0: non-finite log Z"):
             ReplicationRecord(0, 0.5, 0.6, log_z).check(1, 10)
 
+    @pytest.mark.parametrize("ell", [0.0, -0.5, 1.5, np.nan])
+    def test_an_ell_outside_the_unit_interval_fails_the_check(self, ell):
+        with pytest.raises(RuntimeError, match=r"replication 0: ell=.* outside \(0, 1\]"):
+            ReplicationRecord(0, 0.5, ell, 0.0).check(1, 10)
+
+    @pytest.mark.parametrize("ell", [0.4, 0.9], ids=["rho-above-ell", "ell-squared-above-rho"])
+    def test_a_broken_overlap_chain_fails_the_check(self, ell):
+        """rho and ell each in range, but not ell^2 <= rho <= ell."""
+        with pytest.raises(RuntimeError, match="replication 0: overlap chain violated"):
+            ReplicationRecord(0, 0.5, ell, 0.0).check(1, 10)
+
     def test_rerun_identical_data(self, records):
         again = run_replications(CFG)
         for a, b in zip(records, again):

@@ -223,6 +223,18 @@ class TestPhiKappa:
     def test_kappa_takes_numpy_integer_dimensions(self, sym):
         assert kappa(sym, np.int64(2)) == kappa(sym, 2)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_kappa_needs_a_positive_dimension(self, sym, d):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            kappa(sym, d)
+
+    def test_kappa_refuses_a_law_whose_phi_never_falls(self, sym):
+        """With h at 1e-20 everywhere, phi(lambda) stays near 1 up to the
+        largest rate tried, 1e12, so no kappa exists."""
+        flat = dataclasses.replace(sym, h_closed_form=lambda x: np.full_like(x, 1e-20))
+        with pytest.raises(LawValidationError, match="never reaches the kappa threshold"):
+            kappa(flat, 1)
+
     def test_phi_small_at_kappa_rate(self, sym):
         assert phi(sym, 1.0 / kappa(sym, 1)) < 0.01
 
@@ -318,6 +330,20 @@ class TestIdentities:
                                 count(lambda x: 2.0 * np.asarray(x)))
         return margin, sum(nodes)
 
+    def test_split_cap_ends_an_integrand_that_never_converges(self):
+        """sin(1e12 y) oscillates inside every panel that bisection can
+        make, so no panel ever agrees with its halves: the rounds double
+        until one would bisect more than _PANEL_MAX_SPLIT panels, which
+        keeps all their halves and ends the integral."""
+        panels = []
+
+        def fn(y):
+            panels.append(y.shape[0])
+            return np.sin(1e12 * y)
+
+        assert math.isfinite(laws.panel_gauss(fn, [0.0, 1.0]))
+        assert panels[-1] == 4 * laws._PANEL_MAX_SPLIT == max(panels)
+
     def test_poincare_work_is_bounded_far_from_zero(self):
         """The integrands are near 1e8, whose rounding no absolute
         tolerance can beat; panel_gauss's split cap bounds the work
@@ -358,6 +384,12 @@ class TestTensorized:
             check_poincare_tensorized(sym, 2, lambda x: x.sum(axis=-1),
                                       [lambda x: np.ones(x.shape[0])] * 2,
                                       mc_samples=10)
+
+    def test_at_most_six_coordinates(self, sym):
+        with pytest.raises(ValueError, match="limited to n <= 6"):
+            check_poincare_tensorized(sym, 7, lambda x: x.sum(axis=-1),
+                                      [lambda x: np.ones(x.shape[0])] * 7,
+                                      mc_samples=1000)
 
 
 class TestTableLaw:
@@ -534,6 +566,25 @@ class TestNaN:
                                                   sym.h_closed_form(x)))
         with pytest.raises(LawValidationError, match="disagrees with quadrature"):
             bad.validate()
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, -1.0), (0.0, 0.0), (math.nan, 1.0),
+                                       (-1.0, math.inf)])
+    def test_validate_rejects_an_invalid_support(self, sym, lo, hi):
+        with pytest.raises(LawValidationError, match="invalid support"):
+            dataclasses.replace(sym, support_lo=lo, support_hi=hi).validate()
+
+    def test_validate_rejects_h_that_is_not_positive(self, sym):
+        bad = dataclasses.replace(sym, h_closed_form=lambda x: np.zeros_like(x))
+        with pytest.raises(LawValidationError, match="h is not strictly positive"):
+            bad.validate()
+
+    @pytest.mark.parametrize("h", [
+        lambda x: np.full_like(x, np.nan),
+        lambda x: np.where(x == x.max(), np.inf, 0.5 * (1.0 - x * x))],
+        ids=["nan", "inf-at-the-top"])
+    def test_validate_rejects_h_whose_slope_is_not_finite(self, sym, h):
+        with pytest.raises(LawValidationError, match="h' is not finite"):
+            dataclasses.replace(sym, h_closed_form=h).validate()
 
     def test_phi_rejects_nan_rate(self, sym):
         with pytest.raises(ValueError, match="nonnegative"):

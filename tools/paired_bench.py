@@ -46,9 +46,10 @@ times; the tree built second then read about 0.3% faster on scaling_d3
 and no faster on figure1.  Without the ballast's call before each round,
 the first call of every round after the first followed a call of its
 own tree (p c | c p | p c ...), whose data it found in the caches: in
-A/A sets of scaling_d3, even rounds read a median ratio of 0.984-0.994
-and odd rounds 1.006-1.020.  With it, each round's first call follows a
-call of neither side.
+eight A/A sets of scaling_d3 (300 rounds, 2-vCPU Xeon) every set's
+even-round median ratio read 1.2-3.4% below its odd-round one.  With
+it, each round's first call follows a call of neither side, and the two
+medians agreed to within 0.7%, either way.
 
 --sets S runs S such interleaved sets one after another, set j in a new
 process with seed K+j, and prints each set's summary as it ends, then
